@@ -24,7 +24,14 @@
 //!   ungated while the conversion cost is established);
 //! * `tuner_replay_variant` — one counterfactual replay of a recorded
 //!   log under a non-recorded config, the autotuner's unit of work
-//!   (ungated initially).
+//!   (ungated initially);
+//! * `dispatch_small` — a four-block kernel through a standalone
+//!   [`Dispatcher`] on the Titan Xp's 240-worker grid: the launch path a
+//!   serving daemon pays per kernel (**hard-gated**: it must stay free of
+//!   thread creation and per-worker work);
+//! * `dispatch_resize_relaunch` — a dispatch resized from inside its
+//!   first block, so every iteration retreats and relaunches once
+//!   (ungated: helper wake-ups make it follow the machine's CPU count).
 //!
 //! Output: `-- --json <path>` or the `SLATE_BENCH_JSON` environment
 //! variable; a human-readable table always goes to stdout.
@@ -34,6 +41,7 @@ use slate_core::arbiter::replay::{replay_under, EventLog};
 use slate_core::arbiter::{ArbiterConfig, ArbiterCore, Command, Event};
 use slate_core::backend::{Backend, SimBackend, WorkSpec};
 use slate_core::classify::WorkloadClass;
+use slate_core::dispatch::{DispatchHandle, Dispatcher};
 use slate_core::durability::{recover_dir, Durability, DurableMeta, WalRecord};
 use slate_core::partition::partition;
 use slate_core::placement::{PlacementBatch, PlacementConfig, PlacementLayer, PlacementPolicy};
@@ -44,7 +52,8 @@ use slate_gpu_sim::perf::KernelPerf;
 use slate_kernels::grid::{BlockCoord, GridDim};
 use slate_kernels::kernel::GpuKernel;
 use std::hint::black_box;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Warmup fraction and measurement runs of the fixed harness.
@@ -182,6 +191,45 @@ impl GpuKernel for Nop {
     }
     fn run_block(&self, b: BlockCoord) {
         black_box(b);
+    }
+}
+
+/// A kernel that, when armed with its own dispatch handle, shrinks itself
+/// to one SM from inside block 0, and lets no other block finish before
+/// that resize has landed — so every live worker retires exactly one task
+/// in the first launch, on any number of lanes.
+struct SelfResizing {
+    grid: GridDim,
+    shrink: Mutex<Option<DispatchHandle>>,
+    armed: AtomicBool,
+}
+impl SelfResizing {
+    fn arm(&self, handle: DispatchHandle) {
+        *self.shrink.lock().expect("bench lock") = Some(handle);
+        self.armed.store(true, Ordering::Release);
+    }
+}
+impl GpuKernel for SelfResizing {
+    fn name(&self) -> &str {
+        "self-resizing"
+    }
+    fn grid(&self) -> GridDim {
+        self.grid
+    }
+    fn perf(&self) -> KernelPerf {
+        KernelPerf::synthetic("self-resizing", 100.0, 0.0)
+    }
+    fn run_block(&self, b: BlockCoord) {
+        if b.x == 0 {
+            if let Some(h) = self.shrink.lock().expect("bench lock").take() {
+                h.resize(SmRange::new(0, 0));
+            }
+            self.armed.store(false, Ordering::Release);
+        } else {
+            while self.armed.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        }
     }
 }
 
@@ -387,6 +435,33 @@ fn main() {
                 };
                 measure("tuner_replay_variant", false, 500, batches, move || {
                     black_box(replay_under(&log, variant.clone()));
+                })
+            },
+            {
+                let device = DeviceConfig::titan_xp();
+                let kernel = TransformedKernel::new(Arc::new(Nop {
+                    grid: GridDim::d1(4),
+                }));
+                measure("dispatch_small", true, 20_000, 4, move || {
+                    let d = Dispatcher::new(device.clone(), kernel.clone(), 10, SmRange::all(30));
+                    black_box(d.run());
+                })
+            },
+            {
+                // 1 024 one-block tasks over 240 workers: after the resize
+                // each live worker retires one task, so the first launch
+                // cannot drain the queue and the dispatch relaunches.
+                let device = DeviceConfig::titan_xp();
+                let probe = Arc::new(SelfResizing {
+                    grid: GridDim::d1(1_024),
+                    shrink: Mutex::new(None),
+                    armed: AtomicBool::new(false),
+                });
+                let kernel = TransformedKernel::new(probe.clone());
+                measure("dispatch_resize_relaunch", false, 2_000, 2, move || {
+                    let d = Dispatcher::new(device.clone(), kernel.clone(), 1, SmRange::all(30));
+                    probe.arm(d.handle());
+                    assert_eq!(d.run().launches, 2, "resized mid-launch");
                 })
             },
         ],

@@ -23,7 +23,7 @@ fn bench(c: &mut Criterion) {
     for b in Benchmark::ALL {
         let app = b.app();
         g.bench_with_input(BenchmarkId::from_parameter(b.abbrev()), &app, |bch, app| {
-            bch.iter(|| profile_kernel(&cfg, &app.perf, app.blocks_per_launch));
+            bch.iter(|| profile_kernel(&cfg, &app.perf, app.blocks_per_launch).unwrap());
         });
     }
     g.finish();

@@ -13,10 +13,12 @@
 use super::{Backend, Completion, DeviceFault, DeviceHealth, WorkSpec};
 use crate::arbiter::Command;
 use crate::dispatch::{DispatchHandle, Dispatcher};
+use crate::workers::LanePool;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use slate_gpu_sim::fault::{FaultKind, FaultPlan, FaultSite, FaultToken};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -149,6 +151,8 @@ pub struct DispatcherBackend {
     lost_leases: BTreeSet<u64>,
     /// Seeded device-fault schedule, fired on each dispatch.
     device_plan: Option<FaultPlan>,
+    /// The worker lanes dispatches are hosted on.
+    pool: Arc<LanePool>,
 }
 
 impl DispatcherBackend {
@@ -166,7 +170,16 @@ impl DispatcherBackend {
             degraded_until: None,
             lost_leases: BTreeSet::new(),
             device_plan: None,
+            pool: LanePool::global(),
         }
+    }
+
+    /// Hosts dispatches on `pool` instead of the process-wide one, so a
+    /// test can fix the lane count whatever the machine's.
+    #[doc(hidden)]
+    pub fn with_pool(mut self, pool: Arc<LanePool>) -> Self {
+        self.pool = pool;
+        self
     }
 
     /// Attaches a seeded device-fault schedule: every dispatch fires the
@@ -294,7 +307,8 @@ impl Backend for DispatcherBackend {
                     spec.task_size,
                     *range,
                     spec.start,
-                );
+                )
+                .with_pool(self.pool.clone());
                 self.leases.register(*lease, d.handle(), None);
                 job.range = Some(*range);
                 let tx = self.tx.clone();

@@ -95,6 +95,7 @@ use crate::admission::{AdmissionLimits, AdmissionStats, DaemonMetrics, FleetAdmi
 use crate::arbiter::{ArbiterConfig, Command, Event as ArbEvent, EventLog};
 use crate::backend::LeaseTable;
 use crate::channel::{LaunchCmd, Request, Response, SlatePtr};
+use crate::classify::WorkloadClass;
 use crate::dispatch::{DispatchHandle, Dispatcher};
 use crate::durability::{recover_dir, Durability, DurabilityOptions, DurableMeta, WalRecord};
 use crate::error::SlateError;
@@ -109,6 +110,7 @@ use crate::profile::ProfileTable;
 use crate::queue::QueueStats;
 use crate::sync::{Condvar, Mutex};
 use crate::transform::TransformedKernel;
+use crate::workers::WorkerGrid;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use serde::{Deserialize, Serialize};
 use slate_gpu_sim::buffer::{DeviceMemoryPool, DevicePtr, GpuBuffer};
@@ -2098,13 +2100,39 @@ fn execute_kernel(
         None => kernel,
     };
 
-    // First-run profiling and classification.
+    // The kernel, its profile and its task size are the client's: what no
+    // device of the fleet can launch (the lease may migrate to any) is
+    // refused here, as a typed error on a session that keeps serving —
+    // not by a panic in first-run profiling, which simulates the launch,
+    // and before `KernelReady` asks the arbiter for SMs the workers could
+    // never use.
     let perf = kernel.perf();
     let grid_blocks = kernel.grid().total_blocks();
-    let (class, demand) = {
+    let profiled = || -> Result<(WorkloadClass, u32), String> {
+        if task_size == 0 {
+            return Err("task size must be at least 1".into());
+        }
+        perf.validate()?;
+        if shared
+            .devices
+            .iter()
+            .any(|d| WorkerGrid::of(d, &perf).is_none())
+        {
+            return Err("not one block fits an SM (occupancy 0)".into());
+        }
+        // First-run profiling and classification.
         let mut table = shared.profiles.lock();
-        let p = table.get_or_profile(&shared.cfg, &perf, grid_blocks.max(10_000));
-        (p.class, p.sm_demand)
+        let p = table.try_get_or_profile(&shared.cfg, &perf, grid_blocks.max(10_000))?;
+        Ok((p.class, p.sm_demand))
+    };
+    let (class, demand) = match profiled() {
+        Ok(profile) => profile,
+        Err(why) => {
+            shared
+                .arb
+                .feed(&[ArbEvent::KernelFinished { lease, ok: false }]);
+            return Err(SlateError::Launch(format!("kernel '{}': {why}", perf.name)).to_wire());
+        }
     };
 
     // Transform, then wait for the lease's device core to grant an SM
@@ -2117,8 +2145,9 @@ fn execute_kernel(
     let mut carried: u64 = start_from;
     let (out, ran_on) = loop {
         let device = &shared.devices[shared.arb.lease_device(lease)];
-        let dispatcher = Dispatcher::resume(
-            device.clone(),
+        let grid = WorkerGrid::of(device, &perf).expect("launchable: validated above");
+        let dispatcher = Dispatcher::on_grid(
+            grid,
             transformed.clone(),
             task_size,
             SmRange::all(device.num_sms),

@@ -9,12 +9,13 @@
 //! index `slateIdx` carries progress across relaunches.
 //!
 //! [`Dispatcher::run`] is that loop, executing the user kernel functionally
-//! with real worker threads; [`DispatchHandle::resize`] is the runtime-side
-//! signal that adjusts the SM range mid-flight.
+//! on the persistent worker lanes of [`crate::workers`] with the calling
+//! thread as lane 0 — a relaunch creates no thread; [`DispatchHandle::resize`]
+//! is the runtime-side signal that adjusts the SM range mid-flight.
 
 use crate::queue::TaskQueue;
 use crate::transform::TransformedKernel;
-use crate::workers::{launch_workers, WorkerRunStats};
+use crate::workers::{LanePool, WorkerGrid, WorkerRunStats};
 use parking_lot::Mutex;
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -23,7 +24,8 @@ use std::sync::Arc;
 /// Shared state between the dispatch loop and the runtime.
 #[derive(Debug)]
 struct DispatchState {
-    queue: TaskQueue,
+    /// Shared with the lanes hosting the current worker launch.
+    queue: Arc<TaskQueue>,
     range: Mutex<SmRange>,
     /// Bumped on every resize; lets the loop detect a resize that raced
     /// with a relaunch boundary.
@@ -96,7 +98,10 @@ pub struct DispatchOutcome {
 /// The dispatch kernel for one user kernel execution.
 pub struct Dispatcher {
     kernel: TransformedKernel,
-    device: DeviceConfig,
+    /// Worker-grid shape on the target device: the same for every
+    /// (re)launch of this dispatch.
+    grid: WorkerGrid,
+    pool: Arc<LanePool>,
     state: Arc<DispatchState>,
 }
 
@@ -117,6 +122,10 @@ impl Dispatcher {
     /// up at the carried `slateIdx`, so blocks `[0, start)` are treated as
     /// already executed and [`DispatchOutcome::blocks`] reports absolute
     /// progress including them.
+    ///
+    /// # Panics
+    /// If the kernel has occupancy 0 on `device` (it cannot launch);
+    /// callers serving untrusted kernels check [`WorkerGrid::of`] first.
     pub fn resume(
         device: DeviceConfig,
         kernel: TransformedKernel,
@@ -124,17 +133,44 @@ impl Dispatcher {
         range: SmRange,
         start: u64,
     ) -> Self {
+        let grid = WorkerGrid::of(&device, &kernel.inner().perf())
+            .expect("kernel cannot launch (occupancy 0)");
+        Self::on_grid(grid, kernel, task_size, range, start)
+    }
+
+    /// [`Dispatcher::resume`] for a caller that already holds the kernel's
+    /// worker-grid shape on the target device.
+    pub(crate) fn on_grid(
+        grid: WorkerGrid,
+        kernel: TransformedKernel,
+        task_size: u32,
+        range: SmRange,
+        start: u64,
+    ) -> Self {
         let state = Arc::new(DispatchState {
-            queue: TaskQueue::with_progress(start, kernel.slate_max(), task_size),
+            queue: Arc::new(TaskQueue::with_progress(
+                start,
+                kernel.slate_max(),
+                task_size,
+            )),
             range: Mutex::new(range),
             generation: AtomicU64::new(0),
             evicted: AtomicBool::new(false),
         });
         Self {
             kernel,
-            device,
+            grid,
+            pool: LanePool::global(),
             state,
         }
+    }
+
+    /// Hosts this dispatch's workers on `pool` instead of the process-wide
+    /// one, so a test can fix the lane count whatever the machine's.
+    #[doc(hidden)]
+    pub fn with_pool(mut self, pool: Arc<LanePool>) -> Self {
+        self.pool = pool;
+        self
     }
 
     /// The resize handle to give to the runtime.
@@ -147,7 +183,7 @@ impl Dispatcher {
     /// Listing 3: launch workers, wait, relaunch onto the adjusted range
     /// until the job completes. Blocks the calling thread (the paper's
     /// dispatch kernel persists on-device through the user kernel's whole
-    /// execution).
+    /// execution), which hosts workers itself as lane 0 of every launch.
     pub fn run(self) -> DispatchOutcome {
         let mut runs = Vec::new();
         loop {
@@ -163,7 +199,9 @@ impl Dispatcher {
             {
                 self.state.queue.signal_retreat();
             }
-            let stats = launch_workers(&self.device, &self.kernel, &self.state.queue, range);
+            let stats = self
+                .pool
+                .launch(&self.kernel, &self.state.queue, self.grid, range);
             runs.push(stats);
             // Evicted: do NOT start over — give the SMs back undrained.
             if self.state.evicted.load(Ordering::Acquire) {
@@ -188,6 +226,7 @@ impl Dispatcher {
 mod tests {
     use super::*;
     use slate_gpu_sim::buffer::GpuBuffer;
+    use slate_gpu_sim::fault::FaultToken;
     use slate_gpu_sim::perf::KernelPerf;
     use slate_kernels::grid::{BlockCoord, GridDim};
     use slate_kernels::kernel::GpuKernel;
@@ -229,61 +268,87 @@ mod tests {
         }
     }
 
+    /// The process-wide pool (lanes follow the machine), then private
+    /// pools of one lane (no helper) and of four: every scenario below
+    /// must hold whoever hosts the workers.
+    fn pools() -> [Arc<LanePool>; 3] {
+        [
+            LanePool::global(),
+            LanePool::with_lanes(1),
+            LanePool::with_lanes(4),
+        ]
+    }
+
     #[test]
     fn undisturbed_dispatch_launches_once() {
-        let device = DeviceConfig::tiny(4);
-        let grid = GridDim::d2(40, 10);
-        let (k, hits) = counter(grid);
-        let d = Dispatcher::new(device, k, 10, SmRange::all(4));
-        let out = d.run();
-        assert_eq!(out.launches, 1);
-        assert_eq!(out.blocks, 400);
-        assert_each_block_once(&hits, 400);
+        let mut outcomes = Vec::new();
+        for pool in pools() {
+            let device = DeviceConfig::tiny(4);
+            let grid = GridDim::d2(40, 10);
+            let (k, hits) = counter(grid);
+            let d = Dispatcher::new(device, k, 10, SmRange::new(0, 2)).with_pool(pool);
+            let out = d.run();
+            assert_eq!(out.launches, 1);
+            assert_eq!(out.blocks, 400);
+            assert_each_block_once(&hits, 400);
+            outcomes.push(out);
+        }
+        // Same workers live, gated and blocks run at any lane count.
+        assert_eq!(outcomes[0], outcomes[1]);
+        assert_eq!(outcomes[1], outcomes[2]);
+        assert_eq!(
+            outcomes[0].runs[0].gated_workers * 3,
+            outcomes[0].runs[0].live_workers
+        );
     }
 
     #[test]
     fn resize_before_run_starts_on_the_new_range() {
-        let device = DeviceConfig::tiny(4);
-        let grid = GridDim::d1(5_000);
-        let (k, hits) = counter(grid);
-        let d = Dispatcher::new(device.clone(), k, 10, SmRange::all(4));
-        let h = d.handle();
-        // Resize before running: the dispatch loop picks up the new range
-        // immediately (the raced retreat at worst forces one relaunch).
-        h.resize(SmRange::new(0, 1));
-        let out = d.run();
-        assert_eq!(out.blocks, 5_000);
-        assert_each_block_once(&hits, 5_000);
-        assert!(h.done());
-        // The final launch ran on the shrunken range: half the dispatched
-        // workers were gated off SMs 2 and 3.
-        let last = out.runs.last().unwrap();
-        assert!(last.gated_workers > 0, "gate must have fired: {last:?}");
+        for pool in pools() {
+            let device = DeviceConfig::tiny(4);
+            let grid = GridDim::d1(5_000);
+            let (k, hits) = counter(grid);
+            let d = Dispatcher::new(device.clone(), k, 10, SmRange::all(4)).with_pool(pool);
+            let h = d.handle();
+            // Resize before running: the dispatch loop picks up the new range
+            // immediately (the raced retreat at worst forces one relaunch).
+            h.resize(SmRange::new(0, 1));
+            let out = d.run();
+            assert_eq!(out.blocks, 5_000);
+            assert_each_block_once(&hits, 5_000);
+            assert!(h.done());
+            // The final launch ran on the shrunken range: half the dispatched
+            // workers were gated off SMs 2 and 3.
+            let last = out.runs.last().unwrap();
+            assert!(last.gated_workers > 0, "gate must have fired: {last:?}");
+        }
     }
 
     #[test]
     fn concurrent_resizes_never_lose_or_duplicate_blocks() {
-        let device = DeviceConfig::tiny(4);
-        let grid = GridDim::d2(200, 50); // 10k blocks
-        let (k, hits) = counter(grid);
-        let d = Dispatcher::new(device, k, 5, SmRange::all(4));
-        let h = d.handle();
-        let resizer = std::thread::spawn(move || {
-            let ranges = [
-                SmRange::new(0, 0),
-                SmRange::new(1, 3),
-                SmRange::new(2, 2),
-                SmRange::all(4),
-            ];
-            for r in ranges {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                h.resize(r);
-            }
-        });
-        let out = d.run();
-        resizer.join().unwrap();
-        assert_eq!(out.blocks, 10_000);
-        assert_each_block_once(&hits, 10_000);
+        for pool in pools() {
+            let device = DeviceConfig::tiny(4);
+            let grid = GridDim::d2(200, 50); // 10k blocks
+            let (k, hits) = counter(grid);
+            let d = Dispatcher::new(device, k, 5, SmRange::all(4)).with_pool(pool);
+            let h = d.handle();
+            let resizer = std::thread::spawn(move || {
+                let ranges = [
+                    SmRange::new(0, 0),
+                    SmRange::new(1, 3),
+                    SmRange::new(2, 2),
+                    SmRange::all(4),
+                ];
+                for r in ranges {
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    h.resize(r);
+                }
+            });
+            let out = d.run();
+            resizer.join().unwrap();
+            assert_eq!(out.blocks, 10_000);
+            assert_each_block_once(&hits, 10_000);
+        }
     }
 
     /// A kernel whose blocks take real wall time, so an eviction can land
@@ -309,29 +374,31 @@ mod tests {
 
     #[test]
     fn eviction_stops_the_relaunch_loop_with_partial_progress() {
-        let device = DeviceConfig::tiny(2);
-        let grid = GridDim::d1(100_000);
-        let k = TransformedKernel::new(Arc::new(Slow { grid }));
-        let d = Dispatcher::new(device, k, 1, SmRange::all(2));
-        let h = d.handle();
-        let evictor = std::thread::spawn({
-            let h = h.clone();
-            move || {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                h.evict();
-            }
-        });
-        let out = d.run();
-        evictor.join().unwrap();
-        assert!(out.evicted);
-        assert!(h.is_evicted());
-        assert!(!h.done(), "queue must not be drained after eviction");
-        assert!(
-            out.blocks < grid.total_blocks(),
-            "eviction landed mid-flight: {} blocks",
-            out.blocks
-        );
-        assert!(out.runs.last().unwrap().retreated);
+        for pool in pools() {
+            let device = DeviceConfig::tiny(2);
+            let grid = GridDim::d1(100_000);
+            let k = TransformedKernel::new(Arc::new(Slow { grid }));
+            let d = Dispatcher::new(device, k, 1, SmRange::all(2)).with_pool(pool);
+            let h = d.handle();
+            let evictor = std::thread::spawn({
+                let h = h.clone();
+                move || {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                    h.evict();
+                }
+            });
+            let out = d.run();
+            evictor.join().unwrap();
+            assert!(out.evicted);
+            assert!(h.is_evicted());
+            assert!(!h.done(), "queue must not be drained after eviction");
+            assert!(
+                out.blocks < grid.total_blocks(),
+                "eviction landed mid-flight: {} blocks",
+                out.blocks
+            );
+            assert!(out.runs.last().unwrap().retreated);
+        }
     }
 
     /// A counting kernel whose blocks take real wall time, so randomized
@@ -375,37 +442,46 @@ mod tests {
 
     #[test]
     fn resume_picks_up_carried_progress() {
-        // An evicted dispatch reports absolute partial progress; a fresh
-        // dispatcher resumed from it covers exactly the remainder.
-        let device = DeviceConfig::tiny(4);
-        let grid = GridDim::d2(60, 20); // 1200 blocks
-        let hits = Arc::new(GpuBuffer::new(grid.total_blocks() as usize * 4));
-        let k = TransformedKernel::new(Arc::new(SlowCounter {
-            grid,
-            hits: hits.clone(),
-            delay_us: 30,
-        }));
-        let d = Dispatcher::new(device.clone(), k.clone(), 1, SmRange::all(4));
-        let h = d.handle();
-        let evictor = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            h.evict();
-        });
-        let out = d.run();
-        evictor.join().unwrap();
-        assert!(out.evicted);
-        assert!(out.blocks < grid.total_blocks(), "evicted mid-flight");
-        // Relaunch from the carried slateIdx on a different range.
-        let d2 = Dispatcher::resume(device, k, 1, SmRange::new(0, 1), out.blocks);
-        let out2 = d2.run();
-        assert!(!out2.evicted);
-        assert_eq!(out2.blocks, grid.total_blocks(), "absolute progress");
-        assert_each_block_once(&hits, grid.total_blocks());
+        for pool in pools() {
+            // An evicted dispatch reports absolute partial progress; a fresh
+            // dispatcher resumed from it covers exactly the remainder.
+            let device = DeviceConfig::tiny(4);
+            let grid = GridDim::d2(60, 20); // 1200 blocks
+            let hits = Arc::new(GpuBuffer::new(grid.total_blocks() as usize * 4));
+            let k = TransformedKernel::new(Arc::new(SlowCounter {
+                grid,
+                hits: hits.clone(),
+                delay_us: 30,
+            }));
+            let d = Dispatcher::new(device.clone(), k.clone(), 1, SmRange::all(4))
+                .with_pool(pool.clone());
+            let h = d.handle();
+            let evictor = std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                h.evict();
+            });
+            let out = d.run();
+            evictor.join().unwrap();
+            assert!(out.evicted);
+            assert!(out.blocks < grid.total_blocks(), "evicted mid-flight");
+            // Relaunch from the carried slateIdx on a different range.
+            let d2 =
+                Dispatcher::resume(device, k, 1, SmRange::new(0, 1), out.blocks).with_pool(pool);
+            let out2 = d2.run();
+            assert!(!out2.evicted);
+            assert_eq!(out2.blocks, grid.total_blocks(), "absolute progress");
+            assert_each_block_once(&hits, grid.total_blocks());
+        }
     }
 
     #[test]
     fn randomized_churn_of_resizes_evictions_and_relaunches_covers_each_block_once() {
-        for seed in [3u64, 0x5EED, 0xBEEF, 0xC0FFEE] {
+        let pools = pools();
+        for (i, seed) in [3u64, 0x5EED, 0xBEEF, 0xC0FFEE, 0xFACADE, 0xD15C0]
+            .into_iter()
+            .enumerate()
+        {
+            let pool = &pools[i % pools.len()];
             let device = DeviceConfig::tiny(4);
             let grid = GridDim::d2(97, 13); // 1261 blocks
             let hits = Arc::new(GpuBuffer::new(grid.total_blocks() as usize * 4));
@@ -427,7 +503,8 @@ mod tests {
                     task,
                     rand_range(&mut rng, 4),
                     start,
-                );
+                )
+                .with_pool(pool.clone());
                 let h = d.handle();
                 // Pre-draw the whole churn schedule so the thread needs no rng.
                 let resizes: Vec<SmRange> = (0..xorshift(&mut rng) % 4)
@@ -471,5 +548,76 @@ mod tests {
         assert_eq!(h.progress(), 1_000);
         assert!(h.done());
         assert!(out.queue_pulls >= 100);
+    }
+
+    /// Parks every block on a token, like the daemon's injected hang, and
+    /// counts the threads parked.
+    struct Hung {
+        grid: GridDim,
+        token: FaultToken,
+        parked: AtomicU64,
+    }
+
+    impl GpuKernel for Hung {
+        fn name(&self) -> &str {
+            "hung"
+        }
+        fn grid(&self) -> GridDim {
+            self.grid
+        }
+        fn perf(&self) -> KernelPerf {
+            KernelPerf::synthetic("hung", 100.0, 4.0)
+        }
+        fn run_block(&self, _b: BlockCoord) {
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            self.token.block_until_cancelled();
+        }
+    }
+
+    #[test]
+    fn a_hung_co_runner_holding_every_helper_does_not_stall_other_dispatches() {
+        let pool = LanePool::with_lanes(4);
+        let device = DeviceConfig::tiny(4);
+        let hung = Arc::new(Hung {
+            grid: GridDim::d1(1_000),
+            token: FaultToken::new(),
+            parked: AtomicU64::new(0),
+        });
+        // Dispatch A: enough tasks to invite all three helpers; its lane 0
+        // and every helper park inside a block.
+        let a = Dispatcher::new(
+            device.clone(),
+            TransformedKernel::new(hung.clone()),
+            1,
+            SmRange::all(4),
+        )
+        .with_pool(pool.clone());
+        let ha = a.handle();
+        let runner = std::thread::spawn(move || a.run());
+        let waited = std::time::Instant::now();
+        while hung.parked.load(Ordering::SeqCst) < 4 {
+            assert!(
+                waited.elapsed() < std::time::Duration::from_secs(30),
+                "helpers never joined dispatch A"
+            );
+            std::thread::yield_now();
+        }
+        // Dispatch B on the same pool finds no helper free and completes
+        // on its own lane 0, every block exactly once.
+        let grid = GridDim::d2(70, 30);
+        let (k, hits) = counter(grid);
+        let b = Dispatcher::new(device, k, 3, SmRange::all(4)).with_pool(pool);
+        let out = b.run();
+        assert_eq!((out.launches, out.blocks), (1, grid.total_blocks()));
+        assert_each_block_once(&hits, grid.total_blocks());
+        assert_eq!(hung.parked.load(Ordering::SeqCst), 4, "A is still parked");
+        // Evicting A (retreat + token cancel, as the daemon's lease table
+        // does) brings all four lanes back with partial progress.
+        ha.evict();
+        hung.token.cancel();
+        let out = runner.join().unwrap();
+        assert!(out.evicted);
+        assert!(out.blocks >= 4 && out.blocks < 1_000, "{}", out.blocks);
+        assert!(out.runs.last().unwrap().retreated);
     }
 }

@@ -77,27 +77,32 @@ pub fn autotune_task_size(cfg: &DeviceConfig, perf: &KernelPerf, blocks: u64) ->
 }
 
 /// Profiles a kernel by running a measurement slice solo on the simulated
-/// device under hardware scheduling (first-run profiling).
-pub fn profile_kernel(cfg: &DeviceConfig, perf: &KernelPerf, blocks: u64) -> KernelProfile {
+/// device under hardware scheduling (first-run profiling). Fails, with
+/// the reason, if `perf` is inconsistent ([`KernelPerf::validate`]) or not
+/// one block of the kernel fits an SM of `cfg` — kernel profiles come from
+/// clients, so this is an error to report, not an invariant to assert.
+pub fn profile_kernel(
+    cfg: &DeviceConfig,
+    perf: &KernelPerf,
+    blocks: u64,
+) -> Result<KernelProfile, String> {
     let mut engine = Engine::new(cfg.clone());
-    let id = engine
-        .add_slice(SliceSpec {
-            perf: perf.clone(),
-            sm_range: SmRange::all(cfg.num_sms),
-            blocks,
-            mode: ExecMode::Hardware,
-            extra_lead_s: 0.0,
-            batch: 1,
-            tag: 0,
-        })
-        .expect("profiling launch must be valid");
+    let id = engine.add_slice(SliceSpec {
+        perf: perf.clone(),
+        sm_range: SmRange::all(cfg.num_sms),
+        blocks,
+        mode: ExecMode::Hardware,
+        extra_lead_s: 0.0,
+        batch: 1,
+        tag: 0,
+    })?;
     engine
         .run_until(|ev| matches!(ev, Event::SliceDrained(_)))
         .expect("profiling run completes");
     let rep = engine.remove_slice(id);
     let gflops = rep.gflops();
     let gbs = rep.request_bw();
-    KernelProfile {
+    Ok(KernelProfile {
         name: perf.name.clone(),
         gflops,
         bandwidth_gbs: gbs,
@@ -109,8 +114,9 @@ pub fn profile_kernel(cfg: &DeviceConfig, perf: &KernelPerf, blocks: u64) -> Ker
             ExecMode::SlateWorkers { task_size: 10 },
             DEMAND_FRACTION,
         ),
+        // Cannot fail: the profiling slice above passed the same checks.
         best_task_size: autotune_task_size(cfg, perf, blocks),
-    }
+    })
 }
 
 /// The daemon's kernel profile table.
@@ -141,17 +147,33 @@ impl ProfileTable {
 
     /// Returns the profile, measuring it first if absent (the first-run
     /// profiling flow).
+    ///
+    /// # Panics
+    /// If the kernel is unprofiled and cannot be ([`profile_kernel`]);
+    /// for a client's kernel use [`ProfileTable::try_get_or_profile`].
     pub fn get_or_profile(
         &mut self,
         cfg: &DeviceConfig,
         perf: &KernelPerf,
         blocks: u64,
     ) -> &KernelProfile {
+        self.try_get_or_profile(cfg, perf, blocks)
+            .expect("profiling launch must be valid")
+    }
+
+    /// [`ProfileTable::get_or_profile`] that reports a kernel the device
+    /// cannot launch instead of panicking; nothing is stored for it.
+    pub fn try_get_or_profile(
+        &mut self,
+        cfg: &DeviceConfig,
+        perf: &KernelPerf,
+        blocks: u64,
+    ) -> Result<&KernelProfile, String> {
         if !self.entries.contains_key(&perf.name) {
-            let p = profile_kernel(cfg, perf, blocks);
+            let p = profile_kernel(cfg, perf, blocks)?;
             self.entries.insert(perf.name.clone(), p);
         }
-        &self.entries[&perf.name]
+        Ok(&self.entries[&perf.name])
     }
 
     /// Estimates the solo execution time of `blocks` blocks of a kernel in
@@ -211,7 +233,7 @@ mod tests {
         ];
         for (b, class) in expect {
             let app = b.app();
-            let p = profile_kernel(&cfg, &app.perf, app.blocks_per_launch);
+            let p = profile_kernel(&cfg, &app.perf, app.blocks_per_launch).unwrap();
             assert_eq!(p.class, class, "{b:?} measured {p:?}");
         }
     }
@@ -221,7 +243,7 @@ mod tests {
         let cfg = DeviceConfig::titan_xp();
         for b in Benchmark::ALL {
             let app = b.app();
-            let p = profile_kernel(&cfg, &app.perf, app.blocks_per_launch);
+            let p = profile_kernel(&cfg, &app.perf, app.blocks_per_launch).unwrap();
             let (gf_ref, gb_ref) = b.paper_reference();
             if gf_ref > 1.0 {
                 let err = (p.gflops - gf_ref).abs() / gf_ref;
@@ -236,12 +258,29 @@ mod tests {
     fn rg_demand_is_a_fraction_of_the_device() {
         let cfg = DeviceConfig::titan_xp();
         let app = Benchmark::RG.app();
-        let p = profile_kernel(&cfg, &app.perf, app.blocks_per_launch);
+        let p = profile_kernel(&cfg, &app.perf, app.blocks_per_launch).unwrap();
         assert!(
             (10..=16).contains(&p.sm_demand),
             "RG should saturate around 15 SMs, got {}",
             p.sm_demand
         );
+    }
+
+    #[test]
+    fn unlaunchable_kernels_are_an_error_not_a_panic() {
+        let cfg = DeviceConfig::titan_xp();
+        // Fits no SM (2048 threads per block), and fails validation.
+        let mut fat = Benchmark::BS.app().perf;
+        fat.threads_per_block = 2048;
+        assert!(profile_kernel(&cfg, &fat, 100).is_err());
+        // Valid, but not one block's shared memory fits an SM.
+        let mut hog = Benchmark::BS.app().perf;
+        hog.smem_per_block = cfg.smem_per_sm + 1;
+        let err = profile_kernel(&cfg, &hog, 100).unwrap_err();
+        assert!(err.contains("occupancy 0"), "{err}");
+        let mut t = ProfileTable::new();
+        assert!(t.try_get_or_profile(&cfg, &hog, 100).is_err());
+        assert!(t.is_empty(), "nothing is stored for a rejected kernel");
     }
 
     #[test]

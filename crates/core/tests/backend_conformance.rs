@@ -4,6 +4,7 @@
 //! command-stream chaos.
 
 use slate_core::backend::{testkit, Backend, ChaosBackend, DispatcherBackend, SimBackend};
+use slate_core::workers::LanePool;
 use slate_gpu_sim::device::DeviceConfig;
 use slate_gpu_sim::fault::FaultPlan;
 
@@ -19,6 +20,19 @@ fn sim_backend_passes_conformance() {
 #[test]
 fn dispatcher_backend_passes_conformance() {
     testkit::run_conformance(&mut || Box::new(DispatcherBackend::new(device())));
+}
+
+/// The same scenarios with the workers hosted on lane 0 alone and on four
+/// lanes, whatever this machine's CPU count: exactly-once hit buffers,
+/// retreat monotonicity and SM confinement do not depend on who hosts.
+#[test]
+fn dispatcher_backend_passes_conformance_at_one_and_four_lanes() {
+    for lanes in [1, 4] {
+        let pool = LanePool::with_lanes(lanes);
+        testkit::run_conformance(&mut || {
+            Box::new(DispatcherBackend::new(device()).with_pool(pool.clone()))
+        });
+    }
 }
 
 #[test]

@@ -12,14 +12,27 @@
 //!
 //! Each test warms a component past its high-water mark, then asserts
 //! further identical cycles perform **zero** heap allocations.
+//!
+//! The launch path makes the neighbouring claim (`DESIGN.md` §3.3): a
+//! [`Dispatcher::run`] costs a fixed handful of allocations whatever the
+//! size of the worker grid, and never a thread.
 
 use slate_core::arbiter::{ArbiterConfig, ArbiterCore, Command, Event};
 use slate_core::classify::WorkloadClass;
+use slate_core::dispatch::{DispatchHandle, Dispatcher};
 use slate_core::feed::{ring, EventBatch};
 use slate_core::placement::{PlacementConfig, PlacementLayer, RoutedCommand};
-use slate_gpu_sim::device::DeviceConfig;
+use slate_core::transform::TransformedKernel;
+use slate_core::workers::{helper_threads_spawned, LanePool};
+use slate_gpu_sim::buffer::GpuBuffer;
+use slate_gpu_sim::device::{DeviceConfig, SmRange};
+use slate_gpu_sim::perf::KernelPerf;
+use slate_kernels::grid::{BlockCoord, GridDim};
+use slate_kernels::kernel::GpuKernel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Counts this thread's allocations (alloc, alloc_zeroed, realloc) and
 /// defers the real work to the system allocator. Thread-local so the
@@ -206,4 +219,111 @@ fn ring_and_batch_round_trip_allocates_nothing() {
         }
     });
     assert_eq!(n, 0, "pooled batches through the ring must not allocate");
+}
+
+/// A kernel of `blocks` blocks that counts executions and, when armed with
+/// its own dispatch handle, shrinks itself to SM 1 from inside block 0 and
+/// lets no other block finish before that resize has landed — a resize
+/// that deterministically cuts the first launch short on any lane count.
+struct Probe {
+    blocks: u32,
+    hits: Arc<GpuBuffer>,
+    shrink: Mutex<Option<DispatchHandle>>,
+    armed: AtomicBool,
+}
+
+impl Probe {
+    fn arm(&self, handle: DispatchHandle) {
+        *self.shrink.lock().unwrap() = Some(handle);
+        self.armed.store(true, Ordering::Release);
+    }
+}
+
+impl GpuKernel for Probe {
+    fn name(&self) -> &str {
+        "probe"
+    }
+    fn grid(&self) -> GridDim {
+        GridDim::d1(self.blocks)
+    }
+    fn perf(&self) -> KernelPerf {
+        KernelPerf::synthetic("probe", 100.0, 4.0)
+    }
+    fn run_block(&self, b: BlockCoord) {
+        self.hits.fetch_add_u32(b.x as usize, 1);
+        if b.x == 0 {
+            if let Some(handle) = self.shrink.lock().unwrap().take() {
+                handle.resize(SmRange::new(1, 1));
+            }
+            self.armed.store(false, Ordering::Release);
+        } else {
+            while self.armed.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+fn probe(blocks: u32) -> (Arc<Probe>, TransformedKernel) {
+    let probe = Arc::new(Probe {
+        blocks,
+        hits: Arc::new(GpuBuffer::new(blocks as usize * 4)),
+        shrink: Mutex::new(None),
+        armed: AtomicBool::new(false),
+    });
+    (probe.clone(), TransformedKernel::new(probe))
+}
+
+/// The launch path. Once the lanes exist, dispatching a four-block kernel
+/// (the size of the serving benchmark's launches) allocates a fixed
+/// handful of times — the dispatch's own shared state, nothing per
+/// logical worker (16 on the tiny device, 240 on the Titan Xp). And 1 000
+/// dispatches, half of them resized into a relaunch, spawn no thread, on
+/// the process-wide pool or on a four-lane one.
+#[test]
+fn dispatch_allocates_o1_and_spawns_no_thread() {
+    let (tiny, titan) = (DeviceConfig::tiny(2), DeviceConfig::titan_xp());
+    let four_lanes = LanePool::with_lanes(4);
+    let (small, small_kernel) = probe(4);
+    let dispatch_small = |device: &DeviceConfig| {
+        let range = SmRange::all(device.num_sms);
+        Dispatcher::new(device.clone(), small_kernel.clone(), 10, range).run()
+    };
+    // Warm up: the process-wide pool and its helpers come to be here.
+    dispatch_small(&tiny);
+    let on_tiny = allocs_during(|| drop(dispatch_small(&tiny)));
+    let on_titan = allocs_during(|| drop(dispatch_small(&titan)));
+    assert_eq!(on_tiny, on_titan, "allocations must not follow the grid");
+    // The device name, the perf name, queue, dispatch state, launch, runs.
+    assert!(
+        on_titan <= 8,
+        "{on_titan} allocations in one small dispatch"
+    );
+    for b in 0..4 {
+        assert_eq!(small.hits.load_u32(b), 3, "block {b} once per dispatch");
+    }
+
+    // 64 one-block tasks over 16 workers: resized from inside block 0,
+    // each worker retires one task and the first launch ends undrained,
+    // so the dispatch must relaunch.
+    let (churned, kernel) = probe(64);
+    let spawned = helper_threads_spawned();
+    let mut launches = 0;
+    for i in 0..1_000 {
+        let d = Dispatcher::new(tiny.clone(), kernel.clone(), 1, SmRange::all(2));
+        let d = if i % 2 == 0 {
+            d.with_pool(four_lanes.clone())
+        } else {
+            d
+        };
+        if i % 4 < 2 {
+            churned.arm(d.handle());
+        }
+        launches += d.run().launches;
+    }
+    assert_eq!(launches, 1_500, "every resized dispatch relaunches once");
+    assert_eq!(helper_threads_spawned(), spawned, "the launch path spawned");
+    for b in 0..64 {
+        assert_eq!(churned.hits.load_u32(b), 1_000, "block {b}");
+    }
 }

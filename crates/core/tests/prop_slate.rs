@@ -13,13 +13,14 @@ use slate_core::partition::partition;
 use slate_core::policy::should_corun;
 use slate_core::queue::TaskQueue;
 use slate_core::transform::TransformedKernel;
+use slate_core::workers::LanePool;
 use slate_gpu_sim::buffer::GpuBuffer;
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use slate_gpu_sim::perf::KernelPerf;
 use slate_kernels::grid::{BlockCoord, GridDim};
 use slate_kernels::kernel::GpuKernel;
 use slate_kernels::workload::Intensity;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Kernel that counts per-block executions.
 struct Counter {
@@ -187,11 +188,18 @@ proptest! {
     #[test]
     fn dispatch_survives_resize_storm(gx in 10u32..150, gy in 1u32..20,
                                       task in 1u32..32,
-                                      cuts in prop::collection::vec((0u32..4, 0u32..4), 0..6)) {
+                                      cuts in prop::collection::vec((0u32..4, 0u32..4), 0..6),
+                                      helpers in 0usize..2) {
+        // Workers hosted on lane 0 alone, or on four lanes: one pool of
+        // each for the whole run, whatever this machine's CPU count.
+        static POOLS: OnceLock<[Arc<LanePool>; 2]> = OnceLock::new();
+        let pool = POOLS.get_or_init(|| [LanePool::with_lanes(1), LanePool::with_lanes(4)])[helpers]
+            .clone();
         let device = DeviceConfig::tiny(4);
         let grid = GridDim::d2(gx, gy);
         let (k, hits) = Counter::new(grid);
-        let d = Dispatcher::new(device, TransformedKernel::new(k), task, SmRange::all(4));
+        let d = Dispatcher::new(device, TransformedKernel::new(k), task, SmRange::all(4))
+            .with_pool(pool);
         let h = d.handle();
         let storm = std::thread::spawn(move || {
             for (a, b) in cuts {

@@ -280,7 +280,7 @@ mod tests {
         for class in WorkloadClass::ALL {
             let p = class_kernel(class);
             let blocks = sized_blocks(&cfg, &p);
-            let prof = profile_kernel(&cfg, &p, blocks);
+            let prof = profile_kernel(&cfg, &p, blocks).unwrap();
             assert_eq!(
                 prof.class, class,
                 "{class:?}: measured {:.1} GFLOP/s {:.1} GB/s",

@@ -45,7 +45,8 @@ pub fn run(cfg: &DeviceConfig) -> (Vec<Row>, Report) {
     let mut rows = Vec::new();
     for b in Benchmark::ALL {
         let app = b.app();
-        let p = profile_kernel(cfg, &app.perf, app.blocks_per_launch);
+        let p = profile_kernel(cfg, &app.perf, app.blocks_per_launch)
+            .expect("built-in benchmark profiles are launchable");
         let (gf_ref, gb_ref) = b.paper_reference();
         let (ci, mi) = b.intensity();
         t.row(&[

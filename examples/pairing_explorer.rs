@@ -63,7 +63,10 @@ fn main() {
     // What will Slate decide? Profile, classify, consult the policy.
     let profs: Vec<_> = apps
         .iter()
-        .map(|app| profile_kernel(&cfg, &app.perf, app.blocks_per_launch))
+        .map(|app| {
+            profile_kernel(&cfg, &app.perf, app.blocks_per_launch)
+                .expect("built-in benchmark profiles are launchable")
+        })
         .collect();
     let classes: Vec<WorkloadClass> = profs.iter().map(|p| p.class).collect();
     println!(

@@ -204,6 +204,48 @@ fn launch_error_surfaces_at_synchronize() {
 }
 
 #[test]
+fn unlaunchable_kernel_is_a_typed_error_and_the_session_keeps_serving() {
+    let cfg = DeviceConfig::tiny(2);
+    let daemon = SlateDaemon::start(cfg.clone(), 1 << 20);
+    let client = SlateClient::new(daemon.connect("careless").unwrap());
+    let n = 256usize;
+    let ptr = client.malloc((n * 4) as u64).unwrap();
+    client.upload_f32(ptr, &vec![1.0; n]).unwrap();
+    let launch = |perf: KernelPerf, task_size: u32| {
+        client
+            .launch_with(vec![ptr], task_size, None, move |bufs| {
+                Arc::new(AddKernel::new(n, 1.0, perf, bufs[0].clone())) as Arc<dyn GpuKernel>
+            })
+            .unwrap();
+        client.synchronize()
+    };
+    // Fails `KernelPerf::validate` (and fits no SM); valid but not one
+    // block's shared memory fits an SM; a task size no queue can have.
+    // Each used to panic the session thread — `Disconnected`, session and
+    // allocations lost — in first-run profiling or in the worker launch.
+    let mut too_wide = lc_perf("too_wide");
+    too_wide.threads_per_block = 2048;
+    let mut smem_hog = lc_perf("smem_hog");
+    smem_hog.smem_per_block = cfg.smem_per_sm + 1;
+    for (perf, task_size) in [(too_wide, 10), (smem_hog, 10), (lc_perf("no_tasks"), 0)] {
+        let name = perf.name.clone();
+        match launch(perf, task_size) {
+            Err(slate_core::SlateError::Launch(why)) => assert!(why.contains(&name), "{why}"),
+            other => panic!("{name}: expected a launch error, got {other:?}"),
+        }
+    }
+    // Nothing ran, nothing is left resident or pending, and the same
+    // session serves a valid launch over the same allocation.
+    let m = daemon.metrics();
+    assert_eq!((m.arbiter_residents, m.queue.depth), (0, 0));
+    launch(lc_perf("fine"), 10).unwrap();
+    assert_eq!(client.download_f32(ptr, n).unwrap(), vec![2.0; n]);
+    assert_eq!(daemon.metrics().lock_recoveries, 0, "no thread panicked");
+    client.disconnect().unwrap();
+    daemon.join();
+}
+
+#[test]
 fn profile_table_is_shared_across_sessions() {
     // The same kernel launched by two different clients is profiled once
     // (first run) and reused — observable through identical behaviour and
