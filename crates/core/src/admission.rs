@@ -87,8 +87,7 @@ pub struct AdmissionStats {
 }
 
 /// One stable snapshot of everything the daemon can report about itself:
-/// queue backlog, admission counters, and the fault-tolerance counters
-/// that already existed as individual accessors.
+/// queue backlog, admission counters, and the fault-tolerance counters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DaemonMetrics {
     /// Daemon-wide launch-queue snapshot (the global launch gauge).
@@ -109,6 +108,9 @@ pub struct DaemonMetrics {
     pub reaped_sessions: u64,
     /// Starved waiters the arbiter promoted to solo dispatch.
     pub starvation_promotions: u64,
+    /// Best-effort residents displaced by latency-critical arrivals
+    /// (0 unless `DaemonOptions::preempt_bound_ms` is set).
+    pub slo_preemptions: u64,
     /// Fault-plan rules that have fired (0 outside injection tests).
     pub faults_fired: usize,
     /// Placement counters: fleet size, routed sessions, rebalances fired

@@ -1057,7 +1057,7 @@ mod tests {
         assert!(c.malloc(64).is_err());
         assert!(c.malloc(64).is_err());
         assert_eq!(c.breaker_state(), Some(BreakerState::Open));
-        let shed_before = daemon.admission_stats().mallocs_shed;
+        let shed_before = daemon.metrics().admission.mallocs_shed;
         // Open breaker: the next calls fail fast client-side.
         assert!(matches!(
             c.malloc(64).unwrap_err(),
@@ -1065,7 +1065,7 @@ mod tests {
         ));
         assert!(c.launch_with(vec![], 10, None, |_| unreachable!()).is_err());
         assert_eq!(
-            daemon.admission_stats().mallocs_shed,
+            daemon.metrics().admission.mallocs_shed,
             shed_before,
             "the daemon never saw the failed-fast requests"
         );

@@ -42,15 +42,7 @@ pub struct EventLog {
 /// Replays `log` through a fresh core, returning each batch with the
 /// commands the *replay* produced (the logged commands are ignored).
 pub fn replay(log: &EventLog) -> Vec<LoggedBatch> {
-    let mut core = ArbiterCore::new(log.device.clone(), log.config.clone());
-    log.batches
-        .iter()
-        .map(|b| LoggedBatch {
-            at: b.at,
-            events: b.events.clone(),
-            commands: core.feed(b.at, &b.events),
-        })
-        .collect()
+    replay_under(log, log.config.clone())
 }
 
 /// Replays `log`'s *events* through a fresh core running `config` instead

@@ -39,10 +39,10 @@
 //! [`DaemonOptions::rebalance`] set, a sustained load imbalance migrates a
 //! resident kernel — an ordinary eviction on the source device followed by
 //! a resumed dispatch on the target at the carried `slateIdx` progress, so
-//! no user block executes twice. [`SlateDaemon::placement_stats`] (and
-//! [`DaemonMetrics::placement`]) count routed sessions, rebalances and
-//! completed migrations; a recorded multi-device run yields a
-//! [`PlacementLog`] that splits into ordinary per-device [`EventLog`]s.
+//! no user block executes twice. [`DaemonMetrics::placement`] counts
+//! routed sessions, rebalances and completed migrations; a recorded
+//! multi-device run yields a [`PlacementLog`] that splits into ordinary
+//! per-device [`EventLog`]s.
 //!
 //! # Fault tolerance
 //!
@@ -82,16 +82,16 @@
 //!   from the queued work, and deadline-carrying launches are rejected up
 //!   front when the estimated queue wait already exceeds their deadline;
 //! * **backpressure** — per-session and global launch gauges implement
-//!   a drop-newest shed policy; [`SlateDaemon::queue_stats`] and
-//!   [`SlateDaemon::metrics`] expose the backlog;
+//!   a drop-newest shed policy; [`SlateDaemon::metrics`] exposes the
+//!   backlog;
 //! * **starvation-free arbitration** — with
 //!   [`DaemonOptions::starvation_bound_ms`] set, a kernel waiting past the
 //!   bound refuses co-running and is dispatched pinned-solo as soon as the
-//!   device frees ([`SlateDaemon::starvation_promotions`] counts these);
+//!   device frees ([`DaemonMetrics::starvation_promotions`] counts these);
 //!   waiters are served longest-wait-first with arrival order as the
 //!   deterministic tie-break.
 
-use crate::admission::{AdmissionLimits, AdmissionStats, DaemonMetrics, FleetAdmissionConfig};
+use crate::admission::{AdmissionLimits, DaemonMetrics, FleetAdmissionConfig};
 use crate::arbiter::{ArbiterConfig, Command, Event as ArbEvent, EventLog};
 use crate::backend::LeaseTable;
 use crate::channel::{LaunchCmd, Request, Response, SlatePtr};
@@ -99,15 +99,13 @@ use crate::classify::WorkloadClass;
 use crate::dispatch::{DispatchHandle, Dispatcher};
 use crate::durability::{recover_dir, Durability, DurabilityOptions, DurableMeta, WalRecord};
 use crate::error::SlateError;
-use crate::feed::{ring as feed_ring, EventBatch, RingConsumer, RingProducer};
 use crate::injector::InjectionCache;
 use crate::placement::replay::{PlacementBatch, PlacementLog};
 use crate::placement::{
-    HealthConfig, HealthState, PlacementConfig, PlacementLayer, PlacementPolicy, PlacementStats,
-    RebalanceConfig, RoutedCommand,
+    HealthConfig, HealthState, PlacementConfig, PlacementLayer, PlacementPolicy, RebalanceConfig,
+    RoutedCommand,
 };
 use crate::profile::ProfileTable;
-use crate::queue::QueueStats;
 use crate::sync::{Condvar, Mutex};
 use crate::transform::TransformedKernel;
 use crate::workers::WorkerGrid;
@@ -131,6 +129,9 @@ struct ArbInner {
     /// deterministic routing of [`PlacementLayer`]. A single-device daemon
     /// is the degenerate N=1 layer and behaves exactly as before.
     layer: PlacementLayer,
+    /// Routed commands of the batch being fed; reused at its high-water
+    /// capacity, so a warmed in-memory feed allocates nothing.
+    replies: Vec<RoutedCommand>,
     /// Dispatch grants awaiting pickup by their `execute_kernel` thread:
     /// lease → (device index, granted SM range). Ordered map so any
     /// iteration over pending grants is deterministic. (Dense-slot rule,
@@ -147,72 +148,16 @@ struct ArbInner {
     leases: LeaseTable,
 }
 
-/// How many submissions the arbiter feed ring holds before producers
-/// back-pressure (waiters spin-yield; heartbeat ticks are dropped).
-/// Power of two; see `DESIGN.md` §17 for the sizing rationale.
-const FEED_RING_CAPACITY: usize = 128;
-
-/// One pooled submission to the arbiter consumer thread: a reusable
-/// [`EventBatch`] plus the reply fields the consumer fills in. Cells
-/// travel producer → ring → consumer → pool inside `Arc`s, so a
-/// steady-state submission moves pointers and reuses buffers — it never
-/// touches the allocator.
-struct FeedCell {
-    state: Mutex<CellState>,
-    /// Signalled by the consumer when the cell's phase turns `Done`.
-    done: Condvar,
-}
-
-impl FeedCell {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(CellState {
-                batch: EventBatch::new(),
-                meta: None,
-                session: None,
-                detached: false,
-                fed: false,
-                retry_after_ms: None,
-                phase: CellPhase::Done,
-            }),
-            done: Condvar::new(),
-        }
-    }
-}
-
-struct CellState {
-    /// Events in, routed commands out.
-    batch: EventBatch<RoutedCommand>,
-    /// Durable record to append right after the batch, under the same
-    /// arbiter lock — unless the batch was shed or unfed. Carried by
-    /// `connect` (the session-meta record must not be separable from its
-    /// admission feed by a crash).
-    meta: Option<WalRecord>,
-    /// Session whose shed rejection the submitter wants surfaced as a
-    /// retry hint.
-    session: Option<u64>,
-    /// Fire-and-forget (heartbeat): nobody waits; the consumer recycles
-    /// the cell itself.
-    detached: bool,
-    /// Whether the batch reached the core — `false` after a crash; the
-    /// caller must treat the events as never having happened.
-    fed: bool,
-    /// Retry hint when this batch's request was shed.
-    retry_after_ms: Option<u64>,
-    phase: CellPhase,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CellPhase {
-    /// In the ring, awaiting the consumer.
-    Queued,
-    /// Consumed; reply fields are valid.
-    Done,
-}
-
-/// State shared between the submitting threads and the arbiter consumer
-/// thread.
-struct ArbShared {
+/// The daemon's driver for the placement layer over the shared per-device
+/// arbitration cores: one lock, no thread of its own. Whoever has events
+/// — a session thread, a kernel's executing thread, the heartbeat —
+/// takes the arbiter lock and, under it, stamps the batch with the
+/// monotonic microsecond clock, feeds the layer, appends to the WAL,
+/// carries out the routed commands (resize and evict act on dispatch
+/// handles immediately; dispatch grants are parked for the waiting kernel
+/// thread together with their device) and wakes grant waiters. The lock
+/// order is the feed order is the WAL order (`DESIGN.md` §17).
+struct ArbFrontend {
     /// Epoch of the logical clock ([`crate::arbiter::Tick`]s are
     /// microseconds since this instant, offset by `base_us`).
     epoch: Instant,
@@ -227,159 +172,10 @@ struct ArbShared {
     /// later feed becomes a no-op (`fed == false`), which is what keeps
     /// the WAL and the in-memory core in lockstep at the kill point.
     crashed: AtomicBool,
-    /// Raised by [`ArbFrontend::drop`]; the consumer drains the ring and
-    /// exits.
-    stop: AtomicBool,
     /// Write-ahead log sink; every non-heartbeat fed batch is appended
     /// while the arbiter lock is held, so the log's batch order is the
     /// feed order.
     durability: Option<Arc<Durability>>,
-}
-
-impl ArbShared {
-    fn now_us(&self) -> u64 {
-        self.base_us + self.epoch.elapsed().as_micros() as u64
-    }
-
-    /// Consumes one cell: feeds its batch to the placement layer, appends
-    /// to the WAL, carries out the routed commands, and completes or
-    /// recycles the cell. This is the only place the arbiter lock is held
-    /// across layer work — producers only pin it long enough to read.
-    fn consume(&self, cell: &Arc<FeedCell>, pool: &Mutex<Vec<Arc<FeedCell>>>) {
-        let mut st = cell.state.lock();
-        {
-            let mut inner = self.inner.lock();
-            if self.crashed.load(Ordering::SeqCst) {
-                // Crashed under this same lock: nothing consumed after
-                // the kill point may touch the core or the (frozen) WAL.
-                st.fed = false;
-                st.retry_after_ms = None;
-                st.meta = None;
-                st.batch.replies.clear();
-            } else {
-                let now = self.now_us();
-                let EventBatch { events, replies } = &mut st.batch;
-                inner.layer.feed_into(now, events, replies);
-                if let Some(d) = &self.durability {
-                    // Heartbeat filter (same rule as the in-memory
-                    // recorder): an all-tick batch that routed nothing
-                    // changes no state and would swamp the log.
-                    let heartbeat_only = events.iter().all(|e| matches!(e, ArbEvent::DeadlineTick));
-                    if !(heartbeat_only && replies.is_empty()) {
-                        let layer = &inner.layer;
-                        let batch = PlacementBatch {
-                            // The layer clamps time monotonic; record the
-                            // clamped tick so replay feeds exactly what
-                            // the core saw.
-                            at: layer.now(),
-                            events: events.clone(),
-                            routed: replies.clone(),
-                        };
-                        d.append_batch(&batch, || layer.snapshot());
-                    }
-                }
-                st.fed = true;
-                st.retry_after_ms = st.session.and_then(|s| shed_retry(&st.batch.replies, s));
-                if let Some(meta) = st.meta.take() {
-                    // The shed case returns Overloaded to the client: the
-                    // session never existed, so no durable record of it.
-                    if st.retry_after_ms.is_none() {
-                        if let Some(d) = &self.durability {
-                            d.append_meta(&meta);
-                        }
-                    }
-                }
-                for r in &st.batch.replies {
-                    match &r.command {
-                        Command::Dispatch { lease, range } => {
-                            inner.grants.insert(*lease, (r.device, *range));
-                        }
-                        Command::Resize { .. } | Command::Evict { .. } => {
-                            inner.leases.apply(&r.command);
-                        }
-                        // Rejections are surfaced via `retry_after_ms`;
-                        // promotion, preemption and reaping are
-                        // informational here (the paired Resize/Dispatch
-                        // in the same batch carry the state changes).
-                        Command::PromoteStarved { .. }
-                        | Command::Preempt { .. }
-                        | Command::Reap { .. }
-                        | Command::RejectOverloaded { .. } => {}
-                    }
-                }
-            }
-            self.granted.notify_all();
-        }
-        st.phase = CellPhase::Done;
-        if st.detached {
-            st.batch.clear();
-            drop(st);
-            pool.lock().push(cell.clone());
-        } else {
-            drop(st);
-            cell.done.notify_all();
-        }
-    }
-}
-
-/// The arbiter consumer loop: drains the submit ring, parking briefly
-/// when idle (producers unpark it on push, so the latency of a submit is
-/// a wakeup, not a poll interval).
-fn run_consumer(
-    sh: Arc<ArbShared>,
-    mut rx: RingConsumer<Arc<FeedCell>>,
-    pool: Arc<Mutex<Vec<Arc<FeedCell>>>>,
-) {
-    loop {
-        let mut drained = false;
-        while let Some(cell) = rx.pop() {
-            drained = true;
-            sh.consume(&cell, &pool);
-        }
-        if sh.stop.load(Ordering::Acquire) && rx.is_empty() {
-            // Shutdown drain: the flag is only raised once no producer
-            // can push, so an empty ring here means exactly-once — every
-            // submitted batch was consumed, none will arrive later.
-            break;
-        }
-        if !drained {
-            std::thread::park_timeout(Duration::from_micros(200));
-        }
-    }
-}
-
-/// The daemon's driver for the placement layer over the shared per-device
-/// arbitration cores. Submitting threads fill pooled [`FeedCell`]s and
-/// hand them to a dedicated consumer thread over a bounded lock-free
-/// SPSC ring ([`crate::feed::ring`]); the consumer stamps each batch
-/// with the monotonic microsecond clock, feeds the layer, appends to the
-/// WAL, carries out the routed commands (resize and evict act on
-/// dispatch handles immediately; dispatch grants are parked for the
-/// waiting kernel thread together with their device), and wakes grant
-/// waiters. Steady state, a submission allocates nothing — cells and
-/// their buffers are reused at their high-water size.
-struct ArbFrontend {
-    sh: Arc<ArbShared>,
-    /// Producer endpoint of the submit ring. The mutex serializes the
-    /// many submitting threads into the single logical producer the ring
-    /// requires; it is held only for the push itself.
-    submit: Mutex<RingProducer<Arc<FeedCell>>>,
-    /// Recycled cells, buffers warm.
-    pool: Arc<Mutex<Vec<Arc<FeedCell>>>>,
-    /// The consumer thread, joined on drop.
-    consumer: Mutex<Option<JoinHandle<()>>>,
-    /// Unpark handle for the consumer.
-    consumer_thread: std::thread::Thread,
-}
-
-impl Drop for ArbFrontend {
-    fn drop(&mut self) {
-        self.sh.stop.store(true, Ordering::Release);
-        self.consumer_thread.unpark();
-        if let Some(h) = self.consumer.lock().take() {
-            let _ = h.join();
-        }
-    }
 }
 
 /// Outcome of [`ArbFrontend::wait_grant`]: either a granted SM range, or
@@ -396,148 +192,119 @@ enum GrantWait {
 
 impl ArbFrontend {
     fn new(layer: PlacementLayer, base_us: u64, durability: Option<Arc<Durability>>) -> Self {
-        let sh = Arc::new(ArbShared {
+        Self {
             epoch: Instant::now(),
             base_us,
             inner: Mutex::new(ArbInner {
                 layer,
+                replies: Vec::new(),
                 grants: BTreeMap::new(),
                 leases: LeaseTable::new(),
             }),
             granted: Condvar::new(),
             crashed: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
             durability,
-        });
-        let (tx, rx) = feed_ring::<Arc<FeedCell>>(FEED_RING_CAPACITY);
-        let pool = Arc::new(Mutex::new(Vec::new()));
-        let consumer = {
-            let sh = sh.clone();
-            let pool = pool.clone();
-            std::thread::Builder::new()
-                .name("slate-arbiter".to_string())
-                .spawn(move || run_consumer(sh, rx, pool))
-                .expect("spawn arbiter consumer thread")
-        };
-        let consumer_thread = consumer.thread().clone();
-        Self {
-            sh,
-            submit: Mutex::new(tx),
-            pool,
-            consumer: Mutex::new(Some(consumer)),
-            consumer_thread,
         }
     }
 
     fn crashed(&self) -> bool {
-        self.sh.crashed.load(Ordering::SeqCst)
+        self.crashed.load(Ordering::SeqCst)
     }
 
-    /// A warm cell from the pool (a fresh one only while the pool is
-    /// still growing to the working-set size).
-    fn checkout(&self) -> Arc<FeedCell> {
-        self.pool
-            .lock()
-            .pop()
-            .unwrap_or_else(|| Arc::new(FeedCell::new()))
-    }
-
-    /// Pushes `cell` into the submit ring, spinning through full-ring
-    /// backpressure (the consumer is unparked first, so the wait is one
-    /// drain away), then wakes the consumer.
-    fn push(&self, cell: Arc<FeedCell>) {
-        let mut tx = self.submit.lock();
-        let mut item = cell;
-        loop {
-            match tx.push(item) {
-                Ok(()) => break,
-                Err(back) => {
-                    item = back;
-                    self.consumer_thread.unpark();
-                    std::thread::yield_now();
-                }
+    /// Feeds one batch under the (held) arbiter lock. Returns whether it
+    /// was fed (`false` after a crash — the caller must treat the events
+    /// as never having happened) and, when `session` is given, the retry
+    /// hint if that session's request was shed. `meta` is appended to the
+    /// WAL right after the batch, unless the batch was shed or unfed.
+    fn feed_locked(
+        &self,
+        inner: &mut ArbInner,
+        events: &[ArbEvent],
+        session: Option<u64>,
+        meta: Option<WalRecord>,
+    ) -> (bool, Option<u64>) {
+        if self.crashed() {
+            // Crashed under this same lock: nothing fed after the kill
+            // point may touch the core or the (frozen) WAL.
+            return (false, None);
+        }
+        let now = self.base_us + self.epoch.elapsed().as_micros() as u64;
+        let ArbInner {
+            layer,
+            replies,
+            grants,
+            leases,
+        } = inner;
+        layer.feed_into(now, events, replies);
+        if let Some(d) = &self.durability {
+            // Heartbeat filter (same rule as the in-memory recorder): an
+            // all-tick batch that routed nothing changes no state and
+            // would swamp the log.
+            let heartbeat_only = events.iter().all(|e| matches!(e, ArbEvent::DeadlineTick));
+            if !(heartbeat_only && replies.is_empty()) {
+                let batch = PlacementBatch {
+                    // The layer clamps time monotonic; record the clamped
+                    // tick so replay feeds exactly what the core saw.
+                    at: layer.now(),
+                    events: events.to_vec(),
+                    routed: replies.clone(),
+                };
+                d.append_batch(&batch, || layer.snapshot());
             }
         }
-        drop(tx);
-        self.consumer_thread.unpark();
+        let retry_after_ms = session.and_then(|s| shed_retry(replies, s));
+        // The shed case returns Overloaded to the client: the session
+        // never existed, so no durable record of it.
+        if let (Some(meta), None, Some(d)) = (&meta, retry_after_ms, &self.durability) {
+            d.append_meta(meta);
+        }
+        for r in replies.iter() {
+            match &r.command {
+                Command::Dispatch { lease, range } => {
+                    grants.insert(*lease, (r.device, *range));
+                }
+                Command::Resize { .. } | Command::Evict { .. } => {
+                    leases.apply(&r.command);
+                }
+                // Rejections are surfaced via the retry hint; promotion,
+                // preemption and reaping are informational here (the
+                // paired Resize/Dispatch in the same batch carry the
+                // state changes).
+                Command::PromoteStarved { .. }
+                | Command::Preempt { .. }
+                | Command::Reap { .. }
+                | Command::RejectOverloaded { .. } => {}
+            }
+        }
+        self.granted.notify_all();
+        (true, retry_after_ms)
     }
 
-    /// Submits one batch and blocks until the consumer has fed it.
-    /// Returns whether it was fed (`false` after a crash — the caller
-    /// must treat the events as never having happened) and, when
-    /// `session` is given, the retry hint if that session's request was
-    /// shed. `meta` is appended to the WAL atomically with the batch,
-    /// unless the batch was shed or unfed.
+    /// [`ArbFrontend::feed_locked`] under one acquisition of the lock.
     fn submit(
         &self,
         events: &[ArbEvent],
         session: Option<u64>,
         meta: Option<WalRecord>,
     ) -> (bool, Option<u64>) {
-        let cell = self.checkout();
-        {
-            let mut st = cell.state.lock();
-            st.batch.clear();
-            st.batch.events.extend_from_slice(events);
-            st.session = session;
-            st.meta = meta;
-            st.detached = false;
-            st.fed = false;
-            st.retry_after_ms = None;
-            st.phase = CellPhase::Queued;
-        }
-        self.push(cell.clone());
-        let mut st = cell.state.lock();
-        while st.phase != CellPhase::Done {
-            cell.done.wait(&mut st);
-        }
-        let out = (st.fed, st.retry_after_ms);
-        st.batch.clear();
-        st.meta = None;
-        drop(st);
-        self.pool.lock().push(cell);
-        out
+        self.feed_locked(&mut self.inner.lock(), events, session, meta)
     }
 
-    /// Feeds one batch to the placement layer and carries out the routed
-    /// commands, ignoring the outcome. After a crash this is a no-op.
+    /// Feeds one batch, ignoring the outcome. After a crash this is a
+    /// no-op.
     fn feed(&self, events: &[ArbEvent]) {
         let _ = self.submit(events, None, None);
     }
 
-    /// Fire-and-forget heartbeat tick. When the ring is full the tick is
-    /// dropped — the next one is a millisecond away, and real work is
-    /// already queued to run the scheduling pass anyway.
+    /// The heartbeat's scheduling pass: one [`ArbEvent::DeadlineTick`].
     fn tick(&self) {
-        let cell = self.checkout();
-        {
-            let mut st = cell.state.lock();
-            st.batch.clear();
-            st.batch.events.push(ArbEvent::DeadlineTick);
-            st.session = None;
-            st.meta = None;
-            st.detached = true;
-            st.fed = false;
-            st.retry_after_ms = None;
-            st.phase = CellPhase::Queued;
-        }
-        let mut tx = self.submit.lock();
-        match tx.push(cell.clone()) {
-            Ok(()) => {
-                drop(tx);
-                self.consumer_thread.unpark();
-            }
-            Err(_) => {
-                drop(tx);
-                self.pool.lock().push(cell);
-            }
-        }
+        self.feed(&[ArbEvent::DeadlineTick]);
     }
 
     /// The device `lease` currently routes to (its session's device, or
     /// the migration target after a rebalance eviction landed).
     fn lease_device(&self, lease: u64) -> usize {
-        let inner = self.sh.inner.lock();
+        let inner = self.inner.lock();
         inner
             .layer
             .device_of_lease(lease)
@@ -549,21 +316,21 @@ impl ArbFrontend {
     /// is pending for it. Must be read *before* feeding the eviction's
     /// `KernelFinished` (which completes the migration and clears it).
     fn migration_target(&self, lease: u64) -> Option<usize> {
-        self.sh.inner.lock().layer.migration_target(lease)
+        self.inner.lock().layer.migration_target(lease)
     }
 
     /// The placement layer's health state for `device`.
     fn device_health(&self, device: usize) -> HealthState {
-        self.sh.inner.lock().layer.health_of(device)
+        self.inner.lock().layer.health_of(device)
     }
 
     /// Registers the kernel's dispatch handle, announces it ready, and
-    /// blocks until its device's core grants it an SM range. The handle
-    /// is registered before the ready event is submitted, so the consumer
-    /// always finds it when the grant's commands need applying. The wait
-    /// is bounded (the 1 ms heartbeat re-runs scheduling anyway), so a
-    /// lost wakeup during teardown cannot wedge the thread; a crash
-    /// unblocks every waiter with [`GrantWait::Crashed`].
+    /// blocks until its device's core grants it an SM range — all under
+    /// one acquisition of the lock, so the grant's commands always find
+    /// the handle. The wait is bounded (the 1 ms heartbeat re-runs
+    /// scheduling anyway), so a lost wakeup during teardown cannot wedge
+    /// the thread; a crash unblocks every waiter with
+    /// [`GrantWait::Crashed`].
     fn wait_grant(
         &self,
         lease: u64,
@@ -571,13 +338,13 @@ impl ArbFrontend {
         handle: DispatchHandle,
         token: Option<FaultToken>,
     ) -> GrantWait {
-        self.sh.inner.lock().leases.register(lease, handle, token);
-        let (fed, _) = self.submit(std::slice::from_ref(&ready), None, None);
-        if !fed {
-            self.sh.inner.lock().leases.release(lease);
+        let mut inner = self.inner.lock();
+        inner.leases.register(lease, handle, token);
+        let (ready_fed, _) = self.feed_locked(&mut inner, &[ready], None, None);
+        if !ready_fed {
+            inner.leases.release(lease);
             return GrantWait::Crashed { ready_fed: false };
         }
-        let mut inner = self.sh.inner.lock();
         loop {
             if let Some((device, range)) = inner.grants.remove(&lease) {
                 return GrantWait::Granted(device, range);
@@ -586,10 +353,7 @@ impl ArbFrontend {
                 inner.leases.release(lease);
                 return GrantWait::Crashed { ready_fed: true };
             }
-            let _ = self
-                .sh
-                .granted
-                .wait_for(&mut inner, Duration::from_millis(5));
+            let _ = self.granted.wait_for(&mut inner, Duration::from_millis(5));
         }
     }
 
@@ -599,9 +363,15 @@ impl ArbFrontend {
     /// actually landed — `false` means the daemon crashed first and the
     /// launch must be parked for adoption instead.
     fn finish(&self, lease: u64, ok: bool) -> bool {
-        self.sh.inner.lock().leases.release(lease);
-        let (fed, _) = self.submit(&[ArbEvent::KernelFinished { lease, ok }], None, None);
-        fed
+        let mut inner = self.inner.lock();
+        inner.leases.release(lease);
+        self.feed_locked(
+            &mut inner,
+            &[ArbEvent::KernelFinished { lease, ok }],
+            None,
+            None,
+        )
+        .0
     }
 }
 
@@ -731,7 +501,7 @@ pub struct DaemonOptions {
     pub admission: AdmissionLimits,
     /// Arbiter aging bound, in milliseconds: a kernel waiting longer for
     /// the device is dispatched solo (policy table notwithstanding) and
-    /// counted in [`SlateDaemon::starvation_promotions`]. `None` disables
+    /// counted in [`DaemonMetrics::starvation_promotions`]. `None` disables
     /// aging.
     pub starvation_bound_ms: Option<u64>,
     /// SLO preemption bound, in milliseconds: a latency-critical arrival
@@ -962,9 +732,10 @@ impl SlateDaemon {
         };
         {
             // The durable session record rides in the submission itself:
-            // the consumer appends it right after the admission batch,
-            // under one arbiter lock, so a crash can separate neither
-            // from the other (and a shed admission records nothing).
+            // it is appended right after the admission batch, under the
+            // same hold of the arbiter lock, so a crash can separate
+            // neither from the other (and a shed admission records
+            // nothing).
             let meta = self
                 .shared
                 .durability
@@ -1077,7 +848,6 @@ impl SlateDaemon {
         let log = self
             .shared
             .arb
-            .sh
             .inner
             .lock()
             .layer
@@ -1093,76 +863,9 @@ impl SlateDaemon {
         self.shared.shutting_down.load(Ordering::Acquire)
     }
 
-    /// Total kernel launches served (daemon statistics).
-    pub fn launches_served(&self) -> u64 {
-        *self.shared.launches.lock()
-    }
-
     /// Injection-cache statistics: (hits, misses).
     pub fn injection_stats(&self) -> (u64, u64) {
         self.shared.injector.lock().stats()
-    }
-
-    /// Live device allocations across all sessions.
-    pub fn live_allocations(&self) -> usize {
-        self.shared.pool.lock().live_allocations()
-    }
-
-    /// Hardware work-queue lanes registered on the funnelled context
-    /// (one per (session, stream) the daemon has served).
-    pub fn hyperq_lanes(&self) -> usize {
-        self.shared.hyperq.lock().lanes()
-    }
-
-    /// Kernels evicted by the watchdog since the daemon started, across
-    /// every device.
-    pub fn watchdog_evictions(&self) -> u64 {
-        self.shared.arb.sh.inner.lock().layer.evictions()
-    }
-
-    /// Sessions torn down because the client vanished without Disconnect.
-    pub fn reaped_sessions(&self) -> u64 {
-        self.shared.arb.sh.inner.lock().layer.reaped()
-    }
-
-    /// Kernels currently resident across every device (0–2 per device).
-    pub fn arbiter_residents(&self) -> usize {
-        self.shared.arb.sh.inner.lock().layer.residents()
-    }
-
-    /// Fault-plan rules that have fired so far (0 without injection).
-    pub fn faults_fired(&self) -> usize {
-        self.shared.faults.lock().fired()
-    }
-
-    /// Snapshot of the daemon-wide launch queue: depth, high-water mark,
-    /// admitted and shed counts, summed across every device's core.
-    pub fn queue_stats(&self) -> QueueStats {
-        self.shared.arb.sh.inner.lock().layer.queue_stats()
-    }
-
-    /// Snapshot of the admission counters (sessions, launches, deadline
-    /// rejections, memory sheds), summed across every device's core.
-    pub fn admission_stats(&self) -> AdmissionStats {
-        self.shared.arb.sh.inner.lock().layer.admission_stats()
-    }
-
-    /// Starved arbiter waiters promoted to solo dispatch (0 unless
-    /// [`DaemonOptions::starvation_bound_ms`] is set).
-    pub fn starvation_promotions(&self) -> u64 {
-        self.shared.arb.sh.inner.lock().layer.promotions()
-    }
-
-    /// Best-effort residents displaced by latency-critical arrivals
-    /// (0 unless [`DaemonOptions::preempt_bound_ms`] is set).
-    pub fn slo_preemptions(&self) -> u64 {
-        self.shared.arb.sh.inner.lock().layer.preemptions()
-    }
-
-    /// Snapshot of the placement counters: fleet size, routed sessions,
-    /// rebalances fired and migrations completed.
-    pub fn placement_stats(&self) -> PlacementStats {
-        self.shared.arb.sh.inner.lock().layer.stats()
     }
 
     /// Declares `device` hard-down (operator action or an external health
@@ -1200,7 +903,6 @@ impl SlateDaemon {
     pub fn arbiter_log(&self) -> Option<EventLog> {
         self.shared
             .arb
-            .sh
             .inner
             .lock()
             .layer
@@ -1216,12 +918,14 @@ impl SlateDaemon {
     /// replay and [`split`](crate::placement::replay::split)s into
     /// ordinary per-device [`EventLog`]s.
     pub fn placement_log(&self) -> Option<PlacementLog> {
-        self.shared.arb.sh.inner.lock().layer.take_log()
+        self.shared.arb.inner.lock().layer.take_log()
     }
 
-    /// One consistent-enough snapshot of everything the daemon reports:
-    /// queue backlog, admission counters, and the fault-tolerance
-    /// counters. The single stable observability surface.
+    /// One snapshot of everything the daemon reports: queue backlog,
+    /// admission counters, and the fault-tolerance counters. Every
+    /// arbitration-layer counter is read under one acquisition of the
+    /// arbiter lock, so they describe the same instant between two feeds.
+    /// The single stable observability surface.
     pub fn metrics(&self) -> DaemonMetrics {
         let sh = &self.shared;
         let lock_recoveries = sh.pool.recoveries()
@@ -1231,21 +935,30 @@ impl SlateDaemon {
             + sh.hyperq.recoveries()
             + sh.faults.recoveries()
             + sh.active_sessions.recoveries()
-            + sh.arb.sh.inner.recoveries()
+            + sh.arb.inner.recoveries()
             + self.next_session.recoveries()
             + self.sessions.recoveries();
+        // The other locks are read first and released: a launch-site
+        // fault fires (and feeds) with the fault-plan lock held.
+        let launches_served = *sh.launches.lock();
+        let live_allocations = sh.pool.lock().live_allocations();
+        let hyperq_lanes = sh.hyperq.lock().lanes();
+        let faults_fired = sh.faults.lock().fired();
+        let inner = sh.arb.inner.lock();
+        let layer = &inner.layer;
         DaemonMetrics {
-            queue: self.queue_stats(),
-            admission: self.admission_stats(),
-            launches_served: self.launches_served(),
-            live_allocations: self.live_allocations(),
-            hyperq_lanes: self.hyperq_lanes(),
-            arbiter_residents: self.arbiter_residents(),
-            watchdog_evictions: self.watchdog_evictions(),
-            reaped_sessions: self.reaped_sessions(),
-            starvation_promotions: self.starvation_promotions(),
-            faults_fired: self.faults_fired(),
-            placement: self.placement_stats(),
+            queue: layer.queue_stats(),
+            admission: layer.admission_stats(),
+            launches_served,
+            live_allocations,
+            hyperq_lanes,
+            arbiter_residents: layer.residents(),
+            watchdog_evictions: layer.evictions(),
+            reaped_sessions: layer.reaped(),
+            starvation_promotions: layer.promotions(),
+            slo_preemptions: layer.preemptions(),
+            faults_fired,
+            placement: layer.stats(),
             lock_recoveries,
         }
     }
@@ -1277,8 +990,8 @@ impl SlateDaemon {
     /// the [`CrashScene`] for [`SlateDaemon::recover`].
     pub fn crash(&self) -> CrashScene {
         {
-            let inner = self.shared.arb.sh.inner.lock();
-            self.shared.arb.sh.crashed.store(true, Ordering::SeqCst);
+            let inner = self.shared.arb.inner.lock();
+            self.shared.arb.crashed.store(true, Ordering::SeqCst);
             self.shared.shutting_down.store(true, Ordering::Release);
             if let Some(d) = &self.shared.durability {
                 d.freeze();
@@ -1289,7 +1002,7 @@ impl SlateDaemon {
             for lease in inner.leases.leases() {
                 inner.leases.apply(&Command::Evict { lease });
             }
-            self.shared.arb.sh.granted.notify_all();
+            self.shared.arb.granted.notify_all();
         }
         self.join();
         let inflight = std::mem::take(&mut *self.shared.crash_inflight.lock());
@@ -2298,8 +2011,8 @@ mod tests {
         }
         client.free(in_ptr).unwrap();
         client.free(out_ptr).unwrap();
-        assert_eq!(daemon.live_allocations(), 0);
-        assert_eq!(daemon.launches_served(), 1);
+        assert_eq!(daemon.metrics().live_allocations, 0);
+        assert_eq!(daemon.metrics().launches_served, 1);
         client.disconnect().unwrap();
         daemon.join();
     }
@@ -2341,7 +2054,7 @@ mod tests {
                 assert_eq!(out[i], 2.0 * (i + s) as f32, "stream {s} element {i}");
             }
         }
-        assert_eq!(daemon.launches_served(), 5);
+        assert_eq!(daemon.metrics().launches_served, 5);
         client.disconnect().unwrap();
         daemon.join();
     }
@@ -2434,11 +2147,11 @@ mod tests {
             let client = SlateClient::new(daemon.connect("vanishing").unwrap());
             let _a = client.malloc(256).unwrap();
             let _b = client.malloc(256).unwrap();
-            assert_eq!(daemon.live_allocations(), 2);
+            assert_eq!(daemon.metrics().live_allocations, 2);
             drop(client); // Connection dropped, no Disconnect request
         }
         daemon.join();
-        assert_eq!(daemon.live_allocations(), 0);
+        assert_eq!(daemon.metrics().live_allocations, 0);
     }
 
     #[test]
@@ -2483,10 +2196,10 @@ mod tests {
         let client = SlateClient::new(daemon.connect("leaky").unwrap());
         let _p1 = client.malloc(512).unwrap();
         let _p2 = client.malloc(512).unwrap();
-        assert_eq!(daemon.live_allocations(), 2);
+        assert_eq!(daemon.metrics().live_allocations, 2);
         client.disconnect().unwrap();
         daemon.join();
-        assert_eq!(daemon.live_allocations(), 0);
+        assert_eq!(daemon.metrics().live_allocations, 0);
     }
 
     fn double_factory(n: usize) -> impl FnOnce(Vec<Arc<GpuBuffer>>) -> Arc<dyn GpuKernel> {
@@ -2521,8 +2234,8 @@ mod tests {
             matches!(err, SlateError::Timeout { elapsed_ms } if elapsed_ms >= 40),
             "expected watchdog timeout, got {err}"
         );
-        assert_eq!(daemon.watchdog_evictions(), 1);
-        assert_eq!(daemon.arbiter_residents(), 0, "SM range reclaimed");
+        assert_eq!(daemon.metrics().watchdog_evictions, 1);
+        assert_eq!(daemon.metrics().arbiter_residents, 0, "SM range reclaimed");
         // The session stays healthy: the hang rule fired, a relaunch runs.
         client
             .launch_with_deadline(vec![p], 10, 5_000, double_factory(n))
@@ -2550,7 +2263,7 @@ mod tests {
             .unwrap();
         let err = client.synchronize().unwrap_err();
         assert!(matches!(err, SlateError::KernelFault(_)), "{err}");
-        assert_eq!(daemon.faults_fired(), 1);
+        assert_eq!(daemon.metrics().faults_fired, 1);
         client.disconnect().unwrap();
         daemon.join();
     }
@@ -2592,14 +2305,14 @@ mod tests {
         );
         let client = SlateClient::new(daemon.connect("doomed").unwrap());
         let _p = client.malloc(256).unwrap();
-        assert_eq!(daemon.live_allocations(), 1);
+        assert_eq!(daemon.metrics().live_allocations, 1);
         // Second request hits the injected drop: the daemon severs the
         // channel as if the process died.
         let err = client.malloc(256).unwrap_err();
         assert_eq!(err, SlateError::Disconnected);
         daemon.join();
-        assert_eq!(daemon.live_allocations(), 0, "allocations reaped");
-        assert_eq!(daemon.reaped_sessions(), 1);
+        assert_eq!(daemon.metrics().live_allocations, 0, "allocations reaped");
+        assert_eq!(daemon.metrics().reaped_sessions, 1);
     }
 
     #[test]
@@ -2607,12 +2320,12 @@ mod tests {
         let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);
         drop(SlateClient::new(daemon.connect("ghost").unwrap()));
         daemon.join();
-        assert_eq!(daemon.reaped_sessions(), 1);
+        assert_eq!(daemon.metrics().reaped_sessions, 1);
         // A clean disconnect is not a reap.
         let c = SlateClient::new(daemon.connect("polite").unwrap());
         c.disconnect().unwrap();
         daemon.join();
-        assert_eq!(daemon.reaped_sessions(), 1);
+        assert_eq!(daemon.metrics().reaped_sessions, 1);
     }
 
     #[test]
@@ -2661,7 +2374,7 @@ mod tests {
         client.disconnect().unwrap();
         assert!(drainer.join().unwrap(), "drain completed");
         daemon.join();
-        assert_eq!(daemon.live_allocations(), 0);
+        assert_eq!(daemon.metrics().live_allocations, 0);
     }
 
     #[test]
@@ -2673,6 +2386,52 @@ mod tests {
         // The drain keeps progressing afterwards.
         client.disconnect().unwrap();
         daemon.join();
+    }
+
+    #[test]
+    fn nothing_fed_after_a_crash_reaches_the_core_or_the_wal() {
+        let dir = std::env::temp_dir().join(format!("slate-daemon-unfed-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let daemon = SlateDaemon::start_with_options(
+            DeviceConfig::tiny(2),
+            1 << 20,
+            DaemonOptions {
+                record_arbiter: true,
+                durability: Some(DurabilityOptions {
+                    dir: dir.clone(),
+                    snapshot_every: 8,
+                    keep_all: true,
+                }),
+                ..Default::default()
+            },
+        );
+        let client = SlateClient::new(daemon.connect("doomed").unwrap());
+        client.malloc(64).unwrap();
+        let _scene = daemon.crash();
+        let arb = &daemon.shared.arb;
+        // (recorded batches, every WAL/snapshot file's bytes)
+        let state = || {
+            let inner = arb.inner.lock();
+            let batches = inner.layer.log_snapshot().expect("recording").batches.len();
+            let files: BTreeMap<_, _> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .map(|f| (f.clone(), std::fs::read(f).unwrap()))
+                .collect();
+            (batches, files)
+        };
+        let before = state();
+        assert!(before.0 >= 2, "the session and its malloc were fed");
+        arb.feed(&[ArbEvent::DrainBegan]);
+        arb.tick();
+        let unfed = arb.submit(
+            &[ArbEvent::SessionOpened { session: 99 }],
+            Some(99),
+            Some(WalRecord::SessionClosed { session: 99 }),
+        );
+        assert_eq!(unfed, (false, None));
+        assert_eq!(state(), before);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2699,10 +2458,9 @@ mod tests {
             client.synchronize().unwrap();
             assert_eq!(client.download_f32(p, 1).unwrap(), vec![2.0]);
         }
-        let stats = daemon.placement_stats();
+        let stats = daemon.metrics().placement;
         assert_eq!(stats.devices, 2);
         assert_eq!(stats.sessions_routed, 2, "both sessions were routed");
-        assert_eq!(daemon.metrics().placement, stats);
         for client in clients {
             client.disconnect().unwrap();
         }
@@ -2801,7 +2559,7 @@ mod tests {
                 assert_eq!(v, 2.0, "element {i}: every block exactly once");
             }
         }
-        let stats = daemon.placement_stats();
+        let stats = daemon.metrics().placement;
         assert_eq!(stats.rebalances, 1, "the imbalance fired one migration");
         assert_eq!(stats.migrations_completed, 1);
         for client in clients {
@@ -2851,7 +2609,7 @@ mod tests {
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, 2.0, "element {i}: evacuated exactly once, not lost");
         }
-        let stats = daemon.placement_stats();
+        let stats = daemon.metrics().placement;
         assert!(stats.evacuations >= 1, "the failure evacuated its leases");
         assert!(stats.migrations_completed >= 1);
         assert_eq!(stats.devices_out, 1);

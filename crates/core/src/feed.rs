@@ -1,36 +1,25 @@
-//! Allocation-free batched event-feed primitives: a bounded lock-free
-//! SPSC ring and a reusable event batch.
-//!
-//! The daemon's hot path is "hand one small batch of [`Event`]s to the
-//! arbitration layer and read back its commands". Holding one big mutex
-//! across the whole of that (feed + WAL append + command application)
-//! serializes every producer behind the arbiter's work; allocating a
-//! fresh `Vec` per batch puts the allocator on the per-launch path. The
-//! two types here remove both:
+//! Allocation-free batched event-feed primitives: a reusable event batch
+//! and a bounded lock-free SPSC ring.
 //!
 //! * [`EventBatch`] — an events-in / replies-out buffer pair that is
 //!   cleared and refilled, never reallocated: steady state it holds its
-//!   high-water capacity and a feed touches no heap.
-//! * [`ring`] — a bounded single-producer single-consumer ring. The
-//!   producer side hands filled batches to the consuming arbiter thread
-//!   with two atomic operations and no lock; backpressure is the ring
-//!   filling up (the producer waits or, for fire-and-forget heartbeats,
-//!   drops the tick).
+//!   high-water capacity and a feed touches no heap. The single-threaded
+//!   [`SlateRuntime`](crate::runtime::SlateRuntime) feeds through one.
+//! * [`ring`] — a bounded single-producer single-consumer ring: a push
+//!   and a pop are two atomic operations each and no lock.
 //!
-//! The daemon (`daemon.rs`) runs the full arrangement: pooled
-//! `Arc`-wrapped batches travel producer → ring → arbiter thread → back
-//! to the pool, so a steady-state submission allocates nothing. The
-//! single-threaded [`SlateRuntime`](crate::runtime::SlateRuntime) reuses
-//! just [`EventBatch`] as its feed scratch. Ordering discipline —
-//! *when* batches may be reordered and when not — is documented in
-//! `DESIGN.md` §17.
+//! **Nothing in this crate uses [`ring`].** Queueing submissions to a
+//! consumer thread removes no serialisation — the consumer's work is all
+//! under the arbiter lock and every submitter waits for its reply — so
+//! the daemon's submitters take that lock and feed the layer themselves
+//! (`DESIGN.md` §17). The ring keeps its exact code and public API only
+//! because the benchmark package (`slatebench/src/probes.rs`,
+//! `feed.push_pop_ns`) imports it; it goes when that probe does.
 //!
 //! The ring is SPSC by construction, not by convention: [`ring`] returns
 //! distinct [`RingProducer`]/[`RingConsumer`] handles, neither clonable,
 //! and every operation takes `&mut self` — two threads can't race one
-//! side without already having broken Rust's aliasing rules. (The daemon
-//! serializes its many submitting threads through a tiny mutex around
-//! the producer handle, which is what makes it "logically SPSC".)
+//! side without already having broken Rust's aliasing rules.
 
 use crate::arbiter::Event;
 use std::cell::UnsafeCell;

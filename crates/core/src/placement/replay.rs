@@ -47,15 +47,7 @@ pub struct PlacementLog {
 /// Replays `log` through a fresh layer, returning each batch with the
 /// routed commands the *replay* produced (the logged ones are ignored).
 pub fn replay(log: &PlacementLog) -> Vec<PlacementBatch> {
-    let mut layer = PlacementLayer::new(log.devices.clone(), log.config.clone());
-    log.batches
-        .iter()
-        .map(|b| PlacementBatch {
-            at: b.at,
-            events: b.events.clone(),
-            routed: layer.feed(b.at, &b.events),
-        })
-        .collect()
+    replay_under(log, log.config.clone())
 }
 
 /// Replays `log`'s *events* through a fresh layer running `config`
@@ -108,13 +100,19 @@ impl StreamVerifier {
     /// Replays one recorded batch and checks the routed commands it
     /// produces against the logged ones.
     pub fn push(&mut self, batch: &PlacementBatch) -> Result<(), String> {
+        self.check(batch, "diverged")
+    }
+
+    /// [`StreamVerifier::push`], with the caller's wording of a
+    /// divergence.
+    fn check(&mut self, batch: &PlacementBatch, diverged: &str) -> Result<(), String> {
         let i = self.batches;
         self.batches += 1;
         self.layer
             .feed_into(batch.at, &batch.events, &mut self.scratch);
         if self.scratch != batch.routed {
             return Err(format!(
-                "placement batch {i} (at {}) diverged:\n  logged:\n{}  replayed:\n{}",
+                "placement batch {i} (at {}) {diverged}:\n  logged:\n{}  replayed:\n{}",
                 batch.at,
                 render(&batch.routed),
                 render(&self.scratch),
@@ -178,21 +176,12 @@ pub fn transcript(batches: &[PlacementBatch]) -> String {
 /// re-[`verify`]s the placement log itself and fails if the routing
 /// diverged.
 pub fn split(log: &PlacementLog) -> Result<Vec<EventLog>, String> {
-    let mut layer = PlacementLayer::new(log.devices.clone(), log.config.clone());
-    layer.start_recording();
-    let mut routed = Vec::new();
-    for (i, b) in log.batches.iter().enumerate() {
-        layer.feed_into(b.at, &b.events, &mut routed);
-        if routed != b.routed {
-            return Err(format!(
-                "placement batch {i} (at {}) diverged during split:\n  logged:\n{}  replayed:\n{}",
-                b.at,
-                render(&b.routed),
-                render(&routed),
-            ));
-        }
+    let mut v = StreamVerifier::for_log(log);
+    v.layer.start_recording();
+    for b in &log.batches {
+        v.check(b, "diverged during split")?;
     }
-    Ok(layer
+    Ok(v.layer
         .take_core_logs()
         .into_iter()
         .map(|l| l.expect("recording was on for every core"))

@@ -205,6 +205,87 @@ fn crash_recover_exactly_once_three_devices() {
     }
 }
 
+/// One block, one slot, no dawdling: a launch that is all control plane.
+struct Bump {
+    hits: Arc<GpuBuffer>,
+}
+
+impl GpuKernel for Bump {
+    fn name(&self) -> &str {
+        "bump"
+    }
+    fn grid(&self) -> GridDim {
+        GridDim::d1(1)
+    }
+    fn perf(&self) -> KernelPerf {
+        KernelPerf::synthetic("bump", 400.0, 900.0)
+    }
+    fn run_block(&self, _: BlockCoord) {
+        self.hits.store_f32(0, self.hits.load_f32(0) + 1.0);
+    }
+}
+
+/// WAL order = feed order under real submitter concurrency: eight client
+/// threads launch at once against a durable, recording fleet, every one
+/// feeding the placement layer from its own session thread. The WAL on
+/// disk and the in-memory recording are written under the same arbiter
+/// lock, so they must hold the same batches in the same order — and that
+/// order must replay.
+#[test]
+fn wal_order_is_feed_order_under_concurrent_submitters() {
+    const CLIENTS: usize = 8;
+    const PER_CLIENT: usize = 50;
+    let dir = tmpdir("feed-order");
+    let daemon = SlateDaemon::start_with_options(
+        DeviceConfig::tiny(4),
+        1 << 24,
+        DaemonOptions {
+            record_arbiter: true,
+            ..durable_opts(2, &dir)
+        },
+    );
+    let start = std::sync::Barrier::new(CLIENTS);
+    std::thread::scope(|s| {
+        for c in 0..CLIENTS {
+            let (daemon, start) = (&daemon, &start);
+            s.spawn(move || {
+                let client = SlateClient::new(daemon.connect(&format!("tenant-{c}")).unwrap());
+                let hits = client.malloc(4).unwrap();
+                client.upload_f32(hits, &[0.0]).unwrap();
+                start.wait();
+                for _ in 0..PER_CLIENT {
+                    client
+                        .launch_with(vec![hits], 1, None, |bufs| -> Arc<dyn GpuKernel> {
+                            Arc::new(Bump {
+                                hits: bufs[0].clone(),
+                            })
+                        })
+                        .unwrap();
+                }
+                client.synchronize().unwrap();
+                assert_eq!(
+                    client.download_f32(hits, 1).unwrap(),
+                    vec![PER_CLIENT as f32]
+                );
+                client.disconnect().unwrap();
+            });
+        }
+    });
+    daemon.join();
+    assert_eq!(
+        daemon.metrics().launches_served,
+        (CLIENTS * PER_CLIENT) as u64
+    );
+    let recorded = daemon.placement_log().expect("recording was enabled");
+    let wal = full_log(&dir).expect("stitch full placement log from kept segments");
+    assert_eq!(wal.batches.len(), recorded.batches.len());
+    for (i, (w, r)) in wal.batches.iter().zip(&recorded.batches).enumerate() {
+        assert_eq!(w, r, "batch {i}: the WAL and the recorder disagree");
+    }
+    verify(&wal).expect("full WAL replays byte-identically");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn resume_tokens_are_single_use_and_epoch_checked() {
     let dir = tmpdir("tokens");

@@ -5,7 +5,8 @@
 //! reuses released slots, every decision-path scratch buffer keeps its
 //! high-water capacity, and commands are `Copy`-only payloads written
 //! into caller-owned buffers. The daemon's feed path is these same
-//! pieces behind a ring of pooled [`EventBatch`]es, exercised here
+//! pieces under its arbiter lock (the reply buffer lives beside the
+//! layer and is reused), exercised here
 //! single-threaded so the count is deterministic: a thread-local
 //! counting allocator tallies this thread's allocations only, which
 //! keeps the harness's other test threads out of the ledger.
@@ -188,11 +189,10 @@ fn placement_feed_into_steady_state_allocates_nothing() {
     assert_eq!(n, 0, "warmed PlacementLayer::feed_into must not allocate");
 }
 
-/// The daemon's batch transport: pooled [`EventBatch`]es through an SPSC
-/// ring. Once the batch buffers hit their high-water capacity, a full
-/// fill → push → pop → drain → clear round trip is allocation-free —
-/// which, combined with the two tests above, is the steady-state daemon
-/// feed path end to end.
+/// Pooled [`EventBatch`]es through the SPSC ring (no longer the daemon's
+/// transport — its submitters feed the layer directly — but still public
+/// API). Once the batch buffers hit their high-water capacity, a full
+/// fill → push → pop → drain → clear round trip is allocation-free.
 #[test]
 fn ring_and_batch_round_trip_allocates_nothing() {
     let (mut tx, mut rx) = ring::<EventBatch<Command>>(8);

@@ -128,12 +128,15 @@ fn main() {
 
     println!(
         "\ndaemon: {} launches over {} Hyper-Q lanes, injection cache {:?}",
-        daemon.launches_served(),
-        daemon.hyperq_lanes(),
+        daemon.metrics().launches_served,
+        daemon.metrics().hyperq_lanes,
         daemon.injection_stats()
     );
-    assert_eq!(daemon.launches_served(), 9);
-    assert!(daemon.hyperq_lanes() >= 5, "default stream + 4 lanes");
+    assert_eq!(daemon.metrics().launches_served, 9);
+    assert!(
+        daemon.metrics().hyperq_lanes >= 5,
+        "default stream + 4 lanes"
+    );
     client.disconnect().unwrap();
     daemon.join();
 }

@@ -97,9 +97,13 @@ fn main() {
 
     println!(
         "daemon served {} kernel launches from 2 client processes",
-        daemon.launches_served()
+        daemon.metrics().launches_served
     );
-    assert_eq!(daemon.launches_served(), 8);
-    assert_eq!(daemon.live_allocations(), 0, "all device memory reclaimed");
+    assert_eq!(daemon.metrics().launches_served, 8);
+    assert_eq!(
+        daemon.metrics().live_allocations,
+        0,
+        "all device memory reclaimed"
+    );
     println!("both processes shared one device context — Slate multiprocessing works.");
 }

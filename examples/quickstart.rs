@@ -66,7 +66,7 @@ fn main() {
     client.synchronize().unwrap();
     println!(
         "kernel completed ({} launches served)",
-        daemon.launches_served()
+        daemon.metrics().launches_served
     );
 
     // cudaMemcpy D2H and host validation.

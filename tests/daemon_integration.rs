@@ -116,7 +116,7 @@ fn complementary_clients_corun_correctly() {
             assert_eq!(*v, 2.0 * reps as f32, "lc element {i}");
         }
     });
-    assert_eq!(daemon.launches_served(), 12);
+    assert_eq!(daemon.metrics().launches_served, 12);
     daemon.join();
 }
 
@@ -168,8 +168,8 @@ fn many_clients_stress_the_arbiter() {
             }
         }
     });
-    assert_eq!(daemon.launches_served(), 24);
-    assert_eq!(daemon.live_allocations(), 0);
+    assert_eq!(daemon.metrics().launches_served, 24);
+    assert_eq!(daemon.metrics().live_allocations, 0);
     daemon.join();
 }
 
@@ -256,6 +256,6 @@ fn profile_table_is_shared_across_sessions() {
     let b = run_client(&daemon, "second", lc_perf("shared_kernel"), 2, n, 3.0);
     assert!(a.iter().step_by(97).all(|&v| v == 2.0));
     assert!(b.iter().step_by(97).all(|&v| v == 6.0));
-    assert_eq!(daemon.launches_served(), 4);
+    assert_eq!(daemon.metrics().launches_served, 4);
     daemon.join();
 }

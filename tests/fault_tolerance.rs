@@ -116,14 +116,16 @@ fn vanished_client_is_reaped_and_corunner_finishes() {
 
     // The daemon noticed the vanished sender: session reaped, both leaked
     // allocations freed, SM residency released.
-    wait_for("session reap", || daemon.reaped_sessions() == 1);
-    wait_for("allocation reclaim", || daemon.live_allocations() == 1);
-    assert_eq!(daemon.arbiter_residents(), 0);
+    wait_for("session reap", || daemon.metrics().reaped_sessions == 1);
+    wait_for("allocation reclaim", || {
+        daemon.metrics().live_allocations == 1
+    });
+    assert_eq!(daemon.metrics().arbiter_residents, 0);
 
     b.free(pb).unwrap();
     b.disconnect().unwrap();
     daemon.join();
-    assert_eq!(daemon.live_allocations(), 0);
+    assert_eq!(daemon.metrics().live_allocations, 0);
 }
 
 #[test]
@@ -164,11 +166,13 @@ fn reap_races_queued_lane_launches_without_leaking() {
     b.synchronize().unwrap();
     assert_eq!(b.download_f32(pb, n).unwrap(), vec![6.0f32; n]);
 
-    wait_for("session reap", || daemon.reaped_sessions() == 1);
-    wait_for("allocation reclaim", || daemon.live_allocations() == 1);
+    wait_for("session reap", || daemon.metrics().reaped_sessions == 1);
+    wait_for("allocation reclaim", || {
+        daemon.metrics().live_allocations == 1
+    });
     // The lane drained every queued launch before the reap finished:
     // nothing left pending, and every admission was completed.
-    wait_for("queue drain", || daemon.queue_stats().depth == 0);
+    wait_for("queue drain", || daemon.metrics().queue.depth == 0);
     let m = daemon.metrics();
     assert_eq!(
         m.queue.admitted,
@@ -181,8 +185,8 @@ fn reap_races_queued_lane_launches_without_leaking() {
     b.free(pb).unwrap();
     b.disconnect().unwrap();
     daemon.join();
-    assert_eq!(daemon.live_allocations(), 0);
-    assert_eq!(daemon.hyperq_lanes(), 0);
+    assert_eq!(daemon.metrics().live_allocations, 0);
+    assert_eq!(daemon.metrics().hyperq_lanes, 0);
 }
 
 #[test]
@@ -229,8 +233,12 @@ fn watchdog_evicts_hung_kernel_while_corunner_completes() {
         Err(SlateError::Timeout { elapsed_ms }) => assert!(elapsed_ms >= 40, "{elapsed_ms}"),
         other => panic!("expected Timeout, got {other:?}"),
     }
-    assert_eq!(daemon.watchdog_evictions(), 1);
-    assert_eq!(daemon.arbiter_residents(), 0, "evicted SM range reclaimed");
+    assert_eq!(daemon.metrics().watchdog_evictions, 1);
+    assert_eq!(
+        daemon.metrics().arbiter_residents,
+        0,
+        "evicted SM range reclaimed"
+    );
 
     // The hang rule fired once; the same session relaunches successfully.
     let perf = hm_perf("hm-hang");
@@ -278,7 +286,7 @@ fn graceful_shutdown_drains_sessions_and_refuses_newcomers() {
 
     assert!(drain.join().unwrap(), "drain completed before the deadline");
     daemon.join();
-    assert_eq!(daemon.live_allocations(), 0);
+    assert_eq!(daemon.metrics().live_allocations, 0);
 }
 
 /// The acceptance scenario: with two co-running clients, killing one
@@ -324,9 +332,13 @@ fn daemon_recovers_from_crash_and_hang_and_serves_fresh_client() {
         other => panic!("expected Timeout, got {other:?}"),
     }
 
-    wait_for("crashed session reap", || daemon.reaped_sessions() == 1);
-    assert_eq!(daemon.watchdog_evictions(), 1);
-    wait_for("A's allocation reclaim", || daemon.live_allocations() == 1);
+    wait_for("crashed session reap", || {
+        daemon.metrics().reaped_sessions == 1
+    });
+    assert_eq!(daemon.metrics().watchdog_evictions, 1);
+    wait_for("A's allocation reclaim", || {
+        daemon.metrics().live_allocations == 1
+    });
 
     // A fresh client gets correct service after both faults.
     let c = SlateClient::new(daemon.connect("c-fresh").unwrap());
@@ -346,6 +358,6 @@ fn daemon_recovers_from_crash_and_hang_and_serves_fresh_client() {
     b.free(pb).unwrap();
     b.disconnect().unwrap();
     daemon.join();
-    assert_eq!(daemon.live_allocations(), 0);
-    assert_eq!(daemon.arbiter_residents(), 0);
+    assert_eq!(daemon.metrics().live_allocations, 0);
+    assert_eq!(daemon.metrics().arbiter_residents, 0);
 }

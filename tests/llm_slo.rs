@@ -166,7 +166,7 @@ fn slo_class_survives_crash_recovery() {
     let recovered =
         SlateDaemon::recover(scene, durable_slo_opts(&dir)).expect("recover from WAL + snapshot");
     assert_eq!(recovered.epoch(), 1, "recovery bumps the epoch");
-    assert_eq!(recovered.slo_preemptions(), 0);
+    assert_eq!(recovered.metrics().slo_preemptions, 0);
     bulk.install_reattach(&recovered);
     decoder.install_reattach(&recovered);
 
@@ -185,7 +185,7 @@ fn slo_class_survives_crash_recovery() {
     })
     .unwrap();
     wait_for("best-effort kernel resident", || {
-        recovered.arbiter_residents() >= 1
+        recovered.metrics().arbiter_residents >= 1
     });
 
     // ...and the recovered daemon still preempts it for the
@@ -206,7 +206,7 @@ fn slo_class_survives_crash_recovery() {
         })
         .unwrap();
     wait_for("preemption on the recovered daemon", || {
-        recovered.slo_preemptions() >= 1
+        recovered.metrics().slo_preemptions >= 1
     });
 
     // Both kernels complete, and the preempted one's retreat + relaunch

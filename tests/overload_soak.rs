@@ -252,7 +252,7 @@ fn infeasible_deadline_is_shed_up_front() {
         }
         other => panic!("expected Overloaded, got {other:?}"),
     }
-    assert_eq!(daemon.admission_stats().deadline_rejections, 1);
+    assert_eq!(daemon.metrics().admission.deadline_rejections, 1);
     assert_eq!(c.last_sync_failures(), 1);
     // The pending slow launch itself completed fine.
     c.synchronize().unwrap();
@@ -323,13 +323,13 @@ fn starved_waiter_is_promoted_to_solo_dispatch() {
     a.synchronize().unwrap();
 
     assert!(
-        daemon.starvation_promotions() >= 1,
+        daemon.metrics().starvation_promotions >= 1,
         "the starved pinned-solo waiter must be promoted, got {}",
-        daemon.starvation_promotions()
+        daemon.metrics().starvation_promotions
     );
     assert_eq!(
         daemon.metrics().starvation_promotions,
-        daemon.starvation_promotions()
+        daemon.metrics().starvation_promotions
     );
 
     a.free(pa).unwrap();
@@ -339,7 +339,7 @@ fn starved_waiter_is_promoted_to_solo_dispatch() {
     b.disconnect().unwrap();
     c.disconnect().unwrap();
     daemon.join();
-    assert_eq!(daemon.arbiter_residents(), 0);
+    assert_eq!(daemon.metrics().arbiter_residents, 0);
 }
 
 /// Seeded multi-client churn against tight limits. Each worker loops
