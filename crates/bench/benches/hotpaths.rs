@@ -1,6 +1,6 @@
 //! Scheduler hot-path benchmarks with a machine-readable report.
 //!
-//! Unlike the criterion targets, this bench uses a fixed-iteration
+//! This bench uses its own fixed-iteration
 //! harness (warmup, then best-of-5 timed runs) so its output is a single
 //! stable number per bench, and writes the [`slate_bench::Report`] JSON
 //! that CI's `bench_gate` compares against the committed

@@ -32,34 +32,11 @@ use std::time::{Duration, Instant};
 pub type ReplayFactory =
     Arc<dyn Fn(Vec<Arc<GpuBuffer>>) -> Arc<dyn GpuKernel> + Send + Sync + 'static>;
 
-/// One unacknowledged replayable launch, kept client-side until a
-/// `synchronize` confirms it and resubmitted verbatim (same launch id)
-/// after a crash resumption.
-struct ReplayLaunch {
-    launch_id: u64,
-    ptrs: Vec<SlatePtr>,
-    factory: ReplayFactory,
-    task_size: u32,
-    source: Option<String>,
-    pinned_solo: bool,
-    stream: u32,
-    deadline_ms: Option<u64>,
-}
-
-impl ReplayLaunch {
-    fn to_cmd(&self) -> LaunchCmd {
-        let f = self.factory.clone();
-        LaunchCmd {
-            launch_id: self.launch_id,
-            ptrs: self.ptrs.clone(),
-            factory: Box::new(move |bufs| f(bufs)),
-            task_size: self.task_size,
-            source: self.source.clone(),
-            pinned_solo: self.pinned_solo,
-            stream: self.stream,
-            deadline_ms: self.deadline_ms,
-        }
-    }
+/// The one-shot factory the wire carries for one (re)submission of a
+/// replayable launch.
+fn once(factory: &ReplayFactory) -> KernelFactory {
+    let f = factory.clone();
+    Box::new(move |bufs| f(bufs))
 }
 
 /// Draws the next decorrelated-jitter backoff: uniformly random in
@@ -286,8 +263,8 @@ pub struct SlateClient {
     /// lifetime, across crash resumptions.
     next_launch_id: Cell<u64>,
     /// Replayable launches not yet confirmed by a `synchronize`,
-    /// resubmitted (same ids) after a crash resumption.
-    pending_replay: RefCell<Vec<ReplayLaunch>>,
+    /// resubmitted verbatim (same ids) after a crash resumption.
+    pending_replay: RefCell<Vec<(LaunchCmd, ReplayFactory)>>,
     /// Daemon to resume against when the connection dies mid-call (set by
     /// [`SlateClient::install_reattach`]).
     reattach_to: RefCell<Option<Arc<SlateDaemon>>>,
@@ -374,9 +351,9 @@ impl SlateClient {
             .set(self.next_launch_id.get().max(fresh.launch_floor));
         *self.conn.borrow_mut() = fresh;
         let conn = self.conn.borrow();
-        for r in self.pending_replay.borrow().iter() {
+        for (cmd, factory) in self.pending_replay.borrow().iter() {
             conn.tx
-                .send(Request::Launch(r.to_cmd()))
+                .send(Request::Launch(cmd.clone(), once(factory)))
                 .map_err(|_| SlateError::Disconnected)?;
         }
         Ok(())
@@ -498,16 +475,13 @@ impl SlateClient {
     where
         F: FnOnce(Vec<Arc<GpuBuffer>>) -> Arc<dyn GpuKernel> + Send + 'static,
     {
-        self.launch_inner(
+        let cmd = LaunchCmd {
             ptrs,
             task_size,
             source,
-            false,
-            0,
-            None,
-            Box::new(factory),
-            None,
-        )
+            ..LaunchCmd::default()
+        };
+        self.launch(cmd, Box::new(factory), None)
     }
 
     /// Like [`SlateClient::launch_with`] but with a *re-invocable*
@@ -529,18 +503,14 @@ impl SlateClient {
     where
         F: Fn(Vec<Arc<GpuBuffer>>) -> Arc<dyn GpuKernel> + Send + Sync + 'static,
     {
-        let replay: ReplayFactory = Arc::new(factory);
-        let f = replay.clone();
-        self.launch_inner(
+        let cmd = LaunchCmd {
             ptrs,
             task_size,
             source,
-            false,
-            0,
-            None,
-            Box::new(move |bufs| f(bufs)),
-            Some(replay),
-        )
+            ..LaunchCmd::default()
+        };
+        let replay: ReplayFactory = Arc::new(factory);
+        self.launch(cmd, once(&replay), Some(replay))
     }
 
     /// Like [`SlateClient::launch_with`] but arms the daemon's watchdog
@@ -558,16 +528,13 @@ impl SlateClient {
     where
         F: FnOnce(Vec<Arc<GpuBuffer>>) -> Arc<dyn GpuKernel> + Send + 'static,
     {
-        self.launch_inner(
+        let cmd = LaunchCmd {
             ptrs,
             task_size,
-            None,
-            false,
-            0,
-            Some(deadline_ms),
-            Box::new(factory),
-            None,
-        )
+            deadline_ms: Some(deadline_ms),
+            ..LaunchCmd::default()
+        };
+        self.launch(cmd, Box::new(factory), None)
     }
 
     /// Launches a kernel on a CUDA stream. Launches on the same stream are
@@ -583,16 +550,13 @@ impl SlateClient {
     where
         F: FnOnce(Vec<Arc<GpuBuffer>>) -> Arc<dyn GpuKernel> + Send + 'static,
     {
-        self.launch_inner(
+        let cmd = LaunchCmd {
             ptrs,
             task_size,
-            None,
-            false,
             stream,
-            None,
-            Box::new(factory),
-            None,
-        )
+            ..LaunchCmd::default()
+        };
+        self.launch(cmd, Box::new(factory), None)
     }
 
     /// Like [`SlateClient::launch_with`] but pins the kernel to solo
@@ -608,27 +572,21 @@ impl SlateClient {
     where
         F: FnOnce(Vec<Arc<GpuBuffer>>) -> Arc<dyn GpuKernel> + Send + 'static,
     {
-        self.launch_inner(
+        let cmd = LaunchCmd {
             ptrs,
             task_size,
             source,
-            true,
-            0,
-            None,
-            Box::new(factory),
-            None,
-        )
+            pinned_solo: true,
+            ..LaunchCmd::default()
+        };
+        self.launch(cmd, Box::new(factory), None)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn launch_inner(
+    /// Assigns the launch id and sends `cmd`; with a `replay` factory the
+    /// command is also kept until a `synchronize` confirms it.
+    fn launch(
         &self,
-        ptrs: Vec<SlatePtr>,
-        task_size: u32,
-        source: Option<String>,
-        pinned_solo: bool,
-        stream: u32,
-        deadline_ms: Option<u64>,
+        mut cmd: LaunchCmd,
         factory: KernelFactory,
         replay: Option<ReplayFactory>,
     ) -> Result<(), SlateError> {
@@ -638,36 +596,17 @@ impl SlateClient {
         if let Some(b) = &self.breaker {
             b.check()?;
         }
-        let launch_id = self.next_launch_id.get();
-        self.next_launch_id.set(launch_id + 1);
+        cmd.launch_id = self.next_launch_id.get();
+        self.next_launch_id.set(cmd.launch_id + 1);
         let replayable = replay.is_some();
         if let Some(f) = replay {
-            self.pending_replay.borrow_mut().push(ReplayLaunch {
-                launch_id,
-                ptrs: ptrs.clone(),
-                factory: f,
-                task_size,
-                source: source.clone(),
-                pinned_solo,
-                stream,
-                deadline_ms,
-            });
+            self.pending_replay.borrow_mut().push((cmd.clone(), f));
         }
-        let cmd = LaunchCmd {
-            launch_id,
-            ptrs,
-            factory,
-            task_size,
-            source,
-            pinned_solo,
-            stream,
-            deadline_ms,
-        };
         let sent = self
             .conn
             .borrow()
             .tx
-            .send(Request::Launch(cmd))
+            .send(Request::Launch(cmd, factory))
             .map_err(|_| SlateError::Disconnected);
         if sent.is_err() {
             if replayable && self.reattach_to.borrow().is_some() {

@@ -2,13 +2,14 @@
 //! persistent-worker threads, via the dispatch kernel of
 //! [`crate::dispatch`].
 //!
-//! This is the execution substrate of the live
-//! [`SlateDaemon`](crate::daemon::SlateDaemon). A dispatched lease is a
-//! [`Dispatcher`] running on its own thread; resizes and evictions act on
-//! its [`DispatchHandle`] exactly as the daemon's arbiter frontend does —
-//! in fact the daemon and this backend share the [`LeaseTable`] that maps
-//! arbiter `Resize`/`Evict` commands onto dispatch handles (including the
-//! injected-hang token cancel on eviction).
+//! A dispatched lease is a [`Dispatcher`] running on its own thread;
+//! resizes and evictions act on its [`DispatchHandle`] exactly as the live
+//! [`SlateDaemon`](crate::daemon::SlateDaemon)'s arbiter frontend does.
+//! The daemon does not execute through this backend — its kernels run on
+//! session and lane threads (`daemon/exec.rs`) — but the two share the
+//! [`LeaseTable`] that maps arbiter `Resize`/`Evict` commands onto
+//! dispatch handles (including the injected-hang token cancel on
+//! eviction).
 
 use super::{Backend, Completion, DeviceFault, DeviceHealth, WorkSpec};
 use crate::arbiter::Command;

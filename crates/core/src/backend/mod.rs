@@ -13,8 +13,10 @@
 //!   (`slate-gpu-sim`), the substrate behind
 //!   [`SlateRuntime`](crate::runtime::SlateRuntime);
 //! * [`DispatcherBackend`] — real persistent-worker threads through the
-//!   dispatch kernel of [`crate::dispatch`], the substrate behind
-//!   [`SlateDaemon`](crate::daemon::SlateDaemon).
+//!   dispatch kernel of [`crate::dispatch`]: the functional counterpart
+//!   the conformance and differential-replay suites run. The live
+//!   [`SlateDaemon`](crate::daemon::SlateDaemon) drives `Dispatcher`s
+//!   itself (`daemon/exec.rs`) and shares only the [`LeaseTable`] with it.
 //!
 //! A third, test-only decorator — [`ChaosBackend`] — perturbs the command
 //! stream of any inner backend from a seeded

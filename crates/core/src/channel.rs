@@ -34,7 +34,12 @@ pub struct SlatePtr(pub u64);
 pub type KernelFactory =
     Box<dyn FnOnce(Vec<Arc<GpuBuffer>>) -> Arc<dyn GpuKernel> + Send + 'static>;
 
-/// A kernel launch command.
+/// A kernel launch command: everything about a launch except its
+/// [`KernelFactory`], which travels beside it in [`Request::Launch`] — so
+/// a client can keep the command and resend it verbatim. The defaults are
+/// the plain launch: default stream, co-schedulable, no deadline, no
+/// source.
+#[derive(Clone, Default)]
 pub struct LaunchCmd {
     /// Client-assigned launch id, unique and monotonic per session. The
     /// daemon logs it with the admission and completion records, which is
@@ -44,8 +49,6 @@ pub struct LaunchCmd {
     pub launch_id: u64,
     /// Device allocations the kernel binds, in factory order.
     pub ptrs: Vec<SlatePtr>,
-    /// Kernel constructor, invoked daemon-side after pointer resolution.
-    pub factory: KernelFactory,
     /// `SLATE_ITERS` for this launch.
     pub task_size: u32,
     /// Optional CUDA source for the injection pipeline (exercises the
@@ -89,8 +92,9 @@ pub enum Request {
         /// Bytes to read.
         len: usize,
     },
-    /// `slateLaunchKernel` — asynchronous, like CUDA launches.
-    Launch(LaunchCmd),
+    /// `slateLaunchKernel` — asynchronous, like CUDA launches. The factory
+    /// is invoked daemon-side after pointer resolution.
+    Launch(LaunchCmd, KernelFactory),
     /// `slateDeviceSynchronize` — replies once all prior launches finished.
     Sync,
     /// Session teardown.

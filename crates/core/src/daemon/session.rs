@@ -1,0 +1,486 @@
+//! Session threads: one per connected client process (§IV-A2), holding
+//! the pointer-mapping hash table of §IV-A1 and the session's stream
+//! lanes, and serving its command pipe until the client leaves.
+
+use super::exec::{execute, panic_text, Launch};
+use super::{Connection, DaemonShared, SlateDaemon};
+use crate::arbiter::Event as ArbEvent;
+use crate::channel::{KernelFactory, LaunchCmd, Request, Response, SlatePtr};
+use crate::durability::{SessionMeta, WalRecord};
+use crate::error::SlateError;
+use crate::sync::Mutex;
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use slate_gpu_sim::buffer::{DevicePtr, GpuBuffer};
+use slate_gpu_sim::fault::{FaultKind, FaultSite};
+use std::collections::{BTreeSet, HashMap};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// Per-session state: the pointer-mapping hash table of §IV-A1, plus the
+/// launch-id dedupe of a crash-resumed session.
+#[derive(Default)]
+pub(super) struct SessionState {
+    ptr_map: HashMap<SlatePtr, DevicePtr>,
+    next_ptr: u64,
+    /// Launch ids whose work is already done (per the WAL) or adopted
+    /// from the crash scene: a resumed client's blind resubmission of
+    /// these is acknowledged without re-execution.
+    dedupe: BTreeSet<u64>,
+}
+
+impl SessionState {
+    pub(super) fn fresh(session: u64) -> Self {
+        Self {
+            next_ptr: session << 32,
+            ..Self::default()
+        }
+    }
+
+    /// Rebuilds the state of a crashed session from its durable metadata:
+    /// the pointer map is restored entry for entry (device memory
+    /// survived in the [`CrashScene`](super::CrashScene) pool), the
+    /// pointer watermark never regresses below any pointer ever handed
+    /// out, and the dedupe set is completed-ids ∪ `adopted` ids.
+    pub(super) fn restore(session: u64, meta: &SessionMeta, adopted: &BTreeSet<u64>) -> Self {
+        Self {
+            ptr_map: meta
+                .allocs
+                .iter()
+                .map(|(&p, a)| (SlatePtr(p), DevicePtr(a.device_ptr)))
+                .collect(),
+            next_ptr: meta.next_ptr.max((session << 32) + 1) - 1,
+            dedupe: meta.done.keys().chain(adopted).copied().collect(),
+        }
+    }
+}
+
+/// A message for a stream lane's in-order queue: either a kernel launch
+/// (admitted at request time; the lane's [`execute`] completes it) or a
+/// sync barrier carrying the channel to acknowledge on.
+enum LaneMsg {
+    Job(Launch),
+    Barrier(Sender<()>),
+}
+
+/// One non-default CUDA stream of a session: its own in-order queue served
+/// by a dedicated thread (the paper's per-(process, stream) queues).
+/// Launches and barriers share a single FIFO, so a barrier acknowledges
+/// only after every launch enqueued before it has executed.
+struct StreamLane {
+    tx: Sender<LaneMsg>,
+    handle: JoinHandle<()>,
+}
+
+fn spawn_stream_lane(shared: Arc<DaemonShared>, errors: Arc<Mutex<Vec<SlateError>>>) -> StreamLane {
+    let (tx, rx) = unbounded::<LaneMsg>();
+    let handle = std::thread::spawn(move || {
+        while let Ok(msg) = rx.recv() {
+            match msg {
+                LaneMsg::Job(launch) => {
+                    if let Err(e) = execute(&shared, launch) {
+                        errors.lock().push(e);
+                    }
+                }
+                LaneMsg::Barrier(ack) => {
+                    let _ = ack.send(());
+                }
+            }
+        }
+    });
+    StreamLane { tx, handle }
+}
+
+/// How a session ended, when a request ended it.
+enum Exit {
+    /// The client said goodbye (`Disconnect`).
+    Clean,
+    /// The daemon crashed under us: exit silently, preserving all state
+    /// for recovery (no frees, no close event, no farewell).
+    Crashed,
+}
+
+/// One session's serving thread. Dropping it ends the session, whichever
+/// way the thread leaves [`Session::serve`].
+struct Session {
+    shared: Arc<DaemonShared>,
+    id: u64,
+    user: String,
+    st: SessionState,
+    tx: Sender<Response>,
+    lanes: HashMap<u32, StreamLane>,
+    /// Errors of asynchronous launches, surfaced at the next `Sync`.
+    stream_errors: Arc<Mutex<Vec<SlateError>>>,
+    /// `None` while serving — and still `None` when the thread leaves
+    /// because the client vanished (process died, dropped its sender, an
+    /// injected `ChannelDrop`) or because it is unwinding from a panic:
+    /// the session is then reaped.
+    exit: Option<Exit>,
+}
+
+impl SlateDaemon {
+    /// Spawns `session`'s thread (one per process, kept alive until the
+    /// process disconnects — §IV-A2) and hands back the client's end of
+    /// its pipes.
+    pub(super) fn spawn_session(
+        &self,
+        session: u64,
+        user: String,
+        st: SessionState,
+        launch_floor: u64,
+    ) -> Connection {
+        let (tx_req, rx_req) = unbounded::<Request>();
+        let (tx_resp, rx_resp) = unbounded::<Response>();
+        *self.shared.active_sessions.lock() += 1;
+        let serving = Session {
+            shared: self.shared.clone(),
+            id: session,
+            user,
+            st,
+            tx: tx_resp,
+            lanes: HashMap::new(),
+            stream_errors: Arc::default(),
+            exit: None,
+        };
+        let handle = std::thread::Builder::new()
+            .name(format!("slate-session-{session}"))
+            .spawn(move || serving.serve(rx_req))
+            .expect("spawn session thread");
+        self.sessions.lock().push(handle);
+        Connection {
+            session,
+            epoch: self.epoch(),
+            launch_floor,
+            tx: tx_req,
+            rx: rx_resp,
+        }
+    }
+}
+
+impl Session {
+    fn serve(mut self, rx: Receiver<Request>) {
+        let shared = self.shared.clone();
+        // A session resumed after a crash: its adopted launches finish
+        // before any new request runs, so adopted and replayed work never
+        // interleave on a lease; their errors surface at the client's next
+        // synchronize like any stream error.
+        let adoption = shared
+            .recovery
+            .lock()
+            .get_mut(&self.id)
+            .and_then(|r| r.thread.take());
+        if let Some(h) = adoption {
+            let _ = h.join();
+        }
+        if let Some(r) = shared.recovery.lock().get_mut(&self.id) {
+            self.stream_errors.lock().append(&mut r.errors);
+        }
+        while self.exit.is_none() {
+            // Bounded recv so a crash can't leave this thread parked
+            // forever on a quiet client.
+            let req = match rx.recv_timeout(Duration::from_millis(5)) {
+                Ok(req) => req,
+                Err(RecvTimeoutError::Timeout) => {
+                    if shared.arb.crashed() {
+                        self.exit = Some(Exit::Crashed);
+                    }
+                    continue;
+                }
+                Err(RecvTimeoutError::Disconnected) => return,
+            };
+            if shared.arb.crashed() {
+                // The kill point precedes this request: it never happened.
+                self.exit = Some(Exit::Crashed);
+                return;
+            }
+            // Injected channel drop: sever both pipes mid-request, as if
+            // the client process died. The reap cleans up.
+            if let Some(FaultKind::ChannelDrop) =
+                shared.faults.lock().fire(FaultSite::Request, None)
+            {
+                return;
+            }
+            let reply = match self.handle(req) {
+                Ok(None) => continue,
+                Ok(Some(reply)) => reply,
+                Err(e) => Response::Err(e.to_wire()),
+            };
+            if self.tx.send(reply).is_err() {
+                // The client's receiver is gone: reap.
+                return;
+            }
+        }
+    }
+
+    /// Serves one request. `Ok(None)` sends no reply: an asynchronous
+    /// launch, or a request that ended the session (`self.exit` says how).
+    fn handle(&mut self, req: Request) -> Result<Option<Response>, SlateError> {
+        let session = self.id;
+        Ok(Some(match req {
+            Request::Malloc(bytes) => Response::Ptr(self.malloc(bytes)?),
+            Request::Free(p) => {
+                let dev = self
+                    .st
+                    .ptr_map
+                    .remove(&p)
+                    .ok_or(SlateError::InvalidPointer { ptr: p.0 })?;
+                // Log the free *before* releasing the backing store: a
+                // crash in between leaks pool bytes (harmless), while the
+                // opposite order would resurrect a dangling pointer into a
+                // resumed session's map.
+                self.shared.wal(WalRecord::Free {
+                    session,
+                    slate_ptr: p.0,
+                });
+                self.shared
+                    .pool
+                    .lock()
+                    .free(dev)
+                    .map_err(SlateError::Other)?;
+                Response::Ok
+            }
+            Request::MemcpyH2D { ptr, offset, data } => {
+                self.memcpy_target(ptr, offset, data.len())?
+                    .copy_from_host(offset, &data);
+                Response::Ok
+            }
+            Request::MemcpyD2H { ptr, offset, len } => {
+                let buf = self.memcpy_target(ptr, offset, len)?;
+                let mut out = vec![0u8; len];
+                buf.copy_to_host(offset, &mut out);
+                Response::Data(out.into())
+            }
+            Request::Launch(cmd, factory) => {
+                self.launch(cmd, factory)?;
+                return Ok(None);
+            }
+            Request::Sync => {
+                // Fence every stream lane, then surface collected errors.
+                for lane in self.lanes.values() {
+                    let (ack_tx, ack_rx) = unbounded::<()>();
+                    if lane.tx.send(LaneMsg::Barrier(ack_tx)).is_ok() {
+                        let _ = ack_rx.recv();
+                    }
+                }
+                for e in std::mem::take(&mut *self.stream_errors.lock()) {
+                    let _ = self.tx.send(Response::Err(e.to_wire()));
+                }
+                Response::Ok
+            }
+            Request::Disconnect => {
+                self.exit = Some(Exit::Clean);
+                return Ok(None);
+            }
+        }))
+    }
+
+    fn malloc(&mut self, bytes: u64) -> Result<SlatePtr, SlateError> {
+        let (shared, session) = (&self.shared, self.id);
+        let (used, capacity) = {
+            let pool = shared.pool.lock();
+            (pool.used(), pool.capacity())
+        };
+        let request = ArbEvent::MallocRequested {
+            session,
+            used,
+            capacity,
+            bytes,
+        };
+        shared.arb.submit(&[request], session, None)?;
+        let dev = shared
+            .pool
+            .lock()
+            .alloc(bytes)
+            .map_err(|_| SlateError::OutOfMemory { requested: bytes })?;
+        self.st.next_ptr += 1;
+        let p = SlatePtr(self.st.next_ptr);
+        self.st.ptr_map.insert(p, dev);
+        shared.wal(WalRecord::Alloc {
+            session,
+            slate_ptr: p.0,
+            device_ptr: dev.0,
+            bytes,
+        });
+        Ok(p)
+    }
+
+    fn resolve(&self, ptr: SlatePtr) -> Result<Arc<GpuBuffer>, SlateError> {
+        let dev = self
+            .st
+            .ptr_map
+            .get(&ptr)
+            .ok_or(SlateError::InvalidPointer { ptr: ptr.0 })?;
+        self.shared
+            .pool
+            .lock()
+            .buffer(*dev)
+            .map_err(SlateError::Other)
+    }
+
+    /// The buffer behind `ptr`, once `[offset, offset + len)` is known to
+    /// be word-aligned and inside it. Offset and length are the client's:
+    /// out of range they are a typed error here, before any host buffer is
+    /// sized by them — never the buffer's own assertion on this thread.
+    fn memcpy_target(
+        &self,
+        ptr: SlatePtr,
+        offset: usize,
+        len: usize,
+    ) -> Result<Arc<GpuBuffer>, SlateError> {
+        // Applies an injected memcpy stall, if the plan has one armed.
+        if let Some(FaultKind::MemcpyStall { millis }) =
+            self.shared.faults.lock().fire(FaultSite::Memcpy, None)
+        {
+            std::thread::sleep(Duration::from_millis(millis));
+        }
+        let buf = self.resolve(ptr)?;
+        let size = buf.len_words() * 4;
+        let why = if offset % 4 != 0 {
+            "is not word-aligned"
+        } else if offset.checked_add(len).is_none_or(|end| end > size) {
+            "is out of bounds"
+        } else {
+            return Ok(buf);
+        };
+        Err(SlateError::InvalidValue(format!(
+            "memcpy of {len} bytes at offset {offset} {why} (allocation of {size} bytes)"
+        )))
+    }
+
+    /// Prepares, admits and starts one launch: in order on this thread for
+    /// the default stream, on its lane for any other.
+    fn launch(&mut self, cmd: LaunchCmd, factory: KernelFactory) -> Result<(), SlateError> {
+        let (shared, session) = (&self.shared, self.id);
+        if self.st.dedupe.contains(&cmd.launch_id) {
+            // A resumed client's blind resubmission of work that already
+            // completed (per the WAL) or was adopted from the crash scene:
+            // idempotent, nothing to do.
+            return Ok(());
+        }
+        // Resolve the client's pointers through the session hash table and
+        // build the kernel. The factory and the kernel's accessors are the
+        // client's code: a panic in them fails this launch, not the thread.
+        let buffers = cmd
+            .ptrs
+            .iter()
+            .map(|&p| self.resolve(p))
+            .collect::<Result<Vec<_>, _>>()?;
+        let (kernel, est_ms) = catch_unwind(AssertUnwindSafe(|| {
+            let kernel = factory(buffers);
+            let (name, blocks) = (kernel.name(), kernel.grid().total_blocks());
+            let est_ms = shared.profiles.lock().estimate_solo_ms(name, blocks);
+            (kernel, est_ms)
+        }))
+        .map_err(|panic| {
+            SlateError::Launch(format!(
+                "kernel factory panicked: {}",
+                panic_text(panic.as_ref())
+            ))
+        })?;
+        // Source injection through the per-user cache (the NVRTC stage).
+        if let Some(src) = &cmd.source {
+            shared
+                .injector
+                .lock()
+                .get_or_inject(&self.user, src, cmd.task_size);
+        }
+        // Admission: bounded pending-launch queues (per session and
+        // global) plus an up-front deadline feasibility check against the
+        // estimated queue wait. Shed launches reply Overloaded, surfaced
+        // at the client's next synchronize.
+        let lease = (session << 16) | cmd.stream as u64;
+        let request = ArbEvent::LaunchRequested {
+            session,
+            lease,
+            est_ms,
+            deadline_ms: cmd.deadline_ms,
+        };
+        if !shared.arb.submit(&[request], session, None)? {
+            // Crashed before admission: the launch never happened; the
+            // resumed client will resubmit.
+            self.exit = Some(Exit::Crashed);
+            return Ok(());
+        }
+        let launch_id = cmd.launch_id;
+        shared.wal(WalRecord::LaunchAdmitted {
+            session,
+            launch_id,
+            lease,
+        });
+        let launch = Launch {
+            lease,
+            launch_id,
+            kernel,
+            task_size: cmd.task_size,
+            pinned_solo: cmd.pinned_solo,
+            deadline_ms: cmd.deadline_ms,
+            progress: 0,
+            ready: false,
+        };
+        if cmd.stream == 0 {
+            return execute(shared, launch);
+        }
+        let lane = self
+            .lanes
+            .entry(cmd.stream)
+            .or_insert_with(|| spawn_stream_lane(shared.clone(), self.stream_errors.clone()));
+        let _ = lane.tx.send(LaneMsg::Job(launch));
+        Ok(())
+    }
+
+    /// Ends the session: a clean `Disconnect` and a reap differ only in the
+    /// farewell and the close event. Drains stream lanes, reclaims device
+    /// memory, releases any arbiter residency (the surviving co-runner
+    /// regrows to the full device) and the session's Hyper-Q lanes.
+    fn close(&mut self) {
+        // Lanes are joined on every exit path, first, so no launch of this
+        // session is in flight when the core sees the close; on a crash
+        // their queued jobs drain through `execute`, which parks each one
+        // in the crash scene (in order) instead of running it.
+        for (_, lane) in self.lanes.drain() {
+            drop(lane.tx);
+            let _ = lane.handle.join();
+        }
+        let (shared, session) = (&self.shared, self.id);
+        if matches!(self.exit, Some(Exit::Crashed)) || shared.arb.crashed() {
+            // Crashed: the session is *not* over — its memory, its arbiter
+            // residency (as recorded in the WAL) and its in-flight
+            // launches all carry over to the recovered daemon. Touch
+            // nothing.
+            return;
+        }
+        // Free everything the client leaked (process teardown).
+        {
+            let mut pool = shared.pool.lock();
+            for (_, dev) in self.st.ptr_map.drain() {
+                let _ = pool.free(dev);
+            }
+        }
+        let clean = self.exit.is_some();
+        if clean {
+            let _ = self.tx.send(Response::Ok);
+        }
+        shared.arb.feed(&[if clean {
+            ArbEvent::SessionClosed { session }
+        } else {
+            ArbEvent::SessionSevered { session }
+        }]);
+        shared.wal(WalRecord::SessionClosed { session });
+        shared
+            .hyperq
+            .lock()
+            .retire_lanes(|_, stream| stream >> 16 == session as u32);
+    }
+}
+
+impl Drop for Session {
+    /// Runs however the thread leaves [`Session::serve`] — a return or a
+    /// panic unwinding it — so the session is always closed (or, after a
+    /// crash, preserved) and the shutdown drain always hears of it.
+    fn drop(&mut self) {
+        self.close();
+        *self.shared.active_sessions.lock() -= 1;
+        self.shared.session_drained.notify_all();
+    }
+}

@@ -1,0 +1,693 @@
+//! Unit tests of the daemon, through its client API and (for the
+//! crash-flag test) its private arbitration frontend.
+
+use super::*;
+use crate::api::SlateClient;
+use crate::arbiter::Command;
+use crate::channel::SlatePtr;
+use slate_gpu_sim::buffer::GpuBuffer;
+use slate_gpu_sim::perf::KernelPerf;
+use slate_kernels::grid::{BlockCoord, GridDim};
+use slate_kernels::kernel::GpuKernel;
+
+/// out[i] = in[i] * 2 over a 1-D grid of 128-wide blocks.
+struct Double {
+    n: usize,
+    input: Arc<GpuBuffer>,
+    out: Arc<GpuBuffer>,
+}
+impl GpuKernel for Double {
+    fn name(&self) -> &str {
+        "double"
+    }
+    fn grid(&self) -> GridDim {
+        GridDim::d1((self.n as u32).div_ceil(128).max(1))
+    }
+    fn perf(&self) -> KernelPerf {
+        KernelPerf::synthetic("double", 500.0, 1024.0)
+    }
+    fn run_block(&self, b: BlockCoord) {
+        let lo = b.x as usize * 128;
+        for i in lo..(lo + 128).min(self.n) {
+            self.out.store_f32(i, self.input.load_f32(i) * 2.0);
+        }
+    }
+}
+
+/// Doubles `n` elements of the launch's one buffer in place.
+fn double_factory(n: usize) -> impl FnOnce(Vec<Arc<GpuBuffer>>) -> Arc<dyn GpuKernel> {
+    move |bufs| {
+        Arc::new(Double {
+            n,
+            input: bufs[0].clone(),
+            out: bufs[0].clone(),
+        }) as Arc<dyn GpuKernel>
+    }
+}
+
+#[test]
+fn end_to_end_malloc_copy_launch_sync_readback() {
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(4), 1 << 24);
+    let client = SlateClient::new(daemon.connect("tester").unwrap());
+    let n = 1000usize;
+    let input: Vec<f32> = (0..n).map(|i| i as f32).collect();
+    let in_ptr = client.malloc((n * 4) as u64).unwrap();
+    let out_ptr = client.malloc((n * 4) as u64).unwrap();
+    let bytes: Vec<u8> = input.iter().flat_map(|f| f.to_le_bytes()).collect();
+    client.memcpy_h2d(in_ptr, 0, bytes.into()).unwrap();
+    client
+        .launch_with(
+            vec![in_ptr, out_ptr],
+            10,
+            None,
+            move |bufs| -> Arc<dyn GpuKernel> {
+                Arc::new(Double {
+                    n,
+                    input: bufs[0].clone(),
+                    out: bufs[1].clone(),
+                })
+            },
+        )
+        .unwrap();
+    client.synchronize().unwrap();
+    let back = client.memcpy_d2h(out_ptr, 0, n * 4).unwrap();
+    for i in 0..n {
+        let v = f32::from_le_bytes(back[i * 4..i * 4 + 4].try_into().unwrap());
+        assert_eq!(v, i as f32 * 2.0, "element {i}");
+    }
+    client.free(in_ptr).unwrap();
+    client.free(out_ptr).unwrap();
+    assert_eq!(daemon.metrics().live_allocations, 0);
+    assert_eq!(daemon.metrics().launches_served, 1);
+    client.disconnect().unwrap();
+    daemon.join();
+}
+
+#[test]
+fn streams_execute_concurrently_and_sync_fences_all() {
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(4), 1 << 24);
+    let client = SlateClient::new(daemon.connect("streamer").unwrap());
+    let n = 4_000usize;
+    // Four streams, each doubling its own buffer; plus the default
+    // stream touching a fifth buffer.
+    let mut ptrs = Vec::new();
+    for s in 0..5u32 {
+        let p = client.malloc((n * 4) as u64).unwrap();
+        let init: Vec<f32> = (0..n).map(|i| (i + s as usize) as f32).collect();
+        client.upload_f32(p, &init).unwrap();
+        ptrs.push(p);
+    }
+    for (s, &p) in ptrs.iter().enumerate() {
+        if s == 0 {
+            client
+                .launch_with(vec![p], 10, None, double_factory(n))
+                .unwrap();
+        } else {
+            client
+                .launch_on_stream(s as u32, vec![p], 10, double_factory(n))
+                .unwrap();
+        }
+    }
+    client.synchronize().unwrap();
+    for (s, &p) in ptrs.iter().enumerate() {
+        let out = client.download_f32(p, n).unwrap();
+        for i in (0..n).step_by(397) {
+            assert_eq!(out[i], 2.0 * (i + s) as f32, "stream {s} element {i}");
+        }
+    }
+    assert_eq!(daemon.metrics().launches_served, 5);
+    client.disconnect().unwrap();
+    daemon.join();
+}
+
+#[test]
+fn same_stream_launches_are_ordered() {
+    // Two doublings on one stream: must observe x4, proving in-order
+    // execution within a stream.
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(4), 1 << 22);
+    let client = SlateClient::new(daemon.connect("ordered").unwrap());
+    let n = 2_000usize;
+    let p = client.malloc((n * 4) as u64).unwrap();
+    client.upload_f32(p, &vec![1.0f32; n]).unwrap();
+    for _ in 0..2 {
+        client
+            .launch_on_stream(3, vec![p], 10, double_factory(n))
+            .unwrap();
+    }
+    client.synchronize().unwrap();
+    let out = client.download_f32(p, n).unwrap();
+    assert!(out.iter().step_by(101).all(|&v| v == 4.0));
+    client.disconnect().unwrap();
+    daemon.join();
+}
+
+#[test]
+fn stream_launch_error_surfaces_at_sync() {
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);
+    let client = SlateClient::new(daemon.connect("oops").unwrap());
+    let good = client.malloc(1024).unwrap();
+    // Bad pointer on a non-zero stream: prepare fails synchronously in
+    // the session, so the error is queued ahead of the sync Ok.
+    client
+        .launch_on_stream(7, vec![SlatePtr(0xbad)], 10, double_factory(16))
+        .unwrap();
+    assert!(client.synchronize().is_err());
+    // Session remains healthy.
+    client.upload_f32(good, &[9.0]).unwrap();
+    assert_eq!(client.download_f32(good, 1).unwrap(), vec![9.0]);
+    client.disconnect().unwrap();
+    daemon.join();
+}
+
+#[test]
+fn invalid_pointer_is_rejected() {
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);
+    let client = SlateClient::new(daemon.connect("tester").unwrap());
+    assert!(client.memcpy_d2h(SlatePtr(0xdead), 0, 4).is_err());
+    assert!(client.free(SlatePtr(0xdead)).is_err());
+    client.disconnect().unwrap();
+    daemon.join();
+}
+
+#[test]
+fn sessions_are_isolated() {
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);
+    let a = SlateClient::new(daemon.connect("alice").unwrap());
+    let b = SlateClient::new(daemon.connect("bob").unwrap());
+    let pa = a.malloc(64).unwrap();
+    // Bob cannot touch Alice's allocation handle.
+    assert!(b.memcpy_d2h(pa, 0, 4).is_err());
+    a.disconnect().unwrap();
+    b.disconnect().unwrap();
+    daemon.join();
+}
+
+#[test]
+fn dropped_client_reclaims_allocations() {
+    // No Disconnect: the client's process "dies"; the session thread
+    // must still reclaim its device memory.
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);
+    {
+        let client = SlateClient::new(daemon.connect("vanishing").unwrap());
+        let _a = client.malloc(256).unwrap();
+        let _b = client.malloc(256).unwrap();
+        assert_eq!(daemon.metrics().live_allocations, 2);
+        drop(client); // Connection dropped, no Disconnect request
+    }
+    daemon.join();
+    assert_eq!(daemon.metrics().live_allocations, 0);
+}
+
+#[test]
+fn profile_table_survives_daemon_restarts() {
+    let dir = std::env::temp_dir().join("slate-daemon-profiles");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("profiles.json");
+    let n = 2_000usize;
+    let run_once = |profiles| {
+        let daemon = SlateDaemon::start_with_profiles(DeviceConfig::tiny(4), 1 << 22, profiles);
+        let client = SlateClient::new(daemon.connect("persist").unwrap());
+        let input = client.malloc((n * 4) as u64).unwrap();
+        let out = client.malloc((n * 4) as u64).unwrap();
+        client
+            .launch_with(vec![input, out], 10, None, move |bufs| {
+                Arc::new(Double {
+                    n,
+                    input: bufs[0].clone(),
+                    out: bufs[1].clone(),
+                }) as Arc<dyn GpuKernel>
+            })
+            .unwrap();
+        client.synchronize().unwrap();
+        client.disconnect().unwrap();
+        daemon.join();
+        daemon.profiles()
+    };
+    let table = run_once(crate::profile::ProfileTable::new());
+    assert_eq!(table.len(), 1);
+    table.save(&path).unwrap();
+    // Second daemon run: seeded table, kernel is already profiled.
+    let reloaded = crate::profile::ProfileTable::load(&path).unwrap();
+    assert!(reloaded.get("double").is_some());
+    let table2 = run_once(reloaded);
+    assert_eq!(table2.len(), 1);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn disconnect_frees_leaked_allocations() {
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);
+    let client = SlateClient::new(daemon.connect("leaky").unwrap());
+    let _p1 = client.malloc(512).unwrap();
+    let _p2 = client.malloc(512).unwrap();
+    assert_eq!(daemon.metrics().live_allocations, 2);
+    client.disconnect().unwrap();
+    daemon.join();
+    assert_eq!(daemon.metrics().live_allocations, 0);
+}
+
+#[test]
+fn watchdog_evicts_hung_kernel_and_surfaces_timeout() {
+    let daemon = SlateDaemon::start_with_options(
+        DeviceConfig::tiny(4),
+        1 << 22,
+        crate::daemon::DaemonOptions {
+            fault_plan: slate_gpu_sim::fault::FaultPlan::new().hang_kernel("double", 1),
+            ..Default::default()
+        },
+    );
+    let client = SlateClient::new(daemon.connect("hangs").unwrap());
+    let n = 2_000usize;
+    let p = client.malloc((n * 4) as u64).unwrap();
+    client.upload_f32(p, &vec![1.0f32; n]).unwrap();
+    client
+        .launch_with_deadline(vec![p], 10, 50, double_factory(n))
+        .unwrap();
+    let err = client.synchronize().unwrap_err();
+    assert!(
+        matches!(err, SlateError::Timeout { elapsed_ms } if elapsed_ms >= 40),
+        "expected watchdog timeout, got {err}"
+    );
+    assert_eq!(daemon.metrics().watchdog_evictions, 1);
+    assert_eq!(daemon.metrics().arbiter_residents, 0, "SM range reclaimed");
+    // The session stays healthy: the hang rule fired, a relaunch runs.
+    client
+        .launch_with_deadline(vec![p], 10, 5_000, double_factory(n))
+        .unwrap();
+    client.synchronize().unwrap();
+    assert_eq!(client.download_f32(p, 1).unwrap(), vec![2.0]);
+    client.disconnect().unwrap();
+    daemon.join();
+}
+
+#[test]
+fn injected_launch_fault_is_structured() {
+    let daemon = SlateDaemon::start_with_options(
+        DeviceConfig::tiny(2),
+        1 << 20,
+        crate::daemon::DaemonOptions {
+            fault_plan: slate_gpu_sim::fault::FaultPlan::new().fault_launch("double", 1),
+            ..Default::default()
+        },
+    );
+    let client = SlateClient::new(daemon.connect("faulty").unwrap());
+    let p = client.malloc(1024).unwrap();
+    client
+        .launch_with(vec![p], 10, None, double_factory(16))
+        .unwrap();
+    let err = client.synchronize().unwrap_err();
+    assert!(matches!(err, SlateError::KernelFault(_)), "{err}");
+    assert_eq!(daemon.metrics().faults_fired, 1);
+    client.disconnect().unwrap();
+    daemon.join();
+}
+
+#[test]
+fn sync_reports_first_error_and_counts_the_rest() {
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);
+    let client = SlateClient::new(daemon.connect("multi-oops").unwrap());
+    // Two bad launches; prepare fails in request order on the session
+    // thread, so the replies are ordered too.
+    for bad in [0xbad1u64, 0xbad2] {
+        client
+            .launch_on_stream(5, vec![SlatePtr(bad)], 10, double_factory(16))
+            .unwrap();
+    }
+    let err = client.synchronize().unwrap_err();
+    assert_eq!(
+        err,
+        SlateError::InvalidPointer { ptr: 0xbad1 },
+        "first error wins"
+    );
+    assert_eq!(client.last_sync_failures(), 2);
+    // A clean sync resets the count.
+    client.synchronize().unwrap();
+    assert_eq!(client.last_sync_failures(), 0);
+    client.disconnect().unwrap();
+    daemon.join();
+}
+
+#[test]
+fn injected_channel_drop_reaps_the_session() {
+    let daemon = SlateDaemon::start_with_options(
+        DeviceConfig::tiny(2),
+        1 << 20,
+        crate::daemon::DaemonOptions {
+            fault_plan: slate_gpu_sim::fault::FaultPlan::new().drop_channel(2),
+            ..Default::default()
+        },
+    );
+    let client = SlateClient::new(daemon.connect("doomed").unwrap());
+    let _p = client.malloc(256).unwrap();
+    assert_eq!(daemon.metrics().live_allocations, 1);
+    // Second request hits the injected drop: the daemon severs the
+    // channel as if the process died.
+    let err = client.malloc(256).unwrap_err();
+    assert_eq!(err, SlateError::Disconnected);
+    daemon.join();
+    assert_eq!(daemon.metrics().live_allocations, 0, "allocations reaped");
+    assert_eq!(daemon.metrics().reaped_sessions, 1);
+}
+
+#[test]
+fn dropped_client_counts_as_reaped() {
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);
+    drop(SlateClient::new(daemon.connect("ghost").unwrap()));
+    daemon.join();
+    assert_eq!(daemon.metrics().reaped_sessions, 1);
+    // A clean disconnect is not a reap.
+    let c = SlateClient::new(daemon.connect("polite").unwrap());
+    c.disconnect().unwrap();
+    daemon.join();
+    assert_eq!(daemon.metrics().reaped_sessions, 1);
+}
+
+#[test]
+fn injected_memcpy_stall_delays_the_copy() {
+    let daemon = SlateDaemon::start_with_options(
+        DeviceConfig::tiny(2),
+        1 << 20,
+        crate::daemon::DaemonOptions {
+            fault_plan: slate_gpu_sim::fault::FaultPlan::new().stall_memcpy(1, 40),
+            ..Default::default()
+        },
+    );
+    let client = SlateClient::new(daemon.connect("stalled").unwrap());
+    let p = client.malloc(64).unwrap();
+    let t0 = Instant::now();
+    client.upload_f32(p, &[1.0, 2.0]).unwrap();
+    assert!(
+        t0.elapsed() >= Duration::from_millis(30),
+        "stall was injected: {:?}",
+        t0.elapsed()
+    );
+    // Copies still land correctly after the stall.
+    assert_eq!(client.download_f32(p, 2).unwrap(), vec![1.0, 2.0]);
+    client.disconnect().unwrap();
+    daemon.join();
+}
+
+#[test]
+fn shutdown_refuses_new_connections_and_drains() {
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);
+    let client = SlateClient::new(daemon.connect("last-tenant").unwrap());
+    assert!(!daemon.is_shutting_down());
+    let d2 = daemon.clone();
+    let drainer = std::thread::spawn(move || d2.shutdown(Duration::from_secs(5)));
+    // Existing sessions keep being served during the drain.
+    while !daemon.is_shutting_down() {
+        std::thread::yield_now();
+    }
+    let p = client.malloc(64).unwrap();
+    client.upload_f32(p, &[3.0]).unwrap();
+    match daemon.connect("too-late") {
+        Err(SlateError::ShuttingDown) => {}
+        Err(e) => panic!("expected ShuttingDown, got {e}"),
+        Ok(_) => panic!("connect must be refused during shutdown"),
+    }
+    client.disconnect().unwrap();
+    assert!(drainer.join().unwrap(), "drain completed");
+    daemon.join();
+    assert_eq!(daemon.metrics().live_allocations, 0);
+}
+
+#[test]
+fn shutdown_drain_deadline_expires_with_sessions_left() {
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);
+    let client = SlateClient::new(daemon.connect("lingerer").unwrap());
+    // The client never disconnects within the deadline.
+    assert!(!daemon.shutdown(Duration::from_millis(30)));
+    // The drain keeps progressing afterwards.
+    client.disconnect().unwrap();
+    daemon.join();
+}
+
+#[test]
+fn nothing_fed_after_a_crash_reaches_the_core_or_the_wal() {
+    let dir = std::env::temp_dir().join(format!("slate-daemon-unfed-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let daemon = SlateDaemon::start_with_options(
+        DeviceConfig::tiny(2),
+        1 << 20,
+        DaemonOptions {
+            record_arbiter: true,
+            durability: Some(DurabilityOptions {
+                dir: dir.clone(),
+                snapshot_every: 8,
+                keep_all: true,
+            }),
+            ..Default::default()
+        },
+    );
+    let client = SlateClient::new(daemon.connect("doomed").unwrap());
+    client.malloc(64).unwrap();
+    let _scene = daemon.crash();
+    let arb = &daemon.shared.arb;
+    // (recorded batches, every WAL/snapshot file's bytes)
+    let state = || {
+        let inner = arb.inner.lock();
+        let batches = inner.layer.log_snapshot().expect("recording").batches.len();
+        let files: BTreeMap<_, _> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|f| (f.clone(), std::fs::read(f).unwrap()))
+            .collect();
+        (batches, files)
+    };
+    let before = state();
+    assert!(before.0 >= 2, "the session and its malloc were fed");
+    arb.feed(&[ArbEvent::DrainBegan]);
+    arb.feed(&[ArbEvent::DeadlineTick]);
+    let unfed = arb.submit(
+        &[ArbEvent::SessionOpened { session: 99 }],
+        99,
+        Some(WalRecord::SessionClosed { session: 99 }),
+    );
+    assert_eq!(unfed, Ok(false));
+    assert_eq!(state(), before);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn multi_device_daemon_routes_sessions_and_records_placement() {
+    let daemon = SlateDaemon::start_with_options(
+        DeviceConfig::tiny(4),
+        1 << 22,
+        DaemonOptions {
+            devices: vec![DeviceConfig::tiny(4), DeviceConfig::tiny(4)],
+            record_arbiter: true,
+            ..Default::default()
+        },
+    );
+    let n = 2_000usize;
+    let clients: Vec<_> = (0..2)
+        .map(|i| SlateClient::new(daemon.connect(&format!("tenant-{i}")).unwrap()))
+        .collect();
+    for client in &clients {
+        let p = client.malloc((n * 4) as u64).unwrap();
+        client.upload_f32(p, &vec![1.0f32; n]).unwrap();
+        client
+            .launch_with(vec![p], 10, None, double_factory(n))
+            .unwrap();
+        client.synchronize().unwrap();
+        assert_eq!(client.download_f32(p, 1).unwrap(), vec![2.0]);
+    }
+    let stats = daemon.metrics().placement;
+    assert_eq!(stats.devices, 2);
+    assert_eq!(stats.sessions_routed, 2, "both sessions were routed");
+    for client in clients {
+        client.disconnect().unwrap();
+    }
+    daemon.join();
+    // The recorded placement log verifies and splits into per-device
+    // logs; round-robin put one session (and its dispatch) on each.
+    let log = daemon.placement_log().expect("recording was enabled");
+    crate::placement::replay::verify(&log).expect("placement log replays identically");
+    let cores = crate::placement::replay::split(&log).expect("log splits per device");
+    assert_eq!(cores.len(), 2);
+    for (d, core_log) in cores.iter().enumerate() {
+        assert!(
+            core_log.batches.iter().any(|b| b
+                .commands
+                .iter()
+                .any(|c| matches!(c, Command::Dispatch { .. }))),
+            "device {d} dispatched its session's kernel"
+        );
+        crate::arbiter::replay::verify(core_log)
+            .unwrap_or_else(|e| panic!("per-device log {d} replays: {e}"));
+    }
+}
+
+/// `Double` with a per-block stall, slow enough for the heartbeat-fed
+/// rebalancer to migrate it mid-run.
+struct SlowDouble {
+    n: usize,
+    buf: Arc<GpuBuffer>,
+}
+impl GpuKernel for SlowDouble {
+    fn name(&self) -> &str {
+        "slow-double"
+    }
+    fn grid(&self) -> GridDim {
+        GridDim::d1((self.n as u32).div_ceil(64).max(1))
+    }
+    fn perf(&self) -> KernelPerf {
+        KernelPerf::synthetic("slow-double", 500.0, 1024.0)
+    }
+    fn run_block(&self, b: BlockCoord) {
+        std::thread::sleep(Duration::from_micros(500));
+        let lo = b.x as usize * 64;
+        for i in lo..(lo + 64).min(self.n) {
+            self.buf.store_f32(i, self.buf.load_f32(i) * 2.0);
+        }
+    }
+}
+
+#[test]
+fn multi_device_rebalance_migrates_a_running_kernel_exactly_once() {
+    // Both sessions pinned to device 0; device 1 idle. The weighted
+    // imbalance crosses the threshold as soon as both kernels are
+    // pending, the heartbeat fires a migration, and the victim resumes
+    // on device 1 from its carried progress. Every element must read
+    // exactly 2.0 afterwards: a re-executed block would leave 4.0.
+    let daemon = SlateDaemon::start_with_options(
+        DeviceConfig::tiny(4),
+        1 << 24,
+        DaemonOptions {
+            devices: vec![DeviceConfig::tiny(4), DeviceConfig::tiny(4)],
+            placement: PlacementPolicy::Affinity {
+                pins: [(1u64, 0usize), (2, 0)].into_iter().collect(),
+            },
+            rebalance: Some(RebalanceConfig {
+                high_ms: 15,
+                low_ms: 5,
+                cooldown_us: 0,
+                seed: 9,
+            }),
+            ..Default::default()
+        },
+    );
+    let n = 4_096usize;
+    let clients: Vec<_> = (0..2)
+        .map(|i| SlateClient::new(daemon.connect(&format!("pinned-{i}")).unwrap()))
+        .collect();
+    let ptrs: Vec<_> = clients
+        .iter()
+        .map(|c| {
+            let p = c.malloc((n * 4) as u64).unwrap();
+            c.upload_f32(p, &vec![1.0f32; n]).unwrap();
+            c.launch_with(vec![p], 4, None, move |bufs| {
+                Arc::new(SlowDouble {
+                    n,
+                    buf: bufs[0].clone(),
+                }) as Arc<dyn GpuKernel>
+            })
+            .unwrap();
+            p
+        })
+        .collect();
+    for (client, &p) in clients.iter().zip(&ptrs) {
+        client.synchronize().unwrap();
+        let out = client.download_f32(p, n).unwrap();
+        for (i, &v) in out.iter().enumerate() {
+            assert_eq!(v, 2.0, "element {i}: every block exactly once");
+        }
+    }
+    let stats = daemon.metrics().placement;
+    assert_eq!(stats.rebalances, 1, "the imbalance fired one migration");
+    assert_eq!(stats.migrations_completed, 1);
+    for client in clients {
+        client.disconnect().unwrap();
+    }
+    daemon.join();
+}
+
+#[test]
+fn multi_device_daemon_evacuates_a_failed_device_mid_run() {
+    // One session pinned to device 0, running a kernel slow enough to
+    // still be on-device when the operator fails its domain. The
+    // evacuation must move the running lease to device 1 and resume it
+    // from carried progress: every element reads exactly 2.0 afterwards
+    // (a lost block would leave 1.0, a re-run block 4.0).
+    let daemon = SlateDaemon::start_with_options(
+        DeviceConfig::tiny(4),
+        1 << 24,
+        DaemonOptions {
+            devices: vec![DeviceConfig::tiny(4), DeviceConfig::tiny(4)],
+            placement: PlacementPolicy::Affinity {
+                pins: [(1u64, 0usize)].into_iter().collect(),
+            },
+            ..Default::default()
+        },
+    );
+    let n = 16_384usize;
+    let client = SlateClient::new(daemon.connect("doomed-domain").unwrap());
+    let p = client.malloc((n * 4) as u64).unwrap();
+    client.upload_f32(p, &vec![1.0f32; n]).unwrap();
+    client
+        .launch_with(vec![p], 4, None, move |bufs| {
+            Arc::new(SlowDouble {
+                n,
+                buf: bufs[0].clone(),
+            }) as Arc<dyn GpuKernel>
+        })
+        .unwrap();
+    // Let the kernel get granted and run some blocks on device 0
+    // (the full grid needs tens of milliseconds), then pull the
+    // device out from under it.
+    std::thread::sleep(Duration::from_millis(10));
+    daemon.fail_device(0);
+    assert_eq!(daemon.device_health(0), HealthState::Failed);
+    client.synchronize().unwrap();
+    let out = client.download_f32(p, n).unwrap();
+    for (i, &v) in out.iter().enumerate() {
+        assert_eq!(v, 2.0, "element {i}: evacuated exactly once, not lost");
+    }
+    let stats = daemon.metrics().placement;
+    assert!(stats.evacuations >= 1, "the failure evacuated its leases");
+    assert!(stats.migrations_completed >= 1);
+    assert_eq!(stats.devices_out, 1);
+    // Recovery is gated: the returning device sits out probation
+    // before it can take traffic again.
+    daemon.recover_device(0);
+    assert!(
+        matches!(daemon.device_health(0), HealthState::Probation { .. }),
+        "a recovered device is on probation, not immediately healthy"
+    );
+    client.disconnect().unwrap();
+    daemon.join();
+}
+
+#[test]
+fn recorded_daemon_run_replays_identically() {
+    let daemon = SlateDaemon::start_with_options(
+        DeviceConfig::tiny(4),
+        1 << 22,
+        DaemonOptions {
+            record_arbiter: true,
+            ..Default::default()
+        },
+    );
+    let client = SlateClient::new(daemon.connect("recorded").unwrap());
+    let n = 2_000usize;
+    let p = client.malloc((n * 4) as u64).unwrap();
+    client.upload_f32(p, &vec![1.0f32; n]).unwrap();
+    for _ in 0..2 {
+        client
+            .launch_with(vec![p], 10, None, double_factory(n))
+            .unwrap();
+    }
+    client.synchronize().unwrap();
+    client.disconnect().unwrap();
+    daemon.join();
+    assert_eq!(daemon.metrics().lock_recoveries, 0, "healthy run");
+    let log = daemon.arbiter_log().expect("recording was enabled");
+    assert!(
+        log.batches.iter().any(|b| b
+            .commands
+            .iter()
+            .any(|c| matches!(c, Command::Dispatch { .. }))),
+        "the log must contain real dispatches"
+    );
+    crate::arbiter::replay::verify(&log).expect("daemon log replays identically");
+}

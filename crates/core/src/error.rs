@@ -22,6 +22,9 @@ pub enum SlateError {
         /// The offending handle value.
         ptr: u64,
     },
+    /// An argument outside what its allocation allows — a memcpy range
+    /// that is misaligned or out of bounds (`cudaErrorInvalidValue`).
+    InvalidValue(String),
     /// A kernel launch was rejected or failed (`cudaErrorLaunchFailure`).
     Launch(String),
     /// A `#pragma slate` directive could not be parsed.
@@ -72,6 +75,7 @@ impl SlateError {
         match self {
             SlateError::OutOfMemory { requested } => format!("E_OOM:{requested}"),
             SlateError::InvalidPointer { ptr } => format!("E_PTR:{ptr}"),
+            SlateError::InvalidValue(m) => format!("E_VALUE:{m}"),
             SlateError::Launch(m) => format!("E_LAUNCH:{m}"),
             SlateError::Pragma(m) => format!("E_PRAGMA:{m}"),
             SlateError::Disconnected => "E_DISCONNECTED".to_string(),
@@ -99,6 +103,9 @@ impl SlateError {
             if let Ok(ptr) = rest.parse() {
                 return SlateError::InvalidPointer { ptr };
             }
+        }
+        if let Some(rest) = s.strip_prefix("E_VALUE:") {
+            return SlateError::InvalidValue(rest.to_string());
         }
         if let Some(rest) = s.strip_prefix("E_LAUNCH:") {
             return SlateError::Launch(rest.to_string());
@@ -174,6 +181,7 @@ impl fmt::Display for SlateError {
             SlateError::InvalidPointer { ptr } => {
                 write!(f, "invalid slate pointer 0x{ptr:x}")
             }
+            SlateError::InvalidValue(m) => write!(f, "invalid value: {m}"),
             SlateError::Launch(m) => write!(f, "kernel launch failed: {m}"),
             SlateError::Pragma(m) => write!(f, "pragma error: {m}"),
             SlateError::Disconnected => write!(f, "daemon disconnected"),
@@ -211,6 +219,7 @@ mod tests {
         let cases = [
             SlateError::OutOfMemory { requested: 4096 },
             SlateError::InvalidPointer { ptr: 0xdead },
+            SlateError::InvalidValue("offset 3 is not word-aligned".into()),
             SlateError::Launch("bad grid".into()),
             SlateError::Pragma("unknown directive".into()),
             SlateError::Disconnected,

@@ -286,6 +286,62 @@ fn wal_order_is_feed_order_under_concurrent_submitters() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The lane-queue → crash-scene → adoption path: launches still queued on
+/// two non-default stream lanes when the daemon dies are parked in the
+/// crash scene in lane order and re-executed by the recovered daemon —
+/// every block exactly once, although the client cannot resubmit them
+/// (`launch_on_stream` takes a one-shot factory).
+#[test]
+fn launches_queued_on_stream_lanes_survive_a_crash_exactly_once() {
+    for devices in [1usize, 2] {
+        let dir = tmpdir(&format!("lanes-{devices}"));
+        let daemon = SlateDaemon::start_with_options(
+            DeviceConfig::tiny(4),
+            1 << 24,
+            durable_opts(devices, &dir),
+        );
+        let client = SlateClient::new(daemon.connect("lanes").unwrap());
+        let slots = LAUNCHES * BLOCKS as usize;
+        let hits = client.malloc((slots * 4) as u64).unwrap();
+        client.upload_f32(hits, &vec![0.0f32; slots]).unwrap();
+        for k in 0..LAUNCHES {
+            let base = k * BLOCKS as usize;
+            client
+                .launch_on_stream(1 + (k % 2) as u32, vec![hits], 8, move |bufs| {
+                    Arc::new(HitKernel {
+                        base,
+                        hits: bufs[0].clone(),
+                    }) as Arc<dyn GpuKernel>
+                })
+                .unwrap();
+        }
+        // Requests are served in order: once this reply is back the
+        // session has admitted every launch above onto its lane.
+        client.malloc(4).unwrap();
+        std::thread::sleep(Duration::from_millis(3));
+        let scene = daemon.crash();
+        assert!(
+            scene.inflight_launches() >= LAUNCHES - 2,
+            "the kill landed mid-run: {} in flight",
+            scene.inflight_launches()
+        );
+        let recovered = SlateDaemon::recover(scene, durable_opts(devices, &dir))
+            .expect("recover from WAL + snapshot");
+        client.install_reattach(&recovered);
+        client
+            .synchronize()
+            .expect("adopted launches surface no errors");
+        for (i, v) in client.download_f32(hits, slots).unwrap().iter().enumerate() {
+            assert_eq!(*v, 1.0, "{devices} devices: slot {i} executed {v} times");
+        }
+        client.disconnect().unwrap();
+        recovered.join();
+        let log = full_log(&dir).expect("stitch full placement log from kept segments");
+        verify(&log).expect("full WAL replays byte-identically");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 #[test]
 fn resume_tokens_are_single_use_and_epoch_checked() {
     let dir = tmpdir("tokens");

@@ -246,6 +246,36 @@ fn unlaunchable_kernel_is_a_typed_error_and_the_session_keeps_serving() {
 }
 
 #[test]
+fn out_of_range_memcpy_is_a_typed_error_and_the_session_keeps_serving() {
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);
+    let client = SlateClient::new(daemon.connect("sloppy").unwrap());
+    let ptr = client.malloc(64).unwrap();
+    // Past the end, straddling the end, misaligned, and an offset + length
+    // that wraps. Each used to trip the buffer's assertion on the session
+    // thread — `Disconnected`, the allocation leaked, the drain stuck —
+    // and the first also sized a host buffer by the client's length.
+    let invalid = |out: Result<(), slate_core::SlateError>| match out {
+        Err(slate_core::SlateError::InvalidValue(why)) => assert!(why.contains("memcpy"), "{why}"),
+        other => panic!("expected an invalid-value error, got {other:?}"),
+    };
+    invalid(client.memcpy_d2h(ptr, 0, 4096).map(drop));
+    invalid(client.memcpy_d2h(ptr, 2, 4).map(drop));
+    invalid(client.memcpy_d2h(ptr, usize::MAX - 3, 8).map(drop));
+    invalid(client.memcpy_h2d(ptr, 60, vec![0u8; 8].into()));
+    invalid(client.memcpy_h2d(ptr, 6, vec![0u8; 4].into()));
+    // The session is alive and the allocation intact, end to end.
+    client.upload_f32(ptr, &[7.0; 16]).unwrap();
+    assert_eq!(client.memcpy_d2h(ptr, 60, 4).unwrap(), 7.0f32.to_le_bytes());
+    assert_eq!(daemon.metrics().lock_recoveries, 0, "no thread panicked");
+    client.disconnect().unwrap();
+    assert!(
+        daemon.shutdown(std::time::Duration::from_secs(5)),
+        "drained"
+    );
+    assert_eq!(daemon.metrics().live_allocations, 0);
+}
+
+#[test]
 fn profile_table_is_shared_across_sessions() {
     // The same kernel launched by two different clients is profiled once
     // (first run) and reused — observable through identical behaviour and

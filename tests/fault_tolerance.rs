@@ -1,8 +1,9 @@
 //! Fault-tolerance integration: the daemon must survive misbehaving
 //! clients. Covered here: session reaping after a client vanishes without
 //! `Disconnect`, watchdog eviction of a hung kernel while its co-runner
-//! keeps executing, graceful shutdown with drain, and the combined
-//! crash-plus-hang recovery scenario.
+//! keeps executing, containment of client code that panics on a daemon
+//! thread, graceful shutdown with drain, and the combined crash-plus-hang
+//! recovery scenario.
 
 use slate_core::api::{connect_with_retry, RetryPolicy, SlateClient};
 use slate_core::daemon::{DaemonOptions, SlateDaemon};
@@ -258,6 +259,105 @@ fn watchdog_evicts_hung_kernel_while_corunner_completes() {
     ok.free(po).unwrap();
     ok.disconnect().unwrap();
     daemon.join();
+}
+
+/// `AddKernel`'s grid and profile with a body that panics on its first
+/// block: client code misbehaving on a daemon thread.
+struct PanicKernel(KernelPerf);
+
+impl GpuKernel for PanicKernel {
+    fn name(&self) -> &str {
+        &self.0.name
+    }
+    fn grid(&self) -> GridDim {
+        GridDim::d1(64)
+    }
+    fn perf(&self) -> KernelPerf {
+        self.0.clone()
+    }
+    fn run_block(&self, b: BlockCoord) {
+        panic!("block {} blew up", b.x);
+    }
+}
+
+#[test]
+fn panicking_kernel_is_contained_while_corunner_completes() {
+    // On the default stream the kernel runs on the session thread itself,
+    // on any other on a lane thread: either way the panic used to kill
+    // its thread with the lease still holding its SMs.
+    for stream in [0u32, 3] {
+        let daemon = SlateDaemon::start(DeviceConfig::tiny(8), 1 << 24);
+        let n = 4_000usize;
+        let bad = SlateClient::new(daemon.connect("panics").unwrap());
+        let pb = bad.malloc((n * 4) as u64).unwrap();
+        bad.upload_f32(pb, &vec![0.0f32; n]).unwrap();
+        let ok = SlateClient::new(daemon.connect("co-runner").unwrap());
+        let po = ok.malloc((n * 4) as u64).unwrap();
+        ok.upload_f32(po, &vec![0.0f32; n]).unwrap();
+
+        bad.launch_on_stream(stream, vec![pb], 5, |_| {
+            Arc::new(PanicKernel(hm_perf("hm-panic"))) as Arc<dyn GpuKernel>
+        })
+        .unwrap();
+        for _ in 0..3 {
+            launch_add(&ok, po, n, 2.0, lc_perf("steady-lc"));
+        }
+        ok.synchronize().unwrap();
+        assert_eq!(ok.download_f32(po, n).unwrap(), vec![6.0f32; n]);
+
+        match bad.synchronize() {
+            Err(SlateError::KernelFault(why)) => assert!(why.contains("blew up"), "{why}"),
+            other => panic!("stream {stream}: expected KernelFault, got {other:?}"),
+        }
+        // The lease gave its SMs back, its admission was balanced exactly
+        // once, and the same session keeps serving.
+        let m = daemon.metrics();
+        assert_eq!((m.arbiter_residents, m.queue.depth), (0, 0), "{m:?}");
+        assert_eq!(
+            m.queue.admitted,
+            m.admission.launches_completed + m.admission.launches_failed,
+            "{m:?}"
+        );
+        assert_eq!(m.admission.launches_failed, 1, "{m:?}");
+        launch_add(&bad, pb, n, 1.0, hm_perf("hm-fine"));
+        bad.synchronize().unwrap();
+        assert_eq!(bad.download_f32(pb, n).unwrap(), vec![1.0f32; n]);
+
+        let m = daemon.metrics();
+        assert_eq!((m.reaped_sessions, m.lock_recoveries), (0, 0), "{m:?}");
+        bad.disconnect().unwrap();
+        ok.disconnect().unwrap();
+        assert!(daemon.shutdown(Duration::from_secs(5)), "drained");
+        assert_eq!(daemon.metrics().live_allocations, 0);
+    }
+}
+
+#[test]
+fn panicking_factory_fails_the_launch_not_the_session() {
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(4), 1 << 22);
+    let n = 2_000usize;
+    let client = SlateClient::new(daemon.connect("bad-factory").unwrap());
+    let p = client.malloc((n * 4) as u64).unwrap();
+    client.upload_f32(p, &vec![0.0f32; n]).unwrap();
+    client
+        .launch_with(vec![p], 5, None, |bufs| -> Arc<dyn GpuKernel> {
+            panic!("no kernel for {} buffers", bufs.len())
+        })
+        .unwrap();
+    match client.synchronize() {
+        Err(SlateError::Launch(why)) => assert!(why.contains("no kernel for 1 buffers"), "{why}"),
+        other => panic!("expected a launch error, got {other:?}"),
+    }
+    // Nothing was admitted; the session serves the next launch.
+    let m = daemon.metrics();
+    assert_eq!((m.queue.admitted, m.queue.depth), (0, 0), "{m:?}");
+    launch_add(&client, p, n, 3.0, lc_perf("after-lc"));
+    client.synchronize().unwrap();
+    assert_eq!(client.download_f32(p, n).unwrap(), vec![3.0f32; n]);
+    assert_eq!(daemon.metrics().lock_recoveries, 0);
+    client.disconnect().unwrap();
+    assert!(daemon.shutdown(Duration::from_secs(5)), "drained");
+    assert_eq!(daemon.metrics().live_allocations, 0);
 }
 
 #[test]
