@@ -10,12 +10,14 @@
 //!   no context-switch tax).
 //!
 //! Both implement the shared [`runtime::Runtime`] trait that `slate-core`'s
-//! Slate runtime also implements, so the harness can run the paper's
-//! three-way comparison uniformly.
+//! Slate runtime also implements, and all three step the one application
+//! lifecycle in [`lifecycle`], so the harness's three-way comparison varies
+//! the admission policy and nothing else.
 
 #![warn(missing_docs)]
 
 pub mod cuda;
+pub mod lifecycle;
 pub mod mps;
 pub mod runtime;
 pub mod serial;

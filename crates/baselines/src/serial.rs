@@ -16,13 +16,12 @@
 //! Ready processes are served round-robin, which is how the driver's
 //! time-slicing arbitrates between contexts submitting back-to-back work.
 
-use crate::runtime::{AppResult, RunOutcome};
+use crate::lifecycle::{FixedCosts, Lifecycle, Step};
+use crate::runtime::RunOutcome;
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
-use slate_gpu_sim::engine::{Dir, Engine, Event, SliceId, SliceSpec, TimerId, TransferId};
-use slate_gpu_sim::metrics::KernelMetrics;
+use slate_gpu_sim::engine::{Engine, SliceSpec, TimerId};
 use slate_gpu_sim::model;
 use slate_gpu_sim::perf::ExecMode;
-use slate_gpu_sim::trace::{Trace, TraceKind};
 use slate_kernels::workload::AppSpec;
 
 /// Overhead knobs distinguishing CUDA from MPS.
@@ -52,100 +51,55 @@ pub struct SerialOverheads {
     pub leftover_overlap: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Phase {
-    Setup,
-    H2d,
-    Ready,
-    Running,
-    D2h,
-    Done,
-}
-
-struct Proc {
-    app: AppSpec,
-    phase: Phase,
-    launches_done: u32,
+/// The leftover policy's view of one process's running launch.
+#[derive(Default)]
+struct Tail {
+    /// Fires when the launch enters its drain tail.
     timer: Option<TimerId>,
-    tail_timer: Option<TimerId>,
-    tail_fired: bool,
-    transfer: Option<TransferId>,
-    slice: Option<SliceId>,
-    end_s: f64,
-    kernel_busy_s: f64,
-    kernel_start_s: f64,
-    kernel_end_s: f64,
-    metrics: KernelMetrics,
+    /// The launch is in its drain tail: a waiting kernel may start.
+    fired: bool,
 }
 
-/// Runs `apps` under the serializing policy described by `ov`.
-pub fn run_serialized(cfg: &DeviceConfig, ov: &SerialOverheads, apps: &[AppSpec]) -> RunOutcome {
-    assert!(!apps.is_empty(), "need at least one app");
-    let mut engine = Engine::new(cfg.clone());
-    let mut procs: Vec<Proc> = apps
-        .iter()
-        .map(|app| Proc {
-            app: app.clone(),
-            phase: Phase::Setup,
-            launches_done: 0,
-            timer: None,
-            tail_timer: None,
-            tail_fired: false,
-            transfer: None,
-            slice: None,
-            end_s: 0.0,
-            kernel_busy_s: 0.0,
-            kernel_start_s: f64::INFINITY,
-            kernel_end_s: 0.0,
-            metrics: KernelMetrics::new(&app.perf.name),
-        })
-        .collect();
-    for p in &mut procs {
-        let session = ov.session_setup_s * p.app.fixed_cost_scale;
-        p.timer = Some(engine.set_timer(p.app.host_setup_s + session));
-    }
+/// The admission policy: one launch on the device at a time (two during a
+/// leftover drain tail), ready processes served round-robin.
+struct Serializer<'a> {
+    ov: &'a SerialOverheads,
+    tails: Vec<Tail>,
+    last_launched: Option<usize>,
+    rr: usize,
+}
 
-    let mut last_launched: Option<usize> = None;
-    let mut rr = 0usize;
-    let mut trace = Trace::new();
-
-    // Dispatch the next ready process's launch if the device is free — or,
-    // under the leftover policy, if the single running launch has entered
-    // its drain tail.
-    let dispatch = |engine: &mut Engine,
-                    procs: &mut Vec<Proc>,
-                    last: &mut Option<usize>,
-                    rr: &mut usize,
-                    trace: &mut Trace| {
-        let active: Vec<usize> = (0..procs.len())
-            .filter(|&j| procs[j].slice.is_some())
-            .collect();
-        match active.len() {
-            0 => {}
-            1 if ov.leftover_overlap && procs[active[0]].tail_fired => {}
+impl Serializer<'_> {
+    /// Dispatches the next ready process's launch if the device is free —
+    /// or, under the leftover policy, if the single running launch has
+    /// entered its drain tail.
+    fn dispatch(&mut self, engine: &mut Engine, life: &mut Lifecycle) {
+        let ov = self.ov;
+        let n = self.tails.len();
+        let mut active = (0..n).filter(|&j| life.slice(j).is_some());
+        match (active.next(), active.next()) {
+            (None, _) => {}
+            (Some(j), None) if ov.leftover_overlap && self.tails[j].fired => {}
             _ => return,
         }
-        let n = procs.len();
         // Round-robin scan for a ready process, starting after the cursor.
         let pick = (0..n)
-            .map(|k| (*rr + k) % n)
-            .find(|&i| procs[i].phase == Phase::Ready);
+            .map(|k| (self.rr + k) % n)
+            .find(|&i| life.is_ready(i));
         let Some(i) = pick else { return };
-        let switching = last.is_some() && *last != Some(i);
-        let contended = procs
-            .iter()
-            .enumerate()
-            .any(|(j, q)| j != i && matches!(q.phase, Phase::Ready | Phase::Running));
-        let p = &mut procs[i];
+        let switching = self.last_launched.is_some() && self.last_launched != Some(i);
+        let contended = (0..n).any(|j| j != i && (life.is_ready(j) || life.slice(j).is_some()));
+        let app = life.app(i);
         // Per-launch costs scale with the number of real launches this
         // simulated (batched) launch stands for.
-        let batch = p.app.batch as f64;
+        let batch = app.batch as f64;
         let mut extra = ov.per_launch_s * batch;
+        let range = SmRange::all(engine.device().num_sms);
         let est = model::estimate_duration(
             engine.device(),
-            &p.app.perf,
-            p.app.blocks_per_launch,
-            engine.device().num_sms,
+            &app.perf,
+            app.blocks_per_launch,
+            range.len(),
             ExecMode::Hardware,
         );
         if contended {
@@ -157,181 +111,85 @@ pub fn run_serialized(cfg: &DeviceConfig, ov: &SerialOverheads, apps: &[AppSpec]
         }
         let id = engine
             .add_slice(SliceSpec {
-                perf: p.app.perf.clone(),
-                sm_range: SmRange::all(engine.device().num_sms),
-                blocks: p.app.blocks_per_launch,
+                perf: app.perf.clone(),
+                sm_range: range,
+                blocks: app.blocks_per_launch,
                 mode: ExecMode::Hardware,
                 extra_lead_s: extra,
-                batch: p.app.batch,
+                batch: app.batch,
                 tag: i as u64,
             })
             .expect("baseline launch must be valid");
-        p.slice = Some(id);
-        p.phase = Phase::Running;
-        p.kernel_start_s = p.kernel_start_s.min(engine.now());
-        trace.record(
-            engine.now(),
-            TraceKind::Launch {
-                tag: i as u64,
-                range: SmRange::all(engine.device().num_sms),
-                blocks: p.app.blocks_per_launch,
-            },
-        );
         if ov.leftover_overlap {
             // The drain tail of the final real launch in the batch: the
             // last wave of resident blocks. A waiting kernel's blocks may
             // start claiming slots from this point (leftover policy).
-            let per_sm =
-                slate_gpu_sim::occupancy::blocks_per_sm(engine.device(), &p.app.perf) as u64;
+            let per_sm = slate_gpu_sim::occupancy::blocks_per_sm(engine.device(), &app.perf) as u64;
             let workers = per_sm * engine.device().num_sms as u64;
-            let real_blocks = (p.app.blocks_per_launch / p.app.batch as u64).max(1);
-            let tail_frac = (workers as f64 / real_blocks as f64).min(1.0) / p.app.batch as f64;
+            let real_blocks = (app.blocks_per_launch / app.batch as u64).max(1);
+            let tail_frac = (workers as f64 / real_blocks as f64).min(1.0) / app.batch as f64;
             let tail_at = engine.now() + extra + est * (1.0 - tail_frac);
-            procs[i].tail_fired = false;
-            procs[i].tail_timer = Some(engine.set_timer(tail_at));
+            self.tails[i] = Tail {
+                timer: Some(engine.set_timer(tail_at)),
+                fired: false,
+            };
         }
-        *last = Some(i);
-        *rr = (i + 1) % n;
-    };
+        let blocks = app.blocks_per_launch;
+        life.launched(i, engine.now(), id, range, blocks, 0.0);
+        self.last_launched = Some(i);
+        self.rr = (i + 1) % n;
+    }
+}
 
+/// Runs `apps` under the serializing policy described by `ov`.
+pub fn run_serialized(cfg: &DeviceConfig, ov: &SerialOverheads, apps: &[AppSpec]) -> RunOutcome {
+    let mut engine = Engine::new(cfg.clone());
+    let mut life = Lifecycle::new(&mut engine, apps, |app| {
+        let session_s = ov.session_setup_s * app.fixed_cost_scale;
+        FixedCosts {
+            session_s,
+            inject_s: 0.0,
+            // The daemon relay is charged inside each launch's lead-in;
+            // what it adds up to is known up front.
+            comm_s: if ov.per_launch_s > 0.0 {
+                ov.per_launch_s * app.real_launches as f64 + session_s
+            } else {
+                0.0
+            },
+        }
+    });
+    let mut policy = Serializer {
+        ov,
+        tails: apps.iter().map(|_| Tail::default()).collect(),
+        last_launched: None,
+        rr: 0,
+    };
     while let Some((now, ev)) = engine.step() {
-        match ev {
-            Event::Timer(tid) => {
-                if let Some(i) = procs.iter().position(|p| p.tail_timer == Some(tid)) {
-                    // The running launch entered its drain tail: leftover
-                    // slots may be claimed by a waiting kernel.
-                    procs[i].tail_timer = None;
-                    procs[i].tail_fired = true;
-                    dispatch(
-                        &mut engine,
-                        &mut procs,
-                        &mut last_launched,
-                        &mut rr,
-                        &mut trace,
-                    );
-                    continue;
-                }
-                let i = procs
-                    .iter()
-                    .position(|p| p.timer == Some(tid))
+        match life.step(&mut engine, now, ev) {
+            Step::Foreign(tid) => {
+                // The running launch entered its drain tail: leftover
+                // slots may be claimed by a waiting kernel.
+                let tail = policy
+                    .tails
+                    .iter_mut()
+                    .find(|t| t.timer == Some(tid))
                     .expect("unknown timer");
-                procs[i].timer = None;
-                procs[i].phase = Phase::H2d;
-                trace.record(
-                    now,
-                    TraceKind::TransferStart {
-                        tag: i as u64,
-                        h2d: true,
-                        bytes: procs[i].app.h2d_bytes,
-                    },
-                );
-                procs[i].transfer =
-                    Some(engine.add_transfer(procs[i].app.h2d_bytes, Dir::H2D, i as u64));
+                *tail = Tail {
+                    timer: None,
+                    fired: true,
+                };
             }
-            Event::TransferDone(tid) => {
-                let i = procs
-                    .iter()
-                    .position(|p| p.transfer == Some(tid))
-                    .expect("unknown transfer");
-                procs[i].transfer = None;
-                trace.record(now, TraceKind::TransferEnd { tag: i as u64 });
-                match procs[i].phase {
-                    Phase::H2d => {
-                        procs[i].phase = Phase::Ready;
-                        dispatch(
-                            &mut engine,
-                            &mut procs,
-                            &mut last_launched,
-                            &mut rr,
-                            &mut trace,
-                        );
-                    }
-                    Phase::D2h => {
-                        procs[i].phase = Phase::Done;
-                        procs[i].end_s = now;
-                    }
-                    // (trace already recorded the TransferEnd above)
-                    other => panic!("transfer completion in phase {other:?}"),
-                }
-            }
-            Event::SliceDrained(sid) => {
-                let i = procs
-                    .iter()
-                    .position(|p| p.slice == Some(sid))
-                    .expect("unknown slice");
-                let report = engine.remove_slice(sid);
-                procs[i].slice = None;
-                procs[i].kernel_busy_s += report.active_s;
-                procs[i].kernel_end_s = now;
-                trace.record(
-                    now,
-                    TraceKind::Stop {
-                        tag: i as u64,
-                        done: report.blocks_done,
-                    },
-                );
-                procs[i].metrics.merge(&report);
-                procs[i].launches_done += 1;
-                procs[i].tail_fired = false;
-                if let Some(t) = procs[i].tail_timer.take() {
+            Step::Drained { proc, .. } => {
+                if let Some(t) = std::mem::take(&mut policy.tails[proc]).timer {
                     engine.cancel_timer(t);
                 }
-                if procs[i].launches_done < procs[i].app.launches {
-                    procs[i].phase = Phase::Ready;
-                } else {
-                    procs[i].phase = Phase::D2h;
-                    trace.record(
-                        now,
-                        TraceKind::TransferStart {
-                            tag: i as u64,
-                            h2d: false,
-                            bytes: procs[i].app.d2h_bytes,
-                        },
-                    );
-                    procs[i].transfer =
-                        Some(engine.add_transfer(procs[i].app.d2h_bytes, Dir::D2H, i as u64));
-                }
-                dispatch(
-                    &mut engine,
-                    &mut procs,
-                    &mut last_launched,
-                    &mut rr,
-                    &mut trace,
-                );
             }
-            Event::SliceStarted(_) => {}
+            Step::Ready(_) => {}
+            Step::Finished(_) | Step::Internal => continue,
         }
+        policy.dispatch(&mut engine, &mut life);
     }
-
-    let makespan = procs.iter().map(|p| p.end_s).fold(0.0, f64::max);
-    debug_assert!(procs.iter().all(|p| p.phase == Phase::Done));
-    RunOutcome {
-        runtime: ov.label.clone(),
-        trace,
-        apps: procs
-            .into_iter()
-            .map(|p| AppResult {
-                bench: p.app.bench,
-                end_s: p.end_s,
-                app_time_s: p.end_s,
-                kernel_busy_s: p.kernel_busy_s,
-                kernel_start_s: if p.kernel_start_s.is_finite() {
-                    p.kernel_start_s
-                } else {
-                    0.0
-                },
-                kernel_end_s: p.kernel_end_s,
-                comm_s: if ov.per_launch_s > 0.0 {
-                    ov.per_launch_s * p.app.real_launches as f64 + ov.session_setup_s
-                } else {
-                    0.0
-                },
-                inject_s: 0.0,
-                metrics: p.metrics,
-            })
-            .collect(),
-        makespan_s: makespan,
-    }
+    life.finish(&ov.label)
 }
 
 #[cfg(test)]
@@ -466,6 +324,14 @@ mod tests {
             (delta - expect).abs() / expect < 0.05,
             "delta {delta} vs {expect}"
         );
-        assert!(taxed.apps[0].comm_s > 0.0);
+        // The reported communication is what was charged: the relay per
+        // real launch plus the session setup at the app's fixed-cost scale.
+        ov.session_setup_s = 0.05;
+        let session = 0.05 * a.fixed_cost_scale;
+        assert!(a.fixed_cost_scale < 1.0, "the app is scaled down");
+        let with_session = run_serialized(&cfg, &ov, std::slice::from_ref(&a));
+        let r = &with_session.apps[0];
+        assert_eq!(r.comm_s, 1e-3 * a.real_launches as f64 + session);
+        assert!((with_session.makespan_s - taxed.makespan_s - session).abs() < 1e-9);
     }
 }

@@ -417,7 +417,7 @@ fn main() {
                 let batches = log.batches.len() as u64;
                 measure("trace_export", false, 200, batches, move || {
                     black_box(
-                        slate_core::trace::trace_event_log(&log)
+                        slate_core::trace::trace_log(&log)
                             .expect("recorded log exports")
                             .to_json(),
                     );

@@ -57,13 +57,6 @@ pub struct FleetAdmissionConfig {
     pub max_pending_per_device: Option<u64>,
 }
 
-impl FleetAdmissionConfig {
-    /// Whether any fleet bound is set.
-    pub fn is_active(&self) -> bool {
-        self.max_sessions_per_device.is_some() || self.max_pending_per_device.is_some()
-    }
-}
-
 /// Point-in-time snapshot of the admission counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdmissionStats {

@@ -20,7 +20,6 @@ use crate::error::SlateError;
 use bytes::Bytes;
 use slate_gpu_sim::buffer::GpuBuffer;
 use slate_kernels::kernel::GpuKernel;
-use slate_kernels::workload::SloClass;
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -291,7 +290,8 @@ impl SlateClient {
     }
 
     /// Enables bounded retry with exponential backoff for transient
-    /// errors on `synchronize` (builder style; off by default).
+    /// errors on the synchronous requests — `malloc`, `free` and the
+    /// memcpys (builder style; off by default).
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
         self
@@ -714,20 +714,6 @@ pub fn connect_with_retry(
     policy: RetryPolicy,
 ) -> Result<SlateClient, SlateError> {
     policy.run(|| daemon.connect(user).map(SlateClient::new))
-}
-
-/// [`connect_with_retry`] with a declared SLO class: the session's
-/// launches arbitrate under it (latency-critical arrivals displace
-/// best-effort residents when the daemon runs with
-/// [`DaemonOptions::preempt_bound_ms`](crate::daemon::DaemonOptions::preempt_bound_ms)
-/// set).
-pub fn connect_with_slo_retry(
-    daemon: &Arc<crate::daemon::SlateDaemon>,
-    user: &str,
-    slo: SloClass,
-    policy: RetryPolicy,
-) -> Result<SlateClient, SlateError> {
-    policy.run(|| daemon.connect_with_slo(user, slo).map(SlateClient::new))
 }
 
 /// Redeems a [`ResumeToken`] against a recovered `daemon` under `policy`,

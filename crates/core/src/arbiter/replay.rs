@@ -6,6 +6,10 @@
 //! the logged commands exactly, batch by batch. The golden replay test
 //! checks a committed log's [`transcript`] byte-for-byte, which turns any
 //! unintended policy drift into a test failure with a readable diff.
+//!
+//! The same holds one level up for the placement layer, so replay,
+//! verification and transcripts are written once here over
+//! [`Replayable`]; [`crate::placement::replay`] adds only its log types.
 
 use super::events::{Event, Tick};
 use super::state::ArbiterConfig;
@@ -13,7 +17,7 @@ use super::ArbiterCore;
 use crate::arbiter::Command;
 use serde::{Deserialize, Serialize};
 use slate_gpu_sim::device::DeviceConfig;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// One recorded [`ArbiterCore::feed`] call: the batch timestamp, the
 /// events fed, and the commands the core returned.
@@ -39,82 +43,187 @@ pub struct EventLog {
     pub batches: Vec<LoggedBatch>,
 }
 
-/// Replays `log` through a fresh core, returning each batch with the
-/// commands the *replay* produced (the logged commands are ignored).
-pub fn replay(log: &EventLog) -> Vec<LoggedBatch> {
-    replay_under(log, log.config.clone())
+/// One recorded feed of a deterministic machine: the batch timestamp, the
+/// events fed, and what the machine replied. Implemented by
+/// [`LoggedBatch`] and
+/// [`PlacementBatch`](crate::placement::replay::PlacementBatch).
+pub trait ReplayBatch {
+    /// What the machine replies with: a [`Command`], or one routed to a
+    /// device. Its `Display` is the transcript rendering.
+    type Reply: Clone + PartialEq + fmt::Display;
+    /// Assembles the batch a replayed feed produced.
+    fn new(at: Tick, events: Vec<Event>, replies: Vec<Self::Reply>) -> Self;
+    /// The machine's (clamped) logical clock when the batch was absorbed.
+    fn at(&self) -> Tick;
+    /// The events fed, in order.
+    fn events(&self) -> &[Event];
+    /// The replies returned, in order.
+    fn replies(&self) -> &[Self::Reply];
+    /// A reply as `(device index, command)`.
+    fn routed(reply: &Self::Reply) -> (usize, &Command);
 }
 
-/// Replays `log`'s *events* through a fresh core running `config` instead
-/// of the recorded configuration, returning the batches the counterfactual
-/// core produced.
+/// The replies of a log's batches.
+type Replies<L> = Vec<<<L as Replayable>::Batch as ReplayBatch>::Reply>;
+
+/// A recording that replays: because the machine behind it is
+/// deterministic and I/O-free, the recorded inputs fully specify its
+/// outputs. Implemented by [`EventLog`] (machine: [`ArbiterCore`]) and
+/// [`PlacementLog`](crate::placement::replay::PlacementLog) (machine:
+/// [`PlacementLayer`](crate::placement::PlacementLayer)); everything else
+/// in this module is written once over this trait.
+pub trait Replayable {
+    /// The configuration the machine runs under.
+    type Config: Clone;
+    /// The deterministic machine the log was recorded from.
+    type Machine;
+    /// One recorded feed.
+    type Batch: ReplayBatch;
+    /// The device(s) behind the machine, in index order.
+    fn devices(&self) -> &[DeviceConfig];
+    /// The configuration the recording ran under.
+    fn config(&self) -> &Self::Config;
+    /// The recorded batches, in feed order.
+    fn batches(&self) -> &[Self::Batch];
+    /// A fresh machine over this log's devices running `config`.
+    fn machine(&self, config: Self::Config) -> Self::Machine;
+    /// Feeds one batch, clearing `replies` and filling it with the
+    /// machine's answer.
+    fn feed(machine: &mut Self::Machine, at: Tick, events: &[Event], replies: &mut Replies<Self>);
+}
+
+impl ReplayBatch for LoggedBatch {
+    type Reply = Command;
+    fn new(at: Tick, events: Vec<Event>, commands: Vec<Command>) -> Self {
+        Self {
+            at,
+            events,
+            commands,
+        }
+    }
+    fn at(&self) -> Tick {
+        self.at
+    }
+    fn events(&self) -> &[Event] {
+        &self.events
+    }
+    fn replies(&self) -> &[Command] {
+        &self.commands
+    }
+    fn routed(command: &Command) -> (usize, &Command) {
+        (0, command)
+    }
+}
+
+impl Replayable for EventLog {
+    type Config = ArbiterConfig;
+    type Machine = ArbiterCore;
+    type Batch = LoggedBatch;
+    fn devices(&self) -> &[DeviceConfig] {
+        std::slice::from_ref(&self.device)
+    }
+    fn config(&self) -> &ArbiterConfig {
+        &self.config
+    }
+    fn batches(&self) -> &[LoggedBatch] {
+        &self.batches
+    }
+    fn machine(&self, config: ArbiterConfig) -> ArbiterCore {
+        ArbiterCore::new(self.device.clone(), config)
+    }
+    fn feed(core: &mut ArbiterCore, at: Tick, events: &[Event], commands: &mut Vec<Command>) {
+        core.feed_into(at, events, commands);
+    }
+}
+
+/// Replays `log` through a fresh machine, returning each batch with the
+/// replies the *replay* produced (the logged ones are ignored).
+pub fn replay<L: Replayable>(log: &L) -> Vec<L::Batch> {
+    replay_under(log, log.config().clone())
+}
+
+/// Replays `log`'s *events* through a fresh machine running `config`
+/// instead of the recorded configuration, returning the batches the
+/// counterfactual machine produced.
 ///
 /// This is open-loop what-if replay, the primitive behind the offline
 /// autotuner ([`crate::trace::tune`]): the event stream — arrivals, ready
-/// kernels, finish times — is held fixed while the policy knobs vary, so
-/// every variant sees *identical* inputs and differences in the command
-/// stream are attributable to the configuration alone. The events are not
-/// re-simulated (a kernel still finishes when the recording says it did,
-/// even if the variant dispatched it elsewhere or not at all); the core
-/// tolerates finish/resize references to leases it never dispatched, so
-/// any configuration replays cleanly. With `config == log.config` this is
-/// exactly [`replay`].
-pub fn replay_under(log: &EventLog, config: ArbiterConfig) -> Vec<LoggedBatch> {
-    let mut core = ArbiterCore::new(log.device.clone(), config);
-    log.batches
+/// kernels, finish times, device failures — is held fixed while the policy
+/// knobs vary, so every variant sees *identical* inputs and differences in
+/// the reply stream are attributable to the configuration alone. The
+/// events are not re-simulated (a kernel still finishes when the recording
+/// says it did, even if the variant dispatched it elsewhere or not at
+/// all); the core tolerates finish/resize references to leases it never
+/// dispatched, so any configuration replays cleanly. With
+/// `config == log.config()` this is exactly [`replay`].
+pub fn replay_under<L: Replayable>(log: &L, config: L::Config) -> Vec<L::Batch> {
+    let mut machine = log.machine(config);
+    log.batches()
         .iter()
-        .map(|b| LoggedBatch {
-            at: b.at,
-            events: b.events.clone(),
-            commands: core.feed(b.at, &b.events),
+        .map(|b| {
+            let mut replies = Vec::new();
+            L::feed(&mut machine, b.at(), b.events(), &mut replies);
+            L::Batch::new(b.at(), b.events().to_vec(), replies)
         })
         .collect()
 }
 
 /// Incremental replay verification: recorded batches are pushed one at a
-/// time against a fresh core and checked as they arrive.
+/// time against a fresh machine and checked as they arrive.
 ///
 /// Memory use is bounded by the largest single batch — the verifier holds
-/// the core, one reusable command buffer, and nothing else — so callers
+/// the machine, one reusable reply buffer, and nothing else — so callers
 /// streaming batches off disk (a WAL tail, a log too large to
 /// materialize) verify in O(batch), not O(log). [`verify`] is this
 /// verifier driven over an in-memory log.
-pub struct StreamVerifier {
-    core: ArbiterCore,
-    scratch: Vec<Command>,
+pub struct StreamVerifier<L: Replayable> {
+    machine: L::Machine,
+    scratch: Replies<L>,
     batches: usize,
 }
 
-impl StreamVerifier {
-    /// A verifier replaying against a fresh core over `device` under
-    /// `config` — the same starting state [`replay`] uses.
-    pub fn new(device: DeviceConfig, config: ArbiterConfig) -> Self {
+impl<L: Replayable> StreamVerifier<L> {
+    /// A verifier replaying against `machine`, which must be in the state
+    /// the recording started from.
+    pub fn new(machine: L::Machine) -> Self {
         Self {
-            core: ArbiterCore::new(device, config),
+            machine,
             scratch: Vec::new(),
             batches: 0,
         }
     }
 
-    /// A verifier for `log`'s device and configuration.
-    pub fn for_log(log: &EventLog) -> Self {
-        Self::new(log.device.clone(), log.config.clone())
+    /// A verifier over a fresh machine for `log`'s devices and
+    /// configuration — the same starting state [`replay`] uses.
+    pub fn for_log(log: &L) -> Self {
+        Self::new(log.machine(log.config().clone()))
     }
 
-    /// Replays one recorded batch and checks the commands it produces
-    /// against the logged ones, reporting a divergence exactly as
-    /// [`verify`] would.
-    pub fn push(&mut self, batch: &LoggedBatch) -> Result<(), String> {
+    /// Replays one recorded batch and checks the replies it produces
+    /// against the logged ones, reporting a divergence (batch index,
+    /// logged and replayed replies) as a human-readable error.
+    pub fn push(&mut self, batch: &L::Batch) -> Result<(), String> {
         let i = self.batches;
         self.batches += 1;
-        self.core
-            .feed_into(batch.at, &batch.events, &mut self.scratch);
-        if self.scratch != batch.commands {
+        L::feed(
+            &mut self.machine,
+            batch.at(),
+            batch.events(),
+            &mut self.scratch,
+        );
+        if self.scratch != batch.replies() {
+            let render = |replies: &[_]| {
+                let mut s = String::new();
+                for r in replies {
+                    let _ = writeln!(s, "    ! {r}");
+                }
+                s
+            };
             return Err(format!(
                 "batch {i} (at {}) diverged:\n  logged:\n{}  replayed:\n{}",
-                batch.at,
-                render_commands(&batch.commands),
-                render_commands(&self.scratch),
+                batch.at(),
+                render(batch.replies()),
+                render(&self.scratch),
             ));
         }
         Ok(())
@@ -125,47 +234,34 @@ impl StreamVerifier {
         self.batches
     }
 
-    /// The replayed core, positioned after every pushed batch — e.g. to
-    /// snapshot the verified state.
-    pub fn into_core(self) -> ArbiterCore {
-        self.core
+    /// The replayed machine, positioned after every pushed batch.
+    pub fn into_machine(self) -> L::Machine {
+        self.machine
     }
 }
 
-/// Replays `log` and checks the produced commands against the logged ones,
-/// reporting the first divergence (batch index, expected and actual
-/// commands) as a human-readable error. Streaming: holds one batch's
-/// replayed commands at a time (see [`StreamVerifier`]), never a second
-/// copy of the log.
-pub fn verify(log: &EventLog) -> Result<(), String> {
+/// Replays `log` and checks the produced replies against the logged ones,
+/// reporting the first divergence. Streaming: holds one batch's replayed
+/// replies at a time (see [`StreamVerifier`]), never a second copy of the
+/// log.
+pub fn verify<L: Replayable>(log: &L) -> Result<(), String> {
     let mut v = StreamVerifier::for_log(log);
-    for b in &log.batches {
-        v.push(b)?;
-    }
-    Ok(())
-}
-
-fn render_commands(commands: &[Command]) -> String {
-    let mut s = String::new();
-    for c in commands {
-        let _ = writeln!(s, "    ! {c}");
-    }
-    s
+    log.batches().iter().try_for_each(|b| v.push(b))
 }
 
 /// Renders batches as a stable, line-oriented transcript: one `@tick`
-/// header per batch, `>` lines for events, `!` lines for commands. The
-/// format is hand-written (not `Debug`-derived) so the checked-in golden
-/// only changes when the *decisions* change.
-pub fn transcript(batches: &[LoggedBatch]) -> String {
+/// header per batch, `>` lines for events, `!` lines for replies (`! dN`
+/// for routed ones). The format is hand-written (not `Debug`-derived) so
+/// the checked-in goldens only change when the *decisions* change.
+pub fn transcript<B: ReplayBatch>(batches: &[B]) -> String {
     let mut s = String::new();
     for b in batches {
-        let _ = writeln!(s, "@{}", b.at);
-        for e in &b.events {
+        let _ = writeln!(s, "@{}", b.at());
+        for e in b.events() {
             let _ = writeln!(s, "  > {e}");
         }
-        for c in &b.commands {
-            let _ = writeln!(s, "  ! {c}");
+        for r in b.replies() {
+            let _ = writeln!(s, "  ! {r}");
         }
     }
     s

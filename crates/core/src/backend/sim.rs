@@ -133,11 +133,6 @@ impl SimBackend {
         self.engine.add_slice(spec)
     }
 
-    /// Removes a drained slice and returns its report.
-    pub fn drain_slice(&mut self, id: SliceId) -> SliceReport {
-        self.engine.remove_slice(id)
-    }
-
     /// The dispatch-kernel retreat/relaunch (§IV-C): tears `slice` down
     /// mid-flight and, unless it turned out to be complete, relaunches the
     /// remaining blocks on `to` with `slateIdx` progress carried over.

@@ -504,7 +504,7 @@ impl SlateDaemon {
             .ok_or_else(|| {
                 "daemon was not recording (set record_arbiter or trace_path)".to_string()
             })?;
-        crate::trace::export::export_placement_log_to_file(&log, path)
+        crate::trace::export::export_log_to_file(&log, path)
     }
 
     /// Whether [`SlateDaemon::shutdown`] has been called.

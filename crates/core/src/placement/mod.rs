@@ -464,14 +464,14 @@ impl PlacementLayer {
     /// a fixed per-kernel weight (`LOAD_WEIGHT_MS`) per resident or
     /// waiting kernel. Used by the least-loaded policy and the
     /// rebalancer's imbalance score.
-    pub fn device_load(&self, device: usize) -> u64 {
+    fn device_load(&self, device: usize) -> u64 {
         let core = &self.cores[device];
         core.admission_stats().pending_est_ms
             + LOAD_WEIGHT_MS * (core.residents() + core.waiting()) as u64
     }
 
     /// Per-device load vector (see [`PlacementLayer::device_load`]).
-    pub fn loads(&self) -> Vec<u64> {
+    fn loads(&self) -> Vec<u64> {
         let mut loads = Vec::new();
         self.fill_loads(&mut loads);
         loads

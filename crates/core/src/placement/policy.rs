@@ -20,8 +20,7 @@ pub enum PlacementPolicy {
     RoundRobin,
     /// Each session lands on the device with the lowest current load
     /// (ProfileTable-estimated pending milliseconds plus weighted
-    /// resident/waiter pressure; see
-    /// [`PlacementLayer::device_load`](super::PlacementLayer::device_load)).
+    /// resident/waiter pressure).
     /// Ties break toward the device hosting fewer sessions, then the
     /// lowest index — so a burst of opens in one batch still spreads.
     LeastLoaded,

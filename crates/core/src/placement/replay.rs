@@ -5,7 +5,8 @@
 //! [`ArbiterCore`](crate::arbiter::ArbiterCore): the frontend event
 //! stream plus every routed command, under the exact devices and
 //! configuration that produced it. Because the layer is deterministic,
-//! the log both [`verify`]s against a fresh replay and [`split`]s into N
+//! the log [`verify`]s against a fresh replay — through the one generic
+//! replay of [`crate::arbiter::replay`], re-exported here — and [`split`]s into N
 //! ordinary per-core `EventLog`s — each of which verifies through the
 //! existing single-device machinery, byte-identically. Splitting is how
 //! multi-device recordings stay per-core, as the roadmap promised: every
@@ -14,11 +15,11 @@
 //! a multi-device run unchanged.
 
 use super::{PlacementConfig, PlacementLayer, RoutedCommand};
-use crate::arbiter::replay::EventLog;
-use crate::arbiter::{Event, Tick};
+pub use crate::arbiter::replay::{replay, replay_under, transcript, verify};
+use crate::arbiter::replay::{EventLog, ReplayBatch, Replayable, StreamVerifier};
+use crate::arbiter::{Command, Event, Tick};
 use serde::{Deserialize, Serialize};
 use slate_gpu_sim::device::DeviceConfig;
-use std::fmt::Write as _;
 
 /// One recorded [`PlacementLayer::feed`] call.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,129 +45,49 @@ pub struct PlacementLog {
     pub batches: Vec<PlacementBatch>,
 }
 
-/// Replays `log` through a fresh layer, returning each batch with the
-/// routed commands the *replay* produced (the logged ones are ignored).
-pub fn replay(log: &PlacementLog) -> Vec<PlacementBatch> {
-    replay_under(log, log.config.clone())
-}
-
-/// Replays `log`'s *events* through a fresh layer running `config`
-/// instead of the recorded configuration — the multi-device analogue of
-/// [`crate::arbiter::replay::replay_under`], and the placement tuner's
-/// primitive. Open-loop: the event stream (arrivals, finishes, device
-/// failures) is held fixed while routing/arbiter/rebalance knobs vary,
-/// so differences in the routed command stream are attributable to the
-/// configuration alone. With `config == log.config` this is exactly
-/// [`replay`].
-pub fn replay_under(log: &PlacementLog, config: PlacementConfig) -> Vec<PlacementBatch> {
-    let mut layer = PlacementLayer::new(log.devices.clone(), config);
-    log.batches
-        .iter()
-        .map(|b| PlacementBatch {
-            at: b.at,
-            events: b.events.clone(),
-            routed: layer.feed(b.at, &b.events),
-        })
-        .collect()
-}
-
-/// Incremental replay verification for placement logs: batches are
-/// pushed one at a time against a fresh layer and checked as they
-/// arrive, holding one reusable routed-command buffer rather than a full
-/// second copy of the log. The multi-device analogue of
-/// [`crate::arbiter::replay::StreamVerifier`].
-pub struct StreamVerifier {
-    layer: PlacementLayer,
-    scratch: Vec<RoutedCommand>,
-    batches: usize,
-}
-
-impl StreamVerifier {
-    /// A verifier replaying against a fresh layer over `devices` under
-    /// `config` — the same starting state [`replay`] uses.
-    pub fn new(devices: Vec<DeviceConfig>, config: PlacementConfig) -> Self {
-        Self {
-            layer: PlacementLayer::new(devices, config),
-            scratch: Vec::new(),
-            batches: 0,
-        }
+impl ReplayBatch for PlacementBatch {
+    type Reply = RoutedCommand;
+    fn new(at: Tick, events: Vec<Event>, routed: Vec<RoutedCommand>) -> Self {
+        Self { at, events, routed }
     }
-
-    /// A verifier for `log`'s devices and configuration.
-    pub fn for_log(log: &PlacementLog) -> Self {
-        Self::new(log.devices.clone(), log.config.clone())
+    fn at(&self) -> Tick {
+        self.at
     }
-
-    /// Replays one recorded batch and checks the routed commands it
-    /// produces against the logged ones.
-    pub fn push(&mut self, batch: &PlacementBatch) -> Result<(), String> {
-        self.check(batch, "diverged")
+    fn events(&self) -> &[Event] {
+        &self.events
     }
-
-    /// [`StreamVerifier::push`], with the caller's wording of a
-    /// divergence.
-    fn check(&mut self, batch: &PlacementBatch, diverged: &str) -> Result<(), String> {
-        let i = self.batches;
-        self.batches += 1;
-        self.layer
-            .feed_into(batch.at, &batch.events, &mut self.scratch);
-        if self.scratch != batch.routed {
-            return Err(format!(
-                "placement batch {i} (at {}) {diverged}:\n  logged:\n{}  replayed:\n{}",
-                batch.at,
-                render(&batch.routed),
-                render(&self.scratch),
-            ));
-        }
-        Ok(())
+    fn replies(&self) -> &[RoutedCommand] {
+        &self.routed
     }
-
-    /// Batches verified so far.
-    pub fn batches(&self) -> usize {
-        self.batches
-    }
-
-    /// The replayed layer, positioned after every pushed batch.
-    pub fn into_layer(self) -> PlacementLayer {
-        self.layer
+    fn routed(r: &RoutedCommand) -> (usize, &Command) {
+        (r.device, &r.command)
     }
 }
 
-/// Replays `log` and checks the produced routed commands against the
-/// logged ones, reporting the first divergence. Streaming: memory is
-/// bounded by the largest single batch (see [`StreamVerifier`]).
-pub fn verify(log: &PlacementLog) -> Result<(), String> {
-    let mut v = StreamVerifier::for_log(log);
-    for b in &log.batches {
-        v.push(b)?;
+impl Replayable for PlacementLog {
+    type Config = PlacementConfig;
+    type Machine = PlacementLayer;
+    type Batch = PlacementBatch;
+    fn devices(&self) -> &[DeviceConfig] {
+        &self.devices
     }
-    Ok(())
-}
-
-fn render(routed: &[RoutedCommand]) -> String {
-    let mut s = String::new();
-    for r in routed {
-        let _ = writeln!(s, "    ! {r}");
+    fn config(&self) -> &PlacementConfig {
+        &self.config
     }
-    s
-}
-
-/// Renders placement batches as a stable, line-oriented transcript: one
-/// `@tick` header per batch, `>` lines for events, `! dN` lines for
-/// routed commands. Hand-written (not `Debug`-derived) so checked-in
-/// goldens only change when the *decisions* change.
-pub fn transcript(batches: &[PlacementBatch]) -> String {
-    let mut s = String::new();
-    for b in batches {
-        let _ = writeln!(s, "@{}", b.at);
-        for e in &b.events {
-            let _ = writeln!(s, "  > {e}");
-        }
-        for r in &b.routed {
-            let _ = writeln!(s, "  ! {r}");
-        }
+    fn batches(&self) -> &[PlacementBatch] {
+        &self.batches
     }
-    s
+    fn machine(&self, config: PlacementConfig) -> PlacementLayer {
+        PlacementLayer::new(self.devices.clone(), config)
+    }
+    fn feed(
+        layer: &mut PlacementLayer,
+        at: Tick,
+        events: &[Event],
+        routed: &mut Vec<RoutedCommand>,
+    ) {
+        layer.feed_into(at, events, routed);
+    }
 }
 
 /// Splits a multi-device `log` into one ordinary [`EventLog`] per
@@ -176,12 +97,11 @@ pub fn transcript(batches: &[PlacementBatch]) -> String {
 /// re-[`verify`]s the placement log itself and fails if the routing
 /// diverged.
 pub fn split(log: &PlacementLog) -> Result<Vec<EventLog>, String> {
-    let mut v = StreamVerifier::for_log(log);
-    v.layer.start_recording();
-    for b in &log.batches {
-        v.check(b, "diverged during split")?;
-    }
-    Ok(v.layer
+    let mut layer = log.machine(log.config.clone());
+    layer.start_recording();
+    let mut v = StreamVerifier::<PlacementLog>::new(layer);
+    log.batches.iter().try_for_each(|b| v.push(b))?;
+    Ok(v.into_machine()
         .take_core_logs()
         .into_iter()
         .map(|l| l.expect("recording was on for every core"))

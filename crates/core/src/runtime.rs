@@ -35,13 +35,13 @@ use crate::placement::multi::{JobOutcome, MultiJob, MultiSim};
 use crate::placement::{PlacementConfig, PlacementStats};
 use crate::profile::ProfileTable;
 use crate::transform::TransformedKernel;
-use slate_baselines::runtime::{AppResult, RunOutcome, Runtime};
+use slate_baselines::lifecycle::{FixedCosts, Lifecycle, Step};
+use slate_baselines::runtime::{RunOutcome, Runtime};
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
-use slate_gpu_sim::engine::{Dir, Event, SliceId, SliceSpec, TimerId, TransferId};
-use slate_gpu_sim::metrics::KernelMetrics;
+use slate_gpu_sim::engine::SliceSpec;
 use slate_gpu_sim::model;
 use slate_gpu_sim::perf::ExecMode;
-use slate_gpu_sim::trace::{Trace, TraceKind};
+use slate_gpu_sim::trace::TraceKind;
 use slate_kernels::workload::{AppSpec, SloClass};
 
 /// Tunable costs and feature switches (ablations flip the `enable_*`
@@ -115,6 +115,17 @@ impl SlateOptions {
             limits: Default::default(),
         }
     }
+
+    /// The task size a kernel launches with: `force_task_size` overrides
+    /// everything, then the profile's autotuned size if
+    /// `autotune_task_size` is on, then the application's default.
+    fn task_size(&self, app_default: u32, autotuned: u32) -> u32 {
+        self.force_task_size.unwrap_or(if self.autotune_task_size {
+            autotuned
+        } else {
+            app_default
+        })
+    }
 }
 
 /// The Slate runtime.
@@ -151,21 +162,6 @@ impl SlateRuntime {
         (out, log.expect("recording was enabled"))
     }
 
-    /// [`SlateRuntime::run_recorded`], plus a Perfetto trace of the run
-    /// written to `path` ([`crate::trace`]): the runtime-side analogue of
-    /// the daemon's [`crate::daemon::DaemonOptions::trace_path`] shutdown
-    /// hook. Returns the outcome and log alongside any export error so a
-    /// failed trace write never discards the run.
-    pub fn run_traced(
-        &self,
-        apps: &[AppSpec],
-        path: &std::path::Path,
-    ) -> (RunOutcome, EventLog, Result<(), String>) {
-        let (out, log) = self.run_recorded(apps);
-        let written = crate::trace::export::export_event_log_to_file(&log, path);
-        (out, log, written)
-    }
-
     /// Runs `apps` across a fleet of `devices`, one [`SimBackend`] per
     /// device behind a [`crate::placement::PlacementLayer`] — the
     /// multi-device extension past the paper's single-GPU scope. Each app
@@ -197,16 +193,11 @@ impl SlateRuntime {
                 grid: slate_kernels::grid::GridDim::d1(blocks),
                 perf: app.perf.clone(),
             }));
-            let task_size = if self.opts.autotune_task_size {
-                prof.best_task_size
-            } else {
-                self.opts.force_task_size.unwrap_or(app.task_size)
-            };
             fleet.submit(MultiJob {
                 session: i as u64,
                 lease: i as u64,
                 kernel,
-                task_size,
+                task_size: self.opts.task_size(app.task_size, prof.best_task_size),
                 class: prof.class,
                 sm_demand: prof.sm_demand,
                 est_ms: table.estimate_solo_ms(&app.perf.name, app.blocks_per_launch),
@@ -275,40 +266,19 @@ impl Runtime for SlateRuntime {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Phase {
-    Setup,
-    H2d,
-    Ready,
-    Running,
-    D2h,
-    Done,
-}
-
-struct Proc {
-    app: AppSpec,
-    phase: Phase,
-    launches_done: u32,
-    timer: Option<TimerId>,
-    transfer: Option<TransferId>,
-    end_s: f64,
-    kernel_busy_s: f64,
-    kernel_start_s: f64,
-    kernel_end_s: f64,
-    comm_s: f64,
-    inject_s: f64,
-    metrics: KernelMetrics,
+/// What first-run profiling decided about one process's kernel.
+struct Profiled {
     sm_demand: u32,
     task_size: u32,
     class: crate::classify::WorkloadClass,
 }
 
 /// A kernel currently resident on the device (execution mechanics; the
-/// scheduling view lives in the arbiter core).
+/// scheduling view lives in the arbiter core, the slice id in the
+/// lifecycle).
 #[derive(Debug, Clone, Copy)]
 struct Resident {
     proc: usize,
-    slice: SliceId,
     range: SmRange,
 }
 
@@ -316,12 +286,13 @@ struct Sim {
     cfg: DeviceConfig,
     opts: SlateOptions,
     /// The execution backend: owns the engine and carries out slice
-    /// launches and §IV-C retreat/relaunches; the sim keeps transfer,
-    /// timer and per-process bookkeeping on top.
+    /// launches and §IV-C retreat/relaunches.
     backend: SimBackend,
-    procs: Vec<Proc>,
+    /// The application lifecycle shared with the baselines; this driver
+    /// only decides admission.
+    life: Lifecycle,
+    profiled: Vec<Profiled>,
     residents: Vec<Resident>,
-    trace: Trace,
     /// The shared arbitration core; process index doubles as both the
     /// session and lease id.
     arb: ArbiterCore,
@@ -336,69 +307,41 @@ impl Sim {
             ExecMode::Hardware
         } else {
             ExecMode::SlateWorkers {
-                task_size: self
-                    .opts
-                    .force_task_size
-                    .unwrap_or(self.procs[proc].task_size),
+                task_size: self.profiled[proc].task_size,
             }
         }
     }
 
     fn new(cfg: DeviceConfig, opts: SlateOptions, apps: &[AppSpec]) -> Self {
-        assert!(!apps.is_empty(), "need at least one app");
         let mut table = ProfileTable::new();
         let mut backend = SimBackend::new(cfg.clone());
-        let mut procs: Vec<Proc> = apps
+        // First-run profiling and classification (offline per Table V).
+        let profiled = apps
             .iter()
             .map(|app| {
-                // First-run profiling and classification (offline per Table V).
-                let prof = table
-                    .get_or_profile(&cfg, &app.perf, app.blocks_per_launch)
-                    .clone();
-                let task_size = if opts.autotune_task_size {
-                    prof.best_task_size
-                } else {
-                    app.task_size
-                };
-                Proc {
-                    app: app.clone(),
-                    phase: Phase::Setup,
-                    launches_done: 0,
-                    timer: None,
-                    transfer: None,
-                    end_s: 0.0,
-                    kernel_busy_s: 0.0,
-                    kernel_start_s: f64::INFINITY,
-                    kernel_end_s: 0.0,
-                    comm_s: 0.0,
-                    inject_s: opts.inject_per_source_s
-                        * app.kernel_sources as f64
-                        * app.fixed_cost_scale,
-                    metrics: KernelMetrics::new(&app.perf.name),
+                let prof = table.get_or_profile(&cfg, &app.perf, app.blocks_per_launch);
+                Profiled {
                     sm_demand: prof.sm_demand,
-                    task_size,
+                    task_size: opts.task_size(app.task_size, prof.best_task_size),
                     class: prof.class,
                 }
             })
             .collect();
-        for p in &mut procs {
-            // Setup covers host init, daemon session creation, and the
-            // one-time injection + compilation of the kernel sources.
-            let session = opts.session_setup_s * p.app.fixed_cost_scale;
-            p.timer = Some(
-                backend
-                    .engine_mut()
-                    .set_timer(p.app.host_setup_s + session + p.inject_s),
-            );
-        }
+        // Setup covers host init, daemon session creation, and the
+        // one-time injection + compilation of the kernel sources.
+        let life = Lifecycle::new(backend.engine_mut(), apps, |app| FixedCosts {
+            session_s: opts.session_setup_s * app.fixed_cost_scale,
+            inject_s: opts.inject_per_source_s * app.kernel_sources as f64 * app.fixed_cost_scale,
+            comm_s: 0.0,
+        });
         let arb = ArbiterCore::new(cfg.clone(), opts.arbiter_config());
         Self {
             cfg,
             opts,
             backend,
-            procs,
+            life,
+            profiled,
             residents: Vec::new(),
-            trace: Trace::new(),
             arb,
             feed_scratch: EventBatch::new(),
         }
@@ -411,13 +354,13 @@ impl Sim {
 
     /// The `KernelReady` event for process `i`'s next launch.
     fn ready_event(&self, i: usize) -> ArbEvent {
-        let p = &self.procs[i];
+        let p = &self.profiled[i];
         ArbEvent::KernelReady {
             session: i as u64,
             lease: i as u64,
             class: p.class,
             sm_demand: p.sm_demand,
-            pinned_solo: p.app.pinned_solo,
+            pinned_solo: self.life.app(i).pinned_solo,
             deadline_ms: None,
         }
     }
@@ -460,7 +403,7 @@ impl Sim {
                         // core the launch finished (and, for a multi-launch
                         // process, that the next one is ready).
                         compensation.push(ArbEvent::KernelFinished { lease, ok: true });
-                        if self.procs[proc].phase == Phase::Ready {
+                        if self.life.is_ready(proc) {
                             compensation.push(self.ready_event(proc));
                         }
                     }
@@ -481,46 +424,26 @@ impl Sim {
     /// client-daemon communication as extra launch lead.
     fn launch(&mut self, proc: usize, range: SmRange) {
         let mode = self.exec_mode_for(proc);
-        let p = &self.procs[proc];
-        debug_assert_eq!(p.phase, Phase::Ready);
-        let est = model::estimate_duration(
-            &self.cfg,
-            &p.app.perf,
-            p.app.blocks_per_launch,
-            range.len(),
-            mode,
-        );
+        let app = self.life.app(proc);
+        debug_assert!(self.life.is_ready(proc));
+        let blocks = app.blocks_per_launch;
+        let est = model::estimate_duration(&self.cfg, &app.perf, blocks, range.len(), mode);
         let comm = self.opts.comm_fraction * est;
         let id = self
             .backend
             .launch_slice(SliceSpec {
-                perf: p.app.perf.clone(),
+                perf: app.perf.clone(),
                 sm_range: range,
-                blocks: p.app.blocks_per_launch,
+                blocks,
                 mode,
                 extra_lead_s: comm,
-                batch: p.app.batch,
+                batch: app.batch,
                 tag: proc as u64,
             })
             .expect("slate launch must be valid");
         let now = self.backend.engine().now();
-        let p = &mut self.procs[proc];
-        p.comm_s += comm;
-        p.phase = Phase::Running;
-        p.kernel_start_s = p.kernel_start_s.min(now);
-        self.trace.record(
-            now,
-            TraceKind::Launch {
-                tag: proc as u64,
-                range,
-                blocks: p.app.blocks_per_launch,
-            },
-        );
-        self.residents.push(Resident {
-            proc,
-            slice: id,
-            range,
-        });
+        self.life.launched(proc, now, id, range, blocks, comm);
+        self.residents.push(Resident { proc, range });
     }
 
     /// Resizes a resident kernel to `new_range`: tears its slice down
@@ -535,33 +458,20 @@ impl Sim {
         // The retreat/relaunch itself is the backend's shared slice
         // operation; batching and mode come from this process's launch
         // configuration.
-        let plan = {
-            let p = &self.procs[r.proc];
-            RelaunchPlan {
-                perf: p.app.perf.clone(),
-                mode: if self.opts.use_hardware_exec {
-                    ExecMode::Hardware
-                } else {
-                    ExecMode::SlateWorkers {
-                        task_size: self.opts.force_task_size.unwrap_or(p.task_size),
-                    }
-                },
-                blocks_per_batch: (p.app.blocks_per_launch / p.app.batch as u64).max(1),
-            }
+        let app = self.life.app(r.proc);
+        let plan = RelaunchPlan {
+            perf: app.perf.clone(),
+            mode: self.exec_mode_for(r.proc),
+            blocks_per_batch: (app.blocks_per_launch / app.batch as u64).max(1),
         };
-        let outcome = self.backend.resize_slice(r.slice, new_range, &plan);
+        let slice = self.life.slice(r.proc).expect("a resident has a slice");
+        let outcome = self.backend.resize_slice(slice, new_range, &plan);
         let now = self.backend.engine().now();
         let rep = match &outcome {
             ResizeOutcome::Completed(rep) | ResizeOutcome::Relaunched(rep, _) => rep,
         };
-        self.trace.record(
-            now,
-            TraceKind::Stop {
-                tag: r.proc as u64,
-                done: rep.blocks_done,
-            },
-        );
-        self.trace.record(
+        self.life.stopped(r.proc, now, rep);
+        self.life.trace.record(
             now,
             TraceKind::Resize {
                 tag: r.proc as u64,
@@ -569,94 +479,22 @@ impl Sim {
                 to: new_range,
             },
         );
-        let p = &mut self.procs[r.proc];
-        p.kernel_busy_s += rep.active_s;
-        p.metrics.merge(rep);
         match outcome {
             ResizeOutcome::Completed(_) => {
                 // Raced with completion: fold into the normal completion path.
                 self.residents.remove(idx);
-                self.finish_launch(r.proc);
+                self.life
+                    .finish_launch(self.backend.engine_mut(), r.proc, now);
                 false
             }
             ResizeOutcome::Relaunched(rep, id) => {
                 let remaining = rep.blocks_total.saturating_sub(rep.blocks_done);
-                self.trace.record(
-                    now,
-                    TraceKind::Launch {
-                        tag: r.proc as u64,
-                        range: new_range,
-                        blocks: remaining,
-                    },
-                );
-                self.residents[idx].slice = id;
+                self.life
+                    .launched(r.proc, now, id, new_range, remaining, 0.0);
                 self.residents[idx].range = new_range;
                 true
             }
         }
-    }
-
-    /// Bookkeeping when a launch of `proc` completes (drain or resize race).
-    fn finish_launch(&mut self, proc: usize) {
-        let now = self.backend.engine().now();
-        let p = &mut self.procs[proc];
-        p.launches_done += 1;
-        if p.launches_done < p.app.launches {
-            p.phase = Phase::Ready;
-        } else {
-            p.phase = Phase::D2h;
-            let bytes = p.app.d2h_bytes;
-            p.transfer = Some(
-                self.backend
-                    .engine_mut()
-                    .add_transfer(bytes, Dir::D2H, proc as u64),
-            );
-            self.trace.record(
-                now,
-                TraceKind::TransferStart {
-                    tag: proc as u64,
-                    h2d: false,
-                    bytes,
-                },
-            );
-        }
-    }
-
-    fn on_drain(&mut self, sid: SliceId) {
-        let idx = self
-            .residents
-            .iter()
-            .position(|r| r.slice == sid)
-            .expect("drained slice is resident");
-        let r = self.residents[idx];
-        let rep = self.backend.drain_slice(sid);
-        let now = self.backend.engine().now();
-        self.trace.record(
-            now,
-            TraceKind::Stop {
-                tag: r.proc as u64,
-                done: rep.blocks_done,
-            },
-        );
-        {
-            let p = &mut self.procs[r.proc];
-            p.kernel_busy_s += rep.active_s;
-            p.kernel_end_s = now;
-            p.metrics.merge(&rep);
-        }
-        self.residents.remove(idx);
-        self.finish_launch(r.proc);
-
-        let mut events = vec![ArbEvent::KernelFinished {
-            lease: r.proc as u64,
-            ok: true,
-        }];
-        if self.procs[r.proc].phase == Phase::Ready {
-            // The process has more launches: ready again in the same batch,
-            // which lets the core resume it on its old partition in place.
-            events.push(self.ready_event(r.proc));
-        }
-        self.feed(&events);
     }
 
     fn run(mut self) -> (RunOutcome, Option<EventLog>) {
@@ -665,105 +503,41 @@ impl Sim {
         // Latency-critical processes declare their class immediately
         // before opening; best-effort ones (the default) emit no extra
         // event, keeping pre-SLO transcripts byte-identical.
-        let opened: Vec<ArbEvent> = self
-            .procs
-            .iter()
-            .enumerate()
-            .flat_map(|(i, p)| {
-                let declare = (p.app.slo != SloClass::BestEffort).then_some(ArbEvent::SloArrival {
-                    session: i as u64,
-                    class: p.app.slo,
-                });
+        let opened: Vec<ArbEvent> = (0..self.profiled.len() as u64)
+            .flat_map(|session| {
+                let class = self.life.app(session as usize).slo;
+                let declare = (class != SloClass::BestEffort)
+                    .then_some(ArbEvent::SloArrival { session, class });
                 declare
                     .into_iter()
-                    .chain(std::iter::once(ArbEvent::SessionOpened {
-                        session: i as u64,
-                    }))
+                    .chain(std::iter::once(ArbEvent::SessionOpened { session }))
             })
             .collect();
         self.feed(&opened);
         while let Some((now, ev)) = self.backend.engine_mut().step() {
-            match ev {
-                Event::Timer(tid) => {
-                    let i = self
-                        .procs
-                        .iter()
-                        .position(|p| p.timer == Some(tid))
-                        .expect("unknown timer");
-                    self.procs[i].timer = None;
-                    self.procs[i].phase = Phase::H2d;
-                    self.trace.record(
-                        now,
-                        TraceKind::TransferStart {
-                            tag: i as u64,
-                            h2d: true,
-                            bytes: self.procs[i].app.h2d_bytes,
-                        },
-                    );
-                    let bytes = self.procs[i].app.h2d_bytes;
-                    self.procs[i].transfer = Some(self.backend.engine_mut().add_transfer(
-                        bytes,
-                        Dir::H2D,
-                        i as u64,
-                    ));
-                }
-                Event::TransferDone(tid) => {
-                    let i = self
-                        .procs
-                        .iter()
-                        .position(|p| p.transfer == Some(tid))
-                        .expect("unknown transfer");
-                    self.procs[i].transfer = None;
-                    self.trace
-                        .record(now, TraceKind::TransferEnd { tag: i as u64 });
-                    match self.procs[i].phase {
-                        Phase::H2d => {
-                            self.procs[i].phase = Phase::Ready;
-                            let ev = self.ready_event(i);
-                            self.feed(&[ev]);
-                        }
-                        Phase::D2h => {
-                            self.procs[i].phase = Phase::Done;
-                            self.procs[i].end_s = now;
-                            self.feed(&[ArbEvent::SessionClosed { session: i as u64 }]);
-                        }
-                        other => panic!("transfer completion in phase {other:?}"),
+            match self.life.step(self.backend.engine_mut(), now, ev) {
+                Step::Ready(i) => self.feed(&[self.ready_event(i)]),
+                Step::Finished(i) => self.feed(&[ArbEvent::SessionClosed { session: i as u64 }]),
+                Step::Drained { proc, ready } => {
+                    self.residents.retain(|r| r.proc != proc);
+                    let lease = proc as u64;
+                    let finished = ArbEvent::KernelFinished { lease, ok: true };
+                    if ready {
+                        // More launches: ready again in the same batch, which
+                        // lets the core resume it on its old partition in place.
+                        self.feed(&[finished, self.ready_event(proc)]);
+                    } else {
+                        self.feed(&[finished]);
                     }
                 }
-                Event::SliceDrained(sid) => self.on_drain(sid),
-                Event::SliceStarted(_) => {}
+                Step::Internal => {}
+                Step::Foreign(tid) => panic!("unknown timer {tid:?}"),
             }
         }
-        debug_assert!(self.procs.iter().all(|p| p.phase == Phase::Done));
         debug_assert_eq!(self.arb.residents(), 0);
         debug_assert_eq!(self.arb.waiting(), 0);
         let log = self.arb.take_log();
-        let makespan = self.procs.iter().map(|p| p.end_s).fold(0.0, f64::max);
-        let outcome = RunOutcome {
-            runtime: "Slate".into(),
-            trace: self.trace,
-            apps: self
-                .procs
-                .into_iter()
-                .map(|p| AppResult {
-                    bench: p.app.bench,
-                    end_s: p.end_s,
-                    app_time_s: p.end_s,
-                    kernel_busy_s: p.kernel_busy_s,
-                    kernel_start_s: if p.kernel_start_s.is_finite() {
-                        p.kernel_start_s
-                    } else {
-                        0.0
-                    },
-                    kernel_end_s: p.kernel_end_s,
-                    comm_s: p.comm_s,
-                    inject_s: p.inject_s,
-                    metrics: p.metrics,
-                })
-                .collect(),
-            makespan_s: makespan,
-        };
-        (outcome, log)
+        (self.life.finish("Slate"), log)
     }
 }
 
@@ -777,6 +551,20 @@ mod tests {
 
     fn titan() -> DeviceConfig {
         DeviceConfig::titan_xp()
+    }
+
+    #[test]
+    fn forced_task_size_wins_over_autotuned_and_app_default() {
+        let opts = |force_task_size, autotune_task_size| SlateOptions {
+            force_task_size,
+            autotune_task_size,
+            ..SlateOptions::default()
+        };
+        let (app_default, autotuned) = (10, 1);
+        assert_eq!(opts(None, false).task_size(app_default, autotuned), 10);
+        assert_eq!(opts(None, true).task_size(app_default, autotuned), 1);
+        assert_eq!(opts(Some(4), false).task_size(app_default, autotuned), 4);
+        assert_eq!(opts(Some(4), true).task_size(app_default, autotuned), 4);
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Converters from recorded logs to Perfetto traces.
+//! The converter from recorded logs to Perfetto traces.
 //!
-//! Both converters *re-derive* the command stream through deterministic
-//! replay rather than trusting the commands stored in the log: the log's
-//! events are fed through a fresh core/layer, the replayed commands are
-//! checked against the recorded ones (a divergence is an error — the log
-//! is stale or tampered), and the trace is built from the replayed
-//! stream. That makes the trace a faithful rendering of what the
+//! The converter does not trust the commands stored in the log: the
+//! log's events are fed through a fresh core/layer, the replayed commands
+//! are checked against the recorded ones (a divergence is an error — the
+//! log is stale or tampered), and only verified batches are rendered.
+//! That makes the trace a faithful rendering of what the
 //! scheduler *would decide today* for the recorded inputs, which is the
 //! same property the golden replay tests pin.
 //!
@@ -20,70 +19,41 @@
 //! the eviction on the source device to the re-dispatch on the target.
 
 use super::model::{ArgValue, Trace, TraceEvent};
-use crate::arbiter::replay::{self as core_replay, EventLog};
+use crate::arbiter::replay::{ReplayBatch, Replayable, StreamVerifier};
 use crate::arbiter::{Command, Event, Tick};
 use crate::classify::WorkloadClass;
-use crate::placement::replay::{self as placement_replay, PlacementLog};
 use slate_gpu_sim::device::DeviceConfig;
 use slate_kernels::workload::SloClass;
 use std::collections::BTreeMap;
 
-/// Builds the trace of a single-device arbitration recording. The
-/// command stream is re-derived by [`core_replay::replay`] and verified
-/// against the log before conversion.
-pub fn trace_event_log(log: &EventLog) -> Result<Trace, String> {
-    let replayed = core_replay::replay(log);
-    for (i, (r, l)) in replayed.iter().zip(&log.batches).enumerate() {
-        if r.commands != l.commands {
-            return Err(format!(
-                "batch {i} (at {}): replay diverged from the recorded commands; \
-                 refusing to trace a log the current scheduler does not reproduce",
-                l.at
-            ));
+/// Builds the trace of a recording, single-device or placed: each batch
+/// is first pushed through the log's [`StreamVerifier`] — a log the
+/// current scheduler does not reproduce is refused — and then rendered;
+/// on a multi-device log migrations become flow arrows between device
+/// processes.
+pub fn trace_log<L: Replayable>(log: &L) -> Result<Trace, String> {
+    let mut verifier = StreamVerifier::for_log(log);
+    let mut b = Builder::new(log.devices());
+    for batch in log.batches() {
+        verifier
+            .push(batch)
+            .map_err(|e| format!("refusing to trace a log that does not replay: {e}"))?;
+        let at = batch.at();
+        b.begin_batch(at);
+        for e in batch.events() {
+            b.event(at, e);
         }
-    }
-    let mut b = Builder::new(std::slice::from_ref(&log.device));
-    for batch in &replayed {
-        b.begin_batch(batch.at);
-        for e in &batch.events {
-            b.event(batch.at, e);
+        for r in batch.replies() {
+            let (device, command) = L::Batch::routed(r);
+            b.command(at, device, command);
         }
-        for c in &batch.commands {
-            b.command(batch.at, 0, c);
-        }
-        b.end_batch(batch.at);
+        b.end_batch(at);
     }
     Ok(b.finish())
 }
 
-/// Builds the trace of a multi-device placement recording. The routed
-/// command stream is re-derived by [`placement_replay::replay`] and
-/// verified against the log before conversion; migrations become flow
-/// arrows between device processes.
-pub fn trace_placement_log(log: &PlacementLog) -> Result<Trace, String> {
-    let replayed = placement_replay::replay(log);
-    for (i, (r, l)) in replayed.iter().zip(&log.batches).enumerate() {
-        if r.routed != l.routed {
-            return Err(format!(
-                "placement batch {i} (at {}): replay diverged from the recorded routing; \
-                 refusing to trace a log the current scheduler does not reproduce",
-                l.at
-            ));
-        }
-    }
-    let mut b = Builder::new(&log.devices);
-    for batch in &replayed {
-        b.begin_batch(batch.at);
-        for e in &batch.events {
-            b.event(batch.at, e);
-        }
-        for r in &batch.routed {
-            b.command(batch.at, r.device, &r.command);
-        }
-        b.end_batch(batch.at);
-    }
-    Ok(b.finish())
-}
+/// The name `slatebench` imports [`trace_log`] under.
+pub use trace_log as trace_event_log;
 
 /// SM count of an inclusive range.
 fn width(lo: u32, hi: u32) -> u32 {
@@ -835,16 +805,7 @@ impl Builder {
 }
 
 /// Exports `log` as Perfetto JSON and writes it to `path`.
-pub fn export_event_log_to_file(log: &EventLog, path: &std::path::Path) -> Result<(), String> {
-    let trace = trace_event_log(log)?;
-    std::fs::write(path, trace.to_json()).map_err(|e| format!("write {}: {e}", path.display()))
-}
-
-/// Exports `log` as Perfetto JSON and writes it to `path`.
-pub fn export_placement_log_to_file(
-    log: &PlacementLog,
-    path: &std::path::Path,
-) -> Result<(), String> {
-    let trace = trace_placement_log(log)?;
+pub fn export_log_to_file<L: Replayable>(log: &L, path: &std::path::Path) -> Result<(), String> {
+    let trace = trace_log(log)?;
     std::fs::write(path, trace.to_json()).map_err(|e| format!("write {}: {e}", path.display()))
 }

@@ -12,9 +12,8 @@
 //!
 //! [`replay_under`]: crate::arbiter::replay::replay_under
 
-use crate::arbiter::replay::LoggedBatch;
+use crate::arbiter::replay::ReplayBatch;
 use crate::arbiter::{Command, Event, Tick};
-use crate::placement::replay::PlacementBatch;
 use slate_kernels::workload::SloClass;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -57,10 +56,10 @@ impl LatencyStats {
 }
 
 /// Sessions declared latency-critical in a batch stream.
-pub fn critical_sessions(batches: &[LoggedBatch]) -> BTreeSet<u64> {
+pub fn critical_sessions<B: ReplayBatch>(batches: &[B]) -> BTreeSet<u64> {
     let mut crit = BTreeSet::new();
     for b in batches {
-        for e in &b.events {
+        for e in b.events() {
             if let Event::SloArrival { session, class } = e {
                 if *class == SloClass::LatencyCritical {
                     crit.insert(*session);
@@ -75,19 +74,19 @@ pub fn critical_sessions(batches: &[LoggedBatch]) -> BTreeSet<u64> {
 /// latency-critical sessions. Event-derived: identical for every
 /// configuration replayed over the same events, so use it to describe a
 /// *recording*, never to compare variants.
-pub fn decode_latencies(batches: &[LoggedBatch]) -> Vec<u64> {
+pub fn decode_latencies<B: ReplayBatch>(batches: &[B]) -> Vec<u64> {
     let crit = critical_sessions(batches);
     let mut pending: BTreeMap<u64, Tick> = BTreeMap::new();
     let mut lat = Vec::new();
     for b in batches {
-        for e in &b.events {
+        for e in b.events() {
             match e {
                 Event::KernelReady { session, lease, .. } if crit.contains(session) => {
-                    pending.insert(*lease, b.at);
+                    pending.insert(*lease, b.at());
                 }
                 Event::KernelFinished { lease, ok: true } => {
                     if let Some(ready) = pending.remove(lease) {
-                        lat.push(b.at - ready);
+                        lat.push(b.at() - ready);
                     }
                 }
                 _ => {}
@@ -101,23 +100,23 @@ pub fn decode_latencies(batches: &[LoggedBatch]) -> Vec<u64> {
 /// the batch that emitted its displacing `Preempt`+`Dispatch`). The core
 /// processes a batch's events before deciding, so a same-batch preemption
 /// observes latency zero.
-pub fn preempt_latencies(batches: &[LoggedBatch]) -> Vec<u64> {
+pub fn preempt_latencies<B: ReplayBatch>(batches: &[B]) -> Vec<u64> {
     let mut ready_at: BTreeMap<u64, Tick> = BTreeMap::new();
     let mut lat = Vec::new();
     for b in batches {
-        for e in &b.events {
+        for e in b.events() {
             if let Event::KernelReady { lease, .. } = e {
-                ready_at.insert(*lease, b.at);
+                ready_at.insert(*lease, b.at());
             }
         }
         let mut preempting = false;
-        for c in &b.commands {
+        for c in b.replies().iter().map(|r| B::routed(r).1) {
             match c {
                 Command::Preempt { .. } => preempting = true,
                 Command::Dispatch { lease, .. } if preempting => {
                     preempting = false;
                     if let Some(ready) = ready_at.get(lease) {
-                        lat.push(b.at - ready);
+                        lat.push(b.at() - ready);
                     }
                 }
                 _ => {}
@@ -162,7 +161,9 @@ pub struct ReplayMetrics {
 }
 
 /// Extracts [`ReplayMetrics`] from a (replayed or recorded) batch stream.
-pub fn replay_metrics(batches: &[LoggedBatch]) -> ReplayMetrics {
+/// On a placement stream the device indices are dropped: waits and
+/// preemptions are fleet-wide quantities.
+pub fn replay_metrics<B: ReplayBatch>(batches: &[B]) -> ReplayMetrics {
     let crit = critical_sessions(batches);
     let mut session_of: BTreeMap<u64, u64> = BTreeMap::new();
     let mut ready_at: BTreeMap<u64, Tick> = BTreeMap::new();
@@ -172,11 +173,11 @@ pub fn replay_metrics(batches: &[LoggedBatch]) -> ReplayMetrics {
     let mut slowdowns = Vec::new();
     let mut m = ReplayMetrics::default();
     for b in batches {
-        for e in &b.events {
+        for e in b.events() {
             match e {
                 Event::KernelReady { session, lease, .. } => {
                     session_of.insert(*lease, *session);
-                    ready_at.insert(*lease, b.at);
+                    ready_at.insert(*lease, b.at());
                 }
                 Event::KernelFinished { lease, .. } => {
                     let Some(ready) = ready_at.remove(lease) else {
@@ -191,8 +192,8 @@ pub fn replay_metrics(batches: &[LoggedBatch]) -> ReplayMetrics {
                             if lc {
                                 lc_waits.push(wait);
                             }
-                            let total = b.at.saturating_sub(ready);
-                            let service = b.at.saturating_sub(start);
+                            let total = b.at().saturating_sub(ready);
+                            let service = b.at().saturating_sub(start);
                             slowdowns.push(if service > 0 {
                                 total as f64 / service as f64
                             } else {
@@ -204,7 +205,7 @@ pub fn replay_metrics(batches: &[LoggedBatch]) -> ReplayMetrics {
                             // SMs before the recorded finish: the whole
                             // recorded turnaround was queueing.
                             m.undispatched += 1;
-                            let total = b.at.saturating_sub(ready);
+                            let total = b.at().saturating_sub(ready);
                             waits.push(total);
                             if lc {
                                 lc_waits.push(total);
@@ -216,10 +217,10 @@ pub fn replay_metrics(batches: &[LoggedBatch]) -> ReplayMetrics {
                 _ => {}
             }
         }
-        for c in &b.commands {
+        for c in b.replies().iter().map(|r| B::routed(r).1) {
             match c {
                 Command::Dispatch { lease, .. } => {
-                    dispatch_at.entry(*lease).or_insert(b.at);
+                    dispatch_at.entry(*lease).or_insert(b.at());
                 }
                 Command::Resize { .. } => m.resizes += 1,
                 Command::Preempt { .. } => m.preemptions += 1,
@@ -239,21 +240,6 @@ pub fn replay_metrics(batches: &[LoggedBatch]) -> ReplayMetrics {
     m.wait = LatencyStats::of(waits);
     m.lc_wait = LatencyStats::of(lc_waits);
     m
-}
-
-/// Extracts [`ReplayMetrics`] from a placement batch stream by flattening
-/// the routed commands (device indices dropped: waits and preemptions are
-/// fleet-wide quantities).
-pub fn routed_metrics(batches: &[PlacementBatch]) -> ReplayMetrics {
-    let flat: Vec<LoggedBatch> = batches
-        .iter()
-        .map(|b| LoggedBatch {
-            at: b.at,
-            events: b.events.clone(),
-            commands: b.routed.iter().map(|r| r.command.clone()).collect(),
-        })
-        .collect();
-    replay_metrics(&flat)
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ pub mod model;
 pub mod tune;
 pub mod validate;
 
-pub use export::{trace_event_log, trace_placement_log};
+pub use export::trace_log;
 pub use metrics::{LatencyStats, ReplayMetrics};
 pub use model::{ArgValue, Trace, TraceEvent};
 pub use tune::{TuneReport, TuneVariant};

@@ -11,31 +11,101 @@
 //! latencies are off-limits in counterfactual comparisons.
 //!
 //! [`replay_under`]: crate::arbiter::replay::replay_under
+//! [`EventLog`]: crate::arbiter::replay::EventLog
 
-use super::metrics::{replay_metrics, routed_metrics, ReplayMetrics};
-use crate::arbiter::replay::{replay_under, EventLog};
+use super::metrics::{replay_metrics, ReplayMetrics};
+use crate::arbiter::replay::{replay_under, ReplayBatch, Replayable};
 use crate::arbiter::ArbiterConfig;
-use crate::placement::replay::{replay_under as replay_placement_under, PlacementLog};
 use crate::placement::{PlacementConfig, RebalanceConfig};
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-/// One candidate configuration in a tuning grid.
+/// One candidate configuration in a tuning grid: an [`ArbiterConfig`] for
+/// single-device logs, a [`PlacementConfig`] for multi-device ones.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TuneVariant {
+pub struct TuneVariant<C = ArbiterConfig> {
     /// Human-readable variant name (shown in the report tables).
     pub name: String,
     /// The configuration to replay under.
-    pub config: ArbiterConfig,
+    pub config: C,
 }
 
-/// One candidate placement configuration (multi-device logs).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlacementVariant {
-    /// Human-readable variant name.
-    pub name: String,
-    /// The configuration to replay under.
-    pub config: PlacementConfig,
+/// A configuration the tuner can vary: the arbiter knobs every log has,
+/// plus whatever knobs of its own the configuration adds around them.
+pub trait TuneConfig: Clone + PartialEq + Sync {
+    /// The arbiter knobs inside this configuration.
+    fn arbiter(&self) -> &ArbiterConfig;
+    /// This configuration with its arbiter knobs replaced.
+    fn with_arbiter(&self, arbiter: ArbiterConfig) -> Self;
+    /// One-factor variants of the knobs outside the arbiter's (none).
+    fn own_variants(&self) -> Vec<TuneVariant<Self>> {
+        Vec::new()
+    }
+    /// Compact rendering of the knobs outside the arbiter's (nothing).
+    fn own_summary(&self) -> String {
+        String::new()
+    }
+}
+
+impl TuneConfig for ArbiterConfig {
+    fn arbiter(&self) -> &ArbiterConfig {
+        self
+    }
+    fn with_arbiter(&self, arbiter: ArbiterConfig) -> Self {
+        arbiter
+    }
+}
+
+impl TuneConfig for PlacementConfig {
+    fn arbiter(&self) -> &ArbiterConfig {
+        &self.arbiter
+    }
+    fn with_arbiter(&self, arbiter: ArbiterConfig) -> Self {
+        PlacementConfig {
+            arbiter,
+            ..self.clone()
+        }
+    }
+    /// Rebalance watermark moves: off, half/double the high watermark,
+    /// half the low watermark, a 4× cooldown.
+    fn own_variants(&self) -> Vec<TuneVariant<Self>> {
+        let reb = self.rebalance.clone().unwrap_or_default();
+        let r = |name: &str, f: &dyn Fn(&mut RebalanceConfig)| {
+            let mut rebalance = reb.clone();
+            f(&mut rebalance);
+            TuneVariant {
+                name: name.to_string(),
+                config: PlacementConfig {
+                    rebalance: Some(rebalance),
+                    ..self.clone()
+                },
+            }
+        };
+        vec![
+            TuneVariant {
+                name: "rebal=off".into(),
+                config: PlacementConfig {
+                    rebalance: None,
+                    ..self.clone()
+                },
+            },
+            r("rebal_high*2", &|r| r.high_ms *= 2),
+            r("rebal_high/2", &|r| {
+                r.high_ms = (r.high_ms / 2).max(r.low_ms).max(1)
+            }),
+            r("rebal_low/2", &|r| r.low_ms = (r.low_ms / 2).max(1)),
+            r("rebal_cooldown*4", &|r| r.cooldown_us *= 4),
+        ]
+    }
+    fn own_summary(&self) -> String {
+        match &self.rebalance {
+            Some(r) => format!(
+                " rebal=hi{}ms/lo{}ms/cd{}us",
+                r.high_ms, r.low_ms, r.cooldown_us
+            ),
+            None => " rebal=off".into(),
+        }
+    }
 }
 
 fn opt_us(v: Option<u64>) -> String {
@@ -46,7 +116,8 @@ fn opt_us(v: Option<u64>) -> String {
 }
 
 /// Compact one-line rendering of the knobs a variant moved.
-pub fn config_summary(c: &ArbiterConfig) -> String {
+pub fn config_summary<C: TuneConfig>(config: &C) -> String {
+    let c = config.arbiter();
     let mut s = format!(
         "corun={} resize={} starve={} preempt={}",
         u8::from(c.enable_corun),
@@ -63,90 +134,54 @@ pub fn config_summary(c: &ArbiterConfig) -> String {
     if let Some(m) = c.limits.max_sessions {
         let _ = write!(s, " sessions={m}");
     }
-    s
+    s + &config.own_summary()
 }
 
-fn rebalance_summary(r: &Option<RebalanceConfig>) -> String {
-    match r {
-        Some(r) => format!(
-            " rebal=hi{}ms/lo{}ms/cd{}us",
-            r.high_ms, r.low_ms, r.cooldown_us
-        ),
-        None => " rebal=off".into(),
-    }
+/// `variants` of `base`'s arbiter knobs, lifted back into `base`.
+fn lift<C: TuneConfig>(base: &C, variants: Vec<TuneVariant>) -> Vec<TuneVariant<C>> {
+    variants
+        .into_iter()
+        .map(|v| TuneVariant {
+            name: v.name,
+            config: base.with_arbiter(v.config),
+        })
+        .collect()
 }
 
 /// The built-in one-factor grid around `base` (the log's recorded
 /// configuration): the recorded baseline first, then each policy knob
 /// moved on its own — preemption bound off/5 ms/10 ms/50 ms, starvation
 /// bound 50 ms/200 ms, co-running off, resizing off, and a tight global
-/// admission bound. Ten variants, satisfying the ≥ 8 the tuner smoke
-/// grid requires.
-pub fn default_grid(base: &ArbiterConfig) -> Vec<TuneVariant> {
+/// admission bound — then the configuration's [own
+/// variants](TuneConfig::own_variants). Ten arbiter variants, satisfying
+/// the ≥ 8 the tuner smoke grid requires.
+pub fn default_grid<C: TuneConfig>(base: &C) -> Vec<TuneVariant<C>> {
+    let arbiter = base.arbiter();
     let v = |name: &str, f: &dyn Fn(&mut ArbiterConfig)| {
-        let mut config = base.clone();
+        let mut config = arbiter.clone();
         f(&mut config);
         TuneVariant {
             name: name.to_string(),
             config,
         }
     };
-    vec![
-        TuneVariant {
-            name: "recorded".into(),
-            config: base.clone(),
-        },
-        v("preempt=off", &|c| c.preempt_bound_us = None),
-        v("preempt=5ms", &|c| c.preempt_bound_us = Some(5_000)),
-        v("preempt=10ms", &|c| c.preempt_bound_us = Some(10_000)),
-        v("preempt=50ms", &|c| c.preempt_bound_us = Some(50_000)),
-        v("starve=50ms", &|c| c.starvation_bound_us = Some(50_000)),
-        v("starve=200ms", &|c| c.starvation_bound_us = Some(200_000)),
-        v("corun=off", &|c| c.enable_corun = false),
-        v("resize=off", &|c| c.enable_resize = false),
-        v("pend_global=4", &|c| c.limits.max_pending_global = Some(4)),
-    ]
-}
-
-/// The built-in placement grid: the arbiter one-factor variants under
-/// the recorded rebalance settings, plus rebalance watermark moves
-/// (off, half/double the high watermark, half the low watermark, a 4×
-/// cooldown).
-pub fn default_placement_grid(base: &PlacementConfig) -> Vec<PlacementVariant> {
-    let mut out: Vec<PlacementVariant> = default_grid(&base.arbiter)
-        .into_iter()
-        .map(|v| {
-            let mut config = base.clone();
-            config.arbiter = v.config;
-            PlacementVariant {
-                name: v.name,
-                config,
-            }
-        })
-        .collect();
-    let reb = base.rebalance.clone().unwrap_or_default();
-    let r = |name: &str, rebalance: Option<RebalanceConfig>| {
-        let mut config = base.clone();
-        config.rebalance = rebalance;
-        PlacementVariant {
-            name: name.to_string(),
-            config,
-        }
-    };
-    out.push(r("rebal=off", None));
-    let mut hi2 = reb.clone();
-    hi2.high_ms *= 2;
-    out.push(r("rebal_high*2", Some(hi2)));
-    let mut hi_half = reb.clone();
-    hi_half.high_ms = (hi_half.high_ms / 2).max(hi_half.low_ms).max(1);
-    out.push(r("rebal_high/2", Some(hi_half)));
-    let mut lo_half = reb.clone();
-    lo_half.low_ms = (lo_half.low_ms / 2).max(1);
-    out.push(r("rebal_low/2", Some(lo_half)));
-    let mut cd4 = reb;
-    cd4.cooldown_us *= 4;
-    out.push(r("rebal_cooldown*4", Some(cd4)));
-    out
+    let mut grid = lift(
+        base,
+        vec![
+            v("recorded", &|_| {}),
+            v("preempt=off", &|c| c.preempt_bound_us = None),
+            v("preempt=5ms", &|c| c.preempt_bound_us = Some(5_000)),
+            v("preempt=10ms", &|c| c.preempt_bound_us = Some(10_000)),
+            v("preempt=50ms", &|c| c.preempt_bound_us = Some(50_000)),
+            v("starve=50ms", &|c| c.starvation_bound_us = Some(50_000)),
+            v("starve=200ms", &|c| c.starvation_bound_us = Some(200_000)),
+            v("corun=off", &|c| c.enable_corun = false),
+            v("resize=off", &|c| c.enable_resize = false),
+            v("pend_global=4", &|c| c.limits.max_pending_global = Some(4)),
+        ],
+    );
+    grid.extend(base.own_variants());
+    grid
 }
 
 /// Hard cap on grid size; a runaway cartesian spec is an input error,
@@ -178,10 +213,10 @@ fn parse_flag(key: &str, v: &str) -> Result<bool, String> {
 /// or `off`), `enable_corun`, `enable_resize` (`on`/`off`),
 /// `max_pending_global`, `max_pending_per_session`, `max_sessions`
 /// (integer, `none`, or `off`). At most [`MAX_GRID`] variants.
-pub fn parse_grid(spec: &str, base: &ArbiterConfig) -> Result<Vec<TuneVariant>, String> {
+pub fn parse_grid<C: TuneConfig>(spec: &str, base: &C) -> Result<Vec<TuneVariant<C>>, String> {
     let mut variants = vec![TuneVariant {
         name: "recorded".into(),
-        config: base.clone(),
+        config: base.arbiter().clone(),
     }];
     for axis in spec.split(';').filter(|a| !a.trim().is_empty()) {
         let (key, values) = axis
@@ -232,7 +267,7 @@ pub fn parse_grid(spec: &str, base: &ArbiterConfig) -> Result<Vec<TuneVariant>, 
     if variants.len() < 2 {
         return Err("grid: spec produced no variants beyond the baseline".into());
     }
-    Ok(variants)
+    Ok(lift(base, variants))
 }
 
 /// Lower-is-better lexicographic score of a variant: p99
@@ -388,49 +423,28 @@ impl TuneReport {
     }
 }
 
-/// Replays every variant over the shared log, scores the command streams
-/// and ranks them. `parallel` fans the grid out over the rayon pool (one
-/// task per variant, results slotted by grid index, so the ranking —
-/// and the report bytes — are independent of thread scheduling).
-pub fn tune(log: &EventLog, variants: &[TuneVariant], parallel: bool) -> TuneReport {
-    let events = log.batches.iter().map(|b| b.events.len()).sum();
+/// Replays every variant over the shared log — a single core, or the
+/// full placement layer (routing, health, rebalancing) scored on the
+/// fleet-wide command stream — scores the command streams and ranks them.
+/// `parallel` fans the grid out over the rayon pool (one task per
+/// variant, results slotted by grid index, so the ranking — and the
+/// report bytes — are independent of thread scheduling).
+pub fn tune<L>(log: &L, variants: &[TuneVariant<L::Config>], parallel: bool) -> TuneReport
+where
+    L: Replayable + Sync,
+    L::Config: TuneConfig,
+{
+    let events = log.batches().iter().map(|b| b.events().len()).sum();
     let rows = run_grid(variants.len(), parallel, |i| {
         let v = &variants[i];
-        let batches = replay_under(log, v.config.clone());
         TuneRow {
             name: v.name.clone(),
             config: config_summary(&v.config),
-            baseline: v.config == log.config,
-            metrics: replay_metrics(&batches),
+            baseline: v.config == *log.config(),
+            metrics: replay_metrics(&replay_under(log, v.config.clone())),
         }
     });
-    TuneReport::rank(log.batches.len(), events, rows)
-}
-
-/// [`tune`] for multi-device placement logs: every variant replays the
-/// full placement layer (routing, health, rebalancing) and is scored on
-/// the fleet-wide flattened command stream.
-pub fn tune_placement(
-    log: &PlacementLog,
-    variants: &[PlacementVariant],
-    parallel: bool,
-) -> TuneReport {
-    let events = log.batches.iter().map(|b| b.events.len()).sum();
-    let rows = run_grid(variants.len(), parallel, |i| {
-        let v = &variants[i];
-        let batches = replay_placement_under(log, v.config.clone());
-        TuneRow {
-            name: v.name.clone(),
-            config: format!(
-                "{}{}",
-                config_summary(&v.config.arbiter),
-                rebalance_summary(&v.config.rebalance)
-            ),
-            baseline: v.config == log.config,
-            metrics: routed_metrics(&batches),
-        }
-    });
-    TuneReport::rank(log.batches.len(), events, rows)
+    TuneReport::rank(log.batches().len(), events, rows)
 }
 
 fn run_grid<F>(n: usize, parallel: bool, job: F) -> Vec<TuneRow>

@@ -11,7 +11,9 @@
 //! After an *intended* arbiter change, regenerate the fixtures with
 //! `cargo test -p slate-core --test golden_replay -- --ignored`.
 
+use slate_core::arbiter::replay::{ReplayBatch, Replayable, StreamVerifier};
 use slate_core::arbiter::{replay, Command, Event, EventLog};
+use slate_core::placement::PlacementLog;
 use slate_core::runtime::{SlateOptions, SlateRuntime};
 use slate_gpu_sim::device::DeviceConfig;
 use slate_kernels::workload::{llm_trace, Benchmark, LlmTraceCfg};
@@ -208,6 +210,52 @@ fn slo_log_survives_a_json_roundtrip() {
     let json = serde_json::to_string_pretty(&log).expect("log serializes");
     let back: EventLog = serde_json::from_str(&json).expect("roundtrip parses");
     assert_eq!(back, log);
+}
+
+/// Streams `log` through the one generic verifier, then checks that the
+/// same log with the last reply of its last non-empty batch dropped is
+/// refused at exactly that batch.
+fn streams_and_pinpoints_tampering<L: Replayable + Clone>(
+    log: &L,
+    drop_last_reply: impl Fn(&mut L, usize),
+) {
+    let mut v = StreamVerifier::for_log(log);
+    for b in log.batches() {
+        v.push(b).expect("checked-in batch verifies");
+    }
+    assert_eq!(v.batches(), log.batches().len());
+
+    let at = log
+        .batches()
+        .iter()
+        .rposition(|b| !b.replies().is_empty())
+        .expect("fixture has replies");
+    let mut tampered = log.clone();
+    drop_last_reply(&mut tampered, at);
+    let mut v = StreamVerifier::for_log(&tampered);
+    let first_bad = tampered.batches().iter().position(|b| v.push(b).is_err());
+    assert_eq!(first_bad, Some(at));
+    let err = replay::verify(&tampered).expect_err("tampered log must not verify");
+    assert!(err.starts_with(&format!("batch {at} ")), "{err}");
+}
+
+#[test]
+fn one_stream_verifier_serves_both_log_types() {
+    for json in [LOG_JSON, SLO_LOG_JSON] {
+        let log: EventLog = serde_json::from_str(json).expect("fixture parses");
+        streams_and_pinpoints_tampering(&log, |l, at| {
+            l.batches[at].commands.pop();
+        });
+    }
+    for json in [
+        include_str!("data/placement_log.json"),
+        include_str!("data/placement_failure_log.json"),
+    ] {
+        let log: PlacementLog = serde_json::from_str(json).expect("fixture parses");
+        streams_and_pinpoints_tampering(&log, |l, at| {
+            l.batches[at].routed.pop();
+        });
+    }
 }
 
 #[test]

@@ -9,12 +9,14 @@
 //! must stay bounded by peak concurrent liveness, not by how many ids
 //! ever existed. The properties drive arbitrary intern/release schedules
 //! against a `BTreeMap` model; the fixture test replays the checked-in
-//! golden arbiter log — whose core now runs on interned ids — and
-//! cross-checks an `IdTable` fed from the same event stream against the
-//! model.
+//! golden arbiter and placement logs — whose cores run on interned ids —
+//! and cross-checks an `IdTable` fed from the same event stream against
+//! the model.
 
 use proptest::prelude::*;
+use slate_core::arbiter::replay::{ReplayBatch, Replayable};
 use slate_core::arbiter::{replay, Event, EventLog, IdTable};
+use slate_core::placement::PlacementLog;
 use std::collections::BTreeMap;
 
 /// One schedule step. Ids are drawn from a small space so release hits
@@ -132,20 +134,18 @@ proptest! {
     }
 }
 
-/// Cross-check against the checked-in golden arbiter log: the recorded
-/// run verifies byte-identically through the interned core (streaming),
-/// and an `IdTable` driven by the log's own session open/close stream
-/// agrees with a map model at every batch.
-#[test]
-fn golden_log_drives_the_interner_consistently() {
-    let log: EventLog =
-        serde_json::from_str(include_str!("data/arbiter_log.json")).expect("golden log parses");
-    let mut v = replay::StreamVerifier::for_log(&log);
+/// Cross-check against a checked-in golden log of either type: the
+/// recorded run verifies byte-identically through the interned core(s)
+/// (streaming, the one generic verifier), and an `IdTable` driven by the
+/// log's own session open/close stream agrees with a map model at every
+/// batch.
+fn log_drives_the_interner_consistently<L: Replayable>(log: &L) {
+    let mut v = replay::StreamVerifier::for_log(log);
     let mut t = IdTable::new();
     let mut model: BTreeMap<u64, u32> = BTreeMap::new();
-    for b in &log.batches {
+    for b in log.batches() {
         v.push(b).expect("golden batch verifies byte-identically");
-        for e in &b.events {
+        for e in b.events() {
             match *e {
                 Event::SessionOpened { session } => {
                     let (slot, fresh) = t.intern(session);
@@ -161,4 +161,14 @@ fn golden_log_drives_the_interner_consistently() {
         assert_eq!(t.len(), model.len());
     }
     assert!(v.batches() > 0, "fixture is non-trivial");
+}
+
+#[test]
+fn golden_log_drives_the_interner_consistently() {
+    let log: EventLog =
+        serde_json::from_str(include_str!("data/arbiter_log.json")).expect("golden log parses");
+    log_drives_the_interner_consistently(&log);
+    let log: PlacementLog =
+        serde_json::from_str(include_str!("data/placement_log.json")).expect("golden log parses");
+    log_drives_the_interner_consistently(&log);
 }

@@ -16,7 +16,7 @@ use slate_core::arbiter::replay::{self, replay_under, EventLog};
 use slate_core::arbiter::{ArbiterConfig, ArbiterCore, Event};
 use slate_core::placement::replay::PlacementLog;
 use slate_core::runtime::{SlateOptions, SlateRuntime};
-use slate_core::trace::{trace_event_log, trace_placement_log, tune, validate, TraceSchema};
+use slate_core::trace::{trace_log, tune, validate, TraceSchema};
 use slate_core::WorkloadClass;
 use slate_gpu_sim::device::DeviceConfig;
 use slate_kernels::workload::{llm_trace, LlmTraceCfg, SloClass};
@@ -32,7 +32,7 @@ fn ci_schema() -> TraceSchema {
 #[test]
 fn golden_slo_trace_is_schema_valid() {
     let log: EventLog = serde_json::from_str(SLO_LOG_JSON).expect("fixture parses");
-    let trace = trace_event_log(&log).expect("golden log replays and exports");
+    let trace = trace_log(&log).expect("golden log replays and exports");
     let stats = validate::validate(&trace.to_json(), &ci_schema())
         .expect("golden SLO trace satisfies the CI schema");
     assert!(stats.slices > 0 && stats.counters > 0);
@@ -41,7 +41,7 @@ fn golden_slo_trace_is_schema_valid() {
 #[test]
 fn golden_placement_trace_is_schema_valid() {
     let log: PlacementLog = serde_json::from_str(PLACEMENT_LOG_JSON).expect("fixture parses");
-    let trace = trace_placement_log(&log).expect("golden placement log replays and exports");
+    let trace = trace_log(&log).expect("golden placement log replays and exports");
     let stats = validate::validate(&trace.to_json(), &ci_schema())
         .expect("golden placement trace satisfies the CI schema");
     assert!(stats.processes >= 2, "placement fixture spans devices");
@@ -65,15 +65,15 @@ fn fresh_recording_and_roundtripped_log_export_identically() {
     cfg.decode_launches = 2;
     let (_, log) = slate.run_recorded(&llm_trace(&cfg));
 
-    let fresh = trace_event_log(&log).expect("fresh log exports").to_json();
+    let fresh = trace_log(&log).expect("fresh log exports").to_json();
     let json = serde_json::to_string(&log).expect("log serializes");
     let reloaded: EventLog = serde_json::from_str(&json).expect("log reloads");
-    let replayed = trace_event_log(&reloaded)
+    let replayed = trace_log(&reloaded)
         .expect("roundtripped log exports")
         .to_json();
     assert_eq!(fresh, replayed, "trace must be a pure function of the log");
     // And twice over the same log, trivially.
-    assert_eq!(fresh, trace_event_log(&log).expect("re-export").to_json());
+    assert_eq!(fresh, trace_log(&log).expect("re-export").to_json());
     validate::validate(&fresh, &TraceSchema::default()).expect("fresh trace validates");
 }
 
@@ -89,7 +89,7 @@ fn diverged_log_refuses_to_export() {
             break;
         }
     }
-    let err = trace_event_log(&tampered).expect_err("tampered log must not export");
+    let err = trace_log(&tampered).expect_err("tampered log must not export");
     assert!(err.contains("diverged"), "unexpected error: {err}");
 }
 
@@ -124,10 +124,10 @@ fn tuner_is_deterministic_and_baseline_is_never_beaten_by_itself() {
 #[test]
 fn placement_tuner_is_deterministic() {
     let log: PlacementLog = serde_json::from_str(PLACEMENT_LOG_JSON).expect("fixture parses");
-    let grid = tune::default_placement_grid(&log.config);
+    let grid = tune::default_grid(&log.config);
     assert!(grid.len() >= 8);
-    let serial = tune::tune_placement(&log, &grid, false);
-    let parallel = tune::tune_placement(&log, &grid, true);
+    let serial = tune::tune(&log, &grid, false);
+    let parallel = tune::tune(&log, &grid, true);
     assert_eq!(serial.to_json(), parallel.to_json());
     assert!(serial.best_not_worse_than_baseline());
 }
@@ -221,12 +221,12 @@ proptest! {
     #[test]
     fn exported_lease_slices_are_well_nested(seed in any::<u64>(), ops in 10usize..80) {
         let log = scripted_log(seed, ops);
-        let trace = trace_event_log(&log).expect("scripted log exports");
+        let trace = trace_log(&log).expect("scripted log exports");
         let json = trace.to_json();
         let stats = validate::validate(&json, &TraceSchema::default())
             .expect("exported trace validates");
         prop_assert!(stats.slices > 0, "script produced no lease slices");
         // Determinism across exports, for every generated script.
-        prop_assert_eq!(json, trace_event_log(&log).expect("re-export").to_json());
+        prop_assert_eq!(json, trace_log(&log).expect("re-export").to_json());
     }
 }

@@ -51,15 +51,6 @@ pub struct TransferId(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId(u64);
 
-/// Direction of a host-device transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dir {
-    /// Host to device (`cudaMemcpyHostToDevice`).
-    H2D,
-    /// Device to host (`cudaMemcpyDeviceToHost`).
-    D2H,
-}
-
 /// Specification of a grid slice to execute.
 #[derive(Debug, Clone)]
 pub struct SliceSpec {
@@ -122,8 +113,6 @@ struct Transfer {
     bytes: f64,
     done: f64,
     rate: f64,
-    dir: Dir,
-    tag: u64,
 }
 
 /// The fluid-rate discrete-event GPU engine. See module docs.
@@ -160,16 +149,6 @@ impl Engine {
     /// The device configuration.
     pub fn device(&self) -> &DeviceConfig {
         &self.cfg
-    }
-
-    /// Ids of all registered slices (running, leading-in, or drained).
-    pub fn slice_ids(&self) -> Vec<SliceId> {
-        self.slices.iter().map(|(id, _)| *id).collect()
-    }
-
-    /// Number of registered slices.
-    pub fn num_slices(&self) -> usize {
-        self.slices.len()
     }
 
     fn fresh(&mut self) -> u64 {
@@ -307,14 +286,6 @@ impl Engine {
         s.workers
     }
 
-    /// Direction and tag of an active transfer, or `None` once completed.
-    pub fn transfer_info(&self, id: TransferId) -> Option<(Dir, u64)> {
-        self.transfers
-            .iter()
-            .find(|(tid, _)| *tid == id)
-            .map(|(_, t)| (t.dir, t.tag))
-    }
-
     /// Blocks remaining (not yet completed) in a slice.
     pub fn blocks_remaining(&self, id: SliceId) -> u64 {
         let (_, s) = self
@@ -325,8 +296,9 @@ impl Engine {
         (s.spec.blocks as f64 - s.blocks_done).max(0.0).round() as u64
     }
 
-    /// Starts a host-device transfer of `bytes` bytes.
-    pub fn add_transfer(&mut self, bytes: u64, dir: Dir, tag: u64) -> TransferId {
+    /// Starts a host-device transfer of `bytes` bytes. Both directions
+    /// share the one bus, so the engine does not ask which this is.
+    pub fn add_transfer(&mut self, bytes: u64) -> TransferId {
         let id = TransferId(self.fresh());
         self.transfers.push((
             id,
@@ -334,8 +306,6 @@ impl Engine {
                 bytes: bytes as f64,
                 done: 0.0,
                 rate: 0.0,
-                dir,
-                tag,
             },
         ));
         self.dirty = true;
@@ -853,8 +823,8 @@ mod tests {
     #[test]
     fn transfers_share_pcie_equally() {
         let mut e = engine();
-        let a = e.add_transfer(12_000_000_000, Dir::H2D, 0); // 1 s alone
-        let _b = e.add_transfer(12_000_000_000, Dir::D2H, 1);
+        let a = e.add_transfer(12_000_000_000); // 1 s alone
+        let _b = e.add_transfer(12_000_000_000);
         let (t, ev) = e.step().unwrap();
         assert!(matches!(ev, Event::TransferDone(_)));
         assert!((t - 2.0).abs() < 1e-9, "two transfers halve the link: {t}");

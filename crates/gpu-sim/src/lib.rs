@@ -69,7 +69,7 @@ pub mod workqueue;
 pub mod prelude {
     pub use crate::buffer::{DeviceMemoryPool, DevicePtr, GpuBuffer};
     pub use crate::device::{DeviceConfig, SmRange};
-    pub use crate::engine::{Dir, Engine, Event, SliceId, SliceSpec, TimerId, TransferId};
+    pub use crate::engine::{Engine, Event, SliceId, SliceSpec, TimerId, TransferId};
     pub use crate::fault::{FaultKind, FaultPlan, FaultRule, FaultSite, FaultToken};
     pub use crate::metrics::{KernelMetrics, SliceReport};
     pub use crate::perf::{BlockOrder, ExecMode, KernelPerf};

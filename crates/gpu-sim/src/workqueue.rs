@@ -83,11 +83,6 @@ impl HyperQ {
             })
     }
 
-    /// Queues currently in use.
-    pub fn queues_in_use(&self) -> u32 {
-        self.assignments.len().min(self.connections as usize) as u32
-    }
-
     /// Distinct (context, stream) pairs registered.
     pub fn lanes(&self) -> usize {
         self.assignments.len()

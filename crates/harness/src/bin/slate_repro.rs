@@ -10,8 +10,9 @@
 //! ```
 
 use serde::Deserialize;
-use slate_core::arbiter::replay::EventLog;
+use slate_core::arbiter::replay::{EventLog, Replayable};
 use slate_core::placement::replay::PlacementLog;
+use slate_core::trace::tune::TuneConfig;
 use slate_core::trace::{export, tune, validate, TraceSchema};
 use slate_gpu_sim::device::DeviceConfig;
 use slate_harness::report::Report;
@@ -47,30 +48,41 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// A recorded log, whichever layer recorded it: single-device logs carry
-/// a top-level `device`, placement logs a `devices` list.
-enum AnyLog {
-    Arbiter(EventLog),
-    Placement(PlacementLog),
+/// A subcommand over a recorded log, whichever layer recorded it.
+enum LogCmd {
+    Trace {
+        out: String,
+        schema: TraceSchema,
+    },
+    Tune {
+        grid_spec: Option<String>,
+        json_path: Option<String>,
+        md_path: Option<String>,
+        parallel: bool,
+        assert_improves: bool,
+    },
 }
 
-fn load_log(path: &str) -> Result<AnyLog, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let value = serde::parse(&text).map_err(|e| format!("{path}: not valid JSON: {e:?}"))?;
-    let keys: Vec<&str> = match &value {
-        serde::JsonValue::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
-        _ => return Err(format!("{path}: expected a JSON object")),
+/// Loads the log at `path` and runs `cmd` on it: single-device logs carry
+/// a top-level `device`, placement logs a `devices` list.
+fn with_log(path: &str, cmd: LogCmd) -> ! {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
+    let value =
+        serde::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: not valid JSON: {e:?}")));
+    let has = |key: &str| match &value {
+        serde::JsonValue::Obj(fields) => fields.iter().any(|(k, _)| k == key),
+        _ => fail(&format!("{path}: expected a JSON object")),
     };
-    if keys.contains(&"devices") {
-        PlacementLog::deserialize_json(&value)
-            .map(AnyLog::Placement)
-            .map_err(|e| format!("{path}: not a placement log: {e:?}"))
-    } else if keys.contains(&"device") {
-        EventLog::deserialize_json(&value)
-            .map(AnyLog::Arbiter)
-            .map_err(|e| format!("{path}: not an arbiter log: {e:?}"))
+    if has("devices") {
+        let log = PlacementLog::deserialize_json(&value)
+            .unwrap_or_else(|e| fail(&format!("{path}: not a placement log: {e:?}")));
+        cmd.run(&log)
+    } else if has("device") {
+        let log = EventLog::deserialize_json(&value)
+            .unwrap_or_else(|e| fail(&format!("{path}: not an arbiter log: {e:?}")));
+        cmd.run(&log)
     } else {
-        Err(format!(
+        fail(&format!(
             "{path}: neither an arbiter log (`device`) nor a placement log (`devices`)"
         ))
     }
@@ -103,18 +115,7 @@ fn cmd_trace(args: &[String]) -> ! {
         }
     }
     let log_path = log_path.unwrap_or_else(|| usage());
-    let trace = match load_log(log_path).unwrap_or_else(|e| fail(&e)) {
-        AnyLog::Arbiter(log) => export::trace_event_log(&log),
-        AnyLog::Placement(log) => export::trace_placement_log(&log),
-    }
-    .unwrap_or_else(|e| fail(&e));
-    let json = trace.to_json();
-    let stats = validate::validate(&json, &schema)
-        .unwrap_or_else(|e| fail(&format!("emitted trace failed validation: {e}")));
-    std::fs::write(&out, &json).unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
-    println!("trace: {stats}");
-    println!("wrote {out} ({} bytes)", json.len());
-    std::process::exit(0);
+    with_log(log_path, LogCmd::Trace { out, schema })
 }
 
 /// `slate-repro tune <log> [--grid SPEC] ...`: replay the log under a
@@ -144,65 +145,74 @@ fn cmd_tune(args: &[String]) -> ! {
         }
     }
     let log_path = log_path.unwrap_or_else(|| usage());
-    let report = match load_log(log_path).unwrap_or_else(|e| fail(&e)) {
-        AnyLog::Arbiter(log) => {
-            let grid = match &grid_spec {
-                Some(spec) => tune::parse_grid(spec, &log.config).unwrap_or_else(|e| fail(&e)),
-                None => tune::default_grid(&log.config),
-            };
-            println!(
-                "tune: {} batches, {} variants ({})",
-                log.batches.len(),
-                grid.len(),
-                if parallel { "parallel" } else { "serial" }
-            );
-            tune::tune(&log, &grid, parallel)
-        }
-        AnyLog::Placement(log) => {
-            let grid = match &grid_spec {
-                Some(spec) => tune::parse_grid(spec, &log.config.arbiter)
-                    .unwrap_or_else(|e| fail(&e))
-                    .into_iter()
-                    .map(|v| {
-                        let mut config = log.config.clone();
-                        config.arbiter = v.config;
-                        tune::PlacementVariant {
-                            name: v.name,
-                            config,
-                        }
-                    })
-                    .collect(),
-                None => tune::default_placement_grid(&log.config),
-            };
-            println!(
-                "tune: {} placement batches, {} variants ({})",
-                log.batches.len(),
-                grid.len(),
-                if parallel { "parallel" } else { "serial" }
-            );
-            tune::tune_placement(&log, &grid, parallel)
-        }
+    let cmd = LogCmd::Tune {
+        grid_spec,
+        json_path,
+        md_path,
+        parallel,
+        assert_improves,
     };
-    print!("{}", report.to_markdown());
-    println!(
-        "best: {} (baseline: {})",
-        report.best().name,
-        report.baseline().name
-    );
-    if let Some(path) = &json_path {
-        std::fs::write(path, report.to_json())
-            .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
-        println!("wrote {path}");
+    with_log(log_path, cmd)
+}
+
+impl LogCmd {
+    fn run<L>(self, log: &L) -> !
+    where
+        L: Replayable + Sync,
+        L::Config: TuneConfig,
+    {
+        match self {
+            LogCmd::Trace { out, schema } => {
+                let json = export::trace_log(log)
+                    .unwrap_or_else(|e| fail(&e))
+                    .to_json();
+                let stats = validate::validate(&json, &schema)
+                    .unwrap_or_else(|e| fail(&format!("emitted trace failed validation: {e}")));
+                std::fs::write(&out, &json).unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
+                println!("trace: {stats}");
+                println!("wrote {out} ({} bytes)", json.len());
+            }
+            LogCmd::Tune {
+                grid_spec,
+                json_path,
+                md_path,
+                parallel,
+                assert_improves,
+            } => {
+                let grid = match &grid_spec {
+                    Some(spec) => tune::parse_grid(spec, log.config()).unwrap_or_else(|e| fail(&e)),
+                    None => tune::default_grid(log.config()),
+                };
+                println!(
+                    "tune: {} batches, {} variants ({})",
+                    log.batches().len(),
+                    grid.len(),
+                    if parallel { "parallel" } else { "serial" }
+                );
+                let report = tune::tune(log, &grid, parallel);
+                print!("{}", report.to_markdown());
+                println!(
+                    "best: {} (baseline: {})",
+                    report.best().name,
+                    report.baseline().name
+                );
+                if let Some(path) = &json_path {
+                    std::fs::write(path, report.to_json())
+                        .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
+                    println!("wrote {path}");
+                }
+                if let Some(path) = &md_path {
+                    std::fs::write(path, report.to_markdown())
+                        .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
+                    println!("wrote {path}");
+                }
+                if assert_improves && !report.best_not_worse_than_baseline() {
+                    fail("best variant scored worse than the recorded baseline");
+                }
+            }
+        }
+        std::process::exit(0);
     }
-    if let Some(path) = &md_path {
-        std::fs::write(path, report.to_markdown())
-            .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
-        println!("wrote {path}");
-    }
-    if assert_improves && !report.best_not_worse_than_baseline() {
-        fail("best variant scored worse than the recorded baseline");
-    }
-    std::process::exit(0);
 }
 
 fn run_one(id: &str, cfg: &DeviceConfig, scale: u32) -> Report {

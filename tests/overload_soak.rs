@@ -9,7 +9,7 @@
 //! `admitted == completed + failed`, `admitted + shed == attempts`, and no
 //! leaked allocations, Hyper-Q lanes, or arbiter residents.
 
-use slate_core::api::{decorrelated_jitter, BreakerConfig, SlateClient};
+use slate_core::api::{decorrelated_jitter, BreakerConfig, RetryPolicy, SlateClient};
 use slate_core::daemon::{DaemonOptions, SlateDaemon};
 use slate_core::error::SlateError;
 use slate_core::profile::ProfileTable;
@@ -200,6 +200,80 @@ fn bounded_session_queue_sheds_newest_with_retry_hint() {
     let m = daemon.metrics();
     assert_eq!(m.live_allocations, 0);
     assert_eq!(m.hyperq_lanes, 0);
+    assert_eq!(m.arbiter_residents, 0);
+    assert_eq!(m.admission.active_sessions, 0);
+}
+
+/// One client's whole script against a 64 Ki-float buffer: allocate,
+/// upload zeros, bump every element once, read back, free.
+fn bump_script(c: &SlateClient) -> Result<Vec<f32>, SlateError> {
+    let n = 64 * 1024;
+    let p = c.malloc((n * 4) as u64)?;
+    c.upload_f32(p, &vec![0.0f32; n])?;
+    launch_slow(c, 1, p, n, 1, k_perf("retry-bump"))?;
+    c.synchronize()?;
+    let out = c.download_f32(p, n)?;
+    c.free(p)?;
+    Ok(out)
+}
+
+#[test]
+fn shed_script_completes_under_client_retry_with_jitter() {
+    // Memory watermark at half of a 1 MiB pool. A hog holds 384 KiB, so
+    // the script's 256 KiB allocation is shed for as long as it does.
+    let daemon = SlateDaemon::start_with_options(
+        DeviceConfig::tiny(8),
+        1 << 20,
+        DaemonOptions {
+            admission: AdmissionLimits {
+                mem_watermark: Some(0.5),
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    );
+    let hog = SlateClient::new(daemon.connect("hog").unwrap());
+    let held = hog.malloc(384 << 10).unwrap();
+
+    // Without a retry policy the shed is the script's outcome.
+    let plain = SlateClient::new(daemon.connect("plain").unwrap());
+    match bump_script(&plain) {
+        Err(SlateError::Overloaded { retry_after_ms }) => {
+            assert!(retry_after_ms >= 1, "hint must be actionable");
+        }
+        other => panic!("expected Overloaded, got {other:?}"),
+    }
+    plain.disconnect().unwrap();
+    assert_eq!(daemon.metrics().admission.mallocs_shed, 1);
+
+    // With one, the same script rides the pressure out. The hog lets go
+    // only once the daemon has shed the retrying client too, so at least
+    // one retry is what gets it through.
+    let d = daemon.clone();
+    let patient = std::thread::spawn(move || {
+        let c = SlateClient::new(d.connect("patient").unwrap())
+            .with_retry(RetryPolicy::with_attempts(200).with_jitter(7));
+        let out = bump_script(&c);
+        c.disconnect().unwrap();
+        out
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while daemon.metrics().admission.mallocs_shed < 2 {
+        assert!(Instant::now() < deadline, "the patient client never tried");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    hog.free(held).unwrap();
+    let out = patient
+        .join()
+        .unwrap()
+        .expect("with_retry outlasts the shed");
+    assert_eq!(out, vec![1.0f32; 64 * 1024]);
+
+    hog.disconnect().unwrap();
+    daemon.join();
+    let m = daemon.metrics();
+    assert_eq!(m.admission.launches_completed, 1);
+    assert_eq!(m.live_allocations, 0);
     assert_eq!(m.arbiter_residents, 0);
     assert_eq!(m.admission.active_sessions, 0);
 }

@@ -5,6 +5,7 @@
 use slate_baselines::{CudaRuntime, MpsRuntime, Runtime};
 use slate_core::runtime::{SlateOptions, SlateRuntime};
 use slate_gpu_sim::device::DeviceConfig;
+use slate_gpu_sim::trace::{Trace, TraceKind};
 use slate_kernels::workload::Benchmark;
 
 fn titan() -> DeviceConfig {
@@ -232,4 +233,68 @@ fn antt_is_one_for_the_baseline_itself() {
     let out = cuda.run(std::slice::from_ref(&app));
     let antt = out.antt(&[solo]);
     assert!((antt - 1.0).abs() < 1e-9, "antt {antt}");
+}
+
+/// A trace's lifecycle skeleton: one token per event, with each Slate
+/// resize (`Stop`, `Resize`, `Launch` of the remainder) folded away so a
+/// launch is one `launch`…`stop` pair however often it was resized.
+fn skeleton(trace: &Trace) -> Vec<&'static str> {
+    let mut out = Vec::new();
+    for ev in trace.events() {
+        match ev.kind {
+            TraceKind::TransferStart { h2d: true, .. } => out.push("h2d"),
+            TraceKind::TransferStart { h2d: false, .. } => out.push("d2h"),
+            TraceKind::TransferEnd { .. } => out.push("end"),
+            TraceKind::Launch { .. } => out.push("launch"),
+            TraceKind::Stop { .. } => out.push("stop"),
+            TraceKind::Resize { .. } => {
+                assert_eq!(out.pop(), Some("stop"), "a resize follows its stop");
+                out.push("resized");
+            }
+        }
+    }
+    // Fold `resized launch` back into the launch it continues.
+    let mut folded: Vec<&'static str> = Vec::new();
+    for tok in out {
+        match (folded.last(), tok) {
+            (Some(&"resized"), "launch") => {
+                folded.pop();
+            }
+            _ => folded.push(tok),
+        }
+    }
+    folded
+}
+
+#[test]
+fn every_runtime_drives_the_same_app_lifecycle() {
+    // One solo app under CUDA, MPS and Slate: the three traces share the
+    // skeleton the one lifecycle driver produces — H2D, the launch loop,
+    // D2H — and differ only in when and where the launches ran.
+    let app = Benchmark::GS.app().scaled_down(SCALE);
+    let mut expected = vec!["h2d", "end"];
+    for _ in 0..app.launches {
+        expected.extend(["launch", "stop"]);
+    }
+    expected.extend(["d2h", "end"]);
+    let cuda = CudaRuntime::new(titan());
+    let mps = MpsRuntime::new(titan());
+    let slate = SlateRuntime::new(titan());
+    for rt in [&cuda as &dyn Runtime, &mps, &slate] {
+        let out = rt.run(std::slice::from_ref(&app));
+        assert_eq!(skeleton(&out.trace), expected, "{}", rt.label());
+    }
+    // A co-running pair resizes under Slate; per process the skeleton
+    // still holds once the resizes are folded.
+    let pair = [
+        Benchmark::BS.app().scaled_down(SCALE),
+        Benchmark::RG.app().scaled_down(SCALE),
+    ];
+    let out = slate.run(&pair);
+    assert!(out.trace.resizes(0) + out.trace.resizes(1) > 0);
+    let launches = skeleton(&out.trace)
+        .iter()
+        .filter(|t| **t == "launch")
+        .count();
+    assert_eq!(launches as u32, pair[0].launches + pair[1].launches);
 }
