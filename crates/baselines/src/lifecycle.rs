@@ -111,9 +111,12 @@ impl Lifecycle {
                 }
             })
             .collect();
+        // Room for every record of a run without resizes: per process two
+        // transfers (start, end) and a launch and a stop per launch.
+        let records: usize = apps.iter().map(|a| 4 + 2 * a.launches as usize).sum();
         Self {
             procs,
-            trace: Trace::new(),
+            trace: Trace::with_capacity(records),
         }
     }
 

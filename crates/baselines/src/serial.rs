@@ -60,11 +60,44 @@ struct Tail {
     fired: bool,
 }
 
+/// What the policy keeps per process: two constants of its app, worked
+/// out once instead of at every launch, and its running launch's tail.
+struct Proc {
+    /// Modelled duration of one (batched) launch on the whole device.
+    est: f64,
+    /// Fraction of that duration that is the drain tail of the final
+    /// real launch in the batch — the last wave of resident blocks, from
+    /// where a waiting kernel's blocks may claim slots (leftover policy).
+    tail_frac: f64,
+    tail: Tail,
+}
+
+impl Proc {
+    fn new(cfg: &DeviceConfig, app: &AppSpec) -> Self {
+        let est = model::estimate_duration(
+            cfg,
+            &app.perf,
+            app.blocks_per_launch,
+            cfg.num_sms,
+            ExecMode::Hardware,
+        );
+        let per_sm = slate_gpu_sim::occupancy::blocks_per_sm(cfg, &app.perf) as u64;
+        let workers = per_sm * cfg.num_sms as u64;
+        let real_blocks = (app.blocks_per_launch / app.batch as u64).max(1);
+        let tail_frac = (workers as f64 / real_blocks as f64).min(1.0) / app.batch as f64;
+        Self {
+            est,
+            tail_frac,
+            tail: Tail::default(),
+        }
+    }
+}
+
 /// The admission policy: one launch on the device at a time (two during a
 /// leftover drain tail), ready processes served round-robin.
 struct Serializer<'a> {
     ov: &'a SerialOverheads,
-    tails: Vec<Tail>,
+    procs: Vec<Proc>,
     last_launched: Option<usize>,
     rr: usize,
 }
@@ -75,11 +108,11 @@ impl Serializer<'_> {
     /// entered its drain tail.
     fn dispatch(&mut self, engine: &mut Engine, life: &mut Lifecycle) {
         let ov = self.ov;
-        let n = self.tails.len();
+        let n = self.procs.len();
         let mut active = (0..n).filter(|&j| life.slice(j).is_some());
         match (active.next(), active.next()) {
             (None, _) => {}
-            (Some(j), None) if ov.leftover_overlap && self.tails[j].fired => {}
+            (Some(j), None) if ov.leftover_overlap && self.procs[j].tail.fired => {}
             _ => return,
         }
         // Round-robin scan for a ready process, starting after the cursor.
@@ -90,18 +123,12 @@ impl Serializer<'_> {
         let switching = self.last_launched.is_some() && self.last_launched != Some(i);
         let contended = (0..n).any(|j| j != i && (life.is_ready(j) || life.slice(j).is_some()));
         let app = life.app(i);
+        let Proc { est, tail_frac, .. } = self.procs[i];
         // Per-launch costs scale with the number of real launches this
         // simulated (batched) launch stands for.
         let batch = app.batch as f64;
         let mut extra = ov.per_launch_s * batch;
         let range = SmRange::all(engine.device().num_sms);
-        let est = model::estimate_duration(
-            engine.device(),
-            &app.perf,
-            app.blocks_per_launch,
-            range.len(),
-            ExecMode::Hardware,
-        );
         if contended {
             // Contexts alternate at every real launch boundary.
             extra += ov.ctx_switch_s * batch;
@@ -121,15 +148,8 @@ impl Serializer<'_> {
             })
             .expect("baseline launch must be valid");
         if ov.leftover_overlap {
-            // The drain tail of the final real launch in the batch: the
-            // last wave of resident blocks. A waiting kernel's blocks may
-            // start claiming slots from this point (leftover policy).
-            let per_sm = slate_gpu_sim::occupancy::blocks_per_sm(engine.device(), &app.perf) as u64;
-            let workers = per_sm * engine.device().num_sms as u64;
-            let real_blocks = (app.blocks_per_launch / app.batch as u64).max(1);
-            let tail_frac = (workers as f64 / real_blocks as f64).min(1.0) / app.batch as f64;
             let tail_at = engine.now() + extra + est * (1.0 - tail_frac);
-            self.tails[i] = Tail {
+            self.procs[i].tail = Tail {
                 timer: Some(engine.set_timer(tail_at)),
                 fired: false,
             };
@@ -160,7 +180,7 @@ pub fn run_serialized(cfg: &DeviceConfig, ov: &SerialOverheads, apps: &[AppSpec]
     });
     let mut policy = Serializer {
         ov,
-        tails: apps.iter().map(|_| Tail::default()).collect(),
+        procs: apps.iter().map(|app| Proc::new(cfg, app)).collect(),
         last_launched: None,
         rr: 0,
     };
@@ -169,18 +189,18 @@ pub fn run_serialized(cfg: &DeviceConfig, ov: &SerialOverheads, apps: &[AppSpec]
             Step::Foreign(tid) => {
                 // The running launch entered its drain tail: leftover
                 // slots may be claimed by a waiting kernel.
-                let tail = policy
-                    .tails
+                let proc = policy
+                    .procs
                     .iter_mut()
-                    .find(|t| t.timer == Some(tid))
+                    .find(|p| p.tail.timer == Some(tid))
                     .expect("unknown timer");
-                *tail = Tail {
+                proc.tail = Tail {
                     timer: None,
                     fired: true,
                 };
             }
             Step::Drained { proc, .. } => {
-                if let Some(t) = std::mem::take(&mut policy.tails[proc]).timer {
+                if let Some(t) = std::mem::take(&mut policy.procs[proc].tail).timer {
                     engine.cancel_timer(t);
                 }
             }

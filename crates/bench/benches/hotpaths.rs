@@ -22,6 +22,12 @@
 //! * `trace_export` — converting a recorded event log into Perfetto
 //!   trace JSON (replay verification + track/lane assembly + emission;
 //!   ungated while the conversion cost is established);
+//! * `json_parse` — `serde::parse` of that trace document: the vendored
+//!   codec's read side, which WAL recovery, snapshots and every
+//!   `slate-repro` input go through (ungated for now);
+//! * `sim_pairing` — one full-scale BS-RG pairing under each of the three
+//!   simulated runtimes, per simulated launch: the unit of every paper
+//!   figure and of `slate-bench`'s `sim_paper` sweep (ungated for now);
 //! * `tuner_replay_variant` — one counterfactual replay of a recorded
 //!   log under a non-recorded config, the autotuner's unit of work
 //!   (ungated initially);
@@ -36,6 +42,7 @@
 //! Output: `-- --json <path>` or the `SLATE_BENCH_JSON` environment
 //! variable; a human-readable table always goes to stdout.
 
+use slate_baselines::{CudaRuntime, MpsRuntime, Runtime};
 use slate_bench::{BenchMeasurement, Report, REPORT_SCHEMA};
 use slate_core::arbiter::replay::{replay_under, EventLog};
 use slate_core::arbiter::{ArbiterConfig, ArbiterCore, Command, Event};
@@ -46,11 +53,12 @@ use slate_core::durability::{recover_dir, Durability, DurableMeta, WalRecord};
 use slate_core::partition::partition;
 use slate_core::placement::{PlacementBatch, PlacementConfig, PlacementLayer, PlacementPolicy};
 use slate_core::transform::TransformedKernel;
-use slate_core::DurabilityOptions;
+use slate_core::{DurabilityOptions, SlateRuntime};
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use slate_gpu_sim::perf::KernelPerf;
 use slate_kernels::grid::{BlockCoord, GridDim};
 use slate_kernels::kernel::GpuKernel;
+use slate_kernels::workload::Benchmark;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -421,6 +429,29 @@ fn main() {
                             .expect("recorded log exports")
                             .to_json(),
                     );
+                })
+            },
+            {
+                let log = record_event_log(16);
+                let batches = log.batches.len() as u64;
+                let json = slate_core::trace::trace_log(&log)
+                    .expect("recorded log exports")
+                    .to_json();
+                measure("json_parse", false, 200, batches, move || {
+                    black_box(serde::parse(&json).expect("the export is JSON"));
+                })
+            },
+            {
+                let cfg = DeviceConfig::titan_xp();
+                let cuda = CudaRuntime::new(cfg.clone());
+                let mps = MpsRuntime::new(cfg.clone());
+                let slate = SlateRuntime::new(cfg);
+                let apps = [Benchmark::BS.app(), Benchmark::RG.app()];
+                let launches = 3 * (apps[0].launches + apps[1].launches) as u64;
+                measure("sim_pairing", false, 40, launches, move || {
+                    for rt in [&cuda as &dyn Runtime, &mps, &slate] {
+                        black_box(rt.run(&apps));
+                    }
                 })
             },
             {

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// How to relaunch the remaining blocks after a retreat.
 #[derive(Debug, Clone)]
 pub struct RelaunchPlan {
-    /// Perf profile of the relaunched slice.
+    /// Perf profile of the relaunched slice; moves into it.
     pub perf: KernelPerf,
     /// Execution mode of the relaunched slice.
     pub mode: ExecMode,
@@ -140,7 +140,7 @@ impl SimBackend {
         &mut self,
         slice: SliceId,
         to: SmRange,
-        plan: &RelaunchPlan,
+        plan: RelaunchPlan,
     ) -> ResizeOutcome {
         let rep = self.engine.remove_slice(slice);
         let remaining = rep.blocks_total.saturating_sub(rep.blocks_done);
@@ -151,7 +151,7 @@ impl SimBackend {
         let id = self
             .engine
             .add_slice(SliceSpec {
-                perf: plan.perf.clone(),
+                perf: plan.perf,
                 sm_range: to,
                 blocks: remaining,
                 mode: plan.mode,
@@ -288,7 +288,7 @@ impl Backend for SimBackend {
                     },
                     blocks_per_batch: u64::MAX,
                 };
-                let outcome = self.resize_slice(sid, *range, &plan);
+                let outcome = self.resize_slice(sid, *range, plan);
                 let l = self.leases.get_mut(lease).expect("present");
                 match outcome {
                     ResizeOutcome::Completed(rep) => {

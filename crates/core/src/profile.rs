@@ -70,10 +70,10 @@ fn slate_solo_time(cfg: &DeviceConfig, perf: &KernelPerf, blocks: u64, task_size
 pub fn autotune_task_size(cfg: &DeviceConfig, perf: &KernelPerf, blocks: u64) -> u32 {
     TASK_SIZE_CANDIDATES
         .into_iter()
-        .min_by(|&a, &b| {
-            slate_solo_time(cfg, perf, blocks, a).total_cmp(&slate_solo_time(cfg, perf, blocks, b))
-        })
+        .map(|size| (slate_solo_time(cfg, perf, blocks, size), size))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
         .expect("candidates are non-empty")
+        .1
 }
 
 /// Profiles a kernel by running a measurement slice solo on the simulated
@@ -103,7 +103,7 @@ pub fn profile_kernel(
     let gflops = rep.gflops();
     let gbs = rep.request_bw();
     Ok(KernelProfile {
-        name: perf.name.clone(),
+        name: perf.name.to_string(),
         gflops,
         bandwidth_gbs: gbs,
         block_rate: rep.blocks_done as f64 / rep.active_s.max(1e-12),
@@ -169,11 +169,12 @@ impl ProfileTable {
         perf: &KernelPerf,
         blocks: u64,
     ) -> Result<&KernelProfile, String> {
-        if !self.entries.contains_key(&perf.name) {
+        let name: &str = &perf.name;
+        if !self.entries.contains_key(name) {
             let p = profile_kernel(cfg, perf, blocks)?;
-            self.entries.insert(perf.name.clone(), p);
+            self.entries.insert(name.to_string(), p);
         }
-        Ok(&self.entries[&perf.name])
+        Ok(&self.entries[name])
     }
 
     /// Estimates the solo execution time of `blocks` blocks of a kernel in

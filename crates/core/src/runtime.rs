@@ -189,7 +189,6 @@ impl SlateRuntime {
                 .clone();
             let blocks = app.blocks_per_launch.min(u32::MAX as u64) as u32;
             let kernel = TransformedKernel::new(std::sync::Arc::new(PerfOnlyKernel {
-                name: app.perf.name.clone(),
                 grid: slate_kernels::grid::GridDim::d1(blocks),
                 perf: app.perf.clone(),
             }));
@@ -234,14 +233,13 @@ pub struct PlacedOutcome {
 /// backends only consume the profile, so this is exactly what a placed
 /// simulation needs.
 struct PerfOnlyKernel {
-    name: String,
     grid: slate_kernels::grid::GridDim,
     perf: slate_gpu_sim::perf::KernelPerf,
 }
 
 impl slate_kernels::kernel::GpuKernel for PerfOnlyKernel {
     fn name(&self) -> &str {
-        &self.name
+        &self.perf.name
     }
     fn grid(&self) -> slate_kernels::grid::GridDim {
         self.grid
@@ -271,6 +269,9 @@ struct Profiled {
     sm_demand: u32,
     task_size: u32,
     class: crate::classify::WorkloadClass,
+    /// Modelled duration of one launch by SM-range width, filled in on
+    /// first use: it depends on nothing else.
+    est_by_width: Vec<Option<f64>>,
 }
 
 /// A kernel currently resident on the device (execution mechanics; the
@@ -324,6 +325,7 @@ impl Sim {
                     sm_demand: prof.sm_demand,
                     task_size: opts.task_size(app.task_size, prof.best_task_size),
                     class: prof.class,
+                    est_by_width: vec![None; cfg.num_sms as usize + 1],
                 }
             })
             .collect();
@@ -427,7 +429,10 @@ impl Sim {
         let app = self.life.app(proc);
         debug_assert!(self.life.is_ready(proc));
         let blocks = app.blocks_per_launch;
-        let est = model::estimate_duration(&self.cfg, &app.perf, blocks, range.len(), mode);
+        let est =
+            *self.profiled[proc].est_by_width[range.len() as usize].get_or_insert_with(|| {
+                model::estimate_duration(&self.cfg, &app.perf, blocks, range.len(), mode)
+            });
         let comm = self.opts.comm_fraction * est;
         let id = self
             .backend
@@ -465,7 +470,7 @@ impl Sim {
             blocks_per_batch: (app.blocks_per_launch / app.batch as u64).max(1),
         };
         let slice = self.life.slice(r.proc).expect("a resident has a slice");
-        let outcome = self.backend.resize_slice(slice, new_range, &plan);
+        let outcome = self.backend.resize_slice(slice, new_range, plan);
         let now = self.backend.engine().now();
         let rep = match &outcome {
             ResizeOutcome::Completed(rep) | ResizeOutcome::Relaunched(rep, _) => rep,

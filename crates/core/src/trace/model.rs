@@ -23,7 +23,7 @@
 //! | `f` | flow finish (`bp: e`)  | migration arrival (target device)     |
 
 use crate::arbiter::Tick;
-use serde::{ser_key, ser_str};
+use serde::{ser_key, ser_str, Serialize};
 
 /// A typed argument value; rendered into the event's `args` object.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +39,7 @@ pub enum ArgValue {
 impl ArgValue {
     fn emit(&self, out: &mut String) {
         match self {
-            ArgValue::U64(v) => out.push_str(&v.to_string()),
+            ArgValue::U64(v) => v.serialize_json(out),
             ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             ArgValue::Str(s) => ser_str(out, s),
         }
@@ -92,24 +92,26 @@ impl TraceEvent {
         ser_str(out, self.ph.encode_utf8(&mut phbuf));
         out.push(',');
         ser_key(out, "ts");
-        out.push_str(&self.ts.to_string());
+        self.ts.serialize_json(out);
         if let Some(dur) = self.dur {
             out.push(',');
             ser_key(out, "dur");
-            out.push_str(&dur.to_string());
+            dur.serialize_json(out);
         }
         out.push(',');
         ser_key(out, "pid");
-        out.push_str(&self.pid.to_string());
+        self.pid.serialize_json(out);
         out.push(',');
         ser_key(out, "tid");
-        out.push_str(&self.tid.to_string());
+        self.tid.serialize_json(out);
         if let Some(id) = self.id {
             out.push(',');
             ser_key(out, "id");
             // Flow ids are rendered as strings: the format allows either,
             // and strings survive any JSON reader's number handling.
-            ser_str(out, &id.to_string());
+            out.push('"');
+            id.serialize_json(out);
+            out.push('"');
         }
         if self.bind_enclosing {
             out.push(',');

@@ -407,6 +407,53 @@ fn resume_tokens_are_single_use_and_epoch_checked() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Bytes on disk are outside input. A newest snapshot that is 100 000
+/// nested arrays — which a parser recursing without a bound answers with
+/// a stack overflow, taking the daemon with it — costs recovery some
+/// replay, not the process; with no readable snapshot left, recovery is
+/// a typed error.
+#[test]
+fn a_hostile_snapshot_costs_replay_or_a_typed_error_never_the_process() {
+    use slate_core::durability::wal::list_snapshots;
+    let dir = tmpdir("deep-snapshot");
+    let daemon =
+        SlateDaemon::start_with_options(DeviceConfig::tiny(4), 1 << 24, durable_opts(2, &dir));
+    let client = SlateClient::new(daemon.connect("deep").unwrap());
+    let hits = submit_workload(&client);
+    client.synchronize().unwrap();
+    let scene = daemon.crash();
+    let hostile = "[".repeat(100_000);
+    let snaps = list_snapshots(&dir).unwrap();
+    assert!(snaps.len() >= 2, "the workload spans a snapshot cadence");
+    let (_, newest) = snaps.last().unwrap();
+    std::fs::write(newest, &hostile).unwrap();
+
+    let recovered = SlateDaemon::recover(scene, durable_opts(2, &dir))
+        .expect("recovery falls back to the previous snapshot");
+    client.install_reattach(&recovered);
+    client.synchronize().expect("the session resumes");
+    let slots = LAUNCHES * BLOCKS as usize;
+    for (i, v) in client.download_f32(hits, slots).unwrap().iter().enumerate() {
+        assert_eq!(*v, 1.0, "slot {i} executed {v} times");
+    }
+    client.disconnect().unwrap();
+    let log = full_log(&dir).expect("stitch full placement log from kept segments");
+    verify(&log).expect("full WAL replays byte-identically");
+
+    let scene = recovered.crash();
+    for (_, path) in list_snapshots(&dir).unwrap() {
+        std::fs::write(path, &hostile).unwrap();
+    }
+    match SlateDaemon::recover(scene, durable_opts(2, &dir)) {
+        Err(slate_core::SlateError::Other(why)) => {
+            assert!(why.contains("nested deeper"), "{why}")
+        }
+        Err(other) => panic!("expected a recovery error, got {other:?}"),
+        Ok(_) => panic!("recovered without a readable snapshot"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn resume_against_a_non_durable_daemon_is_rejected() {
     let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);

@@ -56,28 +56,37 @@ impl GpuBuffer {
         self.words.len()
     }
 
+    // The word accessors are `#[inline]`: kernels in other crates call
+    // them once per element, and out of line a kernel's speed depended on
+    // where the linker happened to put these few bytes (DESIGN.md §3.1).
+
     /// Reads the f32 element at word index `idx`.
+    #[inline]
     pub fn load_f32(&self, idx: usize) -> f32 {
         f32::from_bits(self.words[idx].load(Ordering::Relaxed))
     }
 
     /// Writes the f32 element at word index `idx`.
+    #[inline]
     pub fn store_f32(&self, idx: usize, v: f32) {
         self.words[idx].store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Reads the u32 element at word index `idx`.
+    #[inline]
     pub fn load_u32(&self, idx: usize) -> u32 {
         self.words[idx].load(Ordering::Relaxed)
     }
 
     /// Writes the u32 element at word index `idx`.
+    #[inline]
     pub fn store_u32(&self, idx: usize, v: u32) {
         self.words[idx].store(v, Ordering::Relaxed);
     }
 
     /// Atomic add on a u32 element, returning the previous value — the
     /// device-side `atomicAdd` used by task queues.
+    #[inline]
     pub fn fetch_add_u32(&self, idx: usize, v: u32) -> u32 {
         self.words[idx].fetch_add(v, Ordering::AcqRel)
     }

@@ -16,6 +16,14 @@
 //! model in [`crate::cache`]. Whenever the set of active entities changes,
 //! all rates are recomputed — the classic fluid DES formulation.
 //!
+//! A simulated launch is `add_slice` → `step` (started) → `step` (drained)
+//! → `remove_slice`, and an evaluation sweep is tens of thousands of them,
+//! so on a warmed engine that cycle does not allocate: rates are
+//! recomputed into scratch buffers the engine keeps, entity vectors stay
+//! at their high-water capacity, and the kernel name is shared
+//! ([`KernelPerf::name`] is an `Arc<str>`) rather than copied into slice
+//! and report. `tests/engine_alloc.rs` holds the engine to it.
+//!
 //! Schedulers (vanilla CUDA, MPS, Slate) sit on top of this engine: they add
 //! and remove slices, start transfers, set timers, and react to the events
 //! the engine reports from [`Engine::step`]. Dynamic kernel resizing maps to
@@ -96,6 +104,11 @@ struct Slice {
     rate: f64,
     rate_compute: f64,
     workers: u64,
+    /// Compute-limited block rate before imbalance, and the bandwidth of
+    /// the SM ports the slice can use: functions of the spec and the
+    /// device alone, fixed at `add_slice`.
+    r_comp: f64,
+    port_bw: f64,
     imbalance: f64,
     // accumulated metrics
     active_s: f64,
@@ -106,6 +119,29 @@ struct Slice {
     dram_bytes: f64,
     queue_pulls: f64,
     drained: bool,
+}
+
+impl Slice {
+    /// The slice's report; the kernel name moves into it.
+    fn into_report(self, cfg: &DeviceConfig) -> SliceReport {
+        SliceReport {
+            kernel: self.spec.perf.name,
+            tag: self.spec.tag,
+            sm_range: self.spec.sm_range,
+            blocks_total: self.spec.blocks,
+            blocks_done: self.blocks_done.round().min(self.spec.blocks as f64) as u64,
+            drained: self.drained,
+            active_s: self.active_s,
+            stall_s: self.stall_s,
+            insts: self.insts,
+            flops: self.flops,
+            request_bytes: self.request_bytes,
+            dram_bytes: self.dram_bytes,
+            queue_pulls: self.queue_pulls,
+            cycles: self.active_s * cfg.clock_hz,
+            sms: self.spec.sm_range.len(),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -125,6 +161,13 @@ pub struct Engine {
     transfers: Vec<(TransferId, Transfer)>,
     timers: Vec<(TimerId, f64)>,
     dirty: bool,
+    /// Scratch of [`Engine::recompute_rates`], one entry per slice:
+    /// bandwidth demands, effective DRAM bytes per block, granted
+    /// bandwidth. Kept across calls so that recomputing allocates nothing
+    /// once they have grown to the largest co-resident set.
+    demands: Vec<BwDemand>,
+    eff_dram: Vec<f64>,
+    allocs: Vec<f64>,
 }
 
 impl Engine {
@@ -138,6 +181,9 @@ impl Engine {
             transfers: Vec::new(),
             timers: Vec::new(),
             dirty: false,
+            demands: Vec::new(),
+            eff_dram: Vec::new(),
+            allocs: Vec::new(),
         }
     }
 
@@ -208,6 +254,30 @@ impl Engine {
             }
         };
         let lead = self.cfg.launch_latency_s + worker_setup + spec.extra_lead_s;
+        // What the rate needs of the spec and the device alone; co-runners
+        // only change what `recompute_rates` derives from these.
+        let cfg = &self.cfg;
+        let perf = &spec.perf;
+        let (sms, per_sm) = (sms as f64, per_sm as f64);
+        // Kernels with limited parallelism cannot exploit the full range.
+        let useful_sms = match perf.max_concurrent_blocks {
+            Some(cap) => (cap as f64 / per_sm).min(sms),
+            None => sms,
+        };
+        let resident_threads = per_sm * perf.threads_per_block as f64;
+        let util = (resident_threads / cfg.threads_for_peak_per_sm as f64).min(1.0);
+        let (cycles, atomic_cap) = match spec.mode {
+            ExecMode::Hardware => (
+                perf.compute_cycles_per_block + cfg.block_setup_cycles,
+                f64::INFINITY,
+            ),
+            ExecMode::SlateWorkers { task_size } => (
+                perf.compute_cycles_per_block + perf.inject_cycles_per_block,
+                task_size as f64 / cfg.atomic_serial_s,
+            ),
+        };
+        let r_comp = (useful_sms * cfg.clock_hz * util / cycles).min(atomic_cap);
+        let port_bw = useful_sms * cfg.per_sm_mem_bw;
         let id = SliceId(self.fresh());
         self.slices.push((
             id,
@@ -218,6 +288,8 @@ impl Engine {
                 rate: 0.0,
                 rate_compute: 0.0,
                 workers,
+                r_comp,
+                port_bw,
                 imbalance,
                 active_s: 0.0,
                 stall_s: 0.0,
@@ -243,7 +315,7 @@ impl Engine {
             .unwrap_or_else(|| panic!("remove_slice: unknown {id:?}"));
         let (_, s) = self.slices.remove(idx);
         self.dirty = true;
-        Self::report_of(&self.cfg, &s)
+        s.into_report(&self.cfg)
     }
 
     /// Report for a registered slice without removing it.
@@ -253,27 +325,7 @@ impl Engine {
             .iter()
             .find(|(sid, _)| *sid == id)
             .unwrap_or_else(|| panic!("slice_report: unknown {id:?}"));
-        Self::report_of(&self.cfg, s)
-    }
-
-    fn report_of(cfg: &DeviceConfig, s: &Slice) -> SliceReport {
-        SliceReport {
-            kernel: s.spec.perf.name.clone(),
-            tag: s.spec.tag,
-            sm_range: s.spec.sm_range,
-            blocks_total: s.spec.blocks,
-            blocks_done: s.blocks_done.round().min(s.spec.blocks as f64) as u64,
-            drained: s.drained,
-            active_s: s.active_s,
-            stall_s: s.stall_s,
-            insts: s.insts,
-            flops: s.flops,
-            request_bytes: s.request_bytes,
-            dram_bytes: s.dram_bytes,
-            queue_pulls: s.queue_pulls,
-            cycles: s.active_s * cfg.clock_hz,
-            sms: s.spec.sm_range.len(),
-        }
+        s.clone().into_report(&self.cfg)
     }
 
     /// Persistent-worker count of a slice (resident blocks on its SM range).
@@ -333,22 +385,33 @@ impl Engine {
     }
 
     /// Recomputes every entity's progress rate from the device model.
+    /// Runs once per structural change (twice per launch: start, drain)
+    /// and allocates nothing once the scratch buffers have grown.
     fn recompute_rates(&mut self) {
-        let cfg = self.cfg.clone();
+        let Self {
+            cfg,
+            slices,
+            transfers,
+            dirty,
+            demands,
+            eff_dram,
+            allocs,
+            ..
+        } = self;
         // L2 pressure from all executing slices (lead-in slices excluded:
         // their working set is not yet live).
         let pressure = cache::pressure(
             cfg.l2_bytes,
-            self.slices
+            slices
                 .iter()
                 .filter(|(_, s)| s.lead_remaining <= 0.0 && !s.drained)
                 .map(|(_, s)| s.spec.perf.l2_footprint_bytes),
         );
 
         // Pass 1: compute-limited rates and bandwidth demands.
-        let mut demands = Vec::with_capacity(self.slices.len());
-        let mut eff_dram = Vec::with_capacity(self.slices.len());
-        for (_, s) in &mut self.slices {
+        demands.clear();
+        eff_dram.clear();
+        for (_, s) in slices.iter_mut() {
             if s.lead_remaining > 0.0 || s.drained {
                 s.rate = 0.0;
                 s.rate_compute = 0.0;
@@ -356,31 +419,10 @@ impl Engine {
                 eff_dram.push(0.0);
                 continue;
             }
-            let perf = &s.spec.perf;
-            let sms = s.spec.sm_range.len() as f64;
-            let per_sm = occupancy::blocks_per_sm(&cfg, perf) as f64;
-            // Kernels with limited parallelism cannot exploit the full range.
-            let useful_sms = match perf.max_concurrent_blocks {
-                Some(cap) => (cap as f64 / per_sm).min(sms),
-                None => sms,
-            };
-            let resident_threads = per_sm * perf.threads_per_block as f64;
-            let util = (resident_threads / cfg.threads_for_peak_per_sm as f64).min(1.0);
-            let (cycles, atomic_cap) = match s.spec.mode {
-                ExecMode::Hardware => (
-                    perf.compute_cycles_per_block + cfg.block_setup_cycles,
-                    f64::INFINITY,
-                ),
-                ExecMode::SlateWorkers { task_size } => (
-                    perf.compute_cycles_per_block + perf.inject_cycles_per_block,
-                    task_size as f64 / cfg.atomic_serial_s,
-                ),
-            };
-            let r_comp = (useful_sms * cfg.clock_hz * util / cycles).min(atomic_cap);
-            s.rate_compute = r_comp / s.imbalance;
-            let dram = cache::effective_dram_bytes(perf, s.spec.mode.order(), pressure);
+            s.rate_compute = s.r_comp / s.imbalance;
+            let dram = cache::effective_dram_bytes(&s.spec.perf, s.spec.mode.order(), pressure);
             eff_dram.push(dram);
-            let demand = (r_comp * dram).min(useful_sms * cfg.per_sm_mem_bw);
+            let demand = (s.r_comp * dram).min(s.port_bw);
             demands.push(BwDemand { demand });
         }
         // Multiple contending streams destroy DRAM row locality: when the
@@ -393,8 +435,8 @@ impl Engine {
         } else {
             cfg.dram_bw
         };
-        let allocs = membw::allocate(capacity, &demands);
-        for (i, (_, s)) in self.slices.iter_mut().enumerate() {
+        membw::allocate(capacity, demands, allocs);
+        for (i, (_, s)) in slices.iter_mut().enumerate() {
             if s.lead_remaining > 0.0 || s.drained {
                 continue;
             }
@@ -408,11 +450,11 @@ impl Engine {
         }
 
         // Transfers: equal split of the PCIe link.
-        let n = self.transfers.len().max(1) as f64;
-        for (_, t) in &mut self.transfers {
+        let n = transfers.len().max(1) as f64;
+        for (_, t) in transfers.iter_mut() {
             t.rate = cfg.pcie_bw / n;
         }
-        self.dirty = false;
+        *dirty = false;
     }
 
     /// Advances to the next structural event and returns it, or `None` if

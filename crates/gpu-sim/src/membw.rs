@@ -20,17 +20,21 @@ pub struct BwDemand {
 
 /// Proportionally allocates `capacity` bytes/s among `demands`.
 ///
-/// Returns one allocation per demand, in order. Allocations never exceed the
-/// demand, sum to at most `capacity`, and equal the demand whenever the total
-/// demand fits. A zero or negative demand receives zero.
-pub fn allocate(capacity: f64, demands: &[BwDemand]) -> Vec<f64> {
+/// Overwrites `out` with one allocation per demand, in order (the engine
+/// calls this on every rate recomputation and keeps the buffer).
+/// Allocations never exceed the demand, sum to at most `capacity`, and
+/// equal the demand whenever the total demand fits. A zero or negative
+/// demand receives zero.
+pub fn allocate(capacity: f64, demands: &[BwDemand], out: &mut Vec<f64>) {
     assert!(capacity >= 0.0, "capacity must be non-negative");
     let total: f64 = demands.iter().map(|d| d.demand.max(0.0)).sum();
+    out.clear();
     if total <= capacity || total <= 0.0 {
-        return demands.iter().map(|d| d.demand.max(0.0)).collect();
+        out.extend(demands.iter().map(|d| d.demand.max(0.0)));
+        return;
     }
     let scale = capacity / total;
-    demands.iter().map(|d| d.demand.max(0.0) * scale).collect()
+    out.extend(demands.iter().map(|d| d.demand.max(0.0) * scale));
 }
 
 /// Bandwidth a memory-streaming kernel achieves on `sms` SMs given the
@@ -45,6 +49,13 @@ mod tests {
 
     fn d(x: f64) -> BwDemand {
         BwDemand { demand: x }
+    }
+
+    fn allocate(capacity: f64, demands: &[BwDemand]) -> Vec<f64> {
+        // Stale contents must not survive the call.
+        let mut out = vec![f64::NAN; 7];
+        super::allocate(capacity, demands, &mut out);
+        out
     }
 
     #[test]

@@ -9,12 +9,13 @@
 
 use crate::device::SmRange;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Accumulated counters of one grid slice.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SliceReport {
-    /// Kernel name.
-    pub kernel: String,
+    /// Kernel name (shared with the profile the slice ran).
+    pub kernel: Arc<str>,
     /// Caller-assigned attribution tag.
     pub tag: u64,
     /// SM range the slice ran on.
@@ -132,7 +133,7 @@ impl KernelMetrics {
     /// Merges one slice report into the aggregate.
     pub fn merge(&mut self, rep: &SliceReport) {
         if self.kernel.is_empty() {
-            self.kernel = rep.kernel.clone();
+            self.kernel = rep.kernel.to_string();
         }
         self.blocks_done += rep.blocks_done;
         self.active_s += rep.active_s;

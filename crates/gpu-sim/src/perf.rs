@@ -10,6 +10,7 @@
 //! precisely the locality effect the paper measures for Gaussian (Table III).
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Block issue order, which determines inter-block data locality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -50,8 +51,9 @@ impl ExecMode {
 /// Performance profile of a kernel, per user thread block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelPerf {
-    /// Kernel name (for metrics attribution).
-    pub name: String,
+    /// Kernel name (for metrics attribution). Shared, not copied: a
+    /// profile is cloned into every slice of every launch.
+    pub name: Arc<str>,
     /// Threads per block (inner block geometry, unchanged by Slate).
     pub threads_per_block: u32,
     /// Registers per thread (occupancy limit).
@@ -95,7 +97,7 @@ impl KernelPerf {
     /// given compute cycles and memory bytes per block, neutral elsewhere.
     pub fn synthetic(name: &str, compute_cycles: f64, dram_bytes: f64) -> Self {
         Self {
-            name: name.to_string(),
+            name: name.into(),
             threads_per_block: 256,
             regs_per_thread: 32,
             smem_per_block: 0,

@@ -82,6 +82,13 @@ impl Trace {
         Self::default()
     }
 
+    /// Creates an empty trace with room for `events` records.
+    pub fn with_capacity(events: usize) -> Self {
+        Self {
+            events: Vec::with_capacity(events),
+        }
+    }
+
     /// Appends an event at time `t`.
     pub fn record(&mut self, t: f64, kind: TraceKind) {
         debug_assert!(

@@ -41,7 +41,8 @@ proptest! {
     fn allocator_conserves(demands in prop::collection::vec(0.0..1e12f64, 0..12),
                            capacity in 0.0..1e12f64) {
         let ds: Vec<BwDemand> = demands.iter().map(|&d| BwDemand { demand: d }).collect();
-        let allocs = allocate(capacity, &ds);
+        let mut allocs = Vec::new();
+        allocate(capacity, &ds, &mut allocs);
         prop_assert_eq!(allocs.len(), ds.len());
         let total: f64 = allocs.iter().sum();
         prop_assert!(total <= capacity.max(demands.iter().sum()) * (1.0 + 1e-9));

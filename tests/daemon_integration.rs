@@ -230,7 +230,7 @@ fn unlaunchable_kernel_is_a_typed_error_and_the_session_keeps_serving() {
     for (perf, task_size) in [(too_wide, 10), (smem_hog, 10), (lc_perf("no_tasks"), 0)] {
         let name = perf.name.clone();
         match launch(perf, task_size) {
-            Err(slate_core::SlateError::Launch(why)) => assert!(why.contains(&name), "{why}"),
+            Err(slate_core::SlateError::Launch(why)) => assert!(why.contains(&*name), "{why}"),
             other => panic!("{name}: expected a launch error, got {other:?}"),
         }
     }

@@ -7,9 +7,46 @@ use slate_core::runtime::{SlateOptions, SlateRuntime};
 use slate_gpu_sim::device::DeviceConfig;
 use slate_gpu_sim::trace::{Trace, TraceKind};
 use slate_kernels::workload::Benchmark;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 fn titan() -> DeviceConfig {
     DeviceConfig::titan_xp()
+}
+
+/// Counts this thread's allocations (the ledger of
+/// `crates/core/tests/feed_alloc.rs`), for the launch-loop cases below.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.alloc(l)
+    }
+    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.alloc_zeroed(l)
+    }
+    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.realloc(p, l, n)
+    }
+    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        System.dealloc(p, l)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(|c| c.get());
+    f();
+    ALLOCS.with(|c| c.get()) - before
 }
 
 const SCALE: u32 = 30;
@@ -297,4 +334,135 @@ fn every_runtime_drives_the_same_app_lifecycle() {
         .filter(|t| **t == "launch")
         .count();
     assert_eq!(launches as u32, pair[0].launches + pair[1].launches);
+}
+
+/// Allocations of one BS-RG run under `rt`, and its launch count.
+fn bs_rg_allocs(rt: &dyn Runtime, scale: u32) -> (u64, u32) {
+    let apps = [
+        Benchmark::BS.app().scaled_down(scale),
+        Benchmark::RG.app().scaled_down(scale),
+    ];
+    let launches = apps[0].launches + apps[1].launches;
+    (allocs_during(|| drop(rt.run(&apps))), launches)
+}
+
+#[test]
+fn baseline_runs_allocate_per_run_not_per_launch() {
+    // Setting a run up allocates (engine, lifecycle, the trace sized for
+    // its launches, the outcome); the launch loop must not, so a tenth of
+    // the launches costs exactly as many allocations as all of them.
+    let cuda = CudaRuntime::new(titan());
+    let mps = MpsRuntime::new(titan());
+    for rt in [&cuda as &dyn Runtime, &mps] {
+        let (small, few) = bs_rg_allocs(rt, 10);
+        let (full, all) = bs_rg_allocs(rt, 1);
+        assert!(all >= 2_800 && few * 9 < all, "{few} vs {all} launches");
+        assert_eq!(small, full, "{}: allocations follow launches", rt.label());
+        assert!(full <= 32, "{}: {full} allocations in a run", rt.label());
+    }
+}
+
+#[test]
+fn slate_runs_allocate_a_bounded_handful() {
+    // Slate adds first-run profiling, the arbiter core and a trace that
+    // grows past its estimate when launches are resized: a couple of
+    // hundred allocations a run, whatever the launch count.
+    let slate = SlateRuntime::new(titan());
+    for scale in [10, 1] {
+        let (n, launches) = bs_rg_allocs(&slate, scale);
+        assert!(n < 256, "{n} allocations for {launches} launches");
+    }
+}
+
+const SIM_BITS: &str = include_str!("data/sim_bits.txt");
+const LLM_RECORDED_LOG: &str = include_str!("data/llm_recorded_log.json");
+
+/// Every simulated number of the paper sweep, unrounded: per pairing and
+/// runtime one line of `f64::to_bits` in hex — makespan, trace length,
+/// then per app `end_s kernel_busy_s comm_s active_s stall_s dram_bytes`.
+fn sim_bits() -> String {
+    use std::fmt::Write;
+    let cuda = CudaRuntime::new(titan());
+    let mps = MpsRuntime::new(titan());
+    let slate = SlateRuntime::new(titan());
+    let mut out = String::new();
+    for (a, b) in Benchmark::all_pairings() {
+        let apps = [a.app(), b.app()];
+        for rt in [&cuda as &dyn Runtime, &mps, &slate] {
+            let run = rt.run(&apps);
+            write!(
+                out,
+                "{}-{} {} {:016x} {}",
+                a.abbrev(),
+                b.abbrev(),
+                rt.label(),
+                run.makespan_s.to_bits(),
+                run.trace.len()
+            )
+            .unwrap();
+            for r in &run.apps {
+                let m = &r.metrics;
+                for v in [
+                    r.end_s,
+                    r.kernel_busy_s,
+                    r.comm_s,
+                    m.active_s,
+                    m.stall_s,
+                    m.dram_bytes,
+                ] {
+                    write!(out, " {:016x}", v.to_bits()).unwrap();
+                }
+            }
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// The recorded arbitration log of the paper-scale LLM serving trace
+/// (seed 1, preemption on), as its `serde_json` string.
+fn llm_recorded_log() -> String {
+    use slate_kernels::workload::{llm_trace, LlmTraceCfg};
+    let slate = SlateRuntime::with_options(
+        titan(),
+        SlateOptions {
+            preempt_bound_s: Some(0.02),
+            ..SlateOptions::default()
+        },
+    );
+    let (_, log) = slate.run_recorded(&llm_trace(&LlmTraceCfg::paper(1)));
+    let mut json = serde_json::to_string(&log).expect("log serializes");
+    json.push('\n');
+    json
+}
+
+#[test]
+fn simulated_numbers_are_bit_identical_to_the_fixture() {
+    // `EXPERIMENTS.md` rounds to a few digits; this does not. A simulator
+    // speed-up must leave every line as it is — regenerate only for a
+    // deliberate model change (`-- --ignored regenerate_sim_fixtures`).
+    let got = sim_bits();
+    assert_eq!(got.lines().count(), 15 * 3);
+    for (g, want) in got.lines().zip(SIM_BITS.lines()) {
+        assert_eq!(g, want);
+    }
+    assert_eq!(got, SIM_BITS);
+    let pinned: slate_core::arbiter::EventLog =
+        serde_json::from_str(LLM_RECORDED_LOG).expect("fixture parses");
+    let events: usize = pinned.batches.iter().map(|b| b.events.len()).sum();
+    assert_eq!((pinned.batches.len(), events), (1445, 2860));
+    // Not `assert_eq!`: a mismatch would print two 338 KB strings.
+    assert!(
+        llm_recorded_log() == LLM_RECORDED_LOG,
+        "the recorded serving log moved"
+    );
+}
+
+#[test]
+#[ignore = "regenerates tests/data fixtures; run after an intended simulator change"]
+fn regenerate_sim_fixtures() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/data");
+    std::fs::create_dir_all(dir).unwrap();
+    std::fs::write(format!("{dir}/sim_bits.txt"), sim_bits()).unwrap();
+    std::fs::write(format!("{dir}/llm_recorded_log.json"), llm_recorded_log()).unwrap();
 }
