@@ -17,6 +17,17 @@
 //!   through the simulation backend (**hard-gated**);
 //! * `wal_append` — durability WAL appends (metadata records and routed
 //!   placement batches) on an open segment;
+//! * `checkpoint` — 64 batch appends at the default cadence with
+//!   compaction on, so every iteration holds exactly one checkpoint
+//!   (snapshot, rotation, unlinks), on a mirror that has seen 256 sessions
+//!   close and holds 2 open: what the serving path pays under the arbiter
+//!   lock every 64 batches (ungated for now: it is mostly one `fsync`,
+//!   which follows the runner's disk);
+//! * `session_lifecycle` — connect → malloc → 4 launches → synchronize →
+//!   free → disconnect through a durable daemon: the unit of the
+//!   `serve_durable` workload, session thread and WAL included (ungated
+//!   for now: ten thread hand-offs per iteration follow the runner's
+//!   scheduler);
 //! * `recover_replay` — rebuilding daemon state from a durability
 //!   directory (snapshot load + full WAL suffix replay);
 //! * `trace_export` — converting a recorded event log into Perfetto
@@ -44,10 +55,12 @@
 
 use slate_baselines::{CudaRuntime, MpsRuntime, Runtime};
 use slate_bench::{BenchMeasurement, Report, REPORT_SCHEMA};
+use slate_core::api::SlateClient;
 use slate_core::arbiter::replay::{replay_under, EventLog};
 use slate_core::arbiter::{ArbiterConfig, ArbiterCore, Command, Event};
 use slate_core::backend::{Backend, SimBackend, WorkSpec};
 use slate_core::classify::WorkloadClass;
+use slate_core::daemon::{DaemonOptions, SlateDaemon};
 use slate_core::dispatch::{DispatchHandle, Dispatcher};
 use slate_core::durability::{recover_dir, Durability, DurableMeta, WalRecord};
 use slate_core::partition::partition;
@@ -311,6 +324,42 @@ fn build_wal_dir(dir: &std::path::Path, sessions: u64) -> u64 {
     batches
 }
 
+/// The WAL records of one `serve_durable`-shaped session lifecycle: the
+/// session, an allocation, four launches admitted and done, the free, and
+/// — unless it is to stay `open` — the close.
+fn lifecycle_records(session: u64, open: bool) -> Vec<WalRecord> {
+    let ptr = (session << 32) + 1;
+    let mut records = vec![
+        WalRecord::SessionMeta {
+            session,
+            user: format!("user-{}", session % 8),
+            slo: Default::default(),
+        },
+        WalRecord::Alloc {
+            session,
+            slate_ptr: ptr,
+            device_ptr: 0x1000 * session,
+            bytes: 4096,
+        },
+    ];
+    for launch_id in 0..4 {
+        records.push(WalRecord::LaunchAdmitted {
+            session,
+            launch_id,
+            lease: session << 16,
+        });
+        records.push(WalRecord::LaunchDone { session, launch_id });
+    }
+    if !open {
+        records.push(WalRecord::Free {
+            session,
+            slate_ptr: ptr,
+        });
+        records.push(WalRecord::SessionClosed { session });
+    }
+    records
+}
+
 /// Records one deterministic arbitration run — `sessions` sessions, four
 /// kernels each with mixed classes and interleaved finishes — and returns
 /// the event log the trace exporter and autotuner consume.
@@ -406,6 +455,80 @@ fn main() {
                         dur.append_batch(&batch, || snap.clone());
                     }
                 });
+                let _ = std::fs::remove_dir_all(&dir);
+                m
+            },
+            {
+                // A four-device fleet with two sessions open, and a mirror
+                // 258 lifecycles old. Each iteration appends 64 batches at
+                // the default cadence, so it holds exactly one checkpoint.
+                let dir = std::env::temp_dir()
+                    .join(format!("slate-bench-checkpoint-{}", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dir);
+                let mut layer = PlacementLayer::new(
+                    vec![DeviceConfig::titan_xp(); 4],
+                    PlacementConfig::default(),
+                );
+                let mut meta = DurableMeta::default();
+                for session in 1..=258 {
+                    for record in lifecycle_records(session, session > 256) {
+                        meta.apply(&record);
+                    }
+                }
+                layer.feed(
+                    1,
+                    &[
+                        Event::SessionOpened { session: 257 },
+                        Event::SessionOpened { session: 258 },
+                    ],
+                );
+                let dur =
+                    Durability::start(DurabilityOptions::new(&dir), 0, 0, &layer.snapshot(), meta)
+                        .expect("start durability");
+                let batch = PlacementBatch {
+                    at: 2,
+                    events: vec![ready(257, 257 << 16, 4)],
+                    routed: Vec::new(),
+                };
+                let m = measure("checkpoint", false, 200, 64, move || {
+                    for _ in 0..64 {
+                        dur.append_batch(&batch, || layer.snapshot());
+                    }
+                });
+                let _ = std::fs::remove_dir_all(&dir);
+                m
+            },
+            {
+                let dir = std::env::temp_dir()
+                    .join(format!("slate-bench-lifecycle-{}", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dir);
+                let daemon = SlateDaemon::start_with_options(
+                    DeviceConfig::titan_xp(),
+                    1 << 24,
+                    DaemonOptions {
+                        durability: Some(DurabilityOptions::new(&dir)),
+                        ..DaemonOptions::default()
+                    },
+                );
+                let m = measure("session_lifecycle", false, 500, 1, || {
+                    let client = SlateClient::new(daemon.connect("bench").expect("connect"));
+                    let p = client.malloc(4096).expect("malloc");
+                    for _ in 0..4 {
+                        client
+                            .launch_with(vec![p], 10, None, |_| -> Arc<dyn GpuKernel> {
+                                Arc::new(Nop {
+                                    grid: GridDim::d1(4),
+                                })
+                            })
+                            .expect("launch");
+                    }
+                    client.synchronize().expect("synchronize");
+                    client.free(p).expect("free");
+                    client.disconnect().expect("disconnect");
+                });
+                daemon.join();
+                assert_eq!(daemon.wal_io_errors(), 0);
+                drop(daemon);
                 let _ = std::fs::remove_dir_all(&dir);
                 m
             },

@@ -23,9 +23,11 @@ pub(super) struct ArbInner {
     /// deterministic routing of [`PlacementLayer`]. A single-device daemon
     /// is the degenerate N=1 layer and behaves exactly as before.
     pub(super) layer: PlacementLayer,
-    /// Routed commands of the batch being fed; reused at its high-water
-    /// capacity, so a warmed in-memory feed allocates nothing.
-    replies: Vec<RoutedCommand>,
+    /// The batch being fed. `routed` is the reply buffer of every feed;
+    /// a durable daemon also fills in `at` and `events` and lends the
+    /// whole to the WAL. Reused at its high-water capacity, so a warmed
+    /// feed allocates nothing, durable or not.
+    batch: PlacementBatch,
     /// Dispatch grants awaiting pickup by their `exec::execute` thread:
     /// lease → (device index, granted SM range). Ordered map so any
     /// iteration over pending grants is deterministic. (Dense-slot rule,
@@ -95,7 +97,11 @@ impl ArbFrontend {
             base_us,
             inner: Mutex::new(ArbInner {
                 layer,
-                replies: Vec::new(),
+                batch: PlacementBatch {
+                    at: 0,
+                    events: Vec::new(),
+                    routed: Vec::new(),
+                },
                 grants: BTreeMap::new(),
                 leases: LeaseTable::new(),
             }),
@@ -144,27 +150,26 @@ impl ArbFrontend {
         let now = self.base_us + self.epoch.elapsed().as_micros() as u64;
         let ArbInner {
             layer,
-            replies,
+            batch,
             grants,
             leases,
         } = inner;
-        layer.feed_into(now, events, replies);
+        layer.feed_into(now, events, &mut batch.routed);
         if let Some(d) = &self.durability {
             // Heartbeat filter (same rule as the in-memory recorder): an
             // all-tick batch that routed nothing changes no state and
             // would swamp the log.
             let heartbeat_only = events.iter().all(|e| matches!(e, ArbEvent::DeadlineTick));
-            if !(heartbeat_only && replies.is_empty()) {
-                let batch = PlacementBatch {
-                    // The layer clamps time monotonic; record the clamped
-                    // tick so replay feeds exactly what the core saw.
-                    at: layer.now(),
-                    events: events.to_vec(),
-                    routed: replies.clone(),
-                };
-                d.append_batch(&batch, || layer.snapshot());
+            if !(heartbeat_only && batch.routed.is_empty()) {
+                // The layer clamps time monotonic; record the clamped
+                // tick so replay feeds exactly what the core saw.
+                batch.at = layer.now();
+                batch.events.clear();
+                batch.events.extend_from_slice(events);
+                d.append_batch(batch, || layer.snapshot());
             }
         }
+        let replies = &batch.routed;
         let retry_after_ms = session.and_then(|s| shed_retry(replies, s));
         // The shed case returns Overloaded to the client: the session
         // never existed, so no durable record of it.

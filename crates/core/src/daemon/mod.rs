@@ -3,8 +3,9 @@
 //! The daemon is the server half of Slate's client–server architecture: it
 //! funnels every client's operations into one device context, which is what
 //! makes cross-process co-running possible at all. Per client it keeps a
-//! *session*, served by its own thread, holding the hash table that maps
-//! the client's opaque pointers to device allocations.
+//! *session*, served by its own thread (parked and reused between
+//! sessions), holding the hash table that maps the client's opaque
+//! pointers to device allocations.
 //!
 //! Kernel launches run the full Slate pipeline, functionally: the source
 //! injector (with its per-user compilation cache), first-run profiling and
@@ -120,7 +121,6 @@ use slate_kernels::workload::SloClass;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Shared daemon state.
@@ -240,7 +240,16 @@ pub struct DaemonOptions {
 pub struct SlateDaemon {
     shared: Arc<DaemonShared>,
     next_session: Mutex<u64>,
-    sessions: Mutex<Vec<JoinHandle<()>>>,
+    /// Session threads between sessions.
+    pool: Arc<session::SessionPool>,
+}
+
+impl Drop for SlateDaemon {
+    /// Parked session threads leave at once; the heartbeat follows when
+    /// the last session lets go of the shared state.
+    fn drop(&mut self) {
+        self.pool.close();
+    }
 }
 
 /// Client-side connection to the daemon — the transport `api::SlateClient`
@@ -363,7 +372,7 @@ impl SlateDaemon {
         Arc::new(Self {
             shared,
             next_session: Mutex::new(0),
-            sessions: Mutex::new(Vec::new()),
+            pool: Arc::default(),
         })
     }
 
@@ -374,8 +383,8 @@ impl SlateDaemon {
         self.shared.profiles.lock().clone()
     }
 
-    /// Accepts a new client; spawns its session thread (one per process,
-    /// kept alive until the process disconnects — §IV-A2). Refused with
+    /// Accepts a new client and puts its session on a thread (one per
+    /// process until the process disconnects — §IV-A2). Refused with
     /// [`SlateError::ShuttingDown`] once [`SlateDaemon::shutdown`] ran,
     /// and shed with [`SlateError::Overloaded`] at the
     /// [`AdmissionLimits::max_sessions`] bound.
@@ -586,7 +595,7 @@ impl SlateDaemon {
             + sh.active_sessions.recoveries()
             + sh.arb.inner.recoveries()
             + self.next_session.recoveries()
-            + self.sessions.recoveries();
+            + self.pool.lock_recoveries();
         // The other locks are read first and released: none is ever
         // taken under the arbiter lock.
         let launches_served = *sh.launches.lock();
@@ -612,12 +621,15 @@ impl SlateDaemon {
         }
     }
 
-    /// Waits for all session threads to finish (after clients disconnect),
-    /// and for any still-running adoption pass of a recovered daemon.
+    /// Waits for every session to end (after clients disconnect) — torn
+    /// down, counted out and its thread parked again — and for any
+    /// still-running adoption pass of a recovered daemon.
     pub fn join(&self) {
-        let handles: Vec<_> = std::mem::take(&mut *self.sessions.lock());
-        for h in handles {
-            let _ = h.join();
+        {
+            let mut active = self.shared.active_sessions.lock();
+            while *active > 0 {
+                self.shared.session_drained.wait(&mut active);
+            }
         }
         let adoptions: Vec<_> = self
             .shared

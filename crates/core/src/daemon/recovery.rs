@@ -177,12 +177,11 @@ impl SlateDaemon {
             ));
         }
         let meta = durability.meta();
+        // The mirror holds open sessions only: one that closed before the
+        // crash is as unknown as one the log never saw.
         let Some(smeta) = meta.sessions.get(&session) else {
-            return rejected(format!("session {session} is unknown to the log"));
+            return rejected(format!("session {session} is not open in the log"));
         };
-        if !smeta.open {
-            return rejected(format!("session {session} was closed before the crash"));
-        }
         let st = {
             let mut recovery = self.shared.recovery.lock();
             let record = recovery.entry(session).or_default();

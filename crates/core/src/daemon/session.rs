@@ -1,6 +1,8 @@
 //! Session threads: one per connected client process (§IV-A2), holding
 //! the pointer-mapping hash table of §IV-A1 and the session's stream
-//! lanes, and serving its command pipe until the client leaves.
+//! lanes, and serving its command pipe until the client leaves — then
+//! parked for the next client ([`SessionPool`]), so session churn costs
+//! a hand-off, not a thread.
 
 use super::exec::{execute, panic_text, Launch};
 use super::{Connection, DaemonShared, SlateDaemon};
@@ -8,15 +10,15 @@ use crate::arbiter::Event as ArbEvent;
 use crate::channel::{KernelFactory, LaunchCmd, Request, Response, SlatePtr};
 use crate::durability::{SessionMeta, WalRecord};
 use crate::error::SlateError;
-use crate::sync::Mutex;
+use crate::sync::{Condvar, Mutex};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use slate_gpu_sim::buffer::{DevicePtr, GpuBuffer};
 use slate_gpu_sim::fault::{FaultKind, FaultSite};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-session state: the pointer-mapping hash table of §IV-A1, plus the
 /// launch-id dedupe of a crash-resumed session.
@@ -119,10 +121,134 @@ struct Session {
     exit: Option<Exit>,
 }
 
+/// How long a thread that finished a session stays parked for the next
+/// one. Long enough to bridge back-to-back lifecycles (and a scheduler
+/// hiccup between them), short enough that a burst's threads and their
+/// stacks do not outlast it by much.
+const PARK_IDLE: Duration = Duration::from_millis(200);
+
+/// A session ready to be served: the serving half and its command pipe.
+type Handoff = (Session, Receiver<Request>);
+
+/// The daemon's session threads between sessions (`DESIGN.md` §8). A
+/// thread that finished a session parks here; a new session is handed to
+/// a parked thread when there is one and gets a thread of its own when
+/// there is none, so it never waits behind another session and the
+/// threads alive never exceed the peak of concurrently live sessions.
+/// Nobody holds a thread's `JoinHandle`: a thread leaves by itself after
+/// [`PARK_IDLE`] without work, or at once when the daemon handle is
+/// dropped, and a parked thread holds nothing of the daemon but this pool.
+#[derive(Default)]
+pub(super) struct SessionPool {
+    state: Mutex<PoolState>,
+    /// Signalled on every hand-off and on [`SessionPool::close`].
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct PoolState {
+    /// Parked threads no hand-off has claimed. Threads waiting in
+    /// [`SessionPool::park`] = `idle + handed.len()`, always.
+    idle: usize,
+    /// Sessions handed to a claimed thread and not yet picked up. Each
+    /// was paid for with one `idle`, so each has a thread coming; which
+    /// parked thread takes which is immaterial.
+    handed: VecDeque<Handoff>,
+    /// The daemon handle is gone: parked threads leave, nobody parks.
+    closed: bool,
+}
+
+/// Counts its session out of `active_sessions` when dropped — by the
+/// session's thread once it is parked again, or by the unwinding of a
+/// panic that takes the thread with it — so the shutdown drain,
+/// [`SlateDaemon::join`] and [`SlateDaemon::crash`] always hear of a
+/// session's end, and hear of it only when its thread can be claimed
+/// again.
+struct Served(Arc<DaemonShared>);
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        *self.0.active_sessions.lock() -= 1;
+        self.0.session_drained.notify_all();
+    }
+}
+
+impl SessionPool {
+    /// Starts serving `session`: on a parked thread if one can be claimed
+    /// under the pool's lock, on a new thread otherwise.
+    fn serve(self: &Arc<Self>, session: Session, rx: Receiver<Request>) {
+        let mut st = self.state.lock();
+        if st.idle > 0 {
+            st.idle -= 1;
+            st.handed.push_back((session, rx));
+            drop(st);
+            self.wake.notify_one();
+            return;
+        }
+        drop(st);
+        let pool = self.clone();
+        std::thread::Builder::new()
+            .name("slate-session".to_string())
+            .spawn(move || {
+                let mut next = Some((session, rx));
+                // A panic that unwinds out of `serve` ends this thread;
+                // the pool never counted it while it served, and the
+                // unwinding closes the session and counts it out.
+                while let Some((session, rx)) = next {
+                    let served = Served(session.shared.clone());
+                    session.serve(rx);
+                    next = pool.park(served);
+                }
+            })
+            .expect("spawn session thread");
+    }
+
+    /// Parks the calling thread, which just finished `served`'s session,
+    /// until a session is handed to it; `None` once it sat idle for
+    /// [`PARK_IDLE`] or the daemon handle is gone.
+    fn park(&self, served: Served) -> Option<Handoff> {
+        let mut st = self.state.lock();
+        if st.closed {
+            return None;
+        }
+        st.idle += 1;
+        // Claimable first, counted out second: whoever waited for this
+        // session to end finds its thread parked.
+        drop(st);
+        drop(served);
+        let deadline = Instant::now() + PARK_IDLE;
+        let mut st = self.state.lock();
+        loop {
+            if let Some(handoff) = st.handed.pop_front() {
+                return Some(handoff);
+            }
+            if st.closed || Instant::now() >= deadline {
+                st.idle -= 1;
+                return None;
+            }
+            self.wake.wait_until(&mut st, deadline);
+        }
+    }
+
+    /// Sends every parked thread home; called when the daemon handle is
+    /// dropped. Sessions still being served finish on their threads,
+    /// which then leave instead of parking.
+    pub(super) fn close(&self) {
+        self.state.lock().closed = true;
+        self.wake.notify_all();
+    }
+
+    /// Poisoned-lock recoveries of the pool's lock, for
+    /// [`DaemonMetrics::lock_recoveries`](crate::admission::DaemonMetrics).
+    pub(super) fn lock_recoveries(&self) -> u64 {
+        self.state.recoveries()
+    }
+}
+
 impl SlateDaemon {
-    /// Spawns `session`'s thread (one per process, kept alive until the
-    /// process disconnects — §IV-A2) and hands back the client's end of
-    /// its pipes.
+    /// Puts `session` on a thread (one per process for as long as the
+    /// process stays connected — §IV-A2) and hands back the client's end
+    /// of its pipes.
     pub(super) fn spawn_session(
         &self,
         session: u64,
@@ -143,11 +269,7 @@ impl SlateDaemon {
             stream_errors: Arc::default(),
             exit: None,
         };
-        let handle = std::thread::Builder::new()
-            .name(format!("slate-session-{session}"))
-            .spawn(move || serving.serve(rx_req))
-            .expect("spawn session thread");
-        self.sessions.lock().push(handle);
+        self.pool.serve(serving, rx_req);
         Connection {
             session,
             epoch: self.epoch(),
@@ -477,10 +599,8 @@ impl Session {
 impl Drop for Session {
     /// Runs however the thread leaves [`Session::serve`] — a return or a
     /// panic unwinding it — so the session is always closed (or, after a
-    /// crash, preserved) and the shutdown drain always hears of it.
+    /// crash, preserved).
     fn drop(&mut self) {
         self.close();
-        *self.shared.active_sessions.lock() -= 1;
-        self.shared.session_drained.notify_all();
     }
 }

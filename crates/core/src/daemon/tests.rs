@@ -468,6 +468,156 @@ fn nothing_fed_after_a_crash_reaches_the_core_or_the_wal() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+fn durable_opts(dir: &std::path::Path, keep_all: bool) -> DaemonOptions {
+    DaemonOptions {
+        durability: Some(DurabilityOptions {
+            dir: dir.to_path_buf(),
+            snapshot_every: 8,
+            keep_all,
+        }),
+        ..Default::default()
+    }
+}
+
+fn durable_daemon(dir: &std::path::Path, keep_all: bool) -> Arc<SlateDaemon> {
+    std::fs::remove_dir_all(dir).ok();
+    SlateDaemon::start_with_options(DeviceConfig::tiny(2), 1 << 20, durable_opts(dir, keep_all))
+}
+
+/// connect → malloc → launch → synchronize → free → disconnect; returns
+/// the session's id.
+fn lifecycle(daemon: &Arc<SlateDaemon>) -> u64 {
+    let client = SlateClient::new(daemon.connect("churn").unwrap());
+    let session = client.session();
+    let p = client.malloc(64).unwrap();
+    client
+        .launch_with(vec![p], 10, None, double_factory(16))
+        .unwrap();
+    client.synchronize().unwrap();
+    client.free(p).unwrap();
+    client.disconnect().unwrap();
+    session
+}
+
+/// Blocks until at most `n` sessions are live — every other one torn
+/// down, its `SessionClosed` in the WAL.
+fn wait_for_sessions(daemon: &SlateDaemon, n: usize) {
+    let mut active = daemon.shared.active_sessions.lock();
+    while *active > n {
+        daemon.shared.session_drained.wait(&mut active);
+    }
+}
+
+#[test]
+fn a_checkpoint_holds_the_open_sessions_however_many_have_closed() {
+    use crate::durability::{snapshot::load_snapshot, wal::list_snapshots};
+    let dir = std::env::temp_dir().join(format!("slate-daemon-churn-{}", std::process::id()));
+    let daemon = durable_daemon(&dir, false);
+    let resident = SlateClient::new(daemon.connect("resident").unwrap());
+    resident.malloc(64).unwrap();
+    // The one snapshot on disk (compaction is on), and its size.
+    let newest = || {
+        let snaps = list_snapshots(&dir).unwrap();
+        assert_eq!(snaps.len(), 1, "{snaps:?}");
+        let (_, path) = &snaps[0];
+        (
+            load_snapshot(path).expect("snapshot loads"),
+            std::fs::metadata(path).unwrap().len(),
+        )
+    };
+    let mut last = 0;
+    let mut size_after_10 = 0;
+    for i in 1..=300 {
+        last = lifecycle(&daemon);
+        if i == 10 {
+            wait_for_sessions(&daemon, 1);
+            size_after_10 = newest().1;
+        }
+    }
+    wait_for_sessions(&daemon, 1);
+    let (snap, size) = newest();
+    assert!(snap.segment > 100, "checkpoints ran: {}", snap.segment);
+    // The cadence may have fallen inside the last lifecycle; nothing
+    // older than that is in the snapshot, and the live mirror holds the
+    // resident alone.
+    let sessions: Vec<u64> = snap.meta.sessions.keys().copied().collect();
+    assert!(
+        sessions.contains(&resident.session())
+            && sessions
+                .iter()
+                .all(|s| [resident.session(), last].contains(s)),
+        "snapshot holds {sessions:?}"
+    );
+    let durability = daemon.shared.arb.durability.as_ref().unwrap();
+    let live: Vec<u64> = durability.meta().sessions.keys().copied().collect();
+    assert_eq!(live, [resident.session()]);
+    assert_eq!(durability.meta().next_session, last + 1, "ids stay unique");
+    // One in-flight session's record and a few digits of counters are
+    // all that may differ; the parent grew by 200 B per lifecycle.
+    assert!(
+        size <= size_after_10 + 512,
+        "snapshot grew with closed sessions: {size_after_10} B after 10 lifecycles, {size} B after 300"
+    );
+    assert_eq!(daemon.wal_io_errors(), 0);
+    resident.disconnect().unwrap();
+    daemon.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_closed_session_stays_closed() {
+    let dir = std::env::temp_dir().join(format!("slate-daemon-closed-{}", std::process::id()));
+    let daemon = durable_daemon(&dir, true);
+    let open = SlateClient::new(daemon.connect("stays").unwrap());
+    let p = open.malloc(64).unwrap();
+    open.upload_f32(p, &[7.0]).unwrap();
+    let leaver = SlateClient::new(daemon.connect("leaves").unwrap());
+    let (stays, leaves) = (open.resume_token(), leaver.resume_token());
+    leaver.malloc(64).unwrap();
+    leaver.disconnect().unwrap();
+    wait_for_sessions(&daemon, 1);
+    let durability = daemon.shared.arb.durability.clone().unwrap();
+    let sessions = || {
+        durability
+            .meta()
+            .sessions
+            .keys()
+            .copied()
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(sessions(), [stays.session]);
+    // A straggler — the completion of a launch whose client is gone —
+    // is logged, and does not bring the session back.
+    daemon.shared.wal(WalRecord::LaunchDone {
+        session: leaves.session,
+        launch_id: 0,
+    });
+    assert_eq!(sessions(), [stays.session]);
+
+    let scene = daemon.crash();
+    let recovered = SlateDaemon::recover(scene, durable_opts(&dir, true)).expect("recover");
+    // Replaying the log — straggler included — agrees with the mirror.
+    let replayed = recovered.shared.arb.durability.as_ref().unwrap().meta();
+    assert_eq!(
+        replayed.sessions.keys().collect::<Vec<_>>(),
+        [&stays.session]
+    );
+    match recovered.resume(leaves) {
+        Err(SlateError::ResumeRejected(why)) => assert!(why.contains("not open"), "{why}"),
+        Err(other) => panic!("expected ResumeRejected, got {other}"),
+        Ok(_) => panic!("a closed session was resumed"),
+    }
+    let resumed = SlateClient::new(recovered.resume(stays).expect("the open one resumes"));
+    assert_eq!(resumed.download_f32(p, 1).unwrap(), vec![7.0]);
+    // A new session's id is past every id ever given out.
+    let fresh = recovered.connect("fresh").unwrap();
+    assert!(fresh.session > leaves.session.max(stays.session));
+    drop(fresh);
+    resumed.disconnect().unwrap();
+    recovered.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn multi_device_daemon_routes_sessions_and_records_placement() {
     let daemon = SlateDaemon::start_with_options(

@@ -14,17 +14,29 @@
 //! ```
 //!
 //! Snapshot `k` captures state as of the *start* of segment `k`; recovery
-//! loads the newest readable snapshot and replays segments `≥ k`.
-//! Compaction deletes everything below the newest snapshot — superseded
-//! segments and snapshots alike.
+//! loads the newest readable snapshot and replays segments `≥ k`, up to
+//! the first damaged one. Unless `keep_all` is set, a checkpoint unlinks
+//! the snapshot and the segment it superseded, so a serving directory
+//! holds one of each.
 //!
-//! **Fsync policy.** Appends go straight to the file descriptor
-//! (crash-of-the-process can lose nothing acknowledged); `sync_all` runs
-//! at rotation, snapshot and freeze points (power-failure windows bounded
-//! by the snapshot cadence). I/O errors during appends are counted and
-//! surfaced via [`Durability::io_errors`] rather than propagated — an
-//! arbitration decision that already happened cannot be un-made by a full
-//! disk, and the counter lets operators alarm on it.
+//! **Checkpoints** run on the batch cadence, synchronously, under the
+//! arbiter lock — so what one costs is serving latency. It costs what the
+//! *open* sessions cost to serialise ([`DurableMeta`] forgets a session
+//! when it closes), one `fsync` and two `unlink`s, in an order that leaves
+//! a recoverable directory after every step (`Durability::checkpoint`;
+//! `DESIGN.md` §16 has the crash and power-failure argument and the
+//! measured cost of each step).
+//!
+//! **Fsync policy.** Every append is one `write` straight to the file
+//! descriptor (crash-of-the-process can lose nothing acknowledged);
+//! `sync_all` runs on each snapshot before it is renamed into place, on
+//! the open segment at freeze, and on the closing segment of a checkpoint
+//! when `keep_all` retains it — every file that is kept is synced, and
+//! power-failure windows are bounded by the snapshot cadence. I/O errors
+//! during appends and checkpoints are counted and surfaced via
+//! [`Durability::io_errors`] rather than propagated — an arbitration
+//! decision that already happened cannot be un-made by a full disk, and
+//! the counter lets operators alarm on it.
 
 pub mod recover;
 pub mod snapshot;
@@ -73,7 +85,7 @@ impl DurabilityOptions {
 
 #[derive(Debug)]
 struct DurInner {
-    writer: Option<SegmentWriter>,
+    writer: SegmentWriter,
     segment: u64,
     batches_since_snap: u64,
     meta: DurableMeta,
@@ -118,18 +130,22 @@ impl Durability {
             },
         )?;
         let writer = SegmentWriter::create(&options.dir, segment)?;
-        Ok(Arc::new(Self {
+        let durability = Self {
             options,
             epoch,
             inner: Mutex::new(DurInner {
-                writer: Some(writer),
+                writer,
                 segment,
                 batches_since_snap: 0,
                 meta,
                 frozen: false,
             }),
             io_errors: AtomicU64::new(0),
-        }))
+        };
+        // The anchor supersedes whatever a crashed incarnation left: the
+        // one place the directory is listed.
+        durability.compact();
+        Ok(Arc::new(durability))
     }
 
     /// The recovery epoch this incarnation runs in.
@@ -172,17 +188,15 @@ impl Durability {
             return;
         }
         inner.meta.apply(record);
-        let r = inner.writer.as_mut().map(|w| w.append(record));
+        let r = inner.writer.append(record);
         drop(inner);
-        if let Some(r) = r {
-            self.note_io(r);
-        }
+        self.note_io(r);
     }
 
-    /// Appends one fed placement batch; on cadence, rotates the segment
-    /// and writes a checkpoint of `placement_snap()` (called under the
-    /// same lock the batch was produced under, so the snapshot anchors
-    /// exactly the batches appended so far).
+    /// Appends one fed placement batch; on cadence, checkpoints
+    /// `placement_snap()` (called under the same lock the batch was
+    /// produced under, so the snapshot anchors exactly the batches
+    /// appended so far) and rotates the log.
     pub fn append_batch(
         &self,
         batch: &crate::placement::PlacementBatch,
@@ -192,71 +206,77 @@ impl Durability {
         if inner.frozen {
             return;
         }
-        let record = WalRecord::Batch {
-            batch: batch.clone(),
-        };
-        if let Some(w) = inner.writer.as_mut() {
-            if w.append(&record).is_err() {
-                self.io_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.note_io(inner.writer.append_batch(batch));
         inner.batches_since_snap += 1;
-        if inner.batches_since_snap < self.options.snapshot_every {
-            return;
-        }
-        // Rotate first, then anchor the new segment with the checkpoint:
-        // a crash between the two leaves the previous snapshot + a full
-        // replay of the (closed) old segment — nothing lost.
-        inner.batches_since_snap = 0;
-        if let Some(w) = inner.writer.as_mut() {
-            let _ = w.sync();
-        }
-        inner.segment += 1;
-        let seg = inner.segment;
-        match SegmentWriter::create(&self.options.dir, seg) {
-            Ok(w) => inner.writer = Some(w),
-            Err(_) => {
-                self.io_errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-        let snap = DurableSnapshot {
-            format: SNAPSHOT_FORMAT,
-            epoch: self.epoch,
-            segment: seg,
-            placement: placement_snap(),
-            meta: inner.meta.clone(),
-        };
-        if write_snapshot(&self.options.dir, seg, &snap).is_err() {
-            self.io_errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        drop(inner);
-        if !self.options.keep_all {
-            self.compact();
+        if inner.batches_since_snap >= self.options.snapshot_every {
+            inner.batches_since_snap = 0;
+            self.checkpoint(&mut inner, placement_snap);
         }
     }
 
-    /// Deletes segments and snapshots superseded by the newest snapshot.
-    /// No-op under `keep_all`. Best-effort: removal failures are counted,
-    /// not fatal — stale files only cost disk.
+    /// One checkpoint, from segment `k − 1` to segment `k`, in the order
+    /// that leaves a recoverable directory after every step (`DESIGN.md`
+    /// §16 walks through them): create segment `k`, empty; write snapshot
+    /// `k`; switch the writer; unlink what snapshot `k` superseded. A step
+    /// that fails is counted and ends the attempt — appends go on in
+    /// `k − 1` and the next cadence tries again.
+    fn checkpoint(&self, inner: &mut DurInner, placement_snap: impl FnOnce() -> PlacementSnapshot) {
+        let dir = &self.options.dir;
+        let k = inner.segment + 1;
+        let Some(next) = self.note_io(SegmentWriter::create(dir, k)) else {
+            return;
+        };
+        // Kept, the closing segment outlives this checkpoint and must be
+        // durable in its own right. Otherwise snapshot `k` holds all it
+        // held and is synced below, and the file is unlinked right after:
+        // syncing it would buy nothing.
+        if self.options.keep_all {
+            self.note_io(inner.writer.sync());
+        }
+        // The mirror is lent to the snapshot, not cloned into it.
+        let snap = DurableSnapshot {
+            format: SNAPSHOT_FORMAT,
+            epoch: self.epoch,
+            segment: k,
+            placement: placement_snap(),
+            meta: std::mem::take(&mut inner.meta),
+        };
+        let written = write_snapshot(dir, k, &snap);
+        inner.meta = snap.meta;
+        if self.note_io(written).is_none() {
+            return;
+        }
+        inner.writer = next;
+        inner.segment = k;
+        if !self.options.keep_all {
+            // By name: the two files snapshot `k` superseded are the only
+            // ones below it (`start` swept the rest). The snapshot goes
+            // first — a crash between the two must not leave snapshot
+            // `k − 1` behind without the segment it anchors.
+            self.note_io(std::fs::remove_file(wal::snapshot_path(dir, k - 1)));
+            self.note_io(std::fs::remove_file(wal::segment_path(dir, k - 1)));
+        }
+    }
+
+    /// Deletes every segment and snapshot below the newest snapshot — the
+    /// sweep [`Durability::start`] runs for what a crashed incarnation
+    /// left behind; the cadence path unlinks its two files by name and
+    /// never lists the directory. No-op under `keep_all`. Best-effort:
+    /// removal failures are counted, not fatal — stale files only cost
+    /// disk.
     pub fn compact(&self) {
         if self.options.keep_all {
             return;
         }
-        let newest = {
-            let inner = self.inner.lock();
-            inner.segment
-        };
+        let newest = self.inner.lock().segment;
         let dir = &self.options.dir;
-        for (k, path) in wal::list_segments(dir).unwrap_or_default() {
-            if k < newest && self.note_io(std::fs::remove_file(path)).is_none() {
-                return;
-            }
-        }
-        for (k, path) in wal::list_snapshots(dir).unwrap_or_default() {
-            if k < newest && self.note_io(std::fs::remove_file(path)).is_none() {
-                return;
+        // Snapshots first, as in a checkpoint: none may be left behind
+        // without its segment.
+        for list in [wal::list_snapshots(dir), wal::list_segments(dir)] {
+            for (k, path) in list.unwrap_or_default() {
+                if k < newest && self.note_io(std::fs::remove_file(path)).is_none() {
+                    return;
+                }
             }
         }
     }
@@ -269,11 +289,9 @@ impl Durability {
             return;
         }
         inner.frozen = true;
-        let r = inner.writer.as_mut().map(|w| w.sync());
+        let r = inner.writer.sync();
         drop(inner);
-        if let Some(r) = r {
-            self.note_io(r);
-        }
+        self.note_io(r);
     }
 }
 
@@ -366,6 +384,175 @@ mod tests {
         assert_eq!(log.batches.len(), 5);
         crate::placement::replay::verify(&log).expect("full history verifies from genesis");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One session's worth of log: its admission batch, its meta record,
+    /// an allocation. Returns the batch for the caller to append.
+    fn open_session(layer: &mut PlacementLayer, session: u64) -> crate::placement::PlacementBatch {
+        let events = vec![crate::arbiter::Event::SessionOpened { session }];
+        let routed = layer.feed(session * 10, &events);
+        crate::placement::PlacementBatch {
+            at: session * 10,
+            events,
+            routed,
+        }
+    }
+
+    fn session_meta(session: u64) -> [WalRecord; 2] {
+        [
+            WalRecord::SessionMeta {
+                session,
+                user: format!("u{session}"),
+                slo: Default::default(),
+            },
+            WalRecord::Alloc {
+                session,
+                slate_ptr: (session << 32) + 1,
+                device_ptr: 0x1000 * session,
+                bytes: 64,
+            },
+        ]
+    }
+
+    /// The state recovery must reproduce: the layer's snapshot and the
+    /// mirror, as bytes.
+    fn state_of(layer: &PlacementLayer, meta: &DurableMeta) -> (String, String) {
+        (
+            serde_json::to_string(&layer.snapshot()).unwrap(),
+            serde_json::to_string(meta).unwrap(),
+        )
+    }
+
+    fn recovered_state(dir: &Path) -> (String, String) {
+        let rec = recover_dir(dir).expect("recover");
+        assert!(rec.issues.is_empty(), "{:?}", rec.issues);
+        state_of(&rec.layer, &rec.meta)
+    }
+
+    /// A crash after any step of a checkpoint recovers the state of the
+    /// run that was never interrupted. The directory of each step is built
+    /// by hand, from the public helpers, in the order `checkpoint` works.
+    #[test]
+    fn every_step_of_a_checkpoint_leaves_a_recoverable_directory() {
+        let dir = tmpdir("steps");
+        let mut layer =
+            PlacementLayer::new(vec![DeviceConfig::tiny(8); 2], PlacementConfig::default());
+        let mut options = DurabilityOptions::new(&dir);
+        options.snapshot_every = u64::MAX;
+        let d = Durability::start(options, 0, 0, &layer.snapshot(), DurableMeta::default())
+            .expect("start");
+        for session in 1..=3 {
+            d.append_batch(&open_session(&mut layer, session), || unreachable!());
+            for record in session_meta(session) {
+                d.append_meta(&record);
+            }
+        }
+        d.append_meta(&WalRecord::SessionClosed { session: 2 });
+        d.freeze();
+        // What the uninterrupted run holds when the cadence comes due.
+        let want = state_of(&layer, &d.meta());
+        assert_eq!(recovered_state(&dir), want, "before the checkpoint");
+
+        let last = |dir: &Path| recover_dir(dir).unwrap().last_segment;
+        // 1. Segment 1 exists, empty.
+        SegmentWriter::create(&dir, 1).expect("segment 1");
+        assert_eq!(recovered_state(&dir), want, "segment created");
+        assert_eq!(last(&dir), 1, "the empty segment's index is taken");
+        // 2. The snapshot's temp file is there, whole or in part.
+        let snap = DurableSnapshot {
+            format: SNAPSHOT_FORMAT,
+            epoch: 0,
+            segment: 1,
+            placement: layer.snapshot(),
+            meta: d.meta(),
+        };
+        let tmp = dir.join("snap-00000001.tmp");
+        let text = serde_json::to_string(&snap).unwrap();
+        for written in [&text[..text.len() / 2], &text[..]] {
+            std::fs::write(&tmp, written).unwrap();
+            assert_eq!(recovered_state(&dir), want, "tmp written");
+        }
+        std::fs::remove_file(&tmp).unwrap();
+        // 3. Snapshot 1 is renamed into place.
+        write_snapshot(&dir, 1, &snap).expect("snapshot 1");
+        assert_eq!(recovered_state(&dir), want, "snapshot renamed");
+        // 4. and 5. The superseded snapshot goes, then its segment.
+        std::fs::remove_file(wal::snapshot_path(&dir, 0)).unwrap();
+        assert_eq!(recovered_state(&dir), want, "first unlink");
+        std::fs::remove_file(wal::segment_path(&dir, 0)).unwrap();
+        assert_eq!(recovered_state(&dir), want, "second unlink");
+        assert_eq!((count(&dir), last(&dir)), ((1, 1), 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint that cannot create its segment, or cannot write its
+    /// snapshot, changes nothing: appends go on in the old segment, the
+    /// failure is counted, the next cadence succeeds, and recovery sees
+    /// the same state throughout.
+    #[test]
+    fn a_failed_checkpoint_is_counted_and_retried_at_the_next_cadence() {
+        for blocked in ["wal-00000001.log", "snap-00000001.tmp"] {
+            let dir = tmpdir(&format!("retry-{}", &blocked[..3]));
+            let mut layer =
+                PlacementLayer::new(vec![DeviceConfig::tiny(8)], PlacementConfig::default());
+            let mut options = DurabilityOptions::new(&dir);
+            options.snapshot_every = 2;
+            let d = Durability::start(options, 0, 0, &layer.snapshot(), DurableMeta::default())
+                .expect("start");
+            // A directory where the checkpoint wants a file: open fails.
+            std::fs::create_dir(dir.join(blocked)).unwrap();
+            for session in 1..=3 {
+                let batch = open_session(&mut layer, session);
+                d.append_batch(&batch, || layer.snapshot());
+                d.append_meta(&session_meta(session)[0]);
+            }
+            assert_eq!(d.io_errors(), 1, "{blocked}: the cadence at batch 2 failed");
+            assert_eq!(count(&dir).1, 1, "{blocked}: no snapshot 1");
+            std::fs::remove_dir(dir.join(blocked)).unwrap();
+            assert_eq!(
+                recovered_state(&dir),
+                state_of(&layer, &d.meta()),
+                "{blocked}: all three sessions are in segment 0"
+            );
+            // Batch 4 is the next cadence: it checkpoints into segment 1.
+            let batch = open_session(&mut layer, 4);
+            d.append_batch(&batch, || layer.snapshot());
+            assert_eq!((d.io_errors(), count(&dir)), (1, (1, 1)), "{blocked}");
+            assert_eq!(recover_dir(&dir).unwrap().last_segment, 1);
+            assert_eq!(recovered_state(&dir), state_of(&layer, &d.meta()));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// `start` sweeps what a crashed incarnation left below its anchor;
+    /// `keep_all` keeps it.
+    #[test]
+    fn start_compacts_below_its_anchor() {
+        for keep_all in [false, true] {
+            let dir = tmpdir("sweep");
+            let layer =
+                PlacementLayer::new(vec![DeviceConfig::tiny(8)], PlacementConfig::default());
+            let options = DurabilityOptions {
+                dir: dir.clone(),
+                snapshot_every: 64,
+                keep_all,
+            };
+            for segment in [0, 3] {
+                let d = Durability::start(
+                    options.clone(),
+                    segment,
+                    segment,
+                    &layer.snapshot(),
+                    DurableMeta::default(),
+                )
+                .expect("start");
+                d.freeze();
+            }
+            let kept = if keep_all { (2, 2) } else { (1, 1) };
+            assert_eq!(count(&dir), kept, "keep_all {keep_all}");
+            assert_eq!(recover_dir(&dir).unwrap().last_segment, 3);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

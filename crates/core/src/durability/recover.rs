@@ -11,8 +11,11 @@
 //!    `Batch` records re-feed the layer (outputs discarded — the
 //!    decisions already happened), every record folds into the
 //!    [`DurableMeta`] mirror;
-//! 4. surface — never panic on — torn tails and corruption, with the
-//!    byte offset where each log stopped being trustworthy.
+//! 4. surface — never panic on — a torn tail or corruption, with the
+//!    byte offset where the log stopped being trustworthy, and stop
+//!    there: the valid prefix of the damaged segment is the last thing
+//!    replayed. Segments after it continue a history this one no longer
+//!    tells; folding them in would build a state that never existed.
 //!
 //! The caller ([`SlateDaemon::recover`](crate::daemon::SlateDaemon::recover))
 //! then bumps the epoch, rotates to a fresh segment, writes a new anchor
@@ -38,8 +41,9 @@ pub struct Recovered {
     /// Index of the last WAL segment on disk; the recovered daemon
     /// appends to `last_segment + 1`.
     pub last_segment: u64,
-    /// Per-segment problems found while scanning (torn tails from the
-    /// crash itself, corruption). Empty for a clean shutdown.
+    /// The problem that ended the replay, with its segment (a torn tail
+    /// from the crash itself, corruption): at most one, since nothing
+    /// after a damaged segment is replayed. Empty for a clean shutdown.
     pub issues: Vec<(u64, WalIssue)>,
 }
 
@@ -79,9 +83,12 @@ pub fn recover_dir(dir: &Path) -> io::Result<Recovered> {
     let mut epoch = base.epoch;
     let mut issues = Vec::new();
     let segments = list_segments(dir)?;
-    let mut last_segment = base.segment;
+    // Every file on disk counts here, replayed or not, so the recovered
+    // daemon never reuses an index.
+    let last_segment = segments
+        .last()
+        .map_or(base.segment, |(k, _)| base.segment.max(*k));
     for (k, path) in &segments {
-        last_segment = last_segment.max(*k);
         if *k < base.segment {
             continue; // superseded by the snapshot
         }
@@ -97,6 +104,7 @@ pub fn recover_dir(dir: &Path) -> io::Result<Recovered> {
         }
         if let Some(issue) = scan.issue {
             issues.push((*k, issue));
+            break;
         }
     }
     Ok(Recovered {
@@ -146,7 +154,7 @@ mod tests {
     use super::*;
     use crate::arbiter::Event;
     use crate::durability::snapshot::{write_snapshot, SNAPSHOT_FORMAT};
-    use crate::durability::wal::SegmentWriter;
+    use crate::durability::wal::{segment_path, SegmentWriter, FRAME_HEADER_LEN};
     use crate::placement::PlacementConfig;
     use slate_gpu_sim::device::DeviceConfig;
     use std::path::PathBuf;
@@ -265,6 +273,53 @@ mod tests {
         assert_eq!(rec.issues.len(), 1);
         assert_eq!(rec.issues[0].0, 0);
         assert_eq!(rec.issues[0].1.offset(), valid);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn nothing_after_a_damaged_segment_is_replayed() {
+        let dir = tmpdir("hole");
+        write_snapshot(
+            &dir,
+            0,
+            &DurableSnapshot {
+                format: SNAPSHOT_FORMAT,
+                epoch: 0,
+                segment: 0,
+                placement: fresh_layer().snapshot(),
+                meta: DurableMeta::default(),
+            },
+        )
+        .expect("write snapshot");
+        let open = |session| WalRecord::SessionMeta {
+            session,
+            user: format!("u{session}"),
+            slo: Default::default(),
+        };
+        let mut w = SegmentWriter::create(&dir, 0).expect("segment 0");
+        w.append(&open(1)).expect("append");
+        let first = std::fs::metadata(segment_path(&dir, 0))
+            .expect("stat")
+            .len() as usize;
+        w.append(&open(2)).expect("append");
+        let mut w = SegmentWriter::create(&dir, 1).expect("segment 1");
+        w.append(&open(3)).expect("append");
+        // One bit of segment 0's second frame flips; segment 1 is intact.
+        let path = segment_path(&dir, 0);
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[first + FRAME_HEADER_LEN + 2] ^= 0x10;
+        std::fs::write(&path, &bytes).expect("write");
+
+        let rec = recover_dir(&dir).expect("recover");
+        let mut want = DurableMeta::default();
+        want.apply(&open(1));
+        assert_eq!(rec.meta, want, "the state is the first frame's alone");
+        assert!(
+            matches!(&rec.issues[..], [(0, WalIssue::Corrupt { offset, .. })] if *offset == first),
+            "{:?}",
+            rec.issues
+        );
+        assert_eq!(rec.last_segment, 1, "no index on disk is reused");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,10 +8,16 @@
 //!
 //! Snapshot `k` captures the state as of the start of WAL segment `k`:
 //! recovery loads the highest readable snapshot and replays only segments
-//! `≥ k`. Snapshots are written to a temp file and renamed into place, so
-//! a crash mid-snapshot leaves the previous one intact; a snapshot that
-//! fails to parse at recovery time is skipped in favour of an older one
-//! (with more replay).
+//! `≥ k`. Snapshots are written to a temp file, synced and renamed into
+//! place, so a crash mid-snapshot leaves the previous one intact; a
+//! snapshot that fails to parse at recovery time is skipped in favour of
+//! an older one (with more replay).
+//!
+//! A snapshot is written under the arbiter lock (`DESIGN.md` §16), so its
+//! size is serving latency. The placement state is bounded by the fleet
+//! and its live leases; the metadata is kept bounded by holding the open
+//! sessions only — [`DurableMeta::apply`] removes a session when it
+//! closes.
 
 use super::wal::WalRecord;
 use crate::placement::PlacementSnapshot;
@@ -46,8 +52,10 @@ pub struct SessionMeta {
     /// effort) keeps pre-SLO snapshots readable.
     #[serde(default)]
     pub slo: SloClass,
-    /// Whether the session is still open (closed sessions linger only
-    /// until the next compaction-time sweep).
+    /// Always `true` in a mirror this build maintains — a closed session
+    /// is removed, not marked. Kept in the format so that a snapshot
+    /// written before that rule loads, and [`load_snapshot`] can shed the
+    /// closed entries it still carries.
     pub open: bool,
     /// Next slate pointer to hand out — a watermark kept strictly above
     /// every pointer ever returned, so resumed sessions never recycle
@@ -63,19 +71,26 @@ pub struct SessionMeta {
 }
 
 /// Daemon-side durable metadata, mirrored on every WAL append and
-/// serialized whole into each snapshot.
+/// serialized whole into each snapshot — so it holds the *open* sessions
+/// only, and a checkpoint costs what they cost however many have come and
+/// gone.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct DurableMeta {
-    /// Next session id the daemon will assign.
+    /// Next session id the daemon will assign. Never regresses, which is
+    /// what keeps ids unique once closed sessions are forgotten.
     pub next_session: u64,
-    /// Per-session records, open and (until swept) closed.
+    /// Per-session records of the open sessions.
     pub sessions: BTreeMap<u64, SessionMeta>,
 }
 
 impl DurableMeta {
     /// Folds one WAL record into the mirror — the same transition applied
     /// live on append and again during recovery replay, so the two always
-    /// agree.
+    /// agree. Only `SessionMeta` creates a session and `SessionClosed`
+    /// removes it ([`SlateDaemon::resume`](crate::daemon::SlateDaemon::resume)
+    /// refuses a closed session, so nothing can name one again); a record
+    /// for a session not in the mirror — a launch completing after its
+    /// client was reaped, say — is ignored rather than resurrecting it.
     pub fn apply(&mut self, record: &WalRecord) {
         match record {
             WalRecord::Batch { .. } | WalRecord::Epoch { .. } => {}
@@ -88,9 +103,7 @@ impl DurableMeta {
                 self.next_session = self.next_session.max(*session + 1);
             }
             WalRecord::SessionClosed { session } => {
-                if let Some(s) = self.sessions.get_mut(session) {
-                    s.open = false;
-                }
+                self.sessions.remove(session);
             }
             WalRecord::Alloc {
                 session,
@@ -98,15 +111,16 @@ impl DurableMeta {
                 device_ptr,
                 bytes,
             } => {
-                let s = self.sessions.entry(*session).or_default();
-                s.allocs.insert(
-                    *slate_ptr,
-                    AllocMeta {
-                        device_ptr: *device_ptr,
-                        bytes: *bytes,
-                    },
-                );
-                s.next_ptr = s.next_ptr.max(*slate_ptr + 1);
+                if let Some(s) = self.sessions.get_mut(session) {
+                    s.allocs.insert(
+                        *slate_ptr,
+                        AllocMeta {
+                            device_ptr: *device_ptr,
+                            bytes: *bytes,
+                        },
+                    );
+                    s.next_ptr = s.next_ptr.max(*slate_ptr + 1);
+                }
             }
             WalRecord::Free { session, slate_ptr } => {
                 if let Some(s) = self.sessions.get_mut(session) {
@@ -118,12 +132,14 @@ impl DurableMeta {
                 launch_id,
                 lease,
             } => {
-                let s = self.sessions.entry(*session).or_default();
-                s.admitted.insert(*launch_id, *lease);
+                if let Some(s) = self.sessions.get_mut(session) {
+                    s.admitted.insert(*launch_id, *lease);
+                }
             }
             WalRecord::LaunchDone { session, launch_id } => {
-                let s = self.sessions.entry(*session).or_default();
-                s.done.insert(*launch_id, true);
+                if let Some(s) = self.sessions.get_mut(session) {
+                    s.done.insert(*launch_id, true);
+                }
             }
         }
     }
@@ -162,10 +178,12 @@ pub fn write_snapshot(dir: &Path, k: u64, snap: &DurableSnapshot) -> io::Result<
     Ok(())
 }
 
-/// Loads and validates one snapshot file.
+/// Loads and validates one snapshot file. Sessions it records as closed
+/// (only a snapshot written before closed sessions were removed from the
+/// mirror has any) are shed here, so no mirror ever holds one.
 pub fn load_snapshot(path: &Path) -> io::Result<DurableSnapshot> {
     let text = fs::read_to_string(path)?;
-    let snap: DurableSnapshot = serde_json::from_str(&text)
+    let mut snap: DurableSnapshot = serde_json::from_str(&text)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     if snap.format != SNAPSHOT_FORMAT {
         return Err(io::Error::new(
@@ -176,6 +194,7 @@ pub fn load_snapshot(path: &Path) -> io::Result<DurableSnapshot> {
             ),
         ));
     }
+    snap.meta.sessions.retain(|_, s| s.open);
     Ok(snap)
 }
 
@@ -218,7 +237,56 @@ mod tests {
         // Watermark never regresses on free.
         assert_eq!(m.sessions[&3].next_ptr, (3u64 << 32) + 6);
         m.apply(&WalRecord::SessionClosed { session: 3 });
-        assert!(!m.sessions[&3].open);
+        assert!(m.sessions.is_empty(), "a closed session is removed");
+        // A straggler's record does not bring it back, and its id is not
+        // handed out again.
+        m.apply(&WalRecord::LaunchDone {
+            session: 3,
+            launch_id: 2,
+        });
+        m.apply(&WalRecord::Alloc {
+            session: 3,
+            slate_ptr: (3u64 << 32) + 9,
+            device_ptr: 0x1000_0200,
+            bytes: 64,
+        });
+        assert!(m.sessions.is_empty());
+        assert_eq!(m.next_session, 4);
+    }
+
+    #[test]
+    fn a_snapshot_with_closed_sessions_sheds_them_on_load() {
+        use crate::placement::{PlacementConfig, PlacementLayer};
+        use slate_gpu_sim::device::DeviceConfig;
+        let dir = std::env::temp_dir().join(format!(
+            "slate-snapshed-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let layer = PlacementLayer::new(vec![DeviceConfig::tiny(8)], PlacementConfig::default());
+        // What the mirror looked like before closed sessions were removed.
+        let session = |open| SessionMeta {
+            user: "old".into(),
+            open,
+            ..SessionMeta::default()
+        };
+        let meta = DurableMeta {
+            next_session: 3,
+            sessions: [(1, session(false)), (2, session(true))].into(),
+        };
+        let snap = DurableSnapshot {
+            format: SNAPSHOT_FORMAT,
+            epoch: 0,
+            segment: 0,
+            placement: layer.snapshot(),
+            meta,
+        };
+        write_snapshot(&dir, 0, &snap).expect("write");
+        let back = load_snapshot(&super::super::wal::snapshot_path(&dir, 0)).expect("load");
+        assert_eq!(back.meta.sessions.keys().collect::<Vec<_>>(), [&2]);
+        assert_eq!(back.meta.next_session, 3);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

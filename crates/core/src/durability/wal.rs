@@ -15,8 +15,9 @@
 //! then *stops* — it never panics and never resyncs past a bad frame
 //! (frames are not self-delimiting, so anything beyond the first bad byte
 //! is untrusted). What it saw, how far the log is provably valid, and why
-//! it stopped all come back in a [`WalScan`]; recovery truncates the
-//! segment at `valid_len` and replays the prefix.
+//! it stopped all come back in a [`WalScan`]; recovery replays the prefix
+//! and nothing after it — not the rest of this segment, not any later
+//! segment (a log with a hole folds into a state that never existed).
 
 use crate::placement::PlacementBatch;
 use serde::{Deserialize, Serialize};
@@ -170,8 +171,8 @@ impl WalIssue {
 pub struct WalScan {
     /// Decoded records, in append order.
     pub records: Vec<WalRecord>,
-    /// Length in bytes of the valid prefix; the segment is truncated here
-    /// before the daemon appends again.
+    /// Length in bytes of the valid prefix (a recovered daemon never
+    /// appends here: it opens the segment after the last one on disk).
     pub valid_len: usize,
     /// Why the scan stopped early, or `None` for a clean log.
     pub issue: Option<WalIssue>,
@@ -180,10 +181,14 @@ pub struct WalScan {
 /// Encodes one frame: header plus payload, ready to append.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    push_frame(&mut out, payload);
+    out
+}
+
+fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// Scans raw segment bytes into records. Total: any byte string yields a
@@ -298,14 +303,20 @@ pub fn read_segment(path: &Path) -> io::Result<WalScan> {
     Ok(scan(&fs::read(path)?))
 }
 
-/// An open, appendable WAL segment. Every append goes straight to the
-/// file descriptor (no userspace buffering), so an acknowledged record
-/// survives a process crash; [`SegmentWriter::sync`] additionally pushes
-/// it through the OS cache for power-failure durability at rotation,
-/// snapshot and freeze points.
+/// An open, appendable WAL segment. Every append is one `write` of one
+/// whole frame straight to the file descriptor (no userspace buffering
+/// across appends), so an acknowledged record survives a process crash;
+/// [`SegmentWriter::sync`] additionally pushes it through the OS cache
+/// for power-failure durability (`DESIGN.md` §16 says where).
+///
+/// The payload text and the frame are built in two buffers the writer
+/// keeps at their high-water capacity, so a warmed append makes no
+/// allocation.
 #[derive(Debug)]
 pub struct SegmentWriter {
     file: fs::File,
+    payload: String,
+    frame: Vec<u8>,
 }
 
 impl SegmentWriter {
@@ -317,14 +328,35 @@ impl SegmentWriter {
             .write(true)
             .truncate(true)
             .open(segment_path(dir, k))?;
-        Ok(Self { file })
+        Ok(Self {
+            file,
+            payload: String::new(),
+            frame: Vec::new(),
+        })
     }
 
     /// Appends one record as a framed JSON payload.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        let payload = serde_json::to_string(record)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        self.file.write_all(&encode_frame(payload.as_bytes()))
+        self.append_with(|payload| record.serialize_json(payload))
+    }
+
+    /// Appends `batch` as a [`WalRecord::Batch`] — the same bytes
+    /// `append(&WalRecord::Batch { batch })` writes, without cloning the
+    /// batch into a record first.
+    pub fn append_batch(&mut self, batch: &PlacementBatch) -> io::Result<()> {
+        self.append_with(|payload| {
+            payload.push_str("{\"Batch\":{\"batch\":");
+            batch.serialize_json(payload);
+            payload.push_str("}}");
+        })
+    }
+
+    fn append_with(&mut self, write_payload: impl FnOnce(&mut String)) -> io::Result<()> {
+        self.payload.clear();
+        write_payload(&mut self.payload);
+        self.frame.clear();
+        push_frame(&mut self.frame, self.payload.as_bytes());
+        self.file.write_all(&self.frame)
     }
 
     /// Forces written frames through the OS cache to stable storage.

@@ -70,12 +70,16 @@ fn fleet(devices: usize) -> Vec<DeviceConfig> {
 }
 
 fn durable_opts(devices: usize, dir: &Path) -> DaemonOptions {
+    durable_opts_keeping(devices, dir, true)
+}
+
+fn durable_opts_keeping(devices: usize, dir: &Path, keep_all: bool) -> DaemonOptions {
     DaemonOptions {
         devices: fleet(devices),
         durability: Some(DurabilityOptions {
             dir: dir.to_path_buf(),
             snapshot_every: 8,
-            keep_all: true,
+            keep_all,
         }),
         ..Default::default()
     }
@@ -122,9 +126,12 @@ fn golden_run(devices: usize) -> Vec<f32> {
 
 /// Kill mid-workload at a seed-derived instant, recover, reattach, fence,
 /// read back. Returns the recovered hit buffer.
-fn crashed_run(seed: u64, devices: usize, dir: &Path) -> Vec<f32> {
-    let daemon =
-        SlateDaemon::start_with_options(DeviceConfig::tiny(4), 1 << 24, durable_opts(devices, dir));
+fn crashed_run(seed: u64, devices: usize, dir: &Path, keep_all: bool) -> Vec<f32> {
+    let daemon = SlateDaemon::start_with_options(
+        DeviceConfig::tiny(4),
+        1 << 24,
+        durable_opts_keeping(devices, dir, keep_all),
+    );
     let client = SlateClient::new(daemon.connect("chaos").unwrap());
     let hits = submit_workload(&client);
     // Seeded kill point, spread across the workload's ~tens of ms of
@@ -139,18 +146,8 @@ fn crashed_run(seed: u64, devices: usize, dir: &Path) -> Vec<f32> {
         })
     };
     let scene = killer.join().unwrap();
-    let recovered = SlateDaemon::recover(
-        scene,
-        DaemonOptions {
-            durability: Some(DurabilityOptions {
-                dir: dir.to_path_buf(),
-                snapshot_every: 8,
-                keep_all: true,
-            }),
-            ..Default::default()
-        },
-    )
-    .expect("recover from WAL + snapshot");
+    let recovered = SlateDaemon::recover(scene, durable_opts_keeping(0, dir, keep_all))
+        .expect("recover from WAL + snapshot");
     assert_eq!(recovered.epoch(), 1, "recovery bumps the epoch");
     // Transparent reattach: the client's next fence resumes the session,
     // resubmits every unacknowledged replayable launch under its original
@@ -168,8 +165,12 @@ fn crashed_run(seed: u64, devices: usize, dir: &Path) -> Vec<f32> {
 }
 
 fn case(seed: u64, devices: usize) {
-    let dir = tmpdir(&format!("case-{seed:x}-{devices}"));
-    let crashed = crashed_run(seed, devices, &dir);
+    case_keeping(seed, devices, true)
+}
+
+fn case_keeping(seed: u64, devices: usize, keep_all: bool) {
+    let dir = tmpdir(&format!("case-{seed:x}-{devices}-{keep_all}"));
+    let crashed = crashed_run(seed, devices, &dir, keep_all);
     // Exactly-once: every block of every launch ran precisely one time,
     // across the kill — no block lost, none re-executed.
     for (i, &v) in crashed.iter().enumerate() {
@@ -184,11 +185,32 @@ fn case(seed: u64, devices: usize) {
         crashed, golden,
         "seed {seed:#x} devices {devices}: recovered hit buffer diverges from golden"
     );
-    // The kept full-history WAL (both epochs) replays to the identical
-    // routed-command transcript.
-    let log = full_log(&dir).expect("stitch full placement log from kept segments");
-    verify(&log).expect("full WAL replays byte-identically");
+    if keep_all {
+        // The kept full-history WAL (both epochs) replays to the identical
+        // routed-command transcript.
+        let log = full_log(&dir).expect("stitch full placement log from kept segments");
+        verify(&log).expect("full WAL replays byte-identically");
+    } else {
+        // Compacting, every checkpoint and the recovery's own anchor
+        // unlinked what they superseded: one snapshot, one segment.
+        use slate_core::durability::wal::{list_segments, list_snapshots};
+        let (snaps, segs) = (list_snapshots(&dir).unwrap(), list_segments(&dir).unwrap());
+        assert_eq!((snaps.len(), segs.len()), (1, 1), "{snaps:?} {segs:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The same kill points with compaction on — what a serving daemon runs
+/// with — so recovery reads a directory that checkpoints have been
+/// unlinking from, and the recovered daemon sweeps the crashed one's
+/// files.
+#[test]
+fn crash_recover_exactly_once_while_compacting() {
+    for seed in [0xC0FFEE_u64, 0x5EED, 42] {
+        for devices in [2, 3] {
+            case_keeping(seed, devices, false);
+        }
+    }
 }
 
 #[test]

@@ -14,6 +14,11 @@
 //! Each test warms a component past its high-water mark, then asserts
 //! further identical cycles perform **zero** heap allocations.
 //!
+//! A durable daemon's feed adds the WAL append to that path, under the
+//! same lock: a warmed [`Durability::append_batch`] and
+//! [`Durability::append_meta`] build payload and frame in buffers the
+//! segment writer keeps, and allocate nothing either.
+//!
 //! The launch path makes the neighbouring claim (`DESIGN.md` §3.3): a
 //! [`Dispatcher::run`] costs a fixed handful of allocations whatever the
 //! size of the worker grid, and never a thread.
@@ -21,8 +26,9 @@
 use slate_core::arbiter::{ArbiterConfig, ArbiterCore, Command, Event};
 use slate_core::classify::WorkloadClass;
 use slate_core::dispatch::{DispatchHandle, Dispatcher};
+use slate_core::durability::{Durability, DurableMeta, WalRecord};
 use slate_core::feed::{ring, EventBatch};
-use slate_core::placement::{PlacementConfig, PlacementLayer, RoutedCommand};
+use slate_core::placement::{PlacementBatch, PlacementConfig, PlacementLayer, RoutedCommand};
 use slate_core::transform::TransformedKernel;
 use slate_core::workers::{helper_threads_spawned, LanePool};
 use slate_gpu_sim::buffer::GpuBuffer;
@@ -187,6 +193,101 @@ fn placement_feed_into_steady_state_allocates_nothing() {
         }
     });
     assert_eq!(n, 0, "warmed PlacementLayer::feed_into must not allocate");
+}
+
+/// The WAL appends of a durable feed: the batch (events and the routed
+/// commands they produced) and the meta records that ride with it — an
+/// allocation made and freed by a session that stays open, and the launch
+/// records of one the mirror no longer holds. What is proved is the
+/// append: payload and frame are built in place. A record that *creates*
+/// a mirror entry (a session, its first allocation, a launch id of a
+/// session that stays open) allocates there, in the mirror's maps, and is
+/// left out.
+#[test]
+fn durable_append_steady_state_allocates_nothing() {
+    let dir = std::env::temp_dir().join(format!("slate-feed-alloc-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut layer = PlacementLayer::new(vec![DeviceConfig::tiny(8); 2], PlacementConfig::default());
+    let d = Durability::start(
+        slate_core::DurabilityOptions {
+            dir: dir.clone(),
+            snapshot_every: u64::MAX,
+            keep_all: false,
+        },
+        0,
+        0,
+        &layer.snapshot(),
+        DurableMeta::default(),
+    )
+    .expect("start durability");
+    d.append_meta(&WalRecord::SessionMeta {
+        session: 1,
+        user: "resident".into(),
+        slo: Default::default(),
+    });
+    let ptr = |n: u64| (1 << 32) + n;
+    d.append_meta(&WalRecord::Alloc {
+        session: 1,
+        slate_ptr: ptr(1),
+        device_ptr: 0x1000,
+        bytes: 4096,
+    });
+    let mut batch = PlacementBatch {
+        at: 0,
+        events: Vec::new(),
+        routed: Vec::new(),
+    };
+    let mut cycle = |t: u64| {
+        let mut feed = |events: &[Event], at: u64| {
+            layer.feed_into(at, events, &mut batch.routed);
+            batch.at = layer.now();
+            batch.events.clear();
+            batch.events.extend_from_slice(events);
+            d.append_batch(&batch, || unreachable!("cadence is off"));
+        };
+        feed(&[Event::SessionOpened { session: 7 }], t);
+        d.append_meta(&WalRecord::Alloc {
+            session: 1,
+            slate_ptr: ptr(2),
+            device_ptr: 0x2000,
+            bytes: 4096,
+        });
+        feed(&[ready(7, 7 << 16, 8)], t + 10);
+        d.append_meta(&WalRecord::LaunchAdmitted {
+            session: 7,
+            launch_id: t,
+            lease: 7 << 16,
+        });
+        d.append_meta(&WalRecord::LaunchDone {
+            session: 7,
+            launch_id: t,
+        });
+        let finished = Event::KernelFinished {
+            lease: 7 << 16,
+            ok: true,
+        };
+        feed(&[finished], t + 20);
+        d.append_meta(&WalRecord::Free {
+            session: 1,
+            slate_ptr: ptr(2),
+        });
+        feed(&[Event::SessionClosed { session: 7 }], t + 30);
+        d.append_meta(&WalRecord::SessionClosed { session: 7 });
+    };
+    for i in 0..4 {
+        cycle(i * 100);
+    }
+    let n = allocs_during(|| {
+        for i in 4..20 {
+            cycle(i * 100);
+        }
+    });
+    assert_eq!(n, 0, "warmed WAL appends must not allocate");
+    assert_eq!(d.io_errors(), 0);
+    let meta = d.meta();
+    assert_eq!(meta.sessions.len(), 1, "session 7 was never in the mirror");
+    assert_eq!(meta.sessions[&1].allocs.len(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Pooled [`EventBatch`]es through the SPSC ring (no longer the daemon's

@@ -9,7 +9,9 @@
 
 use proptest::prelude::*;
 use slate_core::arbiter::Event;
-use slate_core::durability::wal::{encode_frame, scan, FRAME_HEADER_LEN};
+use slate_core::durability::wal::{
+    encode_frame, scan, segment_path, SegmentWriter, FRAME_HEADER_LEN,
+};
 use slate_core::durability::{WalIssue, WalRecord};
 use slate_core::placement::replay::PlacementBatch;
 use slate_kernels::workload::SloClass;
@@ -95,7 +97,88 @@ fn encode_all(records: &[WalRecord]) -> (Vec<u8>, Vec<usize>) {
     (bytes, offsets)
 }
 
+/// What a [`SegmentWriter`] puts on disk for `records`: batches through
+/// `append_batch` (which serialises the borrowed batch inside a
+/// hand-written `{"Batch":{"batch":…}}`), everything else through
+/// `append`, all of it built in the writer's reused buffers.
+fn written_by_segment_writer(records: &[WalRecord]) -> Vec<u8> {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "slate-walprops-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let mut w = SegmentWriter::create(&dir, 0).expect("create");
+    for r in records {
+        match r {
+            WalRecord::Batch { batch } => w.append_batch(batch),
+            other => w.append(other),
+        }
+        .expect("append");
+    }
+    let bytes = std::fs::read(segment_path(&dir, 0)).expect("read");
+    std::fs::remove_dir_all(&dir).ok();
+    bytes
+}
+
+/// The same, for a batch that routed commands (the strategies above
+/// generate none): a dispatch and the resize that makes room for it.
+#[test]
+fn a_routed_batch_is_written_byte_for_byte_as_its_record() {
+    use slate_core::placement::{PlacementConfig, PlacementLayer};
+    let mut layer = PlacementLayer::new(
+        vec![slate_gpu_sim::device::DeviceConfig::tiny(8)],
+        PlacementConfig::default(),
+    );
+    let mut records = Vec::new();
+    let mut at = 0;
+    let mut feed = |events: Vec<Event>| {
+        at += 10;
+        let routed = layer.feed(at, &events);
+        records.push(WalRecord::Batch {
+            batch: PlacementBatch { at, events, routed },
+        });
+    };
+    feed(vec![
+        Event::SessionOpened { session: 1 },
+        Event::SessionOpened { session: 2 },
+    ]);
+    for (session, class) in [
+        (1u64, slate_core::classify::WorkloadClass::MM),
+        (2, slate_core::classify::WorkloadClass::LC),
+    ] {
+        feed(vec![Event::KernelReady {
+            session,
+            lease: session << 16,
+            class,
+            sm_demand: 4,
+            pinned_solo: false,
+            deadline_ms: Some(50),
+        }]);
+    }
+    let routed: usize = records
+        .iter()
+        .map(|r| match r {
+            WalRecord::Batch { batch } => batch.routed.len(),
+            _ => 0,
+        })
+        .sum();
+    assert!(routed >= 3, "two dispatches and a resize: {records:?}");
+    assert_eq!(written_by_segment_writer(&records), encode_all(&records).0);
+}
+
 proptest! {
+    /// The writer's in-place encoding is byte-identical to
+    /// `encode_frame(serde_json::to_string(record))`, for every record
+    /// shape and whatever the buffers held before.
+    #[test]
+    fn segment_writer_bytes_are_the_reference_encoding(
+        records in prop::collection::vec(arb_record(), 0..12),
+    ) {
+        prop_assert_eq!(written_by_segment_writer(&records), encode_all(&records).0);
+    }
+
     /// encode → scan is the identity on any record batch.
     #[test]
     fn roundtrip_any_batch(records in prop::collection::vec(arb_record(), 0..12)) {
