@@ -48,7 +48,14 @@
 //!   thread creation and per-worker work);
 //! * `dispatch_resize_relaunch` — a dispatch resized from inside its
 //!   first block, so every iteration retreats and relaunches once
-//!   (ungated: helper wake-ups make it follow the machine's CPU count).
+//!   (ungated: helper wake-ups make it follow the machine's CPU count);
+//! * `memcpy_roundtrip` — `upload_f32` + `download_f32` of 4 MB through an
+//!   in-memory daemon, per MB: the data plane of a `serve_mixed` cycle —
+//!   two conversions, two word-by-word copies, two channel round trips
+//!   (ungated: it is memory bandwidth, which follows the runner);
+//! * `transpose_1024` — the 1024×1024 [`TransposeKernel`] block by block
+//!   on the calling thread, per block: the kernel between those copies
+//!   (ungated, likewise).
 //!
 //! Output: `-- --json <path>` or the `SLATE_BENCH_JSON` environment
 //! variable; a human-readable table always goes to stdout.
@@ -67,10 +74,12 @@ use slate_core::partition::partition;
 use slate_core::placement::{PlacementBatch, PlacementConfig, PlacementLayer, PlacementPolicy};
 use slate_core::transform::TransformedKernel;
 use slate_core::{DurabilityOptions, SlateRuntime};
+use slate_gpu_sim::buffer::GpuBuffer;
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use slate_gpu_sim::perf::KernelPerf;
 use slate_kernels::grid::{BlockCoord, GridDim};
-use slate_kernels::kernel::GpuKernel;
+use slate_kernels::kernel::{run_reference, GpuKernel};
+use slate_kernels::transpose::TransposeKernel;
 use slate_kernels::workload::Benchmark;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -617,6 +626,35 @@ fn main() {
                     probe.arm(d.handle());
                     assert_eq!(d.run().launches, 2, "resized mid-launch");
                 })
+            },
+            {
+                const WORDS: usize = 1 << 20;
+                let daemon = SlateDaemon::start(DeviceConfig::titan_xp(), 1 << 24);
+                let client = SlateClient::new(daemon.connect("bench").expect("connect"));
+                let p = client.malloc(WORDS as u64 * 4).expect("malloc");
+                let host: Vec<f32> = (0..WORDS).map(|i| i as f32).collect();
+                let m = measure("memcpy_roundtrip", false, 40, 4, || {
+                    client.upload_f32(p, &host).expect("upload");
+                    black_box(client.download_f32(p, WORDS).expect("download"));
+                });
+                assert_eq!(client.download_f32(p, WORDS).expect("download"), host);
+                client.disconnect().expect("disconnect");
+                daemon.join();
+                m
+            },
+            {
+                const DIM: u32 = 1024;
+                let words = (DIM * DIM) as usize;
+                let input = Arc::new(GpuBuffer::new(words * 4));
+                let output = Arc::new(GpuBuffer::new(words * 4));
+                input.write_f32_slice(0, &(0..words).map(|i| i as f32).collect::<Vec<_>>());
+                let kernel = TransposeKernel::new(DIM, DIM, input, output.clone());
+                let blocks = kernel.grid().total_blocks();
+                let m = measure("transpose_1024", false, 40, blocks, || {
+                    run_reference(black_box(&kernel))
+                });
+                assert_eq!(output.load_f32(1), DIM as f32, "out[0][1] = in[1][0]");
+                m
             },
         ],
     };

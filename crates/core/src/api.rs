@@ -431,10 +431,12 @@ impl SlateClient {
         })
     }
 
-    /// Convenience: uploads a slice of f32s.
+    /// Convenience: uploads a slice of f32s. One pass fills the payload
+    /// (allocated once, at its final size), which the daemon then reads in
+    /// place.
     pub fn upload_f32(&self, ptr: SlatePtr, data: &[f32]) -> Result<(), SlateError> {
-        let bytes: Vec<u8> = data.iter().flat_map(|f| f.to_le_bytes()).collect();
-        self.memcpy_h2d(ptr, 0, bytes.into())
+        let words: Vec<[u8; 4]> = data.iter().map(|f| f.to_le_bytes()).collect();
+        self.memcpy_h2d(ptr, 0, words.into_flattened().into())
     }
 
     /// Copies device memory back to the host. `offset` must be
@@ -446,20 +448,28 @@ impl SlateClient {
         len: usize,
     ) -> Result<Vec<u8>, SlateError> {
         self.guarded(|| {
+            // The reply's handle is the only one: the daemon's vector is
+            // taken, not copied.
             Ok(self
                 .call(|| Request::MemcpyD2H { ptr, offset, len })?
                 .expect_data()?
-                .to_vec())
+                .into())
         })
     }
 
-    /// Convenience: downloads `n` f32s.
+    /// Convenience: downloads `n` f32s, converted straight from the
+    /// daemon's payload.
     pub fn download_f32(&self, ptr: SlatePtr, n: usize) -> Result<Vec<f32>, SlateError> {
         let raw = self.memcpy_d2h(ptr, 0, n * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+        // `extend` into a vector of the final size, not `collect`: the
+        // latter's out-of-line `from_iter` is handed the chunk size as a
+        // run-time value and converts one word at a time.
+        let mut out = Vec::with_capacity(n);
+        out.extend(
+            raw.chunks_exact(4)
+                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+        );
+        Ok(out)
     }
 
     /// Launches a kernel asynchronously. `ptrs` are resolved daemon-side

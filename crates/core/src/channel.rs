@@ -7,6 +7,24 @@
 //! exactly the property the paper wants from shared memory for gigabyte
 //! payloads).
 //!
+//! **What is shared and what is copied.** A payload crosses the channel as
+//! a handle: [`Request::MemcpyH2D`] and [`Response::Data`] carry the
+//! sender's own vector (`Bytes::from(vec)` keeps it, `Vec::from(bytes)`
+//! gives it back to a sole holder), so sending, receiving, retrying and
+//! resending a payload copy nothing. What does touch every byte is the
+//! boundary on either side of the channel — one conversion in the client,
+//! one copy into or out of device memory in the daemon — and nothing else:
+//!
+//! | pass over an `n`-byte payload | where | what it does |
+//! |---|---|---|
+//! | H2D 1 | `SlateClient::upload_f32` | `f32`s → little-endian bytes, one pass into one `n`-byte vector (`memcpy_h2d` callers bring their own `Bytes` and skip it) |
+//! | H2D 2 | `GpuBuffer::copy_from_host` (session thread) | reads the client's vector in place: one relaxed store per device word |
+//! | D2H 1 | `GpuBuffer::copy_to_host` (session thread) | one relaxed load per device word into the reply's one `n`-byte vector (zero-filled by the allocator first) |
+//! | D2H 2 | `SlateClient::download_f32` | bytes → `f32`s, one pass out of the daemon's vector into the vector returned (`memcpy_d2h` returns the daemon's vector itself and skips it) |
+//!
+//! Allocations of payload size: one per upload, two per download, pinned
+//! process-wide by `crates/core/tests/memcpy_passes.rs`.
+//!
 //! Clients never see device pointers: they hold opaque [`SlatePtr`]s which
 //! the daemon maps to real device allocations in its per-session hash table
 //! ("records in a hash table the mapping between the shared buffer address

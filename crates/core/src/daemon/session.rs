@@ -457,7 +457,9 @@ impl Session {
             std::thread::sleep(Duration::from_millis(millis));
         }
         let buf = self.resolve(ptr)?;
-        let size = buf.len_words() * 4;
+        // The bytes asked for at `malloc`, not the words backing them: the
+        // slack of a trailing partial word is not the client's.
+        let size = buf.len();
         let why = if offset % 4 != 0 {
             "is not word-aligned"
         } else if offset.checked_add(len).is_none_or(|end| end > size) {

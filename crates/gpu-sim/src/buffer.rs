@@ -6,8 +6,21 @@
 //! word-granular and racy programs are undefined on real hardware too, so
 //! relaxed atomics give us race-freedom in Rust while preserving GPU
 //! semantics for the well-formed (block-disjoint-write) kernels we model.
-//! This lets functional blocks execute in parallel (rayon) with zero unsafe
-//! code.
+//! This lets the worker lanes of a dispatch run functional blocks
+//! concurrently against one buffer with zero unsafe code.
+//!
+//! Two ways in and out, both bounds-checked, both panicking (never
+//! wrapping or truncating) on a range that leaves the buffer:
+//!
+//! * the per-word accessors (`load_f32`, `store_u32`, ...): one bounds
+//!   check and one relaxed access per call;
+//! * the run accessors — [`GpuBuffer::read_f32_slice`] /
+//!   [`GpuBuffer::write_f32_slice`] for words, [`GpuBuffer::copy_from_host`]
+//!   / [`GpuBuffer::copy_to_host`] for host bytes: the run is sliced out of
+//!   the word array **once**, then walked without a further check. Each
+//!   word is still its own relaxed access (a run is not atomic as a whole,
+//!   exactly as a `memcpy` racing a kernel is not on a device), so a run
+//!   costs what its words cost and nothing per word beyond that.
 //!
 //! [`DeviceMemoryPool`] is the device-side allocator behind `cudaMalloc`:
 //! it hands out opaque [`DevicePtr`]s and tracks capacity, mirroring the
@@ -101,20 +114,19 @@ impl GpuBuffer {
             src.len(),
             self.words.len() * 4
         );
-        let mut w = offset / 4;
-        let mut chunks = src.chunks_exact(4);
-        for c in &mut chunks {
-            self.words[w].store(
+        let chunks = src.chunks_exact(4);
+        let rem = chunks.remainder();
+        let words = &self.words[offset / 4..][..src.len().div_ceil(4)];
+        for (word, c) in words.iter().zip(chunks) {
+            word.store(
                 u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
                 Ordering::Relaxed,
             );
-            w += 1;
         }
-        let rem = chunks.remainder();
         if !rem.is_empty() {
             let mut b = [0u8; 4];
             b[..rem.len()].copy_from_slice(rem);
-            self.words[w].store(u32::from_le_bytes(b), Ordering::Relaxed);
+            words[words.len() - 1].store(u32::from_le_bytes(b), Ordering::Relaxed);
         }
     }
 
@@ -125,29 +137,44 @@ impl GpuBuffer {
             offset + dst.len() <= self.words.len() * 4,
             "copy_to_host out of bounds"
         );
-        let mut w = offset / 4;
+        let words = &self.words[offset / 4..][..dst.len().div_ceil(4)];
         let mut chunks = dst.chunks_exact_mut(4);
-        for c in &mut chunks {
-            c.copy_from_slice(&self.words[w].load(Ordering::Relaxed).to_le_bytes());
-            w += 1;
+        for (c, word) in (&mut chunks).zip(words) {
+            c.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
         }
         let rem = chunks.into_remainder();
         if !rem.is_empty() {
-            let b = self.words[w].load(Ordering::Relaxed).to_le_bytes();
+            let b = words[words.len() - 1].load(Ordering::Relaxed).to_le_bytes();
             rem.copy_from_slice(&b[..rem.len()]);
+        }
+    }
+
+    /// Reads the run of words `[start, start + dst.len())` into `dst`: one
+    /// bounds check for the run, equal word for word to `load_f32`. Panics
+    /// if the run does not lie inside the buffer; an empty run at
+    /// `start == len_words()` is inside it.
+    pub fn read_f32_slice(&self, start: usize, dst: &mut [f32]) {
+        let words = &self.words[start..][..dst.len()];
+        for (d, word) in dst.iter_mut().zip(words) {
+            *d = f32::from_bits(word.load(Ordering::Relaxed));
+        }
+    }
+
+    /// Writes `src` to the run of words `[start, start + src.len())`: the
+    /// mirror of [`GpuBuffer::read_f32_slice`], equal word for word to
+    /// `store_f32`, same bounds contract.
+    pub fn write_f32_slice(&self, start: usize, src: &[f32]) {
+        let words = &self.words[start..][..src.len()];
+        for (word, v) in words.iter().zip(src) {
+            word.store(v.to_bits(), Ordering::Relaxed);
         }
     }
 
     /// Convenience: the whole buffer as a vector of f32.
     pub fn to_f32_vec(&self) -> Vec<f32> {
-        (0..self.words.len()).map(|i| self.load_f32(i)).collect()
-    }
-
-    /// Convenience: fill word range `[start, start+src.len())` from f32s.
-    pub fn write_f32_slice(&self, start: usize, src: &[f32]) {
-        for (i, &v) in src.iter().enumerate() {
-            self.store_f32(start + i, v);
-        }
+        let mut out = vec![0.0; self.words.len()];
+        self.read_f32_slice(0, &mut out);
+        out
     }
 }
 
@@ -279,6 +306,129 @@ mod tests {
     fn host_copy_bounds_checked() {
         let b = GpuBuffer::new(8);
         b.copy_from_host(4, &[0u8; 8]);
+    }
+
+    /// Deterministic xorshift64 step, the workspace's seeded-PRNG idiom.
+    fn xorshift64(s: &mut u64) -> u64 {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        *s
+    }
+
+    /// A buffer of `len_bytes` bytes whose every word is seeded noise.
+    fn noise(len_bytes: usize, s: &mut u64) -> GpuBuffer {
+        let b = GpuBuffer::new(len_bytes);
+        for i in 0..b.len_words() {
+            b.store_u32(i, xorshift64(s) as u32);
+        }
+        b
+    }
+
+    fn bits(b: &GpuBuffer) -> Vec<u32> {
+        (0..b.len_words()).map(|i| b.load_u32(i)).collect()
+    }
+
+    /// Seeded `(start, len)` runs inside `n` units, led by the edge cases:
+    /// empty at either end, the whole range, the last unit alone.
+    fn runs(n: usize, s: &mut u64) -> Vec<(usize, usize)> {
+        let mut runs = vec![(0, 0), (n, 0), (0, n), (n - 1, 1)];
+        for _ in 0..200 {
+            let start = xorshift64(s) as usize % (n + 1);
+            runs.push((start, xorshift64(s) as usize % (n - start + 1)));
+        }
+        runs
+    }
+
+    #[test]
+    fn slice_accessors_equal_the_per_word_ones() {
+        const WORDS: usize = 257;
+        let mut s = 0x9E37_79B9_7F4A_7C15;
+        let b = noise(WORDS * 4, &mut s);
+        for (start, len) in runs(WORDS, &mut s) {
+            let mut got = vec![0.0f32; len];
+            b.read_f32_slice(start, &mut got);
+            for (i, v) in got.iter().enumerate() {
+                let word = b.load_f32(start + i);
+                assert_eq!(v.to_bits(), word.to_bits(), "read {start}+{i}");
+            }
+
+            let src: Vec<f32> = (0..len)
+                .map(|_| f32::from_bits(xorshift64(&mut s) as u32))
+                .collect();
+            // Two buffers of the same noise: one written by word, one by run.
+            let mut same = s;
+            let by_word = noise(WORDS * 4, &mut same);
+            let by_run = noise(WORDS * 4, &mut s);
+            for (i, &v) in src.iter().enumerate() {
+                by_word.store_f32(start + i, v);
+            }
+            by_run.write_f32_slice(start, &src);
+            assert_eq!(bits(&by_run), bits(&by_word), "write ({start}, {len})");
+        }
+        assert_eq!(b.to_f32_vec().len(), WORDS);
+        assert_eq!(b.to_f32_vec()[WORDS - 1].to_bits(), b.load_u32(WORDS - 1));
+    }
+
+    #[test]
+    fn slice_accessors_panic_one_word_past_the_end() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        const WORDS: usize = 16;
+        let b = noise(WORDS * 4, &mut 7);
+        let before = bits(&b);
+        // Straddling the end, starting past it, and a start that would
+        // wrap if it were added to: a panic each, never a shorter run.
+        for (start, len) in [
+            (WORDS - 3, 4),
+            (0, WORDS + 1),
+            (WORDS + 1, 0),
+            (usize::MAX, 2),
+        ] {
+            let read = catch_unwind(AssertUnwindSafe(|| {
+                b.read_f32_slice(start, &mut vec![0.0; len])
+            }));
+            assert!(read.is_err(), "read ({start}, {len}) did not panic");
+            let write = catch_unwind(AssertUnwindSafe(|| {
+                b.write_f32_slice(start, &vec![1.0; len])
+            }));
+            assert!(write.is_err(), "write ({start}, {len}) did not panic");
+        }
+        assert_eq!(bits(&b), before, "a refused run wrote nothing");
+    }
+
+    #[test]
+    fn host_copies_equal_a_per_word_reference() {
+        // 1 023 bytes asked for: 256 words, the last one partial.
+        const BYTES: usize = 1023;
+        let mut s = 0x2545_F491_4F6C_DD1D;
+        let b = noise(BYTES, &mut s);
+        let words = b.len_words();
+        for (start, len_words) in runs(words, &mut s) {
+            for tail in 0..4 {
+                let (offset, len) = (start * 4, len_words * 4 + tail);
+                if offset + len > words * 4 {
+                    continue;
+                }
+                let mut got = vec![0xAAu8; len];
+                b.copy_to_host(offset, &mut got);
+                for (i, &byte) in got.iter().enumerate() {
+                    let word = b.load_u32((offset + i) / 4).to_le_bytes();
+                    assert_eq!(byte, word[(offset + i) % 4], "d2h {offset}+{i}");
+                }
+
+                let src: Vec<u8> = (0..len).map(|_| xorshift64(&mut s) as u8).collect();
+                let mut same = s;
+                let by_word = noise(BYTES, &mut same);
+                let by_run = noise(BYTES, &mut s);
+                for (i, c) in src.chunks(4).enumerate() {
+                    let mut word = [0u8; 4]; // a partial last word is zero-padded
+                    word[..c.len()].copy_from_slice(c);
+                    by_word.store_u32(start + i, u32::from_le_bytes(word));
+                }
+                by_run.copy_from_host(offset, &src);
+                assert_eq!(bits(&by_run), bits(&by_word), "h2d ({offset}, {len})");
+            }
+        }
     }
 
     #[test]

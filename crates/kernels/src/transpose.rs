@@ -57,37 +57,26 @@ impl GpuKernel for TransposeKernel {
     }
 
     fn run_block(&self, block: BlockCoord) {
+        const T: usize = TILE as usize;
         let (rows, cols) = (self.rows as usize, self.cols as usize);
-        let r0 = block.y as usize * TILE as usize;
-        let c0 = block.x as usize * TILE as usize;
+        let (r0, c0) = (block.y as usize * T, block.x as usize * T);
+        // The tile clipped to the matrix: `h` rows of `w` columns.
+        let (h, w) = (T.min(rows - r0), T.min(cols - c0));
         // Tile staging models the shared-memory transpose: read row-major,
-        // write transposed — both sides coalesced in the original.
-        let mut tile = [[0.0f32; TILE as usize]; TILE as usize];
-        for (tr, tile_row) in tile.iter_mut().enumerate() {
-            let r = r0 + tr;
-            if r >= rows {
-                break;
-            }
-            for (tc, cell) in tile_row.iter_mut().enumerate() {
-                let c = c0 + tc;
-                if c >= cols {
-                    break;
-                }
-                *cell = self.input.load_f32(r * cols + c);
-            }
+        // write transposed — both sides coalesced in the original, and
+        // both sides contiguous runs here.
+        let mut tile = [[0.0f32; T]; T];
+        for (tr, tile_row) in tile[..h].iter_mut().enumerate() {
+            self.input
+                .read_f32_slice((r0 + tr) * cols + c0, &mut tile_row[..w]);
         }
-        for (tr, tile_row) in tile.iter().enumerate() {
-            let r = r0 + tr;
-            if r >= rows {
-                break;
+        let mut out_row = [0.0f32; T];
+        for tc in 0..w {
+            for (cell, tile_row) in out_row.iter_mut().zip(&tile[..h]) {
+                *cell = tile_row[tc];
             }
-            for (tc, &v) in tile_row.iter().enumerate() {
-                let c = c0 + tc;
-                if c >= cols {
-                    break;
-                }
-                self.output.store_f32(c * rows + r, v);
-            }
+            self.output
+                .write_f32_slice((c0 + tc) * rows + r0, &out_row[..h]);
         }
     }
 }
@@ -163,6 +152,87 @@ mod tests {
         run_reference(&k);
         check(70, 45, &i, &o);
         assert_eq!(k.grid(), GridDim::d2(2, 3));
+    }
+
+    /// The transpose one word at a time: every cell its own bounds-checked
+    /// load and store, every edge tested per cell. The oracle the run-wise
+    /// `run_block` must equal bit for bit.
+    struct PerWord(TransposeKernel);
+
+    impl GpuKernel for PerWord {
+        fn name(&self) -> &str {
+            "Transpose (per word)"
+        }
+        fn grid(&self) -> GridDim {
+            self.0.grid()
+        }
+        fn perf(&self) -> KernelPerf {
+            paper_perf()
+        }
+        fn run_block(&self, block: BlockCoord) {
+            let k = &self.0;
+            let (rows, cols) = (k.rows as usize, k.cols as usize);
+            let r0 = block.y as usize * TILE as usize;
+            let c0 = block.x as usize * TILE as usize;
+            let mut tile = [[0.0f32; TILE as usize]; TILE as usize];
+            for (tr, tile_row) in tile.iter_mut().enumerate() {
+                let r = r0 + tr;
+                if r >= rows {
+                    break;
+                }
+                for (tc, cell) in tile_row.iter_mut().enumerate() {
+                    let c = c0 + tc;
+                    if c >= cols {
+                        break;
+                    }
+                    *cell = k.input.load_f32(r * cols + c);
+                }
+            }
+            for (tr, tile_row) in tile.iter().enumerate() {
+                let r = r0 + tr;
+                if r >= rows {
+                    break;
+                }
+                for (tc, &v) in tile_row.iter().enumerate() {
+                    let c = c0 + tc;
+                    if c >= cols {
+                        break;
+                    }
+                    k.output.store_f32(c * rows + r, v);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_block_is_bit_identical_to_the_per_word_transpose() {
+        for (rows, cols) in [(1, 1), (33, 31), (70, 45), (96, 64), (1024, 1024)] {
+            let n = (rows * cols) as usize;
+            // Seeded noise, every bit pattern a float can hold; both
+            // outputs start from the same sentinel, so a cell either
+            // kernel skips shows.
+            let mut s = 0x9E37_79B9_7F4A_7C15u64 ^ n as u64;
+            let input = Arc::new(GpuBuffer::new(n * 4));
+            for i in 0..n {
+                input.store_u32(i, crate::workload::xorshift64(&mut s) as u32);
+            }
+            let run = |per_word: bool| {
+                let output = Arc::new(GpuBuffer::new(n * 4));
+                (0..n).for_each(|i| output.store_u32(i, 0xDEAD_BEEF));
+                let k = TransposeKernel::new(rows, cols, input.clone(), output.clone());
+                if per_word {
+                    run_reference(&PerWord(k));
+                } else {
+                    run_reference(&k);
+                }
+                (0..n).map(|i| output.load_u32(i)).collect::<Vec<_>>()
+            };
+            let (got, want) = (run(false), run(true));
+            assert!(
+                got == want,
+                "{rows}x{cols} differs from the per-word transpose"
+            );
+        }
     }
 
     #[test]

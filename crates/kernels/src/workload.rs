@@ -409,7 +409,7 @@ impl LlmTraceCfg {
 }
 
 /// Deterministic xorshift64 step, the workspace's seeded-PRNG idiom.
-fn xorshift64(s: &mut u64) -> u64 {
+pub(crate) fn xorshift64(s: &mut u64) -> u64 {
     *s ^= *s << 13;
     *s ^= *s >> 7;
     *s ^= *s << 17;

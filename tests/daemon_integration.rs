@@ -263,6 +263,15 @@ fn out_of_range_memcpy_is_a_typed_error_and_the_session_keeps_serving() {
     invalid(client.memcpy_d2h(ptr, usize::MAX - 3, 8).map(drop));
     invalid(client.memcpy_h2d(ptr, 60, vec![0u8; 8].into()));
     invalid(client.memcpy_h2d(ptr, 6, vec![0u8; 4].into()));
+    // An allocation ends at the bytes asked for, not at the word that
+    // backs the last of them: 10 bytes take 10 and give 10 back, not 12.
+    let odd = client.malloc(10).unwrap();
+    invalid(client.memcpy_h2d(odd, 0, vec![7u8; 12].into()));
+    invalid(client.memcpy_d2h(odd, 0, 12).map(drop));
+    invalid(client.memcpy_d2h(odd, 8, 4).map(drop));
+    client.memcpy_h2d(odd, 0, vec![7u8; 10].into()).unwrap();
+    assert_eq!(client.memcpy_d2h(odd, 0, 10).unwrap(), [7u8; 10]);
+    assert_eq!(client.memcpy_d2h(odd, 8, 2).unwrap(), [7u8; 2]);
     // The session is alive and the allocation intact, end to end.
     client.upload_f32(ptr, &[7.0; 16]).unwrap();
     assert_eq!(client.memcpy_d2h(ptr, 60, 4).unwrap(), 7.0f32.to_le_bytes());
