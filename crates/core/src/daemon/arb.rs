@@ -134,7 +134,8 @@ impl ArbFrontend {
     /// was fed (`false` after a crash — the caller must treat the events
     /// as never having happened) and, when `session` is given, the retry
     /// hint if that session's request was shed. `meta` is appended to the
-    /// WAL right after the batch, unless the batch was shed or unfed.
+    /// WAL right behind the batch, in the same `write`, unless the batch
+    /// was shed or unfed.
     fn feed_locked(
         &self,
         inner: &mut ArbInner,
@@ -155,28 +156,25 @@ impl ArbFrontend {
             leases,
         } = inner;
         layer.feed_into(now, events, &mut batch.routed);
+        let retry_after_ms = session.and_then(|s| shed_retry(&batch.routed, s));
         if let Some(d) = &self.durability {
             // Heartbeat filter (same rule as the in-memory recorder): an
             // all-tick batch that routed nothing changes no state and
-            // would swamp the log.
+            // would swamp the log. No such batch carries a `meta`.
             let heartbeat_only = events.iter().all(|e| matches!(e, ArbEvent::DeadlineTick));
             if !(heartbeat_only && batch.routed.is_empty()) {
+                // A shed request returns Overloaded to the client: it
+                // never happened, so no durable record of it.
+                let meta = meta.as_ref().filter(|_| retry_after_ms.is_none());
                 // The layer clamps time monotonic; record the clamped
                 // tick so replay feeds exactly what the core saw.
                 batch.at = layer.now();
                 batch.events.clear();
                 batch.events.extend_from_slice(events);
-                d.append_batch(batch, || layer.snapshot());
+                d.append_batch_meta(batch, meta, || layer.snapshot());
             }
         }
-        let replies = &batch.routed;
-        let retry_after_ms = session.and_then(|s| shed_retry(replies, s));
-        // The shed case returns Overloaded to the client: the session
-        // never existed, so no durable record of it.
-        if let (Some(meta), None, Some(d)) = (&meta, retry_after_ms, &self.durability) {
-            d.append_meta(meta);
-        }
-        for r in replies.iter() {
+        for r in batch.routed.iter() {
             match &r.command {
                 Command::Dispatch { lease, range } => {
                     grants.insert(*lease, (r.device, *range));

@@ -102,7 +102,7 @@ pub use recovery::{CrashScene, ResumeToken};
 use crate::admission::{AdmissionLimits, DaemonMetrics, FleetAdmissionConfig};
 use crate::arbiter::{ArbiterConfig, Event as ArbEvent, EventLog};
 use crate::channel::{Request, Response};
-use crate::durability::{Durability, DurabilityOptions, DurableMeta, WalRecord};
+use crate::durability::{Durability, DurabilityOptions, DurableMeta, WalIssue, WalRecord};
 use crate::error::SlateError;
 use crate::injector::InjectionCache;
 use crate::placement::replay::PlacementLog;
@@ -242,6 +242,9 @@ pub struct SlateDaemon {
     next_session: Mutex<u64>,
     /// Session threads between sessions.
     pool: Arc<session::SessionPool>,
+    /// What recovery found wrong with the log this incarnation was
+    /// rebuilt from ([`SlateDaemon::recovery_issues`]).
+    recovery_issues: Vec<(u64, WalIssue)>,
 }
 
 impl Drop for SlateDaemon {
@@ -333,7 +336,7 @@ impl SlateDaemon {
                 .expect("initialize durability directory")
         });
         let pool = DeviceMemoryPool::new(mem_capacity);
-        Self::boot(devices, layer, 0, durability, pool, options)
+        Self::boot(devices, layer, 0, durability, pool, options, Vec::new())
     }
 
     /// Brings up a daemon incarnation over `layer` — pristine at a first
@@ -347,6 +350,7 @@ impl SlateDaemon {
         durability: Option<Arc<Durability>>,
         pool: DeviceMemoryPool,
         options: DaemonOptions,
+        recovery_issues: Vec<(u64, WalIssue)>,
     ) -> Arc<Self> {
         if options.record_arbiter || options.trace_path.is_some() {
             layer.start_recording();
@@ -373,6 +377,7 @@ impl SlateDaemon {
             shared,
             next_session: Mutex::new(0),
             pool: Arc::default(),
+            recovery_issues,
         })
     }
 
@@ -412,10 +417,10 @@ impl SlateDaemon {
         };
         {
             // The durable session record rides in the submission itself:
-            // it is appended right after the admission batch, under the
-            // same hold of the arbiter lock, so a crash can separate
-            // neither from the other (and a shed admission records
-            // nothing).
+            // it is appended behind the admission batch in the same
+            // `write`, under the same hold of the arbiter lock, so a crash
+            // keeps the batch whole or neither (and a shed admission
+            // records nothing).
             let meta = self
                 .shared
                 .arb
@@ -450,7 +455,8 @@ impl SlateDaemon {
         self.shared.arb.durability.as_ref().map_or(0, |d| d.epoch())
     }
 
-    /// WAL append failures swallowed so far (durable daemons only; the
+    /// WAL append failures swallowed so far, plus torn tails
+    /// [`SlateDaemon::recover`] could not cut (durable daemons only; the
     /// daemon keeps serving on a sick disk, trading durability for
     /// availability, but the count is observable).
     pub fn wal_io_errors(&self) -> u64 {
@@ -459,6 +465,16 @@ impl SlateDaemon {
             .durability
             .as_ref()
             .map_or(0, |d| d.io_errors())
+    }
+
+    /// The damage [`SlateDaemon::recover`] found in the log it rebuilt
+    /// this incarnation from, by segment: a torn tail (truncated before
+    /// serving resumed, when it ended the log; a cut that failed counts in
+    /// [`SlateDaemon::wal_io_errors`]) or corruption (left on
+    /// disk; replay stopped at its offset, so records after it may be
+    /// lost). Empty for a fresh daemon and after a clean recovery.
+    pub fn recovery_issues(&self) -> &[(u64, WalIssue)] {
+        &self.recovery_issues
     }
 
     /// Begins a graceful shutdown: new connections are refused with

@@ -5,7 +5,8 @@
 use super::exec::{execute, Launch};
 use super::session::SessionState;
 use super::{Connection, DaemonOptions, DaemonShared, SlateDaemon};
-use crate::durability::{recover_dir, Durability, WalRecord};
+use crate::durability::wal::truncate_torn_tail;
+use crate::durability::{recover_dir, Durability, WalIssue, WalRecord};
 use crate::error::SlateError;
 use serde::{Deserialize, Serialize};
 use slate_gpu_sim::buffer::DeviceMemoryPool;
@@ -85,8 +86,11 @@ impl SlateDaemon {
 
     /// Resurrects a crashed daemon from its durability directory plus the
     /// in-memory [`CrashScene`]. State is rebuilt from the newest readable
-    /// snapshot and the WAL suffix (torn tails are truncated, corruption
-    /// reported — never panicked on); the epoch is bumped, a fresh WAL
+    /// snapshot and the WAL suffix — never panicking on damage: a torn
+    /// tail that ends the log is truncated (and the segment synced), so a
+    /// later recovery that falls back below it replays on through; a
+    /// corrupt segment is left as it is for an operator. Both are reported by
+    /// [`SlateDaemon::recovery_issues`]. The epoch is bumped, a fresh WAL
     /// segment with a new anchor snapshot is opened, and every in-flight
     /// launch from the scene is re-adopted at its carried progress on a
     /// per-session adoption thread. Crashed clients reattach with
@@ -103,6 +107,14 @@ impl SlateDaemon {
         })?;
         let rec = recover_dir(&dur_opts.dir)
             .map_err(|e| SlateError::Other(format!("recovery failed: {e}")))?;
+        // A tail that cannot be cut stays torn, as it always was (a later
+        // fallback stops there): counted in `wal_io_errors`, not fatal.
+        let mut uncut = 0;
+        for (k, issue) in &rec.issues {
+            if let WalIssue::TornTail { offset } = issue {
+                uncut += u64::from(truncate_torn_tail(&dur_opts.dir, *k, *offset as u64).is_err());
+            }
+        }
         let layer = rec.layer;
         let epoch = rec.epoch + 1;
         // Resume the logical clock past the crashed incarnation's last
@@ -117,6 +129,7 @@ impl SlateDaemon {
             rec.meta.clone(),
         )
         .map_err(|e| SlateError::Other(format!("reopen durability: {e}")))?;
+        durability.count_io_errors(uncut);
         durability.append_meta(&WalRecord::Epoch { epoch });
         let daemon = Self::boot(
             anchor.devices(),
@@ -125,6 +138,7 @@ impl SlateDaemon {
             Some(durability),
             scene.pool,
             options,
+            rec.issues,
         );
         *daemon.next_session.lock() = rec.meta.next_session.max(1) - 1;
         daemon.adopt(scene.inflight);

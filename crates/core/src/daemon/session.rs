@@ -512,26 +512,28 @@ impl Session {
         // Admission: bounded pending-launch queues (per session and
         // global) plus an up-front deadline feasibility check against the
         // estimated queue wait. Shed launches reply Overloaded, surfaced
-        // at the client's next synchronize.
+        // at the client's next synchronize. The admission record rides in
+        // the request's feed, as `connect`'s session record does: one
+        // `write`, and none for a shed launch.
         let lease = (session << 16) | cmd.stream as u64;
+        let launch_id = cmd.launch_id;
         let request = ArbEvent::LaunchRequested {
             session,
             lease,
             est_ms,
             deadline_ms: cmd.deadline_ms,
         };
-        if !shared.arb.submit(&[request], session, None)? {
+        let admitted = WalRecord::LaunchAdmitted {
+            session,
+            launch_id,
+            lease,
+        };
+        if !shared.arb.submit(&[request], session, Some(admitted))? {
             // Crashed before admission: the launch never happened; the
             // resumed client will resubmit.
             self.exit = Some(Exit::Crashed);
             return Ok(());
         }
-        let launch_id = cmd.launch_id;
-        shared.wal(WalRecord::LaunchAdmitted {
-            session,
-            launch_id,
-            lease,
-        });
         let launch = Launch {
             lease,
             launch_id,
@@ -582,19 +584,26 @@ impl Session {
             }
         }
         let clean = self.exit.is_some();
-        if clean {
-            let _ = self.tx.send(Response::Ok);
-        }
-        shared.arb.feed(&[if clean {
+        let event = if clean {
             ArbEvent::SessionClosed { session }
         } else {
             ArbEvent::SessionSevered { session }
-        }]);
-        shared.wal(WalRecord::SessionClosed { session });
+        };
+        // A close sheds nothing; the close record rides in its feed.
+        let _ = shared.arb.submit(
+            &[event],
+            session,
+            Some(WalRecord::SessionClosed { session }),
+        );
         shared
             .hyperq
             .lock()
             .retire_lanes(|_, stream| stream >> 16 == session as u32);
+        // The farewell goes out last: a client that saw its disconnect
+        // succeed finds the session closed in the core and the WAL.
+        if clean {
+            let _ = self.tx.send(Response::Ok);
+        }
     }
 }
 

@@ -564,6 +564,36 @@ fn a_checkpoint_holds_the_open_sessions_however_many_have_closed() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Recovery leaves a corrupt segment as it found it — its bytes past the
+/// damage may be all an operator has of them — and reports it; replay
+/// stops at the damaged frame.
+#[test]
+fn recovery_reports_a_corrupt_segment_and_leaves_it_in_place() {
+    use crate::durability::wal::list_segments;
+    let dir = std::env::temp_dir().join(format!("slate-daemon-corrupt-{}", std::process::id()));
+    let daemon = durable_daemon(&dir, true);
+    let client = SlateClient::new(daemon.connect("damaged").unwrap());
+    client.malloc(64).unwrap();
+    let scene = daemon.crash();
+    let (k, path) = list_segments(&dir).unwrap().pop().unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    // The last byte is the payload of the last frame, the `Alloc`.
+    *bytes.last_mut().unwrap() ^= 0x10;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let recovered = SlateDaemon::recover(scene, durable_opts(&dir, true)).expect("recover");
+    assert!(
+        matches!(recovered.recovery_issues(), [(s, WalIssue::Corrupt { .. })] if *s == k),
+        "{:?}",
+        recovered.recovery_issues()
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), bytes, "left as it was");
+    let meta = recovered.shared.arb.durability.as_ref().unwrap().meta();
+    assert!(meta.sessions[&client.session()].allocs.is_empty());
+    recovered.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn a_closed_session_stays_closed() {
     let dir = std::env::temp_dir().join(format!("slate-daemon-closed-{}", std::process::id()));

@@ -28,7 +28,8 @@
 //! measured cost of each step).
 //!
 //! **Fsync policy.** Every append is one `write` straight to the file
-//! descriptor (crash-of-the-process can lose nothing acknowledged);
+//! descriptor — a fed batch and the metadata record it carries share
+//! one — so a crash of the process can lose nothing acknowledged;
 //! `sync_all` runs on each snapshot before it is renamed into place, on
 //! the open segment at freeze, and on the closing segment of a checkpoint
 //! when `keep_all` retains it — every file that is kept is synced, and
@@ -38,6 +39,7 @@
 //! decision that already happened cannot be un-made by a full disk, and
 //! the counter lets operators alarm on it.
 
+pub mod codec;
 pub mod recover;
 pub mod snapshot;
 pub mod wal;
@@ -158,11 +160,18 @@ impl Durability {
         &self.options.dir
     }
 
-    /// Append I/O failures since start. Nonzero means the WAL has a gap:
-    /// recovery from this log may miss state, and operators should treat
-    /// the disk as suspect.
+    /// Append I/O failures since start, plus torn tails recovery could not
+    /// cut ([`Durability::count_io_errors`]). Nonzero means the WAL has a
+    /// gap: recovery from this log may miss state, and operators should
+    /// treat the disk as suspect.
     pub fn io_errors(&self) -> u64 {
         self.io_errors.load(Ordering::Relaxed)
+    }
+
+    /// Counts `n` I/O failures met on the way to this incarnation (torn
+    /// tails recovery could not cut) alongside the append failures.
+    pub fn count_io_errors(&self, n: u64) {
+        self.io_errors.fetch_add(n, Ordering::Relaxed);
     }
 
     /// A clone of the mirrored session metadata.
@@ -202,11 +211,28 @@ impl Durability {
         batch: &crate::placement::PlacementBatch,
         placement_snap: impl FnOnce() -> PlacementSnapshot,
     ) {
+        self.append_batch_meta(batch, None, placement_snap);
+    }
+
+    /// [`Durability::append_batch`], with the metadata record the batch
+    /// carries (a session's record with its admission, a launch's with
+    /// its request, a close with its event) appended behind it in the
+    /// same `write` and folded into the mirror before any checkpoint the
+    /// batch brings due.
+    pub fn append_batch_meta(
+        &self,
+        batch: &crate::placement::PlacementBatch,
+        meta: Option<&WalRecord>,
+        placement_snap: impl FnOnce() -> PlacementSnapshot,
+    ) {
         let mut inner = self.inner.lock();
         if inner.frozen {
             return;
         }
-        self.note_io(inner.writer.append_batch(batch));
+        if let Some(record) = meta {
+            inner.meta.apply(record);
+        }
+        self.note_io(inner.writer.append_batch(batch, meta));
         inner.batches_since_snap += 1;
         if inner.batches_since_snap >= self.options.snapshot_every {
             inner.batches_since_snap = 0;

@@ -3,13 +3,15 @@
 //! A WAL segment is an append-only stream of frames:
 //!
 //! ```text
-//! ┌────────────┬────────────┬──────────────────────┐
-//! │ len  (u32) │ crc  (u32) │ payload (len bytes)  │   … repeated
-//! │ little-end │ little-end │ JSON [`WalRecord`]   │
-//! └────────────┴────────────┴──────────────────────┘
+//! ┌────────────┬────────────┬─────────────────────────┐
+//! │ len  (u32) │ crc  (u32) │ payload (len bytes)     │   … repeated
+//! │ little-end │ little-end │ format byte + record    │
+//! └────────────┴────────────┴─────────────────────────┘
 //! ```
 //!
-//! `crc` is the IEEE CRC-32 of the payload bytes, which detects every
+//! The payload is one [`WalRecord`] in the binary [`codec`]
+//! (format byte `1`); segments written before it hold JSON, which is still
+//! read. `crc` is the IEEE CRC-32 of the payload bytes, which detects every
 //! single-bit error and any torn tail a crash mid-`write` can leave. The
 //! reader ([`scan`]) walks frames until the bytes stop making sense and
 //! then *stops* — it never panics and never resyncs past a bad frame
@@ -19,6 +21,7 @@
 //! and nothing after it — not the rest of this segment, not any later
 //! segment (a log with a hole folds into a state that never existed).
 
+use super::codec;
 use crate::placement::PlacementBatch;
 use serde::{Deserialize, Serialize};
 use slate_kernels::workload::SloClass;
@@ -65,7 +68,8 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// One durable record. Everything the daemon must be able to reconstruct
-/// after a crash is either in here or in a snapshot.
+/// after a crash is either in here or in a snapshot. Written in the
+/// [`codec`]; its JSON form is what older segments hold.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WalRecord {
     /// One fed placement batch — events in, routed commands out. Replaying
@@ -146,7 +150,7 @@ pub enum WalIssue {
         offset: usize,
     },
     /// A complete-looking frame failed validation (checksum mismatch,
-    /// absurd length, unparseable payload). Data *may* have been lost;
+    /// absurd length, undecodable payload). Data *may* have been lost;
     /// recovery proceeds from the valid prefix and surfaces this.
     Corrupt {
         /// Byte offset of the bad frame.
@@ -181,14 +185,20 @@ pub struct WalScan {
 /// Encodes one frame: header plus payload, ready to append.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    push_frame(&mut out, payload);
+    push_frame(&mut out, |out| out.extend_from_slice(payload));
     out
 }
 
-fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Appends one frame to `out` whose payload `write_payload` appends in
+/// place; the header is filled in after it.
+fn push_frame(out: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    write_payload(out);
+    let payload = &out[start + FRAME_HEADER_LEN..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + FRAME_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Scans raw segment bytes into records. Total: any byte string yields a
@@ -229,22 +239,12 @@ pub fn scan(bytes: &[u8]) -> WalScan {
             });
             break;
         }
-        let text = match std::str::from_utf8(payload) {
-            Ok(t) => t,
-            Err(e) => {
-                issue = Some(WalIssue::Corrupt {
-                    offset: off,
-                    reason: format!("payload is not UTF-8: {e}"),
-                });
-                break;
-            }
-        };
-        match serde_json::from_str::<WalRecord>(text) {
+        match codec::decode(payload) {
             Ok(r) => records.push(r),
-            Err(e) => {
+            Err(why) => {
                 issue = Some(WalIssue::Corrupt {
                     offset: off,
-                    reason: format!("payload fails to parse: {e}"),
+                    reason: format!("payload fails to decode: {why}"),
                 });
                 break;
             }
@@ -303,20 +303,37 @@ pub fn read_segment(path: &Path) -> io::Result<WalScan> {
     Ok(scan(&fs::read(path)?))
 }
 
-/// An open, appendable WAL segment. Every append is one `write` of one
-/// whole frame straight to the file descriptor (no userspace buffering
-/// across appends), so an acknowledged record survives a process crash;
+/// Cuts the torn tail off segment `k` under `dir` — back to its valid
+/// prefix of `valid_len` bytes, synced — if it ends the log: no later
+/// segment holds a byte. A later segment that does holds records the scan stopped
+/// short of; behind a whole tail, a later recovery falling back below
+/// them would replay them over the hole, so the tail stays torn and
+/// replay keeps stopping there.
+pub fn truncate_torn_tail(dir: &Path, k: u64, valid_len: u64) -> io::Result<()> {
+    for (later, path) in list_segments(dir)? {
+        if later > k && fs::metadata(path)?.len() > 0 {
+            return Ok(());
+        }
+    }
+    let file = fs::OpenOptions::new()
+        .write(true)
+        .open(segment_path(dir, k))?;
+    file.set_len(valid_len)?;
+    file.sync_all()
+}
+
+/// An open, appendable WAL segment. Every append is one `write` of whole
+/// frames straight to the file descriptor (no userspace buffering across
+/// appends), so an acknowledged record survives a process crash;
 /// [`SegmentWriter::sync`] additionally pushes it through the OS cache
 /// for power-failure durability (`DESIGN.md` §16 says where).
 ///
-/// The payload text and the frame are built in two buffers the writer
-/// keeps at their high-water capacity, so a warmed append makes no
-/// allocation.
+/// Frames are encoded in place in one buffer the writer keeps at its
+/// high-water capacity, so a warmed append makes no allocation.
 #[derive(Debug)]
 pub struct SegmentWriter {
     file: fs::File,
-    payload: String,
-    frame: Vec<u8>,
+    frames: Vec<u8>,
 }
 
 impl SegmentWriter {
@@ -330,33 +347,33 @@ impl SegmentWriter {
             .open(segment_path(dir, k))?;
         Ok(Self {
             file,
-            payload: String::new(),
-            frame: Vec::new(),
+            frames: Vec::new(),
         })
     }
 
-    /// Appends one record as a framed JSON payload.
+    /// Appends one record as one frame.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        self.append_with(|payload| record.serialize_json(payload))
+        self.frames.clear();
+        push_frame(&mut self.frames, |out| codec::encode(record, out));
+        self.file.write_all(&self.frames)
     }
 
-    /// Appends `batch` as a [`WalRecord::Batch`] — the same bytes
+    /// Appends `batch` as a [`WalRecord::Batch`] — the frame
     /// `append(&WalRecord::Batch { batch })` writes, without cloning the
-    /// batch into a record first.
-    pub fn append_batch(&mut self, batch: &PlacementBatch) -> io::Result<()> {
-        self.append_with(|payload| {
-            payload.push_str("{\"Batch\":{\"batch\":");
-            batch.serialize_json(payload);
-            payload.push_str("}}");
-        })
-    }
-
-    fn append_with(&mut self, write_payload: impl FnOnce(&mut String)) -> io::Result<()> {
-        self.payload.clear();
-        write_payload(&mut self.payload);
-        self.frame.clear();
-        push_frame(&mut self.frame, self.payload.as_bytes());
-        self.file.write_all(&self.frame)
+    /// batch into a record first — followed by `meta`'s frame, if any, in
+    /// the same `write`. A crash that tears that `write` leaves a prefix:
+    /// the batch alone, or neither, as a crash between two writes would.
+    pub fn append_batch(
+        &mut self,
+        batch: &PlacementBatch,
+        meta: Option<&WalRecord>,
+    ) -> io::Result<()> {
+        self.frames.clear();
+        push_frame(&mut self.frames, |out| codec::encode_batch(batch, out));
+        if let Some(record) = meta {
+            push_frame(&mut self.frames, |out| codec::encode(record, out));
+        }
+        self.file.write_all(&self.frames)
     }
 
     /// Forces written frames through the OS cache to stable storage.
@@ -380,9 +397,7 @@ mod tests {
     fn encode_all(records: &[WalRecord]) -> Vec<u8> {
         let mut bytes = Vec::new();
         for r in records {
-            bytes.extend_from_slice(&encode_frame(
-                serde_json::to_string(r).expect("serialize").as_bytes(),
-            ));
+            push_frame(&mut bytes, |out| codec::encode(r, out));
         }
         bytes
     }
@@ -456,6 +471,34 @@ mod tests {
         assert!(out.records.is_empty());
         assert_eq!(out.valid_len, 0);
         assert!(matches!(out.issue, Some(WalIssue::Corrupt { .. })));
+    }
+
+    /// A torn tail is cut only where it ends the log: a later segment that
+    /// holds a record keeps it torn, an empty one does not.
+    #[test]
+    fn a_torn_tail_is_cut_only_where_it_ends_the_log() {
+        let dir = std::env::temp_dir().join(format!(
+            "slate-wal-torn-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let mut w = SegmentWriter::create(&dir, 0).expect("create");
+        w.append(&rec(1)).expect("append");
+        let valid = std::fs::metadata(segment_path(&dir, 0)).unwrap().len();
+        let frame = encode_all(&[rec(2)]);
+        w.file.write_all(&frame[..frame.len() - 1]).expect("tear");
+        let torn = std::fs::read(segment_path(&dir, 0)).unwrap();
+        SegmentWriter::create(&dir, 1)
+            .and_then(|mut later| later.append(&rec(3)))
+            .expect("a later record");
+        truncate_torn_tail(&dir, 0, valid).unwrap();
+        assert_eq!(std::fs::read(segment_path(&dir, 0)).unwrap(), torn);
+        SegmentWriter::create(&dir, 1).expect("an empty later segment");
+        truncate_torn_tail(&dir, 0, valid).unwrap();
+        let out = read_segment(&segment_path(&dir, 0)).unwrap();
+        assert_eq!((out.records, out.issue), (vec![rec(1)], None));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

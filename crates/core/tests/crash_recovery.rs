@@ -190,6 +190,7 @@ fn case_keeping(seed: u64, devices: usize, keep_all: bool) {
         // routed-command transcript.
         let log = full_log(&dir).expect("stitch full placement log from kept segments");
         verify(&log).expect("full WAL replays byte-identically");
+        assert_meta_follows_its_batch(&dir);
     } else {
         // Compacting, every checkpoint and the recovery's own anchor
         // unlinked what they superseded: one snapshot, one segment.
@@ -198,6 +199,64 @@ fn case_keeping(seed: u64, devices: usize, keep_all: bool) {
         assert_eq!((snaps.len(), segs.len()), (1, 1), "{snaps:?} {segs:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every fed batch that carries a metadata record — a session's
+/// admission, a launch request, a close — and was not shed is directly
+/// followed in the kept WAL by that record: the two share one `write`
+/// under one hold of the arbiter lock, so neither another thread's record
+/// nor the kill point can come between them.
+fn assert_meta_follows_its_batch(dir: &Path) {
+    use slate_core::arbiter::{Command, Event};
+    use slate_core::durability::wal::{list_segments, read_segment};
+    use slate_core::durability::WalRecord;
+    let records: Vec<WalRecord> = list_segments(dir)
+        .unwrap()
+        .iter()
+        .flat_map(|(_, path)| read_segment(path).unwrap().records)
+        .collect();
+    for (i, record) in records.iter().enumerate() {
+        let WalRecord::Batch { batch } = record else {
+            continue;
+        };
+        let shed = batch
+            .routed
+            .iter()
+            .any(|r| matches!(r.command, Command::RejectOverloaded { .. }));
+        let next = records.get(i + 1);
+        for event in &batch.events {
+            let followed = match (event, next) {
+                (
+                    Event::SessionOpened { session },
+                    Some(WalRecord::SessionMeta { session: s, .. }),
+                ) => s == session,
+                (
+                    Event::LaunchRequested { session, lease, .. },
+                    Some(WalRecord::LaunchAdmitted {
+                        session: s,
+                        lease: l,
+                        ..
+                    }),
+                ) => (s, l) == (session, lease),
+                (
+                    Event::SessionClosed { session } | Event::SessionSevered { session },
+                    Some(WalRecord::SessionClosed { session: s }),
+                ) => s == session,
+                (
+                    Event::SessionOpened { .. }
+                    | Event::LaunchRequested { .. }
+                    | Event::SessionClosed { .. }
+                    | Event::SessionSevered { .. },
+                    _,
+                ) => false,
+                _ => true,
+            };
+            assert!(
+                shed || followed,
+                "record {i} ({event}) is followed by {next:?}, not its metadata record"
+            );
+        }
+    }
 }
 
 /// The same kill points with compaction on — what a serving daemon runs
@@ -305,6 +364,7 @@ fn wal_order_is_feed_order_under_concurrent_submitters() {
         assert_eq!(w, r, "batch {i}: the WAL and the recorder disagree");
     }
     verify(&wal).expect("full WAL replays byte-identically");
+    assert_meta_follows_its_batch(&dir);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -473,6 +533,67 @@ fn a_hostile_snapshot_costs_replay_or_a_typed_error_never_the_process() {
         Err(other) => panic!("expected a recovery error, got {other:?}"),
         Ok(_) => panic!("recovered without a readable snapshot"),
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Recovery truncates the torn tail it tolerated. Crash, tear the last
+/// segment, recover, serve a session, crash again, and make every snapshot
+/// the second incarnation wrote unreadable: the third recovery falls back
+/// below the once-torn segment and must replay on through it into the
+/// second epoch — a tail still torn would stop it there, and the session
+/// opened after it would be lost.
+#[test]
+fn a_fallback_replays_past_a_segment_whose_torn_tail_was_truncated() {
+    use slate_core::durability::wal::{encode_frame, list_segments, list_snapshots};
+    let dir = tmpdir("torn-fallback");
+    let daemon =
+        SlateDaemon::start_with_options(DeviceConfig::tiny(4), 1 << 24, durable_opts(2, &dir));
+    let first = SlateClient::new(daemon.connect("first").unwrap());
+    first.malloc(64).unwrap();
+    let scene = daemon.crash();
+    let (torn, path) = list_segments(&dir).unwrap().pop().unwrap();
+    let valid = std::fs::metadata(&path).unwrap().len();
+    let frame = encode_frame(b"a frame the crash cut short");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.extend_from_slice(&frame[..frame.len() - 3]);
+    std::fs::write(&path, bytes).unwrap();
+
+    let recovered = SlateDaemon::recover(scene, durable_opts(2, &dir)).expect("recover");
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), valid, "truncated");
+    assert!(matches!(
+        recovered.recovery_issues(),
+        [(k, slate_core::durability::WalIssue::TornTail { offset })]
+            if *k == torn && *offset as u64 == valid
+    ));
+    let second = SlateClient::new(recovered.connect("second").unwrap());
+    let p = second.malloc(64).unwrap();
+    second.upload_f32(p, &[7.0, 8.0]).unwrap();
+    let token = second.resume_token();
+    let scene = recovered.crash();
+    for (k, path) in list_snapshots(&dir).unwrap() {
+        if k > torn {
+            std::fs::write(path, "not a snapshot").unwrap();
+        }
+    }
+
+    let third = SlateDaemon::recover(scene, durable_opts(2, &dir))
+        .expect("recovery falls back to the snapshot below the torn segment");
+    assert!(
+        third.recovery_issues().is_empty(),
+        "{:?}",
+        third.recovery_issues()
+    );
+    assert_eq!(
+        third.epoch(),
+        2,
+        "the second epoch's Epoch record was replayed"
+    );
+    let resumed = resume_with_retry(&third, token, RetryPolicy::with_attempts(3))
+        .expect("the session opened after the torn segment resumes");
+    assert_eq!(resumed.download_f32(p, 2).unwrap(), vec![7.0, 8.0]);
+    resumed.disconnect().unwrap();
+    third.join();
+    verify(&full_log(&dir).unwrap()).expect("full WAL replays byte-identically");
     std::fs::remove_dir_all(&dir).ok();
 }
 

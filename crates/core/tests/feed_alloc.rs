@@ -15,8 +15,8 @@
 //! further identical cycles perform **zero** heap allocations.
 //!
 //! A durable daemon's feed adds the WAL append to that path, under the
-//! same lock: a warmed [`Durability::append_batch`] and
-//! [`Durability::append_meta`] build payload and frame in buffers the
+//! same lock: a warmed [`Durability::append_batch_meta`] and
+//! [`Durability::append_meta`] encode their frames in the buffer the
 //! segment writer keeps, and allocate nothing either.
 //!
 //! The launch path makes the neighbouring claim (`DESIGN.md` §3.3): a
@@ -196,10 +196,11 @@ fn placement_feed_into_steady_state_allocates_nothing() {
 }
 
 /// The WAL appends of a durable feed: the batch (events and the routed
-/// commands they produced) and the meta records that ride with it — an
-/// allocation made and freed by a session that stays open, and the launch
-/// records of one the mirror no longer holds. What is proved is the
-/// append: payload and frame are built in place. A record that *creates*
+/// commands they produced), alone or with the meta record that shares its
+/// `write`, and the meta records appended on their own — an allocation
+/// made and freed by a session that stays open, and the launch records of
+/// one the mirror no longer holds. What is proved is the append: the
+/// frames are encoded in place. A record that *creates*
 /// a mirror entry (a session, its first allocation, a launch id of a
 /// session that stays open) allocates there, in the mirror's maps, and is
 /// left out.
@@ -238,41 +239,49 @@ fn durable_append_steady_state_allocates_nothing() {
         routed: Vec::new(),
     };
     let mut cycle = |t: u64| {
-        let mut feed = |events: &[Event], at: u64| {
+        // A batch alone, or with the meta record that shares its `write`.
+        let mut feed = |events: &[Event], at: u64, meta: Option<&WalRecord>| {
             layer.feed_into(at, events, &mut batch.routed);
             batch.at = layer.now();
             batch.events.clear();
             batch.events.extend_from_slice(events);
-            d.append_batch(&batch, || unreachable!("cadence is off"));
+            d.append_batch_meta(&batch, meta, || unreachable!("cadence is off"));
         };
-        feed(&[Event::SessionOpened { session: 7 }], t);
+        feed(&[Event::SessionOpened { session: 7 }], t, None);
         d.append_meta(&WalRecord::Alloc {
             session: 1,
             slate_ptr: ptr(2),
             device_ptr: 0x2000,
             bytes: 4096,
         });
-        feed(&[ready(7, 7 << 16, 8)], t + 10);
-        d.append_meta(&WalRecord::LaunchAdmitted {
+        let lease = 7 << 16;
+        let requested = Event::LaunchRequested {
+            session: 7,
+            lease,
+            est_ms: Some(1),
+            deadline_ms: None,
+        };
+        let admitted = WalRecord::LaunchAdmitted {
             session: 7,
             launch_id: t,
-            lease: 7 << 16,
-        });
+            lease,
+        };
+        feed(&[requested], t + 5, Some(&admitted));
+        feed(&[ready(7, lease, 8)], t + 10, None);
         d.append_meta(&WalRecord::LaunchDone {
             session: 7,
             launch_id: t,
         });
-        let finished = Event::KernelFinished {
-            lease: 7 << 16,
-            ok: true,
-        };
-        feed(&[finished], t + 20);
+        feed(&[Event::KernelFinished { lease, ok: true }], t + 20, None);
         d.append_meta(&WalRecord::Free {
             session: 1,
             slate_ptr: ptr(2),
         });
-        feed(&[Event::SessionClosed { session: 7 }], t + 30);
-        d.append_meta(&WalRecord::SessionClosed { session: 7 });
+        feed(
+            &[Event::SessionClosed { session: 7 }],
+            t + 30,
+            Some(&WalRecord::SessionClosed { session: 7 }),
+        );
     };
     for i in 0..4 {
         cycle(i * 100);

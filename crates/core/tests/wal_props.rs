@@ -1,106 +1,233 @@
-//! Property tests for the WAL frame codec: the reader must be *total*.
+//! Property tests for the WAL: the frame reader must be *total*, and the
+//! record codec must read back what it wrote — and what every earlier
+//! segment holds.
 //!
 //! Whatever bytes a crash, a sick disk or an adversary leaves in a
 //! segment, `scan` must return — never panic — with the longest provably
 //! valid record prefix, the byte length of that prefix, and the offset
 //! where the log stopped being trustworthy. These properties drive
 //! arbitrary record batches through encode→scan, cut the byte stream at
-//! every possible point, flip single bits, and feed raw garbage.
+//! every possible point, flip single bits, feed raw garbage, and put
+//! damaged payloads behind checksums that match them, so that only the
+//! codec stands between the bytes and a panic.
 
 use proptest::prelude::*;
-use slate_core::arbiter::Event;
+use slate_core::arbiter::{Command, Event, RejectScope};
+use slate_core::classify::WorkloadClass;
+use slate_core::durability::codec::{self, FORMAT};
+use slate_core::durability::snapshot::{write_snapshot, DurableSnapshot, SNAPSHOT_FORMAT};
 use slate_core::durability::wal::{
     encode_frame, scan, segment_path, SegmentWriter, FRAME_HEADER_LEN,
 };
-use slate_core::durability::{WalIssue, WalRecord};
+use slate_core::durability::{recover_dir, DurableMeta, WalIssue, WalRecord};
 use slate_core::placement::replay::PlacementBatch;
+use slate_core::placement::{PlacementConfig, PlacementLayer, RoutedCommand};
+use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use slate_kernels::workload::SloClass;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
-/// A placement event with no payload dependencies on scheduler state —
-/// enough shape diversity to exercise the JSON codec.
+/// Counts the bytes this thread asks the allocator for, so a property can
+/// bound what decoding one payload reserves.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
+        ALLOCATED.with(|c| c.set(c.get() + l.size()));
+        System.alloc(l)
+    }
+    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
+        ALLOCATED.with(|c| c.set(c.get() + l.size()));
+        System.alloc_zeroed(l)
+    }
+    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
+        ALLOCATED.with(|c| c.set(c.get() + n));
+        System.realloc(p, l, n)
+    }
+    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        System.dealloc(p, l)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// A `u64` field: 0, `u64::MAX`, or anything.
+fn edge() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()]
+}
+
+fn opt() -> impl Strategy<Value = Option<u64>> {
+    prop_oneof![Just(None), edge().prop_map(Some)]
+}
+
+fn slo() -> impl Strategy<Value = SloClass> {
+    prop_oneof![Just(SloClass::LatencyCritical), Just(SloClass::BestEffort)]
+}
+
+fn range() -> impl Strategy<Value = SmRange> {
+    let end = || prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>()];
+    (end(), end()).prop_map(|(a, b)| SmRange::new(a.min(b), a.max(b)))
+}
+
+/// Every [`Event`] variant, every [`WorkloadClass`] and [`SloClass`].
 fn arb_event() -> impl Strategy<Value = Event> {
     prop_oneof![
         Just(Event::DeadlineTick),
         Just(Event::DrainBegan),
-        any::<u64>().prop_map(|session| Event::SessionOpened { session }),
-        any::<u64>().prop_map(|session| Event::SessionClosed { session }),
-        any::<u64>().prop_map(|session| Event::SessionSevered { session }),
-        (any::<u64>(), any::<bool>()).prop_map(|(lease, ok)| Event::KernelFinished { lease, ok }),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
-            |(session, used, capacity, bytes)| Event::MallocRequested {
+        edge().prop_map(|session| Event::SessionOpened { session }),
+        edge().prop_map(|session| Event::SessionClosed { session }),
+        edge().prop_map(|session| Event::SessionSevered { session }),
+        (edge(), any::<bool>()).prop_map(|(lease, ok)| Event::KernelFinished { lease, ok }),
+        (edge(), edge(), edge(), edge()).prop_map(|(session, used, capacity, bytes)| {
+            Event::MallocRequested {
                 session,
                 used,
                 capacity,
                 bytes,
             }
-        ),
+        }),
+        (edge(), edge(), opt(), opt()).prop_map(|(session, lease, est_ms, deadline_ms)| {
+            Event::LaunchRequested {
+                session,
+                lease,
+                est_ms,
+                deadline_ms,
+            }
+        }),
+        (
+            edge(),
+            edge(),
+            0..WorkloadClass::ALL.len(),
+            prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>()],
+            any::<bool>(),
+            opt(),
+        )
+            .prop_map(
+                |(session, lease, class, sm_demand, pinned_solo, deadline_ms)| {
+                    Event::KernelReady {
+                        session,
+                        lease,
+                        class: WorkloadClass::ALL[class],
+                        sm_demand,
+                        pinned_solo,
+                        deadline_ms,
+                    }
+                }
+            ),
+        (edge(), any::<bool>()).prop_map(|(device, hard)| Event::DeviceDown { device, hard }),
+        edge().prop_map(|device| Event::DeviceUp { device }),
+        (edge(), slo()).prop_map(|(session, class)| Event::SloArrival { session, class }),
     ]
+}
+
+/// Every [`Command`] variant and every [`RejectScope`], on any device.
+fn arb_routed() -> impl Strategy<Value = RoutedCommand> {
+    let scope = prop_oneof![
+        Just(RejectScope::Session),
+        Just(RejectScope::Launch),
+        Just(RejectScope::Deadline),
+        Just(RejectScope::Malloc),
+    ];
+    let command = prop_oneof![
+        (edge(), range()).prop_map(|(lease, range)| Command::Dispatch { lease, range }),
+        (edge(), range()).prop_map(|(lease, range)| Command::Resize { lease, range }),
+        (edge(), opt(), scope, edge()).prop_map(|(session, lease, scope, retry_after_ms)| {
+            Command::RejectOverloaded {
+                session,
+                lease,
+                scope,
+                retry_after_ms,
+            }
+        }),
+        edge().prop_map(|lease| Command::PromoteStarved { lease }),
+        edge().prop_map(|lease| Command::Evict { lease }),
+        edge().prop_map(|session| Command::Reap { session }),
+        edge().prop_map(|lease| Command::Preempt { lease }),
+    ];
+    let device = prop_oneof![Just(0usize), Just(usize::MAX), any::<usize>()];
+    (device, command).prop_map(|(device, command)| RoutedCommand { device, command })
 }
 
 fn arb_record() -> impl Strategy<Value = WalRecord> {
     prop_oneof![
-        ("[a-z0-9 ]{0,16}", any::<u64>(), any::<bool>()).prop_map(|(user, session, lc)| {
-            WalRecord::SessionMeta {
-                session,
-                user,
-                slo: if lc {
-                    SloClass::LatencyCritical
-                } else {
-                    SloClass::BestEffort
-                },
-            }
+        (".{0,16}", edge(), slo()).prop_map(|(user, session, slo)| WalRecord::SessionMeta {
+            session,
+            user,
+            slo
         }),
-        any::<u64>().prop_map(|session| WalRecord::SessionClosed { session }),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
-            |(session, slate_ptr, device_ptr, bytes)| WalRecord::Alloc {
+        edge().prop_map(|session| WalRecord::SessionClosed { session }),
+        (edge(), edge(), edge(), edge()).prop_map(|(session, slate_ptr, device_ptr, bytes)| {
+            WalRecord::Alloc {
                 session,
                 slate_ptr,
                 device_ptr,
                 bytes,
             }
-        ),
-        (any::<u64>(), any::<u64>())
-            .prop_map(|(session, slate_ptr)| WalRecord::Free { session, slate_ptr }),
-        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(session, launch_id, lease)| {
+        }),
+        (edge(), edge()).prop_map(|(session, slate_ptr)| WalRecord::Free { session, slate_ptr }),
+        (edge(), edge(), edge()).prop_map(|(session, launch_id, lease)| {
             WalRecord::LaunchAdmitted {
                 session,
                 launch_id,
                 lease,
             }
         }),
-        (any::<u64>(), any::<u64>())
+        (edge(), edge())
             .prop_map(|(session, launch_id)| WalRecord::LaunchDone { session, launch_id }),
-        any::<u64>().prop_map(|epoch| WalRecord::Epoch { epoch }),
-        (any::<u64>(), prop::collection::vec(arb_event(), 0..4)).prop_map(|(at, events)| {
-            WalRecord::Batch {
-                batch: PlacementBatch {
-                    at,
-                    events,
-                    routed: Vec::new(),
-                },
-            }
-        }),
+        edge().prop_map(|epoch| WalRecord::Epoch { epoch }),
+        (
+            edge(),
+            prop::collection::vec(arb_event(), 0..4),
+            prop::collection::vec(arb_routed(), 0..4),
+        )
+            .prop_map(|(at, events, routed)| WalRecord::Batch {
+                batch: PlacementBatch { at, events, routed },
+            }),
     ]
 }
 
-/// Encodes `records` and returns (bytes, frame start offsets). The
-/// offsets include the final end-of-log position, so `offsets[i]` is
-/// where frame `i` begins and `offsets[records.len()]` the total length.
-fn encode_all(records: &[WalRecord]) -> (Vec<u8>, Vec<usize>) {
+/// A record's payload as this build writes it.
+fn binary(r: &WalRecord) -> Vec<u8> {
+    let mut payload = Vec::new();
+    codec::encode(r, &mut payload);
+    payload
+}
+
+/// A record's payload as segments before the codec hold it.
+fn json(r: &WalRecord) -> Vec<u8> {
+    serde_json::to_string(r).expect("serialize").into_bytes()
+}
+
+/// Frames `records[..old]` as JSON and the rest in the codec. Returns
+/// (bytes, frame start offsets). The offsets include the final end-of-log
+/// position, so `offsets[i]` is where frame `i` begins and
+/// `offsets[records.len()]` the total length.
+fn frames(records: &[WalRecord], old: usize) -> (Vec<u8>, Vec<usize>) {
     let mut bytes = Vec::new();
     let mut offsets = vec![0usize];
-    for r in records {
-        let payload = serde_json::to_string(r).expect("serialize");
-        bytes.extend_from_slice(&encode_frame(payload.as_bytes()));
+    for (i, r) in records.iter().enumerate() {
+        let payload = if i < old { json(r) } else { binary(r) };
+        bytes.extend_from_slice(&encode_frame(&payload));
         offsets.push(bytes.len());
     }
     (bytes, offsets)
 }
 
-/// What a [`SegmentWriter`] puts on disk for `records`: batches through
-/// `append_batch` (which serialises the borrowed batch inside a
-/// hand-written `{"Batch":{"batch":…}}`), everything else through
-/// `append`, all of it built in the writer's reused buffers.
+/// Frames `records` the way this build writes them.
+fn encode_all(records: &[WalRecord]) -> (Vec<u8>, Vec<usize>) {
+    frames(records, 0)
+}
+
+/// What a [`SegmentWriter`] puts on disk for `records`: a batch through
+/// `append_batch`, together with the record after it when that is not a
+/// batch (as the daemon appends a fed batch and its meta record, in one
+/// `write`), everything else through `append`, all of it built in the
+/// writer's reused buffer.
 fn written_by_segment_writer(records: &[WalRecord]) -> Vec<u8> {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
@@ -110,9 +237,13 @@ fn written_by_segment_writer(records: &[WalRecord]) -> Vec<u8> {
     ));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let mut w = SegmentWriter::create(&dir, 0).expect("create");
-    for r in records {
+    let mut rest = records.iter().peekable();
+    while let Some(r) = rest.next() {
         match r {
-            WalRecord::Batch { batch } => w.append_batch(batch),
+            WalRecord::Batch { batch } => {
+                let meta = rest.next_if(|next| !matches!(next, WalRecord::Batch { .. }));
+                w.append_batch(batch, meta)
+            }
             other => w.append(other),
         }
         .expect("append");
@@ -122,41 +253,108 @@ fn written_by_segment_writer(records: &[WalRecord]) -> Vec<u8> {
     bytes
 }
 
-/// The same, for a batch that routed commands (the strategies above
-/// generate none): a dispatch and the resize that makes room for it.
-#[test]
-fn a_routed_batch_is_written_byte_for_byte_as_its_record() {
-    use slate_core::placement::{PlacementConfig, PlacementLayer};
-    let mut layer = PlacementLayer::new(
-        vec![slate_gpu_sim::device::DeviceConfig::tiny(8)],
-        PlacementConfig::default(),
-    );
+fn fresh_layer() -> PlacementLayer {
+    PlacementLayer::new(vec![DeviceConfig::tiny(8)], PlacementConfig::default())
+}
+
+/// A real run's log: two sessions through the layer, one of which closes,
+/// with the metadata records a daemon appends for them.
+fn a_real_log() -> (PlacementLayer, Vec<WalRecord>) {
+    let mut layer = fresh_layer();
     let mut records = Vec::new();
     let mut at = 0;
-    let mut feed = |events: Vec<Event>| {
-        at += 10;
-        let routed = layer.feed(at, &events);
-        records.push(WalRecord::Batch {
-            batch: PlacementBatch { at, events, routed },
-        });
-    };
-    feed(vec![
-        Event::SessionOpened { session: 1 },
-        Event::SessionOpened { session: 2 },
-    ]);
-    for (session, class) in [
-        (1u64, slate_core::classify::WorkloadClass::MM),
-        (2, slate_core::classify::WorkloadClass::LC),
-    ] {
-        feed(vec![Event::KernelReady {
+    let mut feed =
+        |layer: &mut PlacementLayer, records: &mut Vec<WalRecord>, events: Vec<Event>| {
+            at += 10;
+            let routed = layer.feed(at, &events);
+            records.push(WalRecord::Batch {
+                batch: PlacementBatch { at, events, routed },
+            });
+        };
+    feed(
+        &mut layer,
+        &mut records,
+        vec![
+            Event::SloArrival {
+                session: 1,
+                class: SloClass::LatencyCritical,
+            },
+            Event::SessionOpened { session: 1 },
+            Event::SessionOpened { session: 2 },
+        ],
+    );
+    for (session, class) in [(1u64, WorkloadClass::MM), (2, WorkloadClass::LC)] {
+        records.push(WalRecord::SessionMeta {
             session,
-            lease: session << 16,
-            class,
-            sm_demand: 4,
-            pinned_solo: false,
-            deadline_ms: Some(50),
-        }]);
+            user: format!("user-{session}"),
+            slo: SloClass::BestEffort,
+        });
+        records.push(WalRecord::Alloc {
+            session,
+            slate_ptr: (session << 32) + 1,
+            device_ptr: 0x1000 * session,
+            bytes: 4096,
+        });
+        let lease = session << 16;
+        feed(
+            &mut layer,
+            &mut records,
+            vec![Event::LaunchRequested {
+                session,
+                lease,
+                est_ms: Some(5),
+                deadline_ms: None,
+            }],
+        );
+        records.push(WalRecord::LaunchAdmitted {
+            session,
+            launch_id: 0,
+            lease,
+        });
+        feed(
+            &mut layer,
+            &mut records,
+            vec![Event::KernelReady {
+                session,
+                lease,
+                class,
+                sm_demand: 4,
+                pinned_solo: false,
+                deadline_ms: Some(50),
+            }],
+        );
     }
+    records.push(WalRecord::LaunchDone {
+        session: 2,
+        launch_id: 0,
+    });
+    feed(
+        &mut layer,
+        &mut records,
+        vec![Event::KernelFinished {
+            lease: 2 << 16,
+            ok: true,
+        }],
+    );
+    records.push(WalRecord::Free {
+        session: 2,
+        slate_ptr: (2 << 32) + 1,
+    });
+    feed(
+        &mut layer,
+        &mut records,
+        vec![Event::SessionClosed { session: 2 }],
+    );
+    records.push(WalRecord::SessionClosed { session: 2 });
+    (layer, records)
+}
+
+/// The writer's bytes are the reference encoding for a real layer's
+/// batches too, whose routed commands the strategies only imitate: a
+/// dispatch and the resize that makes room for it.
+#[test]
+fn a_routed_batch_is_written_byte_for_byte_as_its_record() {
+    let (_, records) = a_real_log();
     let routed: usize = records
         .iter()
         .map(|r| match r {
@@ -168,10 +366,55 @@ fn a_routed_batch_is_written_byte_for_byte_as_its_record() {
     assert_eq!(written_by_segment_writer(&records), encode_all(&records).0);
 }
 
+/// A segment written before the codec — and one whose JSON frames are
+/// followed by codec frames, as a crashed daemon's segment is after its
+/// upgrade — recovers the state the codec's own segment does, byte for
+/// byte: the layer's snapshot and the metadata mirror.
+#[test]
+fn old_and_mixed_segments_recover_the_state_the_codec_does() {
+    let (live, records) = a_real_log();
+    let mut meta = DurableMeta::default();
+    for r in &records {
+        meta.apply(r);
+    }
+    let want = (
+        serde_json::to_string(&live.snapshot()).unwrap(),
+        serde_json::to_string(&meta).unwrap(),
+    );
+    for (name, old) in [
+        ("codec", 0),
+        ("old", records.len()),
+        ("mixed", records.len() / 2),
+    ] {
+        let dir =
+            std::env::temp_dir().join(format!("slate-walprops-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let genesis = DurableSnapshot {
+            format: SNAPSHOT_FORMAT,
+            epoch: 0,
+            segment: 0,
+            placement: fresh_layer().snapshot(),
+            meta: DurableMeta::default(),
+        };
+        write_snapshot(&dir, 0, &genesis).unwrap();
+        std::fs::write(segment_path(&dir, 0), frames(&records, old).0).unwrap();
+        let rec = recover_dir(&dir).expect("recover");
+        assert!(rec.issues.is_empty(), "{name}: {:?}", rec.issues);
+        let got = (
+            serde_json::to_string(&rec.layer.snapshot()).unwrap(),
+            serde_json::to_string(&rec.meta).unwrap(),
+        );
+        assert_eq!(got, want, "{name}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 proptest! {
     /// The writer's in-place encoding is byte-identical to
-    /// `encode_frame(serde_json::to_string(record))`, for every record
-    /// shape and whatever the buffers held before.
+    /// `encode_frame` over the codec's payload, for every record shape,
+    /// a batch and its meta record sharing a `write` or not, and whatever
+    /// the buffer held before.
     #[test]
     fn segment_writer_bytes_are_the_reference_encoding(
         records in prop::collection::vec(arb_record(), 0..12),
@@ -187,6 +430,22 @@ proptest! {
         prop_assert_eq!(out.records, records);
         prop_assert_eq!(out.valid_len, bytes.len());
         prop_assert!(out.issue.is_none());
+    }
+
+    /// A segment of JSON frames — all of it, or a prefix followed by
+    /// codec frames — scans to the records it was written from.
+    #[test]
+    fn old_and_mixed_segments_scan_to_the_same_records(
+        records in prop::collection::vec(arb_record(), 0..12),
+        old_frac in 0.0f64..1.0,
+    ) {
+        for old in [records.len(), (records.len() as f64 * old_frac) as usize] {
+            let (bytes, _) = frames(&records, old);
+            let out = scan(&bytes);
+            prop_assert_eq!(&out.records, &records);
+            prop_assert_eq!(out.valid_len, bytes.len());
+            prop_assert!(out.issue.is_none());
+        }
     }
 
     /// Cutting the stream at ANY byte yields exactly the records whose
@@ -250,6 +509,105 @@ proptest! {
         prop_assert!(again.issue.is_none());
         prop_assert_eq!(again.valid_len, out.valid_len);
         prop_assert_eq!(again.records, out.records);
+    }
+
+    /// Codec payloads that are not records — random bytes behind the
+    /// format byte, a record with bytes overwritten — behind a checksum
+    /// that matches them. Decoding never panics and reserves at most one
+    /// element per payload byte, whatever a count in it claims; the scan
+    /// keeps what decodes and reports the rest as `Corrupt`.
+    #[test]
+    fn random_payloads_behind_a_valid_crc_never_panic_or_overallocate(
+        tail in prop::collection::vec(any::<u8>(), 0..64),
+        record in arb_record(),
+        hits in prop::collection::vec((0.0f64..1.0, any::<u8>()), 1..4),
+    ) {
+        let element = size_of::<Event>().max(size_of::<RoutedCommand>());
+        let mut damaged = binary(&record);
+        let last = damaged.len() - 1;
+        for (frac, b) in hits {
+            damaged[(1 + (last as f64 * frac) as usize).min(last)] = b;
+        }
+        for payload in [[&[FORMAT][..], &tail[..]].concat(), damaged] {
+            let before = ALLOCATED.with(Cell::get);
+            let decoded = codec::decode(&payload);
+            let reserved = ALLOCATED.with(Cell::get) - before;
+            prop_assert!(
+                reserved <= payload.len() * element,
+                "{reserved} B reserved for a {} B payload",
+                payload.len()
+            );
+            let out = scan(&encode_frame(&payload));
+            match decoded {
+                Ok(r) => {
+                    prop_assert_eq!(out.records, vec![r]);
+                    prop_assert!(out.issue.is_none());
+                }
+                Err(_) => {
+                    prop_assert!(out.records.is_empty());
+                    prop_assert!(
+                        matches!(out.issue, Some(WalIssue::Corrupt { offset: 0, .. })),
+                        "{:?}",
+                        out.issue
+                    );
+                }
+            }
+        }
+    }
+
+    /// Each way a checksummed codec payload can be malformed is `Corrupt`,
+    /// and says which: bytes after the record, an unknown tag, a varint
+    /// of more than 10 bytes or past `u64`, a length or count past the
+    /// end, a record cut short, an unknown format byte.
+    #[test]
+    fn malformed_payloads_are_corrupt_and_say_why(
+        record in arb_record(),
+        junk in prop::collection::vec(any::<u8>(), 1..4),
+        tags in (8u8..=255, 12u8..=255, 7u8..=255),
+        claim in prop_oneof![4u64..1000, Just(u64::MAX)],
+        format in 2u8..=255,
+    ) {
+        let (record_tag, event_tag, command_tag) = tags;
+        let varint = |mut v: u64| {
+            let mut out = Vec::new();
+            while v >= 0x80 {
+                out.push(v as u8 | 0x80);
+                v >>= 7;
+            }
+            out.push(v as u8);
+            out
+        };
+        let cases: [(Vec<u8>, &str); 10] = [
+            ([binary(&record), junk].concat(), "trailing bytes"),
+            (vec![FORMAT, record_tag], "unknown record tag"),
+            // A batch at 0 with one event, then one routed command.
+            (vec![FORMAT, 0, 0, 1, event_tag], "unknown event tag"),
+            (vec![FORMAT, 0, 0, 0, 1, 0, command_tag], "unknown command tag"),
+            // `SessionClosed` with an 11-byte varint, then a 10-byte one
+            // whose last byte carries more than bit 63.
+            ([&[FORMAT, 2][..], &[0x80; 10], &[0]].concat(), "longer than 10 bytes"),
+            ([&[FORMAT, 2][..], &[0xFF; 9], &[0x02]].concat(), "overflows u64"),
+            // A user of `claim` bytes with three left; a batch of `claim`
+            // events with none.
+            ([&[FORMAT, 1, 0][..], &varint(claim)[..], b"ab", &[1]].concat(), "past the end"),
+            ([&[FORMAT, 0, 0][..], &varint(claim)[..]].concat(), "past the end"),
+            (vec![FORMAT, 7], "ends mid-field"),
+            (vec![format, 2, 0], "unknown format byte"),
+        ];
+        for (payload, cause) in cases {
+            // `{` is the JSON format byte, not an unknown one.
+            if payload[0] == b'{' {
+                continue;
+            }
+            let out = scan(&encode_frame(&payload));
+            prop_assert!(out.records.is_empty());
+            match out.issue {
+                Some(WalIssue::Corrupt { offset: 0, reason }) => {
+                    prop_assert!(reason.contains(cause), "{payload:?}: {reason} lacks {cause}")
+                }
+                other => prop_assert!(false, "{payload:?}: {other:?}, not Corrupt at 0"),
+            }
+        }
     }
 }
 
