@@ -9,11 +9,12 @@
 //!   byte-deterministic emitter; the output loads in Perfetto's legacy
 //!   JSON importer and `chrome://tracing`.
 //! - [`export`] — converters from [`EventLog`] / [`PlacementLog`] to a
-//!   [`Trace`]: per-device SM-occupancy counters, per-session lease
-//!   lifetime slices with SLO-class coloring, preemption/shed instants
-//!   and cross-device migration arrows, with the command stream
-//!   re-derived by deterministic replay (a stale log is an error, not a
-//!   wrong picture).
+//!   [`Trace`]: per-device SM-occupancy counters (a sample only when
+//!   the value changes), per-session lease lifetime slices with
+//!   SLO-class coloring, preemption/shed instants and cross-device
+//!   migration arrows, with the command stream re-derived by
+//!   deterministic replay (a stale log is an error, not a wrong
+//!   picture).
 //! - [`mod@validate`] — structural validation of emitted trace bytes
 //!   against a [`TraceSchema`]; CI gates the uploaded artifact on it.
 //! - [`metrics`] — latency/throughput extraction shared by the LLM-SLO

@@ -24,6 +24,7 @@
 
 use crate::arbiter::Tick;
 use serde::{ser_key, ser_str, Serialize};
+use std::borrow::Cow;
 
 /// A typed argument value; rendered into the event's `args` object.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,8 +33,8 @@ pub enum ArgValue {
     U64(u64),
     /// A boolean flag.
     Bool(bool),
-    /// A string.
-    Str(String),
+    /// A string; literals are borrowed, not copied.
+    Str(Cow<'static, str>),
 }
 
 impl ArgValue {
@@ -54,7 +55,7 @@ pub struct TraceEvent {
     /// Event name (slice label, counter name, metadata kind).
     pub name: String,
     /// Category; SLO class for lease slices, `migration` for flows.
-    pub cat: String,
+    pub cat: &'static str,
     /// Phase character (see the module table).
     pub ph: char,
     /// Timestamp in microseconds of logical time.
@@ -85,7 +86,7 @@ impl TraceEvent {
         ser_str(out, &self.name);
         out.push(',');
         ser_key(out, "cat");
-        ser_str(out, &self.cat);
+        ser_str(out, self.cat);
         out.push(',');
         ser_key(out, "ph");
         let mut phbuf = [0u8; 4];
@@ -194,7 +195,7 @@ mod tests {
         let t = Trace {
             events: vec![TraceEvent {
                 name: "l\"1\" HM".into(),
-                cat: "best-effort".into(),
+                cat: "best-effort",
                 ph: 'X',
                 ts: 10,
                 dur: Some(5),

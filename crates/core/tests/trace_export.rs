@@ -6,20 +6,21 @@
 //! without regenerating a byte of the fixtures themselves. On top of
 //! that: export is deterministic (fresh recording ⇒ same bytes as its
 //! JSON-roundtripped log), every lease slice is well-nested per track
-//! (proptest over generated arbitration scripts, enforced by the same
-//! validator CI uses), and the tuner is exact — identical report bytes
-//! regardless of thread count, with the recorded baseline never beaten
-//! by itself.
+//! and no counter track repeats a value (proptest over generated
+//! arbitration scripts, the slices enforced by the same validator CI
+//! uses), and the tuner is exact — identical report bytes regardless of
+//! thread count, with the recorded baseline never beaten by itself.
 
 use proptest::prelude::*;
 use slate_core::arbiter::replay::{self, replay_under, EventLog};
 use slate_core::arbiter::{ArbiterConfig, ArbiterCore, Event};
 use slate_core::placement::replay::PlacementLog;
 use slate_core::runtime::{SlateOptions, SlateRuntime};
-use slate_core::trace::{trace_log, tune, validate, TraceSchema};
+use slate_core::trace::{trace_log, tune, validate, ArgValue, Trace, TraceSchema};
 use slate_core::WorkloadClass;
 use slate_gpu_sim::device::DeviceConfig;
 use slate_kernels::workload::{llm_trace, LlmTraceCfg, SloClass};
+use std::collections::BTreeMap;
 
 const SLO_LOG_JSON: &str = include_str!("data/slo_log.json");
 const PLACEMENT_LOG_JSON: &str = include_str!("data/placement_log.json");
@@ -35,7 +36,10 @@ fn golden_slo_trace_is_schema_valid() {
     let trace = trace_log(&log).expect("golden log replays and exports");
     let stats = validate::validate(&trace.to_json(), &ci_schema())
         .expect("golden SLO trace satisfies the CI schema");
-    assert!(stats.slices > 0 && stats.counters > 0);
+    assert!(stats.slices > 0);
+    // 180 samples when every touched counter was sampled; 159 repeated
+    // their track's previous value.
+    assert_eq!(stats.counters, 21, "counter samples");
 }
 
 #[test]
@@ -45,6 +49,8 @@ fn golden_placement_trace_is_schema_valid() {
     let stats = validate::validate(&trace.to_json(), &ci_schema())
         .expect("golden placement trace satisfies the CI schema");
     assert!(stats.processes >= 2, "placement fixture spans devices");
+    // 15 before repeats were dropped; the CI schema's floor is 10.
+    assert_eq!(stats.counters, 11, "counter samples");
 }
 
 /// A fresh recording and its serialize→deserialize roundtrip must export
@@ -132,6 +138,22 @@ fn placement_tuner_is_deterministic() {
     assert!(serial.best_not_worse_than_baseline());
 }
 
+/// The first pair of consecutive equal samples on one `(pid, name)`
+/// counter track, as `(pid, name, value)`.
+fn repeated_counter_sample(trace: &Trace) -> Option<(u32, String, u64)> {
+    let mut last: BTreeMap<(u32, &str), u64> = BTreeMap::new();
+    for e in trace.events.iter().filter(|e| e.ph == 'C') {
+        let value = match e.args.as_slice() {
+            [("value", ArgValue::U64(v))] => *v,
+            other => panic!("counter {} carries {other:?}", e.name),
+        };
+        if last.insert((e.pid, &e.name), value) == Some(value) {
+            return Some((e.pid, e.name.to_string(), value));
+        }
+    }
+    None
+}
+
 /// Seeded xorshift64, the workspace's PRNG idiom.
 fn xorshift64(s: &mut u64) -> u64 {
     *s ^= *s << 13;
@@ -217,7 +239,8 @@ proptest! {
     /// the structural validator: monotonic timestamps, and every lease
     /// slice well-nested on its track (begin ≤ end, no overlap; the
     /// validator rejects any slice starting before its track's previous
-    /// slice ended).
+    /// slice ended). And no counter track holds two consecutive equal
+    /// samples: the exporter writes a sample only when the value moves.
     #[test]
     fn exported_lease_slices_are_well_nested(seed in any::<u64>(), ops in 10usize..80) {
         let log = scripted_log(seed, ops);
@@ -226,6 +249,8 @@ proptest! {
         let stats = validate::validate(&json, &TraceSchema::default())
             .expect("exported trace validates");
         prop_assert!(stats.slices > 0, "script produced no lease slices");
+        prop_assert!(stats.counters > 0, "script produced no counter samples");
+        prop_assert_eq!(repeated_counter_sample(&trace), None);
         // Determinism across exports, for every generated script.
         prop_assert_eq!(json, trace_log(&log).expect("re-export").to_json());
     }
