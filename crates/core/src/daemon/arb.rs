@@ -42,6 +42,9 @@ pub(super) struct ArbInner {
     /// same table [`crate::backend::DispatcherBackend`] executes with.
     /// Leases are fleet-unique, so one table serves every device.
     leases: LeaseTable,
+    /// Threads blocked in [`ArbFrontend::wait_grant`]'s wait: a feed wakes
+    /// grant waiters only if there are any.
+    grant_waiters: usize,
 }
 
 /// The daemon's driver for the placement layer over the shared per-device
@@ -51,8 +54,8 @@ pub(super) struct ArbInner {
 /// monotonic microsecond clock, feeds the layer, appends to the WAL,
 /// carries out the routed commands (resize and evict act on dispatch
 /// handles immediately; dispatch grants are parked for the waiting kernel
-/// thread together with their device) and wakes grant waiters. The lock
-/// order is the feed order is the WAL order (`DESIGN.md` §17).
+/// thread together with their device) and wakes grant waiters, if any.
+/// The lock order is the feed order is the WAL order (`DESIGN.md` §17).
 pub(super) struct ArbFrontend {
     /// Epoch of the logical clock ([`crate::arbiter::Tick`]s are
     /// microseconds since this instant, offset by `base_us`).
@@ -62,7 +65,8 @@ pub(super) struct ArbFrontend {
     /// tick stream stays monotonic across epochs.
     base_us: u64,
     pub(super) inner: Mutex<ArbInner>,
-    /// Signalled after every feed; `wait_grant` blocks on it.
+    /// Signalled after every feed that finds a grant waiter, and by
+    /// [`ArbFrontend::kill`]; `wait_grant` blocks on it.
     granted: Condvar,
     /// Raised by [`ArbFrontend::kill`] *under the arbiter lock*: every
     /// later feed becomes a no-op (`fed == false`), which is what keeps
@@ -104,6 +108,7 @@ impl ArbFrontend {
                 },
                 grants: BTreeMap::new(),
                 leases: LeaseTable::new(),
+                grant_waiters: 0,
             }),
             granted: Condvar::new(),
             crashed: AtomicBool::new(false),
@@ -154,6 +159,7 @@ impl ArbFrontend {
             batch,
             grants,
             leases,
+            grant_waiters,
         } = inner;
         layer.feed_into(now, events, &mut batch.routed);
         let retry_after_ms = session.and_then(|s| shed_retry(&batch.routed, s));
@@ -192,7 +198,11 @@ impl ArbFrontend {
                 | Command::RejectOverloaded { .. } => {}
             }
         }
-        self.granted.notify_all();
+        // A waiter counts itself under this lock before it waits, so none
+        // can be between its check and its wait here.
+        if *grant_waiters > 0 {
+            self.granted.notify_all();
+        }
         (true, retry_after_ms)
     }
 
@@ -268,8 +278,16 @@ impl ArbFrontend {
                 inner.leases.release(lease);
                 return GrantWait::Crashed { ready_fed: true };
             }
+            inner.grant_waiters += 1;
             let _ = self.granted.wait_for(&mut inner, Duration::from_millis(5));
+            inner.grant_waiters -= 1;
         }
+    }
+
+    /// Threads inside [`ArbFrontend::wait_grant`]'s wait right now.
+    #[cfg(test)]
+    pub(super) fn grant_waiters(&self) -> usize {
+        self.inner.lock().grant_waiters
     }
 
     /// Reports the dispatch finished (drained, faulted or evicted) and

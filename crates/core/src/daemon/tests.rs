@@ -468,6 +468,71 @@ fn nothing_fed_after_a_crash_reaches_the_core_or_the_wal() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One block that holds its SMs until `open` is raised.
+struct HeldOpen {
+    open: Arc<AtomicBool>,
+}
+impl GpuKernel for HeldOpen {
+    fn name(&self) -> &str {
+        "held-open"
+    }
+    fn grid(&self) -> GridDim {
+        GridDim::d1(1)
+    }
+    fn perf(&self) -> KernelPerf {
+        KernelPerf::synthetic("held-open", 500.0, 1024.0)
+    }
+    fn run_block(&self, _: BlockCoord) {
+        while !self.open.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+}
+
+/// Polls `ready` until it holds; panics after 10 s.
+fn await_true(what: &str, ready: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !ready() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn a_kernel_queued_behind_a_solo_one_waits_for_its_grant_and_gets_it() {
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(4), 1 << 20);
+    let solo = SlateClient::new(daemon.connect("solo").unwrap());
+    let queued = SlateClient::new(daemon.connect("queued").unwrap());
+    let open = Arc::new(AtomicBool::new(false));
+    let held = open.clone();
+    solo.launch_solo_with(vec![], 1, None, move |_| {
+        Arc::new(HeldOpen { open: held }) as Arc<dyn GpuKernel>
+    })
+    .unwrap();
+    await_true("the solo kernel's dispatch", || {
+        daemon.metrics().arbiter_residents == 1
+    });
+    let n = 1_000usize;
+    let p = queued.malloc((n * 4) as u64).unwrap();
+    queued.upload_f32(p, &vec![1.5f32; n]).unwrap();
+    queued
+        .launch_with(vec![p], 10, None, double_factory(n))
+        .unwrap();
+    // A pinned-solo resident takes no partner: the launch waits for a
+    // grant, counted as the arbiter's one grant waiter.
+    let arb = &daemon.shared.arb;
+    await_true("a grant waiter", || arb.grant_waiters() == 1);
+    open.store(true, Ordering::Release);
+    solo.synchronize().unwrap();
+    queued.synchronize().unwrap();
+    assert!(queued.download_f32(p, n).unwrap().iter().all(|&v| v == 3.0));
+    assert_eq!(arb.grant_waiters(), 0);
+    assert_eq!(daemon.metrics().launches_served, 2);
+    solo.disconnect().unwrap();
+    queued.disconnect().unwrap();
+    daemon.join();
+}
+
 fn durable_opts(dir: &std::path::Path, keep_all: bool) -> DaemonOptions {
     DaemonOptions {
         durability: Some(DurabilityOptions {

@@ -109,6 +109,13 @@ impl TaskQueue {
         self.slate_idx.load(Ordering::Acquire).min(self.slate_max)
     }
 
+    /// `slateIdx` as the pulls left it, overshoot included: what a launch's
+    /// failed pulls cost, which [`TaskQueue::progress`] clamps away.
+    #[cfg(test)]
+    pub(crate) fn raw_index(&self) -> u64 {
+        self.slate_idx.load(Ordering::Acquire)
+    }
+
     /// Blocks not yet pulled.
     pub fn remaining(&self) -> u64 {
         self.slate_max - self.progress()

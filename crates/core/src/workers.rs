@@ -13,6 +13,17 @@
 //! timing counterpart lives in the fluid engine
 //! (`ExecMode::SlateWorkers`).
 //!
+//! *Counted, not run.* On hardware the workers pull in parallel and one
+//! that finds the queue drained exits after its one `atomicAdd`. `slateIdx`
+//! only grows, so once a pull fails every later worker would fail its
+//! first pull too: a stripe ends at its first failed pull, and the live and
+//! gated workers of a launch are counted from the grid
+//! (`WorkerGrid::live`) rather than by visiting each. A launch costs
+//! O(tasks), not O(resident workers), with the same blocks run in the same
+//! order and the same [`WorkerRunStats`]; only the raw overshoot of
+//! `slateIdx` past `slateMax` (which [`TaskQueue::progress`] clamps) is
+//! smaller — one failed pull per stripe instead of one per live worker.
+//!
 //! # Lanes
 //!
 //! Logical workers are hosted by a [`LanePool`] of `N` *lanes*
@@ -94,22 +105,20 @@ impl WorkerGrid {
     pub fn total(&self) -> u64 {
         self.per_sm as u64 * self.num_sms as u64
     }
+
+    /// Workers of one launch that pass the gate on `range`: round-robin
+    /// gives every SM its `per_sm` share, so the designated SMs hold
+    /// `per_sm × |range|` (paper: "*Slate* always sets the size of workers
+    /// as the maximum number of thread blocks that the designated SMs can
+    /// support"). The other `total() − live` workers gate out.
+    pub(crate) fn live(&self, range: SmRange) -> u64 {
+        self.per_sm as u64 * range.len() as u64
+    }
 }
 
-/// Sizes the worker grid for a kernel on the designated SM range: the
-/// maximum resident blocks those SMs support (paper: "*Slate* always sets
-/// the size of workers as the maximum number of thread blocks that the
-/// designated SMs can support").
-pub fn worker_count(device: &DeviceConfig, kernel: &TransformedKernel, range: SmRange) -> u64 {
-    let per_sm = occupancy::blocks_per_sm(device, &kernel.inner().perf()) as u64;
-    per_sm * range.len() as u64
-}
-
-/// Per-stripe (and, summed, per-launch) worker counts.
+/// Per-stripe (and, summed, per-launch) work done.
 #[derive(Debug, Clone, Copy, Default)]
 struct Tally {
-    live: u64,
-    gated: u64,
     blocks: u64,
     retreated: u64,
 }
@@ -143,20 +152,21 @@ struct Launch {
 
 impl Launch {
     /// Runs the workers of one stripe, in order: Listing 1's gate, then
-    /// Listing 2's pull loop.
+    /// Listing 2's pull loop, until a pull fails (module docs: every later
+    /// worker would exit on its first pull).
     fn run_stripe(&self, stripe: u64) -> Tally {
         let mut t = Tally::default();
         for w in (stripe..self.grid.total()).step_by(self.stripes as usize) {
-            // Hardware distributes blocks round-robin over SMs.
-            let sm = (w % self.grid.num_sms as u64) as u32;
-            // Listing 1: the whole block quits on an undesignated SM.
-            if !self.range.contains(sm) {
-                t.gated += 1;
+            // Hardware distributes blocks round-robin over SMs; Listing 1:
+            // the whole block quits on an undesignated SM.
+            if !self.range.contains((w % self.grid.num_sms as u64) as u32) {
                 continue;
             }
-            t.live += 1;
             // Listing 2: pull tasks until drained or retreating.
-            while let Some(task) = self.queue.pull() {
+            loop {
+                let Some(task) = self.queue.pull() else {
+                    return t;
+                };
                 self.kernel.run_task(task);
                 t.blocks += task.len as u64;
                 if self.queue.retreating() {
@@ -185,8 +195,6 @@ impl Launch {
             seats = self.seats.lock();
             match ran {
                 Ok(t) => {
-                    seats.tally.live += t.live;
-                    seats.tally.gated += t.gated;
                     seats.tally.blocks += t.blocks;
                     seats.tally.retreated += t.retreated;
                 }
@@ -358,9 +366,10 @@ impl LanePool {
             resume_unwind(payload);
         }
         let t = seats.tally;
+        let live = grid.live(range);
         WorkerRunStats {
-            live_workers: t.live,
-            gated_workers: t.gated,
+            live_workers: live,
+            gated_workers: grid.total() - live,
             blocks_executed: t.blocks,
             retreated: t.retreated > 0 && !queue.drained(),
         }
@@ -377,22 +386,6 @@ impl Drop for LanePool {
             let _ = h.join();
         }
     }
-}
-
-/// Launches one set of persistent workers of `kernel` on the process-wide
-/// pool ([`LanePool::launch`]), sizing the worker grid for `device`.
-///
-/// # Panics
-/// If the kernel has occupancy 0 on `device` (it cannot launch).
-pub fn launch_workers(
-    device: &DeviceConfig,
-    kernel: &TransformedKernel,
-    queue: &Arc<TaskQueue>,
-    range: SmRange,
-) -> WorkerRunStats {
-    let grid =
-        WorkerGrid::of(device, &kernel.inner().perf()).expect("kernel cannot launch (occupancy 0)");
-    LanePool::global().launch(kernel, queue, grid, range)
 }
 
 #[cfg(test)]
@@ -437,13 +430,27 @@ mod tests {
         Arc::new(TaskQueue::new(k.slate_max(), task_size))
     }
 
+    fn worker_grid(device: &DeviceConfig, k: &TransformedKernel) -> WorkerGrid {
+        WorkerGrid::of(device, &k.inner().perf()).unwrap()
+    }
+
+    /// One launch of `k`'s worker grid on `device`, on the process-wide pool.
+    fn launch(
+        device: &DeviceConfig,
+        k: &TransformedKernel,
+        q: &Arc<TaskQueue>,
+        range: SmRange,
+    ) -> WorkerRunStats {
+        LanePool::global().launch(k, q, worker_grid(device, k), range)
+    }
+
     #[test]
     fn drains_queue_and_executes_every_block_once() {
         let device = DeviceConfig::tiny(4);
         let grid = GridDim::d2(33, 7);
         let (k, hits) = counter(grid);
         let q = queue(&k, 5);
-        let stats = launch_workers(&device, &k, &q, SmRange::all(4));
+        let stats = launch(&device, &k, &q, SmRange::all(4));
         assert!(q.drained());
         assert!(!stats.retreated);
         assert_eq!(stats.blocks_executed, grid.total_blocks());
@@ -459,11 +466,11 @@ mod tests {
         let (k, _) = counter(GridDim::d1(100));
         let q = queue(&k, 10);
         // Only SMs 0..=1 designated: half the workers gate out.
-        let stats = launch_workers(&device, &k, &q, SmRange::new(0, 1));
+        let stats = launch(&device, &k, &q, SmRange::new(0, 1));
         assert!(q.drained());
         assert_eq!(
             stats.live_workers + stats.gated_workers,
-            worker_count(&device, &k, SmRange::all(4))
+            worker_grid(&device, &k).total()
         );
         assert_eq!(stats.gated_workers, stats.live_workers, "half gated");
     }
@@ -473,9 +480,9 @@ mod tests {
         let device = DeviceConfig::titan_xp();
         let (k, _) = counter(GridDim::d1(10));
         // synthetic kernel: 256 threads, 32 regs -> 8 blocks/SM.
-        assert_eq!(worker_count(&device, &k, SmRange::all(30)), 240);
-        assert_eq!(worker_count(&device, &k, SmRange::new(0, 9)), 80);
-        let grid = WorkerGrid::of(&device, &k.inner().perf()).unwrap();
+        let grid = worker_grid(&device, &k);
+        assert_eq!(grid.live(SmRange::all(30)), 240);
+        assert_eq!(grid.live(SmRange::new(0, 9)), 80);
         assert_eq!((grid.total(), grid.num_sms()), (240, 30));
         // A block that fits no SM has no grid.
         let mut fat = k.inner().perf();
@@ -489,7 +496,7 @@ mod tests {
         let (k, _) = counter(GridDim::d1(10_000));
         let q = queue(&k, 10);
         q.signal_retreat();
-        let stats = launch_workers(&device, &k, &q, SmRange::all(2));
+        let stats = launch(&device, &k, &q, SmRange::all(2));
         assert!(stats.retreated);
         assert!(!q.drained());
         // Each live worker executed at most one task before seeing the flag.
@@ -506,11 +513,11 @@ mod tests {
         let (k, hits) = counter(grid);
         let q = queue(&k, 7);
         q.signal_retreat();
-        let first = launch_workers(&device, &k, &q, SmRange::all(4));
+        let first = launch(&device, &k, &q, SmRange::all(4));
         assert_eq!(first.blocks_executed, q.progress());
         // Relaunch from the carried progress on a different range.
         let q2 = Arc::new(TaskQueue::with_progress(q.progress(), k.slate_max(), 7));
-        let second = launch_workers(&device, &k, &q2, SmRange::new(1, 2));
+        let second = launch(&device, &k, &q2, SmRange::new(1, 2));
         assert!(q2.drained());
         assert_eq!(
             first.blocks_executed + second.blocks_executed,
@@ -530,7 +537,7 @@ mod tests {
         let mut all = Vec::new();
         for range in [SmRange::all(4), SmRange::new(1, 2)] {
             let (k, hits) = counter(grid);
-            let shape = WorkerGrid::of(&device, &k.inner().perf()).unwrap();
+            let shape = worker_grid(&device, &k);
             let q = queue(&k, 7);
             all.push(pool.launch(&k, &q, shape, range));
             assert!(q.drained());
@@ -539,7 +546,7 @@ mod tests {
             }
         }
         let (k, hits) = counter(grid);
-        let shape = WorkerGrid::of(&device, &k.inner().perf()).unwrap();
+        let shape = worker_grid(&device, &k);
         let q = queue(&k, 7);
         q.signal_retreat();
         let first = pool.launch(&k, &q, shape, SmRange::all(4));
@@ -564,6 +571,134 @@ mod tests {
         // at least their own three helpers.
         assert!(helper_threads_spawned() >= before + 3);
         assert_eq!(scenarios(&one), scenarios(&four));
+    }
+
+    /// The per-worker launch, the reference a stripe's early exit must
+    /// match: every worker of the grid is visited and counted at the gate,
+    /// and every live one pulls until the queue fails it. The stripes run one
+    /// after another on the calling thread; tasks leave the queue in index
+    /// order whichever lane pulls them, so this yields the stats and the
+    /// block set of any interleaving of the same stripes.
+    fn oracle(
+        k: &TransformedKernel,
+        q: &TaskQueue,
+        grid: WorkerGrid,
+        range: SmRange,
+        stripes: u64,
+    ) -> WorkerRunStats {
+        let (mut live, mut gated, mut blocks, mut retreated) = (0, 0, 0, 0);
+        for stripe in 0..stripes {
+            for w in (stripe..grid.total()).step_by(stripes as usize) {
+                let sm = (w % grid.num_sms as u64) as u32;
+                if !range.contains(sm) {
+                    gated += 1;
+                    continue;
+                }
+                live += 1;
+                while let Some(task) = q.pull() {
+                    k.run_task(task);
+                    blocks += task.len as u64;
+                    if q.retreating() {
+                        retreated += 1;
+                        break;
+                    }
+                }
+            }
+        }
+        WorkerRunStats {
+            live_workers: live,
+            gated_workers: gated,
+            blocks_executed: blocks,
+            retreated: retreated > 0 && !q.drained(),
+        }
+    }
+
+    /// Pulls of `q` that found it empty: each moved `slateIdx` by one task
+    /// and handed out nothing.
+    fn failed_pulls(q: &TaskQueue) -> u64 {
+        q.raw_index() / q.task_size() as u64 - q.pull_count()
+    }
+
+    /// Runs a queue of `blocks` blocks of a counter kernel through `run`:
+    /// its stats, every block's hit count and its failed pulls.
+    fn counted(
+        blocks: u64,
+        task_size: u32,
+        retreat: bool,
+        run: impl FnOnce(&TransformedKernel, &Arc<TaskQueue>) -> WorkerRunStats,
+    ) -> (WorkerRunStats, Vec<u32>, u64) {
+        let (k, hits) = counter(GridDim::d1(blocks.max(1) as u32));
+        let q = Arc::new(TaskQueue::new(blocks, task_size));
+        if retreat {
+            q.signal_retreat();
+        }
+        let stats = run(&k, &q);
+        let hits = (0..blocks).map(|i| hits.load_u32(i as usize)).collect();
+        (stats, hits, failed_pulls(&q))
+    }
+
+    #[test]
+    fn launch_matches_the_per_worker_oracle() {
+        let device = DeviceConfig::titan_xp();
+        let grid = worker_grid(&device, &counter(GridDim::d1(1)).0);
+        assert_eq!(grid.total(), 240);
+        let ranges = [
+            SmRange::all(30),
+            SmRange::new(0, 14),
+            SmRange::new(15, 29),
+            SmRange::new(7, 7),
+        ];
+        for lanes in [1, 4] {
+            let pool = LanePool::with_lanes(lanes);
+            for range in ranges {
+                for task_size in [1, 7, 10] {
+                    for blocks in [0, 1, 4, 239, 240, 241, 2000] {
+                        for retreat in [false, true] {
+                            let case = format!(
+                                "{lanes} lanes, {range:?}, task {task_size}, \
+                                 {blocks} blocks, retreat {retreat}"
+                            );
+                            let (got, got_hits, got_failed) =
+                                counted(blocks, task_size, retreat, |k, q| {
+                                    pool.launch(k, q, grid, range)
+                                });
+                            let (want, want_hits, _) =
+                                counted(blocks, task_size, retreat, |k, q| {
+                                    oracle(k, q, grid, range, lanes as u64)
+                                });
+                            assert_eq!(got, want, "{case}");
+                            assert_eq!(got_hits, want_hits, "{case}");
+                            // The same outcome for at most one empty pull
+                            // per stripe, where the oracle makes one per
+                            // live worker.
+                            assert!(got_failed <= lanes as u64, "{case}: {got_failed}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_drained_launch_overshoots_slate_idx_by_one_pull_per_stripe_at_most() {
+        let device = DeviceConfig::titan_xp();
+        for lanes in [1, 4] {
+            let pool = LanePool::with_lanes(lanes);
+            for range in [SmRange::all(30), SmRange::new(15, 29)] {
+                let (k, _) = counter(GridDim::d1(2_000));
+                let q = queue(&k, 10);
+                pool.launch(&k, &q, worker_grid(&device, &k), range);
+                assert!(q.drained());
+                // 2 000 is a whole number of tasks: all of the overshoot is
+                // failed pulls. The per-worker launch made one per live
+                // worker (240 or 120 here).
+                let overshoot = q.raw_index() - q.total();
+                assert!(
+                    overshoot <= lanes as u64 * 10,
+                    "{lanes} lanes, {range:?}: slateIdx {overshoot} past slateMax"
+                );
+            }
+        }
     }
 
     struct Faulty {
@@ -592,7 +727,7 @@ mod tests {
         let k = TransformedKernel::new(Arc::new(Faulty {
             grid: GridDim::d1(5_000),
         }));
-        let shape = WorkerGrid::of(&device, &k.inner().perf()).unwrap();
+        let shape = worker_grid(&device, &k);
         let q = queue(&k, 3);
         let raised = catch_unwind(AssertUnwindSafe(|| {
             pool.launch(&k, &q, shape, SmRange::all(4))
