@@ -31,6 +31,15 @@ pub struct LoggedBatch {
     pub commands: Vec<Command>,
 }
 
+/// Whether a fed batch goes into a log: every batch but one that carries
+/// nothing but [`Event::DeadlineTick`]s and replied nothing. Such a batch
+/// changes no decision, and the daemon's 1 ms heartbeat would otherwise
+/// swamp the log. The in-memory recorders and the daemon's WAL append
+/// all keep exactly these batches.
+pub(crate) fn is_recorded<R>(events: &[Event], replies: &[R]) -> bool {
+    !replies.is_empty() || !events.iter().all(|e| matches!(e, Event::DeadlineTick))
+}
+
 /// A self-contained recording of an arbitration run: the device and
 /// configuration plus every decision-relevant batch, in feed order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -14,7 +14,7 @@
 
 use super::events::{Command, Event, RejectScope, Tick};
 use super::idtable::IdTable;
-use super::replay::{EventLog, LoggedBatch};
+use super::replay::{is_recorded, EventLog, LoggedBatch};
 use crate::admission::{AdmissionLimits, AdmissionStats};
 use crate::classify::WorkloadClass;
 use crate::queue::{LaunchGauge, QueueStats};
@@ -501,10 +501,9 @@ impl ArbiterCore {
         core
     }
 
-    /// Starts recording fed batches for later [`super::replay`]. Batches
-    /// that carry nothing but [`Event::DeadlineTick`]s and produce no
-    /// commands are skipped (the daemon's 1 ms heartbeat would otherwise
-    /// swamp the log without affecting any decision).
+    /// Starts recording fed batches for later [`super::replay`]. A batch of
+    /// nothing but [`Event::DeadlineTick`]s that produced no commands is
+    /// left out, as from every log the daemon keeps.
     pub fn start_recording(&mut self) {
         self.record = Some(Vec::new());
     }
@@ -540,8 +539,7 @@ impl ArbiterCore {
         }
         self.decide(out);
         if let Some(batches) = &mut self.record {
-            let heartbeat_only = events.iter().all(|e| matches!(e, Event::DeadlineTick));
-            if !(heartbeat_only && out.is_empty()) {
+            if is_recorded(events, out) {
                 batches.push(LoggedBatch {
                     at: self.now,
                     events: events.to_vec(),

@@ -28,7 +28,8 @@
 //! then recovers the outage inline — every lost lease is re-staged at the
 //! progress its lost completion carried and re-dispatched on the range it
 //! held. Exactly-once must survive a full device failure domain, not just
-//! command churn.
+//! command churn. This decorator is the one place a device-fault schedule
+//! fires; the backends only model what an injected fault does.
 
 use super::{Backend, Completion, DeviceFault, DeviceHealth, WorkSpec};
 use crate::arbiter::Command;
@@ -107,15 +108,10 @@ impl<B: Backend> ChaosBackend<B> {
             .keys()
             .filter_map(|&lease| self.inner.held_range(lease).map(|r| (lease, r)))
             .collect();
-        let injected = match flap_ms {
-            Some(down_ms) => self
-                .inner
-                .inject_device_fault(DeviceFault::Flap { down_ms }),
-            None => self.inner.inject_device_fault(DeviceFault::Loss),
-        };
-        if !injected {
-            return; // inner backend has no device-fault model
-        }
+        self.inner.inject_device_fault(match flap_ms {
+            Some(down_ms) => DeviceFault::Flap { down_ms },
+            None => DeviceFault::Loss,
+        });
         // Drain one terminal completion per in-flight lease: lost ones are
         // casualties to recover, clean ones raced the outage and won.
         let mut awaiting: BTreeSet<u64> = in_flight.iter().map(|&(l, _)| l).collect();
@@ -181,8 +177,9 @@ impl<B: Backend> Backend for ChaosBackend<B> {
     }
 
     fn apply(&mut self, cmd: &Command) {
-        // Device-scoped chaos: dispatches are occurrences of the device
-        // fault site, exactly as health-modelled backends count them.
+        // Device-scoped chaos: each dispatch is one occurrence of the
+        // device fault site, and the scheduled outage lands before the
+        // work does.
         if matches!(cmd, Command::Dispatch { .. }) {
             match self.plan.fire(FaultSite::Device, None) {
                 Some(FaultKind::DeviceLoss) => self.device_outage(None),
@@ -241,8 +238,8 @@ impl<B: Backend> Backend for ChaosBackend<B> {
         self.inner.health()
     }
 
-    fn inject_device_fault(&mut self, fault: DeviceFault) -> bool {
-        self.inner.inject_device_fault(fault)
+    fn inject_device_fault(&mut self, fault: DeviceFault) {
+        self.inner.inject_device_fault(fault);
     }
 
     fn wait_completion(&mut self, timeout_ms: u64) -> Option<Completion> {

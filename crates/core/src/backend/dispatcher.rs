@@ -10,6 +10,11 @@
 //! [`LeaseTable`] that maps arbiter `Resize`/`Evict` commands onto
 //! dispatch handles (including the injected-hang token cancel on
 //! eviction).
+//!
+//! Device health runs on the wall clock: an injected loss, stall or flap
+//! ([`Backend::inject_device_fault`]) expires as real time passes. This
+//! backend never schedules a fault itself; a seeded schedule is fired by
+//! [`ChaosBackend`](super::ChaosBackend).
 
 use super::{Backend, Completion, DeviceFault, DeviceHealth, WorkSpec};
 use crate::arbiter::Command;
@@ -17,7 +22,7 @@ use crate::dispatch::{DispatchHandle, Dispatcher};
 use crate::workers::LanePool;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
-use slate_gpu_sim::fault::{FaultKind, FaultPlan, FaultSite, FaultToken};
+use slate_gpu_sim::fault::FaultToken;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -62,21 +67,6 @@ impl LeaseTable {
     /// Drops `lease`'s entry; returns whether it was present.
     pub fn release(&mut self, lease: u64) -> bool {
         self.entries.remove(&lease).is_some()
-    }
-
-    /// Whether `lease` is registered.
-    pub fn contains(&self, lease: u64) -> bool {
-        self.entries.contains_key(&lease)
-    }
-
-    /// Registered leases.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no lease is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// The registered leases, in ascending order. Crash handling walks
@@ -150,8 +140,6 @@ pub struct DispatcherBackend {
     /// Leases evicted by a device loss: their worker completions are
     /// rewritten as lost when they surface through [`Backend::poll`].
     lost_leases: BTreeSet<u64>,
-    /// Seeded device-fault schedule, fired on each dispatch.
-    device_plan: Option<FaultPlan>,
     /// The worker lanes dispatches are hosted on.
     pool: Arc<LanePool>,
 }
@@ -170,7 +158,6 @@ impl DispatcherBackend {
             down_until: None,
             degraded_until: None,
             lost_leases: BTreeSet::new(),
-            device_plan: None,
             pool: LanePool::global(),
         }
     }
@@ -180,13 +167,6 @@ impl DispatcherBackend {
     #[doc(hidden)]
     pub fn with_pool(mut self, pool: Arc<LanePool>) -> Self {
         self.pool = pool;
-        self
-    }
-
-    /// Attaches a seeded device-fault schedule: every dispatch fires the
-    /// plan's [`FaultSite::Device`] rules.
-    pub fn with_device_faults(mut self, plan: FaultPlan) -> Self {
-        self.device_plan = Some(plan);
         self
     }
 
@@ -270,23 +250,6 @@ impl Backend for DispatcherBackend {
         match cmd {
             Command::Dispatch { lease, range } => {
                 self.settle();
-                // Each dispatch is one occurrence of the device fault
-                // site — the scheduled loss/stall/flap (if any) lands
-                // before the work does.
-                if let Some(plan) = self.device_plan.as_mut() {
-                    match plan.fire(FaultSite::Device, None) {
-                        Some(FaultKind::DeviceLoss) => {
-                            self.inject_device_fault(DeviceFault::Loss);
-                        }
-                        Some(FaultKind::DeviceStall { millis }) => {
-                            self.inject_device_fault(DeviceFault::Degraded { millis });
-                        }
-                        Some(FaultKind::DeviceFlap { down_ms }) => {
-                            self.inject_device_fault(DeviceFault::Flap { down_ms });
-                        }
-                        _ => {}
-                    }
-                }
                 let lost = self.current_health() == DeviceHealth::Lost;
                 let Some(job) = self.jobs.get_mut(lease) else {
                     return;
@@ -399,7 +362,7 @@ impl Backend for DispatcherBackend {
         self.current_health()
     }
 
-    fn inject_device_fault(&mut self, fault: DeviceFault) -> bool {
+    fn inject_device_fault(&mut self, fault: DeviceFault) {
         match fault {
             DeviceFault::Loss => {
                 self.lose_in_flight();
@@ -422,6 +385,5 @@ impl Backend for DispatcherBackend {
                 self.degraded_until = None;
             }
         }
-        true
     }
 }

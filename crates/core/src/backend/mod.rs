@@ -222,16 +222,12 @@ pub trait Backend {
     fn is_functional(&self) -> bool;
 
     /// Non-blocking health probe for the device this backend drives.
-    /// Backends without a device-fault model are always healthy.
-    fn health(&self) -> DeviceHealth {
-        DeviceHealth::Healthy
-    }
+    fn health(&self) -> DeviceHealth;
 
-    /// Injects a device-scoped fault (test/chaos harnesses). Returns
-    /// `false` if this backend has no device-fault model — the default.
-    fn inject_device_fault(&mut self, _fault: DeviceFault) -> bool {
-        false
-    }
+    /// Injects a device-scoped fault (test/chaos harnesses). Every backend
+    /// models its device's failure domain; a seeded schedule of faults is
+    /// fired by [`ChaosBackend`], not by the backend itself.
+    fn inject_device_fault(&mut self, fault: DeviceFault);
 
     /// Polls and advances until any completion shows up, for at most
     /// `timeout_ms` backend milliseconds.

@@ -10,12 +10,16 @@
 //! ([`SimBackend::launch_slice`], [`SimBackend::resize_slice`]), so the
 //! standalone trait path and the full scheduler exercise one
 //! implementation of the retreat mechanics.
+//!
+//! Device health is modelled in simulated time: an injected loss, stall
+//! or flap ([`Backend::inject_device_fault`]) plays out as the engine
+//! advances. This backend never schedules a fault itself; a seeded
+//! schedule is fired by [`ChaosBackend`](super::ChaosBackend).
 
 use super::{Backend, Completion, DeviceFault, DeviceHealth, WorkSpec};
 use crate::arbiter::Command;
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use slate_gpu_sim::engine::{Engine, Event, SliceId, SliceSpec};
-use slate_gpu_sim::fault::{FaultKind, FaultPlan, FaultSite};
 use slate_gpu_sim::metrics::SliceReport;
 use slate_gpu_sim::perf::{ExecMode, KernelPerf};
 use std::collections::{BTreeMap, VecDeque};
@@ -69,9 +73,6 @@ pub struct SimBackend {
     /// Remaining stall budget, in ms, consumed before engine time passes
     /// while degraded.
     stall_remaining_ms: u64,
-    /// Seeded device-fault schedule; [`FaultSite::Device`] rules fire on
-    /// each dispatch.
-    device_plan: Option<FaultPlan>,
 }
 
 impl SimBackend {
@@ -84,16 +85,7 @@ impl SimBackend {
             health: DeviceHealth::Healthy,
             down_remaining_ms: 0,
             stall_remaining_ms: 0,
-            device_plan: None,
         }
-    }
-
-    /// Attaches a seeded device-fault schedule: every dispatch fires the
-    /// plan's [`FaultSite::Device`] rules, injecting the scheduled loss,
-    /// stall or flap.
-    pub fn with_device_faults(mut self, plan: FaultPlan) -> Self {
-        self.device_plan = Some(plan);
-        self
     }
 
     /// Loses every in-flight lease to the device at its current progress.
@@ -217,23 +209,6 @@ impl Backend for SimBackend {
     fn apply(&mut self, cmd: &Command) {
         match cmd {
             Command::Dispatch { lease, range } => {
-                // Each dispatch is one occurrence of the device fault
-                // site — the scheduled loss/stall/flap (if any) lands
-                // before the work does.
-                if let Some(plan) = self.device_plan.as_mut() {
-                    match plan.fire(FaultSite::Device, None) {
-                        Some(FaultKind::DeviceLoss) => {
-                            self.inject_device_fault(DeviceFault::Loss);
-                        }
-                        Some(FaultKind::DeviceStall { millis }) => {
-                            self.inject_device_fault(DeviceFault::Degraded { millis });
-                        }
-                        Some(FaultKind::DeviceFlap { down_ms }) => {
-                            self.inject_device_fault(DeviceFault::Flap { down_ms });
-                        }
-                        _ => {}
-                    }
-                }
                 let Some(l) = self.leases.get(lease) else {
                     return;
                 };
@@ -405,7 +380,7 @@ impl Backend for SimBackend {
         self.health
     }
 
-    fn inject_device_fault(&mut self, fault: DeviceFault) -> bool {
+    fn inject_device_fault(&mut self, fault: DeviceFault) {
         match fault {
             DeviceFault::Loss => {
                 self.lose_in_flight();
@@ -429,7 +404,6 @@ impl Backend for SimBackend {
                 self.stall_remaining_ms = 0;
             }
         }
-        true
     }
 
     fn drive_until(&mut self, lease: u64, timeout_ms: u64) -> Vec<Completion> {

@@ -388,9 +388,6 @@ pub fn sm_confinement(b: &mut dyn Backend) {
 /// outage, dispatches into the dead device are lost on arrival, and after
 /// a restore the re-staged remainder covers exactly the missing blocks —
 /// loss plus recovery is still each block exactly once.
-///
-/// Backends without a device-fault model ([`Backend::inject_device_fault`]
-/// returns `false`) pass vacuously.
 pub fn device_loss_recovery_exactly_once(b: &mut dyn Backend) {
     let n = b.device().num_sms;
     let total: u32 = 12_000;
@@ -401,9 +398,7 @@ pub fn device_loss_recovery_exactly_once(b: &mut dyn Backend) {
         range: SmRange::all(n),
     });
     b.advance(2);
-    if !b.inject_device_fault(DeviceFault::Loss) {
-        return;
-    }
+    b.inject_device_fault(DeviceFault::Loss);
     assert_eq!(b.health(), DeviceHealth::Lost, "probe reports the outage");
     let cs = b.drive_until(6, DRIVE_MS);
     assert_eq!(cs.len(), 1, "exactly one casualty report: {cs:?}");
@@ -431,7 +426,7 @@ pub fn device_loss_recovery_exactly_once(b: &mut dyn Backend) {
     }
     // Restore the device, then resume the casualty from the progress its
     // lost completion carried.
-    assert!(b.inject_device_fault(DeviceFault::Restore));
+    b.inject_device_fault(DeviceFault::Restore);
     assert_eq!(b.health(), DeviceHealth::Healthy, "restore heals the probe");
     if c.progress < u64::from(total) {
         b.stage(6, WorkSpec::resuming(k, 1, c.progress));

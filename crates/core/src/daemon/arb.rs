@@ -1,6 +1,7 @@
 //! The daemon's arbitration frontend: one lock around the placement layer,
 //! fed by whoever has events (`DESIGN.md` §17).
 
+use crate::arbiter::replay::is_recorded;
 use crate::arbiter::{Command, Event as ArbEvent};
 use crate::backend::LeaseTable;
 use crate::dispatch::DispatchHandle;
@@ -164,11 +165,9 @@ impl ArbFrontend {
         layer.feed_into(now, events, &mut batch.routed);
         let retry_after_ms = session.and_then(|s| shed_retry(&batch.routed, s));
         if let Some(d) = &self.durability {
-            // Heartbeat filter (same rule as the in-memory recorder): an
-            // all-tick batch that routed nothing changes no state and
-            // would swamp the log. No such batch carries a `meta`.
-            let heartbeat_only = events.iter().all(|e| matches!(e, ArbEvent::DeadlineTick));
-            if !(heartbeat_only && batch.routed.is_empty()) {
+            // The in-memory recorders' rule: a heartbeat that routed
+            // nothing is not logged. No such batch carries a `meta`.
+            if is_recorded(events, &batch.routed) {
                 // A shed request returns Overloaded to the client: it
                 // never happened, so no durable record of it.
                 let meta = meta.as_ref().filter(|_| retry_after_ms.is_none());

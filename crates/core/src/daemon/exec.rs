@@ -125,12 +125,10 @@ fn drive(shared: &Arc<DaemonShared>, launch: Launch, owed: &mut bool) -> Result<
         })
     };
     // All sessions share the daemon's single device context; each
-    // (session, stream) lane gets a Hyper-Q connection on it.
+    // (session, stream) lane gets a Hyper-Q connection on it, keyed by the
+    // whole lease so the session's close finds it (`Session::close`).
     const SERVER_CONTEXT: u64 = 0;
-    shared
-        .hyperq
-        .lock()
-        .assign(SERVER_CONTEXT, (lease & 0xffff_ffff) as u32);
+    shared.hyperq.lock().assign(SERVER_CONTEXT, lease);
 
     // Launch-site fault injection: an armed LaunchFault rejects the launch
     // outright; an armed KernelHang swaps in a kernel that parks every
@@ -263,7 +261,6 @@ fn drive(shared: &Arc<DaemonShared>, launch: Launch, owed: &mut bool) -> Result<
         }
         break (out, granted_on);
     };
-    *shared.launches.lock() += 1;
     if out.evicted {
         // An eviction with no migration target means the run is over. If
         // the device it ran on dropped out of service (and the fleet had
@@ -279,5 +276,6 @@ fn drive(shared: &Arc<DaemonShared>, launch: Launch, owed: &mut bool) -> Result<
         });
     }
     debug_assert!(out.blocks == grid_blocks);
+    *shared.launches.lock() += 1;
     Ok(())
 }

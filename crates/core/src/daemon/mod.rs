@@ -25,7 +25,7 @@
 //! clock, and the returned [`Command`](crate::arbiter::Command)s are
 //! carried out against dispatch handles, the memory pool, and client
 //! replies. With [`DaemonOptions::record_arbiter`] set, every fed batch is
-//! recorded; the resulting [`EventLog`] replays to the byte-identical
+//! recorded; the resulting [`PlacementLog`] replays to the byte-identical
 //! command sequence (see [`crate::arbiter::replay`]) — the simulated
 //! [`SlateRuntime`](crate::runtime::SlateRuntime) drives the very same
 //! core, so both frontends make identical decisions for identical event
@@ -43,7 +43,7 @@
 //! no user block executes twice. [`DaemonMetrics::placement`] counts
 //! routed sessions, rebalances and completed migrations; a recorded
 //! multi-device run yields a [`PlacementLog`] that splits into ordinary
-//! per-device [`EventLog`]s.
+//! per-device [`EventLog`](crate::arbiter::EventLog)s.
 //!
 //! # Fault tolerance
 //!
@@ -100,7 +100,7 @@ mod session;
 pub use recovery::{CrashScene, ResumeToken};
 
 use crate::admission::{AdmissionLimits, DaemonMetrics, FleetAdmissionConfig};
-use crate::arbiter::{ArbiterConfig, Event as ArbEvent, EventLog};
+use crate::arbiter::{ArbiterConfig, Event as ArbEvent};
 use crate::channel::{Request, Response};
 use crate::durability::{Durability, DurabilityOptions, DurableMeta, WalIssue, WalRecord};
 use crate::error::SlateError;
@@ -147,8 +147,6 @@ struct DaemonShared {
     /// Live session count + condvar for the shutdown drain.
     active_sessions: Mutex<usize>,
     session_drained: Condvar,
-    /// Perfetto trace destination for the shutdown hook (None: no trace).
-    trace_path: Option<std::path::PathBuf>,
     /// Launches parked by their executing threads when a crash cut them
     /// off; drained into the [`CrashScene`] after session threads joined.
     crash_inflight: Mutex<Vec<exec::Launch>>,
@@ -190,10 +188,12 @@ pub struct DaemonOptions {
     /// best-effort resident through the retreat/resize path within this
     /// logical-time bound. `None` (the default) disables preemption.
     pub preempt_bound_ms: Option<u64>,
-    /// Record every arbitration event batch; [`SlateDaemon::arbiter_log`]
-    /// returns the [`EventLog`], which replays to the identical command
-    /// sequence, and [`SlateDaemon::placement_log`] the full multi-device
-    /// [`PlacementLog`].
+    /// Record every arbitration event batch; [`SlateDaemon::placement_log`]
+    /// returns the [`PlacementLog`], which replays to the identical routed
+    /// command sequence and [`split`](crate::placement::replay::split)s
+    /// into per-device [`EventLog`](crate::arbiter::EventLog)s. Export it
+    /// as a Perfetto trace with
+    /// [`export_log_to_file`](crate::trace::export::export_log_to_file).
     pub record_arbiter: bool,
     /// The device fleet the daemon schedules over, one
     /// [`ArbiterCore`](crate::arbiter::ArbiterCore) each behind the
@@ -226,13 +226,6 @@ pub struct DaemonOptions {
     /// [`SlateDaemon::recover`] can rebuild the daemon after a kill.
     /// `None` (the default) keeps the daemon fully in-memory.
     pub durability: Option<DurabilityOptions>,
-    /// Write a Perfetto trace of the recorded run to this path when
-    /// [`SlateDaemon::shutdown`] completes its drain (implies
-    /// [`DaemonOptions::record_arbiter`]). Best-effort: a write failure
-    /// never blocks the shutdown; call [`SlateDaemon::write_trace`]
-    /// directly to observe the error. `None` (the default) emits
-    /// nothing.
-    pub trace_path: Option<std::path::PathBuf>,
 }
 
 /// A running Slate daemon. Dropping the handle after every client
@@ -342,7 +335,7 @@ impl SlateDaemon {
     /// Brings up a daemon incarnation over `layer` — pristine at a first
     /// start, rebuilt from the log by [`SlateDaemon::recover`] — with its
     /// logical clock at `base_us`. `options` contributes what both share:
-    /// profiles, fault plan, default deadline, recording and trace path.
+    /// profiles, fault plan, default deadline and recording.
     fn boot(
         devices: Vec<DeviceConfig>,
         mut layer: PlacementLayer,
@@ -352,7 +345,7 @@ impl SlateDaemon {
         options: DaemonOptions,
         recovery_issues: Vec<(u64, WalIssue)>,
     ) -> Arc<Self> {
-        if options.record_arbiter || options.trace_path.is_some() {
+        if options.record_arbiter {
             layer.start_recording();
         }
         let shared = Arc::new(DaemonShared {
@@ -368,7 +361,6 @@ impl SlateDaemon {
             shutting_down: AtomicBool::new(false),
             active_sessions: Mutex::new(0),
             session_drained: Condvar::new(),
-            trace_path: options.trace_path,
             crash_inflight: Mutex::new(Vec::new()),
             recovery: Mutex::new(BTreeMap::new()),
         });
@@ -487,49 +479,20 @@ impl SlateDaemon {
         self.shared.shutting_down.store(true, Ordering::Release);
         self.shared.arb.feed(&[ArbEvent::DrainBegan]);
         let deadline = Instant::now() + drain_deadline;
-        let drained = {
-            let mut active = self.shared.active_sessions.lock();
-            loop {
-                if *active == 0 {
-                    break true;
-                }
-                if self
-                    .shared
-                    .session_drained
-                    .wait_until(&mut active, deadline)
-                    .timed_out()
-                {
-                    break *active == 0;
-                }
+        let mut active = self.shared.active_sessions.lock();
+        loop {
+            if *active == 0 {
+                return true;
             }
-        };
-        // Best-effort shutdown trace: everything decision-relevant is in
-        // the recording by now (the drain only waits on session threads),
-        // and a full disk must not turn a clean drain into a hang.
-        if let Some(path) = self.shared.trace_path.clone() {
-            let _ = self.write_trace(&path);
+            if self
+                .shared
+                .session_drained
+                .wait_until(&mut active, deadline)
+                .timed_out()
+            {
+                return *active == 0;
+            }
         }
-        drained
-    }
-
-    /// Exports the recorded run as a Perfetto trace to `path` — the
-    /// explicit form of the [`DaemonOptions::trace_path`] shutdown hook.
-    /// The recording is snapshotted, not consumed: [`SlateDaemon::
-    /// arbiter_log`] / [`SlateDaemon::placement_log`] still work
-    /// afterwards, and the daemon keeps recording. Errors when the
-    /// daemon was started without recording enabled.
-    pub fn write_trace(&self, path: &std::path::Path) -> Result<(), String> {
-        let log = self
-            .shared
-            .arb
-            .inner
-            .lock()
-            .layer
-            .log_snapshot()
-            .ok_or_else(|| {
-                "daemon was not recording (set record_arbiter or trace_path)".to_string()
-            })?;
-        crate::trace::export::export_log_to_file(&log, path)
     }
 
     /// Whether [`SlateDaemon::shutdown`] has been called.
@@ -567,30 +530,11 @@ impl SlateDaemon {
         self.shared.arb.device_health(device)
     }
 
-    /// Takes device 0's recorded arbitration [`EventLog`] (present only
-    /// when the daemon was started with
-    /// [`DaemonOptions::record_arbiter`]). On a single-device daemon this
-    /// is the complete record, exactly as before; multi-device runs use
-    /// [`SlateDaemon::placement_log`] (whose
-    /// [`split`](crate::placement::replay::split) recovers every
-    /// per-device log, this one included).
-    pub fn arbiter_log(&self) -> Option<EventLog> {
-        self.shared
-            .arb
-            .inner
-            .lock()
-            .layer
-            .take_core_logs()
-            .into_iter()
-            .next()
-            .flatten()
-    }
-
     /// Takes the recorded multi-device [`PlacementLog`] (present only when
     /// the daemon was started with [`DaemonOptions::record_arbiter`]). It
     /// [`verify`](crate::placement::replay::verify)s against a fresh
     /// replay and [`split`](crate::placement::replay::split)s into
-    /// ordinary per-device [`EventLog`]s.
+    /// ordinary per-device [`EventLog`](crate::arbiter::EventLog)s.
     pub fn placement_log(&self) -> Option<PlacementLog> {
         self.shared.arb.inner.lock().layer.take_log()
     }

@@ -598,7 +598,7 @@ impl Session {
         shared
             .hyperq
             .lock()
-            .retire_lanes(|_, stream| stream >> 16 == session as u32);
+            .retire_lanes(|_, lease| lease >> 16 == session);
         // The farewell goes out last: a client that saw its disconnect
         // succeed finds the session closed in the core and the WAL.
         if clean {

@@ -425,37 +425,24 @@ fn shutdown_drain_deadline_expires_with_sessions_left() {
 #[test]
 fn nothing_fed_after_a_crash_reaches_the_core_or_the_wal() {
     let dir = std::env::temp_dir().join(format!("slate-daemon-unfed-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let daemon = SlateDaemon::start_with_options(
-        DeviceConfig::tiny(2),
-        1 << 20,
-        DaemonOptions {
-            record_arbiter: true,
-            durability: Some(DurabilityOptions {
-                dir: dir.clone(),
-                snapshot_every: 8,
-                keep_all: true,
-            }),
-            ..Default::default()
-        },
-    );
+    let daemon = durable_daemon(&dir, true);
     let client = SlateClient::new(daemon.connect("doomed").unwrap());
     client.malloc(64).unwrap();
     let _scene = daemon.crash();
     let arb = &daemon.shared.arb;
-    // (recorded batches, every WAL/snapshot file's bytes)
+    // (the whole layer as JSON, every WAL/snapshot file's bytes)
     let state = || {
-        let inner = arb.inner.lock();
-        let batches = inner.layer.log_snapshot().expect("recording").batches.len();
+        let layer = serde_json::to_string(&arb.inner.lock().layer.snapshot()).unwrap();
         let files: BTreeMap<_, _> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())
             .map(|f| (f.clone(), std::fs::read(f).unwrap()))
             .collect();
-        (batches, files)
+        (layer, files)
     };
     let before = state();
-    assert!(before.0 >= 2, "the session and its malloc were fed");
+    let active = arb.inner.lock().layer.admission_stats().active_sessions;
+    assert_eq!(active, 1, "the session was fed before the kill");
     arb.feed(&[ArbEvent::DrainBegan]);
     arb.feed(&[ArbEvent::DeadlineTick]);
     let unfed = arb.submit(
@@ -926,7 +913,8 @@ fn recorded_daemon_run_replays_identically() {
     client.disconnect().unwrap();
     daemon.join();
     assert_eq!(daemon.metrics().lock_recoveries, 0, "healthy run");
-    let log = daemon.arbiter_log().expect("recording was enabled");
+    let log = daemon.placement_log().expect("recording was enabled");
+    let log = &crate::placement::replay::split(&log).expect("log splits")[0];
     assert!(
         log.batches.iter().any(|b| b
             .commands
@@ -934,5 +922,46 @@ fn recorded_daemon_run_replays_identically() {
             .any(|c| matches!(c, Command::Dispatch { .. }))),
         "the log must contain real dispatches"
     );
-    crate::arbiter::replay::verify(&log).expect("daemon log replays identically");
+    crate::arbiter::replay::verify(log).expect("daemon log replays identically");
+}
+
+#[test]
+fn a_session_past_65_535_retires_its_hyperq_lanes() {
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);
+    *daemon.next_session.lock() = 65_535;
+    let client = SlateClient::new(daemon.connect("late").unwrap());
+    assert_eq!(client.session(), 65_536);
+    let p = client.malloc(64).unwrap();
+    client
+        .launch_with(vec![p], 10, None, double_factory(16))
+        .unwrap();
+    client.synchronize().unwrap();
+    assert_eq!(daemon.metrics().hyperq_lanes, 1);
+    client.disconnect().unwrap();
+    daemon.join();
+    assert_eq!(daemon.metrics().hyperq_lanes, 0, "the lane was retired");
+}
+
+#[test]
+fn an_evicted_launch_is_not_counted_as_served() {
+    let daemon = SlateDaemon::start_with_options(
+        DeviceConfig::tiny(4),
+        1 << 22,
+        DaemonOptions {
+            fault_plan: slate_gpu_sim::fault::FaultPlan::new().hang_kernel("double", 1),
+            ..Default::default()
+        },
+    );
+    let client = SlateClient::new(daemon.connect("hangs").unwrap());
+    let p = client.malloc(64).unwrap();
+    client
+        .launch_with_deadline(vec![p], 10, 20, double_factory(16))
+        .unwrap();
+    let err = client.synchronize().unwrap_err();
+    assert!(matches!(err, SlateError::Timeout { .. }), "{err}");
+    let m = daemon.metrics();
+    assert_eq!(m.watchdog_evictions, 1);
+    assert_eq!(m.launches_served, 0, "a timed-out launch was not served");
+    client.disconnect().unwrap();
+    daemon.join();
 }

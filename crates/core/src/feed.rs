@@ -1,12 +1,6 @@
-//! Allocation-free batched event-feed primitives: a reusable event batch
-//! and a bounded lock-free SPSC ring.
-//!
-//! * [`EventBatch`] — an events-in / replies-out buffer pair that is
-//!   cleared and refilled, never reallocated: steady state it holds its
-//!   high-water capacity and a feed touches no heap. The single-threaded
-//!   [`SlateRuntime`](crate::runtime::SlateRuntime) feeds through one.
-//! * [`ring`] — a bounded single-producer single-consumer ring: a push
-//!   and a pop are two atomic operations each and no lock.
+//! A bounded lock-free SPSC ring: [`ring`] returns the two ends of a
+//! single-producer single-consumer queue, and a push and a pop are two
+//! atomic operations each and no lock.
 //!
 //! **Nothing in this crate uses [`ring`].** Queueing submissions to a
 //! consumer thread removes no serialisation — the consumer's work is all
@@ -21,52 +15,9 @@
 //! and every operation takes `&mut self` — two threads can't race one
 //! side without already having broken Rust's aliasing rules.
 
-use crate::arbiter::Event;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// A reusable feed batch: the events handed to an arbitration layer and
-/// the replies (commands) it produced. Both buffers keep their capacity
-/// across [`EventBatch::clear`], so a pool of warmed batches feeds
-/// without touching the allocator.
-#[derive(Debug)]
-pub struct EventBatch<C> {
-    /// Events to feed, in order.
-    pub events: Vec<Event>,
-    /// Replies the consumer produced for this batch, in order.
-    pub replies: Vec<C>,
-}
-
-impl<C> EventBatch<C> {
-    /// An empty batch (buffers grow to their working size on first use).
-    pub fn new() -> Self {
-        Self {
-            events: Vec::new(),
-            replies: Vec::new(),
-        }
-    }
-
-    /// A batch pre-sized for `events` events and `replies` replies.
-    pub fn with_capacity(events: usize, replies: usize) -> Self {
-        Self {
-            events: Vec::with_capacity(events),
-            replies: Vec::with_capacity(replies),
-        }
-    }
-
-    /// Empties both buffers, keeping their capacity.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.replies.clear();
-    }
-}
-
-impl<C> Default for EventBatch<C> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Shared storage of one SPSC ring: a power-of-two slot array indexed by
 /// free-running head/tail counters (Lamport's construction). `head` is
@@ -245,18 +196,6 @@ mod tests {
         drop(tx);
         drop(rx);
         assert_eq!(Arc::strong_count(&item), 1, "ring drop frees queued items");
-    }
-
-    #[test]
-    fn event_batch_clear_keeps_capacity() {
-        let mut b = EventBatch::<u32>::with_capacity(8, 8);
-        b.events.push(Event::DeadlineTick);
-        b.replies.extend([1, 2, 3]);
-        let (ce, cr) = (b.events.capacity(), b.replies.capacity());
-        b.clear();
-        assert!(b.events.is_empty() && b.replies.is_empty());
-        assert_eq!(b.events.capacity(), ce);
-        assert_eq!(b.replies.capacity(), cr);
     }
 
     /// Two real threads, a ring much smaller than the item count, and a

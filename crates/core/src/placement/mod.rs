@@ -38,7 +38,7 @@
 //!    [`WorkSpec::resuming`](crate::backend::WorkSpec::resuming) and
 //!    re-feeds `KernelReady` — which now routes to the *target* core.
 //! 3. **Per-core recording** — the layer's own [`replay::PlacementLog`]
-//!    splits into N ordinary [`EventLog`]s
+//!    splits into N ordinary [`EventLog`](crate::arbiter::EventLog)s
 //!    ([`replay::split`]) that verify byte-identically through the
 //!    existing single-device machinery.
 
@@ -55,8 +55,9 @@ pub use rebalance::{Migration, RebalanceConfig};
 pub use replay::{PlacementBatch, PlacementLog};
 
 use crate::admission::FleetAdmissionConfig;
+use crate::arbiter::replay::is_recorded;
 use crate::arbiter::{
-    ArbiterConfig, ArbiterCore, Command, CoreSnapshot, Event, EventLog, IdTable, RejectScope, Tick,
+    ArbiterConfig, ArbiterCore, Command, CoreSnapshot, Event, IdTable, RejectScope, Tick,
 };
 use health::{HealthSnapshot, HealthTracker};
 use rebalance::{Rebalancer, RebalancerSnapshot};
@@ -555,26 +556,10 @@ impl PlacementLayer {
         }
     }
 
-    /// Starts recording: the layer's own routed batches *and* each
-    /// core's per-device [`EventLog`] (so one recorded run yields both
-    /// the placement log and its per-core split).
+    /// Starts recording the layer's routed batches. The per-core logs are
+    /// not kept: [`replay::split`] derives them from this one.
     pub fn start_recording(&mut self) {
         self.record = Some(Vec::new());
-        for core in &mut self.cores {
-            core.start_recording();
-        }
-    }
-
-    /// Clones the placement-level log accumulated so far *without*
-    /// ending the recording — the daemon's shutdown trace hook reads
-    /// the history this way, leaving [`PlacementLayer::take_log`]
-    /// consumers (log download, post-mortem dumps) intact.
-    pub fn log_snapshot(&self) -> Option<PlacementLog> {
-        self.record.as_ref().map(|batches| PlacementLog {
-            devices: self.cores.iter().map(|c| c.device().clone()).collect(),
-            config: self.config.clone(),
-            batches: batches.clone(),
-        })
     }
 
     /// Takes the placement-level log (if recording was started).
@@ -584,12 +569,6 @@ impl PlacementLayer {
             config: self.config.clone(),
             batches,
         })
-    }
-
-    /// Takes each core's per-device log, in device order. Entries are
-    /// `None` for cores that were never recording.
-    pub fn take_core_logs(&mut self) -> Vec<Option<EventLog>> {
-        self.cores.iter_mut().map(|c| c.take_log()).collect()
     }
 
     /// Interns `session` and sizes the route tables to its slot, clearing
@@ -937,8 +916,7 @@ impl PlacementLayer {
         self.sheds = sheds;
         self.evac = evacuate;
         if let Some(batches) = &mut self.record {
-            let heartbeat_only = events.iter().all(|e| matches!(e, Event::DeadlineTick));
-            if !(heartbeat_only && out.is_empty()) {
+            if is_recorded(events, out) {
                 batches.push(PlacementBatch {
                     at: self.now,
                     events: events.to_vec(),

@@ -282,10 +282,9 @@ impl MultiSim {
 
     /// Injects `fault` into `device`'s backend and propagates any health
     /// edge to the placement layer immediately.
-    pub fn inject_device_fault(&mut self, device: usize, fault: DeviceFault) -> bool {
-        let hit = self.backends[device].inject_device_fault(fault);
+    pub fn inject_device_fault(&mut self, device: usize, fault: DeviceFault) {
+        self.backends[device].inject_device_fault(fault);
         self.sync_health();
-        hit
     }
 
     /// Turns backend health *edges* into arbiter-visible

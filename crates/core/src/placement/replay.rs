@@ -91,20 +91,22 @@ impl Replayable for PlacementLog {
 }
 
 /// Splits a multi-device `log` into one ordinary [`EventLog`] per
-/// device by replaying it through a fresh layer with per-core recording
-/// on. Each returned log carries its own device config and replays
+/// device by replaying it through a fresh layer whose cores record. Each
+/// returned log carries its own device config and replays
 /// byte-identically through [`crate::arbiter::replay`]; the split also
 /// re-[`verify`]s the placement log itself and fails if the routing
 /// diverged.
 pub fn split(log: &PlacementLog) -> Result<Vec<EventLog>, String> {
     let mut layer = log.machine(log.config.clone());
-    layer.start_recording();
+    for core in &mut layer.cores {
+        core.start_recording();
+    }
     let mut v = StreamVerifier::<PlacementLog>::new(layer);
     log.batches.iter().try_for_each(|b| v.push(b))?;
     Ok(v.into_machine()
-        .take_core_logs()
-        .into_iter()
-        .map(|l| l.expect("recording was on for every core"))
+        .cores
+        .iter_mut()
+        .map(|c| c.take_log().expect("every core was recording"))
         .collect())
 }
 

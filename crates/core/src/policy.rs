@@ -62,13 +62,6 @@ pub fn should_corun(a: WorkloadClass, b: WorkloadClass) -> bool {
     lookup(a, b) == Corun && lookup(b, a) == Corun
 }
 
-/// Aging-aware pair decision: once either kernel has waited past the
-/// starvation bound it must run solo — the policy table notwithstanding —
-/// so that a long co-run chain can never hold a waiter forever.
-pub fn should_corun_aged(a: WorkloadClass, b: WorkloadClass, either_starved: bool) -> bool {
-    !either_starved && should_corun(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,20 +103,6 @@ mod tests {
         assert!(!should_corun(MM, MM), "BS-GS/BS-MM/GS-MM run solo");
         assert!(!should_corun(MM, HM), "TR pairs with M_M run solo");
         assert!(!should_corun(HM, HM), "TR-TR runs solo");
-    }
-
-    #[test]
-    fn aged_decision_forces_solo_for_starved_pairs() {
-        assert!(
-            should_corun_aged(LC, MM, false),
-            "fresh pairs follow Table I"
-        );
-        assert!(
-            !should_corun_aged(LC, MM, true),
-            "starvation overrides Corun"
-        );
-        assert!(!should_corun_aged(MM, MM, false), "Solo verdicts stay solo");
-        assert!(!should_corun_aged(MM, MM, true));
     }
 
     #[test]

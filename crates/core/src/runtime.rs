@@ -30,7 +30,6 @@
 
 use crate::arbiter::{ArbiterConfig, ArbiterCore, Command, Event as ArbEvent, EventLog};
 use crate::backend::sim::{RelaunchPlan, ResizeOutcome, SimBackend};
-use crate::feed::EventBatch;
 use crate::placement::multi::{JobOutcome, MultiJob, MultiSim};
 use crate::placement::{PlacementConfig, PlacementStats};
 use crate::profile::ProfileTable;
@@ -297,9 +296,9 @@ struct Sim {
     /// The shared arbitration core; process index doubles as both the
     /// session and lease id.
     arb: ArbiterCore,
-    /// Reusable feed batch (events in, commands out) driving `arb`; the
-    /// same batch type the daemon pools (see [`crate::feed`]).
-    feed_scratch: EventBatch<Command>,
+    /// Reusable feed buffers driving `arb`: events in, commands out.
+    feed_events: Vec<ArbEvent>,
+    feed_commands: Vec<Command>,
 }
 
 impl Sim {
@@ -345,7 +344,8 @@ impl Sim {
             profiled,
             residents: Vec::new(),
             arb,
-            feed_scratch: EventBatch::new(),
+            feed_events: Vec::new(),
+            feed_commands: Vec::new(),
         }
     }
 
@@ -371,22 +371,22 @@ impl Sim {
     /// commands, looping on any compensation events a command execution
     /// produces (a resize that raced with completion reports the kernel
     /// finished, which may trigger further scheduling). The loop drives
-    /// one runtime-owned [`EventBatch`] — events in, commands out,
-    /// compensation events written straight back into the event buffer —
-    /// so repeated feeds reuse the same capacity instead of allocating
-    /// per round.
+    /// two runtime-owned buffers — events in, commands out, compensation
+    /// events written straight back into the event buffer — so repeated
+    /// feeds reuse the same capacity instead of allocating per round.
     fn feed(&mut self, events: &[ArbEvent]) {
-        let mut batch = std::mem::take(&mut self.feed_scratch);
-        batch.clear();
-        batch.events.extend_from_slice(events);
-        while !batch.events.is_empty() {
+        let mut pending = std::mem::take(&mut self.feed_events);
+        let mut commands = std::mem::take(&mut self.feed_commands);
+        pending.clear();
+        pending.extend_from_slice(events);
+        while !pending.is_empty() {
             let now = self.now_us();
-            self.arb.feed_into(now, &batch.events, &mut batch.replies);
-            batch.events.clear();
-            let EventBatch { events, replies } = &mut batch;
-            self.apply_into(replies, events);
+            self.arb.feed_into(now, &pending, &mut commands);
+            pending.clear();
+            self.apply_into(&commands, &mut pending);
         }
-        self.feed_scratch = batch;
+        self.feed_events = pending;
+        self.feed_commands = commands;
     }
 
     /// Executes arbiter commands against the engine, appending

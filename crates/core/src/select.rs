@@ -7,48 +7,19 @@
 //! co-running wins when `max(T'_k, T'_{k+1}) < T_k + T_{k+1}`.
 
 use crate::classify::WorkloadClass;
-use crate::policy::{should_corun, should_corun_aged};
+use crate::policy::should_corun;
 use std::cmp::Reverse;
-
-/// ANTT of consecutive solo executions (the CUDA default): `T_k + T_{k+1}`.
-pub fn antt_consecutive(t_a: f64, t_b: f64) -> f64 {
-    t_a + t_b
-}
-
-/// ANTT of concurrent execution: `max(T'_k, T'_{k+1})`.
-pub fn antt_concurrent(t_a_corun: f64, t_b_corun: f64) -> f64 {
-    t_a_corun.max(t_b_corun)
-}
-
-/// The paper's complementarity criterion: concurrent execution must beat
-/// consecutive execution.
-pub fn corun_is_profitable(t_a: f64, t_b: f64, t_a_corun: f64, t_b_corun: f64) -> bool {
-    antt_concurrent(t_a_corun, t_b_corun) < antt_consecutive(t_a, t_b)
-}
 
 /// Margin used when deriving a policy from measurements: a co-run must beat
 /// consecutive execution by at least this fraction to be worth the
 /// scheduling risk (break-even pairs default to solo).
 pub const PROFIT_MARGIN: f64 = 0.02;
 
-/// The policy-derivation criterion: concurrent execution must clearly beat
-/// consecutive execution (by [`PROFIT_MARGIN`]).
+/// The policy-derivation criterion: concurrent execution
+/// (`max(T'_k, T'_{k+1})`) must clearly beat consecutive execution
+/// (`T_k + T_{k+1}`), by [`PROFIT_MARGIN`].
 pub fn corun_clearly_profitable(t_a: f64, t_b: f64, t_a_corun: f64, t_b_corun: f64) -> bool {
-    antt_concurrent(t_a_corun, t_b_corun) < antt_consecutive(t_a, t_b) * (1.0 - PROFIT_MARGIN)
-}
-
-/// Scans `waiting` (in queue order, starting at `cursor` for round-robin
-/// fairness) for the first kernel complementary to `active`; returns its
-/// index into `waiting`.
-pub fn find_partner(
-    active: WorkloadClass,
-    waiting: &[WorkloadClass],
-    cursor: usize,
-) -> Option<usize> {
-    let n = waiting.len();
-    (0..n)
-        .map(|k| (cursor + k) % n.max(1))
-        .find(|&i| should_corun(active, waiting[i]))
+    t_a_corun.max(t_b_corun) < (t_a + t_b) * (1.0 - PROFIT_MARGIN)
 }
 
 /// A waiting kernel as seen by the wait-aware selector.
@@ -68,10 +39,10 @@ pub struct PartnerCandidate {
 /// longest; break exact wait-time ties by stable arrival order. Returns the
 /// index into `candidates`.
 ///
-/// This replaces the round-robin-cursor scan of [`find_partner`] for
-/// callers that track per-kernel wait times — the cursor scan picks
-/// whichever complementary candidate the cursor happens to land on, which
-/// is nondeterministic across runs when the cursor state differs.
+/// The arbiter's co-run join (`arbiter/decide.rs`) calls this only while
+/// no waiter has starved past the aging bound: starvation refuses the
+/// pairing there, and the starved waiter is dispatched solo once the
+/// device frees.
 pub fn select_partner(active: WorkloadClass, candidates: &[PartnerCandidate]) -> Option<usize> {
     candidates
         .iter()
@@ -85,50 +56,6 @@ pub fn select_partner(active: WorkloadClass, candidates: &[PartnerCandidate]) ->
         .map(|(i, _)| i)
 }
 
-/// Outcome of an aging-aware selection round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartnerChoice {
-    /// Co-run the candidate at this index with the active kernel.
-    Corun(usize),
-    /// The candidate at this index has starved past the bound: dispatch it
-    /// solo as soon as the device frees, ahead of any co-run pairing.
-    PromoteSolo(usize),
-    /// No candidate is eligible; the active kernel keeps the device.
-    NoPartner,
-}
-
-/// Wait-aware selection with starvation aging. A candidate whose wait
-/// meets or exceeds `bound_s` is *starved*: it refuses co-running
-/// ([`should_corun_aged`]) and is promoted to a solo dispatch instead —
-/// the longest-starved first, ties broken by arrival order. Without
-/// starved candidates this reduces to [`select_partner`]. `bound_s = None`
-/// disables aging entirely.
-pub fn select_partner_aged(
-    active: WorkloadClass,
-    candidates: &[PartnerCandidate],
-    bound_s: Option<f64>,
-) -> PartnerChoice {
-    if let Some(bound) = bound_s {
-        let starved = candidates
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.waited_s >= bound)
-            .max_by(|(_, a), (_, b)| {
-                a.waited_s
-                    .total_cmp(&b.waited_s)
-                    .then_with(|| Reverse(a.order).cmp(&Reverse(b.order)))
-            });
-        if let Some((i, c)) = starved {
-            debug_assert!(!should_corun_aged(active, c.class, true));
-            return PartnerChoice::PromoteSolo(i);
-        }
-    }
-    match select_partner(active, candidates) {
-        Some(i) => PartnerChoice::Corun(i),
-        None => PartnerChoice::NoPartner,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,42 +64,26 @@ mod tests {
     #[test]
     fn antt_criterion_matches_paper_definition() {
         // Solo 10s each; corun stretches both to 12s: 12 < 20 -> profitable.
-        assert!(corun_is_profitable(10.0, 10.0, 12.0, 12.0));
+        assert!(corun_clearly_profitable(10.0, 10.0, 12.0, 12.0));
         // Corun doubles both: 20 == 20 -> not profitable (strict).
-        assert!(!corun_is_profitable(10.0, 10.0, 20.0, 20.0));
+        assert!(!corun_clearly_profitable(10.0, 10.0, 20.0, 20.0));
         // Asymmetric: the slower co-runner decides.
-        assert!(!corun_is_profitable(10.0, 10.0, 21.0, 5.0));
-        assert!(corun_is_profitable(10.0, 10.0, 19.0, 5.0));
+        assert!(!corun_clearly_profitable(10.0, 10.0, 21.0, 5.0));
+        assert!(corun_clearly_profitable(10.0, 10.0, 19.0, 5.0));
     }
 
     #[test]
     fn margin_criterion_rejects_break_even() {
-        assert!(corun_is_profitable(10.0, 10.0, 19.9, 19.9));
+        // 19.9 < 20 beats consecutive execution, but not by the margin.
         assert!(!corun_clearly_profitable(10.0, 10.0, 19.9, 19.9));
         assert!(corun_clearly_profitable(10.0, 10.0, 15.0, 15.0));
     }
 
     #[test]
     fn finds_first_complementary_in_queue_order() {
-        // Active M_M: M_M no, H_M no, L_C yes.
-        let waiting = [MM, HM, LC];
-        assert_eq!(find_partner(MM, &waiting, 0), Some(2));
-    }
-
-    #[test]
-    fn returns_none_when_nothing_complementary() {
-        let waiting = [MM, HM, HM];
-        assert_eq!(find_partner(MM, &waiting, 0), None);
-        assert_eq!(find_partner(MM, &[], 0), None);
-    }
-
-    #[test]
-    fn cursor_rotates_the_scan() {
-        // Two complementary candidates; the cursor picks fairly.
-        let waiting = [LC, MM, LC];
-        assert_eq!(find_partner(MM, &waiting, 0), Some(0));
-        assert_eq!(find_partner(MM, &waiting, 1), Some(2));
-        assert_eq!(find_partner(MM, &waiting, 2), Some(2));
+        // Equal waits, active M_M: M_M no, H_M no, L_C yes.
+        let waiting = [cand(MM, 1.0, 0), cand(HM, 1.0, 1), cand(LC, 1.0, 2)];
+        assert_eq!(select_partner(MM, &waiting), Some(2));
     }
 
     fn cand(class: WorkloadClass, waited_s: f64, order: u64) -> PartnerCandidate {
@@ -212,39 +123,5 @@ mod tests {
             None
         );
         assert_eq!(select_partner(MM, &[]), None);
-    }
-
-    #[test]
-    fn aging_promotes_starved_candidate_over_profitable_corun() {
-        // A fresh LC would be a profitable partner for the active MM, but
-        // the MM candidate has starved past the bound: it is promoted solo.
-        let cands = [cand(LC, 0.1, 0), cand(MM, 5.0, 1)];
-        assert_eq!(
-            select_partner_aged(MM, &cands, Some(3.0)),
-            PartnerChoice::PromoteSolo(1)
-        );
-        // Below the bound the normal policy applies.
-        assert_eq!(
-            select_partner_aged(MM, &cands, Some(10.0)),
-            PartnerChoice::Corun(0)
-        );
-        // Aging disabled: identical to select_partner.
-        assert_eq!(
-            select_partner_aged(MM, &cands, None),
-            PartnerChoice::Corun(0)
-        );
-    }
-
-    #[test]
-    fn aging_ties_break_by_arrival_and_fall_through_to_no_partner() {
-        let cands = [cand(HM, 4.0, 9), cand(MM, 4.0, 2)];
-        assert_eq!(
-            select_partner_aged(LC, &cands, Some(4.0)),
-            PartnerChoice::PromoteSolo(1)
-        );
-        assert_eq!(
-            select_partner_aged(MM, &[cand(MM, 0.5, 0)], Some(4.0)),
-            PartnerChoice::NoPartner
-        );
     }
 }

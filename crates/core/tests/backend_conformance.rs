@@ -103,6 +103,36 @@ fn chaos_perturbations_actually_fire() {
 }
 
 #[test]
+fn device_chaos_actually_fires() {
+    // `ChaosBackend` is the only device-fault injector, so the device-chaos
+    // suite above means something only if its outages trigger. Under a
+    // dense device plan (this seed schedules an outage on each of the
+    // first dispatches) the scenarios must fire rules and still run every
+    // block exactly once, which each scenario asserts itself.
+    let chaos = || {
+        ChaosBackend::new(
+            DispatcherBackend::new(device()),
+            FaultPlan::device_chaos(0x5EED, 16),
+        )
+    };
+    let mut b = chaos();
+    testkit::resize_churn_exactly_once(&mut b, 7);
+    assert!(
+        b.faults_fired() > 0,
+        "device chaos plan never fired during the churn scenario"
+    );
+    // The second dispatch lands while the first lease is resident: its
+    // outage loses that lease in flight, and the decorator resumes it.
+    let mut b = chaos();
+    testkit::preempt_then_resume(&mut b);
+    assert!(
+        b.faults_fired() >= 2,
+        "no outage hit the resident lease: {} fired",
+        b.faults_fired()
+    );
+}
+
+#[test]
 fn backends_report_their_nature() {
     let sim = SimBackend::new(device());
     assert_eq!(sim.name(), "sim");

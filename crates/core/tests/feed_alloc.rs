@@ -27,7 +27,7 @@ use slate_core::arbiter::{ArbiterConfig, ArbiterCore, Command, Event};
 use slate_core::classify::WorkloadClass;
 use slate_core::dispatch::{DispatchHandle, Dispatcher};
 use slate_core::durability::{Durability, DurableMeta, WalRecord};
-use slate_core::feed::{ring, EventBatch};
+use slate_core::feed::ring;
 use slate_core::placement::{PlacementBatch, PlacementConfig, PlacementLayer, RoutedCommand};
 use slate_core::transform::TransformedKernel;
 use slate_core::workers::{helper_threads_spawned, LanePool};
@@ -299,27 +299,31 @@ fn durable_append_steady_state_allocates_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Pooled [`EventBatch`]es through the SPSC ring (no longer the daemon's
+/// A pooled (events, commands) buffer pair.
+type Batch = (Vec<Event>, Vec<Command>);
+
+/// Pooled batches through the SPSC ring (no longer the daemon's
 /// transport — its submitters feed the layer directly — but still public
 /// API). Once the batch buffers hit their high-water capacity, a full
 /// fill → push → pop → drain → clear round trip is allocation-free.
 #[test]
 fn ring_and_batch_round_trip_allocates_nothing() {
-    let (mut tx, mut rx) = ring::<EventBatch<Command>>(8);
-    let mut pool: Vec<EventBatch<Command>> = (0..4).map(|_| EventBatch::new()).collect();
-    let round = |pool: &mut Vec<EventBatch<Command>>,
-                 tx: &mut slate_core::feed::RingProducer<EventBatch<Command>>,
-                 rx: &mut slate_core::feed::RingConsumer<EventBatch<Command>>| {
+    let (mut tx, mut rx) = ring::<Batch>(8);
+    let mut pool: Vec<Batch> = (0..4).map(|_| Batch::default()).collect();
+    let round = |pool: &mut Vec<Batch>,
+                 tx: &mut slate_core::feed::RingProducer<Batch>,
+                 rx: &mut slate_core::feed::RingConsumer<Batch>| {
         for i in 0..4u64 {
-            let mut b = pool.pop().expect("pooled batch");
-            b.events.push(Event::SessionOpened { session: i });
-            b.events.push(Event::SessionClosed { session: i });
-            b.replies.push(Command::Reap { session: i });
-            tx.push(b).expect("ring has room");
+            let (mut events, mut commands) = pool.pop().expect("pooled batch");
+            events.push(Event::SessionOpened { session: i });
+            events.push(Event::SessionClosed { session: i });
+            commands.push(Command::Reap { session: i });
+            tx.push((events, commands)).expect("ring has room");
         }
-        while let Some(mut b) = rx.pop() {
-            b.clear();
-            pool.push(b);
+        while let Some((mut events, mut commands)) = rx.pop() {
+            events.clear();
+            commands.clear();
+            pool.push((events, commands));
         }
     };
     round(&mut pool, &mut tx, &mut rx); // warm the batch capacities

@@ -15,7 +15,7 @@
 //!
 //! This module models connection assignment and the resulting concurrency
 //! verdicts. The Slate daemon assigns each (session, stream) lane a
-//! connection through it.
+//! connection through it, with the lane's 64-bit lease id as the stream.
 
 use std::collections::HashMap;
 
@@ -42,7 +42,7 @@ pub enum Concurrency {
 #[derive(Debug)]
 pub struct HyperQ {
     connections: u32,
-    assignments: HashMap<(u64, u32), u32>,
+    assignments: HashMap<(u64, u64), u32>,
     next: u32,
 }
 
@@ -70,7 +70,7 @@ impl HyperQ {
     /// Returns the queue serving `(context, stream)`, assigning one
     /// round-robin on first use (aliasing once queues run out — the source
     /// of false serialization).
-    pub fn assign(&mut self, context: u64, stream: u32) -> u32 {
+    pub fn assign(&mut self, context: u64, stream: u64) -> u32 {
         let connections = self.connections;
         let next = &mut self.next;
         *self
@@ -92,7 +92,7 @@ impl HyperQ {
     /// returning its hardware queue to the pool. The daemon calls this when
     /// reaping a dead session so its lanes stop aliasing live streams.
     /// Returns the number of lanes retired.
-    pub fn retire_lanes(&mut self, mut pred: impl FnMut(u64, u32) -> bool) -> usize {
+    pub fn retire_lanes(&mut self, mut pred: impl FnMut(u64, u64) -> bool) -> usize {
         let before = self.assignments.len();
         self.assignments
             .retain(|&(ctx, stream), _| !pred(ctx, stream));
@@ -101,7 +101,7 @@ impl HyperQ {
 
     /// Concurrency verdict for launches from two (context, stream) lanes.
     /// Both lanes are assigned if not yet seen.
-    pub fn concurrency(&mut self, a: (u64, u32), b: (u64, u32)) -> Concurrency {
+    pub fn concurrency(&mut self, a: (u64, u64), b: (u64, u64)) -> Concurrency {
         if a.0 != b.0 {
             return Concurrency::CrossContext;
         }
@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn streams_within_connection_budget_are_concurrent() {
         let mut hq = HyperQ::new(8);
-        for s in 0..8u32 {
+        for s in 0..8u64 {
             for t in 0..s {
                 assert_eq!(
                     hq.concurrency((1, s), (1, t)),
