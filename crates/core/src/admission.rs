@@ -11,7 +11,8 @@
 //! [`Command::RejectOverloaded`](crate::arbiter::Command::RejectOverloaded),
 //! which the daemon translates to
 //! [`SlateError::Overloaded`](crate::error::SlateError::Overloaded) on the
-//! wire.
+//! wire. On a multi-device daemon every device's core enforces the same
+//! limits on its own sessions and launches: there is no fleet-wide bound.
 //!
 //! This module keeps the configuration and the stable observability
 //! surface: [`AdmissionStats`] and the aggregate [`DaemonMetrics`]
@@ -26,8 +27,9 @@ use serde::{Deserialize, Serialize};
 /// unless a bound is set.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct AdmissionLimits {
-    /// Maximum concurrently connected sessions; further `connect`s are
-    /// shed with [`SlateError::Overloaded`](crate::error::SlateError).
+    /// Maximum concurrently connected sessions (per device on a fleet);
+    /// further `connect`s are shed with
+    /// [`SlateError::Overloaded`](crate::error::SlateError).
     pub max_sessions: Option<usize>,
     /// Maximum pending (admitted, uncompleted) launches per session.
     pub max_pending_per_session: Option<u64>,
@@ -39,22 +41,6 @@ pub struct AdmissionLimits {
     /// [`SlateError::OutOfMemory`](crate::error::SlateError), which means
     /// the pool itself refused).
     pub mem_watermark: Option<f64>,
-}
-
-/// Fleet-level admission bounds: per-device budgets that scale with the
-/// number of *healthy* devices, enforced by the placement layer before
-/// any per-device core sees the request. When a device fails or is
-/// quarantined the fleet's aggregate capacity shrinks with it, so
-/// shedding tightens automatically instead of piling load onto the
-/// survivors. The default is fully permissive, like [`AdmissionLimits`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct FleetAdmissionConfig {
-    /// Maximum routed sessions per healthy device; the fleet bound is
-    /// this times the current healthy-device count.
-    pub max_sessions_per_device: Option<usize>,
-    /// Maximum in-flight launches per healthy device; the fleet bound is
-    /// this times the current healthy-device count.
-    pub max_pending_per_device: Option<u64>,
 }
 
 /// Point-in-time snapshot of the admission counters.

@@ -219,12 +219,6 @@ impl IdTable {
         self.index.get(id)
     }
 
-    /// Whether `id` is currently interned.
-    #[inline]
-    pub fn contains(&self, id: u64) -> bool {
-        self.index.get(id).is_some()
-    }
-
     /// Releases `id`, pushing its slot onto the free list. Returns the
     /// slot, or `None` if `id` was not interned.
     pub fn release(&mut self, id: u64) -> Option<u32> {
@@ -244,16 +238,6 @@ impl IdTable {
             "ext() of a dead slot"
         );
         self.ext[slot as usize]
-    }
-
-    /// Live ids.
-    pub fn len(&self) -> usize {
-        self.index.len
-    }
-
-    /// Whether no id is live.
-    pub fn is_empty(&self) -> bool {
-        self.index.len == 0
     }
 
     /// Total slots ever handed out (live + free). Parallel per-slot
@@ -285,10 +269,10 @@ mod tests {
         assert!(fresh);
         assert_eq!(t.get(100), Some(a));
         assert_eq!(t.intern(100), (a, false), "re-intern is idempotent");
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.iter().count(), 1);
         assert_eq!(t.release(100), Some(a));
         assert_eq!(t.get(100), None);
-        assert!(t.is_empty());
+        assert_eq!(t.iter().next(), None);
         assert_eq!(t.release(100), None, "double release is a no-op");
     }
 
@@ -352,7 +336,7 @@ mod tests {
         for round in 0u64..50 {
             for i in 0..40 {
                 let id = round * 1000 + i;
-                assert_eq!(t.contains(id), i % 3 == 0, "id {id}");
+                assert_eq!(t.get(id).is_some(), i % 3 == 0, "id {id}");
             }
         }
         // High-water slots stay bounded by peak liveness, not total ids.
@@ -371,14 +355,14 @@ mod tests {
             t.release(i);
         }
         for i in 0u64..64 {
-            assert_eq!(t.contains(i), i % 2 == 1, "id {i}");
+            assert_eq!(t.get(i).is_some(), i % 2 == 1, "id {i}");
         }
         for i in (0u64..64).step_by(2) {
             let (_, fresh) = t.intern(i);
             assert!(fresh);
         }
         for i in 0u64..64 {
-            assert!(t.contains(i));
+            assert!(t.get(i).is_some());
         }
     }
 }

@@ -77,7 +77,7 @@
 //! # Overload protection
 //!
 //! * **admission control** — [`DaemonOptions::admission`] bounds
-//!   concurrent sessions, pending launches (per session and daemon-wide)
+//!   concurrent sessions, pending launches (per session and per device)
 //!   and memory pressure; over-limit requests are shed with
 //!   [`SlateError::Overloaded`] carrying a `retry_after_ms` hint computed
 //!   from the queued work, and deadline-carrying launches are rejected up
@@ -99,7 +99,7 @@ mod session;
 
 pub use recovery::{CrashScene, ResumeToken};
 
-use crate::admission::{AdmissionLimits, DaemonMetrics, FleetAdmissionConfig};
+use crate::admission::{AdmissionLimits, DaemonMetrics};
 use crate::arbiter::{ArbiterConfig, Event as ArbEvent};
 use crate::channel::{Request, Response};
 use crate::durability::{Durability, DurabilityOptions, DurableMeta, WalIssue, WalRecord};
@@ -107,7 +107,7 @@ use crate::error::SlateError;
 use crate::injector::InjectionCache;
 use crate::placement::replay::PlacementLog;
 use crate::placement::{
-    HealthConfig, HealthState, PlacementConfig, PlacementLayer, PlacementPolicy, RebalanceConfig,
+    HealthState, PlacementConfig, PlacementLayer, PlacementPolicy, RebalanceConfig,
 };
 use crate::profile::ProfileTable;
 use crate::sync::{Condvar, Mutex};
@@ -165,10 +165,12 @@ impl DaemonShared {
 
 /// Construction-time daemon configuration beyond device geometry. The
 /// default is one device, in memory, admitting everything, watching
-/// nothing.
+/// nothing. The per-device health windows (quarantine, probation) are
+/// constants of [`crate::placement::health`], not options.
 #[derive(Default)]
 pub struct DaemonOptions {
-    /// Kernel profile table seeded from a previous run.
+    /// Kernel profile table seeded from a previous run (the paper's daemon
+    /// "records kernel profiles obtained from its previous runs").
     pub profiles: ProfileTable,
     /// Deterministic fault schedule (for tests; empty injects nothing).
     pub fault_plan: FaultPlan,
@@ -176,7 +178,8 @@ pub struct DaemonOptions {
     /// their own. `None` leaves unmarked launches unwatched.
     pub default_deadline_ms: Option<u64>,
     /// Admission limits (sessions, pending launches, memory watermark).
-    /// The default admits everything — admission control is opt-in.
+    /// The default admits everything — admission control is opt-in. On a
+    /// fleet every device's core enforces them on its own sessions.
     pub admission: AdmissionLimits,
     /// Arbiter aging bound, in milliseconds: a kernel waiting longer for
     /// the device is dispatched solo (policy table notwithstanding) and
@@ -209,16 +212,6 @@ pub struct DaemonOptions {
     /// retreat flag and resumes it on the target device at its carried
     /// `slateIdx` progress, so no user block runs twice.
     pub rebalance: Option<RebalanceConfig>,
-    /// Per-device health state machine: quarantine window after repeated
-    /// soft failures, seeded probation window before a recovered device
-    /// is re-admitted as a routing target. The default windows are
-    /// sensible for the simulator's logical-µs clock; tune them to the
-    /// deployment's real failure cadence.
-    pub health: HealthConfig,
-    /// Fleet-level admission: per-device budgets multiplied by the
-    /// *currently healthy* device count, so shedding tightens as the
-    /// fleet degrades. The default admits everything.
-    pub fleet: FleetAdmissionConfig,
     /// Crash consistency: with a [`DurabilityOptions`] set, every
     /// placement batch and session mutation is written ahead to a
     /// checksummed WAL under its directory, snapshotted every
@@ -276,24 +269,6 @@ impl SlateDaemon {
         Self::start_with_options(cfg, mem_capacity, DaemonOptions::default())
     }
 
-    /// Starts a daemon seeded with a profile table from a previous run
-    /// (the paper's daemon "records kernel profiles obtained from its
-    /// previous runs").
-    pub fn start_with_profiles(
-        cfg: DeviceConfig,
-        mem_capacity: u64,
-        profiles: ProfileTable,
-    ) -> Arc<Self> {
-        Self::start_with_options(
-            cfg,
-            mem_capacity,
-            DaemonOptions {
-                profiles,
-                ..DaemonOptions::default()
-            },
-        )
-    }
-
     /// Starts a daemon with full [`DaemonOptions`] — profile seeding, a
     /// fault-injection plan, and the default watchdog deadline.
     pub fn start_with_options(
@@ -318,8 +293,6 @@ impl SlateDaemon {
                     limits: options.admission,
                 },
                 rebalance: options.rebalance.clone(),
-                health: options.health.clone(),
-                fleet: options.fleet,
             },
         );
         // The genesis anchor (snapshot 0 of segment 0) captures the
@@ -374,8 +347,8 @@ impl SlateDaemon {
     }
 
     /// Snapshot of the kernel profile table (persist it with
-    /// [`ProfileTable::save`] and reload through
-    /// [`SlateDaemon::start_with_profiles`]).
+    /// [`ProfileTable::save`] and seed a later daemon through
+    /// [`DaemonOptions::profiles`]).
     pub fn profiles(&self) -> ProfileTable {
         self.shared.profiles.lock().clone()
     }

@@ -205,7 +205,14 @@ fn profile_table_survives_daemon_restarts() {
     let path = dir.join("profiles.json");
     let n = 2_000usize;
     let run_once = |profiles| {
-        let daemon = SlateDaemon::start_with_profiles(DeviceConfig::tiny(4), 1 << 22, profiles);
+        let daemon = SlateDaemon::start_with_options(
+            DeviceConfig::tiny(4),
+            1 << 22,
+            DaemonOptions {
+                profiles,
+                ..Default::default()
+            },
+        );
         let client = SlateClient::new(daemon.connect("persist").unwrap());
         let input = client.malloc((n * 4) as u64).unwrap();
         let out = client.malloc((n * 4) as u64).unwrap();
@@ -748,6 +755,40 @@ fn multi_device_daemon_routes_sessions_and_records_placement() {
         crate::arbiter::replay::verify(core_log)
             .unwrap_or_else(|e| panic!("per-device log {d} replays: {e}"));
     }
+}
+
+#[test]
+fn a_fleet_admits_sessions_per_device() {
+    let daemon = SlateDaemon::start_with_options(
+        DeviceConfig::tiny(4),
+        1 << 20,
+        DaemonOptions {
+            devices: vec![DeviceConfig::tiny(4), DeviceConfig::tiny(4)],
+            placement: PlacementPolicy::RoundRobin,
+            admission: AdmissionLimits {
+                max_sessions: Some(1),
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    );
+    // Each device's core admits one session: round robin fills both.
+    let first = SlateClient::new(daemon.connect("first").unwrap());
+    let second = SlateClient::new(daemon.connect("second").unwrap());
+    // The third lands on device 0 again, whose core is full.
+    assert!(matches!(
+        daemon.connect("third"),
+        Err(SlateError::Overloaded { .. })
+    ));
+    // Round robin offers device 1 next: freeing it admits a new session.
+    second.disconnect().unwrap();
+    let fourth = SlateClient::new(daemon.connect("fourth").unwrap());
+    let admission = daemon.metrics().admission;
+    assert_eq!(admission.active_sessions, 2);
+    assert_eq!(admission.sessions_rejected, 1);
+    first.disconnect().unwrap();
+    fourth.disconnect().unwrap();
+    daemon.join();
 }
 
 /// `Double` with a per-block stall, slow enough for the heartbeat-fed

@@ -36,34 +36,15 @@
 use crate::arbiter::Tick;
 use serde::{Deserialize, Serialize};
 
-/// Knobs of the per-device health state machine. Serialized into every
-/// [`PlacementLog`](super::replay::PlacementLog) so replays transition
-/// under the recorded windows and seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HealthConfig {
-    /// Logical µs a quarantined device sits out before entering
-    /// probation.
-    pub quarantine_us: u64,
-    /// Shortest probation window, in logical µs.
-    pub probation_min_us: u64,
-    /// Longest probation window, in logical µs. The actual window is a
-    /// seeded draw in `[min, max]`.
-    pub probation_max_us: u64,
-    /// Seed of the probation-window xorshift (zero is remapped
-    /// internally).
-    pub seed: u64,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self {
-            quarantine_us: 10_000,
-            probation_min_us: 2_000,
-            probation_max_us: 8_000,
-            seed: 0x5EED_4EA1,
-        }
-    }
-}
+/// Logical µs a quarantined device sits out before entering probation.
+const QUARANTINE_US: u64 = 10_000;
+/// Shortest probation window, in logical µs.
+const PROBATION_MIN_US: u64 = 2_000;
+/// Longest probation window, in logical µs. The actual window is a seeded
+/// draw in `[min, max]`.
+const PROBATION_MAX_US: u64 = 8_000;
+/// Seed of the probation-window xorshift.
+const SEED: u64 = 0x5EED_4EA1;
 
 /// The health of one device, as the placement layer sees it.
 ///
@@ -108,8 +89,7 @@ impl HealthState {
 }
 
 /// Serializable state of a `HealthTracker`: the per-device states plus
-/// the live probation-rng word. The config is not repeated here — it is
-/// already persisted inside the layer's `PlacementConfig`.
+/// the live probation-rng word.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthSnapshot {
     pub(crate) states: Vec<HealthState>,
@@ -120,7 +100,6 @@ pub struct HealthSnapshot {
 /// probation rng.
 #[derive(Debug)]
 pub(super) struct HealthTracker {
-    config: HealthConfig,
     states: Vec<HealthState>,
     rng: u64,
 }
@@ -135,22 +114,19 @@ impl HealthTracker {
     }
 
     /// Rebuilds a tracker from a snapshot, resuming the rng mid-stream.
-    pub(super) fn restore(config: HealthConfig, snap: HealthSnapshot) -> Self {
+    pub(super) fn restore(snap: HealthSnapshot) -> Self {
         Self {
-            config,
             states: snap.states,
             rng: snap.rng.max(1),
         }
     }
 
-    pub(super) fn new(config: HealthConfig, devices: usize) -> Self {
-        // xorshift never leaves 0; fold the seed through a golden-ratio
-        // mix so seed 0 is as usable as any other.
-        let rng = (config.seed ^ 0x9E37_79B9_7F4A_7C15).max(1);
+    pub(super) fn new(devices: usize) -> Self {
         Self {
-            config,
             states: vec![HealthState::Healthy; devices],
-            rng,
+            // The seed folded through a golden-ratio mix: the start word
+            // every recorded run's probation draws follow.
+            rng: SEED ^ 0x9E37_79B9_7F4A_7C15,
         }
     }
 
@@ -181,12 +157,7 @@ impl HealthTracker {
         x ^= x >> 7;
         x ^= x << 17;
         self.rng = x;
-        let span = self
-            .config
-            .probation_max_us
-            .saturating_sub(self.config.probation_min_us)
-            .saturating_add(1);
-        now + self.config.probation_min_us + x % span
+        now + PROBATION_MIN_US + x % (PROBATION_MAX_US - PROBATION_MIN_US + 1)
     }
 
     /// Applies a [`DeviceDown`](crate::arbiter::Event::DeviceDown) for
@@ -202,12 +173,12 @@ impl HealthTracker {
                 // Repetition (or a failure while still on probation)
                 // quarantines: the device is flapping, not hiccuping.
                 HealthState::Degraded | HealthState::Probation { .. } => HealthState::Quarantined {
-                    until: now + self.config.quarantine_us,
+                    until: now + QUARANTINE_US,
                 },
                 // Already out of service: a soft signal refreshes the
                 // quarantine clock, a Failed device stays failed.
                 HealthState::Quarantined { .. } => HealthState::Quarantined {
-                    until: now + self.config.quarantine_us,
+                    until: now + QUARANTINE_US,
                 },
                 HealthState::Failed => HealthState::Failed,
             }
@@ -248,18 +219,20 @@ impl HealthTracker {
 mod tests {
     use super::*;
 
-    fn cfg() -> HealthConfig {
-        HealthConfig {
-            quarantine_us: 100,
-            probation_min_us: 10,
-            probation_max_us: 20,
-            seed: 42,
+    /// Fails `device` hard at `now` and brings it straight back; returns
+    /// the probation window it drew.
+    fn flap(t: &mut HealthTracker, device: usize, now: Tick) -> Tick {
+        t.on_down(device, true, now);
+        t.on_up(device, now);
+        match t.state(device) {
+            HealthState::Probation { until } => until - now,
+            s => panic!("expected probation, got {s:?}"),
         }
     }
 
     #[test]
     fn hard_down_fails_and_requires_up_plus_probation() {
-        let mut t = HealthTracker::new(cfg(), 2);
+        let mut t = HealthTracker::new(2);
         assert!(t.on_down(0, true, 5), "leaving service asks for evacuation");
         assert_eq!(t.state(0), HealthState::Failed);
         assert_eq!(t.eligibility(), vec![false, true]);
@@ -271,7 +244,7 @@ mod tests {
         let HealthState::Probation { until } = t.state(0) else {
             panic!("recovered device must be on probation");
         };
-        assert!((1_000_010..=1_000_020).contains(&until));
+        assert!((1_000_000 + PROBATION_MIN_US..=1_000_000 + PROBATION_MAX_US).contains(&until));
         assert!(!t.state(0).eligible(), "probation is not yet eligible");
         t.tick(until);
         assert_eq!(t.state(0), HealthState::Healthy);
@@ -279,22 +252,25 @@ mod tests {
 
     #[test]
     fn soft_downs_escalate_healthy_degraded_quarantined() {
-        let mut t = HealthTracker::new(cfg(), 1);
+        let mut t = HealthTracker::new(1);
         assert!(!t.on_down(0, false, 0), "first hiccup only degrades");
         assert_eq!(t.state(0), HealthState::Degraded);
         assert!(t.state(0).eligible(), "degraded still serves");
         assert!(t.on_down(0, false, 10), "repetition quarantines");
-        assert_eq!(t.state(0), HealthState::Quarantined { until: 110 });
+        let until = 10 + QUARANTINE_US;
+        assert_eq!(t.state(0), HealthState::Quarantined { until });
         // Quarantine expires into probation, probation into healthy.
-        t.tick(110);
+        t.tick(until - 1);
+        assert!(matches!(t.state(0), HealthState::Quarantined { .. }));
+        t.tick(until);
         assert!(matches!(t.state(0), HealthState::Probation { .. }));
-        t.tick(10_000);
+        t.tick(until + PROBATION_MAX_US);
         assert_eq!(t.state(0), HealthState::Healthy);
     }
 
     #[test]
     fn up_clears_degraded_and_flap_on_probation_requarantines() {
-        let mut t = HealthTracker::new(cfg(), 1);
+        let mut t = HealthTracker::new(1);
         t.on_down(0, false, 0);
         t.on_up(0, 5);
         assert_eq!(t.state(0), HealthState::Healthy);
@@ -307,22 +283,27 @@ mod tests {
         // A probation flap re-quarantines; the evacuation it requests is
         // normally a no-op (the device was drained when it failed).
         assert!(t.on_down(0, false, 25));
-        assert!(matches!(t.state(0), HealthState::Quarantined { .. }));
+        assert_eq!(
+            t.state(0),
+            HealthState::Quarantined {
+                until: 25 + QUARANTINE_US
+            }
+        );
     }
 
     #[test]
     fn probation_draws_are_seeded_and_deterministic() {
-        let draw = |seed: u64| {
-            let mut t = HealthTracker::new(HealthConfig { seed, ..cfg() }, 1);
-            t.on_down(0, true, 0);
-            t.on_up(0, 0);
-            match t.state(0) {
-                HealthState::Probation { until } => until,
-                s => panic!("expected probation, got {s:?}"),
-            }
-        };
-        assert_eq!(draw(7), draw(7), "same seed, same window");
-        let distinct: std::collections::BTreeSet<Tick> = (0..16).map(draw).collect();
-        assert!(distinct.len() > 1, "different seeds spread the window");
+        assert_eq!(
+            flap(&mut HealthTracker::new(1), 0, 0),
+            flap(&mut HealthTracker::new(1), 0, 0),
+            "fresh trackers draw the same window"
+        );
+        let mut t = HealthTracker::new(1);
+        let windows: Vec<Tick> = (0..16).map(|i| flap(&mut t, 0, i * 100_000)).collect();
+        assert!(windows
+            .iter()
+            .all(|w| (PROBATION_MIN_US..=PROBATION_MAX_US).contains(w)));
+        let distinct: std::collections::BTreeSet<Tick> = windows.into_iter().collect();
+        assert!(distinct.len() > 1, "successive draws spread the window");
     }
 }

@@ -48,13 +48,12 @@ pub mod policy;
 pub mod rebalance;
 pub mod replay;
 
-pub use health::{HealthConfig, HealthState};
+pub use health::HealthState;
 pub use multi::{MultiJob, MultiSim};
 pub use policy::PlacementPolicy;
 pub use rebalance::{Migration, RebalanceConfig};
 pub use replay::{PlacementBatch, PlacementLog};
 
-use crate::admission::FleetAdmissionConfig;
 use crate::arbiter::replay::is_recorded;
 use crate::arbiter::{
     ArbiterConfig, ArbiterCore, Command, CoreSnapshot, Event, IdTable, RejectScope, Tick,
@@ -73,8 +72,10 @@ use std::fmt;
 const LOAD_WEIGHT_MS: u64 = 10;
 
 /// Static configuration of a [`PlacementLayer`]: the routing policy, the
-/// per-core arbiter configuration (shared by all devices), and the
-/// optional migration planner.
+/// per-core arbiter configuration (shared by all devices, admission limits
+/// included: each core bounds its own sessions and launches), and the
+/// optional migration planner. The health windows are constants of
+/// [`health`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct PlacementConfig {
     /// How new sessions choose a device.
@@ -83,15 +84,6 @@ pub struct PlacementConfig {
     pub arbiter: ArbiterConfig,
     /// Cross-device rebalancing; `None` disables migration entirely.
     pub rebalance: Option<RebalanceConfig>,
-    /// Per-device health state machine (quarantine and probation
-    /// windows, probation seed). `#[serde(default)]` keeps logs recorded
-    /// before the failure-domain layer deserializable.
-    #[serde(default)]
-    pub health: HealthConfig,
-    /// Fleet-level admission: per-device budgets scaled by the healthy
-    /// device count. The default admits everything.
-    #[serde(default)]
-    pub fleet: FleetAdmissionConfig,
 }
 
 /// A command tagged with the device whose backend must carry it out.
@@ -128,9 +120,6 @@ pub struct PlacementStats {
     pub devices_out: usize,
     /// Leases force-migrated off a device that left service.
     pub evacuations: u64,
-    /// Requests shed by fleet-level admission (aggregate healthy
-    /// capacity exhausted), as opposed to a single core's bounds.
-    pub fleet_sheds: u64,
 }
 
 /// The complete serializable state of a [`PlacementLayer`], captured by
@@ -164,7 +153,6 @@ pub struct PlacementSnapshot {
     pub(crate) sessions_routed: u64,
     pub(crate) migrations_completed: u64,
     pub(crate) evacuations: u64,
-    pub(crate) fleet_sheds: u64,
 }
 
 impl PlacementSnapshot {
@@ -218,12 +206,10 @@ pub struct PlacementLayer {
     sessions_routed: u64,
     migrations_completed: u64,
     evacuations: u64,
-    fleet_sheds: u64,
     // Per-feed scratch, reused across batches (see struct docs).
     sub: Vec<Vec<Event>>,
     finished: Vec<u64>,
     ended: Vec<u64>,
-    sheds: Vec<RoutedCommand>,
     evac: Vec<usize>,
     core_out: Vec<Command>,
     loads_buf: Vec<u64>,
@@ -245,7 +231,7 @@ impl PlacementLayer {
             .map(|d| ArbiterCore::new(d, config.arbiter.clone()))
             .collect();
         let rebalancer = config.rebalance.clone().map(Rebalancer::new);
-        let health = HealthTracker::new(config.health.clone(), cores.len());
+        let health = HealthTracker::new(cores.len());
         let n = cores.len();
         // Pre-size the routing tables and scratch for a typical fleet
         // wave: one up-front allocation each instead of a doubling
@@ -270,13 +256,11 @@ impl PlacementLayer {
             sessions_routed: 0,
             migrations_completed: 0,
             evacuations: 0,
-            fleet_sheds: 0,
             sub: std::iter::repeat_with(|| Vec::with_capacity(4))
                 .take(n)
                 .collect(),
             finished: Vec::with_capacity(4),
             ended: Vec::with_capacity(4),
-            sheds: Vec::with_capacity(4),
             evac: Vec::with_capacity(4),
             core_out: Vec::with_capacity(8),
             loads_buf: Vec::with_capacity(n),
@@ -303,7 +287,7 @@ impl PlacementLayer {
             (Some(config), None) => Some(Rebalancer::new(config)),
             (None, _) => None,
         };
-        let health = HealthTracker::restore(snap.config.health.clone(), snap.health);
+        let health = HealthTracker::restore(snap.health);
         let n = cores.len();
         let mut layer = Self {
             cores,
@@ -323,11 +307,9 @@ impl PlacementLayer {
             sessions_routed: snap.sessions_routed,
             migrations_completed: snap.migrations_completed,
             evacuations: snap.evacuations,
-            fleet_sheds: snap.fleet_sheds,
             sub: std::iter::repeat_with(Vec::new).take(n).collect(),
             finished: Vec::new(),
             ended: Vec::new(),
-            sheds: Vec::new(),
             evac: Vec::new(),
             core_out: Vec::new(),
             loads_buf: Vec::new(),
@@ -401,7 +383,6 @@ impl PlacementLayer {
             sessions_routed: self.sessions_routed,
             migrations_completed: self.migrations_completed,
             evacuations: self.evacuations,
-            fleet_sheds: self.fleet_sheds,
         }
     }
 
@@ -552,7 +533,6 @@ impl PlacementLayer {
                 .filter(|&d| self.health.state(d).out_of_service())
                 .count(),
             evacuations: self.evacuations,
-            fleet_sheds: self.fleet_sheds,
         }
     }
 
@@ -624,22 +604,6 @@ impl PlacementLayer {
         if !buf.iter().any(|&e| e) {
             buf.iter_mut().for_each(|e| *e = true);
         }
-    }
-
-    /// The least-loaded device in `mask`, breaking ties toward the
-    /// lowest index. `None` when the mask is empty.
-    fn least_loaded_in(&self, mask: &[bool], exclude: Option<usize>) -> Option<usize> {
-        let loads = self.loads();
-        let mut best: Option<usize> = None;
-        for d in 0..self.cores.len() {
-            if !mask[d] || Some(d) == exclude {
-                continue;
-            }
-            if best.is_none_or(|b| loads[d] < loads[b]) {
-                best = Some(d);
-            }
-        }
-        best
     }
 
     /// Routes `session` via the policy (first sight) or its sticky route.
@@ -721,7 +685,7 @@ impl PlacementLayer {
             None => {
                 let mut d = self.device_of_or_assign(session);
                 if self.health.state(d).out_of_service() {
-                    if let Some(alt) = self.least_loaded_in(&self.health.eligibility(), None) {
+                    if let Some(alt) = pick_target(&self.health.eligibility(), &self.loads(), d) {
                         d = alt;
                     }
                 }
@@ -764,19 +728,13 @@ impl PlacementLayer {
         }
         let mut finished = std::mem::take(&mut self.finished);
         let mut ended = std::mem::take(&mut self.ended);
-        let mut sheds = std::mem::take(&mut self.sheds);
         let mut evacuate = std::mem::take(&mut self.evac);
         finished.clear();
         ended.clear();
-        sheds.clear();
         evacuate.clear();
         for ev in events {
             match *ev {
                 Event::SessionOpened { session } => {
-                    if let Some(cmd) = self.fleet_shed_session(session) {
-                        sheds.push(cmd);
-                        continue;
-                    }
                     let d = self.device_of_or_assign(session);
                     sub[d].push(ev.clone());
                 }
@@ -786,10 +744,6 @@ impl PlacementLayer {
                     ended.push(session);
                 }
                 Event::LaunchRequested { session, lease, .. } => {
-                    if let Some(cmd) = self.fleet_shed_launch(session, lease) {
-                        sheds.push(cmd);
-                        continue;
-                    }
                     let d = self.device_for_lease(session, lease);
                     sub[d].push(ev.clone());
                 }
@@ -843,13 +797,6 @@ impl PlacementLayer {
                     }
                 }
                 Event::SloArrival { session, class } => {
-                    // A declaration the fleet would shed is dropped, not
-                    // routed: routing interns the session, which would
-                    // bypass the admission guard on the paired
-                    // `SessionOpened` (the event that owns the reject).
-                    if self.fleet_would_shed_session(session) {
-                        continue;
-                    }
                     let d = self.device_of_or_assign_slo(session, class);
                     let slot = self.session_slot(session);
                     self.session_slo[slot] = class;
@@ -864,11 +811,20 @@ impl PlacementLayer {
             }
             self.cores[d].feed_into(self.now, batch, &mut core_out);
             for command in core_out.drain(..) {
+                // No `SessionClosed` follows a shed connect: its route goes
+                // with the sessions that ended in this batch.
+                if let Command::RejectOverloaded {
+                    session,
+                    scope: RejectScope::Session,
+                    ..
+                } = command
+                {
+                    ended.push(session);
+                }
                 out.push(RoutedCommand { device: d, command });
             }
         }
         self.core_out = core_out;
-        out.append(&mut sheds);
         // A landed eviction completes its migration: the lease's sticky
         // route flips to the target, so the re-fed KernelReady lands there.
         for lease in finished.drain(..) {
@@ -913,7 +869,6 @@ impl PlacementLayer {
         self.sub = sub;
         self.finished = finished;
         self.ended = ended;
-        self.sheds = sheds;
         self.evac = evacuate;
         if let Some(batches) = &mut self.record {
             if is_recorded(events, out) {
@@ -952,81 +907,6 @@ impl PlacementLayer {
             device: m.src,
             command: Command::Evict { lease: m.lease },
         })
-    }
-
-    /// Sheds a connecting session when the fleet's session budget —
-    /// `max_sessions_per_device ×` the in-service device count — is
-    /// exhausted. The rejection is steered toward the least-loaded
-    /// in-service device so the retry hint names where capacity frees
-    /// first.
-    /// Whether [`PlacementLayer::fleet_shed_session`] would shed this
-    /// session, without emitting the reject or counting the shed. The
-    /// [`Event::SloArrival`] arm uses it: routing an over-budget session
-    /// on its declaration would intern it and bypass the guard on the
-    /// paired [`Event::SessionOpened`], which is the event that owns the
-    /// reject.
-    fn fleet_would_shed_session(&self, session: u64) -> bool {
-        if self.sessions.contains(session) {
-            return false;
-        }
-        let Some(per) = self.config.fleet.max_sessions_per_device else {
-            return false;
-        };
-        let budget = per.saturating_mul(self.health.eligible_count());
-        self.sessions.len() >= budget
-    }
-
-    fn fleet_shed_session(&mut self, session: u64) -> Option<RoutedCommand> {
-        if self.sessions.contains(session) {
-            return None; // already admitted and routed
-        }
-        let per = self.config.fleet.max_sessions_per_device?;
-        let budget = per.saturating_mul(self.health.eligible_count());
-        if self.sessions.len() < budget {
-            return None;
-        }
-        Some(self.fleet_reject(session, None, RejectScope::Session))
-    }
-
-    /// Sheds a launch when the fleet's pending budget —
-    /// `max_pending_per_device ×` the in-service device count — is
-    /// exhausted. Re-staged migration work re-enters as `KernelReady`,
-    /// never `LaunchRequested`, so evacuations are exempt by
-    /// construction.
-    fn fleet_shed_launch(&mut self, session: u64, lease: u64) -> Option<RoutedCommand> {
-        let per = self.config.fleet.max_pending_per_device?;
-        let budget = per.saturating_mul(self.health.eligible_count() as u64);
-        let pending: u64 = self.cores.iter().map(|c| c.queue_stats().depth).sum();
-        if pending < budget {
-            return None;
-        }
-        Some(self.fleet_reject(session, Some(lease), RejectScope::Launch))
-    }
-
-    fn fleet_reject(
-        &mut self,
-        session: u64,
-        lease: Option<u64>,
-        scope: RejectScope,
-    ) -> RoutedCommand {
-        let eligible = self.health.eligibility();
-        let device = self.least_loaded_in(&eligible, None).unwrap_or(0);
-        let retry_after_ms = if eligible.iter().any(|&e| e) {
-            self.device_load(device).max(1)
-        } else {
-            // Whole fleet out of service: hint the quarantine horizon.
-            (self.config.health.quarantine_us / 1000).max(1)
-        };
-        self.fleet_sheds += 1;
-        RoutedCommand {
-            device,
-            command: Command::RejectOverloaded {
-                session,
-                lease,
-                scope,
-                retry_after_ms,
-            },
-        }
     }
 
     /// Mass-migrates every live lease (resident or waiting) off `src`,
@@ -1220,6 +1100,46 @@ mod tests {
         p.feed(2, &[Event::SessionClosed { session: 1 }]);
         assert_eq!(p.device_of_session(1), None);
         assert_eq!(p.device_of_lease(10), None);
+    }
+
+    #[test]
+    fn a_shed_connect_leaves_no_route_behind() {
+        let mut p = PlacementLayer::new(
+            two_tiny(),
+            PlacementConfig {
+                arbiter: ArbiterConfig {
+                    limits: crate::admission::AdmissionLimits {
+                        max_sessions: Some(1),
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        for s in 1..=999 {
+            p.feed(s, &[Event::SessionOpened { session: s }]);
+        }
+        // A declared class goes with its shed open, in the same batch.
+        p.feed(
+            1_000,
+            &[
+                Event::SloArrival {
+                    session: 1_000,
+                    class: SloClass::LatencyCritical,
+                },
+                Event::SessionOpened { session: 1_000 },
+            ],
+        );
+        // Round robin admits one session per device; every later connect
+        // is shed by its device's core and keeps no route.
+        assert_eq!(p.device_of_session(1), Some(0));
+        assert_eq!(p.device_of_session(2), Some(1));
+        assert_eq!(p.device_of_session(3), None);
+        assert_eq!(p.device_of_session(1_000), None);
+        assert_eq!(p.snapshot().session_device.len(), 2);
+        assert!(p.snapshot().slo.is_empty());
+        assert_eq!(p.admission_stats().sessions_rejected, 998);
     }
 
     #[test]

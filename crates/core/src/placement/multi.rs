@@ -160,11 +160,25 @@ impl MultiSim {
     /// Submits a job: opens its session on first sight, runs it through
     /// admission, stages it on its routed device and announces readiness.
     /// Returns `false` (recording a [`JobOutcome::Rejected`]) if admission
-    /// shed the launch.
+    /// shed the session or the launch.
     pub fn submit(&mut self, job: MultiJob) -> bool {
         let (session, lease) = (job.session, job.lease);
         if !self.session_open.contains_key(&session) {
-            self.feed(&[Event::SessionOpened { session }]);
+            let routed = self.feed(&[Event::SessionOpened { session }]);
+            let shed = routed.iter().any(|r| {
+                matches!(
+                    r.command,
+                    Command::RejectOverloaded {
+                        session: s,
+                        scope: RejectScope::Session,
+                        ..
+                    } if s == session
+                )
+            });
+            if shed {
+                self.outcomes.insert(lease, JobOutcome::Rejected);
+                return false;
+            }
             self.session_open.insert(session, 0);
         }
         let routed = self.feed(&[Event::LaunchRequested {
@@ -185,6 +199,11 @@ impl MultiSim {
         });
         if shed {
             self.outcomes.insert(lease, JobOutcome::Rejected);
+            // No finishing job will close a session left with none.
+            if self.session_open[&session] == 0 {
+                self.session_open.remove(&session);
+                self.feed(&[Event::SessionClosed { session }]);
+            }
             return false;
         }
         let device = self
@@ -362,6 +381,8 @@ impl MultiSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::AdmissionLimits;
+    use crate::arbiter::ArbiterConfig;
     use crate::backend::testkit::{assert_exactly_once, counter_kernel};
     use crate::classify::WorkloadClass::*;
     use crate::placement::{HealthState, PlacementPolicy, RebalanceConfig};
@@ -404,6 +425,52 @@ mod tests {
         assert_eq!(fleet.outcome(1), Some(JobOutcome::Completed { device: 0 }));
         assert_eq!(fleet.outcome(2), Some(JobOutcome::Completed { device: 1 }));
         assert_eq!(fleet.stats().sessions_routed, 2);
+    }
+
+    /// A one-device fleet whose core enforces `limits`.
+    fn limited(limits: AdmissionLimits) -> MultiSim {
+        MultiSim::new(
+            vec![DeviceConfig::tiny(8)],
+            PlacementConfig {
+                arbiter: ArbiterConfig {
+                    limits,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        )
+    }
+
+    #[test]
+    fn a_session_whose_only_launch_is_shed_is_closed() {
+        let mut fleet = limited(AdmissionLimits {
+            max_pending_global: Some(1),
+            ..Default::default()
+        });
+        let (j1, _) = job(1, 1, 64, MM);
+        let (j2, _) = job(2, 2, 64, MM);
+        assert!(fleet.submit(j1));
+        assert!(!fleet.submit(j2), "the pending bound sheds job 2");
+        assert_eq!(fleet.outcome(2), Some(JobOutcome::Rejected));
+        assert!(fleet.run(60_000), "fleet must drain");
+        assert_eq!(fleet.layer().admission_stats().active_sessions, 0);
+        assert_eq!(fleet.layer().device_of_session(2), None);
+    }
+
+    #[test]
+    fn a_shed_session_rejects_its_job() {
+        let mut fleet = limited(AdmissionLimits {
+            max_sessions: Some(1),
+            ..Default::default()
+        });
+        let (j1, _) = job(1, 1, 64, MM);
+        let (j2, _) = job(2, 2, 64, MM);
+        assert!(fleet.submit(j1));
+        assert!(!fleet.submit(j2), "the second session is shed");
+        assert!(fleet.run(60_000), "fleet must drain");
+        assert_eq!(fleet.outcome(1), Some(JobOutcome::Completed { device: 0 }));
+        assert_eq!(fleet.outcome(2), Some(JobOutcome::Rejected));
+        assert_eq!(fleet.layer().admission_stats().active_sessions, 0);
     }
 
     #[test]

@@ -43,18 +43,20 @@ use slate_gpu_sim::perf::ExecMode;
 use slate_gpu_sim::trace::TraceKind;
 use slate_kernels::workload::{AppSpec, SloClass};
 
-/// Tunable costs and feature switches (ablations flip the `enable_*`
-/// flags; the defaults reproduce the paper's configuration).
+/// Client-daemon communication cost as a fraction of kernel execution
+/// (paper §V-D: ~4% of application time on average).
+const COMM_FRACTION: f64 = 0.02;
+/// One-time code injection + NVRTC compilation cost per kernel source
+/// (paper §V-D: ~1.5% of application time).
+const INJECT_PER_SOURCE_S: f64 = 0.25;
+/// Daemon session establishment at the first API call of a process.
+const SESSION_SETUP_S: f64 = 0.05;
+
+/// Feature switches and scheduling bounds (ablations flip the `enable_*`
+/// flags; the defaults reproduce the paper's configuration). The paper's
+/// measured communication and injection costs are constants, not options.
 #[derive(Debug, Clone)]
 pub struct SlateOptions {
-    /// Client-daemon communication cost as a fraction of kernel execution
-    /// (paper §V-D: ~4% of application time on average).
-    pub comm_fraction: f64,
-    /// One-time code injection + NVRTC compilation cost per kernel source
-    /// (paper §V-D: ~1.5% of application time).
-    pub inject_per_source_s: f64,
-    /// Daemon session establishment at the first API call of a process.
-    pub session_setup_s: f64,
     /// Enable workload-aware co-running (selection policy + partitioning).
     pub enable_corun: bool,
     /// Enable dynamic resizing of the surviving kernel when a co-runner
@@ -87,9 +89,6 @@ pub struct SlateOptions {
 impl Default for SlateOptions {
     fn default() -> Self {
         Self {
-            comm_fraction: 0.02,
-            inject_per_source_s: 0.25,
-            session_setup_s: 0.05,
             enable_corun: true,
             enable_resize: true,
             force_task_size: None,
@@ -143,11 +142,6 @@ impl SlateRuntime {
     /// Creates a Slate runtime with explicit options (ablations).
     pub fn with_options(cfg: DeviceConfig, opts: SlateOptions) -> Self {
         Self { cfg, opts }
-    }
-
-    /// The options in effect.
-    pub fn options(&self) -> &SlateOptions {
-        &self.opts
     }
 
     /// Runs `apps` while recording every arbitration event batch, and
@@ -331,8 +325,8 @@ impl Sim {
         // Setup covers host init, daemon session creation, and the
         // one-time injection + compilation of the kernel sources.
         let life = Lifecycle::new(backend.engine_mut(), apps, |app| FixedCosts {
-            session_s: opts.session_setup_s * app.fixed_cost_scale,
-            inject_s: opts.inject_per_source_s * app.kernel_sources as f64 * app.fixed_cost_scale,
+            session_s: SESSION_SETUP_S * app.fixed_cost_scale,
+            inject_s: INJECT_PER_SOURCE_S * app.kernel_sources as f64 * app.fixed_cost_scale,
             comm_s: 0.0,
         });
         let arb = ArbiterCore::new(cfg.clone(), opts.arbiter_config());
@@ -433,7 +427,7 @@ impl Sim {
             *self.profiled[proc].est_by_width[range.len() as usize].get_or_insert_with(|| {
                 model::estimate_duration(&self.cfg, &app.perf, blocks, range.len(), mode)
             });
-        let comm = self.opts.comm_fraction * est;
+        let comm = COMM_FRACTION * est;
         let id = self
             .backend
             .launch_slice(SliceSpec {

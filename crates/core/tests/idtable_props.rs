@@ -67,7 +67,7 @@ fn run_checked(ops: &[Op]) -> Vec<(u32, bool)> {
             }
         }
         // Invariants that must hold after every step.
-        assert_eq!(t.len(), model.len());
+        assert_eq!(t.iter().count(), model.len());
         assert!(
             t.slot_count() <= peak,
             "arena bounded by peak liveness: {} slots for peak {peak}",
@@ -158,7 +158,7 @@ fn log_drives_the_interner_consistently<L: Replayable>(log: &L) {
                 _ => {}
             }
         }
-        assert_eq!(t.len(), model.len());
+        assert_eq!(t.iter().count(), model.len());
     }
     assert!(v.batches() > 0, "fixture is non-trivial");
 }
