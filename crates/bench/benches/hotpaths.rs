@@ -18,11 +18,12 @@
 //! * `wal_append` — durability WAL appends (metadata records and routed
 //!   placement batches) on an open segment;
 //! * `checkpoint` — 64 batch appends at the default cadence with
-//!   compaction on, so every iteration holds exactly one checkpoint
-//!   (snapshot, rotation, unlinks), on a mirror that has seen 256 sessions
-//!   close and holds 2 open: what the serving path pays under the arbiter
-//!   lock every 64 batches (ungated for now: it is mostly one `fsync`,
-//!   which follows the runner's disk);
+//!   compaction on, so every iteration holds exactly one checkpoint (the
+//!   next segment created, a snapshot slot overwritten in place and
+//!   `fdatasync`ed, the superseded segment unlinked), on a mirror that has
+//!   seen 256 sessions close and holds 2 open: what the serving path pays
+//!   under the arbiter lock every 64 batches (ungated for now: it is
+//!   mostly one `fdatasync`, which follows the runner's disk);
 //! * `session_lifecycle` — connect → malloc → 4 launches → synchronize →
 //!   free → disconnect through a durable daemon: the unit of the
 //!   `serve_durable` workload, session thread and WAL included (ungated

@@ -567,22 +567,33 @@ fn wait_for_sessions(daemon: &SlateDaemon, n: usize) {
     }
 }
 
+/// The slot holding the newest anchor under `dir`: its index, its
+/// snapshot, and the size of its body.
+fn newest_slot(dir: &std::path::Path) -> (usize, crate::durability::DurableSnapshot, u64) {
+    use crate::durability::snapshot::{decode_slot, load_slot, slot_path};
+    (0..2)
+        .filter_map(|slot| {
+            let bytes = std::fs::read(slot_path(dir, slot)).unwrap();
+            let size = decode_slot(&bytes).ok()?.1.len() as u64;
+            Some((slot, load_slot(&bytes).expect("slot loads"), size))
+        })
+        .max_by_key(|(_, snap, _)| snap.segment)
+        .expect("an anchor")
+}
+
 #[test]
 fn a_checkpoint_holds_the_open_sessions_however_many_have_closed() {
-    use crate::durability::{snapshot::load_snapshot, wal::list_snapshots};
+    use crate::durability::wal::list_segments;
     let dir = std::env::temp_dir().join(format!("slate-daemon-churn-{}", std::process::id()));
     let daemon = durable_daemon(&dir, false);
     let resident = SlateClient::new(daemon.connect("resident").unwrap());
     resident.malloc(64).unwrap();
-    // The one snapshot on disk (compaction is on), and its size.
+    // The newest anchor of the two slots, and its body's size (a slot
+    // file is page-padded). Compaction is on: one segment.
     let newest = || {
-        let snaps = list_snapshots(&dir).unwrap();
-        assert_eq!(snaps.len(), 1, "{snaps:?}");
-        let (_, path) = &snaps[0];
-        (
-            load_snapshot(path).expect("snapshot loads"),
-            std::fs::metadata(path).unwrap().len(),
-        )
+        let segments = list_segments(&dir).unwrap();
+        assert_eq!(segments.len(), 1, "{segments:?}");
+        newest_slot(&dir)
     };
     let mut last = 0;
     let mut size_after_10 = 0;
@@ -590,11 +601,11 @@ fn a_checkpoint_holds_the_open_sessions_however_many_have_closed() {
         last = lifecycle(&daemon);
         if i == 10 {
             wait_for_sessions(&daemon, 1);
-            size_after_10 = newest().1;
+            size_after_10 = newest().2;
         }
     }
     wait_for_sessions(&daemon, 1);
-    let (snap, size) = newest();
+    let (_, snap, size) = newest();
     assert!(snap.segment > 100, "checkpoints ran: {}", snap.segment);
     // The cadence may have fallen inside the last lifecycle; nothing
     // older than that is in the snapshot, and the live mirror holds the
@@ -620,6 +631,48 @@ fn a_checkpoint_holds_the_open_sessions_however_many_have_closed() {
     assert_eq!(daemon.wal_io_errors(), 0);
     resident.disconnect().unwrap();
     daemon.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Recovery after the newest slot was torn reads the other one, and the
+/// recovered daemon's first anchor goes over the torn slot — never over
+/// the one recovery read, which is the only one known good until that
+/// anchor is synced. (By segment parity the anchor would land on it: the
+/// new segment is two past the one the surviving slot anchors.)
+#[test]
+fn a_recovered_daemon_never_overwrites_the_slot_it_recovered_from() {
+    use crate::durability::snapshot::slot_path;
+    let dir = std::env::temp_dir().join(format!("slate-daemon-slots-{}", std::process::id()));
+    let daemon = durable_daemon(&dir, true);
+    let resident = SlateClient::new(daemon.connect("resident").unwrap());
+    let p = resident.malloc(64).unwrap();
+    resident.upload_f32(p, &[1.0, 2.0]).unwrap();
+    for _ in 0..4 {
+        lifecycle(&daemon);
+    }
+    let token = resident.resume_token();
+    let scene = daemon.crash();
+    let (torn, snap, _) = newest_slot(&dir);
+    assert!(snap.segment >= 1, "a checkpoint ran: {}", snap.segment);
+    let read = torn ^ 1;
+    let path = slot_path(&dir, torn);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[crate::durability::snapshot::SLOT_HEADER_LEN + 7] ^= 0x40;
+    std::fs::write(&path, bytes).unwrap();
+    let before = std::fs::read(slot_path(&dir, read)).unwrap();
+
+    let recovered = SlateDaemon::recover(scene, durable_opts(&dir, true)).expect("recover");
+    assert!(
+        std::fs::read(slot_path(&dir, read)).unwrap() == before,
+        "the slot recovery read is intact"
+    );
+    let (anchored, anchor, _) = newest_slot(&dir);
+    assert_eq!((anchored, anchor.segment), (torn, snap.segment + 1));
+    let resumed = SlateClient::new(recovered.resume(token).expect("resume"));
+    assert_eq!(resumed.download_f32(p, 2).unwrap(), vec![1.0, 2.0]);
+    resumed.disconnect().unwrap();
+    assert_eq!(recovered.wal_io_errors(), 0);
+    recovered.join();
     std::fs::remove_dir_all(&dir).ok();
 }
 

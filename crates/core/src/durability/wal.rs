@@ -36,10 +36,13 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 /// Bytes of framing overhead per record (`len` + `crc`).
 pub const FRAME_HEADER_LEN: usize = 8;
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the byte-at-a-time table, and
+/// `CRC_TABLES[s][b]` is the CRC of byte `b` followed by `s` zero bytes,
+/// so eight table lookups fold eight bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -52,17 +55,43 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut s = 1;
+        while s < 8 {
+            let prev = tables[s - 1][i];
+            tables[s][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            s += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
-/// IEEE CRC-32 (the zlib/PNG polynomial) of `data`.
+/// IEEE CRC-32 (the zlib/PNG polynomial) of `data`, eight bytes per step:
+/// a checkpoint checksums a whole snapshot body, which byte at a time
+/// took four times as long.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -263,11 +292,6 @@ pub fn segment_path(dir: &Path, k: u64) -> PathBuf {
     dir.join(format!("wal-{k:08}.log"))
 }
 
-/// Path of snapshot `k` under `dir`.
-pub fn snapshot_path(dir: &Path, k: u64) -> PathBuf {
-    dir.join(format!("snap-{k:08}.json"))
-}
-
 fn numbered(dir: &Path, prefix: &str, suffix: &str) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut out = Vec::new();
     for entry in fs::read_dir(dir)? {
@@ -293,7 +317,8 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     numbered(dir, "wal-", ".log")
 }
 
-/// Snapshots under `dir`, ascending by index.
+/// Snapshot files of the layout written before the snapshot slots under
+/// `dir`, ascending by index.
 pub fn list_snapshots(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     numbered(dir, "snap-", ".json")
 }
@@ -407,6 +432,30 @@ mod tests {
         // Standard IEEE CRC-32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        // Eight bytes at a time agrees with one bit at a time, at every
+        // length and alignment of the tail.
+        let bitwise = |data: &[u8]| {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in data {
+                c ^= b as u32;
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+            }
+            c ^ 0xFFFF_FFFF
+        };
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 167 + 13) as u8).collect();
+        for end in 0..data.len() {
+            assert_eq!(
+                crc32(&data[end % 7..end]),
+                bitwise(&data[end % 7..end]),
+                "{end}"
+            );
+        }
     }
 
     #[test]

@@ -193,10 +193,16 @@ fn case_keeping(seed: u64, devices: usize, keep_all: bool) {
         assert_meta_follows_its_batch(&dir);
     } else {
         // Compacting, every checkpoint and the recovery's own anchor
-        // unlinked what they superseded: one snapshot, one segment.
-        use slate_core::durability::wal::{list_segments, list_snapshots};
-        let (snaps, segs) = (list_snapshots(&dir).unwrap(), list_segments(&dir).unwrap());
-        assert_eq!((snaps.len(), segs.len()), (1, 1), "{snaps:?} {segs:?}");
+        // unlinked what they superseded: one segment beside the two
+        // snapshot slots.
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files.len(), 3, "{files:?}");
+        assert_eq!(files[..2], ["snap-0.slot", "snap-1.slot"], "{files:?}");
+        assert!(files[2].starts_with("wal-"), "{files:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -489,14 +495,50 @@ fn resume_tokens_are_single_use_and_epoch_checked() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Bytes on disk are outside input. A newest snapshot that is 100 000
-/// nested arrays — which a parser recursing without a bound answers with
-/// a stack overflow, taking the daemon with it — costs recovery some
-/// replay, not the process; with no readable snapshot left, recovery is
-/// a typed error.
+/// The slot holding the newest anchor under `dir`, and that anchor's
+/// segment.
+fn newest_slot(dir: &Path) -> (usize, u64) {
+    use slate_core::durability::snapshot::{decode_slot, slot_path};
+    (0..2)
+        .filter_map(|slot| {
+            let bytes = std::fs::read(slot_path(dir, slot)).unwrap();
+            Some((slot, decode_slot(&bytes).ok()?.0))
+        })
+        .max_by_key(|&(_, segment)| segment)
+        .expect("an anchor")
+}
+
+/// Damaged slot images: each header fault, and a well-formed header and
+/// checksum around a body of 100 000 nested arrays — which a parser
+/// recursing without a bound answers with a stack overflow.
+fn hostile_slots(segment: u64) -> Vec<(&'static str, Vec<u8>)> {
+    use slate_core::durability::snapshot::{encode_slot, SLOT_HEADER_LEN};
+    let mut deep = Vec::new();
+    encode_slot(segment, "[".repeat(100_000).as_bytes(), &mut deep);
+    let mut magic = deep.clone();
+    magic[..8].copy_from_slice(b"NOTASLOT");
+    let truncated = deep[..SLOT_HEADER_LEN / 2].to_vec();
+    let mut long = deep[..SLOT_HEADER_LEN + 64].to_vec();
+    long[24..32].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    let mut crc = deep.clone();
+    crc[SLOT_HEADER_LEN + 99] = b'{';
+    vec![
+        ("bad magic", magic),
+        ("truncated header", truncated),
+        ("past the end", long),
+        ("checksum mismatch", crc),
+        ("nested deeper", deep),
+    ]
+}
+
+/// Bytes on disk are outside input. A damaged newest slot — a header
+/// fault, or a valid header and checksum around a hostile body — costs
+/// recovery some replay, not the process; with no readable slot left,
+/// recovery is a typed error.
 #[test]
 fn a_hostile_snapshot_costs_replay_or_a_typed_error_never_the_process() {
-    use slate_core::durability::wal::list_snapshots;
+    use slate_core::durability::recover_dir;
+    use slate_core::durability::snapshot::slot_path;
     let dir = tmpdir("deep-snapshot");
     let daemon =
         SlateDaemon::start_with_options(DeviceConfig::tiny(4), 1 << 24, durable_opts(2, &dir));
@@ -504,14 +546,16 @@ fn a_hostile_snapshot_costs_replay_or_a_typed_error_never_the_process() {
     let hits = submit_workload(&client);
     client.synchronize().unwrap();
     let scene = daemon.crash();
-    let hostile = "[".repeat(100_000);
-    let snaps = list_snapshots(&dir).unwrap();
-    assert!(snaps.len() >= 2, "the workload spans a snapshot cadence");
-    let (_, newest) = snaps.last().unwrap();
-    std::fs::write(newest, &hostile).unwrap();
+    let (newest, segment) = newest_slot(&dir);
+    assert!(segment >= 1, "the workload spans a snapshot cadence");
+    for (case, image) in hostile_slots(segment) {
+        std::fs::write(slot_path(&dir, newest), &image).unwrap();
+        let rec = recover_dir(&dir).expect(case);
+        assert_eq!(rec.slot, Some(newest ^ 1), "{case}: the other slot is read");
+    }
 
     let recovered = SlateDaemon::recover(scene, durable_opts(2, &dir))
-        .expect("recovery falls back to the previous snapshot");
+        .expect("recovery falls back to the other slot");
     client.install_reattach(&recovered);
     client.synchronize().expect("the session resumes");
     let slots = LAUNCHES * BLOCKS as usize;
@@ -523,8 +567,14 @@ fn a_hostile_snapshot_costs_replay_or_a_typed_error_never_the_process() {
     verify(&log).expect("full WAL replays byte-identically");
 
     let scene = recovered.crash();
-    for (_, path) in list_snapshots(&dir).unwrap() {
-        std::fs::write(path, &hostile).unwrap();
+    let segment = newest_slot(&dir).1;
+    for (case, image) in hostile_slots(segment) {
+        for slot in 0..2 {
+            std::fs::write(slot_path(&dir, slot), &image).unwrap();
+        }
+        let why = recover_dir(&dir).expect_err(case);
+        assert_eq!(why.kind(), std::io::ErrorKind::InvalidData, "{case}");
+        assert!(why.to_string().contains(case), "{case}: {why}");
     }
     match SlateDaemon::recover(scene, durable_opts(2, &dir)) {
         Err(slate_core::SlateError::Other(why)) => {
@@ -537,14 +587,15 @@ fn a_hostile_snapshot_costs_replay_or_a_typed_error_never_the_process() {
 }
 
 /// Recovery truncates the torn tail it tolerated. Crash, tear the last
-/// segment, recover, serve a session, crash again, and make every snapshot
+/// segment, recover, serve a session, crash again, and make the slot
 /// the second incarnation wrote unreadable: the third recovery falls back
 /// below the once-torn segment and must replay on through it into the
 /// second epoch — a tail still torn would stop it there, and the session
 /// opened after it would be lost.
 #[test]
 fn a_fallback_replays_past_a_segment_whose_torn_tail_was_truncated() {
-    use slate_core::durability::wal::{encode_frame, list_segments, list_snapshots};
+    use slate_core::durability::snapshot::{decode_slot, slot_path};
+    use slate_core::durability::wal::{encode_frame, list_segments};
     let dir = tmpdir("torn-fallback");
     let daemon =
         SlateDaemon::start_with_options(DeviceConfig::tiny(4), 1 << 24, durable_opts(2, &dir));
@@ -570,8 +621,10 @@ fn a_fallback_replays_past_a_segment_whose_torn_tail_was_truncated() {
     second.upload_f32(p, &[7.0, 8.0]).unwrap();
     let token = second.resume_token();
     let scene = recovered.crash();
-    for (k, path) in list_snapshots(&dir).unwrap() {
-        if k > torn {
+    for slot in 0..2 {
+        let path = slot_path(&dir, slot);
+        let anchor = decode_slot(&std::fs::read(&path).unwrap()).unwrap().0;
+        if anchor > torn {
             std::fs::write(path, "not a snapshot").unwrap();
         }
     }

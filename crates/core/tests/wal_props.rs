@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use slate_core::arbiter::{Command, Event, RejectScope};
 use slate_core::classify::WorkloadClass;
 use slate_core::durability::codec::{self, FORMAT};
-use slate_core::durability::snapshot::{write_snapshot, DurableSnapshot, SNAPSHOT_FORMAT};
+use slate_core::durability::snapshot::{DurableSnapshot, SnapshotSlots, SNAPSHOT_FORMAT};
 use slate_core::durability::wal::{
     encode_frame, scan, segment_path, SegmentWriter, FRAME_HEADER_LEN,
 };
@@ -397,7 +397,9 @@ fn old_and_mixed_segments_recover_the_state_the_codec_does() {
             placement: fresh_layer().snapshot(),
             meta: DurableMeta::default(),
         };
-        write_snapshot(&dir, 0, &genesis).unwrap();
+        SnapshotSlots::open(&dir, 0)
+            .and_then(|mut slots| slots.write(&genesis))
+            .unwrap();
         std::fs::write(segment_path(&dir, 0), frames(&records, old).0).unwrap();
         let rec = recover_dir(&dir).expect("recover");
         assert!(rec.issues.is_empty(), "{name}: {:?}", rec.issues);
