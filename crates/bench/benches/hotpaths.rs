@@ -19,8 +19,9 @@
 //!   placement batches) on an open segment;
 //! * `checkpoint` — 64 batch appends at the default cadence with
 //!   compaction on, so every iteration holds exactly one checkpoint (the
-//!   next segment created, a snapshot slot overwritten in place and
-//!   `fdatasync`ed, the superseded segment unlinked), on a mirror that has
+//!   open segment's end anchored in a snapshot slot overwritten in place
+//!   and `fdatasync`ed; no segment created or unlinked — the log rolls by
+//!   size, about once per 680 iterations here), on a mirror that has
 //!   seen 256 sessions close and holds 2 open: what the serving path pays
 //!   under the arbiter lock every 64 batches (ungated for now: it is
 //!   mostly one `fdatasync`, which follows the runner's disk);
@@ -427,8 +428,10 @@ fn main() {
             },
             {
                 // 8 metadata appends + 8 batch appends per iteration on a
-                // live segment (snapshot cadence high enough that rotation
-                // stays off the measured path).
+                // live segment (snapshot cadence high enough that
+                // checkpoints stay off the measured path; a timed run that
+                // a 1 MiB roll lands in pays one segment create and
+                // `fsync`, and the best run is kept).
                 let dir = std::env::temp_dir()
                     .join(format!("slate-bench-walappend-{}", std::process::id()));
                 let _ = std::fs::remove_dir_all(&dir);

@@ -577,7 +577,7 @@ fn newest_slot(dir: &std::path::Path) -> (usize, crate::durability::DurableSnaps
             let size = decode_slot(&bytes).ok()?.1.len() as u64;
             Some((slot, load_slot(&bytes).expect("slot loads"), size))
         })
-        .max_by_key(|(_, snap, _)| snap.segment)
+        .max_by_key(|(_, snap, _)| (snap.segment, snap.offset))
         .expect("an anchor")
 }
 
@@ -606,7 +606,10 @@ fn a_checkpoint_holds_the_open_sessions_however_many_have_closed() {
     }
     wait_for_sessions(&daemon, 1);
     let (_, snap, size) = newest();
-    assert!(snap.segment > 100, "checkpoints ran: {}", snap.segment);
+    // 300 lifecycles stay inside the first segment: the anchor is a
+    // position in it, past many cadences' worth of appends.
+    assert_eq!(snap.segment, 0);
+    assert!(snap.offset > 50_000, "checkpoints ran: {}", snap.offset);
     // The cadence may have fallen inside the last lifecycle; nothing
     // older than that is in the snapshot, and the live mirror holds the
     // resident alone.
@@ -638,7 +641,8 @@ fn a_checkpoint_holds_the_open_sessions_however_many_have_closed() {
 /// recovered daemon's first anchor goes over the torn slot — never over
 /// the one recovery read, which is the only one known good until that
 /// anchor is synced. (By segment parity the anchor would land on it: the
-/// new segment is two past the one the surviving slot anchors.)
+/// run is made to end with its newest anchor in slot 0, so recovery reads
+/// slot 1, and the new segment is segment 1.)
 #[test]
 fn a_recovered_daemon_never_overwrites_the_slot_it_recovered_from() {
     use crate::durability::snapshot::slot_path;
@@ -650,10 +654,17 @@ fn a_recovered_daemon_never_overwrites_the_slot_it_recovered_from() {
     for _ in 0..4 {
         lifecycle(&daemon);
     }
+    // Quiesced, the daemon logs nothing, so the slots hold still.
+    wait_for_sessions(&daemon, 1);
+    while newest_slot(&dir).0 != 0 {
+        lifecycle(&daemon);
+        wait_for_sessions(&daemon, 1);
+    }
     let token = resident.resume_token();
     let scene = daemon.crash();
     let (torn, snap, _) = newest_slot(&dir);
-    assert!(snap.segment >= 1, "a checkpoint ran: {}", snap.segment);
+    assert_eq!(torn, 0);
+    assert!(snap.offset > 0, "a checkpoint ran: {}", snap.offset);
     let read = torn ^ 1;
     let path = slot_path(&dir, torn);
     let mut bytes = std::fs::read(&path).unwrap();
@@ -667,7 +678,10 @@ fn a_recovered_daemon_never_overwrites_the_slot_it_recovered_from() {
         "the slot recovery read is intact"
     );
     let (anchored, anchor, _) = newest_slot(&dir);
-    assert_eq!((anchored, anchor.segment), (torn, snap.segment + 1));
+    assert_eq!(
+        (anchored, anchor.segment, anchor.offset),
+        (torn, snap.segment + 1, 0)
+    );
     let resumed = SlateClient::new(recovered.resume(token).expect("resume"));
     assert_eq!(resumed.download_f32(p, 2).unwrap(), vec![1.0, 2.0]);
     resumed.disconnect().unwrap();

@@ -7,37 +7,40 @@
 //! rebuild + re-adopt after a crash ([`recover`]). Layout on disk:
 //!
 //! ```text
-//! <dir>/snap-0.slot          snapshot slot 0: the anchor of one segment
+//! <dir>/snap-0.slot          snapshot slot 0: an anchor (segment, offset)
 //! <dir>/snap-1.slot          snapshot slot 1: the anchor before or after it
-//! <dir>/wal-00000006.log     segment 6: one frame per fed batch + meta
-//! <dir>/wal-00000007.log     segment 7, the open one …
+//! <dir>/wal-00000007.log     segment 7, the open one: one frame per fed
+//!                            batch + meta, both anchors usually inside it
 //! ```
 //!
-//! The snapshot anchoring segment `k` captures state as of the *start* of
-//! segment `k`; recovery loads the newest slot that validates and replays
-//! segments `≥ k`, up to the first damaged one. A checkpoint overwrites,
-//! in place, the slot that does not hold the current anchor — no temp
-//! file, no rename. Unless `keep_all` is set, it then unlinks the segments
-//! the new anchor superseded, so a serving directory holds the two slots
-//! and one segment. A checkpoint whose slot write fails still rotates the
-//! log but unlinks nothing, so either slot stays a starting point.
+//! An anchor is a position in the log: the snapshot anchoring byte `o` of
+//! segment `k` captures state as of that byte, and recovery loads the
+//! newest slot that validates and replays from there — the rest of
+//! segment `k`, then the later segments, up to the first damaged one. A
+//! checkpoint overwrites, in place, the slot that does not hold the
+//! current anchor with the anchor of the open segment's end; no file is
+//! created, renamed or unlinked. Segments roll by size instead: an append
+//! that finds the open segment past [`SEGMENT_BYTES`] first switches to a
+//! fresh one, and, unless `keep_all` is set, the next checkpoint unlinks
+//! what its anchor superseded — so a serving directory holds the two slots
+//! and one segment, two for a moment after a roll.
 //!
 //! **Checkpoints** run on the batch cadence, synchronously, under the
 //! arbiter lock — so what one costs is serving latency. It costs what the
 //! *open* sessions cost to serialise ([`DurableMeta`] forgets a session
-//! when it closes), one segment created, one `fdatasync` of a slot that
-//! changes no metadata, and one `unlink`, in an order that leaves a
-//! recoverable directory after every step (`Durability::checkpoint`;
-//! `DESIGN.md` §16 has the crash and power-failure argument and the
-//! measured cost of each step).
+//! when it closes) and one `fdatasync` of a slot that changes no metadata,
+//! in an order that leaves a recoverable directory after every step
+//! (`Durability::checkpoint`; `DESIGN.md` §16 has the crash and
+//! power-failure argument and the measured cost of each step).
 //!
 //! **Fsync policy.** Every append is one `write` straight to the file
 //! descriptor — a fed batch and the metadata record it carries share
 //! one — so a crash of the process can lose nothing acknowledged;
 //! `sync_data` runs on each slot it is written, the directory is synced
 //! once at start (its slot and segment entries), `sync_all` runs on the
-//! open segment at freeze and on the closing segment of a checkpoint when
-//! `keep_all` retains it — every file that is kept is synced, and
+//! open segment at freeze, on the closing segment of a roll, and, when
+//! `keep_all` keeps the history, on the open segment before each
+//! checkpoint's slot — every file that is kept is synced, and
 //! power-failure windows are bounded by the snapshot cadence. I/O errors
 //! during appends and checkpoints are counted and surfaced via
 //! [`Durability::io_errors`] rather than propagated — an arbitration
@@ -62,6 +65,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wal::SegmentWriter;
 
+/// Bytes past which the open segment rolls: the next append goes to a
+/// fresh segment, and the next checkpoint unlinks the old one. Hundreds
+/// of checkpoints at the default cadence (`DESIGN.md` §16), so a
+/// checkpoint almost never finds a segment to unlink.
+pub const SEGMENT_BYTES: u64 = 1 << 20;
+
 /// Knobs of the durability subsystem (see
 /// [`DaemonOptions::durability`](crate::daemon::DaemonOptions)).
 #[derive(Debug, Clone)]
@@ -69,15 +78,19 @@ pub struct DurabilityOptions {
     /// Directory holding WAL segments and snapshot slots. Created if
     /// absent.
     pub dir: PathBuf,
-    /// Batches appended to a segment before the layer is re-snapshotted
-    /// and the log rotated. Smaller = faster recovery, more checkpoint
-    /// I/O.
+    /// Batches appended between checkpoints: each re-snapshots the layer
+    /// at the open segment's end. Smaller = faster recovery and less lost
+    /// to a power failure, more checkpoint I/O. Segments roll by size
+    /// ([`SEGMENT_BYTES`]), not on this cadence.
     pub snapshot_every: u64,
-    /// Keep superseded segments instead of unlinking them. The two slots
-    /// are overwritten either way, but the full-history placement log
-    /// ([`full_log`]) replays every kept segment from a fresh layer, so
-    /// it stays verifiable from genesis; used by the crash harness,
-    /// debuggers and anyone auditing a recovery.
+    /// Keep superseded segments instead of unlinking them, and sync the
+    /// open segment before each checkpoint's slot (a roll syncs the
+    /// closing one either way), so the history is as durable as the
+    /// anchors. The two slots are overwritten either way, but the
+    /// full-history placement log ([`full_log`]) replays every kept
+    /// segment from a fresh layer, so it stays verifiable from genesis;
+    /// used by the crash harness, debuggers and anyone auditing a
+    /// recovery.
     pub keep_all: bool,
 }
 
@@ -96,9 +109,10 @@ impl DurabilityOptions {
 struct DurInner {
     writer: SegmentWriter,
     slots: SnapshotSlots,
+    /// The open segment.
     segment: u64,
     /// The oldest segment of this incarnation still on disk: `segment`,
-    /// or lower after a checkpoint whose slot write failed.
+    /// or lower after a roll until a checkpoint unlinks what it left.
     oldest: u64,
     batches_since_snap: u64,
     meta: DurableMeta,
@@ -120,14 +134,14 @@ pub struct Durability {
 impl Durability {
     /// Starts durability at `segment` in `epoch`: opens the segment for
     /// appending and writes the anchoring snapshot of `placement` +
-    /// `meta`. Fresh daemons start at segment 0, epoch 0 (the pristine
-    /// genesis anchor); recovered ones one segment past the crashed log,
-    /// one epoch up. The anchor goes to the slot that does not hold the
-    /// anchor recovery loads from `dir` ([`Recovered::slot`]), never over
-    /// it: until the new anchor is synced, that slot is the only one
-    /// known good. In order: create the segment, write and `sync_data`
-    /// the anchor, sync the directory (the slot and segment entries,
-    /// once), then sweep what the anchor superseded
+    /// `meta` at its start. Fresh daemons start at segment 0, epoch 0
+    /// (the pristine genesis anchor); recovered ones one segment past the
+    /// crashed log, one epoch up. The anchor goes to the slot that does
+    /// not hold the anchor recovery loads from `dir` ([`Recovered::slot`]),
+    /// never over it: until the new anchor is synced, that slot is the
+    /// only one known good. In order: create the segment, write and
+    /// `sync_data` the anchor, sync the directory (the slot and segment
+    /// entries, once), then sweep what the anchor superseded
     /// ([`Durability::compact`]).
     pub fn start(
         options: DurabilityOptions,
@@ -148,6 +162,7 @@ impl Durability {
             format: SNAPSHOT_FORMAT,
             epoch,
             segment,
+            offset: 0,
             placement: placement.clone(),
             meta,
         };
@@ -220,6 +235,7 @@ impl Durability {
             return;
         }
         inner.meta.apply(record);
+        self.roll_if_full(&mut inner);
         let r = inner.writer.append(record);
         drop(inner);
         self.note_io(r);
@@ -228,7 +244,7 @@ impl Durability {
     /// Appends one fed placement batch; on cadence, checkpoints
     /// `placement_snap()` (called under the same lock the batch was
     /// produced under, so the snapshot anchors exactly the batches
-    /// appended so far) and rotates the log.
+    /// appended so far).
     pub fn append_batch(
         &self,
         batch: &crate::placement::PlacementBatch,
@@ -255,6 +271,7 @@ impl Durability {
         if let Some(record) = meta {
             inner.meta.apply(record);
         }
+        self.roll_if_full(&mut inner);
         self.note_io(inner.writer.append_batch(batch, meta));
         inner.batches_since_snap += 1;
         if inner.batches_since_snap >= self.options.snapshot_every {
@@ -263,28 +280,44 @@ impl Durability {
         }
     }
 
-    /// One checkpoint, from segment `k − 1` to segment `k`, in the order
-    /// that leaves a recoverable directory after every step (`DESIGN.md`
-    /// §16 walks through them): create segment `k`, empty; overwrite the
-    /// slot that does not hold the current anchor with the anchor of `k`
-    /// and `sync_data` it; switch the writer; unlink the segments below
-    /// `k`, oldest first. Failures are counted. If segment `k` cannot be
-    /// created, nothing changed: appends go on in `k − 1` and the next
-    /// cadence tries again. If the slot write fails, the slot may still
-    /// hold the whole anchor of `k`, so appends must not stay behind it in
-    /// `k − 1`: the writer switches all the same, and every segment is
-    /// kept (the closing one synced), so recovery from either slot
-    /// replays every batch. The next cadence writes the same slot again.
-    fn checkpoint(&self, inner: &mut DurInner, placement_snap: impl FnOnce() -> PlacementSnapshot) {
-        let dir = &self.options.dir;
+    /// Switches the log to segment `k + 1` if the open segment `k` has
+    /// passed [`SEGMENT_BYTES`]: create it, sync `k` — the anchors still
+    /// name it, and a power failure must not lose its tail while what
+    /// follows in `k + 1` survives — and append there from now on. `k`
+    /// stays on disk until a checkpoint anchors past it. If `k + 1`
+    /// cannot be created, nothing changed, and the next append tries
+    /// again; a failed sync is counted and the roll goes on.
+    fn roll_if_full(&self, inner: &mut DurInner) {
+        if inner.writer.written() < SEGMENT_BYTES {
+            return;
+        }
         let k = inner.segment + 1;
-        let Some(next) = self.note_io(SegmentWriter::create(dir, k)) else {
+        let Some(next) = self.note_io(SegmentWriter::create(&self.options.dir, k)) else {
             return;
         };
-        // Kept, the closing segment outlives this checkpoint and must be
-        // durable in its own right. Otherwise the anchor of `k` holds all
-        // it held and is synced below, and the file is unlinked right
-        // after: syncing it would buy nothing.
+        self.note_io(inner.writer.sync());
+        inner.writer = next;
+        inner.segment = k;
+    }
+
+    /// One checkpoint, in the order that leaves a recoverable directory
+    /// after every step (`DESIGN.md` §16 walks through them): take the
+    /// open segment's true end, `(k, offset)`; overwrite the slot that
+    /// does not hold the current anchor with the anchor of that position
+    /// and `sync_data` it; unlink the segments below `k`, oldest first —
+    /// usually there are none. Under `keep_all` the open segment is
+    /// synced before the slot, and nothing is unlinked. Failures are
+    /// counted. If the slot write fails, the slot may still hold the
+    /// whole new anchor; appends go on behind its offset all the same,
+    /// so recovery from either slot replays them, nothing is unlinked,
+    /// and the next cadence writes the same slot again.
+    fn checkpoint(&self, inner: &mut DurInner, placement_snap: impl FnOnce() -> PlacementSnapshot) {
+        let Some(offset) = self.note_io(inner.writer.end()) else {
+            return;
+        };
+        // Kept, the history below the anchor must be as durable as the
+        // anchor. Otherwise the anchor holds all of it: losing the bytes
+        // below its offset loses nothing.
         if self.options.keep_all {
             self.note_io(inner.writer.sync());
         }
@@ -292,45 +325,42 @@ impl Durability {
         let snap = DurableSnapshot {
             format: SNAPSHOT_FORMAT,
             epoch: self.epoch,
-            segment: k,
+            segment: inner.segment,
+            offset,
             placement: placement_snap(),
             meta: std::mem::take(&mut inner.meta),
         };
         let written = inner.slots.write(&snap);
         inner.meta = snap.meta;
-        let written = self.note_io(written).is_some();
-        if !written && !self.options.keep_all {
-            // Kept past this checkpoint after all.
-            self.note_io(inner.writer.sync());
+        if self.note_io(written).is_none() || self.options.keep_all {
+            return;
         }
-        inner.writer = next;
-        inner.segment = k;
-        if written && !self.options.keep_all {
-            // By name, oldest first, stopping at a failure: what is left
-            // below the anchor is always a run with no hole in it.
-            while inner.oldest < k {
-                let path = wal::segment_path(dir, inner.oldest);
-                if self.note_io(std::fs::remove_file(path)).is_none() {
-                    break;
-                }
-                inner.oldest += 1;
+        // By name, oldest first, stopping at a failure: what is left
+        // below the anchor is always a run with no hole in it.
+        while inner.oldest < inner.segment {
+            let path = wal::segment_path(&self.options.dir, inner.oldest);
+            if self.note_io(std::fs::remove_file(path)).is_none() {
+                break;
             }
+            inner.oldest += 1;
         }
     }
 
-    /// Deletes every segment below the current anchor, and every snapshot
-    /// file of the layout written before the slots — the sweep
-    /// [`Durability::start`] runs, once its anchor is synced, for what a
-    /// crashed incarnation or an older build left behind; the cadence
-    /// path unlinks its segments by name and never lists the directory. `keep_all` keeps the segments. Best-effort: removal
-    /// failures are counted, not fatal — stale files only cost disk.
+    /// Deletes every segment below the oldest one this incarnation keeps
+    /// (at start, the open one), and every snapshot file of the layout
+    /// written before the slots — the sweep [`Durability::start`] runs,
+    /// once its anchor is synced, for what a crashed incarnation or an
+    /// older build left behind; the cadence path unlinks its segments by
+    /// name and never lists the directory. `keep_all` keeps the segments.
+    /// Best-effort: removal failures are counted, not fatal — stale files
+    /// only cost disk.
     pub fn compact(&self) {
-        let newest = self.inner.lock().segment;
+        let oldest = self.inner.lock().oldest;
         let dir = &self.options.dir;
         let mut stale = wal::list_snapshots(dir).unwrap_or_default();
         if !self.options.keep_all {
             let segments = wal::list_segments(dir).unwrap_or_default();
-            stale.extend(segments.into_iter().filter(|&(k, _)| k < newest));
+            stale.extend(segments.into_iter().filter(|&(k, _)| k < oldest));
         }
         for (_, path) in stale {
             if self.note_io(std::fs::remove_file(path)).is_none() {
@@ -356,9 +386,10 @@ impl Durability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::{PlacementConfig, PlacementLayer};
+    use crate::arbiter::Event;
+    use crate::placement::{PlacementBatch, PlacementConfig, PlacementLayer};
     use slate_gpu_sim::device::DeviceConfig;
-    use snapshot::{decode_slot, encode_slot, load_slot, slot_path};
+    use snapshot::{decode_slot, encode_slot, encode_slot_v1, load_slot, slot_path};
     use std::io::Write;
     use std::path::Path;
 
@@ -389,10 +420,16 @@ mod tests {
         names
     }
 
-    /// The segment slot `slot` anchors, if it validates.
-    fn anchor_of(dir: &Path, slot: usize) -> Option<u64> {
+    /// The position, `(segment, offset)`, slot `slot` anchors, if it
+    /// validates.
+    fn anchor_of(dir: &Path, slot: usize) -> Option<(u64, u64)> {
         let bytes = std::fs::read(slot_path(dir, slot)).unwrap();
-        decode_slot(&bytes).ok().map(|(k, _)| k)
+        decode_slot(&bytes).ok().map(|(anchor, _)| anchor)
+    }
+
+    /// The length of segment `k`.
+    fn seg_len(dir: &Path, k: u64) -> u64 {
+        std::fs::metadata(wal::segment_path(dir, k)).unwrap().len()
     }
 
     /// Writes `bytes` over slot `slot` from offset 0, in place, as a
@@ -405,38 +442,127 @@ mod tests {
         file.write_all(bytes).unwrap();
     }
 
+    /// A slot image of `snap`, as `SnapshotSlots::write` builds it.
+    fn slot_image(snap: &DurableSnapshot) -> Vec<u8> {
+        let mut image = Vec::new();
+        let body = serde_json::to_string(snap).unwrap();
+        encode_slot(snap.segment, snap.offset, body.as_bytes(), &mut image);
+        image
+    }
+
+    fn layer_of(devices: usize) -> PlacementLayer {
+        PlacementLayer::new(
+            vec![DeviceConfig::tiny(8); devices],
+            PlacementConfig::default(),
+        )
+    }
+
+    fn start(
+        dir: &Path,
+        snapshot_every: u64,
+        keep_all: bool,
+        layer: &PlacementLayer,
+    ) -> Arc<Durability> {
+        let options = DurabilityOptions {
+            dir: dir.to_path_buf(),
+            snapshot_every,
+            keep_all,
+        };
+        Durability::start(options, 0, 0, &layer.snapshot(), DurableMeta::default()).expect("start")
+    }
+
     fn append_sessions(d: &Durability, layer: &mut PlacementLayer, sessions: std::ops::Range<u64>) {
         for i in sessions {
-            let events = vec![crate::arbiter::Event::SessionOpened { session: i + 1 }];
-            let routed = layer.feed(i * 10, &events);
-            d.append_batch(
-                &crate::placement::PlacementBatch {
-                    at: i * 10,
-                    events,
-                    routed,
-                },
-                || layer.snapshot(),
-            );
+            d.append_batch(&open_session(layer, i + 1), || layer.snapshot());
         }
+    }
+
+    /// One session's admission batch, fed to `layer`, for the caller to
+    /// append.
+    fn open_session(layer: &mut PlacementLayer, session: u64) -> PlacementBatch {
+        feed(layer, session * 10, vec![Event::SessionOpened { session }])
+    }
+
+    fn feed(layer: &mut PlacementLayer, at: u64, events: Vec<Event>) -> PlacementBatch {
+        let routed = layer.feed(at, &events);
+        PlacementBatch { at, events, routed }
+    }
+
+    /// Wave `wave` of [`WAVE`] sessions: a batch opening them all, then
+    /// one closing them all. Fat batches, so a log passes
+    /// [`SEGMENT_BYTES`] in a few hundred appends.
+    fn wave(d: &Durability, layer: &mut PlacementLayer, wave: u64) {
+        let ids = (wave * WAVE + 1)..=(wave * WAVE + WAVE);
+        let at = 1_000_000 + wave * 10;
+        let opened = ids.clone().map(|session| Event::SessionOpened { session });
+        let batch = feed(layer, at, opened.collect());
+        d.append_batch(&batch, || layer.snapshot());
+        let closed = ids.map(|session| Event::SessionClosed { session });
+        let batch = feed(layer, at + 5, closed.collect());
+        d.append_batch(&batch, || layer.snapshot());
+    }
+
+    const WAVE: u64 = 64;
+
+    /// Waves from `next` on until the open segment is `segment`; returns
+    /// the next wave's number.
+    fn waves_until(d: &Durability, layer: &mut PlacementLayer, mut next: u64, segment: u64) -> u64 {
+        while d.inner.lock().segment < segment {
+            wave(d, layer, next);
+            next += 1;
+        }
+        next
+    }
+
+    /// Checkpoints now, whatever the cadence.
+    fn checkpoint_now(d: &Durability, layer: &PlacementLayer) {
+        d.checkpoint(&mut d.inner.lock(), || layer.snapshot());
+    }
+
+    /// A log across one roll, checkpointed by hand: the genesis anchor
+    /// (slot 0), a wave of segment 0, the anchor of its end (slot 1),
+    /// more waves until the append that rolls to segment 1, one more
+    /// wave, and the anchor of that (slot 0). Frozen; returns the layer
+    /// the run holds, the mirror, and slot 1's anchor in segment 0.
+    fn across_a_roll(dir: &Path, keep_all: bool) -> (PlacementLayer, DurableMeta, u64) {
+        let mut layer = layer_of(1);
+        let d = start(dir, u64::MAX, keep_all, &layer);
+        wave(&d, &mut layer, 0);
+        checkpoint_now(&d, &layer);
+        let older = seg_len(dir, 0);
+        let next = waves_until(&d, &mut layer, 1, 1);
+        wave(&d, &mut layer, next);
+        d.append_meta(&session_meta(5)[0]);
+        checkpoint_now(&d, &layer);
+        d.freeze();
+        assert_eq!(d.io_errors(), 0);
+        assert_eq!(
+            (anchor_of(dir, 0), anchor_of(dir, 1)),
+            (Some((1, seg_len(dir, 1))), Some((0, older)))
+        );
+        (layer, d.meta(), older)
     }
 
     #[test]
     fn cadence_rotates_snapshots_and_compacts() {
         let dir = tmpdir("cadence");
-        let mut layer =
-            PlacementLayer::new(vec![DeviceConfig::tiny(8)], PlacementConfig::default());
-        let mut options = DurabilityOptions::new(&dir);
-        options.snapshot_every = 2;
-        let d = Durability::start(options, 0, 0, &layer.snapshot(), DurableMeta::default())
-            .expect("start");
-        append_sessions(&d, &mut layer, 0..5);
-        // 5 batches at cadence 2: rotated after 2 and 4, the anchors
-        // alternating slots; compaction keeps only the newest segment.
-        assert_eq!(files(&dir), slots_and(&[2]), "compaction retired the rest");
-        assert_eq!((anchor_of(&dir, 0), anchor_of(&dir, 1)), (Some(2), Some(1)));
+        let mut layer = layer_of(1);
+        let d = start(&dir, 2, false, &layer);
+        append_sessions(&d, &mut layer, 0..2);
+        let first = seg_len(&dir, 0);
+        append_sessions(&d, &mut layer, 2..5);
+        // 5 batches at cadence 2: checkpoints after 2 and 4, the anchors
+        // alternating slots, both in the one segment: no file created or
+        // unlinked.
+        assert_eq!(files(&dir), slots_and(&[0]));
+        let second = first + (seg_len(&dir, 0) - first) * 2 / 3;
+        assert_eq!(
+            (anchor_of(&dir, 0), anchor_of(&dir, 1)),
+            (Some((0, second)), Some((0, first)))
+        );
         let rec = recover_dir(&dir).expect("recover");
         assert!(rec.issues.is_empty());
-        assert_eq!((rec.last_segment, rec.slot), (2, Some(0)));
+        assert_eq!((rec.last_segment, rec.slot), (0, Some(0)));
         assert_eq!(
             serde_json::to_string(&rec.layer.snapshot()).unwrap(),
             serde_json::to_string(&layer.snapshot()).unwrap(),
@@ -445,35 +571,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Many checkpoints inside a segment and one roll under `keep_all`:
+    /// every segment stays, and the history replays from genesis.
     #[test]
     fn keep_all_retains_full_history_for_the_genesis_log() {
         let dir = tmpdir("keepall");
-        let mut layer =
-            PlacementLayer::new(vec![DeviceConfig::tiny(8)], PlacementConfig::default());
-        let mut options = DurabilityOptions::new(&dir);
-        options.snapshot_every = 2;
-        options.keep_all = true;
-        let d = Durability::start(options, 0, 0, &layer.snapshot(), DurableMeta::default())
-            .expect("start");
-        append_sessions(&d, &mut layer, 0..5);
-        d.freeze();
-        assert_eq!(files(&dir), slots_and(&[0, 1, 2]), "no segment unlinked");
-        let log = full_log(&dir).expect("full log");
-        assert_eq!(log.batches.len(), 5);
-        crate::placement::replay::verify(&log).expect("full history verifies from genesis");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// One session's worth of log: its admission batch, its meta record,
-    /// an allocation. Returns the batch for the caller to append.
-    fn open_session(layer: &mut PlacementLayer, session: u64) -> crate::placement::PlacementBatch {
-        let events = vec![crate::arbiter::Event::SessionOpened { session }];
-        let routed = layer.feed(session * 10, &events);
-        crate::placement::PlacementBatch {
-            at: session * 10,
-            events,
-            routed,
+        let mut layer = layer_of(1);
+        let d = start(&dir, 16, true, &layer);
+        let next = waves_until(&d, &mut layer, 0, 1);
+        for w in next..next + 20 {
+            wave(&d, &mut layer, w);
         }
+        d.freeze();
+        assert_eq!(d.io_errors(), 0);
+        assert_eq!(files(&dir), slots_and(&[0, 1]), "no segment unlinked");
+        let checkpoints = (next + 20) * 2 / 16;
+        assert!(checkpoints > 30, "{checkpoints} checkpoints");
+        let log = full_log(&dir).expect("full log");
+        assert_eq!(log.batches.len() as u64, (next + 20) * 2);
+        crate::placement::replay::verify(&log).expect("full history verifies from genesis");
+        let rec = recover_dir(&dir).expect("recover");
+        assert_eq!(
+            rec.layer.snapshot().sessions_routed,
+            layer.snapshot().sessions_routed
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn session_meta(session: u64) -> [WalRecord; 2] {
@@ -507,61 +629,59 @@ mod tests {
         state_of(&rec.layer, &rec.meta)
     }
 
-    /// A durability directory holding three sessions' worth of segment 0
-    /// (one of them closed) and no checkpoint yet, frozen; and the layer
-    /// the uninterrupted run holds.
-    fn one_segment(dir: &Path) -> (PlacementLayer, DurableMeta) {
-        let mut layer =
-            PlacementLayer::new(vec![DeviceConfig::tiny(8); 2], PlacementConfig::default());
-        let mut options = DurabilityOptions::new(dir);
-        options.snapshot_every = u64::MAX;
-        let d = Durability::start(options, 0, 0, &layer.snapshot(), DurableMeta::default())
-            .expect("start");
-        for session in 1..=3 {
-            d.append_batch(&open_session(&mut layer, session), || unreachable!());
+    /// A durability directory holding `sessions` sessions' worth of
+    /// segment 0 (session 2 closed), checkpointed at `snapshot_every`,
+    /// frozen; and the layer and mirror the uninterrupted run holds.
+    fn sessions_in_one_segment(
+        dir: &Path,
+        snapshot_every: u64,
+        sessions: u64,
+    ) -> (PlacementLayer, DurableMeta) {
+        let mut layer = layer_of(2);
+        let d = start(dir, snapshot_every, false, &layer);
+        for session in 1..=sessions {
+            d.append_batch(&open_session(&mut layer, session), || layer.snapshot());
             for record in session_meta(session) {
                 d.append_meta(&record);
             }
+            if session == 2 {
+                d.append_meta(&WalRecord::SessionClosed { session: 2 });
+            }
         }
-        d.append_meta(&WalRecord::SessionClosed { session: 2 });
         d.freeze();
+        assert_eq!(d.io_errors(), 0);
         (layer, d.meta())
     }
 
-    /// A crash after any step of a checkpoint recovers the state of the
-    /// run that was never interrupted. The directory of each step is built
-    /// by hand, from the public helpers, in the order `checkpoint` works.
+    /// A crash after any step of a checkpoint, or of a roll and the
+    /// checkpoint after it, recovers the state of the run that was never
+    /// interrupted. The directory of each step is built by hand, from the
+    /// public helpers, in the order `checkpoint` and `roll_if_full` work.
     #[test]
     fn every_step_of_a_checkpoint_leaves_a_recoverable_directory() {
         let dir = tmpdir("steps");
-        let (layer, meta) = one_segment(&dir);
+        let (mut layer, mut meta) = sessions_in_one_segment(&dir, u64::MAX, 3);
         // What the uninterrupted run holds when the cadence comes due.
         let want = state_of(&layer, &meta);
         assert_eq!(recovered_state(&dir), want, "before the checkpoint");
         let slot = |dir: &Path| recover_dir(dir).unwrap().slot;
         assert_eq!(slot(&dir), Some(0), "the genesis anchor is in slot 0");
 
-        let last = |dir: &Path| recover_dir(dir).unwrap().last_segment;
-        // 1. Segment 1 exists, empty.
-        SegmentWriter::create(&dir, 1).expect("segment 1");
-        assert_eq!(recovered_state(&dir), want, "segment created");
-        assert_eq!(last(&dir), 1, "the empty segment's index is taken");
-        // 2. Slot 1 is overwritten in place, torn at half, then whole but
-        //    not synced: a torn slot fails its checksum and recovery
-        //    replays segments 0 and 1 from slot 0.
-        let snap = DurableSnapshot {
+        // 1. The anchor is the open segment's end.
+        let end = seg_len(&dir, 0);
+        let snap = |layer: &PlacementLayer, meta: &DurableMeta, segment, offset| DurableSnapshot {
             format: SNAPSHOT_FORMAT,
             epoch: 0,
-            segment: 1,
+            segment,
+            offset,
             placement: layer.snapshot(),
             meta: meta.clone(),
         };
-        let mut image = Vec::new();
-        encode_slot(
-            1,
-            serde_json::to_string(&snap).unwrap().as_bytes(),
-            &mut image,
-        );
+        let image = slot_image(&snap(&layer, &meta, 0, end));
+        // 2. Slot 1 is overwritten in place, torn at half, then whole but
+        //    not synced: a torn slot fails its checksum and recovery
+        //    replays segment 0 whole from slot 0; a whole one replays it
+        //    from its end, which is nothing.
         overwrite_slot(&dir, 1, &image[..image.len() / 2]);
         assert_eq!(recovered_state(&dir), want, "slot torn at half");
         assert_eq!(slot(&dir), Some(0));
@@ -570,37 +690,203 @@ mod tests {
         assert_eq!(slot(&dir), Some(1));
         // 3. Slot 1 is written and synced.
         let mut slots = SnapshotSlots::open(&dir, 1).expect("open slots");
-        slots.write(&snap).expect("slot 1");
+        slots.write(&snap(&layer, &meta, 0, end)).expect("slot 1");
         assert_eq!(recovered_state(&dir), want, "slot synced");
-        // 4. The superseded segment goes.
-        std::fs::remove_file(wal::segment_path(&dir, 0)).unwrap();
-        assert_eq!(recovered_state(&dir), want, "segment unlinked");
+        // 4. Nothing below segment 0 to unlink: the checkpoint is done,
+        //    no file created or unlinked.
+        assert_eq!(files(&dir), slots_and(&[0]));
+
+        // A power failure loses segment 0's unsynced tail, cutting it below
+        // the anchor's offset: the anchor holds all of it, and there is
+        // nothing to replay.
+        let segment_0 = std::fs::read(wal::segment_path(&dir, 0)).unwrap();
+        for cut in [end - 1, end / 2, 0] {
+            std::fs::write(wal::segment_path(&dir, 0), &segment_0[..cut as usize]).unwrap();
+            assert_eq!(recovered_state(&dir), want, "segment 0 cut to {cut} bytes");
+        }
+        std::fs::write(wal::segment_path(&dir, 0), &segment_0).unwrap();
+
+        // The roll: an append finds segment 0 full, syncs it, creates
+        // segment 1 and appends there. Recovery from slot 1 replays the
+        // nothing left of segment 0 and then segment 1.
+        let mut next = SegmentWriter::create(&dir, 1).expect("segment 1");
+        assert_eq!(recovered_state(&dir), want, "segment 1 created, empty");
+        let batch = open_session(&mut layer, 4);
+        meta.apply(&session_meta(4)[0]);
+        let want = state_of(&layer, &meta);
+        next.append_batch(&batch, Some(&session_meta(4)[0]))
+            .expect("append");
+        assert_eq!(recovered_state(&dir), want, "segment 1 appended");
+        // The next checkpoint anchors segment 1's end in slot 0, then
+        // unlinks segment 0.
+        let end = seg_len(&dir, 1);
+        let image = slot_image(&snap(&layer, &meta, 1, end));
+        overwrite_slot(&dir, 0, &image[..image.len() / 2]);
         assert_eq!(
-            (files(&dir), last(&dir), slot(&dir)),
-            (slots_and(&[1]), 1, Some(1))
+            (recovered_state(&dir), slot(&dir)),
+            (want.clone(), Some(1)),
+            "slot 0 torn"
+        );
+        slots.write(&snap(&layer, &meta, 1, end)).expect("slot 0");
+        assert_eq!(
+            (recovered_state(&dir), slot(&dir)),
+            (want.clone(), Some(0)),
+            "slot 0 synced"
+        );
+        std::fs::remove_file(wal::segment_path(&dir, 0)).unwrap();
+        assert_eq!(recovered_state(&dir), want, "segment 0 unlinked");
+        let last = recover_dir(&dir).unwrap().last_segment;
+        assert_eq!(
+            (files(&dir), last, slot(&dir)),
+            (slots_and(&[1]), 1, Some(0))
         );
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A torn newest slot fails its checksum; recovery loads the other
-    /// slot and replays both segments behind it to the live state.
+    /// Recovery replays the anchored segment from the anchor's offset: the
+    /// frames before it are in the snapshot, and folding them in again
+    /// would count every session they route twice.
+    #[test]
+    fn recovery_replays_from_the_anchored_offset() {
+        let dir = tmpdir("from-offset");
+        let (layer, meta) = sessions_in_one_segment(&dir, 2, 3);
+        let (slot, anchor) = (1, anchor_of(&dir, 1).unwrap());
+        assert!(anchor.1 > 0 && anchor.1 < seg_len(&dir, 0), "{anchor:?}");
+        let rec = recover_dir(&dir).expect("recover");
+        assert_eq!((rec.slot, rec.last_segment), (Some(slot), 0));
+        assert!(rec.issues.is_empty(), "{:?}", rec.issues);
+        assert_eq!(state_of(&rec.layer, &rec.meta), state_of(&layer, &meta));
+        assert_eq!(rec.layer.snapshot().sessions_routed, 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A crash tears an append behind an anchor inside the segment. The
+    /// torn tail's offset counts from the start of the file — where it is
+    /// cut — so the cut keeps every acknowledged frame after the anchor;
+    /// counted from the anchor, the cut would land below it and drop them.
+    #[test]
+    fn a_torn_tail_behind_an_in_segment_anchor_is_cut_at_its_absolute_offset() {
+        let dir = tmpdir("torn-behind");
+        let (layer, meta) = sessions_in_one_segment(&dir, 2, 3);
+        let want = state_of(&layer, &meta);
+        let path = wal::segment_path(&dir, 0);
+        let whole = seg_len(&dir, 0);
+        let (_, anchor) = anchor_of(&dir, 1).unwrap();
+        assert!(anchor > 0 && anchor < whole, "{anchor} of {whole}");
+        let frame = wal::encode_frame(b"a frame the crash cut short");
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        file.write_all(&frame[..frame.len() - 3]).unwrap();
+        let rec = recover_dir(&dir).expect("recover");
+        assert_eq!(state_of(&rec.layer, &rec.meta), want);
+        assert_eq!(
+            rec.issues,
+            [(
+                0,
+                WalIssue::TornTail {
+                    offset: whole as usize
+                }
+            )]
+        );
+        let (k, issue) = &rec.issues[0];
+        wal::truncate_torn_tail(&dir, *k, issue.offset() as u64).expect("cut");
+        assert_eq!(seg_len(&dir, 0), whole, "cut where the torn frame starts");
+        assert_eq!(recovered_state(&dir), want, "nothing acknowledged is lost");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Both slots anchor the one open segment: recovery loads the one at
+    /// the higher offset, whichever slot holds it. A frame damaged between
+    /// the two anchors then costs nothing; from the lower anchor, replay
+    /// would stop there and lose the sessions after it.
+    #[test]
+    fn two_slots_in_one_segment_load_the_higher_offset() {
+        for sessions in [5, 7] {
+            let dir = tmpdir(&format!("higher-{sessions}"));
+            let (layer, meta) = sessions_in_one_segment(&dir, 2, sessions);
+            let anchors = [anchor_of(&dir, 0).unwrap(), anchor_of(&dir, 1).unwrap()];
+            let higher = usize::from(anchors[1] > anchors[0]);
+            assert_eq!(higher, usize::from(sessions == 7), "{anchors:?}");
+            let (lower, higher_at) = (anchors[higher ^ 1].1, anchors[higher].1);
+            assert!(anchors.iter().all(|a| a.0 == 0) && lower < higher_at);
+            let path = wal::segment_path(&dir, 0);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[lower as usize + wal::FRAME_HEADER_LEN + 1] ^= 0x10;
+            std::fs::write(&path, bytes).unwrap();
+            let rec = recover_dir(&dir).expect("recover");
+            assert_eq!(rec.slot, Some(higher), "{sessions} sessions: {anchors:?}");
+            assert!(rec.issues.is_empty(), "{:?}", rec.issues);
+            assert_eq!(state_of(&rec.layer, &rec.meta), state_of(&layer, &meta));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A slot whose checksum holds but whose anchor does not: a header
+    /// offset the body disagrees with falls back to the other slot; an
+    /// offset past the end of the segment replays nothing; one in the
+    /// middle of a frame replays nothing either, and says so with a
+    /// `Corrupt` issue. Never a panic.
+    #[test]
+    fn a_hostile_anchor_offset_falls_back_or_replays_nothing() {
+        let dir = tmpdir("hostile-offset");
+        let (layer, meta) = sessions_in_one_segment(&dir, 2, 3);
+        let want = state_of(&layer, &meta);
+        let (_, anchor) = anchor_of(&dir, 1).unwrap();
+        let newest = load_slot(&std::fs::read(slot_path(&dir, 1)).unwrap()).unwrap();
+        let at_anchor = state_of(
+            &PlacementLayer::from_snapshot(newest.placement.clone()),
+            &newest.meta,
+        );
+        assert_ne!(at_anchor, want, "frames follow the anchor");
+        let good = std::fs::read(slot_path(&dir, 1)).unwrap();
+        let recover = |image: &[u8]| {
+            std::fs::write(slot_path(&dir, 1), image).unwrap();
+            recover_dir(&dir).expect("recover")
+        };
+        // The header anchors one byte on; the body does not.
+        let mut image = Vec::new();
+        let body = serde_json::to_string(&newest).unwrap();
+        encode_slot(0, anchor + 1, body.as_bytes(), &mut image);
+        let rec = recover(&image);
+        assert_eq!(rec.slot, Some(0), "the body's offset disagrees: fallback");
+        assert_eq!(state_of(&rec.layer, &rec.meta), want);
+        for past in [seg_len(&dir, 0), seg_len(&dir, 0) + 1, 1 << 40, u64::MAX] {
+            let rec = recover(&slot_image(&DurableSnapshot {
+                offset: past,
+                ..newest.clone()
+            }));
+            assert_eq!(rec.slot, Some(1), "{past}");
+            assert!(rec.issues.is_empty(), "{past}: {:?}", rec.issues);
+            assert_eq!(state_of(&rec.layer, &rec.meta), at_anchor, "{past}");
+        }
+        let inside = anchor + 1;
+        let rec = recover(&slot_image(&DurableSnapshot {
+            offset: inside,
+            ..newest.clone()
+        }));
+        assert_eq!(rec.slot, Some(1));
+        assert!(
+            matches!(&rec.issues[..], [(0, WalIssue::Corrupt { offset, .. })] if *offset as u64 == inside),
+            "{:?}",
+            rec.issues
+        );
+        assert_eq!(state_of(&rec.layer, &rec.meta), at_anchor);
+        recover(&good);
+        assert_eq!(recovered_state(&dir), want);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Across a roll under `keep_all`, with the newest slot torn, recovery
+    /// loads the other slot, anchored in segment 0, and replays the rest
+    /// of segment 0 and all of segment 1 to the live state.
     #[test]
     fn a_torn_slot_falls_back_to_the_other_and_replays_both_segments() {
         let dir = tmpdir("torn-slot");
-        let mut layer =
-            PlacementLayer::new(vec![DeviceConfig::tiny(8)], PlacementConfig::default());
-        let options = DurabilityOptions {
-            dir: dir.clone(),
-            snapshot_every: 2,
-            keep_all: true,
-        };
-        let d = Durability::start(options, 0, 0, &layer.snapshot(), DurableMeta::default())
-            .expect("start");
-        append_sessions(&d, &mut layer, 0..5);
-        d.append_meta(&session_meta(5)[0]);
-        d.freeze();
-        let want = state_of(&layer, &d.meta());
-        assert_eq!((anchor_of(&dir, 0), anchor_of(&dir, 1)), (Some(2), Some(1)));
+        let (layer, meta, older) = across_a_roll(&dir, true);
+        let want = state_of(&layer, &meta);
+        assert!(older < seg_len(&dir, 0), "waves follow slot 1's anchor");
         assert_eq!(recovered_state(&dir), want);
         // Slot 0's body loses a byte in its middle, as an overwrite the
         // power failed under would leave it.
@@ -609,46 +895,98 @@ mod tests {
         overwrite_slot(&dir, 0, &bytes);
         assert_eq!(anchor_of(&dir, 0), None, "the torn slot fails its checksum");
         let rec = recover_dir(&dir).expect("recover");
-        assert_eq!((rec.slot, rec.last_segment), (Some(1), 2));
+        assert_eq!((rec.slot, rec.last_segment), (Some(1), 1));
         assert!(rec.issues.is_empty(), "{:?}", rec.issues);
         assert_eq!(
             state_of(&rec.layer, &rec.meta),
             want,
-            "segments 1 and 2 replayed"
+            "segment 0 from slot 1's offset, and segment 1, replayed"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Compacting, the older slot anchors a segment that is gone. With the
-    /// newest slot torn, recovery must not replay the later segment over
-    /// that hole: it is a typed error naming both slots' faults.
+    /// Compacting, the checkpoint after a roll unlinks segment 0, which the
+    /// older slot anchors. With the newest slot torn, recovery must not
+    /// replay segment 1 over that hole: it is a typed error naming both
+    /// slots' faults.
     #[test]
     fn a_slot_whose_segment_was_unlinked_is_never_replayed_over_the_hole() {
         let dir = tmpdir("cut");
-        let mut layer =
-            PlacementLayer::new(vec![DeviceConfig::tiny(8)], PlacementConfig::default());
-        let mut options = DurabilityOptions::new(&dir);
-        options.snapshot_every = 2;
-        let d = Durability::start(options, 0, 0, &layer.snapshot(), DurableMeta::default())
-            .expect("start");
-        append_sessions(&d, &mut layer, 0..5);
-        d.freeze();
-        assert_eq!(files(&dir), slots_and(&[2]));
+        let (layer, meta, _) = across_a_roll(&dir, false);
         assert_eq!(
-            anchor_of(&dir, 1),
-            Some(1),
-            "slot 1 anchors the unlinked segment 1"
+            files(&dir),
+            slots_and(&[1]),
+            "the checkpoint unlinked segment 0"
         );
+        assert_eq!(recovered_state(&dir), state_of(&layer, &meta));
         let mut bytes = std::fs::read(slot_path(&dir, 0)).unwrap();
         bytes[snapshot::SLOT_HEADER_LEN + 10] ^= 1;
         overwrite_slot(&dir, 0, &bytes);
         let why = recover_dir(&dir).expect_err("no usable anchor").to_string();
         assert!(why.contains("snap-0.slot: slot checksum mismatch"), "{why}");
         assert!(
-            why.contains("snap-1.slot: anchors segment 1, which is gone"),
+            why.contains("snap-1.slot: anchors segment 0, which is gone"),
             "{why}"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The body of `snap` as builds before in-segment anchors wrote it:
+    /// no `offset` field.
+    fn body_without_offset(snap: &DurableSnapshot) -> String {
+        assert_eq!(snap.offset, 0);
+        let body = serde_json::to_string(snap).unwrap();
+        let body = body.replace("\"offset\":0,", "");
+        assert!(!body.contains("\"offset\""), "{body}");
+        body
+    }
+
+    /// A directory as builds before in-segment anchors left it, one
+    /// segment per checkpoint: the genesis anchor and segment 0 (sessions
+    /// 1 and 2), the anchor of segment 1 and segment 1 (session 3 and a
+    /// meta record). The anchors are `snap-NNNNNNNN.json` files of the
+    /// layout before the slots, or version 1 slots. Returns the state the
+    /// run holds.
+    fn older_directory(dir: &Path, json: bool) -> (String, String) {
+        std::fs::create_dir_all(dir).unwrap();
+        let mut layer = layer_of(1);
+        let mut meta = DurableMeta::default();
+        let anchor = |segment, layer: &PlacementLayer, meta: &DurableMeta| {
+            let snap = DurableSnapshot {
+                format: SNAPSHOT_FORMAT,
+                epoch: 0,
+                segment,
+                offset: 0,
+                placement: layer.snapshot(),
+                meta: meta.clone(),
+            };
+            let body = body_without_offset(&snap);
+            let slot = segment as usize % 2;
+            if json {
+                std::fs::write(dir.join(format!("snap-{segment:08}.json")), body).unwrap();
+            } else {
+                std::fs::write(
+                    slot_path(dir, slot),
+                    encode_slot_v1(segment, body.as_bytes()),
+                )
+                .unwrap();
+            }
+        };
+        anchor(0, &layer, &meta);
+        let mut w = SegmentWriter::create(dir, 0).unwrap();
+        for session in 1..=2 {
+            let record = &session_meta(session)[0];
+            w.append_batch(&open_session(&mut layer, session), Some(record))
+                .unwrap();
+            meta.apply(record);
+        }
+        anchor(1, &layer, &meta);
+        let mut w = SegmentWriter::create(dir, 1).unwrap();
+        w.append_batch(&open_session(&mut layer, 3), None).unwrap();
+        let record = &session_meta(2)[1];
+        w.append(record).unwrap();
+        meta.apply(record);
+        state_of(&layer, &meta)
     }
 
     /// A directory of the layout written before the slots — a
@@ -658,33 +996,7 @@ mod tests {
     #[test]
     fn a_directory_of_the_older_layout_recovers_and_its_first_anchor_sweeps_it() {
         let dir = tmpdir("older");
-        let mut layer =
-            PlacementLayer::new(vec![DeviceConfig::tiny(8)], PlacementConfig::default());
-        let options = DurabilityOptions {
-            dir: dir.clone(),
-            snapshot_every: 2,
-            keep_all: true,
-        };
-        let d = Durability::start(
-            options.clone(),
-            0,
-            0,
-            &layer.snapshot(),
-            DurableMeta::default(),
-        )
-        .expect("start");
-        append_sessions(&d, &mut layer, 0..3);
-        d.append_meta(&session_meta(3)[0]);
-        d.freeze();
-        let want = state_of(&layer, &d.meta());
-        // The older build's files: the anchors as `snap-k.json`, no slots.
-        for slot in 0..2 {
-            let snap = load_slot(&std::fs::read(slot_path(&dir, slot)).unwrap()).unwrap();
-            let text = serde_json::to_string(&snap).unwrap();
-            let path = dir.join(format!("snap-{:08}.json", snap.segment));
-            std::fs::write(path, text).unwrap();
-            std::fs::remove_file(slot_path(&dir, slot)).unwrap();
-        }
+        let want = older_directory(&dir, true);
         assert_eq!(
             files(&dir),
             [
@@ -697,6 +1009,11 @@ mod tests {
         let rec = recover_dir(&dir).expect("recover");
         assert_eq!((rec.slot, rec.last_segment), (None, 1));
         assert_eq!(state_of(&rec.layer, &rec.meta), want);
+        let options = DurabilityOptions {
+            dir: dir.clone(),
+            snapshot_every: 2,
+            keep_all: true,
+        };
         let d = Durability::start(
             options,
             rec.last_segment + 1,
@@ -707,67 +1024,104 @@ mod tests {
         .expect("start over the older layout");
         d.freeze();
         assert_eq!(files(&dir), slots_and(&[0, 1, 2]), "older snapshots swept");
-        assert_eq!(anchor_of(&dir, 0), Some(2));
+        assert_eq!(anchor_of(&dir, 0), Some((2, 0)));
         assert_eq!(recovered_state(&dir), want);
         assert_eq!(d.io_errors(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A checkpoint that cannot create its segment changes nothing:
-    /// appends go on in the old segment. One whose slot write fails —
-    /// before a byte went out, or after the whole anchor did, when only
-    /// its `sync_data` failed — rotates the log all the same and unlinks
-    /// nothing, so recovery from either slot replays every batch: a slot
-    /// holding the unsynced anchor of segment 1 must not hide the
-    /// sessions appended after it. Each failure is counted, the next
-    /// cadence succeeds, and recovery sees the live state throughout.
+    /// A directory of version 1 slots, one segment per checkpoint,
+    /// recovers the same state from the slot anchoring segment 1; the
+    /// first anchor this build writes goes to the other slot, as version
+    /// 2, and in-segment checkpoints follow it.
+    #[test]
+    fn a_directory_of_version_1_slots_recovers_and_its_first_anchor_is_version_2() {
+        let dir = tmpdir("v1-slots");
+        let want = older_directory(&dir, false);
+        assert_eq!(files(&dir), slots_and(&[0, 1]));
+        assert_eq!(
+            (anchor_of(&dir, 0), anchor_of(&dir, 1)),
+            (Some((0, 0)), Some((1, 0)))
+        );
+        let rec = recover_dir(&dir).expect("recover");
+        assert_eq!((rec.slot, rec.last_segment), (Some(1), 1));
+        assert_eq!(state_of(&rec.layer, &rec.meta), want);
+        let mut layer = rec.layer;
+        let d = Durability::start(
+            DurabilityOptions {
+                snapshot_every: 1,
+                ..DurabilityOptions::new(&dir)
+            },
+            rec.last_segment + 1,
+            rec.epoch + 1,
+            &layer.snapshot(),
+            rec.meta,
+        )
+        .expect("start over version 1 slots");
+        let version = |slot| {
+            let bytes = std::fs::read(slot_path(&dir, slot)).unwrap();
+            u32::from_le_bytes(bytes[8..12].try_into().unwrap())
+        };
+        assert_eq!(
+            (version(0), version(1)),
+            (2, 1),
+            "the first anchor is version 2"
+        );
+        assert_eq!(anchor_of(&dir, 0), Some((2, 0)));
+        assert_eq!(files(&dir), slots_and(&[2]), "superseded segments swept");
+        append_sessions(&d, &mut layer, 3..4);
+        d.freeze();
+        assert_eq!((version(0), version(1)), (2, 2));
+        assert_eq!(anchor_of(&dir, 1), Some((2, seg_len(&dir, 2))));
+        assert_eq!(recovered_state(&dir), state_of(&layer, &d.meta()));
+        assert_eq!(d.io_errors(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint whose slot write fails — before a byte went out, or
+    /// after the whole anchor did, when only its `sync_data` failed —
+    /// leaves appends where they were, behind the offset that slot may
+    /// name: recovery from either slot replays them. Each failure is
+    /// counted, the next cadence writes the same slot and succeeds, and
+    /// recovery sees the live state throughout.
     #[test]
     fn a_failed_checkpoint_is_counted_and_retried_at_the_next_cadence() {
-        for blocked in ["segment", "slot", "sync"] {
+        for blocked in ["slot", "sync"] {
             let dir = tmpdir(&format!("retry-{blocked}"));
-            let mut layer =
-                PlacementLayer::new(vec![DeviceConfig::tiny(8)], PlacementConfig::default());
-            let mut options = DurabilityOptions::new(&dir);
-            options.snapshot_every = 2;
-            let d = Durability::start(options, 0, 0, &layer.snapshot(), DurableMeta::default())
-                .expect("start");
+            let mut layer = layer_of(1);
+            let d = start(&dir, 2, false, &layer);
             let jam = |jammed| match blocked {
-                // A directory where the checkpoint wants a file: open fails.
-                "segment" => {
-                    let path = wal::segment_path(&dir, 1);
-                    let r = if jammed {
-                        std::fs::create_dir(path)
-                    } else {
-                        std::fs::remove_dir(path)
-                    };
-                    r.unwrap();
-                }
                 "slot" => d.inner.lock().slots.jam(&dir, 1, jammed).unwrap(),
                 _ => d.inner.lock().slots.fail_sync = jammed,
             };
             jam(true);
+            let mut anchor = 0;
             for session in 1..=3 {
                 let batch = open_session(&mut layer, session);
                 d.append_batch(&batch, || layer.snapshot());
+                if session == 2 {
+                    anchor = seg_len(&dir, 0);
+                }
                 d.append_meta(&session_meta(session)[0]);
             }
             let live = |layer: &PlacementLayer| state_of(layer, &d.meta());
             assert_eq!(d.io_errors(), 1, "{blocked}: the cadence at batch 2 failed");
-            // Segment 1's name is the jamming directory in the first case.
-            let slot_1 = (blocked == "sync").then_some(1);
+            let slot_1 = (blocked == "sync").then_some((0, anchor));
             assert_eq!(
                 (files(&dir), anchor_of(&dir, 1)),
-                (slots_and(&[0, 1]), slot_1),
+                (slots_and(&[0]), slot_1),
                 "{blocked}"
             );
             jam(false);
+            // The crash comes here, sessions appended behind the anchor.
             assert_eq!(
                 recovered_state(&dir),
                 live(&layer),
                 "{blocked}: as it stands"
             );
             if blocked == "sync" {
-                // Torn instead, slot 1 leaves slot 0 and both segments.
+                assert_eq!(recover_dir(&dir).unwrap().slot, Some(1));
+                // Torn instead, slot 1 leaves slot 0 and all of segment 0.
                 let good = std::fs::read(slot_path(&dir, 1)).unwrap();
                 let mut torn = good.clone();
                 torn[snapshot::SLOT_HEADER_LEN + 5] ^= 0x08;
@@ -776,21 +1130,56 @@ mod tests {
                 assert_eq!(recover_dir(&dir).unwrap().slot, Some(0));
                 overwrite_slot(&dir, 1, &good);
             }
-            // Batch 4 is the next cadence, into slot 1 again; it unlinks
-            // every segment below its anchor.
+            // Batch 4 is the next cadence, into slot 1 again.
             let batch = open_session(&mut layer, 4);
             d.append_batch(&batch, || layer.snapshot());
-            let anchor = if blocked == "segment" { 1 } else { 2 };
+            let end = seg_len(&dir, 0);
             assert_eq!(
                 (d.io_errors(), files(&dir), anchor_of(&dir, 1)),
-                (1, slots_and(&[anchor]), Some(anchor)),
+                (1, slots_and(&[0]), Some((0, end))),
                 "{blocked}"
             );
             let rec = recover_dir(&dir).unwrap();
-            assert_eq!((rec.last_segment, rec.slot), (anchor, Some(1)));
+            assert_eq!((rec.last_segment, rec.slot), (0, Some(1)));
             assert_eq!(recovered_state(&dir), live(&layer), "{blocked}");
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    /// A roll that cannot create its segment changes nothing: appends go
+    /// on in the open segment, each append tries again (and counts its
+    /// failure), and the first that can, rolls.
+    #[test]
+    fn a_roll_that_cannot_create_its_segment_appends_on_in_the_open_one() {
+        let dir = tmpdir("roll-jam");
+        let mut layer = layer_of(1);
+        let d = start(&dir, u64::MAX, false, &layer);
+        // A directory where the roll wants a file: open fails.
+        std::fs::create_dir(wal::segment_path(&dir, 1)).unwrap();
+        let mut next = 0;
+        while d.inner.lock().writer.written() < SEGMENT_BYTES {
+            wave(&d, &mut layer, next);
+            next += 1;
+        }
+        assert_eq!(d.io_errors(), 0);
+        wave(&d, &mut layer, next);
+        assert_eq!((d.io_errors(), d.inner.lock().segment), (2, 0));
+        std::fs::remove_dir(wal::segment_path(&dir, 1)).unwrap();
+        wave(&d, &mut layer, next + 1);
+        assert_eq!((d.io_errors(), d.inner.lock().segment), (2, 1));
+        d.freeze();
+        assert_eq!(
+            files(&dir),
+            slots_and(&[0, 1]),
+            "unlinked at the next checkpoint"
+        );
+        let rec = recover_dir(&dir).expect("recover");
+        assert!(rec.issues.is_empty(), "{:?}", rec.issues);
+        assert_eq!(
+            rec.layer.snapshot().sessions_routed,
+            layer.snapshot().sessions_routed
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// `start` sweeps what a crashed incarnation left below its anchor;
@@ -800,8 +1189,7 @@ mod tests {
     fn start_compacts_below_its_anchor() {
         for keep_all in [false, true] {
             let dir = tmpdir("sweep");
-            let layer =
-                PlacementLayer::new(vec![DeviceConfig::tiny(8)], PlacementConfig::default());
+            let layer = layer_of(1);
             let options = DurabilityOptions {
                 dir: dir.clone(),
                 snapshot_every: 64,
@@ -824,7 +1212,10 @@ mod tests {
                 slots_and(&[3])
             };
             assert_eq!(files(&dir), kept, "keep_all {keep_all}");
-            assert_eq!((anchor_of(&dir, 0), anchor_of(&dir, 1)), (Some(0), Some(3)));
+            assert_eq!(
+                (anchor_of(&dir, 0), anchor_of(&dir, 1)),
+                (Some((0, 0)), Some((3, 0)))
+            );
             assert_eq!(recover_dir(&dir).unwrap().last_segment, 3);
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -833,7 +1224,7 @@ mod tests {
     #[test]
     fn frozen_durability_drops_appends() {
         let dir = tmpdir("frozen");
-        let layer = PlacementLayer::new(vec![DeviceConfig::tiny(8)], PlacementConfig::default());
+        let layer = layer_of(1);
         let d = Durability::start(
             DurabilityOptions::new(&dir),
             0,

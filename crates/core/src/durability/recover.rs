@@ -3,17 +3,20 @@
 //!
 //! The sequence is fixed:
 //!
-//! 1. pick the snapshot with the highest anchor that loads and validates
-//!    (`newest_anchor`: the two slots, and any `snap-*.json` file of the
-//!    layout written before them; a torn or unreadable one is skipped in
-//!    favour of the other — more replay, same answer);
+//! 1. pick the snapshot with the highest anchor, by `(segment, offset)`,
+//!    that loads and validates (`newest_anchor`: the two slots, and any
+//!    `snap-*.json` file of the layout written before them; a torn or
+//!    unreadable one is skipped in favour of the other — more replay,
+//!    same answer);
 //! 2. rebuild the [`PlacementLayer`] from it;
-//! 3. replay every WAL segment `≥` the snapshot's anchor, in order:
-//!    `Batch` records re-feed the layer (outputs discarded — the
-//!    decisions already happened), every record folds into the
-//!    [`DurableMeta`] mirror;
+//! 3. replay the log from the anchor on, in order — the anchored segment
+//!    from its offset, then every later segment whole: `Batch` records
+//!    re-feed the layer (outputs discarded — the decisions already
+//!    happened), every record folds into the [`DurableMeta`] mirror;
 //! 4. surface — never panic on — a torn tail or corruption, with the
-//!    byte offset where the log stopped being trustworthy, and stop
+//!    byte offset in its segment file (absolute, not counted from the
+//!    anchor: it is where a torn tail is cut) where the log stopped being
+//!    trustworthy, and stop
 //!    there: the valid prefix of the damaged segment is the last thing
 //!    replayed. Segments after it continue a history this one no longer
 //!    tells; folding them in would build a state that never existed.
@@ -27,7 +30,9 @@
 use super::snapshot::{
     decode_slot, load_slot, load_snapshot, slot_path, DurableMeta, DurableSnapshot,
 };
-use super::wal::{list_segments, list_snapshots, read_segment, WalIssue, WalRecord};
+use super::wal::{
+    list_segments, list_snapshots, read_segment, read_segment_from, WalIssue, WalRecord,
+};
 use crate::placement::{PlacementBatch, PlacementLayer, PlacementLog};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -54,15 +59,17 @@ pub struct Recovered {
     /// known good.
     pub slot: Option<usize>,
     /// The problem that ended the replay, with its segment (a torn tail
-    /// from the crash itself, corruption): at most one, since nothing
+    /// from the crash itself, corruption; its offset counts from the
+    /// start of the segment file): at most one, since nothing
     /// after a damaged segment is replayed. Empty for a clean shutdown.
     pub issues: Vec<(u64, WalIssue)>,
 }
 
 /// The snapshot recovery starts from: of the two slots and any
-/// `snap-*.json` files of the older layout, the one with the highest
-/// anchor that loads and validates, and the slot it came from (`None` for
-/// an older file). A zero-length slot was never written and does not
+/// `snap-*.json` files of the older layout (each anchoring the start of
+/// its segment), the one with the highest anchor by `(segment, offset)`
+/// that loads and validates, and the slot it came from (`None` for an
+/// older file). A zero-length slot was never written and does not
 /// count. `segments` is the directory's segment list: a snapshot whose
 /// own segment is gone while a later one is on disk anchors a history
 /// compaction has already cut, and replaying from it would skip that
@@ -84,7 +91,7 @@ pub(crate) fn newest_anchor(
         match std::fs::read(&path) {
             Ok(bytes) if bytes.is_empty() => {}
             Ok(bytes) => match decode_slot(&bytes) {
-                Ok((k, _)) => found.push((k, Source::Slot(slot, bytes))),
+                Ok((anchor, _)) => found.push((anchor, Source::Slot(slot, bytes))),
                 Err(e) => faults.push(format!("{}: {e}", path.display())),
             },
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -92,10 +99,10 @@ pub(crate) fn newest_anchor(
         }
     }
     for (k, path) in list_snapshots(dir)? {
-        found.push((k, Source::Older(path)));
+        found.push(((k, 0), Source::Older(path)));
     }
-    found.sort_by_key(|&(k, _)| std::cmp::Reverse(k));
-    for (k, source) in found {
+    found.sort_by_key(|&(anchor, _)| std::cmp::Reverse(anchor));
+    for ((k, _), source) in found {
         let (slot, path) = match &source {
             Source::Slot(slot, _) => (Some(*slot), slot_path(dir, *slot)),
             Source::Older(path) => (None, path.clone()),
@@ -153,7 +160,9 @@ pub fn recover_dir(dir: &Path) -> io::Result<Recovered> {
         if *k < base.segment {
             continue; // superseded by the snapshot
         }
-        let scan = read_segment(path)?;
+        // The frames before the anchor's offset are in the snapshot.
+        let from = if *k == base.segment { base.offset } else { 0 };
+        let scan = read_segment_from(path, from)?;
         for record in &scan.records {
             if let WalRecord::Batch { batch } = record {
                 let _ = layer.feed(batch.at, &batch.events);
@@ -256,6 +265,7 @@ mod tests {
                 format: SNAPSHOT_FORMAT,
                 epoch: 0,
                 segment: 1,
+                offset: 0,
                 placement: live.snapshot(),
                 meta: DurableMeta::default(),
             },
@@ -310,6 +320,7 @@ mod tests {
                 format: SNAPSHOT_FORMAT,
                 epoch: 0,
                 segment: 0,
+                offset: 0,
                 placement: live.snapshot(),
                 meta: DurableMeta::default(),
             },
@@ -345,6 +356,7 @@ mod tests {
                 format: SNAPSHOT_FORMAT,
                 epoch: 0,
                 segment: 0,
+                offset: 0,
                 placement: fresh_layer().snapshot(),
                 meta: DurableMeta::default(),
             },

@@ -6,9 +6,11 @@
 //! which session, the slate→device pointer map, and the launch-id
 //! watermarks behind client-side idempotent resumption.
 //!
-//! Snapshot `k` captures the state as of the start of WAL segment `k`:
-//! recovery loads the highest readable snapshot and replays only segments
-//! `≥ k`. Snapshots live in two fixed slot files, `snap-0.slot` and
+//! A snapshot anchors a position in the log, `(segment k, byte offset)`:
+//! it captures the state as of that byte of WAL segment `k`, and recovery
+//! loads the highest readable anchor and replays only from there — the
+//! rest of segment `k` from the offset on, then the segments after it.
+//! Snapshots live in two fixed slot files, `snap-0.slot` and
 //! `snap-1.slot` ([`SnapshotSlots`]). A checkpoint overwrites the slot that
 //! does *not* hold the current anchor, in place from offset 0, and
 //! `sync_data`s it — no temp file, no rename, no unlink. A crash
@@ -16,19 +18,21 @@
 //! other slot still holds the previous anchor:
 //!
 //! ```text
-//! ┌─────────────┬──────────────┬───────────┬───────────────┬────────────┬──────────────────┐
-//! │ magic (8 B) │ version u32  │ crc u32   │ segment u64   │ len u64    │ JSON body (len)  │ zeros…
-//! │ "SLATESNP"  │ little-end   │ of body   │ it anchors    │ of body    │ DurableSnapshot  │
-//! └─────────────┴──────────────┴───────────┴───────────────┴────────────┴──────────────────┘
+//! ┌───────────┬─────────────┬─────────┬─────────────┬─────────────┬──────────┬─────────────────┐
+//! │ magic 8 B │ version u32 │ crc u32 │ segment u64 │ offset u64  │ len u64  │ JSON body (len) │ zeros…
+//! │ "SLATESNP"│ 2, LE       │ of body │ anchored    │ within it   │ of body  │ DurableSnapshot │
+//! └───────────┴─────────────┴─────────┴─────────────┴─────────────┴──────────┴─────────────────┘
 //! ```
 //!
-//! A slot file only grows, in whole 4 KiB pages, so a steady-state
-//! overwrite changes no file metadata and its `fdatasync` commits no
-//! journal transaction. A snapshot that fails to load at recovery time is
-//! skipped in favour of the other slot (with more replay). Directories
-//! written before the slots hold `snap-NNNNNNNN.json` files instead;
-//! [`load_snapshot`] still reads them, and the first anchor this build
-//! writes there sweeps them.
+//! Version 1 headers, 32 bytes without the offset, anchor the start of
+//! their segment and are still read. A slot file only grows, in whole
+//! 4 KiB pages, so a steady-state overwrite changes no file metadata and
+//! its `fdatasync` commits no journal transaction. A snapshot that fails
+//! to load at recovery time is skipped in favour of the other slot (with
+//! more replay). Directories written before the slots hold
+//! `snap-NNNNNNNN.json` files instead, anchoring the start of their
+//! segment; [`load_snapshot`] still reads them, and the first anchor this
+//! build writes there sweeps them.
 //!
 //! A snapshot is written under the arbiter lock (`DESIGN.md` §16), so its
 //! size is serving latency. The placement state is bounded by the fleet
@@ -52,12 +56,15 @@ pub const SNAPSHOT_FORMAT: u32 = 1;
 /// First bytes of every snapshot slot.
 const SLOT_MAGIC: [u8; 8] = *b"SLATESNP";
 
-/// Version of the slot header layout.
-const SLOT_VERSION: u32 = 1;
+/// Version of the slot header layout written: 2 carries the offset.
+const SLOT_VERSION: u32 = 2;
 
 /// Bytes of slot header ahead of the body: magic, version, CRC-32,
-/// anchored segment, body length.
-pub const SLOT_HEADER_LEN: usize = 32;
+/// anchored segment, offset within it, body length.
+pub const SLOT_HEADER_LEN: usize = 40;
+
+/// Bytes of a version 1 header, which has no offset.
+const SLOT_V1_HEADER_LEN: usize = 32;
 
 /// A slot file grows in whole pages of this many bytes.
 const SLOT_PAGE: u64 = 4096;
@@ -176,16 +183,21 @@ impl DurableMeta {
 }
 
 /// One complete checkpoint: placement state plus session metadata, tagged
-/// with the epoch and the WAL segment it anchors.
+/// with the epoch and the log position it anchors.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DurableSnapshot {
     /// On-disk format version ([`SNAPSHOT_FORMAT`]).
     pub format: u32,
     /// Recovery epoch the writing daemon ran in.
     pub epoch: u64,
-    /// WAL segment this snapshot anchors: recovery replays segments
-    /// `≥ segment` on top of this state.
+    /// WAL segment this snapshot anchors: recovery replays it from
+    /// `offset` on, then every later segment, on top of this state.
     pub segment: u64,
+    /// Byte of `segment` the state is captured at: the frames before it
+    /// are in the snapshot. `#[serde(default)]` (0, the segment's start)
+    /// is what snapshots written before in-segment anchors mean.
+    #[serde(default)]
+    pub offset: u64,
     /// The placement layer, whole.
     pub placement: PlacementSnapshot,
     /// Daemon-side session metadata.
@@ -201,40 +213,58 @@ pub fn slot_path(dir: &Path, slot: usize) -> PathBuf {
     dir.join(format!("snap-{slot}.slot"))
 }
 
-/// Appends one slot image to `out`: the header for `body` anchoring
-/// `segment`, then `body`.
-pub fn encode_slot(segment: u64, body: &[u8], out: &mut Vec<u8>) {
+/// Appends one slot image to `out`: the header for `body` anchoring byte
+/// `offset` of `segment`, then `body`.
+pub fn encode_slot(segment: u64, offset: u64, body: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&SLOT_MAGIC);
     out.extend_from_slice(&SLOT_VERSION.to_le_bytes());
     out.extend_from_slice(&crc32(body).to_le_bytes());
     out.extend_from_slice(&segment.to_le_bytes());
+    out.extend_from_slice(&offset.to_le_bytes());
     out.extend_from_slice(&(body.len() as u64).to_le_bytes());
     out.extend_from_slice(body);
 }
 
-/// Validates a slot image and returns the segment it anchors and its
-/// body. Total: a short or foreign header, a length past the end of the
-/// bytes and a checksum mismatch (a torn overwrite) are each a typed
+/// Validates a slot image and returns the position it anchors,
+/// `(segment, offset)` — offset 0 for a version 1 header — and its body.
+/// Total: a short or foreign header, a length past the end of the bytes
+/// and a checksum mismatch (a torn overwrite) are each a typed
 /// `InvalidData` error, never a panic.
-pub fn decode_slot(bytes: &[u8]) -> io::Result<(u64, &[u8])> {
-    let Some((header, rest)) = bytes.split_first_chunk::<SLOT_HEADER_LEN>() else {
-        return Err(invalid(format!(
-            "not a snapshot slot: truncated header, {} of {SLOT_HEADER_LEN} bytes",
+pub fn decode_slot(bytes: &[u8]) -> io::Result<((u64, u64), &[u8])> {
+    let truncated = |need: usize| {
+        invalid(format!(
+            "not a snapshot slot: truncated header, {} of {need} bytes",
             bytes.len()
-        )));
+        ))
     };
-    let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().unwrap());
-    let long = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().unwrap());
-    if header[..8] != SLOT_MAGIC {
+    if bytes.len() < SLOT_V1_HEADER_LEN {
+        return Err(truncated(SLOT_V1_HEADER_LEN));
+    }
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let long = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    if bytes[..8] != SLOT_MAGIC {
         return Err(invalid("not a snapshot slot: bad magic".into()));
     }
-    if word(8) != SLOT_VERSION {
-        return Err(invalid(format!(
-            "slot version {} unsupported (this build reads {SLOT_VERSION})",
-            word(8)
-        )));
+    let header_len = match word(8) {
+        1 => SLOT_V1_HEADER_LEN,
+        SLOT_VERSION => SLOT_HEADER_LEN,
+        v => {
+            return Err(invalid(format!(
+                "slot version {v} unsupported (this build reads 1 and {SLOT_VERSION})"
+            )))
+        }
+    };
+    if bytes.len() < header_len {
+        return Err(truncated(header_len));
     }
-    let (crc, segment, len) = (word(12), long(16), long(24));
+    let (crc, segment) = (word(12), long(16));
+    let offset = if header_len == SLOT_HEADER_LEN {
+        long(24)
+    } else {
+        0
+    };
+    let len = long(header_len - 8);
+    let rest = &bytes[header_len..];
     let Some(body) = usize::try_from(len).ok().and_then(|n| rest.get(..n)) else {
         return Err(invalid(format!(
             "slot body length {len} runs past the end of the file ({} bytes follow the header)",
@@ -247,19 +277,33 @@ pub fn decode_slot(bytes: &[u8]) -> io::Result<(u64, &[u8])> {
             "slot checksum mismatch: header says {crc:#010x}, body is {actual:#010x}"
         )));
     }
-    Ok((segment, body))
+    Ok(((segment, offset), body))
+}
+
+/// A version 1 slot image, the header without the offset, as builds
+/// before in-segment anchors wrote it.
+#[cfg(test)]
+pub(crate) fn encode_slot_v1(segment: u64, body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&SLOT_MAGIC);
+    out.extend_from_slice(&1u32.to_le_bytes());
+    out.extend_from_slice(&crc32(body).to_le_bytes());
+    out.extend_from_slice(&segment.to_le_bytes());
+    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    out.extend_from_slice(body);
+    out
 }
 
 /// Loads and validates a slot image (see [`decode_slot`]) whose body is a
-/// [`DurableSnapshot`] anchoring the segment its header names.
+/// [`DurableSnapshot`] anchoring the position its header names.
 pub fn load_slot(bytes: &[u8]) -> io::Result<DurableSnapshot> {
-    let (segment, body) = decode_slot(bytes)?;
+    let ((segment, offset), body) = decode_slot(bytes)?;
     let text = std::str::from_utf8(body).map_err(|e| invalid(e.to_string()))?;
     let snap = parse_snapshot(text)?;
-    if snap.segment != segment {
+    if (snap.segment, snap.offset) != (segment, offset) {
         return Err(invalid(format!(
-            "slot header anchors segment {segment}, its body segment {}",
-            snap.segment
+            "slot header anchors segment {segment} at offset {offset}, its body segment {} at offset {}",
+            snap.segment, snap.offset
         )));
     }
     Ok(snap)
@@ -320,7 +364,7 @@ impl SnapshotSlots {
     pub fn write(&mut self, snap: &DurableSnapshot) -> io::Result<()> {
         let text = serde_json::to_string(snap).map_err(|e| invalid(e.to_string()))?;
         self.image.clear();
-        encode_slot(snap.segment, text.as_bytes(), &mut self.image);
+        encode_slot(snap.segment, snap.offset, text.as_bytes(), &mut self.image);
         let slot = self.next;
         let need = self.image.len() as u64;
         if need > self.lens[slot] {
@@ -454,6 +498,7 @@ mod tests {
             format: SNAPSHOT_FORMAT,
             epoch: 2,
             segment,
+            offset: 0,
             placement: layer.snapshot(),
             meta,
         }
@@ -536,43 +581,68 @@ mod tests {
     /// Every header fault is a typed `InvalidData`, never a panic: the
     /// header cut short, a foreign magic or version, a length past the
     /// end of the bytes (up to `u64::MAX`), a checksum mismatch, and a
-    /// header that names another segment than its body.
+    /// header that names another segment or offset than its body.
     #[test]
     fn a_damaged_slot_header_is_a_typed_error() {
-        let body = serde_json::to_string(&snapshot(1, 4, DurableMeta::default())).unwrap();
+        let mut snap = snapshot(1, 4, DurableMeta::default());
+        snap.offset = 96;
+        let body = serde_json::to_string(&snap).unwrap();
         let mut good = Vec::new();
-        encode_slot(4, body.as_bytes(), &mut good);
+        encode_slot(4, 96, body.as_bytes(), &mut good);
         good.extend_from_slice(&[0; 100]);
-        assert_eq!(load_slot(&good).expect("the good image loads").segment, 4);
+        let back = load_slot(&good).expect("the good image loads");
+        assert_eq!((back.segment, back.offset), (4, 96));
         let patched = |at: usize, bytes: &[u8]| {
             let mut image = good.clone();
             image[at..at + bytes.len()].copy_from_slice(bytes);
             image
         };
-        let mut other = Vec::new();
-        encode_slot(5, body.as_bytes(), &mut other);
-        let cases: [(&str, Vec<u8>, &str); 8] = [
+        let other = |segment, offset| {
+            let mut image = Vec::new();
+            encode_slot(segment, offset, body.as_bytes(), &mut image);
+            image
+        };
+        let cases: [(&str, Vec<u8>, &str); 10] = [
             ("empty", Vec::new(), "truncated"),
             ("short", good[..SLOT_HEADER_LEN - 1].to_vec(), "truncated"),
             ("magic", patched(0, b"SLATESNQ"), "bad magic"),
-            ("version", patched(8, &2u32.to_le_bytes()), "version 2"),
+            ("version", patched(8, &3u32.to_le_bytes()), "version 3"),
             (
                 "length",
-                patched(24, &(body.len() as u64 + 101).to_le_bytes()),
+                patched(32, &(body.len() as u64 + 101).to_le_bytes()),
                 "past the end",
             ),
-            ("huge", patched(24, &u64::MAX.to_le_bytes()), "past the end"),
+            ("huge", patched(32, &u64::MAX.to_le_bytes()), "past the end"),
             (
                 "crc",
                 patched(SLOT_HEADER_LEN + 3, b"X"),
                 "checksum mismatch",
             ),
-            ("segment", other, "anchors segment 5"),
+            ("segment", other(5, 96), "anchors segment 5 at offset 96"),
+            ("offset", other(4, 97), "anchors segment 4 at offset 97"),
+            (
+                "version 1",
+                encode_slot_v1(4, body.as_bytes()),
+                "anchors segment 4 at offset 0, its body segment 4 at offset 96",
+            ),
         ];
         for (name, image, why) in cases {
             let err = load_slot(&image).expect_err(name);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
             assert!(err.to_string().contains(why), "{name}: {err}");
         }
+    }
+
+    /// A version 1 header anchors the start of its segment, and so does a
+    /// body without an offset.
+    #[test]
+    fn a_version_1_slot_anchors_the_start_of_its_segment() {
+        let body = serde_json::to_string(&snapshot(1, 3, DurableMeta::default())).unwrap();
+        let body = body.replace("\"offset\":0,", "");
+        assert!(!body.contains("offset"), "{body}");
+        let image = encode_slot_v1(3, body.as_bytes());
+        assert_eq!(decode_slot(&image).unwrap().0, (3, 0));
+        let back = load_slot(&image).expect("a version 1 slot loads");
+        assert_eq!((back.segment, back.offset), (3, 0));
     }
 }

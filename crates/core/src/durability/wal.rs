@@ -26,7 +26,7 @@ use crate::placement::PlacementBatch;
 use serde::{Deserialize, Serialize};
 use slate_kernels::workload::SloClass;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 
 /// Upper bound on a single frame's payload, protecting the reader from
@@ -204,8 +204,9 @@ impl WalIssue {
 pub struct WalScan {
     /// Decoded records, in append order.
     pub records: Vec<WalRecord>,
-    /// Length in bytes of the valid prefix (a recovered daemon never
-    /// appends here: it opens the segment after the last one on disk).
+    /// Where the valid frames end, counted from the start of the bytes
+    /// (a recovered daemon never appends here: it opens the segment after
+    /// the last one on disk).
     pub valid_len: usize,
     /// Why the scan stopped early, or `None` for a clean log.
     pub issue: Option<WalIssue>,
@@ -234,8 +235,18 @@ fn push_frame(out: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) {
 /// `WalScan`, never a panic — arbitrary truncation, bit flips and garbage
 /// all land in `issue`.
 pub fn scan(bytes: &[u8]) -> WalScan {
+    scan_from(bytes, 0)
+}
+
+/// [`scan`] of the frames from byte `from` of `bytes` on — where a
+/// snapshot's anchor put it — with every offset in the result counted
+/// from the start of `bytes`, so an issue's offset is where the segment
+/// file would be cut. From the end or past it there is nothing to scan:
+/// no records, no issue. From the middle of a frame the bytes do not
+/// frame up, which is an issue like any other.
+pub fn scan_from(bytes: &[u8], from: usize) -> WalScan {
     let mut records = Vec::new();
-    let mut off = 0usize;
+    let mut off = from.min(bytes.len());
     let mut issue = None;
     while off < bytes.len() {
         let rest = &bytes[off..];
@@ -325,7 +336,16 @@ pub fn list_snapshots(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 
 /// Reads and scans one segment file.
 pub fn read_segment(path: &Path) -> io::Result<WalScan> {
-    Ok(scan(&fs::read(path)?))
+    read_segment_from(path, 0)
+}
+
+/// Reads one segment file and scans it from byte `from` on
+/// ([`scan_from`]): what recovery replays of the segment a snapshot
+/// anchors. An offset at or past the file's end — the file lost the tail
+/// below its anchor to a power failure — replays nothing.
+pub fn read_segment_from(path: &Path, from: u64) -> io::Result<WalScan> {
+    let from = usize::try_from(from).unwrap_or(usize::MAX);
+    Ok(scan_from(&fs::read(path)?, from))
 }
 
 /// Cuts the torn tail off segment `k` under `dir` — back to its valid
@@ -359,6 +379,8 @@ pub fn truncate_torn_tail(dir: &Path, k: u64, valid_len: u64) -> io::Result<()> 
 pub struct SegmentWriter {
     file: fs::File,
     frames: Vec<u8>,
+    /// Bytes handed to `write`, failed writes included.
+    written: u64,
 }
 
 impl SegmentWriter {
@@ -373,14 +395,34 @@ impl SegmentWriter {
         Ok(Self {
             file,
             frames: Vec::new(),
+            written: 0,
         })
+    }
+
+    /// Bytes this writer has handed to `write`, failed writes included:
+    /// never less than the segment's length, and no system call to read.
+    pub fn written(&self) -> u64 {
+        self.written
+    }
+
+    /// The segment's true end, as the file descriptor sees it. A `write`
+    /// that failed part way still moved it past the bytes that went out,
+    /// so a count of successful appends can fall short of it.
+    pub fn end(&mut self) -> io::Result<u64> {
+        self.file.stream_position()
+    }
+
+    /// One `write` of the encoded frames.
+    fn write_frames(&mut self) -> io::Result<()> {
+        self.written += self.frames.len() as u64;
+        self.file.write_all(&self.frames)
     }
 
     /// Appends one record as one frame.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
         self.frames.clear();
         push_frame(&mut self.frames, |out| codec::encode(record, out));
-        self.file.write_all(&self.frames)
+        self.write_frames()
     }
 
     /// Appends `batch` as a [`WalRecord::Batch`] — the frame
@@ -398,7 +440,7 @@ impl SegmentWriter {
         if let Some(record) = meta {
             push_frame(&mut self.frames, |out| codec::encode(record, out));
         }
-        self.file.write_all(&self.frames)
+        self.write_frames()
     }
 
     /// Forces written frames through the OS cache to stable storage.
@@ -520,6 +562,29 @@ mod tests {
         assert!(out.records.is_empty());
         assert_eq!(out.valid_len, 0);
         assert!(matches!(out.issue, Some(WalIssue::Corrupt { .. })));
+    }
+
+    /// Scanned from a frame boundary, the frames before it are neither
+    /// decoded nor returned, and every offset is counted from the start of
+    /// the bytes: a torn tail's is where the file is cut.
+    #[test]
+    fn scan_from_counts_offsets_from_the_start_of_the_bytes() {
+        let records = vec![rec(1), rec(2), rec(3)];
+        let bytes = encode_all(&records);
+        let first = encode_all(&records[..1]).len();
+        let two = encode_all(&records[..2]).len();
+        let out = scan_from(&bytes, first);
+        assert_eq!(
+            (out.records, out.valid_len),
+            (records[1..].to_vec(), bytes.len())
+        );
+        let out = scan_from(&bytes[..bytes.len() - 1], first);
+        assert_eq!(out.records, records[1..2]);
+        assert_eq!(out.issue, Some(WalIssue::TornTail { offset: two }));
+        for past in [bytes.len(), bytes.len() + 1, usize::MAX] {
+            let out = scan_from(&bytes, past);
+            assert!(out.records.is_empty() && out.issue.is_none(), "{past}");
+        }
     }
 
     /// A torn tail is cut only where it ends the log: a later segment that

@@ -496,30 +496,31 @@ fn resume_tokens_are_single_use_and_epoch_checked() {
 }
 
 /// The slot holding the newest anchor under `dir`, and that anchor's
-/// segment.
-fn newest_slot(dir: &Path) -> (usize, u64) {
+/// position, `(segment, offset)`.
+fn newest_slot(dir: &Path) -> (usize, (u64, u64)) {
     use slate_core::durability::snapshot::{decode_slot, slot_path};
     (0..2)
         .filter_map(|slot| {
             let bytes = std::fs::read(slot_path(dir, slot)).unwrap();
             Some((slot, decode_slot(&bytes).ok()?.0))
         })
-        .max_by_key(|&(_, segment)| segment)
+        .max_by_key(|&(_, anchor)| anchor)
         .expect("an anchor")
 }
 
-/// Damaged slot images: each header fault, and a well-formed header and
-/// checksum around a body of 100 000 nested arrays — which a parser
-/// recursing without a bound answers with a stack overflow.
-fn hostile_slots(segment: u64) -> Vec<(&'static str, Vec<u8>)> {
+/// Damaged slot images: each header fault, and a well-formed version 2
+/// header and checksum, anchoring `(segment, offset)`, around a body of
+/// 100 000 nested arrays — which a parser recursing without a bound
+/// answers with a stack overflow.
+fn hostile_slots((segment, offset): (u64, u64)) -> Vec<(&'static str, Vec<u8>)> {
     use slate_core::durability::snapshot::{encode_slot, SLOT_HEADER_LEN};
     let mut deep = Vec::new();
-    encode_slot(segment, "[".repeat(100_000).as_bytes(), &mut deep);
+    encode_slot(segment, offset, "[".repeat(100_000).as_bytes(), &mut deep);
     let mut magic = deep.clone();
     magic[..8].copy_from_slice(b"NOTASLOT");
     let truncated = deep[..SLOT_HEADER_LEN / 2].to_vec();
     let mut long = deep[..SLOT_HEADER_LEN + 64].to_vec();
-    long[24..32].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    long[SLOT_HEADER_LEN - 8..SLOT_HEADER_LEN].copy_from_slice(&(1u64 << 40).to_le_bytes());
     let mut crc = deep.clone();
     crc[SLOT_HEADER_LEN + 99] = b'{';
     vec![
@@ -546,9 +547,9 @@ fn a_hostile_snapshot_costs_replay_or_a_typed_error_never_the_process() {
     let hits = submit_workload(&client);
     client.synchronize().unwrap();
     let scene = daemon.crash();
-    let (newest, segment) = newest_slot(&dir);
-    assert!(segment >= 1, "the workload spans a snapshot cadence");
-    for (case, image) in hostile_slots(segment) {
+    let (newest, anchor) = newest_slot(&dir);
+    assert!(anchor.1 >= 1, "the workload spans a snapshot cadence");
+    for (case, image) in hostile_slots(anchor) {
         std::fs::write(slot_path(&dir, newest), &image).unwrap();
         let rec = recover_dir(&dir).expect(case);
         assert_eq!(rec.slot, Some(newest ^ 1), "{case}: the other slot is read");
@@ -567,8 +568,7 @@ fn a_hostile_snapshot_costs_replay_or_a_typed_error_never_the_process() {
     verify(&log).expect("full WAL replays byte-identically");
 
     let scene = recovered.crash();
-    let segment = newest_slot(&dir).1;
-    for (case, image) in hostile_slots(segment) {
+    for (case, image) in hostile_slots(newest_slot(&dir).1) {
         for slot in 0..2 {
             std::fs::write(slot_path(&dir, slot), &image).unwrap();
         }
@@ -623,8 +623,8 @@ fn a_fallback_replays_past_a_segment_whose_torn_tail_was_truncated() {
     let scene = recovered.crash();
     for slot in 0..2 {
         let path = slot_path(&dir, slot);
-        let anchor = decode_slot(&std::fs::read(&path).unwrap()).unwrap().0;
-        if anchor > torn {
+        let (segment, _) = decode_slot(&std::fs::read(&path).unwrap()).unwrap().0;
+        if segment > torn {
             std::fs::write(path, "not a snapshot").unwrap();
         }
     }

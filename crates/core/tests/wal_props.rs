@@ -394,6 +394,7 @@ fn old_and_mixed_segments_recover_the_state_the_codec_does() {
             format: SNAPSHOT_FORMAT,
             epoch: 0,
             segment: 0,
+            offset: 0,
             placement: fresh_layer().snapshot(),
             meta: DurableMeta::default(),
         };
