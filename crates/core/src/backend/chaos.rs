@@ -230,10 +230,6 @@ impl<B: Backend> Backend for ChaosBackend<B> {
         self.inner.held_range(lease)
     }
 
-    fn is_functional(&self) -> bool {
-        self.inner.is_functional()
-    }
-
     fn health(&self) -> DeviceHealth {
         self.inner.health()
     }

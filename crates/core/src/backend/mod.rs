@@ -7,39 +7,36 @@
 //! [`Command::Evict`] against an actual device, plus the feedback half of
 //! the loop (completion events, `slateIdx` progress, held SM ranges).
 //!
-//! Two implementations ship today:
-//!
-//! * [`SimBackend`] — slices on the fluid-rate simulation engine
-//!   (`slate-gpu-sim`), the substrate behind
-//!   [`SlateRuntime`](crate::runtime::SlateRuntime);
-//! * [`DispatcherBackend`] — real persistent-worker threads through the
-//!   dispatch kernel of [`crate::dispatch`]: the functional counterpart
-//!   the conformance and differential-replay suites run. The live
-//!   [`SlateDaemon`](crate::daemon::SlateDaemon) drives `Dispatcher`s
-//!   itself (`daemon/exec.rs`) and shares only the [`LeaseTable`] with it.
-//!
-//! A third, test-only decorator — [`ChaosBackend`] — perturbs the command
-//! stream of any inner backend from a seeded
+//! `Backend` is the simulated-time execution seam. [`SimBackend`] runs
+//! slices on the fluid-rate simulation engine (`slate-gpu-sim`); it is the
+//! substrate behind [`SlateRuntime`](crate::runtime::SlateRuntime) and,
+//! one per device, behind [`MultiSim`](crate::placement::MultiSim). A
+//! test-only decorator, [`ChaosBackend`], perturbs the command stream of
+//! any inner backend from a seeded
 //! [`FaultPlan`](slate_gpu_sim::fault::FaultPlan), proving the execution
-//! contract survives duplicated, detoured and delayed commands.
+//! contract survives duplicated, detoured and delayed commands and whole
+//! device outages.
+//!
+//! The live [`SlateDaemon`](crate::daemon::SlateDaemon) does not execute
+//! through this seam: it runs each kernel's
+//! [`Dispatcher`](crate::dispatch::Dispatcher) inline on the session or
+//! lane thread that waited for the grant (`daemon/exec.rs`), and its
+//! real-thread guarantees are pinned through the client API by
+//! `crates/core/tests/daemon_conformance.rs`.
 //!
 //! The contract itself is pinned by [`testkit`]: every implementation must
-//! pass the same scripted conformance scenarios (each user block executes
-//! exactly once across arbitrary resize/evict/relaunch churn, retreat
-//! preserves progress, SM confinement holds, completions arrive exactly
-//! once), and the differential runner replays one recorded
+//! pass the same scripted conformance scenarios (progress is carried
+//! exactly across arbitrary resize/evict/relaunch churn, retreat preserves
+//! progress, SM confinement holds, completions arrive exactly once), and
+//! the differential runner replays one recorded
 //! [`EventLog`](crate::arbiter::EventLog) through two backends and asserts
-//! their observable transcripts agree. A future CUDA backend slots in by
-//! implementing [`Backend`] and passing that suite — without touching
-//! scheduling.
+//! their observable transcripts agree.
 
 pub mod chaos;
-pub mod dispatcher;
 pub mod sim;
 pub mod testkit;
 
 pub use chaos::ChaosBackend;
-pub use dispatcher::{DispatcherBackend, LeaseTable};
 pub use sim::SimBackend;
 
 use crate::arbiter::Command;
@@ -205,8 +202,7 @@ pub trait Backend {
     /// [`Backend::advance`] or [`Backend::drive_until`] for that).
     fn poll(&mut self) -> Option<Completion>;
 
-    /// Lets `millis` of backend time pass: simulated time for the engine
-    /// backend, wall-clock sleep for the threaded dispatcher backend.
+    /// Lets `millis` of simulated backend time pass.
     fn advance(&mut self, millis: u64);
 
     /// Absolute `slateIdx` progress of `lease` (0 if unknown).
@@ -215,11 +211,6 @@ pub trait Backend {
     /// The SM range `lease` currently holds, or `None` if it is not
     /// resident (unknown, not yet dispatched, or finished).
     fn held_range(&self, lease: u64) -> Option<SmRange>;
-
-    /// Whether this backend really executes user block bodies (so tests
-    /// can verify per-block coverage through kernel-visible side effects).
-    /// The simulation backend models timing only and returns `false`.
-    fn is_functional(&self) -> bool;
 
     /// Non-blocking health probe for the device this backend drives.
     fn health(&self) -> DeviceHealth;

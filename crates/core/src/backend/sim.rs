@@ -372,10 +372,6 @@ impl Backend for SimBackend {
             .and_then(|l| l.slice.map(|(_, r)| r))
     }
 
-    fn is_functional(&self) -> bool {
-        false
-    }
-
     fn health(&self) -> DeviceHealth {
         self.health
     }

@@ -1,18 +1,20 @@
 //! The backend conformance testkit: scripted scenarios every [`Backend`]
 //! implementation must pass, plus the differential runner that replays a
-//! recorded [`EventLog`] through two backends and compares transcripts.
+//! recorded [`EventLog`] through a backend so two replays can be
+//! compared ([`assert_chaos_keeps_transcript`] compares a bare
+//! [`SimBackend`] with the same backend under command chaos).
 //!
 //! The scenarios pin the execution contract the arbiter relies on:
 //!
 //! * **undisturbed run** — a dispatch with no interference drains, reports
 //!   exactly one `ok` completion at `slateMax`;
 //! * **resize churn, exactly once** — across seeded random mid-flight
-//!   resizes, each user block still executes exactly once and exactly one
+//!   resizes, the drain reports exactly `slateMax` blocks and exactly one
 //!   completion arrives;
 //! * **retreat preserves progress** — `slateIdx` progress is monotonic
 //!   across a retreat/relaunch, nothing is lost or re-done;
 //! * **relaunch after evict** — an eviction reports partial progress;
-//!   re-staging from that progress covers exactly the remaining blocks;
+//!   re-staging from that progress drains exactly the remaining blocks;
 //! * **drain reported exactly once** — no duplicate completions, and
 //!   commands on a finished lease are no-ops;
 //! * **SM confinement** — the backend holds exactly the commanded range
@@ -22,84 +24,58 @@
 //!   reports the outage, and the restored device drains exactly the
 //!   remaining blocks.
 //!
-//! Functional backends ([`Backend::is_functional`]) additionally prove
-//! block coverage through kernel-visible side effects (a hit-count
-//! buffer); the simulation backend is held to the same accounting through
-//! its reported progress. A future CUDA backend passes this suite before
-//! it may slot in behind the daemon.
+//! Every property is checked through reported progress: a simulated
+//! backend runs no block bodies. The daemon's real-thread executor is
+//! held to the same properties by output buffers, through the client API,
+//! in `crates/core/tests/daemon_conformance.rs`.
 
-use super::{Backend, Completion, DeviceFault, DeviceHealth, WorkSpec};
+use super::{Backend, ChaosBackend, Completion, DeviceFault, DeviceHealth, SimBackend, WorkSpec};
 use crate::arbiter::{Command, Event as ArbEvent, EventLog};
 use crate::transform::TransformedKernel;
-use slate_gpu_sim::buffer::GpuBuffer;
 use slate_gpu_sim::device::SmRange;
+use slate_gpu_sim::fault::FaultPlan;
 use slate_gpu_sim::perf::KernelPerf;
 use slate_kernels::grid::{BlockCoord, GridDim};
 use slate_kernels::kernel::GpuKernel;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Generous drive bound: simulated milliseconds for the engine backend
-/// (free), wall milliseconds for threaded backends (only reached on a
-/// hang, i.e. a failing test).
+/// Generous drive bound in simulated milliseconds (free; only reached on
+/// a hang, i.e. a failing test).
 const DRIVE_MS: u64 = 120_000;
 
-/// A counting kernel for conformance runs: each executed block increments
-/// its own hit cell (coverage proof on functional backends) and optionally
-/// busy-waits `delay_us` so churn commands land mid-flight. The simulated
-/// perf cost mirrors the functional delay, so both backend families see
-/// comparably long-running kernels.
-struct ChurnCounter {
+/// A kernel for conformance runs: a flat grid whose simulated cost per
+/// block grows with `delay_us`, so churn commands land mid-flight. Only
+/// its timing matters; a simulated backend runs no block body.
+struct ChurnKernel {
     grid: GridDim,
-    hits: Arc<GpuBuffer>,
     delay_us: u64,
 }
 
-impl GpuKernel for ChurnCounter {
+impl GpuKernel for ChurnKernel {
     fn name(&self) -> &str {
-        "conformance-counter"
+        "conformance-kernel"
     }
     fn grid(&self) -> GridDim {
         self.grid
     }
     fn perf(&self) -> KernelPerf {
-        // ~1.5k cycles per microsecond of functional delay keeps the
-        // simulated duration in the same regime as the threaded one.
+        // ~1.5k cycles per microsecond of per-block delay.
         KernelPerf::synthetic(
-            "conformance-counter",
+            "conformance-kernel",
             100.0 + self.delay_us as f64 * 1500.0,
             8.0,
         )
     }
-    fn run_block(&self, b: BlockCoord) {
-        self.hits.fetch_add_u32(self.grid.flat_of(b) as usize, 1);
-        if self.delay_us > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(self.delay_us));
-        }
-    }
+    fn run_block(&self, _: BlockCoord) {}
 }
 
-/// A transformed counting kernel over a flat grid of `blocks`, returning
-/// the kernel and its hit-count buffer (one `u32` cell per block).
-pub fn counter_kernel(blocks: u32, delay_us: u64) -> (TransformedKernel, Arc<GpuBuffer>) {
-    let grid = GridDim::d1(blocks);
-    let hits = Arc::new(GpuBuffer::new(grid.total_blocks() as usize * 4));
-    (
-        TransformedKernel::new(Arc::new(ChurnCounter {
-            grid,
-            hits: hits.clone(),
-            delay_us,
-        })),
-        hits,
-    )
-}
-
-/// Asserts every one of `total` hit cells was incremented exactly once —
-/// the each-block-exactly-once property.
-pub fn assert_exactly_once(hits: &GpuBuffer, total: u64) {
-    for i in 0..total {
-        assert_eq!(hits.load_u32(i as usize), 1, "block {i} hit count");
-    }
+/// A transformed conformance kernel over a flat grid of `blocks`.
+pub fn churn_kernel(blocks: u32, delay_us: u64) -> TransformedKernel {
+    TransformedKernel::new(Arc::new(ChurnKernel {
+        grid: GridDim::d1(blocks),
+        delay_us,
+    }))
 }
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -122,7 +98,7 @@ fn random_range(s: &mut u64, num_sms: u32) -> SmRange {
 pub fn undisturbed_run(b: &mut dyn Backend) {
     let n = b.device().num_sms;
     let total: u32 = 400;
-    let (k, hits) = counter_kernel(total, 0);
+    let k = churn_kernel(total, 0);
     b.stage(7, WorkSpec::new(k, 10));
     b.apply(&Command::Dispatch {
         lease: 7,
@@ -135,18 +111,15 @@ pub fn undisturbed_run(b: &mut dyn Backend) {
     assert!(c.ok);
     assert_eq!(c.progress, u64::from(total));
     assert_eq!(b.progress(7), u64::from(total));
-    if b.is_functional() {
-        assert_exactly_once(&hits, u64::from(total));
-    }
 }
 
-/// Scenario: across seeded random mid-flight resizes, each block executes
-/// exactly once and exactly one completion arrives.
+/// Scenario: across seeded random mid-flight resizes, the drain reports
+/// exactly `slateMax` blocks and exactly one completion arrives.
 pub fn resize_churn_exactly_once(b: &mut dyn Backend, seed: u64) {
     let n = b.device().num_sms;
     assert!(n >= 2, "conformance runs need a multi-SM device");
     let total: u32 = 6_000;
-    let (k, hits) = counter_kernel(total, 10);
+    let k = churn_kernel(total, 10);
     b.stage(1, WorkSpec::new(k, 5));
     b.apply(&Command::Dispatch {
         lease: 1,
@@ -183,16 +156,13 @@ pub fn resize_churn_exactly_once(b: &mut dyn Backend, seed: u64) {
     assert_eq!(c.progress, u64::from(total), "no blocks lost or re-done");
     assert_eq!(b.progress(1), u64::from(total));
     assert_eq!(b.poll(), None, "no duplicate completion");
-    if b.is_functional() {
-        assert_exactly_once(&hits, u64::from(total));
-    }
 }
 
 /// Scenario: `slateIdx` progress is monotonic across a retreat/relaunch.
 pub fn retreat_preserves_progress(b: &mut dyn Backend) {
     let n = b.device().num_sms;
     let total: u32 = 8_000;
-    let (k, hits) = counter_kernel(total, 15);
+    let k = churn_kernel(total, 15);
     b.stage(4, WorkSpec::new(k, 1));
     b.apply(&Command::Dispatch {
         lease: 4,
@@ -213,18 +183,14 @@ pub fn retreat_preserves_progress(b: &mut dyn Backend) {
     let c = *cs.last().expect("run completes");
     assert!(c.ok);
     assert_eq!(c.progress, u64::from(total));
-    if b.is_functional() {
-        assert_exactly_once(&hits, u64::from(total));
-    }
 }
 
 /// Scenario: an eviction reports partial progress; re-staging from that
-/// progress covers exactly the remaining blocks — the union is each block
-/// exactly once.
+/// progress drains exactly the remaining blocks.
 pub fn relaunch_after_evict(b: &mut dyn Backend) {
     let n = b.device().num_sms;
     let total: u32 = 12_000;
-    let (k, hits) = counter_kernel(total, 20);
+    let k = churn_kernel(total, 20);
     b.stage(9, WorkSpec::new(k.clone(), 1));
     b.apply(&Command::Dispatch {
         lease: 9,
@@ -258,9 +224,6 @@ pub fn relaunch_after_evict(b: &mut dyn Backend) {
         assert_eq!(c2.progress, u64::from(total));
     }
     assert_eq!(b.progress(9), u64::from(total));
-    if b.is_functional() {
-        assert_exactly_once(&hits, u64::from(total));
-    }
 }
 
 /// Scenario: the arbiter's SLO preemption sequence — an informational
@@ -272,7 +235,7 @@ pub fn preempt_then_resume(b: &mut dyn Backend) {
     let n = b.device().num_sms;
     assert!(n >= 2, "conformance runs need a multi-SM device");
     let total: u32 = 9_000;
-    let (be, be_hits) = counter_kernel(total, 15);
+    let be = churn_kernel(total, 15);
     b.stage(5, WorkSpec::new(be, 1));
     b.apply(&Command::Dispatch {
         lease: 5,
@@ -292,7 +255,7 @@ pub fn preempt_then_resume(b: &mut dyn Backend) {
     assert!(b.progress(5) >= p1, "retreat must not lose progress");
     // ...and the latency-critical arrival dispatches on the vacated SMs.
     let lc_total: u32 = 600;
-    let (lc, lc_hits) = counter_kernel(lc_total, 5);
+    let lc = churn_kernel(lc_total, 5);
     b.stage(6, WorkSpec::new(lc, 1));
     b.apply(&Command::Dispatch {
         lease: 6,
@@ -306,10 +269,6 @@ pub fn preempt_then_resume(b: &mut dyn Backend) {
     let c = *cs.last().expect("retreated run completes");
     assert!(c.ok, "the retreated lease still drains");
     assert_eq!(c.progress, u64::from(total), "no blocks lost or re-done");
-    if b.is_functional() {
-        assert_exactly_once(&be_hits, u64::from(total));
-        assert_exactly_once(&lc_hits, u64::from(lc_total));
-    }
 }
 
 /// Scenario: exactly one completion per staging, and commands naming a
@@ -317,7 +276,7 @@ pub fn preempt_then_resume(b: &mut dyn Backend) {
 pub fn drain_reported_exactly_once(b: &mut dyn Backend) {
     let n = b.device().num_sms;
     let total: u32 = 400;
-    let (k, hits) = counter_kernel(total, 0);
+    let k = churn_kernel(total, 0);
     b.stage(2, WorkSpec::new(k, 10));
     b.apply(&Command::Dispatch {
         lease: 2,
@@ -340,9 +299,6 @@ pub fn drain_reported_exactly_once(b: &mut dyn Backend) {
         "finished lease emits no further completions"
     );
     assert_eq!(b.progress(2), u64::from(total));
-    if b.is_functional() {
-        assert_exactly_once(&hits, u64::from(total));
-    }
 }
 
 /// Scenario: the backend holds exactly the commanded SM range while the
@@ -351,7 +307,7 @@ pub fn sm_confinement(b: &mut dyn Backend) {
     let n = b.device().num_sms;
     assert!(n >= 2, "conformance runs need a multi-SM device");
     let total: u32 = 3_000;
-    let (k, hits) = counter_kernel(total, 10);
+    let k = churn_kernel(total, 10);
     let first = SmRange::new(0, 0);
     b.stage(3, WorkSpec::new(k, 5));
     b.apply(&Command::Dispatch {
@@ -378,20 +334,16 @@ pub fn sm_confinement(b: &mut dyn Backend) {
     assert!(c.ok);
     assert_eq!(c.progress, u64::from(total));
     assert_eq!(b.held_range(3), None, "finished lease holds no range");
-    if b.is_functional() {
-        assert_exactly_once(&hits, u64::from(total));
-    }
 }
 
 /// Scenario: a hard device loss surfaces the in-flight lease as a *lost*
 /// completion carrying its durable progress, the health probe reports the
 /// outage, dispatches into the dead device are lost on arrival, and after
-/// a restore the re-staged remainder covers exactly the missing blocks —
-/// loss plus recovery is still each block exactly once.
+/// a restore the re-staged remainder drains exactly the missing blocks.
 pub fn device_loss_recovery_exactly_once(b: &mut dyn Backend) {
     let n = b.device().num_sms;
     let total: u32 = 12_000;
-    let (k, hits) = counter_kernel(total, 20);
+    let k = churn_kernel(total, 20);
     b.stage(6, WorkSpec::new(k.clone(), 1));
     b.apply(&Command::Dispatch {
         lease: 6,
@@ -411,7 +363,7 @@ pub fn device_loss_recovery_exactly_once(b: &mut dyn Backend) {
     // dispatch, restoring the device underneath us — in that case the
     // staging simply runs, so the property is only checked while the
     // probe still reports the loss.)
-    let (k2, _) = counter_kernel(8, 0);
+    let k2 = churn_kernel(8, 0);
     b.stage(11, WorkSpec::new(k2, 1));
     b.apply(&Command::Dispatch {
         lease: 11,
@@ -440,9 +392,6 @@ pub fn device_loss_recovery_exactly_once(b: &mut dyn Backend) {
         assert_eq!(cs[0].progress, u64::from(total));
     }
     assert_eq!(b.progress(6), u64::from(total));
-    if b.is_functional() {
-        assert_exactly_once(&hits, u64::from(total));
-    }
 }
 
 /// Runs the full conformance suite, building a fresh backend per scenario
@@ -470,19 +419,17 @@ pub type Transcript = BTreeMap<u64, Vec<(u64, bool)>>;
 /// Replays the command stream of a recorded [`EventLog`] against `b` and
 /// returns its observable transcript — the differential runner's half.
 ///
-/// Dispatches in the log are fed deterministic counting kernels (the same
+/// Dispatches in the log are fed deterministic conformance kernels (the same
 /// per-(lease, nth-staging) grid for every backend, so two replays of the
 /// same log are comparable); `Resize`/`Evict` commands are applied as
 /// recorded. Before feeding a batch whose *events* contain a
 /// `KernelFinished` for an in-flight lease, the backend is driven until
 /// that lease's completion is observed, mirroring the causality of the
-/// recording. On functional backends the per-staging hit buffers are
-/// asserted to show each block exactly once before returning.
+/// recording.
 pub fn replay_transcript(log: &EventLog, b: &mut dyn Backend) -> Transcript {
     let mut transcript: Transcript = BTreeMap::new();
     let mut stagings: HashMap<u64, u64> = HashMap::new();
     let mut in_flight: HashSet<u64> = HashSet::new();
-    let mut buffers: Vec<(Arc<GpuBuffer>, u64)> = Vec::new();
 
     fn note(t: &mut Transcript, in_flight: &mut HashSet<u64>, c: Completion) {
         in_flight.remove(&c.lease);
@@ -505,8 +452,7 @@ pub fn replay_transcript(log: &EventLog, b: &mut dyn Backend) -> Transcript {
                     let nth = stagings.entry(*lease).or_insert(0);
                     let blocks = (60 + ((*lease * 37 + *nth * 17) % 5) * 12) as u32;
                     *nth += 1;
-                    let (k, hits) = counter_kernel(blocks, 0);
-                    buffers.push((hits, u64::from(blocks)));
+                    let k = churn_kernel(blocks, 0);
                     b.stage(*lease, WorkSpec::new(k, 7));
                     in_flight.insert(*lease);
                 }
@@ -529,10 +475,31 @@ pub fn replay_transcript(log: &EventLog, b: &mut dyn Backend) -> Transcript {
         in_flight.is_empty(),
         "replay left leases unfinished: {in_flight:?}"
     );
-    if b.is_functional() {
-        for (hits, total) in &buffers {
-            assert_exactly_once(hits, *total);
-        }
-    }
     transcript
+}
+
+/// The differential check: replays `log` through a bare [`SimBackend`] and
+/// through the same backend under three seeded command-chaos plans, and
+/// asserts every chaos transcript equals the bare one (duplicated, detoured
+/// and delayed commands must not change what any staging reports) and that
+/// each plan fired. Returns the bare transcript.
+pub fn assert_chaos_keeps_transcript(log: &EventLog) -> Transcript {
+    let bare = replay_transcript(log, &mut SimBackend::new(log.device.clone()));
+    assert!(!bare.is_empty(), "the log must contain dispatches");
+    for seed in [0xA11CE, 0xB0B, 42] {
+        let mut chaos = ChaosBackend::new(
+            SimBackend::new(log.device.clone()),
+            FaultPlan::command_chaos(seed, 12),
+        );
+        let t = replay_transcript(log, &mut chaos);
+        assert_eq!(
+            t, bare,
+            "seed {seed:#x}: command chaos changed the transcript"
+        );
+        assert!(
+            chaos.faults_fired() > 0,
+            "seed {seed:#x}: no perturbation fired"
+        );
+    }
+    bare
 }

@@ -3,7 +3,6 @@
 
 use crate::arbiter::replay::is_recorded;
 use crate::arbiter::{Command, Event as ArbEvent};
-use crate::backend::LeaseTable;
 use crate::dispatch::DispatchHandle;
 use crate::durability::{Durability, WalRecord};
 use crate::error::SlateError;
@@ -37,15 +36,78 @@ pub(super) struct ArbInner {
     /// and any slot iteration that reaches output must sort by external
     /// id first.)
     grants: BTreeMap<u64, (usize, SmRange)>,
-    /// Dispatch handles of waiting/resident leases — the shared
-    /// backend-layer interpretation of `Resize`/`Evict` against dispatch
-    /// handles (including the injected-hang token cancel on eviction), the
-    /// same table [`crate::backend::DispatcherBackend`] executes with.
-    /// Leases are fleet-unique, so one table serves every device.
+    /// Dispatch handles of waiting/resident leases: where a routed
+    /// `Resize`/`Evict` reaches the `Dispatcher` that `exec::execute` runs
+    /// on its own thread (including the injected-hang token cancel on
+    /// eviction). Leases are fleet-unique, so one table serves every
+    /// device.
     leases: LeaseTable,
     /// Threads blocked in [`ArbFrontend::wait_grant`]'s wait: a feed wakes
     /// grant waiters only if there are any.
     grant_waiters: usize,
+}
+
+/// The execution-side state of in-flight dispatches: the handles the
+/// arbiter's `Resize`/`Evict` commands act on, plus the injected-hang
+/// token to cancel on eviction so cooperatively hung workers actually come
+/// back.
+///
+/// Ordered map by rule: any structure on the command/replay path must
+/// iterate deterministically, even if today's accesses are keyed lookups.
+/// (Dense-slot rule, `DESIGN.md` §17: decision-path tables inside the
+/// arbitration core use interned `IdTable` slots instead — but there,
+/// any slot iteration whose order can reach output sorts by external id
+/// first. This table is keyed-lookup-only and off the per-event hot
+/// path, so the ordered map stays.)
+#[derive(Default)]
+struct LeaseTable {
+    entries: BTreeMap<u64, LeaseEntry>,
+}
+
+struct LeaseEntry {
+    handle: DispatchHandle,
+    token: Option<FaultToken>,
+}
+
+impl LeaseTable {
+    /// Registers the dispatch handle (and optional hang token) of `lease`.
+    fn register(&mut self, lease: u64, handle: DispatchHandle, token: Option<FaultToken>) {
+        self.entries.insert(lease, LeaseEntry { handle, token });
+    }
+
+    /// Drops `lease`'s entry.
+    fn release(&mut self, lease: u64) {
+        self.entries.remove(&lease);
+    }
+
+    /// The registered leases, in ascending order. Crash handling walks
+    /// this to evict every in-flight dispatch before the scene capture.
+    fn leases(&self) -> Vec<u64> {
+        self.entries.keys().copied().collect()
+    }
+
+    /// Carries out an execution command against the registered handle:
+    /// `Resize` adjusts the SM range mid-flight, `Evict` stops the
+    /// dispatch and cancels any hang token. Every other command, and one
+    /// naming no registered lease, is a no-op.
+    fn apply(&self, cmd: &Command) {
+        match cmd {
+            Command::Resize { lease, range } => {
+                if let Some(e) = self.entries.get(lease) {
+                    e.handle.resize(*range);
+                }
+            }
+            Command::Evict { lease } => {
+                if let Some(e) = self.entries.get(lease) {
+                    e.handle.evict();
+                    if let Some(t) = &e.token {
+                        t.cancel();
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 /// The daemon's driver for the placement layer over the shared per-device
@@ -108,7 +170,7 @@ impl ArbFrontend {
                     routed: Vec::new(),
                 },
                 grants: BTreeMap::new(),
-                leases: LeaseTable::new(),
+                leases: LeaseTable::default(),
                 grant_waiters: 0,
             }),
             granted: Condvar::new(),

@@ -858,146 +858,6 @@ fn a_fleet_admits_sessions_per_device() {
     daemon.join();
 }
 
-/// `Double` with a per-block stall, slow enough for the heartbeat-fed
-/// rebalancer to migrate it mid-run.
-struct SlowDouble {
-    n: usize,
-    buf: Arc<GpuBuffer>,
-}
-impl GpuKernel for SlowDouble {
-    fn name(&self) -> &str {
-        "slow-double"
-    }
-    fn grid(&self) -> GridDim {
-        GridDim::d1((self.n as u32).div_ceil(64).max(1))
-    }
-    fn perf(&self) -> KernelPerf {
-        KernelPerf::synthetic("slow-double", 500.0, 1024.0)
-    }
-    fn run_block(&self, b: BlockCoord) {
-        std::thread::sleep(Duration::from_micros(500));
-        let lo = b.x as usize * 64;
-        for i in lo..(lo + 64).min(self.n) {
-            self.buf.store_f32(i, self.buf.load_f32(i) * 2.0);
-        }
-    }
-}
-
-#[test]
-fn multi_device_rebalance_migrates_a_running_kernel_exactly_once() {
-    // Both sessions pinned to device 0; device 1 idle. The weighted
-    // imbalance crosses the threshold as soon as both kernels are
-    // pending, the heartbeat fires a migration, and the victim resumes
-    // on device 1 from its carried progress. Every element must read
-    // exactly 2.0 afterwards: a re-executed block would leave 4.0.
-    let daemon = SlateDaemon::start_with_options(
-        DeviceConfig::tiny(4),
-        1 << 24,
-        DaemonOptions {
-            devices: vec![DeviceConfig::tiny(4), DeviceConfig::tiny(4)],
-            placement: PlacementPolicy::Affinity {
-                pins: [(1u64, 0usize), (2, 0)].into_iter().collect(),
-            },
-            rebalance: Some(RebalanceConfig {
-                high_ms: 15,
-                low_ms: 5,
-                cooldown_us: 0,
-                seed: 9,
-            }),
-            ..Default::default()
-        },
-    );
-    let n = 4_096usize;
-    let clients: Vec<_> = (0..2)
-        .map(|i| SlateClient::new(daemon.connect(&format!("pinned-{i}")).unwrap()))
-        .collect();
-    let ptrs: Vec<_> = clients
-        .iter()
-        .map(|c| {
-            let p = c.malloc((n * 4) as u64).unwrap();
-            c.upload_f32(p, &vec![1.0f32; n]).unwrap();
-            c.launch_with(vec![p], 4, None, move |bufs| {
-                Arc::new(SlowDouble {
-                    n,
-                    buf: bufs[0].clone(),
-                }) as Arc<dyn GpuKernel>
-            })
-            .unwrap();
-            p
-        })
-        .collect();
-    for (client, &p) in clients.iter().zip(&ptrs) {
-        client.synchronize().unwrap();
-        let out = client.download_f32(p, n).unwrap();
-        for (i, &v) in out.iter().enumerate() {
-            assert_eq!(v, 2.0, "element {i}: every block exactly once");
-        }
-    }
-    let stats = daemon.metrics().placement;
-    assert_eq!(stats.rebalances, 1, "the imbalance fired one migration");
-    assert_eq!(stats.migrations_completed, 1);
-    for client in clients {
-        client.disconnect().unwrap();
-    }
-    daemon.join();
-}
-
-#[test]
-fn multi_device_daemon_evacuates_a_failed_device_mid_run() {
-    // One session pinned to device 0, running a kernel slow enough to
-    // still be on-device when the operator fails its domain. The
-    // evacuation must move the running lease to device 1 and resume it
-    // from carried progress: every element reads exactly 2.0 afterwards
-    // (a lost block would leave 1.0, a re-run block 4.0).
-    let daemon = SlateDaemon::start_with_options(
-        DeviceConfig::tiny(4),
-        1 << 24,
-        DaemonOptions {
-            devices: vec![DeviceConfig::tiny(4), DeviceConfig::tiny(4)],
-            placement: PlacementPolicy::Affinity {
-                pins: [(1u64, 0usize)].into_iter().collect(),
-            },
-            ..Default::default()
-        },
-    );
-    let n = 16_384usize;
-    let client = SlateClient::new(daemon.connect("doomed-domain").unwrap());
-    let p = client.malloc((n * 4) as u64).unwrap();
-    client.upload_f32(p, &vec![1.0f32; n]).unwrap();
-    client
-        .launch_with(vec![p], 4, None, move |bufs| {
-            Arc::new(SlowDouble {
-                n,
-                buf: bufs[0].clone(),
-            }) as Arc<dyn GpuKernel>
-        })
-        .unwrap();
-    // Let the kernel get granted and run some blocks on device 0
-    // (the full grid needs tens of milliseconds), then pull the
-    // device out from under it.
-    std::thread::sleep(Duration::from_millis(10));
-    daemon.fail_device(0);
-    assert_eq!(daemon.device_health(0), HealthState::Failed);
-    client.synchronize().unwrap();
-    let out = client.download_f32(p, n).unwrap();
-    for (i, &v) in out.iter().enumerate() {
-        assert_eq!(v, 2.0, "element {i}: evacuated exactly once, not lost");
-    }
-    let stats = daemon.metrics().placement;
-    assert!(stats.evacuations >= 1, "the failure evacuated its leases");
-    assert!(stats.migrations_completed >= 1);
-    assert_eq!(stats.devices_out, 1);
-    // Recovery is gated: the returning device sits out probation
-    // before it can take traffic again.
-    daemon.recover_device(0);
-    assert!(
-        matches!(daemon.device_health(0), HealthState::Probation { .. }),
-        "a recovered device is on probation, not immediately healthy"
-    );
-    client.disconnect().unwrap();
-    daemon.join();
-}
-
 #[test]
 fn recorded_daemon_run_replays_identically() {
     let daemon = SlateDaemon::start_with_options(

@@ -85,8 +85,8 @@ pub struct DispatchOutcome {
     /// Per-launch worker statistics.
     pub runs: Vec<WorkerRunStats>,
     /// Absolute `slateIdx` progress at exit: the grid size unless evicted.
-    /// For a dispatch resumed from carried progress
-    /// ([`Dispatcher::resume`]) this includes the carried blocks.
+    /// For a dispatch resumed from carried progress this includes the
+    /// carried blocks.
     pub blocks: u64,
     /// Total queue pulls across all launches.
     pub queue_pulls: u64,
@@ -108,38 +108,41 @@ pub struct Dispatcher {
 impl Dispatcher {
     /// Prepares a dispatch of `kernel` with the given task size, initially
     /// bound to `range`.
+    ///
+    /// # Panics
+    /// If the kernel has occupancy 0 on `device` (it cannot launch);
+    /// callers serving untrusted kernels check [`WorkerGrid::of`] first.
     pub fn new(
         device: DeviceConfig,
         kernel: TransformedKernel,
         task_size: u32,
         range: SmRange,
     ) -> Self {
-        Self::resume(device, kernel, task_size, range, 0)
+        let grid = WorkerGrid::of(&device, &kernel.inner().perf())
+            .expect("kernel cannot launch (occupancy 0)");
+        Self::on_grid(grid, kernel, task_size, range, 0)
     }
 
-    /// Prepares a dispatch that resumes from `start` blocks of carried
-    /// progress — the relaunch path after an eviction. The task queue picks
-    /// up at the carried `slateIdx`, so blocks `[0, start)` are treated as
-    /// already executed and [`DispatchOutcome::blocks`] reports absolute
-    /// progress including them.
-    ///
-    /// # Panics
-    /// If the kernel has occupancy 0 on `device` (it cannot launch);
-    /// callers serving untrusted kernels check [`WorkerGrid::of`] first.
-    pub fn resume(
+    /// [`Dispatcher::new`] resuming from `start` blocks of carried progress
+    /// — the relaunch path after an eviction.
+    #[cfg(test)]
+    fn resume(
         device: DeviceConfig,
         kernel: TransformedKernel,
         task_size: u32,
         range: SmRange,
         start: u64,
     ) -> Self {
-        let grid = WorkerGrid::of(&device, &kernel.inner().perf())
-            .expect("kernel cannot launch (occupancy 0)");
+        let grid = WorkerGrid::of(&device, &kernel.inner().perf()).expect("launchable");
         Self::on_grid(grid, kernel, task_size, range, start)
     }
 
-    /// [`Dispatcher::resume`] for a caller that already holds the kernel's
-    /// worker-grid shape on the target device.
+    /// Prepares a dispatch on a known worker-grid shape that resumes from
+    /// `start` blocks of carried progress — the relaunch path after an
+    /// eviction. The task queue picks up at the carried `slateIdx`, so
+    /// blocks `[0, start)` are treated as already executed and
+    /// [`DispatchOutcome::blocks`] reports absolute progress including
+    /// them.
     pub(crate) fn on_grid(
         grid: WorkerGrid,
         kernel: TransformedKernel,

@@ -1,10 +1,10 @@
-//! Cross-backend conformance: every [`Backend`] implementation must pass
+//! Cross-backend conformance: every simulated-time [`Backend`] must pass
 //! the same scripted execution scenarios (see
 //! [`slate_core::backend::testkit`]), with and without injected
-//! command-stream chaos.
+//! command-stream and device chaos. The daemon's real-thread executor is
+//! held to the same properties in `daemon_conformance.rs`.
 
-use slate_core::backend::{testkit, Backend, ChaosBackend, DispatcherBackend, SimBackend};
-use slate_core::workers::LanePool;
+use slate_core::backend::{testkit, Backend, ChaosBackend, SimBackend};
 use slate_gpu_sim::device::DeviceConfig;
 use slate_gpu_sim::fault::FaultPlan;
 
@@ -18,41 +18,11 @@ fn sim_backend_passes_conformance() {
 }
 
 #[test]
-fn dispatcher_backend_passes_conformance() {
-    testkit::run_conformance(&mut || Box::new(DispatcherBackend::new(device())));
-}
-
-/// The same scenarios with the workers hosted on lane 0 alone and on four
-/// lanes, whatever this machine's CPU count: exactly-once hit buffers,
-/// retreat monotonicity and SM confinement do not depend on who hosts.
-#[test]
-fn dispatcher_backend_passes_conformance_at_one_and_four_lanes() {
-    for lanes in [1, 4] {
-        let pool = LanePool::with_lanes(lanes);
-        testkit::run_conformance(&mut || {
-            Box::new(DispatcherBackend::new(device()).with_pool(pool.clone()))
-        });
-    }
-}
-
-#[test]
 fn chaos_wrapped_sim_backend_passes_conformance() {
     for seed in [0xA11CE, 0xB0B, 42] {
         testkit::run_conformance(&mut || {
             Box::new(ChaosBackend::new(
                 SimBackend::new(device()),
-                FaultPlan::command_chaos(seed, 12),
-            ))
-        });
-    }
-}
-
-#[test]
-fn chaos_wrapped_dispatcher_backend_passes_conformance() {
-    for seed in [0xA11CE, 0xB0B, 42] {
-        testkit::run_conformance(&mut || {
-            Box::new(ChaosBackend::new(
-                DispatcherBackend::new(device()),
                 FaultPlan::command_chaos(seed, 12),
             ))
         });
@@ -75,24 +45,12 @@ fn device_chaos_wrapped_sim_backend_passes_conformance() {
 }
 
 #[test]
-fn device_chaos_wrapped_dispatcher_backend_passes_conformance() {
-    for seed in [0xA11CE, 0xB0B, 42] {
-        testkit::run_conformance(&mut || {
-            Box::new(ChaosBackend::new(
-                DispatcherBackend::new(device()),
-                FaultPlan::device_chaos(seed, 6),
-            ))
-        });
-    }
-}
-
-#[test]
 fn chaos_perturbations_actually_fire() {
     // The chaos suite only means something if the perturbations trigger:
     // run the churn scenario (9+ commands) against a dense plan and check
     // rules fired.
     let mut b = ChaosBackend::new(
-        DispatcherBackend::new(device()),
+        SimBackend::new(device()),
         FaultPlan::command_chaos(0x5EED, 16),
     );
     testkit::resize_churn_exactly_once(&mut b, 7);
@@ -107,11 +65,11 @@ fn device_chaos_actually_fires() {
     // `ChaosBackend` is the only device-fault injector, so the device-chaos
     // suite above means something only if its outages trigger. Under a
     // dense device plan (this seed schedules an outage on each of the
-    // first dispatches) the scenarios must fire rules and still run every
-    // block exactly once, which each scenario asserts itself.
+    // first dispatches) the scenarios must fire rules and still carry
+    // every block's progress exactly, which each scenario asserts itself.
     let chaos = || {
         ChaosBackend::new(
-            DispatcherBackend::new(device()),
+            SimBackend::new(device()),
             FaultPlan::device_chaos(0x5EED, 16),
         )
     };
@@ -134,22 +92,18 @@ fn device_chaos_actually_fires() {
 
 #[test]
 fn backends_report_their_nature() {
-    let sim = SimBackend::new(device());
-    assert_eq!(sim.name(), "sim");
-    assert!(!sim.is_functional());
-    let disp = DispatcherBackend::new(device());
-    assert_eq!(disp.name(), "dispatcher");
-    assert!(disp.is_functional());
+    assert_eq!(SimBackend::new(device()).name(), "sim");
     let chaos = ChaosBackend::new(SimBackend::new(device()), FaultPlan::new());
     assert_eq!(chaos.name(), "chaos");
-    assert!(!chaos.is_functional());
 }
 
 #[test]
 fn differential_runner_agrees_on_a_fresh_recording() {
     // Record a live BS-RG co-run (it contains Dispatch + Resize churn),
-    // then replay its command stream through both backends and require
-    // identical observable transcripts.
+    // then replay its command stream through the simulation backend bare
+    // and under command chaos, and require identical observable
+    // transcripts: duplicated, detoured and delayed commands must not
+    // change what any staging reports.
     use slate_baselines::runtime::Runtime as _;
     use slate_core::runtime::SlateRuntime;
     use slate_kernels::workload::Benchmark;
@@ -163,10 +117,5 @@ fn differential_runner_agrees_on_a_fresh_recording() {
     let (_, log) = rt.run_recorded(&apps);
     assert_eq!(rt.device().num_sms, cfg.num_sms);
 
-    let mut sim = SimBackend::new(log.device.clone());
-    let mut disp = DispatcherBackend::new(log.device.clone());
-    let a = testkit::replay_transcript(&log, &mut sim);
-    let b = testkit::replay_transcript(&log, &mut disp);
-    assert!(!a.is_empty(), "the recording must contain dispatches");
-    assert_eq!(a, b, "sim and dispatcher transcripts diverged");
+    testkit::assert_chaos_keeps_transcript(&log);
 }

@@ -13,6 +13,7 @@
 
 use slate_core::arbiter::replay::{ReplayBatch, Replayable, StreamVerifier};
 use slate_core::arbiter::{replay, Command, Event, EventLog};
+use slate_core::backend::testkit;
 use slate_core::placement::PlacementLog;
 use slate_core::runtime::{SlateOptions, SlateRuntime};
 use slate_gpu_sim::device::DeviceConfig;
@@ -100,22 +101,12 @@ fn live_sim_run_reproduces_the_checked_in_log() {
 fn checked_in_log_drives_both_backends_to_identical_transcripts() {
     // The recorded command stream is not just replayable through the
     // arbiter — executed through the `Backend` seam, the simulation
-    // engine and the real persistent-worker dispatcher must produce the
-    // same observable transcript (per-lease staging completions, full
-    // block coverage). This pins the execution contract the refactor
-    // carved out against the checked-in fixture.
-    use slate_core::backend::{testkit, DispatcherBackend, SimBackend};
-
+    // engine bare and under seeded command chaos (duplicated, detoured
+    // and delayed commands) must produce the same observable transcript
+    // (per-lease staging completions). This pins the execution contract
+    // against the checked-in fixture.
     let log: EventLog = serde_json::from_str(LOG_JSON).expect("fixture parses");
-    let mut sim = SimBackend::new(log.device.clone());
-    let mut disp = DispatcherBackend::new(log.device.clone());
-    let a = testkit::replay_transcript(&log, &mut sim);
-    let b = testkit::replay_transcript(&log, &mut disp);
-    assert!(!a.is_empty(), "the fixture must contain dispatches");
-    assert_eq!(
-        a, b,
-        "sim and dispatcher transcripts diverged on the fixture"
-    );
+    let a = testkit::assert_chaos_keeps_transcript(&log);
     // Every staging the fixture dispatched ran to a clean drain (the
     // fixture contains no evictions), at full progress per staging.
     for (lease, stagings) in &a {
@@ -188,20 +179,10 @@ fn live_sim_run_reproduces_the_checked_in_slo_log() {
 #[test]
 fn checked_in_slo_log_drives_both_backends_to_identical_transcripts() {
     // The preemption command stream — retreat, resize, relaunch — executes
-    // identically through the simulation engine and the persistent-worker
-    // dispatcher.
-    use slate_core::backend::{testkit, DispatcherBackend, SimBackend};
-
+    // identically through the simulation engine bare and under command
+    // chaos.
     let log: EventLog = serde_json::from_str(SLO_LOG_JSON).expect("fixture parses");
-    let mut sim = SimBackend::new(log.device.clone());
-    let mut disp = DispatcherBackend::new(log.device.clone());
-    let a = testkit::replay_transcript(&log, &mut sim);
-    let b = testkit::replay_transcript(&log, &mut disp);
-    assert!(!a.is_empty(), "the slo fixture must contain dispatches");
-    assert_eq!(
-        a, b,
-        "sim and dispatcher transcripts diverged on the slo fixture"
-    );
+    testkit::assert_chaos_keeps_transcript(&log);
 }
 
 #[test]

@@ -5,9 +5,10 @@
 //!
 //! 1. **Routing conformance** — every session lands on exactly one valid
 //!    device, the route is sticky for the session's lifetime, lease
-//!    events follow it, and jobs driven through real backends complete
-//!    exactly once wherever they land (including across a mid-flight
-//!    migration, checked with functional hit buffers).
+//!    events follow it, and jobs driven through simulated backends
+//!    complete exactly once wherever they land (including across a
+//!    mid-flight migration): every staging resumes at the progress its
+//!    lease's last completion carried, and the last drains at `slateMax`.
 //! 2. **Determinism** — the layer is a pure function of its event
 //!    script: the same script through two fresh layers produces
 //!    byte-identical transcripts. This is the test that catches a map
@@ -20,12 +21,13 @@
 //!    replay machinery, and is reproduced exactly by a fresh run of the
 //!    fixture script.
 //! 4. **Failure domains** — killing one device of a live fleet
-//!    mid-churn loses no user block and duplicates none (hit buffers),
-//!    the recording of the failure run replays byte-identically, and a
-//!    second golden fixture (`tests/data/placement_failure_log.json`)
-//!    pins the evacuation + probation re-admission decision sequence. A
-//!    seeded soak (honoring `SLATE_CHAOS_SEED`) rolls losses and stalls
-//!    across the fleet for CI to re-seed nightly.
+//!    mid-churn loses no user block and duplicates none (carried
+//!    progress), the recording of the failure run replays
+//!    byte-identically, and a second golden fixture
+//!    (`tests/data/placement_failure_log.json`) pins the evacuation +
+//!    probation re-admission decision sequence. The seeded soak that
+//!    rolls losses across a live fleet runs against the daemon, in
+//!    `daemon_conformance.rs`.
 //!
 //! After an *intended* placement change, regenerate the fixtures with
 //! `cargo test -p slate-core --test placement_conformance -- --ignored`.
@@ -33,15 +35,17 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use slate_core::arbiter::{replay as core_replay, Command, Event, Tick};
-use slate_core::backend::testkit::{assert_exactly_once, counter_kernel};
-use slate_core::backend::{DeviceFault, DispatcherBackend};
+use slate_core::backend::testkit::churn_kernel;
+use slate_core::backend::{Backend, Completion, DeviceFault, DeviceHealth, SimBackend, WorkSpec};
 use slate_core::classify::WorkloadClass;
 use slate_core::placement::replay::{self as placement_replay, PlacementLog};
 use slate_core::placement::{
     MultiJob, MultiSim, PlacementConfig, PlacementLayer, PlacementPolicy, RebalanceConfig,
 };
-use slate_gpu_sim::device::DeviceConfig;
+use slate_gpu_sim::device::{DeviceConfig, SmRange};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 const LOG_JSON: &str = include_str!("data/placement_log.json");
 const GOLDEN_TRANSCRIPT: &str = include_str!("data/placement_transcript.txt");
@@ -131,6 +135,115 @@ fn record(devices: usize, policy: PlacementPolicy, sc: &[(Tick, Vec<Event>)]) ->
     layer.take_log().expect("recording was on")
 }
 
+/// What a fleet did with each lease, in order: the carried start of every
+/// staging and the progress every completion reported.
+type Ledger = Rc<RefCell<BTreeMap<u64, Vec<Step>>>>;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    Staged { start: u64 },
+    Finished(Completion),
+}
+
+/// A [`SimBackend`] that writes every staging and completion into the
+/// ledger the whole fleet shares.
+struct Ledgered {
+    inner: SimBackend,
+    ledger: Ledger,
+}
+
+impl Backend for Ledgered {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn device(&self) -> &DeviceConfig {
+        self.inner.device()
+    }
+    fn stage(&mut self, lease: u64, spec: WorkSpec) {
+        let step = Step::Staged { start: spec.start };
+        self.ledger
+            .borrow_mut()
+            .entry(lease)
+            .or_default()
+            .push(step);
+        self.inner.stage(lease, spec);
+    }
+    fn apply(&mut self, cmd: &Command) {
+        self.inner.apply(cmd);
+    }
+    fn poll(&mut self) -> Option<Completion> {
+        let c = self.inner.poll()?;
+        let step = Step::Finished(c);
+        self.ledger
+            .borrow_mut()
+            .entry(c.lease)
+            .or_default()
+            .push(step);
+        Some(c)
+    }
+    fn advance(&mut self, millis: u64) {
+        self.inner.advance(millis);
+    }
+    fn progress(&self, lease: u64) -> u64 {
+        self.inner.progress(lease)
+    }
+    fn held_range(&self, lease: u64) -> Option<SmRange> {
+        self.inner.held_range(lease)
+    }
+    fn health(&self) -> DeviceHealth {
+        self.inner.health()
+    }
+    fn inject_device_fault(&mut self, fault: DeviceFault) {
+        self.inner.inject_device_fault(fault);
+    }
+}
+
+/// A fleet of `devices` simulated `tiny(4)` devices sharing one ledger.
+fn ledgered_fleet(devices: usize, config: PlacementConfig) -> (MultiSim, Ledger) {
+    let ledger = Ledger::default();
+    let backends = (0..devices)
+        .map(|_| {
+            Box::new(Ledgered {
+                inner: SimBackend::new(DeviceConfig::tiny(4)),
+                ledger: ledger.clone(),
+            }) as Box<dyn Backend>
+        })
+        .collect();
+    (MultiSim::with_backends(backends, config), ledger)
+}
+
+/// Exactly once by carried progress: `lease` was first staged at 0, every
+/// later staging resumed at the progress of the completion before it,
+/// every completion but the last was a partial eviction or loss, and the
+/// last drained at `total` (`slateMax`). Returns the number of stagings.
+fn assert_carried(ledger: &Ledger, lease: u64, total: u64) -> usize {
+    let ledger = ledger.borrow();
+    let steps = ledger.get(&lease).map_or(&[][..], Vec::as_slice);
+    assert!(!steps.is_empty(), "lease {lease} was never staged");
+    let mut carried = 0;
+    for (i, pair) in steps.chunks(2).enumerate() {
+        let [Step::Staged { start }, Step::Finished(c)] = *pair else {
+            panic!("lease {lease}: staging {i} not followed by one completion: {steps:?}");
+        };
+        assert_eq!(
+            start, carried,
+            "lease {lease}: staging {i} resumed off its last completion"
+        );
+        assert!(
+            c.progress >= start,
+            "lease {lease}: progress went backwards"
+        );
+        let last = 2 * i + 2 == steps.len();
+        assert_eq!(
+            c.ok, last,
+            "lease {lease}: only the last staging drains: {steps:?}"
+        );
+        carried = c.progress;
+    }
+    assert_eq!(carried, total, "lease {lease} ended at slateMax");
+    steps.len() / 2
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -210,29 +323,23 @@ proptest! {
     }
 }
 
-/// Jobs driven through functional backends complete exactly once on every
-/// policy × device count, hit buffers proving no block ran twice or was
-/// lost — even without any migration in play.
+/// Jobs complete exactly once on every policy × device count, carried
+/// progress proving no block ran twice or was lost — even without any
+/// migration in play.
 #[test]
 fn every_policy_completes_jobs_exactly_once() {
     for devices in 1usize..=3 {
         for policy in policies(devices) {
-            let mut fleet = MultiSim::with_backends(
-                (0..devices)
-                    .map(|_| {
-                        Box::new(DispatcherBackend::new(DeviceConfig::tiny(4)))
-                            as Box<dyn slate_core::backend::Backend>
-                    })
-                    .collect(),
+            let (mut fleet, ledger) = ledgered_fleet(
+                devices,
                 PlacementConfig {
                     policy: policy.clone(),
                     ..Default::default()
                 },
             );
             let total: u32 = 120;
-            let mut buffers = Vec::new();
             for session in 0..4u64 {
-                let (kernel, hits) = counter_kernel(total, 0);
+                let kernel = churn_kernel(total, 0);
                 assert!(
                     fleet.submit(MultiJob {
                         session,
@@ -245,12 +352,11 @@ fn every_policy_completes_jobs_exactly_once() {
                     }),
                     "{policy:?}/{devices}: job must be admitted"
                 );
-                buffers.push(hits);
             }
             assert!(fleet.run(60_000), "{policy:?}/{devices}: fleet must drain");
-            for (lease, hits) in buffers.iter().enumerate() {
-                assert_exactly_once(hits, total as u64);
-                let outcome = fleet.outcome(lease as u64).expect("job has an outcome");
+            for lease in 0..4u64 {
+                assert_carried(&ledger, lease, total as u64);
+                let outcome = fleet.outcome(lease).expect("job has an outcome");
                 match outcome {
                     slate_core::placement::multi::JobOutcome::Completed { device } => {
                         assert!(device < devices, "{policy:?}: completed off-fleet")
@@ -263,22 +369,17 @@ fn every_policy_completes_jobs_exactly_once() {
     }
 }
 
-/// A rebalance migration across 2- and 3-device functional fleets keeps
-/// the exactly-once guarantee: the migrated kernel's hit buffer shows
-/// each block executed once across source and target devices.
+/// A rebalance migration across 2- and 3-device fleets keeps the
+/// exactly-once guarantee: the migrated kernel resumes on the target at
+/// the progress its eviction carried off the source, and drains there.
 #[test]
 fn rebalance_preserves_exactly_once_across_device_counts() {
     for devices in 2usize..=3 {
         // Pin both sessions to device 0 so the pile-up forces the
         // rebalancer to move one of them off.
         let pins: BTreeMap<u64, usize> = [(1u64, 0usize), (2, 0)].into_iter().collect();
-        let mut fleet = MultiSim::with_backends(
-            (0..devices)
-                .map(|_| {
-                    Box::new(DispatcherBackend::new(DeviceConfig::tiny(4)))
-                        as Box<dyn slate_core::backend::Backend>
-                })
-                .collect(),
+        let (mut fleet, ledger) = ledgered_fleet(
+            devices,
             PlacementConfig {
                 policy: PlacementPolicy::Affinity { pins },
                 rebalance: Some(RebalanceConfig {
@@ -291,9 +392,8 @@ fn rebalance_preserves_exactly_once_across_device_counts() {
             },
         );
         let total: u32 = 600;
-        let (k1, hits1) = counter_kernel(total, 30);
-        let (k2, hits2) = counter_kernel(total, 30);
-        for (session, kernel) in [(1u64, k1), (2, k2)] {
+        for session in [1u64, 2] {
+            let kernel = churn_kernel(total, 30);
             assert!(fleet.submit(MultiJob {
                 session,
                 lease: session,
@@ -301,8 +401,14 @@ fn rebalance_preserves_exactly_once_across_device_counts() {
                 task_size: 4,
                 class: WorkloadClass::MM,
                 sm_demand: 4,
-                est_ms: Some(20),
+                est_ms: Some(2),
             }));
+            // Let the first kernel run a while: its load alone stays
+            // under `high_ms`, so the migration fires at the second
+            // one's arrival and carries real progress.
+            for _ in 0..3 {
+                fleet.tick();
+            }
         }
         assert!(fleet.run(120_000), "{devices}-device fleet must drain");
         assert!(
@@ -313,20 +419,23 @@ fn rebalance_preserves_exactly_once_across_device_counts() {
         assert_ne!(src, dst, "migration crosses devices");
         assert!(dst < devices);
         assert!(
-            progress < total as u64,
+            0 < progress && progress < total as u64,
             "migration caught lease {lease} mid-flight (progress {progress})"
         );
-        assert_exactly_once(&hits1, total as u64);
-        assert_exactly_once(&hits2, total as u64);
+        assert!(
+            assert_carried(&ledger, lease, total as u64) >= 2,
+            "the migrated lease was re-staged on its target"
+        );
+        assert_carried(&ledger, 3 - lease, total as u64);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Killing one device of a live functional fleet mid-churn loses no
-    /// user block and duplicates none: every job still completes exactly
-    /// once (kernel-visible hit buffers), and the recording of the whole
+    /// Killing one device of a live fleet mid-churn loses no user block and
+    /// duplicates none: every job still completes exactly once (carried
+    /// progress across its stagings), and the recording of the whole
     /// run — failure, evacuation and all — replays byte-identically and
     /// splits into per-core logs that verify.
     #[test]
@@ -334,20 +443,11 @@ proptest! {
                                                        victim_pick in 0usize..16,
                                                        kill_at in 1u64..4) {
         let victim = victim_pick % devices;
-        let mut fleet = MultiSim::with_backends(
-            (0..devices)
-                .map(|_| {
-                    Box::new(DispatcherBackend::new(DeviceConfig::tiny(4)))
-                        as Box<dyn slate_core::backend::Backend>
-                })
-                .collect(),
-            PlacementConfig::default(),
-        );
+        let (mut fleet, ledger) = ledgered_fleet(devices, PlacementConfig::default());
         fleet.layer_mut().start_recording();
         let total: u32 = 400;
-        let mut buffers = Vec::new();
         for session in 0..devices as u64 {
-            let (kernel, hits) = counter_kernel(total, 30);
+            let kernel = churn_kernel(total, 30);
             prop_assert!(fleet.submit(MultiJob {
                 session,
                 lease: session,
@@ -357,16 +457,15 @@ proptest! {
                 sm_demand: 4,
                 est_ms: Some(20),
             }));
-            buffers.push(hits);
         }
         for _ in 0..kill_at {
             fleet.tick();
         }
         fleet.fail_device(victim);
         prop_assert!(fleet.run(120_000), "a fleet with a dead device must still drain");
-        for (lease, hits) in buffers.iter().enumerate() {
-            assert_exactly_once(hits, total as u64);
-            match fleet.outcome(lease as u64) {
+        for lease in 0..devices as u64 {
+            assert_carried(&ledger, lease, total as u64);
+            match fleet.outcome(lease) {
                 Some(slate_core::placement::multi::JobOutcome::Completed { device }) => {
                     prop_assert!(device < devices);
                 }
@@ -383,120 +482,6 @@ proptest! {
             core_replay::verify(core_log)
                 .map_err(|e| TestCaseError::fail(format!("core {i}: {e}")))?;
         }
-    }
-}
-
-/// Seeded device-failure soak: waves of functional jobs churn through a
-/// three-device fleet while a seeded schedule of hard losses, recoveries
-/// and stalls rolls across it — at most one device hard-down at a time,
-/// so the fleet always has somewhere to evacuate. Honors
-/// `SLATE_CHAOS_SEED` (decimal or `0x`-prefixed hex) so CI can soak
-/// fresh seeds nightly; defaults to a fixed seed locally.
-#[test]
-fn seeded_device_failure_soak_keeps_exactly_once() {
-    let seed = std::env::var("SLATE_CHAOS_SEED")
-        .ok()
-        .and_then(|s| {
-            let s = s.trim().to_string();
-            match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => s.parse().ok(),
-            }
-        })
-        .unwrap_or(0xC0FFEE);
-    let devices = 3usize;
-    let mut fleet = MultiSim::with_backends(
-        (0..devices)
-            .map(|_| {
-                Box::new(DispatcherBackend::new(DeviceConfig::tiny(4)))
-                    as Box<dyn slate_core::backend::Backend>
-            })
-            .collect(),
-        PlacementConfig::default(),
-    );
-    fleet.layer_mut().start_recording();
-    let mut s = seed | 1;
-    let mut rng = move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    };
-    let total: u32 = 240;
-    let mut buffers = Vec::new();
-    let mut down: Option<usize> = None;
-    for wave in 0..3u64 {
-        for j in 0..3u64 {
-            let lease = wave * 3 + j;
-            let (kernel, hits) = counter_kernel(total, 20);
-            assert!(
-                fleet.submit(MultiJob {
-                    session: lease,
-                    lease,
-                    kernel,
-                    task_size: 4,
-                    class: WorkloadClass::MM,
-                    sm_demand: 4,
-                    est_ms: Some(10),
-                }),
-                "seed {seed:#x}: wave {wave} job {j} must be admitted"
-            );
-            buffers.push(hits);
-        }
-        // A few seeded strikes per wave. Only the `down` slot may be
-        // hard-lost; stalls merely degrade (still a routing target), so
-        // an eligible evacuation destination always exists.
-        for _ in 0..4 {
-            fleet.tick();
-            match (rng() % 4, down) {
-                (0, None) => {
-                    let d = (rng() as usize) % devices;
-                    fleet.fail_device(d);
-                    down = Some(d);
-                }
-                (1, Some(d)) => {
-                    fleet.recover_device(d);
-                    down = None;
-                }
-                (2, _) => {
-                    let d = (rng() as usize) % devices;
-                    if down != Some(d) {
-                        fleet.inject_device_fault(
-                            d,
-                            DeviceFault::Degraded {
-                                millis: 1 + rng() % 4,
-                            },
-                        );
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    if let Some(d) = down {
-        fleet.recover_device(d);
-    }
-    assert!(
-        fleet.run(120_000),
-        "seed {seed:#x}: soaked fleet must drain"
-    );
-    for (lease, hits) in buffers.iter().enumerate() {
-        assert_exactly_once(hits, total as u64);
-        match fleet.outcome(lease as u64) {
-            Some(slate_core::placement::multi::JobOutcome::Completed { device }) => {
-                assert!(device < devices, "seed {seed:#x}: completed off-fleet");
-            }
-            other => panic!("seed {seed:#x}: lease {lease} ended {other:?}"),
-        }
-    }
-    let log = fleet.layer_mut().take_log().expect("recording was on");
-    placement_replay::verify(&log)
-        .unwrap_or_else(|e| panic!("seed {seed:#x}: soak log replays: {e}"));
-    let cores = placement_replay::split(&log)
-        .unwrap_or_else(|e| panic!("seed {seed:#x}: soak log splits: {e}"));
-    for (i, core_log) in cores.iter().enumerate() {
-        core_replay::verify(core_log)
-            .unwrap_or_else(|e| panic!("seed {seed:#x}: core {i} verifies: {e}"));
     }
 }
 

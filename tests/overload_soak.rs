@@ -518,12 +518,12 @@ fn churn_soak_under_tight_limits_stays_balanced_and_leak_free() {
         },
     );
     let d = daemon.clone();
-    let totals = Arc::new(parking_lot::Mutex::new((0u64, 0u64, 0u64)));
+    let totals = Arc::new(std::sync::Mutex::new((0u64, 0u64, 0u64)));
     let out = totals.clone();
     within(Duration::from_secs(60), "churn soak", move || {
-        *out.lock() = churn(d, 4, 3, 4, 2, false);
+        *out.lock().unwrap() = churn(d, 4, 3, 4, 2, false);
     });
-    let (connects, attempts, sheds_seen) = *totals.lock();
+    let (connects, attempts, sheds_seen) = *totals.lock().unwrap();
     daemon.join();
 
     let m = daemon.metrics();
