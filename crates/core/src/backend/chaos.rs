@@ -70,11 +70,6 @@ impl<B: Backend> ChaosBackend<B> {
         &self.inner
     }
 
-    /// Unwraps the decorator.
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-
     /// How many perturbations have fired so far.
     pub fn faults_fired(&self) -> usize {
         self.plan.fired()

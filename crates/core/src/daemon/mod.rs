@@ -195,8 +195,8 @@ pub struct DaemonOptions {
     /// returns the [`PlacementLog`], which replays to the identical routed
     /// command sequence and [`split`](crate::placement::replay::split)s
     /// into per-device [`EventLog`](crate::arbiter::EventLog)s. Export it
-    /// as a Perfetto trace with
-    /// [`export_log_to_file`](crate::trace::export::export_log_to_file).
+    /// as a Perfetto trace with `std::fs::write(path, trace_log(&log)?.to_json())`
+    /// ([`trace_log`](crate::trace::export::trace_log)).
     pub record_arbiter: bool,
     /// The device fleet the daemon schedules over, one
     /// [`ArbiterCore`](crate::arbiter::ArbiterCore) each behind the

@@ -1,9 +1,9 @@
 //! The WAL's record codec: what goes inside a frame's payload.
 //!
 //! A payload opens with a format byte. [`FORMAT`] (`1`) is this codec, the
-//! only one written. A payload whose first byte is `{` is the JSON of a
-//! segment written before it, still read so that an old directory
-//! recovers; any other first byte is corrupt.
+//! only one written and the only one read: a payload with any other first
+//! byte is corrupt. An incompatible change to the codec bumps [`FORMAT`]
+//! and keeps no reader for the old one.
 //!
 //! After the format byte comes one record, field by field in declaration
 //! order, with nothing between the fields:
@@ -103,9 +103,8 @@ pub fn encode_batch(batch: &PlacementBatch, out: &mut Vec<u8>) {
     put_batch(out, batch);
 }
 
-/// Decodes one payload: this codec's, or the JSON of an older segment.
-/// The error says why the payload is not a record (for this codec's
-/// payloads, a static string: building it allocates nothing).
+/// Decodes one payload. The error says why the payload is not a record
+/// (past the format byte, a static string: building it allocates nothing).
 pub fn decode(payload: &[u8]) -> Result<WalRecord, Cow<'static, str>> {
     match payload.split_first() {
         Some((&FORMAT, rest)) => {
@@ -115,12 +114,6 @@ pub fn decode(payload: &[u8]) -> Result<WalRecord, Cow<'static, str>> {
                 return Err(Cow::Borrowed("trailing bytes after the record"));
             }
             Ok(record)
-        }
-        Some((b'{', _)) => {
-            let text = std::str::from_utf8(payload)
-                .map_err(|e| Cow::Owned(format!("JSON payload is not UTF-8: {e}")))?;
-            serde_json::from_str(text)
-                .map_err(|e| Cow::Owned(format!("JSON payload fails to parse: {e}")))
         }
         Some((b, _)) => Err(Cow::Owned(format!("unknown format byte {b:#04x}"))),
         None => Err(Cow::Borrowed("empty payload")),

@@ -25,6 +25,12 @@
 //! what its anchor superseded — so a serving directory holds the two slots
 //! and one segment, two for a moment after a roll.
 //!
+//! **Formats.** The layer reads exactly what it writes, and each file
+//! carries one version: a WAL payload its format byte ([`codec::FORMAT`]),
+//! a slot its header's version, which covers the JSON body too. A format
+//! change bumps the one it changes and keeps no reader for the old one; a
+//! directory of an older layout is a typed error, never a panic.
+//!
 //! **Checkpoints** run on the batch cadence, synchronously, under the
 //! arbiter lock — so what one costs is serving latency. It costs what the
 //! *open* sessions cost to serialise ([`DurableMeta`] forgets a session
@@ -53,7 +59,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use recover::{full_log, recover_dir, Recovered};
-pub use snapshot::{AllocMeta, DurableMeta, DurableSnapshot, SessionMeta, SNAPSHOT_FORMAT};
+pub use snapshot::{AllocMeta, DurableMeta, DurableSnapshot, SessionMeta};
 pub use wal::{WalIssue, WalRecord, WalScan};
 
 use crate::placement::PlacementSnapshot;
@@ -153,13 +159,10 @@ impl Durability {
         let dir = &options.dir;
         std::fs::create_dir_all(dir)?;
         let segments = wal::list_segments(dir)?;
-        let anchored = recover::newest_anchor(dir, &segments)
-            .ok()
-            .and_then(|(_, slot)| slot);
+        let next = recover::newest_anchor(dir, &segments).map_or(0, |(_, slot)| slot ^ 1);
         let writer = SegmentWriter::create(dir, segment)?;
-        let mut slots = SnapshotSlots::open(dir, anchored.map_or(0, |slot| slot ^ 1))?;
+        let mut slots = SnapshotSlots::open(dir, next)?;
         let anchor = DurableSnapshot {
-            format: SNAPSHOT_FORMAT,
             epoch,
             segment,
             offset: 0,
@@ -323,7 +326,6 @@ impl Durability {
         }
         // The mirror is lent to the snapshot, not cloned into it.
         let snap = DurableSnapshot {
-            format: SNAPSHOT_FORMAT,
             epoch: self.epoch,
             segment: inner.segment,
             offset,
@@ -347,22 +349,18 @@ impl Durability {
     }
 
     /// Deletes every segment below the oldest one this incarnation keeps
-    /// (at start, the open one), and every snapshot file of the layout
-    /// written before the slots — the sweep [`Durability::start`] runs,
-    /// once its anchor is synced, for what a crashed incarnation or an
-    /// older build left behind; the cadence path unlinks its segments by
-    /// name and never lists the directory. `keep_all` keeps the segments.
-    /// Best-effort: removal failures are counted, not fatal — stale files
-    /// only cost disk.
+    /// (at start, the open one) — the sweep [`Durability::start`] runs,
+    /// once its anchor is synced, for what a crashed incarnation left
+    /// behind; the cadence path unlinks its segments by name and never
+    /// lists the directory. `keep_all` keeps them. Best-effort: removal
+    /// failures are counted, not fatal — stale files only cost disk.
     pub fn compact(&self) {
-        let oldest = self.inner.lock().oldest;
-        let dir = &self.options.dir;
-        let mut stale = wal::list_snapshots(dir).unwrap_or_default();
-        if !self.options.keep_all {
-            let segments = wal::list_segments(dir).unwrap_or_default();
-            stale.extend(segments.into_iter().filter(|&(k, _)| k < oldest));
+        if self.options.keep_all {
+            return;
         }
-        for (_, path) in stale {
+        let oldest = self.inner.lock().oldest;
+        let segments = wal::list_segments(&self.options.dir).unwrap_or_default();
+        for (_, path) in segments.into_iter().filter(|&(k, _)| k < oldest) {
             if self.note_io(std::fs::remove_file(path)).is_none() {
                 return;
             }
@@ -389,7 +387,7 @@ mod tests {
     use crate::arbiter::Event;
     use crate::placement::{PlacementBatch, PlacementConfig, PlacementLayer};
     use slate_gpu_sim::device::DeviceConfig;
-    use snapshot::{decode_slot, encode_slot, encode_slot_v1, load_slot, slot_path};
+    use snapshot::{decode_slot, encode_slot, load_slot, slot_path};
     use std::io::Write;
     use std::path::Path;
 
@@ -562,7 +560,7 @@ mod tests {
         );
         let rec = recover_dir(&dir).expect("recover");
         assert!(rec.issues.is_empty());
-        assert_eq!((rec.last_segment, rec.slot), (0, Some(0)));
+        assert_eq!((rec.last_segment, rec.slot), (0, 0));
         assert_eq!(
             serde_json::to_string(&rec.layer.snapshot()).unwrap(),
             serde_json::to_string(&layer.snapshot()).unwrap(),
@@ -665,12 +663,11 @@ mod tests {
         let want = state_of(&layer, &meta);
         assert_eq!(recovered_state(&dir), want, "before the checkpoint");
         let slot = |dir: &Path| recover_dir(dir).unwrap().slot;
-        assert_eq!(slot(&dir), Some(0), "the genesis anchor is in slot 0");
+        assert_eq!(slot(&dir), 0, "the genesis anchor is in slot 0");
 
         // 1. The anchor is the open segment's end.
         let end = seg_len(&dir, 0);
         let snap = |layer: &PlacementLayer, meta: &DurableMeta, segment, offset| DurableSnapshot {
-            format: SNAPSHOT_FORMAT,
             epoch: 0,
             segment,
             offset,
@@ -684,10 +681,10 @@ mod tests {
         //    from its end, which is nothing.
         overwrite_slot(&dir, 1, &image[..image.len() / 2]);
         assert_eq!(recovered_state(&dir), want, "slot torn at half");
-        assert_eq!(slot(&dir), Some(0));
+        assert_eq!(slot(&dir), 0);
         overwrite_slot(&dir, 1, &image);
         assert_eq!(recovered_state(&dir), want, "slot written, not synced");
-        assert_eq!(slot(&dir), Some(1));
+        assert_eq!(slot(&dir), 1);
         // 3. Slot 1 is written and synced.
         let mut slots = SnapshotSlots::open(&dir, 1).expect("open slots");
         slots.write(&snap(&layer, &meta, 0, end)).expect("slot 1");
@@ -724,22 +721,19 @@ mod tests {
         overwrite_slot(&dir, 0, &image[..image.len() / 2]);
         assert_eq!(
             (recovered_state(&dir), slot(&dir)),
-            (want.clone(), Some(1)),
+            (want.clone(), 1),
             "slot 0 torn"
         );
         slots.write(&snap(&layer, &meta, 1, end)).expect("slot 0");
         assert_eq!(
             (recovered_state(&dir), slot(&dir)),
-            (want.clone(), Some(0)),
+            (want.clone(), 0),
             "slot 0 synced"
         );
         std::fs::remove_file(wal::segment_path(&dir, 0)).unwrap();
         assert_eq!(recovered_state(&dir), want, "segment 0 unlinked");
         let last = recover_dir(&dir).unwrap().last_segment;
-        assert_eq!(
-            (files(&dir), last, slot(&dir)),
-            (slots_and(&[1]), 1, Some(0))
-        );
+        assert_eq!((files(&dir), last, slot(&dir)), (slots_and(&[1]), 1, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -753,7 +747,7 @@ mod tests {
         let (slot, anchor) = (1, anchor_of(&dir, 1).unwrap());
         assert!(anchor.1 > 0 && anchor.1 < seg_len(&dir, 0), "{anchor:?}");
         let rec = recover_dir(&dir).expect("recover");
-        assert_eq!((rec.slot, rec.last_segment), (Some(slot), 0));
+        assert_eq!((rec.slot, rec.last_segment), (slot, 0));
         assert!(rec.issues.is_empty(), "{:?}", rec.issues);
         assert_eq!(state_of(&rec.layer, &rec.meta), state_of(&layer, &meta));
         assert_eq!(rec.layer.snapshot().sessions_routed, 3);
@@ -816,7 +810,7 @@ mod tests {
             bytes[lower as usize + wal::FRAME_HEADER_LEN + 1] ^= 0x10;
             std::fs::write(&path, bytes).unwrap();
             let rec = recover_dir(&dir).expect("recover");
-            assert_eq!(rec.slot, Some(higher), "{sessions} sessions: {anchors:?}");
+            assert_eq!(rec.slot, higher, "{sessions} sessions: {anchors:?}");
             assert!(rec.issues.is_empty(), "{:?}", rec.issues);
             assert_eq!(state_of(&rec.layer, &rec.meta), state_of(&layer, &meta));
             std::fs::remove_dir_all(&dir).ok();
@@ -850,14 +844,14 @@ mod tests {
         let body = serde_json::to_string(&newest).unwrap();
         encode_slot(0, anchor + 1, body.as_bytes(), &mut image);
         let rec = recover(&image);
-        assert_eq!(rec.slot, Some(0), "the body's offset disagrees: fallback");
+        assert_eq!(rec.slot, 0, "the body's offset disagrees: fallback");
         assert_eq!(state_of(&rec.layer, &rec.meta), want);
         for past in [seg_len(&dir, 0), seg_len(&dir, 0) + 1, 1 << 40, u64::MAX] {
             let rec = recover(&slot_image(&DurableSnapshot {
                 offset: past,
                 ..newest.clone()
             }));
-            assert_eq!(rec.slot, Some(1), "{past}");
+            assert_eq!(rec.slot, 1, "{past}");
             assert!(rec.issues.is_empty(), "{past}: {:?}", rec.issues);
             assert_eq!(state_of(&rec.layer, &rec.meta), at_anchor, "{past}");
         }
@@ -866,7 +860,7 @@ mod tests {
             offset: inside,
             ..newest.clone()
         }));
-        assert_eq!(rec.slot, Some(1));
+        assert_eq!(rec.slot, 1);
         assert!(
             matches!(&rec.issues[..], [(0, WalIssue::Corrupt { offset, .. })] if *offset as u64 == inside),
             "{:?}",
@@ -895,7 +889,7 @@ mod tests {
         overwrite_slot(&dir, 0, &bytes);
         assert_eq!(anchor_of(&dir, 0), None, "the torn slot fails its checksum");
         let rec = recover_dir(&dir).expect("recover");
-        assert_eq!((rec.slot, rec.last_segment), (Some(1), 1));
+        assert_eq!((rec.slot, rec.last_segment), (1, 1));
         assert!(rec.issues.is_empty(), "{:?}", rec.issues);
         assert_eq!(
             state_of(&rec.layer, &rec.meta),
@@ -928,153 +922,6 @@ mod tests {
             why.contains("snap-1.slot: anchors segment 0, which is gone"),
             "{why}"
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The body of `snap` as builds before in-segment anchors wrote it:
-    /// no `offset` field.
-    fn body_without_offset(snap: &DurableSnapshot) -> String {
-        assert_eq!(snap.offset, 0);
-        let body = serde_json::to_string(snap).unwrap();
-        let body = body.replace("\"offset\":0,", "");
-        assert!(!body.contains("\"offset\""), "{body}");
-        body
-    }
-
-    /// A directory as builds before in-segment anchors left it, one
-    /// segment per checkpoint: the genesis anchor and segment 0 (sessions
-    /// 1 and 2), the anchor of segment 1 and segment 1 (session 3 and a
-    /// meta record). The anchors are `snap-NNNNNNNN.json` files of the
-    /// layout before the slots, or version 1 slots. Returns the state the
-    /// run holds.
-    fn older_directory(dir: &Path, json: bool) -> (String, String) {
-        std::fs::create_dir_all(dir).unwrap();
-        let mut layer = layer_of(1);
-        let mut meta = DurableMeta::default();
-        let anchor = |segment, layer: &PlacementLayer, meta: &DurableMeta| {
-            let snap = DurableSnapshot {
-                format: SNAPSHOT_FORMAT,
-                epoch: 0,
-                segment,
-                offset: 0,
-                placement: layer.snapshot(),
-                meta: meta.clone(),
-            };
-            let body = body_without_offset(&snap);
-            let slot = segment as usize % 2;
-            if json {
-                std::fs::write(dir.join(format!("snap-{segment:08}.json")), body).unwrap();
-            } else {
-                std::fs::write(
-                    slot_path(dir, slot),
-                    encode_slot_v1(segment, body.as_bytes()),
-                )
-                .unwrap();
-            }
-        };
-        anchor(0, &layer, &meta);
-        let mut w = SegmentWriter::create(dir, 0).unwrap();
-        for session in 1..=2 {
-            let record = &session_meta(session)[0];
-            w.append_batch(&open_session(&mut layer, session), Some(record))
-                .unwrap();
-            meta.apply(record);
-        }
-        anchor(1, &layer, &meta);
-        let mut w = SegmentWriter::create(dir, 1).unwrap();
-        w.append_batch(&open_session(&mut layer, 3), None).unwrap();
-        let record = &session_meta(2)[1];
-        w.append(record).unwrap();
-        meta.apply(record);
-        state_of(&layer, &meta)
-    }
-
-    /// A directory of the layout written before the slots — a
-    /// `snap-NNNNNNNN.json` per kept anchor, plus segments — recovers the
-    /// same state, and the first anchor this build writes there sweeps the
-    /// older snapshot files.
-    #[test]
-    fn a_directory_of_the_older_layout_recovers_and_its_first_anchor_sweeps_it() {
-        let dir = tmpdir("older");
-        let want = older_directory(&dir, true);
-        assert_eq!(
-            files(&dir),
-            [
-                "snap-00000000.json",
-                "snap-00000001.json",
-                "wal-00000000.log",
-                "wal-00000001.log"
-            ]
-        );
-        let rec = recover_dir(&dir).expect("recover");
-        assert_eq!((rec.slot, rec.last_segment), (None, 1));
-        assert_eq!(state_of(&rec.layer, &rec.meta), want);
-        let options = DurabilityOptions {
-            dir: dir.clone(),
-            snapshot_every: 2,
-            keep_all: true,
-        };
-        let d = Durability::start(
-            options,
-            rec.last_segment + 1,
-            rec.epoch + 1,
-            &rec.layer.snapshot(),
-            rec.meta,
-        )
-        .expect("start over the older layout");
-        d.freeze();
-        assert_eq!(files(&dir), slots_and(&[0, 1, 2]), "older snapshots swept");
-        assert_eq!(anchor_of(&dir, 0), Some((2, 0)));
-        assert_eq!(recovered_state(&dir), want);
-        assert_eq!(d.io_errors(), 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A directory of version 1 slots, one segment per checkpoint,
-    /// recovers the same state from the slot anchoring segment 1; the
-    /// first anchor this build writes goes to the other slot, as version
-    /// 2, and in-segment checkpoints follow it.
-    #[test]
-    fn a_directory_of_version_1_slots_recovers_and_its_first_anchor_is_version_2() {
-        let dir = tmpdir("v1-slots");
-        let want = older_directory(&dir, false);
-        assert_eq!(files(&dir), slots_and(&[0, 1]));
-        assert_eq!(
-            (anchor_of(&dir, 0), anchor_of(&dir, 1)),
-            (Some((0, 0)), Some((1, 0)))
-        );
-        let rec = recover_dir(&dir).expect("recover");
-        assert_eq!((rec.slot, rec.last_segment), (Some(1), 1));
-        assert_eq!(state_of(&rec.layer, &rec.meta), want);
-        let mut layer = rec.layer;
-        let d = Durability::start(
-            DurabilityOptions {
-                snapshot_every: 1,
-                ..DurabilityOptions::new(&dir)
-            },
-            rec.last_segment + 1,
-            rec.epoch + 1,
-            &layer.snapshot(),
-            rec.meta,
-        )
-        .expect("start over version 1 slots");
-        let version = |slot| {
-            let bytes = std::fs::read(slot_path(&dir, slot)).unwrap();
-            u32::from_le_bytes(bytes[8..12].try_into().unwrap())
-        };
-        assert_eq!(
-            (version(0), version(1)),
-            (2, 1),
-            "the first anchor is version 2"
-        );
-        assert_eq!(anchor_of(&dir, 0), Some((2, 0)));
-        assert_eq!(files(&dir), slots_and(&[2]), "superseded segments swept");
-        append_sessions(&d, &mut layer, 3..4);
-        d.freeze();
-        assert_eq!((version(0), version(1)), (2, 2));
-        assert_eq!(anchor_of(&dir, 1), Some((2, seg_len(&dir, 2))));
-        assert_eq!(recovered_state(&dir), state_of(&layer, &d.meta()));
-        assert_eq!(d.io_errors(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1120,14 +967,14 @@ mod tests {
                 "{blocked}: as it stands"
             );
             if blocked == "sync" {
-                assert_eq!(recover_dir(&dir).unwrap().slot, Some(1));
+                assert_eq!(recover_dir(&dir).unwrap().slot, 1);
                 // Torn instead, slot 1 leaves slot 0 and all of segment 0.
                 let good = std::fs::read(slot_path(&dir, 1)).unwrap();
                 let mut torn = good.clone();
                 torn[snapshot::SLOT_HEADER_LEN + 5] ^= 0x08;
                 overwrite_slot(&dir, 1, &torn);
                 assert_eq!(recovered_state(&dir), live(&layer), "sync: slot 1 torn");
-                assert_eq!(recover_dir(&dir).unwrap().slot, Some(0));
+                assert_eq!(recover_dir(&dir).unwrap().slot, 0);
                 overwrite_slot(&dir, 1, &good);
             }
             // Batch 4 is the next cadence, into slot 1 again.
@@ -1140,7 +987,7 @@ mod tests {
                 "{blocked}"
             );
             let rec = recover_dir(&dir).unwrap();
-            assert_eq!((rec.last_segment, rec.slot), (0, Some(1)));
+            assert_eq!((rec.last_segment, rec.slot), (0, 1));
             assert_eq!(recovered_state(&dir), live(&layer), "{blocked}");
             std::fs::remove_dir_all(&dir).ok();
         }

@@ -3,11 +3,10 @@
 //!
 //! The sequence is fixed:
 //!
-//! 1. pick the snapshot with the highest anchor, by `(segment, offset)`,
-//!    that loads and validates (`newest_anchor`: the two slots, and any
-//!    `snap-*.json` file of the layout written before them; a torn or
-//!    unreadable one is skipped in favour of the other — more replay,
-//!    same answer);
+//! 1. pick the snapshot slot with the highest anchor, by
+//!    `(segment, offset)`, that loads and validates (`newest_anchor`; a
+//!    torn or unreadable slot is skipped in favour of the other — more
+//!    replay, same answer);
 //! 2. rebuild the [`PlacementLayer`] from it;
 //! 3. replay the log from the anchor on, in order — the anchored segment
 //!    from its offset, then every later segment whole: `Batch` records
@@ -27,12 +26,8 @@
 //! [`Durability::start`](super::Durability::start) finds it with the same
 //! `newest_anchor`) and re-adopts in-flight work.
 
-use super::snapshot::{
-    decode_slot, load_slot, load_snapshot, slot_path, DurableMeta, DurableSnapshot,
-};
-use super::wal::{
-    list_segments, list_snapshots, read_segment, read_segment_from, WalIssue, WalRecord,
-};
+use super::snapshot::{decode_slot, load_slot, slot_path, DurableMeta, DurableSnapshot};
+use super::wal::{list_segments, read_segment, read_segment_from, WalIssue, WalRecord};
 use crate::placement::{PlacementBatch, PlacementLayer, PlacementLog};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -51,13 +46,12 @@ pub struct Recovered {
     /// Index of the last WAL segment on disk; the recovered daemon
     /// appends to `last_segment + 1`.
     pub last_segment: u64,
-    /// The snapshot slot the state was loaded from, or `None` for a
-    /// `snap-*.json` file of the older layout. The recovered daemon's
-    /// first anchor goes to the other slot
+    /// The snapshot slot the state was loaded from. The recovered
+    /// daemon's first anchor goes to the other slot
     /// ([`Durability::start`](super::Durability::start) picks it by the
     /// same rule): until that anchor is synced, this slot is the only one
     /// known good.
-    pub slot: Option<usize>,
+    pub slot: usize,
     /// The problem that ended the replay, with its segment (a torn tail
     /// from the crash itself, corruption; its offset counts from the
     /// start of the segment file): at most one, since nothing
@@ -65,25 +59,19 @@ pub struct Recovered {
     pub issues: Vec<(u64, WalIssue)>,
 }
 
-/// The snapshot recovery starts from: of the two slots and any
-/// `snap-*.json` files of the older layout (each anchoring the start of
-/// its segment), the one with the highest anchor by `(segment, offset)`
-/// that loads and validates, and the slot it came from (`None` for an
-/// older file). A zero-length slot was never written and does not
+/// The snapshot recovery starts from: of the two slots, the one with the
+/// highest anchor by `(segment, offset)` that loads and validates, and
+/// which slot that is. A zero-length slot was never written and does not
 /// count. `segments` is the directory's segment list: a snapshot whose
 /// own segment is gone while a later one is on disk anchors a history
 /// compaction has already cut, and replaying from it would skip that
 /// segment, so it does not load either. Fails with `NotFound` when the
-/// directory holds no snapshot at all, and with `InvalidData` naming every
-/// candidate's fault when none loads.
+/// directory holds no slot at all, and with `InvalidData` naming every
+/// slot's fault when none loads.
 pub(crate) fn newest_anchor(
     dir: &Path,
     segments: &[(u64, PathBuf)],
-) -> io::Result<(DurableSnapshot, Option<usize>)> {
-    enum Source {
-        Slot(usize, Vec<u8>),
-        Older(PathBuf),
-    }
+) -> io::Result<(DurableSnapshot, usize)> {
     let mut faults = Vec::new();
     let mut found = Vec::new();
     for slot in 0..2 {
@@ -91,35 +79,28 @@ pub(crate) fn newest_anchor(
         match std::fs::read(&path) {
             Ok(bytes) if bytes.is_empty() => {}
             Ok(bytes) => match decode_slot(&bytes) {
-                Ok((anchor, _)) => found.push((anchor, Source::Slot(slot, bytes))),
+                Ok((anchor, _)) => found.push((anchor, slot, bytes)),
                 Err(e) => faults.push(format!("{}: {e}", path.display())),
             },
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => faults.push(format!("{}: {e}", path.display())),
         }
     }
-    for (k, path) in list_snapshots(dir)? {
-        found.push(((k, 0), Source::Older(path)));
-    }
-    found.sort_by_key(|&(anchor, _)| std::cmp::Reverse(anchor));
-    for ((k, _), source) in found {
-        let (slot, path) = match &source {
-            Source::Slot(slot, _) => (Some(*slot), slot_path(dir, *slot)),
-            Source::Older(path) => (None, path.clone()),
-        };
+    found.sort_by_key(|&(anchor, ..)| std::cmp::Reverse(anchor));
+    for ((k, _), slot, bytes) in found {
         let cut = !segments.iter().any(|&(s, _)| s == k)
             && segments.last().is_some_and(|&(last, _)| last > k);
-        let loaded = match source {
-            _ if cut => Err(io::Error::new(
+        let loaded = if cut {
+            Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("anchors segment {k}, which is gone while a later one is on disk"),
-            )),
-            Source::Slot(_, bytes) => load_slot(&bytes),
-            Source::Older(path) => load_snapshot(&path),
+            ))
+        } else {
+            load_slot(&bytes)
         };
         match loaded {
             Ok(snap) => return Ok((snap, slot)),
-            Err(e) => faults.push(format!("{}: {e}", path.display())),
+            Err(e) => faults.push(format!("{}: {e}", slot_path(dir, slot).display())),
         }
     }
     if faults.is_empty() {
@@ -219,7 +200,7 @@ pub fn full_log(dir: &Path) -> io::Result<PlacementLog> {
 mod tests {
     use super::*;
     use crate::arbiter::Event;
-    use crate::durability::snapshot::{SnapshotSlots, SNAPSHOT_FORMAT};
+    use crate::durability::snapshot::SnapshotSlots;
     use crate::durability::wal::{segment_path, SegmentWriter, FRAME_HEADER_LEN};
     use crate::placement::PlacementConfig;
     use slate_gpu_sim::device::DeviceConfig;
@@ -262,7 +243,6 @@ mod tests {
         write_anchor(
             &dir,
             &DurableSnapshot {
-                format: SNAPSHOT_FORMAT,
                 epoch: 0,
                 segment: 1,
                 offset: 0,
@@ -317,7 +297,6 @@ mod tests {
         write_anchor(
             &dir,
             &DurableSnapshot {
-                format: SNAPSHOT_FORMAT,
                 epoch: 0,
                 segment: 0,
                 offset: 0,
@@ -353,7 +332,6 @@ mod tests {
         write_anchor(
             &dir,
             &DurableSnapshot {
-                format: SNAPSHOT_FORMAT,
                 epoch: 0,
                 segment: 0,
                 offset: 0,
@@ -398,11 +376,49 @@ mod tests {
         frame[..frame.len() - 3].to_vec()
     }
 
+    /// A directory this build cannot recover from is a typed error, never
+    /// a panic: none at all, an empty one, snapshot files beside a segment
+    /// but no slot, and a slot of another version.
     #[test]
     fn missing_directory_and_empty_directory_fail_cleanly() {
+        let fails = |dir: &Path, kind, why: &str| {
+            let err = recover_dir(dir).expect_err("not recoverable");
+            assert_eq!(err.kind(), kind, "{err}");
+            assert!(err.to_string().contains(why), "{err}");
+        };
         let dir = tmpdir("empty");
-        assert!(recover_dir(&dir).is_err(), "no snapshot: not recoverable");
-        assert!(recover_dir(&dir.join("nope")).is_err());
+        fails(&dir, io::ErrorKind::NotFound, "not a durability directory");
+        fails(&dir.join("nope"), io::ErrorKind::NotFound, "");
+        let body = serde_json::to_string(&DurableSnapshot {
+            epoch: 0,
+            segment: 0,
+            offset: 0,
+            placement: fresh_layer().snapshot(),
+            meta: DurableMeta::default(),
+        })
+        .unwrap();
+        std::fs::write(dir.join("snap-00000000.json"), &body).unwrap();
+        SegmentWriter::create(&dir, 0)
+            .and_then(|mut w| w.append(&WalRecord::Epoch { epoch: 0 }))
+            .unwrap();
+        fails(&dir, io::ErrorKind::NotFound, "not a durability directory");
+        std::fs::remove_dir_all(&dir).ok();
+
+        // Magic, version 1, CRC, segment, length: no offset.
+        let dir = tmpdir("version-1");
+        let mut image = b"SLATESNP".to_vec();
+        image.extend_from_slice(&1u32.to_le_bytes());
+        image.extend_from_slice(&crate::durability::wal::crc32(body.as_bytes()).to_le_bytes());
+        image.extend_from_slice(&0u64.to_le_bytes());
+        image.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        image.extend_from_slice(body.as_bytes());
+        std::fs::write(slot_path(&dir, 0), image).unwrap();
+        SegmentWriter::create(&dir, 0).unwrap();
+        fails(
+            &dir,
+            io::ErrorKind::InvalidData,
+            "slot version 1 unsupported",
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

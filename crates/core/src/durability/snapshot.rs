@@ -24,15 +24,12 @@
 //! └───────────┴─────────────┴─────────┴─────────────┴─────────────┴──────────┴─────────────────┘
 //! ```
 //!
-//! Version 1 headers, 32 bytes without the offset, anchor the start of
-//! their segment and are still read. A slot file only grows, in whole
-//! 4 KiB pages, so a steady-state overwrite changes no file metadata and
-//! its `fdatasync` commits no journal transaction. A snapshot that fails
-//! to load at recovery time is skipped in favour of the other slot (with
-//! more replay). Directories written before the slots hold
-//! `snap-NNNNNNNN.json` files instead, anchoring the start of their
-//! segment; [`load_snapshot`] still reads them, and the first anchor this
-//! build writes there sweeps them.
+//! The header's version is the one version of the slot, header and body
+//! alike: this build reads version 2 only. A slot file only grows, in
+//! whole 4 KiB pages, so a steady-state overwrite changes no file metadata
+//! and its `fdatasync` commits no journal transaction. A snapshot that
+//! fails to load at recovery time is skipped in favour of the other slot
+//! (with more replay).
 //!
 //! A snapshot is written under the arbiter lock (`DESIGN.md` §16), so its
 //! size is serving latency. The placement state is bounded by the fleet
@@ -49,22 +46,17 @@ use std::fs;
 use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 
-/// On-disk format version of [`DurableSnapshot`]. Bumped on incompatible
-/// layout changes; recovery rejects snapshots from a different format.
-pub const SNAPSHOT_FORMAT: u32 = 1;
-
 /// First bytes of every snapshot slot.
 const SLOT_MAGIC: [u8; 8] = *b"SLATESNP";
 
-/// Version of the slot header layout written: 2 carries the offset.
+/// The slot's version, the only one written or read. Bumped on any
+/// incompatible change to the header or the [`DurableSnapshot`] body;
+/// a slot of any other version is a typed `InvalidData` error.
 const SLOT_VERSION: u32 = 2;
 
 /// Bytes of slot header ahead of the body: magic, version, CRC-32,
 /// anchored segment, offset within it, body length.
 pub const SLOT_HEADER_LEN: usize = 40;
-
-/// Bytes of a version 1 header, which has no offset.
-const SLOT_V1_HEADER_LEN: usize = 32;
 
 /// A slot file grows in whole pages of this many bytes.
 const SLOT_PAGE: u64 = 4096;
@@ -85,15 +77,8 @@ pub struct SessionMeta {
     /// The connecting user (re-admission accounting).
     pub user: String,
     /// The session's declared SLO class; recovery re-declares it ahead
-    /// of the resumed session's replayed work. `#[serde(default)]` (best
-    /// effort) keeps pre-SLO snapshots readable.
-    #[serde(default)]
+    /// of the resumed session's replayed work.
     pub slo: SloClass,
-    /// Always `true` in a mirror this build maintains — a closed session
-    /// is removed, not marked. Kept in the format so that a snapshot
-    /// written before that rule loads, shedding the closed entries it
-    /// still carries.
-    pub open: bool,
     /// Next slate pointer to hand out — a watermark kept strictly above
     /// every pointer ever returned, so resumed sessions never recycle
     /// a pointer the client may still hold.
@@ -135,7 +120,6 @@ impl DurableMeta {
                 let s = self.sessions.entry(*session).or_default();
                 s.user = user.clone();
                 s.slo = *slo;
-                s.open = true;
                 s.next_ptr = s.next_ptr.max(*session << 32);
                 self.next_session = self.next_session.max(*session + 1);
             }
@@ -186,17 +170,13 @@ impl DurableMeta {
 /// with the epoch and the log position it anchors.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DurableSnapshot {
-    /// On-disk format version ([`SNAPSHOT_FORMAT`]).
-    pub format: u32,
     /// Recovery epoch the writing daemon ran in.
     pub epoch: u64,
     /// WAL segment this snapshot anchors: recovery replays it from
     /// `offset` on, then every later segment, on top of this state.
     pub segment: u64,
     /// Byte of `segment` the state is captured at: the frames before it
-    /// are in the snapshot. `#[serde(default)]` (0, the segment's start)
-    /// is what snapshots written before in-segment anchors mean.
-    #[serde(default)]
+    /// are in the snapshot.
     pub offset: u64,
     /// The placement layer, whole.
     pub placement: PlacementSnapshot,
@@ -226,45 +206,30 @@ pub fn encode_slot(segment: u64, offset: u64, body: &[u8], out: &mut Vec<u8>) {
 }
 
 /// Validates a slot image and returns the position it anchors,
-/// `(segment, offset)` — offset 0 for a version 1 header — and its body.
-/// Total: a short or foreign header, a length past the end of the bytes
-/// and a checksum mismatch (a torn overwrite) are each a typed
-/// `InvalidData` error, never a panic.
+/// `(segment, offset)`, and its body. Total: a short or foreign header,
+/// another version, a length past the end of the bytes and a checksum
+/// mismatch (a torn overwrite) are each a typed `InvalidData` error, never
+/// a panic.
 pub fn decode_slot(bytes: &[u8]) -> io::Result<((u64, u64), &[u8])> {
-    let truncated = |need: usize| {
-        invalid(format!(
-            "not a snapshot slot: truncated header, {} of {need} bytes",
+    if bytes.len() < SLOT_HEADER_LEN {
+        return Err(invalid(format!(
+            "not a snapshot slot: truncated header, {} of {SLOT_HEADER_LEN} bytes",
             bytes.len()
-        ))
-    };
-    if bytes.len() < SLOT_V1_HEADER_LEN {
-        return Err(truncated(SLOT_V1_HEADER_LEN));
+        )));
     }
     let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
     let long = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
     if bytes[..8] != SLOT_MAGIC {
         return Err(invalid("not a snapshot slot: bad magic".into()));
     }
-    let header_len = match word(8) {
-        1 => SLOT_V1_HEADER_LEN,
-        SLOT_VERSION => SLOT_HEADER_LEN,
-        v => {
-            return Err(invalid(format!(
-                "slot version {v} unsupported (this build reads 1 and {SLOT_VERSION})"
-            )))
-        }
-    };
-    if bytes.len() < header_len {
-        return Err(truncated(header_len));
+    let version = word(8);
+    if version != SLOT_VERSION {
+        return Err(invalid(format!(
+            "slot version {version} unsupported (this build reads {SLOT_VERSION})"
+        )));
     }
-    let (crc, segment) = (word(12), long(16));
-    let offset = if header_len == SLOT_HEADER_LEN {
-        long(24)
-    } else {
-        0
-    };
-    let len = long(header_len - 8);
-    let rest = &bytes[header_len..];
+    let (crc, segment, offset, len) = (word(12), long(16), long(24), long(32));
+    let rest = &bytes[SLOT_HEADER_LEN..];
     let Some(body) = usize::try_from(len).ok().and_then(|n| rest.get(..n)) else {
         return Err(invalid(format!(
             "slot body length {len} runs past the end of the file ({} bytes follow the header)",
@@ -280,26 +245,12 @@ pub fn decode_slot(bytes: &[u8]) -> io::Result<((u64, u64), &[u8])> {
     Ok(((segment, offset), body))
 }
 
-/// A version 1 slot image, the header without the offset, as builds
-/// before in-segment anchors wrote it.
-#[cfg(test)]
-pub(crate) fn encode_slot_v1(segment: u64, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&SLOT_MAGIC);
-    out.extend_from_slice(&1u32.to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(&segment.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(body);
-    out
-}
-
 /// Loads and validates a slot image (see [`decode_slot`]) whose body is a
 /// [`DurableSnapshot`] anchoring the position its header names.
 pub fn load_slot(bytes: &[u8]) -> io::Result<DurableSnapshot> {
     let ((segment, offset), body) = decode_slot(bytes)?;
     let text = std::str::from_utf8(body).map_err(|e| invalid(e.to_string()))?;
-    let snap = parse_snapshot(text)?;
+    let snap: DurableSnapshot = serde_json::from_str(text).map_err(|e| invalid(e.to_string()))?;
     if (snap.segment, snap.offset) != (segment, offset) {
         return Err(invalid(format!(
             "slot header anchors segment {segment} at offset {offset}, its body segment {} at offset {}",
@@ -397,29 +348,6 @@ impl SnapshotSlots {
     }
 }
 
-/// Parses and validates a snapshot body. Sessions it records as closed
-/// (only a snapshot written before closed sessions were removed from the
-/// mirror has any) are shed here, so no mirror ever holds one.
-fn parse_snapshot(text: &str) -> io::Result<DurableSnapshot> {
-    let mut snap: DurableSnapshot =
-        serde_json::from_str(text).map_err(|e| invalid(e.to_string()))?;
-    if snap.format != SNAPSHOT_FORMAT {
-        return Err(invalid(format!(
-            "snapshot format {} unsupported (this build reads {SNAPSHOT_FORMAT})",
-            snap.format
-        )));
-    }
-    snap.meta.sessions.retain(|_, s| s.open);
-    Ok(snap)
-}
-
-/// Loads and validates one snapshot file of the layout written before the
-/// slots, `snap-NNNNNNNN.json` (listed by
-/// [`list_snapshots`](super::wal::list_snapshots)).
-pub fn load_snapshot(path: &Path) -> io::Result<DurableSnapshot> {
-    parse_snapshot(&fs::read_to_string(path)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,36 +423,12 @@ mod tests {
             PlacementConfig::default(),
         );
         DurableSnapshot {
-            format: SNAPSHOT_FORMAT,
             epoch: 2,
             segment,
             offset: 0,
             placement: layer.snapshot(),
             meta,
         }
-    }
-
-    #[test]
-    fn a_snapshot_with_closed_sessions_sheds_them_on_load() {
-        let dir = tmpdir("snapshed");
-        // What the mirror looked like before closed sessions were removed,
-        // in the file layout of that time.
-        let session = |open| SessionMeta {
-            user: "old".into(),
-            open,
-            ..SessionMeta::default()
-        };
-        let meta = DurableMeta {
-            next_session: 3,
-            sessions: [(1, session(false)), (2, session(true))].into(),
-        };
-        let path = dir.join("snap-00000000.json");
-        let text = serde_json::to_string(&snapshot(1, 0, meta)).unwrap();
-        std::fs::write(&path, text).expect("write");
-        let back = load_snapshot(&path).expect("load");
-        assert_eq!(back.meta.sessions.keys().collect::<Vec<_>>(), [&2]);
-        assert_eq!(back.meta.next_session, 3);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Slots alternate, round-trip, and grow in whole pages, never shrink.
@@ -536,15 +440,7 @@ mod tests {
         let len = |slot| fs::metadata(slot_path(&dir, slot)).unwrap().len();
         let big = DurableMeta {
             next_session: 99,
-            sessions: (1..=40)
-                .map(|s| {
-                    let open = SessionMeta {
-                        open: true,
-                        ..SessionMeta::default()
-                    };
-                    (s, open)
-                })
-                .collect(),
+            sessions: (1..=40).map(|s| (s, SessionMeta::default())).collect(),
         };
         slots.write(&snapshot(2, 5, big)).expect("write");
         slots
@@ -562,19 +458,6 @@ mod tests {
             .expect("write");
         assert_eq!(read(1).expect("load").segment, 7);
         assert_eq!(len(1), grown, "a smaller anchor overwrites in place");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn wrong_format_is_rejected() {
-        let dir = tmpdir("snapfmt");
-        let mut snap = snapshot(1, 0, DurableMeta::default());
-        snap.format += 1;
-        SnapshotSlots::open(&dir, 0)
-            .and_then(|mut slots| slots.write(&snap))
-            .expect("write");
-        let why = load_slot(&fs::read(slot_path(&dir, 0)).unwrap()).unwrap_err();
-        assert!(why.to_string().contains("format 2 unsupported"), "{why}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -622,8 +505,8 @@ mod tests {
             ("offset", other(4, 97), "anchors segment 4 at offset 97"),
             (
                 "version 1",
-                encode_slot_v1(4, body.as_bytes()),
-                "anchors segment 4 at offset 0, its body segment 4 at offset 96",
+                patched(8, &1u32.to_le_bytes()),
+                "version 1 unsupported",
             ),
         ];
         for (name, image, why) in cases {
@@ -631,18 +514,5 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
             assert!(err.to_string().contains(why), "{name}: {err}");
         }
-    }
-
-    /// A version 1 header anchors the start of its segment, and so does a
-    /// body without an offset.
-    #[test]
-    fn a_version_1_slot_anchors_the_start_of_its_segment() {
-        let body = serde_json::to_string(&snapshot(1, 3, DurableMeta::default())).unwrap();
-        let body = body.replace("\"offset\":0,", "");
-        assert!(!body.contains("offset"), "{body}");
-        let image = encode_slot_v1(3, body.as_bytes());
-        assert_eq!(decode_slot(&image).unwrap().0, (3, 0));
-        let back = load_slot(&image).expect("a version 1 slot loads");
-        assert_eq!((back.segment, back.offset), (3, 0));
     }
 }

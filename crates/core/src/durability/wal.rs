@@ -9,21 +9,19 @@
 //! └────────────┴────────────┴─────────────────────────┘
 //! ```
 //!
-//! The payload is one [`WalRecord`] in the binary [`codec`]
-//! (format byte `1`); segments written before it hold JSON, which is still
-//! read. `crc` is the IEEE CRC-32 of the payload bytes, which detects every
-//! single-bit error and any torn tail a crash mid-`write` can leave. The
-//! reader ([`scan`]) walks frames until the bytes stop making sense and
-//! then *stops* — it never panics and never resyncs past a bad frame
-//! (frames are not self-delimiting, so anything beyond the first bad byte
-//! is untrusted). What it saw, how far the log is provably valid, and why
+//! The payload is one [`WalRecord`] in the binary [`codec`] (format byte
+//! `1`, the only format read). `crc` is the IEEE CRC-32 of the payload
+//! bytes, which detects every single-bit error and any torn tail a crash
+//! mid-`write` can leave. The reader ([`scan`]) walks frames until the
+//! bytes stop making sense and then *stops* — it never panics and never
+//! resyncs past a bad frame (frames are not self-delimiting, so anything
+//! beyond the first bad byte is untrusted). What it saw, how far the log is provably valid, and why
 //! it stopped all come back in a [`WalScan`]; recovery replays the prefix
 //! and nothing after it — not the rest of this segment, not any later
 //! segment (a log with a hole folds into a state that never existed).
 
 use super::codec;
 use crate::placement::PlacementBatch;
-use serde::{Deserialize, Serialize};
 use slate_kernels::workload::SloClass;
 use std::fs;
 use std::io::{self, Seek, Write};
@@ -98,8 +96,8 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// One durable record. Everything the daemon must be able to reconstruct
 /// after a crash is either in here or in a snapshot. Written in the
-/// [`codec`]; its JSON form is what older segments hold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// [`codec`].
+#[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// One fed placement batch — events in, routed commands out. Replaying
     /// these through [`PlacementLayer::feed`](crate::placement::PlacementLayer::feed)
@@ -114,9 +112,7 @@ pub enum WalRecord {
         session: u64,
         /// The connecting user, for re-admission accounting.
         user: String,
-        /// The session's declared SLO class. `#[serde(default)]` (best
-        /// effort) keeps pre-SLO WALs replayable.
-        #[serde(default)]
+        /// The session's declared SLO class.
         slo: SloClass,
     },
     /// The session disconnected cleanly.
@@ -303,15 +299,16 @@ pub fn segment_path(dir: &Path, k: u64) -> PathBuf {
     dir.join(format!("wal-{k:08}.log"))
 }
 
-fn numbered(dir: &Path, prefix: &str, suffix: &str) -> io::Result<Vec<(u64, PathBuf)>> {
+/// WAL segments under `dir`, ascending by index.
+pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut out = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         let Some(mid) = name
-            .strip_prefix(prefix)
-            .and_then(|r| r.strip_suffix(suffix))
+            .strip_prefix("wal-")
+            .and_then(|r| r.strip_suffix(".log"))
         else {
             continue;
         };
@@ -321,17 +318,6 @@ fn numbered(dir: &Path, prefix: &str, suffix: &str) -> io::Result<Vec<(u64, Path
     }
     out.sort_unstable_by_key(|&(k, _)| k);
     Ok(out)
-}
-
-/// WAL segments under `dir`, ascending by index.
-pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    numbered(dir, "wal-", ".log")
-}
-
-/// Snapshot files of the layout written before the snapshot slots under
-/// `dir`, ascending by index.
-pub fn list_snapshots(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    numbered(dir, "snap-", ".json")
 }
 
 /// Reads and scans one segment file.

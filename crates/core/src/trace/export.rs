@@ -828,12 +828,6 @@ impl Builder {
     }
 }
 
-/// Exports `log` as Perfetto JSON and writes it to `path`.
-pub fn export_log_to_file<L: Replayable>(log: &L, path: &std::path::Path) -> Result<(), String> {
-    let trace = trace_log(log)?;
-    std::fs::write(path, trace.to_json()).map_err(|e| format!("write {}: {e}", path.display()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

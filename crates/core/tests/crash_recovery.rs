@@ -552,7 +552,7 @@ fn a_hostile_snapshot_costs_replay_or_a_typed_error_never_the_process() {
     for (case, image) in hostile_slots(anchor) {
         std::fs::write(slot_path(&dir, newest), &image).unwrap();
         let rec = recover_dir(&dir).expect(case);
-        assert_eq!(rec.slot, Some(newest ^ 1), "{case}: the other slot is read");
+        assert_eq!(rec.slot, newest ^ 1, "{case}: the other slot is read");
     }
 
     let recovered = SlateDaemon::recover(scene, durable_opts(2, &dir))

@@ -1,6 +1,5 @@
 //! Property tests for the WAL: the frame reader must be *total*, and the
-//! record codec must read back what it wrote — and what every earlier
-//! segment holds.
+//! record codec must read back what it wrote — and nothing else.
 //!
 //! Whatever bytes a crash, a sick disk or an adversary leaves in a
 //! segment, `scan` must return — never panic — with the longest provably
@@ -15,7 +14,7 @@ use proptest::prelude::*;
 use slate_core::arbiter::{Command, Event, RejectScope};
 use slate_core::classify::WorkloadClass;
 use slate_core::durability::codec::{self, FORMAT};
-use slate_core::durability::snapshot::{DurableSnapshot, SnapshotSlots, SNAPSHOT_FORMAT};
+use slate_core::durability::snapshot::{DurableSnapshot, SnapshotSlots};
 use slate_core::durability::wal::{
     encode_frame, scan, segment_path, SegmentWriter, FRAME_HEADER_LEN,
 };
@@ -198,29 +197,18 @@ fn binary(r: &WalRecord) -> Vec<u8> {
     payload
 }
 
-/// A record's payload as segments before the codec hold it.
-fn json(r: &WalRecord) -> Vec<u8> {
-    serde_json::to_string(r).expect("serialize").into_bytes()
-}
-
-/// Frames `records[..old]` as JSON and the rest in the codec. Returns
-/// (bytes, frame start offsets). The offsets include the final end-of-log
+/// Frames `records` the way this build writes them. Returns (bytes,
+/// frame start offsets). The offsets include the final end-of-log
 /// position, so `offsets[i]` is where frame `i` begins and
 /// `offsets[records.len()]` the total length.
-fn frames(records: &[WalRecord], old: usize) -> (Vec<u8>, Vec<usize>) {
+fn encode_all(records: &[WalRecord]) -> (Vec<u8>, Vec<usize>) {
     let mut bytes = Vec::new();
     let mut offsets = vec![0usize];
-    for (i, r) in records.iter().enumerate() {
-        let payload = if i < old { json(r) } else { binary(r) };
-        bytes.extend_from_slice(&encode_frame(&payload));
+    for r in records {
+        bytes.extend_from_slice(&encode_frame(&binary(r)));
         offsets.push(bytes.len());
     }
     (bytes, offsets)
-}
-
-/// Frames `records` the way this build writes them.
-fn encode_all(records: &[WalRecord]) -> (Vec<u8>, Vec<usize>) {
-    frames(records, 0)
 }
 
 /// What a [`SegmentWriter`] puts on disk for `records`: a batch through
@@ -366,51 +354,42 @@ fn a_routed_batch_is_written_byte_for_byte_as_its_record() {
     assert_eq!(written_by_segment_writer(&records), encode_all(&records).0);
 }
 
-/// A segment written before the codec — and one whose JSON frames are
-/// followed by codec frames, as a crashed daemon's segment is after its
-/// upgrade — recovers the state the codec's own segment does, byte for
-/// byte: the layer's snapshot and the metadata mirror.
+/// A real run's segment behind the genesis anchor recovers the state the
+/// run holds, byte for byte: the layer's snapshot and the metadata mirror.
 #[test]
-fn old_and_mixed_segments_recover_the_state_the_codec_does() {
+fn a_real_log_recovers_the_live_state() {
     let (live, records) = a_real_log();
     let mut meta = DurableMeta::default();
     for r in &records {
         meta.apply(r);
     }
-    let want = (
-        serde_json::to_string(&live.snapshot()).unwrap(),
-        serde_json::to_string(&meta).unwrap(),
-    );
-    for (name, old) in [
-        ("codec", 0),
-        ("old", records.len()),
-        ("mixed", records.len() / 2),
-    ] {
-        let dir =
-            std::env::temp_dir().join(format!("slate-walprops-{name}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let genesis = DurableSnapshot {
-            format: SNAPSHOT_FORMAT,
-            epoch: 0,
-            segment: 0,
-            offset: 0,
-            placement: fresh_layer().snapshot(),
-            meta: DurableMeta::default(),
-        };
-        SnapshotSlots::open(&dir, 0)
-            .and_then(|mut slots| slots.write(&genesis))
-            .unwrap();
-        std::fs::write(segment_path(&dir, 0), frames(&records, old).0).unwrap();
-        let rec = recover_dir(&dir).expect("recover");
-        assert!(rec.issues.is_empty(), "{name}: {:?}", rec.issues);
-        let got = (
+    let dir = std::env::temp_dir().join(format!("slate-walprops-real-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let genesis = DurableSnapshot {
+        epoch: 0,
+        segment: 0,
+        offset: 0,
+        placement: fresh_layer().snapshot(),
+        meta: DurableMeta::default(),
+    };
+    SnapshotSlots::open(&dir, 0)
+        .and_then(|mut slots| slots.write(&genesis))
+        .unwrap();
+    std::fs::write(segment_path(&dir, 0), encode_all(&records).0).unwrap();
+    let rec = recover_dir(&dir).expect("recover");
+    assert!(rec.issues.is_empty(), "{:?}", rec.issues);
+    assert_eq!(
+        (
             serde_json::to_string(&rec.layer.snapshot()).unwrap(),
             serde_json::to_string(&rec.meta).unwrap(),
-        );
-        assert_eq!(got, want, "{name}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
+        ),
+        (
+            serde_json::to_string(&live.snapshot()).unwrap(),
+            serde_json::to_string(&meta).unwrap(),
+        )
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
@@ -433,22 +412,6 @@ proptest! {
         prop_assert_eq!(out.records, records);
         prop_assert_eq!(out.valid_len, bytes.len());
         prop_assert!(out.issue.is_none());
-    }
-
-    /// A segment of JSON frames — all of it, or a prefix followed by
-    /// codec frames — scans to the records it was written from.
-    #[test]
-    fn old_and_mixed_segments_scan_to_the_same_records(
-        records in prop::collection::vec(arb_record(), 0..12),
-        old_frac in 0.0f64..1.0,
-    ) {
-        for old in [records.len(), (records.len() as f64 * old_frac) as usize] {
-            let (bytes, _) = frames(&records, old);
-            let out = scan(&bytes);
-            prop_assert_eq!(&out.records, &records);
-            prop_assert_eq!(out.valid_len, bytes.len());
-            prop_assert!(out.issue.is_none());
-        }
     }
 
     /// Cutting the stream at ANY byte yields exactly the records whose
@@ -561,7 +524,9 @@ proptest! {
     /// Each way a checksummed codec payload can be malformed is `Corrupt`,
     /// and says which: bytes after the record, an unknown tag, a varint
     /// of more than 10 bytes or past `u64`, a length or count past the
-    /// end, a record cut short, an unknown format byte.
+    /// end, a record cut short, an unknown format byte — `{` among them,
+    /// the first byte of a record in the JSON segments held before the
+    /// codec.
     #[test]
     fn malformed_payloads_are_corrupt_and_say_why(
         record in arb_record(),
@@ -580,7 +545,7 @@ proptest! {
             out.push(v as u8);
             out
         };
-        let cases: [(Vec<u8>, &str); 10] = [
+        let cases: [(Vec<u8>, &str); 11] = [
             ([binary(&record), junk].concat(), "trailing bytes"),
             (vec![FORMAT, record_tag], "unknown record tag"),
             // A batch at 0 with one event, then one routed command.
@@ -596,12 +561,9 @@ proptest! {
             ([&[FORMAT, 0, 0][..], &varint(claim)[..]].concat(), "past the end"),
             (vec![FORMAT, 7], "ends mid-field"),
             (vec![format, 2, 0], "unknown format byte"),
+            (br#"{"SessionClosed":{"session":2}}"#.to_vec(), "unknown format byte 0x7b"),
         ];
         for (payload, cause) in cases {
-            // `{` is the JSON format byte, not an unknown one.
-            if payload[0] == b'{' {
-                continue;
-            }
             let out = scan(&encode_frame(&payload));
             prop_assert!(out.records.is_empty());
             match out.issue {
