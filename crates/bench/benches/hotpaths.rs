@@ -23,8 +23,10 @@
 //!   and `fdatasync`ed; no segment created or unlinked — the log rolls by
 //!   size, about once per 680 iterations here), on a mirror that has
 //!   seen 256 sessions close and holds 2 open: what the serving path pays
-//!   under the arbiter lock every 64 batches (ungated for now: it is
-//!   mostly one `fdatasync`, which follows the runner's disk);
+//!   under the arbiter lock every 64 batches. The snapshot is encoded in
+//!   the binary codec straight into the slot image (one page; the body is
+//!   ≈ 0.8 KB on `serve_durable`), so what is left is mostly one
+//!   `fdatasync` (ungated for now: it follows the runner's disk);
 //! * `session_lifecycle` — connect → malloc → 4 launches → synchronize →
 //!   free → disconnect through a durable daemon: the unit of the
 //!   `serve_durable` workload, session thread and WAL included (ungated
@@ -36,8 +38,8 @@
 //!   trace JSON (replay verification + track/lane assembly + emission;
 //!   ungated while the conversion cost is established);
 //! * `json_parse` — `serde::parse` of that trace document: the vendored
-//!   codec's read side, which WAL recovery, snapshots and every
-//!   `slate-repro` input go through (ungated for now);
+//!   codec's read side, which event logs and every `slate-repro` input go
+//!   through (ungated for now);
 //! * `sim_pairing` — one full-scale BS-RG pairing under each of the three
 //!   simulated runtimes, per simulated launch: the unit of every paper
 //!   figure and of `slate-bench`'s `sim_paper` sweep (ungated for now);

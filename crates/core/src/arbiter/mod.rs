@@ -36,6 +36,7 @@ pub use events::{Command, Event, RejectScope, Tick};
 pub use idtable::IdTable;
 pub use replay::{EventLog, LoggedBatch};
 pub use state::{ArbiterConfig, ArbiterCore, CoreSnapshot};
+pub(crate) use state::{Resident, Waiter};
 
 #[cfg(test)]
 mod tests {
@@ -591,8 +592,7 @@ mod tests {
         a.feed(0, &[slo(7, SloClass::LatencyCritical)]);
         a.feed(1, &[ready(1, 1, HC, 30)]);
         let snap = a.snapshot();
-        let json = serde_json::to_string(&snap).expect("snapshot serializes");
-        let back: CoreSnapshot = serde_json::from_str(&json).expect("snapshot deserializes");
+        let back = crate::durability::codec::core_roundtrip(&snap);
         let mut b = ArbiterCore::from_snapshot(back);
         assert_eq!(b.session_slo(7), SloClass::LatencyCritical);
         assert_eq!(b.session_slo(1), SloClass::BestEffort);

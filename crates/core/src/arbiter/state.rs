@@ -70,60 +70,56 @@ impl Default for ArbiterConfig {
     }
 }
 
-/// A kernel currently holding SMs. Serializable so durable daemon
-/// snapshots can persist residency exactly.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A kernel currently holding SMs. Its fields are crate-visible so the
+/// durable snapshot codec can persist residency exactly.
+#[derive(Debug, Clone)]
 pub(crate) struct Resident {
-    pub(super) lease: u64,
-    #[allow(dead_code)]
-    pub(super) session: u64,
-    pub(super) class: WorkloadClass,
-    pub(super) sm_demand: u32,
+    pub(crate) lease: u64,
+    pub(crate) session: u64,
+    pub(crate) class: WorkloadClass,
+    pub(crate) sm_demand: u32,
     /// Pinned residents never accept co-runners (pinned-solo launches and
     /// starvation promotions).
-    pub(super) pinned: bool,
-    pub(super) range: SmRange,
+    pub(crate) pinned: bool,
+    pub(crate) range: SmRange,
     /// The owning session's SLO class at dispatch time; best-effort
     /// residents are the preemption victims.
-    #[serde(default)]
-    pub(super) slo: SloClass,
+    pub(crate) slo: SloClass,
 }
 
-/// A ready kernel waiting for SMs. Serializable for the same reason as
+/// A ready kernel waiting for SMs. Crate-visible for the same reason as
 /// [`Resident`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct Waiter {
-    pub(super) lease: u64,
-    pub(super) session: u64,
-    pub(super) class: WorkloadClass,
-    pub(super) sm_demand: u32,
-    pub(super) pinned: bool,
-    pub(super) deadline_ms: Option<u64>,
+    pub(crate) lease: u64,
+    pub(crate) session: u64,
+    pub(crate) class: WorkloadClass,
+    pub(crate) sm_demand: u32,
+    pub(crate) pinned: bool,
+    pub(crate) deadline_ms: Option<u64>,
     /// When the kernel became ready (queue-wait start).
-    pub(super) since: Tick,
+    pub(crate) since: Tick,
     /// Stable arrival order; the deterministic tie-break everywhere.
-    pub(super) seq: u64,
+    pub(crate) seq: u64,
     /// The owning session's SLO class at ready time; latency-critical
     /// waiters get dispatch priority and may trigger a preemption.
-    #[serde(default)]
-    pub(super) slo: SloClass,
+    pub(crate) slo: SloClass,
 }
 
-/// The complete serializable state of one [`ArbiterCore`] — every field
-/// that influences a future decision, in snapshot form. Gauges are
-/// captured as [`QueueStats`] and the per-lease FIFOs as plain `Vec`s
-/// (the vendored serde subset has no `VecDeque` impl); the recording
-/// buffer is deliberately absent — a restored core starts a fresh log.
+/// The complete state of one [`ArbiterCore`] — every field that
+/// influences a future decision, in snapshot form, which the durability
+/// layer's binary codec persists. Gauges are captured as [`QueueStats`]
+/// and the per-lease FIFOs as plain `Vec`s; the recording buffer is
+/// deliberately absent — a restored core starts a fresh log.
 ///
 /// The snapshot speaks *external* ids in ordered maps — the dense slot
 /// tables behind [`ArbiterCore`] are an in-memory representation only,
-/// converted at this boundary. That keeps the serialized shape identical
-/// to the pre-interning format (old snapshots restore unchanged) and
-/// keeps slot numbering out of anything durable.
+/// converted at this boundary. That keeps slot numbering out of anything
+/// durable.
 ///
 /// The crash-consistency invariant: `ArbiterCore::from_snapshot(c.snapshot())`
 /// must behave byte-identically to `c` for every subsequent event batch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoreSnapshot {
     pub(crate) device: DeviceConfig,
     pub(crate) config: ArbiterConfig,
@@ -150,12 +146,8 @@ pub struct CoreSnapshot {
     pub(crate) evictions: u64,
     pub(crate) reaped: u64,
     /// Declared SLO classes by external session id; only non-default
-    /// (latency-critical) entries are stored, so pre-SLO snapshots — and
-    /// snapshots of purely best-effort populations — are byte-identical
-    /// to the old format.
-    #[serde(default)]
+    /// (latency-critical) entries are stored.
     pub(crate) slo: BTreeMap<u64, SloClass>,
-    #[serde(default)]
     pub(crate) preemptions: u64,
 }
 

@@ -207,7 +207,7 @@ impl SlateDaemon {
         let launch_floor = smeta
             .admitted
             .keys()
-            .chain(smeta.done.keys())
+            .chain(&smeta.done)
             .max()
             .map_or(0, |m| m + 1);
         Ok(self.spawn_session(session, smeta.user.clone(), st, launch_floor))

@@ -53,7 +53,7 @@ impl SessionState {
                 .map(|(&p, a)| (SlatePtr(p), DevicePtr(a.device_ptr)))
                 .collect(),
             next_ptr: meta.next_ptr.max((session << 32) + 1) - 1,
-            dedupe: meta.done.keys().chain(adopted).copied().collect(),
+            dedupe: meta.done.iter().chain(adopted).copied().collect(),
         }
     }
 }

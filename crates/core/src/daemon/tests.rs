@@ -437,9 +437,9 @@ fn nothing_fed_after_a_crash_reaches_the_core_or_the_wal() {
     client.malloc(64).unwrap();
     let _scene = daemon.crash();
     let arb = &daemon.shared.arb;
-    // (the whole layer as JSON, every WAL/snapshot file's bytes)
+    // (the whole layer as slot-body bytes, every WAL/snapshot file's bytes)
     let state = || {
-        let layer = serde_json::to_string(&arb.inner.lock().layer.snapshot()).unwrap();
+        let layer = crate::durability::codec::placement_bytes(&arb.inner.lock().layer.snapshot());
         let files: BTreeMap<_, _> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())

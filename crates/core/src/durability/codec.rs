@@ -1,42 +1,59 @@
-//! The WAL's record codec: what goes inside a frame's payload.
+//! The durability layer's binary codec: what goes inside a WAL frame's
+//! payload, and the body of a snapshot slot.
 //!
 //! A payload opens with a format byte. [`FORMAT`] (`1`) is this codec, the
 //! only one written and the only one read: a payload with any other first
 //! byte is corrupt. An incompatible change to the codec bumps [`FORMAT`]
-//! and keeps no reader for the old one.
+//! and keeps no reader for the old one. A slot body ([`encode_snapshot`])
+//! has no format byte: the slot header's version covers it.
 //!
-//! After the format byte comes one record, field by field in declaration
-//! order, with nothing between the fields:
+//! After the format byte comes one record — in a slot body, one
+//! [`DurableSnapshot`] — field by field in declaration order, with nothing
+//! between the fields:
 //!
 //! | field | bytes |
 //! |---|---|
-//! | a variant ([`WalRecord`], [`Event`], [`Command`]) | one tag byte, then its fields |
+//! | a variant ([`WalRecord`], [`Event`], [`Command`], [`PlacementPolicy`], [`HealthState`]) | one tag byte, then its fields |
 //! | `u64`, `u32`, `usize` | LEB128 varint: 7 bits a byte, low group first, at most 10 bytes |
+//! | `f64` | the 8 little-endian bytes of `to_bits()`: NaN and ±∞ round-trip bit for bit |
 //! | `bool` | `0` or `1` |
 //! | [`WorkloadClass`], [`SloClass`], [`RejectScope`] | one byte, the variant's index |
-//! | `Option<u64>` | `0` (none), or `1` and the varint |
-//! | `String` (`user`) | varint byte length, then the UTF-8 bytes |
-//! | `Vec` (`events`, `routed`) | varint count, then the elements |
+//! | `Option<T>` | `0` (none), or `1` and the `T` |
+//! | `String` | varint byte length, then the UTF-8 bytes |
+//! | `Vec`, `BTreeSet` | varint count, then the elements (a set's in ascending order) |
+//! | `BTreeMap` | varint count, then key and value for each key, ascending |
+//! | a struct | its fields |
 //! | [`SmRange`] | `lo`, `hi` |
 //! | [`RoutedCommand`] | `device`, then the command |
 //!
 //! A tag or enum byte is the variant's position in its declaration when
 //! this format was fixed, spelled out as a literal in the encoder and the
 //! decoder, so reordering a declaration moves no byte. Every encoder is an
-//! exhaustive `match`: a new variant does not compile until it has a tag,
-//! which is a new byte value, never a reused one. A decode that meets
-//! anything else — an unknown tag, a varint of more than 10 bytes or over
-//! its field's width, a length or count past the end, bytes left over —
-//! is an error, never a panic, and it allocates at most one element per
-//! payload byte whatever a count claims.
+//! exhaustive `match` or destructures its struct whole: a new variant or
+//! field does not compile until it has bytes — for a variant a new tag,
+//! never a reused one. A decode that meets anything else — an unknown tag,
+//! a varint of more than 10 bytes or over its field's width, a length or
+//! count past the end, map keys out of order, bytes left over — is an
+//! error, never a panic, and it reserves at most one element per byte left
+//! whatever a count claims.
 
+use super::snapshot::{AllocMeta, DurableMeta, DurableSnapshot, SessionMeta};
 use super::wal::WalRecord;
-use crate::arbiter::{Command, Event, RejectScope};
+use crate::admission::AdmissionLimits;
+use crate::arbiter::{ArbiterConfig, Command, CoreSnapshot, Event, RejectScope, Resident, Waiter};
 use crate::classify::WorkloadClass;
-use crate::placement::{PlacementBatch, RoutedCommand};
-use slate_gpu_sim::device::SmRange;
+use crate::placement::health::HealthSnapshot;
+use crate::placement::rebalance::RebalancerSnapshot;
+use crate::placement::{
+    HealthState, PlacementBatch, PlacementConfig, PlacementPolicy, PlacementSnapshot,
+    RebalanceConfig, RoutedCommand,
+};
+use crate::queue::QueueStats;
+use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use slate_kernels::workload::SloClass;
 use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io;
 
 /// The format byte of this codec: the first byte of every payload written.
 pub const FORMAT: u8 = 1;
@@ -49,8 +66,7 @@ pub fn encode(record: &WalRecord, out: &mut Vec<u8>) {
         WalRecord::SessionMeta { session, user, slo } => {
             out.push(1);
             put_u64(out, *session);
-            put_u64(out, user.len() as u64);
-            out.extend_from_slice(user.as_bytes());
+            put_str(out, user);
             out.push(slo_tag(*slo));
         }
         WalRecord::SessionClosed { session } => {
@@ -120,12 +136,60 @@ pub fn decode(payload: &[u8]) -> Result<WalRecord, Cow<'static, str>> {
     }
 }
 
+/// Appends the body of a snapshot slot holding `snap`: the bytes
+/// [`decode_snapshot`] reads back. Deterministic — every map iterates in
+/// key order — so equal snapshots encode to equal bytes.
+pub fn encode_snapshot(snap: &DurableSnapshot, out: &mut Vec<u8>) {
+    let DurableSnapshot {
+        epoch,
+        segment,
+        offset,
+        placement,
+        meta,
+    } = snap;
+    for v in [epoch, segment, offset] {
+        put_u64(out, *v);
+    }
+    put_placement(out, placement);
+    put_durable_meta(out, meta);
+}
+
+/// Decodes a snapshot slot's body. Total, as [`decode`] is: a body cut
+/// short, an unknown tag, an over-long varint, a count past the end, map
+/// keys out of order and bytes left over are each a typed `InvalidData`
+/// naming the cause, never a panic.
+pub fn decode_snapshot(body: &[u8]) -> io::Result<DurableSnapshot> {
+    let mut r = Reader { rest: body };
+    let snap = r.snapshot().and_then(|snap| match r.rest {
+        [] => Ok(snap),
+        _ => Err("trailing bytes after the snapshot"),
+    });
+    snap.map_err(|why| io::Error::new(io::ErrorKind::InvalidData, format!("snapshot body: {why}")))
+}
+
 fn put_u64(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push(v as u8 | 0x80);
         v >>= 7;
     }
     out.push(v as u8);
+}
+
+fn put_usize(out: &mut Vec<u8>, v: usize) {
+    put_u64(out, v as u64);
+}
+
+fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+fn put_bool(out: &mut Vec<u8>, v: bool) {
+    out.push(u8::from(v));
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_usize(out, s.len());
+    out.extend_from_slice(s.as_bytes());
 }
 
 fn put_opt(out: &mut Vec<u8>, v: Option<u64>) {
@@ -136,6 +200,346 @@ fn put_opt(out: &mut Vec<u8>, v: Option<u64>) {
             put_u64(out, v);
         }
     }
+}
+
+fn put_map<V>(
+    out: &mut Vec<u8>,
+    map: &BTreeMap<u64, V>,
+    mut put_value: impl FnMut(&mut Vec<u8>, &V),
+) {
+    put_usize(out, map.len());
+    for (key, value) in map {
+        put_u64(out, *key);
+        put_value(out, value);
+    }
+}
+
+fn put_placement(out: &mut Vec<u8>, snap: &PlacementSnapshot) {
+    let PlacementSnapshot {
+        config,
+        now,
+        cores,
+        session_device,
+        slo,
+        lease_device,
+        lease_session,
+        migrating,
+        rr_next,
+        rebalancer,
+        health,
+        sessions_routed,
+        migrations_completed,
+        evacuations,
+    } = snap;
+    let PlacementConfig {
+        policy,
+        arbiter,
+        rebalance,
+    } = config;
+    match policy {
+        PlacementPolicy::RoundRobin => out.push(0),
+        PlacementPolicy::LeastLoaded => out.push(1),
+        PlacementPolicy::Affinity { pins } => {
+            out.push(2);
+            put_map(out, pins, |out, d| put_usize(out, *d));
+        }
+    }
+    put_arbiter_config(out, arbiter);
+    match rebalance {
+        None => out.push(0),
+        Some(RebalanceConfig {
+            high_ms,
+            low_ms,
+            cooldown_us,
+            seed,
+        }) => {
+            out.push(1);
+            for v in [high_ms, low_ms, cooldown_us, seed] {
+                put_u64(out, *v);
+            }
+        }
+    }
+    put_u64(out, *now);
+    put_usize(out, cores.len());
+    for core in cores {
+        put_core(out, core);
+    }
+    put_map(out, session_device, |out, d| put_usize(out, *d));
+    put_map(out, slo, |out, c| out.push(slo_tag(*c)));
+    put_map(out, lease_device, |out, d| put_usize(out, *d));
+    put_map(out, lease_session, |out, s| put_u64(out, *s));
+    put_map(out, migrating, |out, d| put_usize(out, *d));
+    put_usize(out, *rr_next);
+    match rebalancer {
+        None => out.push(0),
+        Some(RebalancerSnapshot {
+            armed,
+            cooldown_until,
+            rng,
+            fired,
+        }) => {
+            out.push(1);
+            put_bool(out, *armed);
+            for v in [cooldown_until, rng, fired] {
+                put_u64(out, *v);
+            }
+        }
+    }
+    let HealthSnapshot { states, rng } = health;
+    put_usize(out, states.len());
+    for state in states {
+        match state {
+            HealthState::Healthy => out.push(0),
+            HealthState::Degraded => out.push(1),
+            HealthState::Quarantined { until } => {
+                out.push(2);
+                put_u64(out, *until);
+            }
+            HealthState::Failed => out.push(3),
+            HealthState::Probation { until } => {
+                out.push(4);
+                put_u64(out, *until);
+            }
+        }
+    }
+    for v in [rng, sessions_routed, migrations_completed, evacuations] {
+        put_u64(out, *v);
+    }
+}
+
+fn put_arbiter_config(out: &mut Vec<u8>, config: &ArbiterConfig) {
+    let ArbiterConfig {
+        enable_corun,
+        enable_resize,
+        starvation_bound_us,
+        preempt_bound_us,
+        limits,
+    } = config;
+    put_bool(out, *enable_corun);
+    put_bool(out, *enable_resize);
+    put_opt(out, *starvation_bound_us);
+    put_opt(out, *preempt_bound_us);
+    let AdmissionLimits {
+        max_sessions,
+        max_pending_per_session,
+        max_pending_global,
+        mem_watermark,
+    } = limits;
+    put_opt(out, max_sessions.map(|n| n as u64));
+    put_opt(out, *max_pending_per_session);
+    put_opt(out, *max_pending_global);
+    match mem_watermark {
+        None => out.push(0),
+        Some(w) => {
+            out.push(1);
+            put_f64(out, *w);
+        }
+    }
+}
+
+fn put_device(out: &mut Vec<u8>, device: &DeviceConfig) {
+    let DeviceConfig {
+        name,
+        num_sms,
+        clock_hz,
+        flops_per_cycle_per_sm,
+        dram_bw,
+        per_sm_mem_bw,
+        dram_mix_penalty,
+        l2_bytes,
+        pcie_bw,
+        max_threads_per_sm,
+        max_blocks_per_sm,
+        regs_per_sm,
+        smem_per_sm,
+        threads_for_peak_per_sm,
+        block_setup_cycles,
+        atomic_serial_s,
+        ctx_switch_s,
+        launch_latency_s,
+    } = device;
+    put_str(out, name);
+    put_u64(out, (*num_sms).into());
+    for v in [
+        clock_hz,
+        flops_per_cycle_per_sm,
+        dram_bw,
+        per_sm_mem_bw,
+        dram_mix_penalty,
+    ] {
+        put_f64(out, *v);
+    }
+    put_u64(out, *l2_bytes);
+    put_f64(out, *pcie_bw);
+    for v in [
+        max_threads_per_sm,
+        max_blocks_per_sm,
+        regs_per_sm,
+        smem_per_sm,
+        threads_for_peak_per_sm,
+    ] {
+        put_u64(out, (*v).into());
+    }
+    for v in [
+        block_setup_cycles,
+        atomic_serial_s,
+        ctx_switch_s,
+        launch_latency_s,
+    ] {
+        put_f64(out, *v);
+    }
+}
+
+fn put_queue(out: &mut Vec<u8>, stats: &QueueStats) {
+    let QueueStats {
+        depth,
+        high_water,
+        capacity,
+        admitted,
+        shed,
+    } = stats;
+    put_u64(out, *depth);
+    put_u64(out, *high_water);
+    put_opt(out, *capacity);
+    put_u64(out, *admitted);
+    put_u64(out, *shed);
+}
+
+fn put_core(out: &mut Vec<u8>, core: &CoreSnapshot) {
+    let CoreSnapshot {
+        device,
+        config,
+        now,
+        next_seq,
+        draining,
+        residents,
+        waiters,
+        last_range,
+        deadlines,
+        sessions,
+        lease_session,
+        pending,
+        global,
+        active_sessions,
+        sessions_admitted,
+        sessions_rejected,
+        launches_completed,
+        launches_failed,
+        deadline_rejections,
+        mallocs_shed,
+        pending_est_ms,
+        promotions,
+        evictions,
+        reaped,
+        slo,
+        preemptions,
+    } = core;
+    put_device(out, device);
+    put_arbiter_config(out, config);
+    put_u64(out, *now);
+    put_u64(out, *next_seq);
+    put_bool(out, *draining);
+    put_usize(out, residents.len());
+    for resident in residents {
+        let Resident {
+            lease,
+            session,
+            class,
+            sm_demand,
+            pinned,
+            range,
+            slo,
+        } = resident;
+        put_u64(out, *lease);
+        put_u64(out, *session);
+        out.push(class_tag(*class));
+        put_u64(out, (*sm_demand).into());
+        put_bool(out, *pinned);
+        put_range(out, *range);
+        out.push(slo_tag(*slo));
+    }
+    put_usize(out, waiters.len());
+    for waiter in waiters {
+        let Waiter {
+            lease,
+            session,
+            class,
+            sm_demand,
+            pinned,
+            deadline_ms,
+            since,
+            seq,
+            slo,
+        } = waiter;
+        put_u64(out, *lease);
+        put_u64(out, *session);
+        out.push(class_tag(*class));
+        put_u64(out, (*sm_demand).into());
+        put_bool(out, *pinned);
+        put_opt(out, *deadline_ms);
+        put_u64(out, *since);
+        put_u64(out, *seq);
+        out.push(slo_tag(*slo));
+    }
+    put_map(out, last_range, |out, r| put_range(out, *r));
+    put_map(out, deadlines, |out, t| put_u64(out, *t));
+    put_map(out, sessions, put_queue);
+    put_map(out, lease_session, |out, s| put_u64(out, *s));
+    put_map(out, pending, |out, leases| {
+        put_usize(out, leases.len());
+        for lease in leases {
+            put_u64(out, *lease);
+        }
+    });
+    put_queue(out, global);
+    put_usize(out, *active_sessions);
+    for v in [
+        sessions_admitted,
+        sessions_rejected,
+        launches_completed,
+        launches_failed,
+        deadline_rejections,
+        mallocs_shed,
+        pending_est_ms,
+        promotions,
+        evictions,
+        reaped,
+    ] {
+        put_u64(out, *v);
+    }
+    put_map(out, slo, |out, c| out.push(slo_tag(*c)));
+    put_u64(out, *preemptions);
+}
+
+fn put_durable_meta(out: &mut Vec<u8>, meta: &DurableMeta) {
+    let DurableMeta {
+        next_session,
+        sessions,
+    } = meta;
+    put_u64(out, *next_session);
+    put_map(out, sessions, |out, session| {
+        let SessionMeta {
+            user,
+            slo,
+            next_ptr,
+            allocs,
+            admitted,
+            done,
+        } = session;
+        put_str(out, user);
+        out.push(slo_tag(*slo));
+        put_u64(out, *next_ptr);
+        put_map(out, allocs, |out, alloc| {
+            let AllocMeta { device_ptr, bytes } = alloc;
+            put_u64(out, *device_ptr);
+            put_u64(out, *bytes);
+        });
+        put_map(out, admitted, |out, lease| put_u64(out, *lease));
+        put_usize(out, done.len());
+        for launch_id in done {
+            put_u64(out, *launch_id);
+        }
+    });
 }
 
 fn put_range(out: &mut Vec<u8>, range: SmRange) {
@@ -152,7 +556,7 @@ fn put_batch(out: &mut Vec<u8>, batch: &PlacementBatch) {
     }
     put_u64(out, batch.routed.len() as u64);
     for routed in &batch.routed {
-        put_u64(out, routed.device as u64);
+        put_usize(out, routed.device);
         put_command(out, &routed.command);
     }
 }
@@ -303,16 +707,37 @@ fn put_command(out: &mut Vec<u8>, command: &Command) {
     }
 }
 
+/// The slot-body bytes of a placement snapshot: equal states encode
+/// equal, so tests compare layers by them.
+#[cfg(test)]
+pub(crate) fn placement_bytes(snap: &PlacementSnapshot) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    put_placement(&mut bytes, snap);
+    bytes
+}
+
+/// One core's snapshot through the slot-body codec and back, as a slot
+/// body carries each of its cores.
+#[cfg(test)]
+pub(crate) fn core_roundtrip(core: &CoreSnapshot) -> CoreSnapshot {
+    let mut bytes = Vec::new();
+    put_core(&mut bytes, core);
+    let mut r = Reader { rest: &bytes };
+    let back = r.core().expect("an encoded core decodes");
+    assert!(r.rest.is_empty(), "the core decodes whole");
+    back
+}
+
 type Decoded<T> = Result<T, &'static str>;
 
-/// The undecoded rest of a payload.
+/// The undecoded rest of a payload or slot body.
 struct Reader<'a> {
     rest: &'a [u8],
 }
 
-impl Reader<'_> {
+impl<'a> Reader<'a> {
     fn byte(&mut self) -> Decoded<u8> {
-        let (&b, rest) = self.rest.split_first().ok_or("record ends mid-field")?;
+        let (&b, rest) = self.rest.split_first().ok_or("input ends mid-field")?;
         self.rest = rest;
         Ok(b)
     }
@@ -338,6 +763,19 @@ impl Reader<'_> {
         u32::try_from(self.u64()?).map_err(|_| "varint overflows u32")
     }
 
+    fn usize(&mut self) -> Decoded<usize> {
+        usize::try_from(self.u64()?).map_err(|_| "varint overflows usize")
+    }
+
+    fn f64(&mut self) -> Decoded<f64> {
+        let (bytes, rest) = self
+            .rest
+            .split_first_chunk()
+            .ok_or("input ends mid-field")?;
+        self.rest = rest;
+        Ok(f64::from_bits(u64::from_le_bytes(*bytes)))
+    }
+
     fn bool(&mut self) -> Decoded<bool> {
         match self.byte()? {
             0 => Ok(false),
@@ -346,12 +784,16 @@ impl Reader<'_> {
         }
     }
 
-    fn opt(&mut self) -> Decoded<Option<u64>> {
+    fn option<T>(&mut self, some: impl FnOnce(&mut Self) -> Decoded<T>) -> Decoded<Option<T>> {
         match self.byte()? {
             0 => Ok(None),
-            1 => self.u64().map(Some),
+            1 => some(self).map(Some),
             _ => Err("option byte is neither 0 nor 1"),
         }
+    }
+
+    fn opt(&mut self) -> Decoded<Option<u64>> {
+        self.option(Self::u64)
     }
 
     /// A count or length: refused when the bytes left could not hold that
@@ -360,8 +802,42 @@ impl Reader<'_> {
     fn len(&mut self) -> Decoded<usize> {
         match usize::try_from(self.u64()?) {
             Ok(n) if n <= self.rest.len() => Ok(n),
-            _ => Err("length runs past the end of the record"),
+            _ => Err("length runs past the end of the bytes"),
         }
+    }
+
+    fn str(&mut self) -> Decoded<&'a str> {
+        let len = self.len()?;
+        let (text, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        std::str::from_utf8(text).map_err(|_| "string is not UTF-8")
+    }
+
+    fn vec<T>(&mut self, mut elem: impl FnMut(&mut Self) -> Decoded<T>) -> Decoded<Vec<T>> {
+        let n = self.len()?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(elem(self)?);
+        }
+        Ok(out)
+    }
+
+    /// A map, its keys strictly ascending: the one order the encoder
+    /// writes, so a duplicate key cannot silently drop an entry.
+    fn map<V>(
+        &mut self,
+        mut value: impl FnMut(&mut Self) -> Decoded<V>,
+    ) -> Decoded<BTreeMap<u64, V>> {
+        let n = self.len()?;
+        let mut out = BTreeMap::new();
+        for _ in 0..n {
+            let key = self.u64()?;
+            if out.last_key_value().is_some_and(|(&last, _)| last >= key) {
+                return Err("map keys out of order");
+            }
+            out.insert(key, value(self)?);
+        }
+        Ok(out)
     }
 
     fn slo(&mut self) -> Decoded<SloClass> {
@@ -369,6 +845,17 @@ impl Reader<'_> {
             0 => Ok(SloClass::LatencyCritical),
             1 => Ok(SloClass::BestEffort),
             _ => Err("unknown SLO class"),
+        }
+    }
+
+    fn class(&mut self) -> Decoded<WorkloadClass> {
+        match self.byte()? {
+            0 => Ok(WorkloadClass::LC),
+            1 => Ok(WorkloadClass::MC),
+            2 => Ok(WorkloadClass::HC),
+            3 => Ok(WorkloadClass::MM),
+            4 => Ok(WorkloadClass::HM),
+            _ => Err("unknown workload class"),
         }
     }
 
@@ -380,23 +867,209 @@ impl Reader<'_> {
         Ok(SmRange { lo, hi })
     }
 
+    fn snapshot(&mut self) -> Decoded<DurableSnapshot> {
+        Ok(DurableSnapshot {
+            epoch: self.u64()?,
+            segment: self.u64()?,
+            offset: self.u64()?,
+            placement: self.placement()?,
+            meta: self.durable_meta()?,
+        })
+    }
+
+    fn placement(&mut self) -> Decoded<PlacementSnapshot> {
+        Ok(PlacementSnapshot {
+            config: PlacementConfig {
+                policy: match self.byte()? {
+                    0 => PlacementPolicy::RoundRobin,
+                    1 => PlacementPolicy::LeastLoaded,
+                    2 => PlacementPolicy::Affinity {
+                        pins: self.map(Self::usize)?,
+                    },
+                    _ => return Err("unknown placement policy"),
+                },
+                arbiter: self.arbiter_config()?,
+                rebalance: self.option(|r| {
+                    Ok(RebalanceConfig {
+                        high_ms: r.u64()?,
+                        low_ms: r.u64()?,
+                        cooldown_us: r.u64()?,
+                        seed: r.u64()?,
+                    })
+                })?,
+            },
+            now: self.u64()?,
+            cores: self.vec(Self::core)?,
+            session_device: self.map(Self::usize)?,
+            slo: self.map(Self::slo)?,
+            lease_device: self.map(Self::usize)?,
+            lease_session: self.map(Self::u64)?,
+            migrating: self.map(Self::usize)?,
+            rr_next: self.usize()?,
+            rebalancer: self.option(|r| {
+                Ok(RebalancerSnapshot {
+                    armed: r.bool()?,
+                    cooldown_until: r.u64()?,
+                    rng: r.u64()?,
+                    fired: r.u64()?,
+                })
+            })?,
+            health: HealthSnapshot {
+                states: self.vec(|r| {
+                    Ok(match r.byte()? {
+                        0 => HealthState::Healthy,
+                        1 => HealthState::Degraded,
+                        2 => HealthState::Quarantined { until: r.u64()? },
+                        3 => HealthState::Failed,
+                        4 => HealthState::Probation { until: r.u64()? },
+                        _ => return Err("unknown health state"),
+                    })
+                })?,
+                rng: self.u64()?,
+            },
+            sessions_routed: self.u64()?,
+            migrations_completed: self.u64()?,
+            evacuations: self.u64()?,
+        })
+    }
+
+    fn arbiter_config(&mut self) -> Decoded<ArbiterConfig> {
+        Ok(ArbiterConfig {
+            enable_corun: self.bool()?,
+            enable_resize: self.bool()?,
+            starvation_bound_us: self.opt()?,
+            preempt_bound_us: self.opt()?,
+            limits: AdmissionLimits {
+                max_sessions: self.option(Self::usize)?,
+                max_pending_per_session: self.opt()?,
+                max_pending_global: self.opt()?,
+                mem_watermark: self.option(Self::f64)?,
+            },
+        })
+    }
+
+    fn device(&mut self) -> Decoded<DeviceConfig> {
+        Ok(DeviceConfig {
+            name: self.str()?.to_string(),
+            num_sms: self.u32()?,
+            clock_hz: self.f64()?,
+            flops_per_cycle_per_sm: self.f64()?,
+            dram_bw: self.f64()?,
+            per_sm_mem_bw: self.f64()?,
+            dram_mix_penalty: self.f64()?,
+            l2_bytes: self.u64()?,
+            pcie_bw: self.f64()?,
+            max_threads_per_sm: self.u32()?,
+            max_blocks_per_sm: self.u32()?,
+            regs_per_sm: self.u32()?,
+            smem_per_sm: self.u32()?,
+            threads_for_peak_per_sm: self.u32()?,
+            block_setup_cycles: self.f64()?,
+            atomic_serial_s: self.f64()?,
+            ctx_switch_s: self.f64()?,
+            launch_latency_s: self.f64()?,
+        })
+    }
+
+    fn queue(&mut self) -> Decoded<QueueStats> {
+        Ok(QueueStats {
+            depth: self.u64()?,
+            high_water: self.u64()?,
+            capacity: self.opt()?,
+            admitted: self.u64()?,
+            shed: self.u64()?,
+        })
+    }
+
+    fn core(&mut self) -> Decoded<CoreSnapshot> {
+        Ok(CoreSnapshot {
+            device: self.device()?,
+            config: self.arbiter_config()?,
+            now: self.u64()?,
+            next_seq: self.u64()?,
+            draining: self.bool()?,
+            residents: self.vec(|r| {
+                Ok(Resident {
+                    lease: r.u64()?,
+                    session: r.u64()?,
+                    class: r.class()?,
+                    sm_demand: r.u32()?,
+                    pinned: r.bool()?,
+                    range: r.range()?,
+                    slo: r.slo()?,
+                })
+            })?,
+            waiters: self.vec(|r| {
+                Ok(Waiter {
+                    lease: r.u64()?,
+                    session: r.u64()?,
+                    class: r.class()?,
+                    sm_demand: r.u32()?,
+                    pinned: r.bool()?,
+                    deadline_ms: r.opt()?,
+                    since: r.u64()?,
+                    seq: r.u64()?,
+                    slo: r.slo()?,
+                })
+            })?,
+            last_range: self.map(Self::range)?,
+            deadlines: self.map(Self::u64)?,
+            sessions: self.map(Self::queue)?,
+            lease_session: self.map(Self::u64)?,
+            pending: self.map(|r| r.vec(Self::u64))?,
+            global: self.queue()?,
+            active_sessions: self.usize()?,
+            sessions_admitted: self.u64()?,
+            sessions_rejected: self.u64()?,
+            launches_completed: self.u64()?,
+            launches_failed: self.u64()?,
+            deadline_rejections: self.u64()?,
+            mallocs_shed: self.u64()?,
+            pending_est_ms: self.u64()?,
+            promotions: self.u64()?,
+            evictions: self.u64()?,
+            reaped: self.u64()?,
+            slo: self.map(Self::slo)?,
+            preemptions: self.u64()?,
+        })
+    }
+
+    fn durable_meta(&mut self) -> Decoded<DurableMeta> {
+        Ok(DurableMeta {
+            next_session: self.u64()?,
+            sessions: self.map(|r| {
+                Ok(SessionMeta {
+                    user: r.str()?.to_string(),
+                    slo: r.slo()?,
+                    next_ptr: r.u64()?,
+                    allocs: r.map(|r| {
+                        Ok(AllocMeta {
+                            device_ptr: r.u64()?,
+                            bytes: r.u64()?,
+                        })
+                    })?,
+                    admitted: r.map(Self::u64)?,
+                    done: r.set()?,
+                })
+            })?,
+        })
+    }
+
+    /// A set: the keys of a map with no values.
+    fn set(&mut self) -> Decoded<BTreeSet<u64>> {
+        Ok(self.map(|_| Ok(()))?.into_keys().collect())
+    }
+
     fn record(&mut self) -> Decoded<WalRecord> {
         Ok(match self.byte()? {
             0 => WalRecord::Batch {
                 batch: self.batch()?,
             },
-            1 => {
-                let session = self.u64()?;
-                let len = self.len()?;
-                let (text, rest) = self.rest.split_at(len);
-                self.rest = rest;
-                let user = std::str::from_utf8(text).map_err(|_| "user is not UTF-8")?;
-                WalRecord::SessionMeta {
-                    session,
-                    user: user.to_string(),
-                    slo: self.slo()?,
-                }
-            }
+            1 => WalRecord::SessionMeta {
+                session: self.u64()?,
+                user: self.str()?.to_string(),
+                slo: self.slo()?,
+            },
             2 => WalRecord::SessionClosed {
                 session: self.u64()?,
             },
@@ -425,22 +1098,16 @@ impl Reader<'_> {
     }
 
     fn batch(&mut self) -> Decoded<PlacementBatch> {
-        let at = self.u64()?;
-        let n = self.len()?;
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            events.push(self.event()?);
-        }
-        let n = self.len()?;
-        let mut routed = Vec::with_capacity(n);
-        for _ in 0..n {
-            let device = usize::try_from(self.u64()?).map_err(|_| "device overflows usize")?;
-            routed.push(RoutedCommand {
-                device,
-                command: self.command()?,
-            });
-        }
-        Ok(PlacementBatch { at, events, routed })
+        Ok(PlacementBatch {
+            at: self.u64()?,
+            events: self.vec(Self::event)?,
+            routed: self.vec(|r| {
+                Ok(RoutedCommand {
+                    device: r.usize()?,
+                    command: r.command()?,
+                })
+            })?,
+        })
     }
 
     fn event(&mut self) -> Decoded<Event> {
@@ -463,14 +1130,7 @@ impl Reader<'_> {
             4 => Event::KernelReady {
                 session: self.u64()?,
                 lease: self.u64()?,
-                class: match self.byte()? {
-                    0 => WorkloadClass::LC,
-                    1 => WorkloadClass::MC,
-                    2 => WorkloadClass::HC,
-                    3 => WorkloadClass::MM,
-                    4 => WorkloadClass::HM,
-                    _ => return Err("unknown workload class"),
-                },
+                class: self.class()?,
                 sm_demand: self.u32()?,
                 pinned_solo: self.bool()?,
                 deadline_ms: self.opt()?,

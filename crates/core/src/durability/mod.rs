@@ -27,7 +27,7 @@
 //!
 //! **Formats.** The layer reads exactly what it writes, and each file
 //! carries one version: a WAL payload its format byte ([`codec::FORMAT`]),
-//! a slot its header's version, which covers the JSON body too. A format
+//! a slot its header's version, which covers its binary body too. A format
 //! change bumps the one it changes and keeps no reader for the old one; a
 //! directory of an older layout is a typed error, never a panic.
 //!
@@ -386,6 +386,7 @@ mod tests {
     use super::*;
     use crate::arbiter::Event;
     use crate::placement::{PlacementBatch, PlacementConfig, PlacementLayer};
+    use codec::placement_bytes;
     use slate_gpu_sim::device::DeviceConfig;
     use snapshot::{decode_slot, encode_slot, load_slot, slot_path};
     use std::io::Write;
@@ -443,8 +444,7 @@ mod tests {
     /// A slot image of `snap`, as `SnapshotSlots::write` builds it.
     fn slot_image(snap: &DurableSnapshot) -> Vec<u8> {
         let mut image = Vec::new();
-        let body = serde_json::to_string(snap).unwrap();
-        encode_slot(snap.segment, snap.offset, body.as_bytes(), &mut image);
+        encode_slot(snap, &mut image);
         image
     }
 
@@ -562,8 +562,8 @@ mod tests {
         assert!(rec.issues.is_empty());
         assert_eq!((rec.last_segment, rec.slot), (0, 0));
         assert_eq!(
-            serde_json::to_string(&rec.layer.snapshot()).unwrap(),
-            serde_json::to_string(&layer.snapshot()).unwrap(),
+            placement_bytes(&rec.layer.snapshot()),
+            placement_bytes(&layer.snapshot()),
             "recovered layer matches the live one"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -612,16 +612,13 @@ mod tests {
         ]
     }
 
-    /// The state recovery must reproduce: the layer's snapshot and the
-    /// mirror, as bytes.
-    fn state_of(layer: &PlacementLayer, meta: &DurableMeta) -> (String, String) {
-        (
-            serde_json::to_string(&layer.snapshot()).unwrap(),
-            serde_json::to_string(meta).unwrap(),
-        )
+    /// The state recovery must reproduce: the layer's snapshot, as bytes,
+    /// and the mirror.
+    fn state_of(layer: &PlacementLayer, meta: &DurableMeta) -> (Vec<u8>, DurableMeta) {
+        (placement_bytes(&layer.snapshot()), meta.clone())
     }
 
-    fn recovered_state(dir: &Path) -> (String, String) {
+    fn recovered_state(dir: &Path) -> (Vec<u8>, DurableMeta) {
         let rec = recover_dir(dir).expect("recover");
         assert!(rec.issues.is_empty(), "{:?}", rec.issues);
         state_of(&rec.layer, &rec.meta)
@@ -840,9 +837,8 @@ mod tests {
             recover_dir(&dir).expect("recover")
         };
         // The header anchors one byte on; the body does not.
-        let mut image = Vec::new();
-        let body = serde_json::to_string(&newest).unwrap();
-        encode_slot(0, anchor + 1, body.as_bytes(), &mut image);
+        let mut image = slot_image(&newest);
+        image[24..32].copy_from_slice(&(anchor + 1).to_le_bytes());
         let rec = recover(&image);
         assert_eq!(rec.slot, 0, "the body's offset disagrees: fallback");
         assert_eq!(state_of(&rec.layer, &rec.meta), want);

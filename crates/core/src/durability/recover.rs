@@ -200,6 +200,7 @@ pub fn full_log(dir: &Path) -> io::Result<PlacementLog> {
 mod tests {
     use super::*;
     use crate::arbiter::Event;
+    use crate::durability::codec::placement_bytes;
     use crate::durability::snapshot::SnapshotSlots;
     use crate::durability::wal::{segment_path, SegmentWriter, FRAME_HEADER_LEN};
     use crate::placement::PlacementConfig;
@@ -277,8 +278,8 @@ mod tests {
         // The recovered layer and the golden layer agree on observable
         // state — and, critically, on their *next* decision.
         assert_eq!(
-            serde_json::to_string(&rec.layer.snapshot()).expect("snap"),
-            serde_json::to_string(&golden.snapshot()).expect("snap"),
+            placement_bytes(&rec.layer.snapshot()),
+            placement_bytes(&golden.snapshot()),
             "recovered state is byte-identical to the uncrashed run"
         );
         let mut recovered = rec.layer;
@@ -378,7 +379,8 @@ mod tests {
 
     /// A directory this build cannot recover from is a typed error, never
     /// a panic: none at all, an empty one, snapshot files beside a segment
-    /// but no slot, and a slot of another version.
+    /// but no slot, and a slot of another version — version 1, with no
+    /// offset, and version 2, whose body was JSON.
     #[test]
     fn missing_directory_and_empty_directory_fail_cleanly() {
         let fails = |dir: &Path, kind, why: &str| {
@@ -389,36 +391,32 @@ mod tests {
         let dir = tmpdir("empty");
         fails(&dir, io::ErrorKind::NotFound, "not a durability directory");
         fails(&dir.join("nope"), io::ErrorKind::NotFound, "");
-        let body = serde_json::to_string(&DurableSnapshot {
-            epoch: 0,
-            segment: 0,
-            offset: 0,
-            placement: fresh_layer().snapshot(),
-            meta: DurableMeta::default(),
-        })
-        .unwrap();
-        std::fs::write(dir.join("snap-00000000.json"), &body).unwrap();
+        let body = br#"{"epoch":0,"segment":0,"offset":0}"#;
+        std::fs::write(dir.join("snap-00000000.json"), body).unwrap();
         SegmentWriter::create(&dir, 0)
             .and_then(|mut w| w.append(&WalRecord::Epoch { epoch: 0 }))
             .unwrap();
         fails(&dir, io::ErrorKind::NotFound, "not a durability directory");
         std::fs::remove_dir_all(&dir).ok();
 
-        // Magic, version 1, CRC, segment, length: no offset.
-        let dir = tmpdir("version-1");
-        let mut image = b"SLATESNP".to_vec();
-        image.extend_from_slice(&1u32.to_le_bytes());
-        image.extend_from_slice(&crate::durability::wal::crc32(body.as_bytes()).to_le_bytes());
-        image.extend_from_slice(&0u64.to_le_bytes());
-        image.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        image.extend_from_slice(body.as_bytes());
-        std::fs::write(slot_path(&dir, 0), image).unwrap();
-        SegmentWriter::create(&dir, 0).unwrap();
-        fails(
-            &dir,
-            io::ErrorKind::InvalidData,
-            "slot version 1 unsupported",
-        );
-        std::fs::remove_dir_all(&dir).ok();
+        // Magic, version, CRC, segment, (version 2: offset,) length, body.
+        let crc = crate::durability::wal::crc32(body).to_le_bytes();
+        let len = (body.len() as u64).to_le_bytes();
+        let zero = 0u64.to_le_bytes();
+        for (version, header) in [
+            (1u32, [&crc[..], &zero, &len].concat()),
+            (2, [&crc[..], &zero, &zero, &len].concat()),
+        ] {
+            let dir = tmpdir(&format!("version-{version}"));
+            let image = [&b"SLATESNP"[..], &version.to_le_bytes(), &header, body].concat();
+            std::fs::write(slot_path(&dir, 0), image).unwrap();
+            SegmentWriter::create(&dir, 0).unwrap();
+            fails(
+                &dir,
+                io::ErrorKind::InvalidData,
+                &format!("slot version {version} unsupported"),
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

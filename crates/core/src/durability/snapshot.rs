@@ -18,18 +18,19 @@
 //! other slot still holds the previous anchor:
 //!
 //! ```text
-//! ┌───────────┬─────────────┬─────────┬─────────────┬─────────────┬──────────┬─────────────────┐
-//! │ magic 8 B │ version u32 │ crc u32 │ segment u64 │ offset u64  │ len u64  │ JSON body (len) │ zeros…
-//! │ "SLATESNP"│ 2, LE       │ of body │ anchored    │ within it   │ of body  │ DurableSnapshot │
-//! └───────────┴─────────────┴─────────┴─────────────┴─────────────┴──────────┴─────────────────┘
+//! ┌───────────┬─────────────┬─────────┬─────────────┬─────────────┬──────────┬───────────────────┐
+//! │ magic 8 B │ version u32 │ crc u32 │ segment u64 │ offset u64  │ len u64  │ binary body (len) │ zeros…
+//! │ "SLATESNP"│ 3, LE       │ of body │ anchored    │ within it   │ of body  │ DurableSnapshot   │
+//! └───────────┴─────────────┴─────────┴─────────────┴─────────────┴──────────┴───────────────────┘
 //! ```
 //!
-//! The header's version is the one version of the slot, header and body
-//! alike: this build reads version 2 only. A slot file only grows, in
-//! whole 4 KiB pages, so a steady-state overwrite changes no file metadata
-//! and its `fdatasync` commits no journal transaction. A snapshot that
-//! fails to load at recovery time is skipped in favour of the other slot
-//! (with more replay).
+//! The body is the [`DurableSnapshot`] in the binary codec of [`codec`]
+//! ([`codec::encode_snapshot`]). The header's version is the one version
+//! of the slot, header and body alike: this build reads version 3 only.
+//! A slot file only grows, in whole 4 KiB pages, so a steady-state
+//! overwrite changes no file metadata and its `fdatasync` commits no
+//! journal transaction. A snapshot that fails to load at recovery time is
+//! skipped in favour of the other slot (with more replay).
 //!
 //! A snapshot is written under the arbiter lock (`DESIGN.md` §16), so its
 //! size is serving latency. The placement state is bounded by the fleet
@@ -37,11 +38,11 @@
 //! sessions only — [`DurableMeta::apply`] removes a session when it
 //! closes.
 
+use super::codec;
 use super::wal::{crc32, WalRecord};
 use crate::placement::PlacementSnapshot;
-use serde::{Deserialize, Serialize};
 use slate_kernels::workload::SloClass;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
@@ -52,7 +53,7 @@ const SLOT_MAGIC: [u8; 8] = *b"SLATESNP";
 /// The slot's version, the only one written or read. Bumped on any
 /// incompatible change to the header or the [`DurableSnapshot`] body;
 /// a slot of any other version is a typed `InvalidData` error.
-const SLOT_VERSION: u32 = 2;
+const SLOT_VERSION: u32 = 3;
 
 /// Bytes of slot header ahead of the body: magic, version, CRC-32,
 /// anchored segment, offset within it, body length.
@@ -62,7 +63,7 @@ pub const SLOT_HEADER_LEN: usize = 40;
 const SLOT_PAGE: u64 = 4096;
 
 /// One device allocation, as mirrored into durable metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocMeta {
     /// Backing device pointer (raw address word).
     pub device_ptr: u64,
@@ -72,7 +73,7 @@ pub struct AllocMeta {
 
 /// Durable per-session metadata: everything a resumed client needs the
 /// daemon to still know after a crash.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SessionMeta {
     /// The connecting user (re-admission accounting).
     pub user: String,
@@ -88,15 +89,15 @@ pub struct SessionMeta {
     /// Admitted launches: launch id → lease. Replayed launches at or
     /// below the watermark are deduplicated against this.
     pub admitted: BTreeMap<u64, u64>,
-    /// Completed launches (value unused; a set under the stub serde).
-    pub done: BTreeMap<u64, bool>,
+    /// Completed launch ids.
+    pub done: BTreeSet<u64>,
 }
 
 /// Daemon-side durable metadata, mirrored on every WAL append and
 /// serialized whole into each snapshot — so it holds the *open* sessions
 /// only, and a checkpoint costs what they cost however many have come and
 /// gone.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DurableMeta {
     /// Next session id the daemon will assign. Never regresses, which is
     /// what keeps ids unique once closed sessions are forgotten.
@@ -159,7 +160,7 @@ impl DurableMeta {
             }
             WalRecord::LaunchDone { session, launch_id } => {
                 if let Some(s) = self.sessions.get_mut(session) {
-                    s.done.insert(*launch_id, true);
+                    s.done.insert(*launch_id);
                 }
             }
         }
@@ -168,7 +169,7 @@ impl DurableMeta {
 
 /// One complete checkpoint: placement state plus session metadata, tagged
 /// with the epoch and the log position it anchors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DurableSnapshot {
     /// Recovery epoch the writing daemon ran in.
     pub epoch: u64,
@@ -193,16 +194,24 @@ pub fn slot_path(dir: &Path, slot: usize) -> PathBuf {
     dir.join(format!("snap-{slot}.slot"))
 }
 
-/// Appends one slot image to `out`: the header for `body` anchoring byte
-/// `offset` of `segment`, then `body`.
-pub fn encode_slot(segment: u64, offset: u64, body: &[u8], out: &mut Vec<u8>) {
+/// Appends the slot image of `snap` to `out`: the header, anchoring the
+/// position `snap` names, then its body, encoded in place behind the
+/// header, whose checksum and length the header then takes. Builds no
+/// intermediate buffer.
+pub fn encode_slot(snap: &DurableSnapshot, out: &mut Vec<u8>) {
+    let start = out.len();
     out.extend_from_slice(&SLOT_MAGIC);
     out.extend_from_slice(&SLOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(&segment.to_le_bytes());
-    out.extend_from_slice(&offset.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(body);
+    out.extend_from_slice(&[0; 4]); // the body's CRC, below
+    out.extend_from_slice(&snap.segment.to_le_bytes());
+    out.extend_from_slice(&snap.offset.to_le_bytes());
+    out.extend_from_slice(&[0; 8]); // the body's length, below
+    let body = start + SLOT_HEADER_LEN;
+    codec::encode_snapshot(snap, out);
+    let crc = crc32(&out[body..]);
+    let len = (out.len() - body) as u64;
+    out[start + 12..start + 16].copy_from_slice(&crc.to_le_bytes());
+    out[start + 32..body].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Validates a slot image and returns the position it anchors,
@@ -249,8 +258,7 @@ pub fn decode_slot(bytes: &[u8]) -> io::Result<((u64, u64), &[u8])> {
 /// [`DurableSnapshot`] anchoring the position its header names.
 pub fn load_slot(bytes: &[u8]) -> io::Result<DurableSnapshot> {
     let ((segment, offset), body) = decode_slot(bytes)?;
-    let text = std::str::from_utf8(body).map_err(|e| invalid(e.to_string()))?;
-    let snap: DurableSnapshot = serde_json::from_str(text).map_err(|e| invalid(e.to_string()))?;
+    let snap = codec::decode_snapshot(body)?;
     if (snap.segment, snap.offset) != (segment, offset) {
         return Err(invalid(format!(
             "slot header anchors segment {segment} at offset {offset}, its body segment {} at offset {}",
@@ -313,9 +321,8 @@ impl SnapshotSlots {
     /// the padding or the `sync_data` failed after the body went out — so
     /// the caller must keep the log recoverable from either slot.
     pub fn write(&mut self, snap: &DurableSnapshot) -> io::Result<()> {
-        let text = serde_json::to_string(snap).map_err(|e| invalid(e.to_string()))?;
         self.image.clear();
-        encode_slot(snap.segment, snap.offset, text.as_bytes(), &mut self.image);
+        encode_slot(snap, &mut self.image);
         let slot = self.next;
         let need = self.image.len() as u64;
         if need > self.lens[slot] {
@@ -378,7 +385,7 @@ mod tests {
             session: 3,
             launch_id: 1,
         });
-        assert!(m.sessions[&3].done.contains_key(&1));
+        assert!(m.sessions[&3].done.contains(&1));
         m.apply(&WalRecord::Free {
             session: 3,
             slate_ptr: (3u64 << 32) + 5,
@@ -438,9 +445,13 @@ mod tests {
         let mut slots = SnapshotSlots::open(&dir, 1).expect("open");
         let read = |slot| load_slot(&fs::read(slot_path(&dir, slot)).unwrap());
         let len = |slot| fs::metadata(slot_path(&dir, slot)).unwrap().len();
+        let session = SessionMeta {
+            user: "u".repeat(100),
+            ..SessionMeta::default()
+        };
         let big = DurableMeta {
             next_session: 99,
-            sessions: (1..=40).map(|s| (s, SessionMeta::default())).collect(),
+            sessions: (1..=40).map(|s| (s, session.clone())).collect(),
         };
         slots.write(&snapshot(2, 5, big)).expect("write");
         slots
@@ -462,16 +473,16 @@ mod tests {
     }
 
     /// Every header fault is a typed `InvalidData`, never a panic: the
-    /// header cut short, a foreign magic or version, a length past the
-    /// end of the bytes (up to `u64::MAX`), a checksum mismatch, and a
-    /// header that names another segment or offset than its body.
+    /// header cut short, a foreign magic or version, a length past the end
+    /// of the bytes (up to `u64::MAX`), a checksum mismatch, and a header
+    /// that names another segment or offset than its body.
     #[test]
     fn a_damaged_slot_header_is_a_typed_error() {
         let mut snap = snapshot(1, 4, DurableMeta::default());
         snap.offset = 96;
-        let body = serde_json::to_string(&snap).unwrap();
         let mut good = Vec::new();
-        encode_slot(4, 96, body.as_bytes(), &mut good);
+        encode_slot(&snap, &mut good);
+        let body_len = good.len() - SLOT_HEADER_LEN;
         good.extend_from_slice(&[0; 100]);
         let back = load_slot(&good).expect("the good image loads");
         assert_eq!((back.segment, back.offset), (4, 96));
@@ -480,19 +491,14 @@ mod tests {
             image[at..at + bytes.len()].copy_from_slice(bytes);
             image
         };
-        let other = |segment, offset| {
-            let mut image = Vec::new();
-            encode_slot(segment, offset, body.as_bytes(), &mut image);
-            image
-        };
         let cases: [(&str, Vec<u8>, &str); 10] = [
             ("empty", Vec::new(), "truncated"),
             ("short", good[..SLOT_HEADER_LEN - 1].to_vec(), "truncated"),
             ("magic", patched(0, b"SLATESNQ"), "bad magic"),
-            ("version", patched(8, &3u32.to_le_bytes()), "version 3"),
+            ("version", patched(8, &4u32.to_le_bytes()), "version 4"),
             (
                 "length",
-                patched(32, &(body.len() as u64 + 101).to_le_bytes()),
+                patched(32, &(body_len as u64 + 101).to_le_bytes()),
                 "past the end",
             ),
             ("huge", patched(32, &u64::MAX.to_le_bytes()), "past the end"),
@@ -501,8 +507,17 @@ mod tests {
                 patched(SLOT_HEADER_LEN + 3, b"X"),
                 "checksum mismatch",
             ),
-            ("segment", other(5, 96), "anchors segment 5 at offset 96"),
-            ("offset", other(4, 97), "anchors segment 4 at offset 97"),
+            // The checksum covers the body only: a patched anchor keeps it.
+            (
+                "segment",
+                patched(16, &5u64.to_le_bytes()),
+                "anchors segment 5 at offset 96",
+            ),
+            (
+                "offset",
+                patched(24, &97u64.to_le_bytes()),
+                "anchors segment 4 at offset 97",
+            ),
             (
                 "version 1",
                 patched(8, &1u32.to_le_bytes()),

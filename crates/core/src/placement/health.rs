@@ -34,7 +34,6 @@
 //! hence its evacuations and routing — byte-identically.
 
 use crate::arbiter::Tick;
-use serde::{Deserialize, Serialize};
 
 /// Logical µs a quarantined device sits out before entering probation.
 const QUARANTINE_US: u64 = 10_000;
@@ -48,9 +47,9 @@ const SEED: u64 = 0x5EED_4EA1;
 
 /// The health of one device, as the placement layer sees it.
 ///
-/// Serializable so durable daemon snapshots can persist the fleet's health
-/// and recovery restores it exactly (timers and all).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Durable daemon snapshots persist the fleet's health, and recovery
+/// restores it exactly (timers and all).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HealthState {
     /// In service, behaving.
     #[default]
@@ -88,9 +87,9 @@ impl HealthState {
     }
 }
 
-/// Serializable state of a `HealthTracker`: the per-device states plus
-/// the live probation-rng word.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The state of a `HealthTracker`: the per-device states plus the live
+/// probation-rng word.
+#[derive(Debug, Clone, PartialEq)]
 pub struct HealthSnapshot {
     pub(crate) states: Vec<HealthState>,
     pub(crate) rng: u64,

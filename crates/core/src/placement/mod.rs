@@ -122,7 +122,7 @@ pub struct PlacementStats {
     pub evacuations: u64,
 }
 
-/// The complete serializable state of a [`PlacementLayer`], captured by
+/// The complete state of a [`PlacementLayer`], captured by
 /// [`PlacementLayer::snapshot`] and rebuilt by
 /// [`PlacementLayer::from_snapshot`].
 ///
@@ -131,18 +131,16 @@ pub struct PlacementStats {
 /// same rng words, same health timers, same counters — so a recovered
 /// daemon's replayed suffix lands on exactly the state the crashed daemon
 /// had. Recording state is deliberately *not* captured: recovery decides
-/// afresh whether to record. Like [`CoreSnapshot`], routes are serialized
-/// as external-id ordered maps — slot numbers never reach disk.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// afresh whether to record. Like [`CoreSnapshot`], routes are kept as
+/// external-id ordered maps — slot numbers never reach disk.
+#[derive(Debug, Clone)]
 pub struct PlacementSnapshot {
     pub(crate) config: PlacementConfig,
     pub(crate) now: Tick,
     pub(crate) cores: Vec<CoreSnapshot>,
     pub(crate) session_device: BTreeMap<u64, usize>,
     /// Declared SLO classes, only non-default entries (absent sessions
-    /// are best-effort); `#[serde(default)]` keeps pre-SLO snapshots
-    /// readable.
-    #[serde(default)]
+    /// are best-effort).
     pub(crate) slo: BTreeMap<u64, SloClass>,
     pub(crate) lease_device: BTreeMap<u64, usize>,
     pub(crate) lease_session: BTreeMap<u64, u64>,

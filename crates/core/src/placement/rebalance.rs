@@ -63,10 +63,10 @@ pub struct Migration {
     pub lease: u64,
 }
 
-/// Serializable state of a `Rebalancer`: hysteresis arm, cooldown clock,
-/// the live rng word and the fired counter. The config is not repeated —
-/// it is persisted inside the layer's `PlacementConfig`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The state of a `Rebalancer`: hysteresis arm, cooldown clock, the live
+/// rng word and the fired counter. The config is not repeated — it is
+/// persisted inside the layer's `PlacementConfig`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RebalancerSnapshot {
     pub(crate) armed: bool,
     pub(crate) cooldown_until: Tick,

@@ -19,7 +19,6 @@
 //! [`QueueStats`] snapshot reports depth, high-water mark and shed/admit
 //! counters for observability.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A group of consecutive user blocks pulled from the queue.
@@ -135,9 +134,9 @@ impl TaskQueue {
 
 /// Point-in-time snapshot of a bounded launch queue ([`LaunchGauge`]).
 ///
-/// Serializable so daemon snapshots can persist gauge state and restore it
-/// after a crash via [`LaunchGauge::from_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Daemon snapshots persist gauge state in this form and restore it after
+/// a crash via [`LaunchGauge::from_stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueStats {
     /// Launches currently admitted and not yet completed.
     pub depth: u64,

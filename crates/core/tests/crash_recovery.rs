@@ -508,27 +508,47 @@ fn newest_slot(dir: &Path) -> (usize, (u64, u64)) {
         .expect("an anchor")
 }
 
-/// Damaged slot images: each header fault, and a well-formed version 2
-/// header and checksum, anchoring `(segment, offset)`, around a body of
-/// 100 000 nested arrays — which a parser recursing without a bound
-/// answers with a stack overflow.
+/// Damaged slot images: each header fault, and a well-formed header and
+/// checksum, anchoring `(segment, offset)`, around a body whose first
+/// count claims `u64::MAX` affinity pins — which a decoder sizing its
+/// allocation by the count would answer by aborting the process.
 fn hostile_slots((segment, offset): (u64, u64)) -> Vec<(&'static str, Vec<u8>)> {
-    use slate_core::durability::snapshot::{encode_slot, SLOT_HEADER_LEN};
-    let mut deep = Vec::new();
-    encode_slot(segment, offset, "[".repeat(100_000).as_bytes(), &mut deep);
-    let mut magic = deep.clone();
+    use slate_core::durability::snapshot::{encode_slot, DurableSnapshot, SLOT_HEADER_LEN};
+    use slate_core::durability::wal::crc32;
+    use slate_core::durability::DurableMeta;
+    use slate_core::{PlacementConfig, PlacementLayer};
+    let layer = PlacementLayer::new(vec![DeviceConfig::tiny(4)], PlacementConfig::default());
+    let mut claim = Vec::new();
+    encode_slot(
+        &DurableSnapshot {
+            epoch: 0,
+            segment,
+            offset,
+            placement: layer.snapshot(),
+            meta: DurableMeta::default(),
+        },
+        &mut claim,
+    );
+    // Epoch, segment and offset 0, the `Affinity` policy's tag, then its
+    // pin count: a 10-byte varint of `u64::MAX`.
+    let body = [&[0, 0, 0, 2][..], &[0xFF; 9], &[0x01]].concat();
+    claim.truncate(SLOT_HEADER_LEN);
+    claim[12..16].copy_from_slice(&crc32(&body).to_le_bytes());
+    claim[32..40].copy_from_slice(&(body.len() as u64).to_le_bytes());
+    claim.extend_from_slice(&body);
+    let mut magic = claim.clone();
     magic[..8].copy_from_slice(b"NOTASLOT");
-    let truncated = deep[..SLOT_HEADER_LEN / 2].to_vec();
-    let mut long = deep[..SLOT_HEADER_LEN + 64].to_vec();
+    let truncated = claim[..SLOT_HEADER_LEN / 2].to_vec();
+    let mut long = claim.clone();
     long[SLOT_HEADER_LEN - 8..SLOT_HEADER_LEN].copy_from_slice(&(1u64 << 40).to_le_bytes());
-    let mut crc = deep.clone();
-    crc[SLOT_HEADER_LEN + 99] = b'{';
+    let mut crc = claim.clone();
+    crc[SLOT_HEADER_LEN + 5] ^= 0x01;
     vec![
         ("bad magic", magic),
         ("truncated header", truncated),
-        ("past the end", long),
+        ("past the end of the file", long),
         ("checksum mismatch", crc),
-        ("nested deeper", deep),
+        ("runs past the end of the bytes", claim),
     ]
 }
 
@@ -578,7 +598,7 @@ fn a_hostile_snapshot_costs_replay_or_a_typed_error_never_the_process() {
     }
     match SlateDaemon::recover(scene, durable_opts(2, &dir)) {
         Err(slate_core::SlateError::Other(why)) => {
-            assert!(why.contains("nested deeper"), "{why}")
+            assert!(why.contains("runs past the end of the bytes"), "{why}")
         }
         Err(other) => panic!("expected a recovery error, got {other:?}"),
         Ok(_) => panic!("recovered without a readable snapshot"),

@@ -19,6 +19,10 @@
 //! [`Durability::append_meta`] encode their frames in the buffer the
 //! segment writer keeps, and allocate nothing either.
 //!
+//! A checkpoint's slot write, under the same lock, is the other durable
+//! step: a warmed [`SnapshotSlots::write`] encodes its snapshot into the
+//! image buffer the slots keep and allocates nothing either.
+//!
 //! The launch path makes the neighbouring claim (`DESIGN.md` §3.3): a
 //! [`Dispatcher::run`] costs a fixed handful of allocations whatever the
 //! size of the worker grid, and never a thread.
@@ -26,6 +30,7 @@
 use slate_core::arbiter::{ArbiterConfig, ArbiterCore, Command, Event};
 use slate_core::classify::WorkloadClass;
 use slate_core::dispatch::{DispatchHandle, Dispatcher};
+use slate_core::durability::snapshot::{DurableSnapshot, SnapshotSlots};
 use slate_core::durability::{Durability, DurableMeta, WalRecord};
 use slate_core::feed::ring;
 use slate_core::placement::{PlacementBatch, PlacementConfig, PlacementLayer, RoutedCommand};
@@ -296,6 +301,55 @@ fn durable_append_steady_state_allocates_nothing() {
     let meta = d.meta();
     assert_eq!(meta.sessions.len(), 1, "session 7 was never in the mirror");
     assert_eq!(meta.sessions[&1].allocs.len(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint's slot write on a four-device fleet with two sessions
+/// open: once the slots' image buffer has reached its high-water
+/// capacity, encoding, writing and syncing the same snapshot again
+/// allocates nothing. Capturing the snapshot (`PlacementLayer::snapshot`)
+/// allocates, and is left out: what is proved is the encode and write.
+#[test]
+fn warmed_slot_write_allocates_nothing() {
+    let dir = std::env::temp_dir().join(format!("slate-feed-alloc-slot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let mut layer = PlacementLayer::new(
+        vec![DeviceConfig::titan_xp(); 4],
+        PlacementConfig::default(),
+    );
+    let mut meta = DurableMeta::default();
+    for session in [1u64, 2] {
+        layer.feed(session, &[Event::SessionOpened { session }]);
+        layer.feed(10 + session, &[ready(session, session << 16, 8)]);
+        meta.apply(&WalRecord::SessionMeta {
+            session,
+            user: format!("user-{session}"),
+            slo: Default::default(),
+        });
+        meta.apply(&WalRecord::LaunchAdmitted {
+            session,
+            launch_id: 0,
+            lease: session << 16,
+        });
+    }
+    let snap = DurableSnapshot {
+        epoch: 1,
+        segment: 0,
+        offset: 4096,
+        placement: layer.snapshot(),
+        meta,
+    };
+    let mut slots = SnapshotSlots::open(&dir, 0).expect("open slots");
+    for _ in 0..4 {
+        slots.write(&snap).expect("slot write");
+    }
+    let n = allocs_during(|| {
+        for _ in 0..16 {
+            slots.write(&snap).expect("slot write");
+        }
+    });
+    assert_eq!(n, 0, "a warmed slot write must not allocate");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -9,8 +9,14 @@
 //! every possible point, flip single bits, feed raw garbage, and put
 //! damaged payloads behind checksums that match them, so that only the
 //! codec stands between the bytes and a panic.
+//!
+//! The same codec writes a snapshot slot's body, and the same holds
+//! there: generated snapshots read back bit for bit, and every cut and
+//! every flipped bit of a real body decodes or is a typed error.
 
 use proptest::prelude::*;
+use slate_core::admission::AdmissionLimits;
+use slate_core::arbiter::{ArbiterConfig, CoreSnapshot};
 use slate_core::arbiter::{Command, Event, RejectScope};
 use slate_core::classify::WorkloadClass;
 use slate_core::durability::codec::{self, FORMAT};
@@ -18,9 +24,13 @@ use slate_core::durability::snapshot::{DurableSnapshot, SnapshotSlots};
 use slate_core::durability::wal::{
     encode_frame, scan, segment_path, SegmentWriter, FRAME_HEADER_LEN,
 };
-use slate_core::durability::{recover_dir, DurableMeta, WalIssue, WalRecord};
+use slate_core::durability::{
+    recover_dir, AllocMeta, DurableMeta, SessionMeta, WalIssue, WalRecord,
+};
 use slate_core::placement::replay::PlacementBatch;
-use slate_core::placement::{PlacementConfig, PlacementLayer, RoutedCommand};
+use slate_core::placement::{
+    HealthState, PlacementConfig, PlacementLayer, PlacementPolicy, RebalanceConfig, RoutedCommand,
+};
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use slate_kernels::workload::SloClass;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -379,20 +389,397 @@ fn a_real_log_recovers_the_live_state() {
     std::fs::write(segment_path(&dir, 0), encode_all(&records).0).unwrap();
     let rec = recover_dir(&dir).expect("recover");
     assert!(rec.issues.is_empty(), "{:?}", rec.issues);
-    assert_eq!(
-        (
-            serde_json::to_string(&rec.layer.snapshot()).unwrap(),
-            serde_json::to_string(&rec.meta).unwrap(),
-        ),
-        (
-            serde_json::to_string(&live.snapshot()).unwrap(),
-            serde_json::to_string(&meta).unwrap(),
-        )
-    );
+    assert_eq!(body(&rec.layer, &rec.meta), body(&live, &meta));
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The slot body of `layer` and `meta` at the genesis anchor: equal
+/// states encode equal, every map in key order.
+fn body(layer: &PlacementLayer, meta: &DurableMeta) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    codec::encode_snapshot(
+        &DurableSnapshot {
+            epoch: 0,
+            segment: 0,
+            offset: 0,
+            placement: layer.snapshot(),
+            meta: meta.clone(),
+        },
+        &mut bytes,
+    );
+    bytes
+}
+
+/// A float a snapshot must carry bit for bit: NaN, ±∞, -0, or any bits.
+fn float() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(-0.0),
+        any::<u64>().prop_map(f64::from_bits),
+    ]
+}
+
+/// Every [`PlacementPolicy`], corun and resize on or off, bounds and
+/// admission limits set or not (the memory watermark any float), and the
+/// rebalancer on or off.
+fn arb_config() -> impl Strategy<Value = PlacementConfig> {
+    let policy = prop_oneof![
+        Just(PlacementPolicy::RoundRobin),
+        Just(PlacementPolicy::LeastLoaded),
+        prop::collection::vec((edge(), 0usize..4), 0..4).prop_map(|pins| {
+            PlacementPolicy::Affinity {
+                pins: pins.into_iter().collect(),
+            }
+        }),
+    ];
+    let small = || prop_oneof![Just(None), (1u64..4).prop_map(Some)];
+    let limits = (
+        prop_oneof![Just(None), (1usize..6).prop_map(Some)],
+        small(),
+        small(),
+        prop_oneof![Just(None), float().prop_map(Some)],
+    )
+        .prop_map(
+            |(max_sessions, max_pending_per_session, max_pending_global, mem_watermark)| {
+                AdmissionLimits {
+                    max_sessions,
+                    max_pending_per_session,
+                    max_pending_global,
+                    mem_watermark,
+                }
+            },
+        );
+    let bound = || prop_oneof![Just(None), (1u64..1_000).prop_map(Some)];
+    let arbiter = (any::<bool>(), any::<bool>(), bound(), bound(), limits).prop_map(
+        |(enable_corun, enable_resize, starvation_bound_us, preempt_bound_us, limits)| {
+            ArbiterConfig {
+                enable_corun,
+                enable_resize,
+                starvation_bound_us,
+                preempt_bound_us,
+                limits,
+            }
+        },
+    );
+    let rebalance = prop_oneof![
+        Just(None),
+        (1u64..40, edge()).prop_map(|(high_ms, seed)| Some(RebalanceConfig {
+            high_ms,
+            low_ms: high_ms / 2,
+            cooldown_us: 10,
+            seed,
+        })),
+    ];
+    (policy, arbiter, rebalance).prop_map(|(policy, arbiter, rebalance)| PlacementConfig {
+        policy,
+        arbiter,
+        rebalance,
+    })
+}
+
+/// The health a device is driven into, by index: healthy, degraded,
+/// quarantined, failed, on probation.
+const HEALTH: [&str; 5] = ["healthy", "degraded", "quarantined", "failed", "probation"];
+
+/// The events that drive `device` from healthy into state `health`.
+fn health_events(device: u64, health: usize) -> Vec<Event> {
+    let soft = Event::DeviceDown {
+        device,
+        hard: false,
+    };
+    let hard = Event::DeviceDown { device, hard: true };
+    match health {
+        0 => vec![],
+        1 => vec![soft],
+        2 => vec![soft.clone(), soft],
+        3 => vec![hard],
+        _ => vec![hard, Event::DeviceUp { device }],
+    }
+}
+
+fn health_name(state: HealthState) -> &'static str {
+    HEALTH[match state {
+        HealthState::Healthy => 0,
+        HealthState::Degraded => 1,
+        HealthState::Quarantined { .. } => 2,
+        HealthState::Failed => 3,
+        HealthState::Probation { .. } => 4,
+    }]
+}
+
+/// One launch of a generated run: its session (1–5), class, SM demand,
+/// pinned or not, deadline, and whether it finishes before the snapshot.
+type Kernel = (u64, usize, u32, bool, Option<u64>, bool);
+
+fn arb_kernel() -> impl Strategy<Value = Kernel> {
+    (
+        1u64..6,
+        0..WorkloadClass::ALL.len(),
+        1u32..9,
+        any::<bool>(),
+        prop_oneof![Just(None), (1u64..100).prop_map(Some)],
+        any::<bool>(),
+    )
+}
+
+/// A layer over `devices` under `config`, driven through sessions 1–5
+/// (the odd ones latency-critical), `kernels`, and then each device into
+/// the health `health` names for it. Resident and waiting kernels, SLO
+/// classes, deadlines and health timers all end up in its snapshot.
+fn driven_layer(
+    devices: Vec<DeviceConfig>,
+    config: PlacementConfig,
+    kernels: &[Kernel],
+    health: &[usize],
+) -> PlacementLayer {
+    let mut layer = PlacementLayer::new(devices, config);
+    let mut at = 0;
+    let mut feed = |layer: &mut PlacementLayer, events: &[Event]| {
+        at += 10;
+        layer.feed(at, events);
+    };
+    for session in 1..=5u64 {
+        if session % 2 == 1 {
+            let class = SloClass::LatencyCritical;
+            feed(&mut layer, &[Event::SloArrival { session, class }]);
+        }
+        feed(&mut layer, &[Event::SessionOpened { session }]);
+    }
+    for (i, &(session, class, sm_demand, pinned_solo, deadline_ms, finish)) in
+        kernels.iter().enumerate()
+    {
+        let lease = (session << 16) | i as u64;
+        let requested = Event::LaunchRequested {
+            session,
+            lease,
+            est_ms: Some(5),
+            deadline_ms,
+        };
+        feed(&mut layer, &[requested]);
+        let ready = Event::KernelReady {
+            session,
+            lease,
+            class: WorkloadClass::ALL[class],
+            sm_demand,
+            pinned_solo,
+            deadline_ms,
+        };
+        feed(&mut layer, &[ready]);
+        if finish {
+            feed(&mut layer, &[Event::KernelFinished { lease, ok: true }]);
+        }
+    }
+    for (device, &h) in health.iter().enumerate().take(layer.devices()) {
+        feed(&mut layer, &health_events(device as u64, h));
+    }
+    layer
+}
+
+fn arb_meta() -> impl Strategy<Value = DurableMeta> {
+    let session = (
+        ".{0,12}",
+        slo(),
+        edge(),
+        prop::collection::vec((edge(), edge(), edge()), 0..3),
+        prop::collection::vec((edge(), edge()), 0..4),
+        prop::collection::vec(edge(), 0..4),
+    )
+        .prop_map(
+            |(user, slo, next_ptr, allocs, admitted, done)| SessionMeta {
+                user,
+                slo,
+                next_ptr,
+                allocs: allocs
+                    .into_iter()
+                    .map(|(ptr, device_ptr, bytes)| (ptr, AllocMeta { device_ptr, bytes }))
+                    .collect(),
+                admitted: admitted.into_iter().collect(),
+                done: done.into_iter().collect(),
+            },
+        );
+    (edge(), prop::collection::vec((edge(), session), 0..4)).prop_map(|(next_session, sessions)| {
+        DurableMeta {
+            next_session,
+            sessions: sessions.into_iter().collect(),
+        }
+    })
+}
+
+/// Devices of a generated fleet: any name, and floats the layer never
+/// reads but a snapshot must keep bit for bit.
+fn arb_devices() -> impl Strategy<Value = Vec<DeviceConfig>> {
+    let device = (".{0,16}", float(), float(), float()).prop_map(|(name, clock, bw, penalty)| {
+        DeviceConfig {
+            name,
+            clock_hz: clock,
+            dram_bw: bw,
+            dram_mix_penalty: penalty,
+            ..DeviceConfig::tiny(8)
+        }
+    });
+    prop::collection::vec(device, 1..5)
+}
+
+fn encoded(snap: &DurableSnapshot) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    codec::encode_snapshot(snap, &mut bytes);
+    bytes
+}
+
+/// A `serve_durable`-shaped anchor: the four-device Titan Xp fleet under
+/// least-loaded routing, mid-op — two sessions open, each with its buffer
+/// allocated and four launches admitted, the first session's finished,
+/// the second's resident or waiting.
+fn a_serving_snapshot() -> DurableSnapshot {
+    let mut layer = PlacementLayer::new(
+        vec![DeviceConfig::titan_xp(); 4],
+        PlacementConfig {
+            policy: PlacementPolicy::LeastLoaded,
+            ..PlacementConfig::default()
+        },
+    );
+    let mut meta = DurableMeta::default();
+    let mut at = 0;
+    for session in [41u64, 42] {
+        at += 10;
+        layer.feed(at, &[Event::SessionOpened { session }]);
+        for record in [
+            WalRecord::SessionMeta {
+                session,
+                user: format!("user-{}", session % 8),
+                slo: SloClass::BestEffort,
+            },
+            WalRecord::Alloc {
+                session,
+                slate_ptr: (session << 32) + 1,
+                device_ptr: 0x1000_0000 + session * 0x1000,
+                bytes: 4096,
+            },
+        ] {
+            meta.apply(&record);
+        }
+    }
+    for launch_id in 0..4 {
+        for session in [41u64, 42] {
+            let lease = (session << 16) | launch_id;
+            let requested = Event::LaunchRequested {
+                session,
+                lease,
+                est_ms: Some(1),
+                deadline_ms: None,
+            };
+            let ready = Event::KernelReady {
+                session,
+                lease,
+                class: WorkloadClass::LC,
+                sm_demand: 1,
+                pinned_solo: false,
+                deadline_ms: None,
+            };
+            at += 10;
+            layer.feed(at, &[requested, ready]);
+            meta.apply(&WalRecord::LaunchAdmitted {
+                session,
+                launch_id,
+                lease,
+            });
+            if session == 41 {
+                at += 10;
+                layer.feed(at, &[Event::KernelFinished { lease, ok: true }]);
+                meta.apply(&WalRecord::LaunchDone { session, launch_id });
+            }
+        }
+    }
+    DurableSnapshot {
+        epoch: 3,
+        segment: 7,
+        offset: 214_000,
+        placement: layer.snapshot(),
+        meta,
+    }
+}
+
+/// Every cut and every single-bit flip of a real body decodes or is a
+/// typed `InvalidData`, never a panic, and reserves at most one element
+/// per byte whatever a count in it claims.
+#[test]
+fn every_cut_and_bit_flip_of_a_serving_body_decodes_or_is_invalid_data() {
+    let good = encoded(&a_serving_snapshot());
+    let back = codec::decode_snapshot(&good).expect("the body decodes");
+    assert_eq!(encoded(&back), good, "encode(decode(b)) == b");
+    // The largest element a body holds.
+    let element = size_of::<CoreSnapshot>();
+    let decode = |bytes: &[u8], case: &str| {
+        let before = ALLOCATED.with(Cell::get);
+        let decoded = codec::decode_snapshot(bytes);
+        let reserved = ALLOCATED.with(Cell::get) - before;
+        assert!(
+            reserved <= bytes.len().max(1) * element,
+            "{case}: {reserved} B reserved for a {} B body",
+            bytes.len()
+        );
+        if let Err(e) = decoded {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{case}: {e}");
+        }
+    };
+    for cut in 0..good.len() {
+        let err = codec::decode_snapshot(&good[..cut]).expect_err("a cut body is short");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "cut at {cut}");
+        decode(&good[..cut], &format!("cut at {cut}"));
+    }
+    let mut flipped = good.clone();
+    for bit in 0..good.len() * 8 {
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        decode(&flipped, &format!("bit {bit} flipped"));
+        flipped[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
 proptest! {
+    /// Generated snapshots — every policy and health state, the
+    /// rebalancer on and off, admission limits, residents and waiters,
+    /// NaN and ±∞ floats — read back bit for bit: `encode(decode(b)) ==
+    /// b`, and a layer restored from the decoded body decides as one
+    /// restored from the original.
+    #[test]
+    fn generated_snapshots_round_trip_bit_for_bit(
+        devices in arb_devices(),
+        config in arb_config(),
+        kernels in prop::collection::vec(arb_kernel(), 0..12),
+        health in prop::collection::vec(0usize..HEALTH.len(), 4),
+        meta in arb_meta(),
+        anchor in (edge(), edge(), edge()),
+    ) {
+        let layer = driven_layer(devices, config, &kernels, &health);
+        for device in 0..layer.devices() {
+            prop_assert_eq!(health_name(layer.health_of(device)), HEALTH[health[device]]);
+        }
+        let (epoch, segment, offset) = anchor;
+        let snap = DurableSnapshot {
+            epoch,
+            segment,
+            offset,
+            placement: layer.snapshot(),
+            meta,
+        };
+        let bytes = encoded(&snap);
+        let back = codec::decode_snapshot(&bytes).expect("an encoded snapshot decodes");
+        prop_assert_eq!(encoded(&back), bytes);
+        prop_assert_eq!((back.epoch, back.segment, back.offset), anchor);
+        prop_assert_eq!(&back.meta, &snap.meta);
+        let mut original = PlacementLayer::from_snapshot(snap.placement);
+        let mut restored = PlacementLayer::from_snapshot(back.placement);
+        let mut next: Vec<Event> = (0..kernels.len())
+            .map(|i| Event::KernelFinished { lease: (kernels[i].0 << 16) | i as u64, ok: true })
+            .collect();
+        next.extend((0..layer.devices() as u64).map(|device| Event::DeviceUp { device }));
+        next.push(Event::DeadlineTick);
+        let at = original.now() + 50_000;
+        prop_assert_eq!(restored.feed(at, &next), original.feed(at, &next));
+    }
+
     /// The writer's in-place encoding is byte-identical to
     /// `encode_frame` over the codec's payload, for every record shape,
     /// a batch and its meta record sharing a `write` or not, and whatever
