@@ -53,10 +53,14 @@
 //! * `dispatch_resize_relaunch` — a dispatch resized from inside its
 //!   first block, so every iteration retreats and relaunches once
 //!   (ungated: helper wake-ups make it follow the machine's CPU count);
-//! * `memcpy_roundtrip` — `upload_f32` + `download_f32` of 4 MB through an
-//!   in-memory daemon, per MB: the data plane of a `serve_mixed` cycle —
-//!   two conversions, two word-by-word copies, two channel round trips
-//!   (ungated: it is memory bandwidth, which follows the runner);
+//! * `memcpy_upload` / `memcpy_download` — `upload_f32` / `download_f32`
+//!   of 4 MB through an in-memory daemon, per MB: the two halves of a
+//!   `serve_mixed` cycle's data plane, measured apart so a change shows
+//!   which one it moved. An upload is one conversion into the client's
+//!   vector and one word-by-word copy into the device; a download is one
+//!   word-by-word append into the client's vector; each is one channel
+//!   round trip (ungated: it is memory bandwidth, which follows the
+//!   runner);
 //! * `transpose_1024` — the 1024×1024 [`TransposeKernel`] block by block
 //!   on the calling thread, per block: the kernel between those copies
 //!   (ungated, likewise).
@@ -70,6 +74,7 @@ use slate_core::api::SlateClient;
 use slate_core::arbiter::replay::{replay_under, EventLog};
 use slate_core::arbiter::{ArbiterConfig, ArbiterCore, Command, Event};
 use slate_core::backend::{Backend, SimBackend, WorkSpec};
+use slate_core::channel::SlatePtr;
 use slate_core::classify::WorkloadClass;
 use slate_core::daemon::{DaemonOptions, SlateDaemon};
 use slate_core::dispatch::{DispatchHandle, Dispatcher};
@@ -405,6 +410,23 @@ fn record_event_log(sessions: u64) -> EventLog {
     core.take_log().expect("recording was enabled")
 }
 
+/// One half of a `serve_mixed` best-effort copy, `op`, of 4 MB through an
+/// in-memory daemon of its own, per MB. The device buffer holds the host
+/// words before and after the measurement.
+fn memcpy_half(name: &str, op: impl Fn(&SlateClient, SlatePtr, &[f32])) -> BenchMeasurement {
+    const WORDS: usize = 1 << 20;
+    let daemon = SlateDaemon::start(DeviceConfig::titan_xp(), 1 << 24);
+    let client = SlateClient::new(daemon.connect("bench").expect("connect"));
+    let p = client.malloc(WORDS as u64 * 4).expect("malloc");
+    let host: Vec<f32> = (0..WORDS).map(|i| i as f32).collect();
+    client.upload_f32(p, &host).expect("upload");
+    let m = measure(name, false, 40, 4, || op(&client, p, &host));
+    assert_eq!(client.download_f32(p, WORDS).expect("download"), host);
+    client.disconnect().expect("disconnect");
+    daemon.join();
+    m
+}
+
 fn main() {
     let report = Report {
         schema: REPORT_SCHEMA,
@@ -633,21 +655,12 @@ fn main() {
                     assert_eq!(d.run().launches, 2, "resized mid-launch");
                 })
             },
-            {
-                const WORDS: usize = 1 << 20;
-                let daemon = SlateDaemon::start(DeviceConfig::titan_xp(), 1 << 24);
-                let client = SlateClient::new(daemon.connect("bench").expect("connect"));
-                let p = client.malloc(WORDS as u64 * 4).expect("malloc");
-                let host: Vec<f32> = (0..WORDS).map(|i| i as f32).collect();
-                let m = measure("memcpy_roundtrip", false, 40, 4, || {
-                    client.upload_f32(p, &host).expect("upload");
-                    black_box(client.download_f32(p, WORDS).expect("download"));
-                });
-                assert_eq!(client.download_f32(p, WORDS).expect("download"), host);
-                client.disconnect().expect("disconnect");
-                daemon.join();
-                m
-            },
+            memcpy_half("memcpy_upload", |client, p, host| {
+                client.upload_f32(p, host).expect("upload")
+            }),
+            memcpy_half("memcpy_download", |client, p, host| {
+                black_box(client.download_f32(p, host.len()).expect("download"));
+            }),
             {
                 const DIM: u32 = 1024;
                 let words = (DIM * DIM) as usize;

@@ -14,7 +14,7 @@
 //! | `<<<grid, block>>>` | [`SlateClient::launch_with`] |
 //! | `cudaDeviceSynchronize` | [`SlateClient::synchronize`] |
 
-use crate::channel::{KernelFactory, LaunchCmd, Request, Response, SlatePtr};
+use crate::channel::{HostBuf, KernelFactory, LaunchCmd, Request, Response, SlatePtr};
 use crate::daemon::{Connection, ResumeToken, SlateDaemon};
 use crate::error::SlateError;
 use bytes::Bytes;
@@ -440,36 +440,54 @@ impl SlateClient {
     }
 
     /// Copies device memory back to the host. `offset` must be
-    /// word-aligned.
+    /// word-aligned. The vector returned is the one allocation of the
+    /// payload: made here, at its final size, and filled by the daemon in
+    /// one pass. It is reserved before the daemon checks the range, as a
+    /// CUDA client owns its destination before it copies: `len` must be a
+    /// length this process can hold.
     pub fn memcpy_d2h(
         &self,
         ptr: SlatePtr,
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, SlateError> {
-        self.guarded(|| {
-            // The reply's handle is the only one: the daemon's vector is
-            // taken, not copied.
-            Ok(self
-                .call(|| Request::MemcpyD2H { ptr, offset, len })?
-                .expect_data()?
-                .into())
-        })
+        match self.d2h(ptr, offset, len, || HostBuf::Bytes(Vec::with_capacity(len)))? {
+            HostBuf::Bytes(bytes) => Ok(bytes),
+            HostBuf::F32(_) => Err(SlateError::Other("expected bytes, got f32s".into())),
+        }
     }
 
-    /// Convenience: downloads `n` f32s, converted straight from the
-    /// daemon's payload.
+    /// Convenience: downloads `n` f32s. Like [`SlateClient::memcpy_d2h`],
+    /// one allocation made here and one pass in the daemon: the device
+    /// words land in the vector returned as `f32`s, with no byte vector
+    /// between.
     pub fn download_f32(&self, ptr: SlatePtr, n: usize) -> Result<Vec<f32>, SlateError> {
-        let raw = self.memcpy_d2h(ptr, 0, n * 4)?;
-        // `extend` into a vector of the final size, not `collect`: the
-        // latter's out-of-line `from_iter` is handed the chunk size as a
-        // run-time value and converts one word at a time.
-        let mut out = Vec::with_capacity(n);
-        out.extend(
-            raw.chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-        );
-        Ok(out)
+        match self.d2h(ptr, 0, n * 4, || HostBuf::F32(Vec::with_capacity(n)))? {
+            HostBuf::F32(words) => Ok(words),
+            HostBuf::Bytes(_) => Err(SlateError::Other("expected f32s, got bytes".into())),
+        }
+    }
+
+    /// One device-to-host copy into a destination from `into`. It is
+    /// called once per send, inside the `call` closure, so a retry or a
+    /// re-attach sends a fresh vector and never reuses one the daemon may
+    /// have dropped.
+    fn d2h(
+        &self,
+        ptr: SlatePtr,
+        offset: usize,
+        len: usize,
+        into: impl Fn() -> HostBuf,
+    ) -> Result<HostBuf, SlateError> {
+        self.guarded(|| {
+            self.call(|| Request::MemcpyD2H {
+                ptr,
+                offset,
+                len,
+                into: into(),
+            })?
+            .expect_data()
+        })
     }
 
     /// Launches a kernel asynchronously. `ptrs` are resolved daemon-side

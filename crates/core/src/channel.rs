@@ -8,22 +8,25 @@
 //! payloads).
 //!
 //! **What is shared and what is copied.** A payload crosses the channel as
-//! a handle: [`Request::MemcpyH2D`] and [`Response::Data`] carry the
-//! sender's own vector (`Bytes::from(vec)` keeps it, `Vec::from(bytes)`
-//! gives it back to a sole holder), so sending, receiving, retrying and
-//! resending a payload copy nothing. What does touch every byte is the
-//! boundary on either side of the channel — one conversion in the client,
-//! one copy into or out of device memory in the daemon — and nothing else:
+//! a handle: [`Request::MemcpyH2D`] carries the client's own vector
+//! (`Bytes::from(vec)` keeps it), and [`Request::MemcpyD2H`] carries the
+//! client's own destination, a [`HostBuf`] sent empty with the transfer's
+//! length reserved, which [`Response::Data`] hands back filled. Sending,
+//! receiving, retrying and resending a payload copy nothing. What does
+//! touch every byte is one boundary pass per direction — and nothing else:
 //!
 //! | pass over an `n`-byte payload | where | what it does |
 //! |---|---|---|
 //! | H2D 1 | `SlateClient::upload_f32` | `f32`s → little-endian bytes, one pass into one `n`-byte vector (`memcpy_h2d` callers bring their own `Bytes` and skip it) |
 //! | H2D 2 | `GpuBuffer::copy_from_host` (session thread) | reads the client's vector in place: one relaxed store per device word |
-//! | D2H 1 | `GpuBuffer::copy_to_host` (session thread) | one relaxed load per device word into the reply's one `n`-byte vector (zero-filled by the allocator first) |
-//! | D2H 2 | `SlateClient::download_f32` | bytes → `f32`s, one pass out of the daemon's vector into the vector returned (`memcpy_d2h` returns the daemon's vector itself and skips it) |
+//! | D2H 1 | `GpuBuffer::append_f32` / `append_bytes` (session thread) | one relaxed load per device word, appended to the client's vector: no zero fill, no byte re-encoding for `download_f32`, no second vector |
 //!
-//! Allocations of payload size: one per upload, two per download, pinned
-//! process-wide by `crates/core/tests/memcpy_passes.rs`.
+//! Allocations of payload size: one per upload, one per download, each on
+//! the client's thread — pinned process-wide by
+//! `crates/core/tests/memcpy_passes.rs`. The thread matters: with the
+//! reply allocated on the session thread instead, glibc's per-thread
+//! arenas kept less freed memory mapped, and the fresh device buffers of
+//! about half of `serve_mixed`'s set-ups page-faulted (DESIGN.md §6).
 //!
 //! Clients never see device pointers: they hold opaque [`SlatePtr`]s which
 //! the daemon maps to real device allocations in its per-session hash table
@@ -101,14 +104,18 @@ pub enum Request {
         /// Payload, handed over without copying.
         data: Bytes,
     },
-    /// `slateMemcpy` device-to-host.
+    /// `slateMemcpy` device-to-host, into the client's own vector.
     MemcpyD2H {
         /// Source allocation.
         ptr: SlatePtr,
         /// Byte offset into the allocation (word-aligned).
         offset: usize,
-        /// Bytes to read.
+        /// Bytes to read; a multiple of 4 into a [`HostBuf::F32`].
         len: usize,
+        /// The destination, sent empty with `len` bytes' worth reserved
+        /// and returned in [`Response::Data`] holding exactly `len` bytes'
+        /// worth, whatever its capacity.
+        into: HostBuf,
     },
     /// `slateLaunchKernel` — asynchronous, like CUDA launches. The factory
     /// is invoked daemon-side after pointer resolution.
@@ -119,13 +126,23 @@ pub enum Request {
     Disconnect,
 }
 
+/// A device-to-host destination: a vector the client allocated, in the
+/// element type it wants back, which the daemon appends the device run to.
+#[derive(Debug, Clone, PartialEq)]
+pub enum HostBuf {
+    /// Raw little-endian bytes (`memcpy_d2h`).
+    Bytes(Vec<u8>),
+    /// Whole words as `f32`s (`download_f32`).
+    F32(Vec<f32>),
+}
+
 /// Daemon replies.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// New allocation handle.
     Ptr(SlatePtr),
-    /// Device-to-host payload.
-    Data(Bytes),
+    /// Device-to-host payload: the request's [`HostBuf`], filled.
+    Data(HostBuf),
     /// Success without payload.
     Ok,
     /// Failure description.
@@ -143,7 +160,7 @@ impl Response {
     }
 
     /// Unwraps an expected `Data` response.
-    pub fn expect_data(self) -> Result<Bytes, SlateError> {
+    pub fn expect_data(self) -> Result<HostBuf, SlateError> {
         match self {
             Response::Data(d) => Ok(d),
             Response::Err(e) => Err(SlateError::from_wire(&e)),
@@ -188,10 +205,10 @@ mod tests {
             SlateError::OutOfMemory { requested: 9 }
         );
         assert_eq!(
-            Response::Data(Bytes::from_static(b"xy"))
+            Response::Data(HostBuf::Bytes(b"xy".to_vec()))
                 .expect_data()
                 .unwrap(),
-            Bytes::from_static(b"xy")
+            HostBuf::Bytes(b"xy".to_vec())
         );
         assert!(Response::Ok.expect_ok().is_ok());
     }

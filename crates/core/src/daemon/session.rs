@@ -7,7 +7,7 @@
 use super::exec::{execute, panic_text, Launch};
 use super::{Connection, DaemonShared, SlateDaemon};
 use crate::arbiter::Event as ArbEvent;
-use crate::channel::{KernelFactory, LaunchCmd, Request, Response, SlatePtr};
+use crate::channel::{HostBuf, KernelFactory, LaunchCmd, Request, Response, SlatePtr};
 use crate::durability::{SessionMeta, WalRecord};
 use crate::error::SlateError;
 use crate::sync::{Condvar, Mutex};
@@ -363,15 +363,25 @@ impl Session {
                 Response::Ok
             }
             Request::MemcpyH2D { ptr, offset, data } => {
-                self.memcpy_target(ptr, offset, data.len())?
+                self.memcpy_target(ptr, offset, data.len(), false)?
                     .copy_from_host(offset, &data);
                 Response::Ok
             }
-            Request::MemcpyD2H { ptr, offset, len } => {
-                let buf = self.memcpy_target(ptr, offset, len)?;
-                let mut out = vec![0u8; len];
-                buf.copy_to_host(offset, &mut out);
-                Response::Data(out.into())
+            Request::MemcpyD2H {
+                ptr,
+                offset,
+                len,
+                mut into,
+            } => {
+                let words = matches!(into, HostBuf::F32(_));
+                let buf = self.memcpy_target(ptr, offset, len, words)?;
+                // Into the client's vector: it was allocated on the
+                // client's thread and is freed there (`channel.rs`).
+                match &mut into {
+                    HostBuf::Bytes(dst) => buf.append_bytes(offset, len, dst),
+                    HostBuf::F32(dst) => buf.append_f32(offset / 4, len / 4, dst),
+                }
+                Response::Data(into)
             }
             Request::Launch(cmd, factory) => {
                 self.launch(cmd, factory)?;
@@ -441,14 +451,16 @@ impl Session {
     }
 
     /// The buffer behind `ptr`, once `[offset, offset + len)` is known to
-    /// be word-aligned and inside it. Offset and length are the client's:
-    /// out of range they are a typed error here, before any host buffer is
-    /// sized by them — never the buffer's own assertion on this thread.
+    /// be word-aligned (`len` too, when the copy moves `words`) and inside
+    /// it. Offset and length are the client's: out of range they are a
+    /// typed error here, before the device run is touched — never the
+    /// buffer's own assertion on this thread.
     fn memcpy_target(
         &self,
         ptr: SlatePtr,
         offset: usize,
         len: usize,
+        words: bool,
     ) -> Result<Arc<GpuBuffer>, SlateError> {
         // Applies an injected memcpy stall, if the plan has one armed.
         if let Some(FaultKind::MemcpyStall { millis }) =
@@ -460,7 +472,7 @@ impl Session {
         // The bytes asked for at `malloc`, not the words backing them: the
         // slack of a trailing partial word is not the client's.
         let size = buf.len();
-        let why = if offset % 4 != 0 {
+        let why = if offset % 4 != 0 || (words && len % 4 != 0) {
             "is not word-aligned"
         } else if offset.checked_add(len).is_none_or(|end| end > size) {
             "is out of bounds"

@@ -4,7 +4,7 @@
 use super::*;
 use crate::api::SlateClient;
 use crate::arbiter::Command;
-use crate::channel::SlatePtr;
+use crate::channel::{HostBuf, Request, Response, SlatePtr};
 use slate_gpu_sim::buffer::GpuBuffer;
 use slate_gpu_sim::perf::KernelPerf;
 use slate_kernels::grid::{BlockCoord, GridDim};
@@ -166,6 +166,60 @@ fn invalid_pointer_is_rejected() {
     assert!(client.memcpy_d2h(SlatePtr(0xdead), 0, 4).is_err());
     assert!(client.free(SlatePtr(0xdead)).is_err());
     client.disconnect().unwrap();
+    daemon.join();
+}
+
+#[test]
+fn a_download_returns_len_not_the_reserved_capacity() {
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);
+    let conn = daemon.connect("tester").unwrap();
+    let rpc = |req: Request| {
+        assert!(conn.tx.send(req).is_ok(), "the session is up");
+        conn.rx.recv().unwrap()
+    };
+    let d2h = |ptr, len, into| {
+        rpc(Request::MemcpyD2H {
+            ptr,
+            offset: 4,
+            len,
+            into,
+        })
+    };
+    let ptr = rpc(Request::Malloc(64)).expect_ptr().unwrap();
+    let host: Vec<u8> = (0..64).collect();
+    let sent = rpc(Request::MemcpyH2D {
+        ptr,
+        offset: 0,
+        data: host.clone().into(),
+    });
+    assert_eq!(sent, Response::Ok);
+    // Reserved for all 64 bytes; 12 asked for, at offset 4.
+    let bytes = d2h(ptr, 12, HostBuf::Bytes(Vec::with_capacity(64)));
+    assert_eq!(bytes, Response::Data(HostBuf::Bytes(host[4..16].to_vec())));
+    let words = d2h(ptr, 12, HostBuf::F32(Vec::with_capacity(16)));
+    let want: Vec<f32> = host[4..16]
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    assert_eq!(words, Response::Data(HostBuf::F32(want)));
+    // Whole words only into f32s: a typed error, as a misaligned offset is.
+    let odd = d2h(ptr, 6, HostBuf::F32(Vec::with_capacity(2))).expect_data();
+    assert!(
+        matches!(&odd, Err(SlateError::InvalidValue(why)) if why.contains("not word-aligned")),
+        "{odd:?}"
+    );
+
+    // A freed pointer is the typed error, and the session serves on.
+    let gone = rpc(Request::Malloc(16)).expect_ptr().unwrap();
+    assert_eq!(rpc(Request::Free(gone)), Response::Ok);
+    let freed = d2h(gone, 4, HostBuf::F32(Vec::with_capacity(64)));
+    assert_eq!(
+        freed.expect_data(),
+        Err(SlateError::InvalidPointer { ptr: gone.0 })
+    );
+    let whole = d2h(ptr, 60, HostBuf::Bytes(Vec::with_capacity(60)));
+    assert_eq!(whole, Response::Data(HostBuf::Bytes(host[4..].to_vec())));
+    assert!(conn.tx.send(Request::Disconnect).is_ok());
     daemon.join();
 }
 

@@ -15,12 +15,16 @@
 //! * the per-word accessors (`load_f32`, `store_u32`, ...): one bounds
 //!   check and one relaxed access per call;
 //! * the run accessors — [`GpuBuffer::read_f32_slice`] /
-//!   [`GpuBuffer::write_f32_slice`] for words, [`GpuBuffer::copy_from_host`]
-//!   / [`GpuBuffer::copy_to_host`] for host bytes: the run is sliced out of
-//!   the word array **once**, then walked without a further check. Each
-//!   word is still its own relaxed access (a run is not atomic as a whole,
-//!   exactly as a `memcpy` racing a kernel is not on a device), so a run
-//!   costs what its words cost and nothing per word beyond that.
+//!   [`GpuBuffer::write_f32_slice`] for words in and out of a slice,
+//!   [`GpuBuffer::append_f32`] for words appended to a vector,
+//!   [`GpuBuffer::copy_from_host`] / [`GpuBuffer::append_bytes`] for host
+//!   bytes: the run is sliced out of the word array **once**, then walked
+//!   without a further check. Each word is still its own relaxed access (a
+//!   run is not atomic as a whole, exactly as a `memcpy` racing a kernel is
+//!   not on a device), so a run costs what its words cost and nothing per
+//!   word beyond that. The appenders fill the caller's vector in that one
+//!   pass — no zero fill first — which is how a device-to-host copy lands
+//!   in the vector its client allocated.
 //!
 //! [`DeviceMemoryPool`] is the device-side allocator behind `cudaMalloc`:
 //! it hands out opaque [`DevicePtr`]s and tracks capacity, mirroring the
@@ -106,6 +110,7 @@ impl GpuBuffer {
 
     /// Copies host bytes into the buffer at a *word-aligned* byte offset
     /// (`offset % 4 == 0`). Trailing partial word is zero-padded.
+    #[inline]
     pub fn copy_from_host(&self, offset: usize, src: &[u8]) {
         assert!(offset % 4 == 0, "offset must be word-aligned");
         assert!(
@@ -130,22 +135,24 @@ impl GpuBuffer {
         }
     }
 
-    /// Copies buffer contents out to host bytes from a word-aligned offset.
-    pub fn copy_to_host(&self, offset: usize, dst: &mut [u8]) {
+    /// Appends the `len` bytes at the *word-aligned* byte offset `offset`
+    /// to `dst`, little-endian, leaving what `dst` already holds in place:
+    /// a trailing partial word contributes only its first `len % 4` bytes.
+    /// Appends exactly `len` bytes whatever `dst` has reserved. Panics if
+    /// the run does not lie inside the buffer.
+    #[inline]
+    pub fn append_bytes(&self, offset: usize, len: usize, dst: &mut Vec<u8>) {
         assert!(offset % 4 == 0, "offset must be word-aligned");
-        assert!(
-            offset + dst.len() <= self.words.len() * 4,
-            "copy_to_host out of bounds"
+        let words = &self.words[offset / 4..][..len.div_ceil(4)];
+        let (whole, tail) = words.split_at(len / 4);
+        dst.reserve(len);
+        dst.extend(
+            whole
+                .iter()
+                .flat_map(|word| word.load(Ordering::Relaxed).to_le_bytes()),
         );
-        let words = &self.words[offset / 4..][..dst.len().div_ceil(4)];
-        let mut chunks = dst.chunks_exact_mut(4);
-        for (c, word) in (&mut chunks).zip(words) {
-            c.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let b = words[words.len() - 1].load(Ordering::Relaxed).to_le_bytes();
-            rem.copy_from_slice(&b[..rem.len()]);
+        if let Some(word) = tail.first() {
+            dst.extend_from_slice(&word.load(Ordering::Relaxed).to_le_bytes()[..len % 4]);
         }
     }
 
@@ -153,6 +160,7 @@ impl GpuBuffer {
     /// bounds check for the run, equal word for word to `load_f32`. Panics
     /// if the run does not lie inside the buffer; an empty run at
     /// `start == len_words()` is inside it.
+    #[inline]
     pub fn read_f32_slice(&self, start: usize, dst: &mut [f32]) {
         let words = &self.words[start..][..dst.len()];
         for (d, word) in dst.iter_mut().zip(words) {
@@ -160,9 +168,24 @@ impl GpuBuffer {
         }
     }
 
+    /// Appends the run of words `[start, start + n)` to `dst`, one relaxed
+    /// load per word, leaving what `dst` already holds in place: the
+    /// appending twin of [`GpuBuffer::read_f32_slice`], same bounds
+    /// contract. Appends exactly `n` values whatever `dst` has reserved.
+    #[inline]
+    pub fn append_f32(&self, start: usize, n: usize, dst: &mut Vec<f32>) {
+        let words = &self.words[start..][..n];
+        dst.extend(
+            words
+                .iter()
+                .map(|word| f32::from_bits(word.load(Ordering::Relaxed))),
+        );
+    }
+
     /// Writes `src` to the run of words `[start, start + src.len())`: the
     /// mirror of [`GpuBuffer::read_f32_slice`], equal word for word to
     /// `store_f32`, same bounds contract.
+    #[inline]
     pub fn write_f32_slice(&self, start: usize, src: &[f32]) {
         let words = &self.words[start..][..src.len()];
         for (word, v) in words.iter().zip(src) {
@@ -286,8 +309,8 @@ mod tests {
         let b = GpuBuffer::new(11);
         let src: Vec<u8> = (0..11).collect();
         b.copy_from_host(0, &src);
-        let mut dst = vec![0u8; 11];
-        b.copy_to_host(0, &mut dst);
+        let mut dst = Vec::new();
+        b.append_bytes(0, 11, &mut dst);
         assert_eq!(src, dst);
     }
 
@@ -295,8 +318,8 @@ mod tests {
     fn host_copy_with_offset() {
         let b = GpuBuffer::new(32);
         b.copy_from_host(8, &[1, 2, 3, 4]);
-        let mut out = vec![0u8; 4];
-        b.copy_to_host(8, &mut out);
+        let mut out = Vec::new();
+        b.append_bytes(8, 4, &mut out);
         assert_eq!(out, vec![1, 2, 3, 4]);
         assert_eq!(b.load_u32(2), u32::from_le_bytes([1, 2, 3, 4]));
     }
@@ -352,6 +375,14 @@ mod tests {
                 let word = b.load_f32(start + i);
                 assert_eq!(v.to_bits(), word.to_bits(), "read {start}+{i}");
             }
+            // Appended after a value the vector already held, which stays.
+            let mut appended = vec![-1.5f32];
+            b.append_f32(start, len, &mut appended);
+            assert_eq!(appended.len(), 1 + len, "append ({start}, {len}) length");
+            assert_eq!(appended[0], -1.5, "append ({start}, {len}) kept");
+            for (i, v) in appended[1..].iter().enumerate() {
+                assert_eq!(v.to_bits(), b.load_u32(start + i), "append {start}+{i}");
+            }
 
             let src: Vec<f32> = (0..len)
                 .map(|_| f32::from_bits(xorshift64(&mut s) as u32))
@@ -392,8 +423,48 @@ mod tests {
                 b.write_f32_slice(start, &vec![1.0; len])
             }));
             assert!(write.is_err(), "write ({start}, {len}) did not panic");
+            let mut words = vec![0.5f32];
+            let append = catch_unwind(AssertUnwindSafe(|| b.append_f32(start, len, &mut words)));
+            assert!(append.is_err(), "append ({start}, {len}) did not panic");
+            assert_eq!(words, [0.5], "a refused append appended nothing");
+            // The same run in bytes, and one byte past the buffer's words.
+            let mut bytes = vec![7u8];
+            let append = catch_unwind(AssertUnwindSafe(|| {
+                b.append_bytes(start.wrapping_mul(4), len * 4, &mut bytes)
+            }));
+            assert!(
+                append.is_err(),
+                "append bytes ({start}, {len}) did not panic"
+            );
+            assert_eq!(bytes, [7], "a refused byte append appended nothing");
         }
+        let past = catch_unwind(AssertUnwindSafe(|| {
+            b.append_bytes((WORDS - 1) * 4, 5, &mut Vec::new())
+        }));
+        assert!(past.is_err(), "a partial word past the end did not panic");
         assert_eq!(bits(&b), before, "a refused run wrote nothing");
+    }
+
+    #[test]
+    fn an_odd_byte_append_ends_with_the_right_partial_word() {
+        let b = GpuBuffer::new(10);
+        b.store_u32(0, u32::from_le_bytes([1, 2, 3, 4]));
+        b.store_u32(1, u32::from_le_bytes([5, 6, 7, 8]));
+        b.store_u32(2, u32::from_le_bytes([9, 10, 11, 12]));
+        for (offset, len, want) in [
+            (0, 10, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10][..]),
+            (4, 5, &[5, 6, 7, 8, 9]),
+            (8, 1, &[9]),
+            (4, 3, &[5, 6, 7]),
+            (8, 0, &[]),
+        ] {
+            // A reservation larger than the run: exactly `len` bytes land.
+            let mut dst = Vec::with_capacity(64);
+            dst.push(0xEE);
+            b.append_bytes(offset, len, &mut dst);
+            assert_eq!(dst[0], 0xEE, "({offset}, {len}) kept the prefix");
+            assert_eq!(&dst[1..], want, "({offset}, {len})");
+        }
     }
 
     #[test]
@@ -409,9 +480,12 @@ mod tests {
                 if offset + len > words * 4 {
                     continue;
                 }
-                let mut got = vec![0xAAu8; len];
-                b.copy_to_host(offset, &mut got);
-                for (i, &byte) in got.iter().enumerate() {
+                // Appended after bytes the vector already held, which stay.
+                let mut got = vec![0xAAu8; 3];
+                b.append_bytes(offset, len, &mut got);
+                assert_eq!(got.len(), 3 + len, "d2h ({offset}, {len}) length");
+                assert_eq!(got[..3], [0xAA; 3], "d2h ({offset}, {len}) kept");
+                for (i, &byte) in got[3..].iter().enumerate() {
                     let word = b.load_u32((offset + i) / 4).to_le_bytes();
                     assert_eq!(byte, word[(offset + i) % 4], "d2h {offset}+{i}");
                 }

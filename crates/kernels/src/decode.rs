@@ -84,11 +84,14 @@ impl GpuKernel for DecodeKernel {
         let col0 = block.x as usize * TILE as usize;
         // Stream the value cache once; every element is used exactly once
         // per sequence — the single-use traffic that makes decode H_M.
+        // Each `t`'s TILE values are one contiguous run of the row.
         let mut acc = [0.0f32; TILE as usize];
+        let mut row = [0.0f32; TILE as usize];
         for t in 0..ctx {
             let wv = self.w.load_f32(seq * ctx + t);
-            for (x, a) in acc.iter_mut().enumerate() {
-                *a += wv * self.v.load_f32(t * dim + col0 + x);
+            self.v.read_f32_slice(t * dim + col0, &mut row);
+            for (a, &v) in acc.iter_mut().zip(&row) {
+                *a += wv * v;
             }
         }
         for (x, &a) in acc.iter().enumerate() {
