@@ -27,6 +27,11 @@
 //!   the binary codec straight into the slot image (one page; the body is
 //!   ≈ 0.8 KB on `serve_durable`), so what is left is mostly one
 //!   `fdatasync` (ungated for now: it follows the runner's disk);
+//! * `snapshot_capture` — capturing the layer (`PlacementLayer::snapshot`)
+//!   and encoding the slot body (`codec::encode_snapshot`) into a warmed
+//!   buffer, on a `serve_durable`-shaped state (four Titan Xp devices, two
+//!   sessions, eight leases): the part of a checkpoint that is CPU work
+//!   under the arbiter lock, without the write and `fdatasync` (ungated);
 //! * `session_lifecycle` — connect → malloc → 4 launches → synchronize →
 //!   free → disconnect through a durable daemon: the unit of the
 //!   `serve_durable` workload, session thread and WAL included (ungated
@@ -78,7 +83,9 @@ use slate_core::channel::SlatePtr;
 use slate_core::classify::WorkloadClass;
 use slate_core::daemon::{DaemonOptions, SlateDaemon};
 use slate_core::dispatch::{DispatchHandle, Dispatcher};
-use slate_core::durability::{recover_dir, Durability, DurableMeta, WalRecord};
+use slate_core::durability::{
+    codec, recover_dir, Durability, DurableMeta, DurableSnapshot, WalRecord,
+};
 use slate_core::partition::partition;
 use slate_core::placement::{PlacementBatch, PlacementConfig, PlacementLayer, PlacementPolicy};
 use slate_core::transform::TransformedKernel;
@@ -378,6 +385,53 @@ fn lifecycle_records(session: u64, open: bool) -> Vec<WalRecord> {
     records
 }
 
+/// A `serve_durable`-shaped state: four Titan Xp devices under
+/// least-loaded routing, two sessions open with a buffer each and four
+/// launches admitted each, the first session's finished, the second's
+/// resident or waiting.
+fn serving_state() -> (PlacementLayer, DurableMeta) {
+    let mut layer = PlacementLayer::new(
+        vec![DeviceConfig::titan_xp(); 4],
+        PlacementConfig {
+            policy: PlacementPolicy::LeastLoaded,
+            ..PlacementConfig::default()
+        },
+    );
+    let mut meta = DurableMeta::default();
+    let mut at = 0;
+    for session in [41u64, 42] {
+        at += 10;
+        layer.feed(at, &[Event::SessionOpened { session }]);
+        for record in lifecycle_records(session, true).into_iter().take(2) {
+            meta.apply(&record);
+        }
+    }
+    for launch_id in 0..4 {
+        for session in [41u64, 42] {
+            let lease = (session << 16) | launch_id;
+            let requested = Event::LaunchRequested {
+                session,
+                lease,
+                est_ms: Some(1),
+                deadline_ms: None,
+            };
+            at += 10;
+            layer.feed(at, &[requested, ready(session, lease, 1)]);
+            meta.apply(&WalRecord::LaunchAdmitted {
+                session,
+                launch_id,
+                lease,
+            });
+            if session == 41 {
+                at += 10;
+                layer.feed(at, &[Event::KernelFinished { lease, ok: true }]);
+                meta.apply(&WalRecord::LaunchDone { session, launch_id });
+            }
+        }
+    }
+    (layer, meta)
+}
+
 /// Records one deterministic arbitration run — `sessions` sessions, four
 /// kernels each with mixed classes and interleaved finishes — and returns
 /// the event log the trace exporter and autotuner consume.
@@ -534,6 +588,23 @@ fn main() {
                 });
                 let _ = std::fs::remove_dir_all(&dir);
                 m
+            },
+            {
+                let (layer, meta) = serving_state();
+                let mut snap = DurableSnapshot {
+                    epoch: 1,
+                    segment: 0,
+                    offset: 4096,
+                    placement: layer.snapshot(),
+                    meta,
+                };
+                let mut body = Vec::new();
+                measure("snapshot_capture", false, 20_000, 1, move || {
+                    snap.placement = layer.snapshot();
+                    body.clear();
+                    codec::encode_snapshot(&snap, &mut body);
+                    black_box(&body);
+                })
             },
             {
                 let dir = std::env::temp_dir()

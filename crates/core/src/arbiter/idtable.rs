@@ -246,6 +246,14 @@ impl IdTable {
         self.ext.len()
     }
 
+    /// Live `(external id, slot)` pairs in ascending *external* order:
+    /// the order a snapshot writes per-id state in. Allocates the list.
+    pub(crate) fn by_id(&self) -> Vec<(u64, u32)> {
+        let mut live: Vec<(u64, u32)> = self.iter().map(|(slot, id)| (id, slot)).collect();
+        live.sort_unstable();
+        live
+    }
+
     /// Live `(slot, external id)` pairs in ascending *slot* order.
     /// Output-affecting iteration must sort by external id — slot order
     /// is an implementation detail (invariant 1 in the module docs).

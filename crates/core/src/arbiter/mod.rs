@@ -35,8 +35,7 @@ mod state;
 pub use events::{Command, Event, RejectScope, Tick};
 pub use idtable::IdTable;
 pub use replay::{EventLog, LoggedBatch};
-pub use state::{ArbiterConfig, ArbiterCore, CoreSnapshot};
-pub(crate) use state::{Resident, Waiter};
+pub use state::{ArbiterConfig, ArbiterCore};
 
 #[cfg(test)]
 mod tests {
@@ -591,15 +590,28 @@ mod tests {
         let mut a = preempting();
         a.feed(0, &[slo(7, SloClass::LatencyCritical)]);
         a.feed(1, &[ready(1, 1, HC, 30)]);
-        let snap = a.snapshot();
-        let back = crate::durability::codec::core_roundtrip(&snap);
-        let mut b = ArbiterCore::from_snapshot(back);
+        let mut bytes = Vec::new();
+        a.encode(&mut bytes);
+        let mut r = crate::durability::codec::Reader { rest: &bytes };
+        let mut b = ArbiterCore::decode(&mut r).expect("an encoded core decodes");
+        assert!(r.rest.is_empty(), "the core decodes whole");
         assert_eq!(b.session_slo(7), SloClass::LatencyCritical);
         assert_eq!(b.session_slo(1), SloClass::BestEffort);
         // The restored core still preempts for the declared session.
         let out = b.feed(5, &[ready(7, 9, HM, 9)]);
         assert_eq!(out[0], Command::Preempt { lease: 1 });
         assert_eq!(b.preemptions(), a.preemptions() + 1);
+    }
+
+    /// `wal_props` bounds what a snapshot decode reserves by this size:
+    /// a waiter is the largest element the decoder reserves from a count.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_waiter_is_the_largest_element_a_snapshot_decode_reserves() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<state::Waiter>(), 56);
+        assert!(size_of::<state::Resident>() <= 56);
+        assert!(size_of::<crate::placement::HealthState>() <= 56);
     }
 
     // ---- recording and replay ----

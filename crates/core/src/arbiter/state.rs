@@ -17,12 +17,16 @@ use super::idtable::IdTable;
 use super::replay::{is_recorded, EventLog, LoggedBatch};
 use crate::admission::{AdmissionLimits, AdmissionStats};
 use crate::classify::WorkloadClass;
+use crate::durability::codec::{
+    put_arbiter_config, put_bool, put_class, put_device, put_entries, put_opt, put_queue,
+    put_range, put_slo, put_slots, put_u64, put_usize, Decoded, Reader,
+};
 use crate::queue::{LaunchGauge, QueueStats};
 use crate::select::PartnerCandidate;
 use serde::{Deserialize, Serialize};
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use slate_kernels::workload::SloClass;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Fallback per-launch estimate (milliseconds) used for retry hints when
 /// pending kernels are unprofiled.
@@ -70,85 +74,110 @@ impl Default for ArbiterConfig {
     }
 }
 
-/// A kernel currently holding SMs. Its fields are crate-visible so the
-/// durable snapshot codec can persist residency exactly.
+/// A kernel currently holding SMs.
 #[derive(Debug, Clone)]
-pub(crate) struct Resident {
-    pub(crate) lease: u64,
-    pub(crate) session: u64,
-    pub(crate) class: WorkloadClass,
-    pub(crate) sm_demand: u32,
+pub(super) struct Resident {
+    pub(super) lease: u64,
+    pub(super) session: u64,
+    pub(super) class: WorkloadClass,
+    pub(super) sm_demand: u32,
     /// Pinned residents never accept co-runners (pinned-solo launches and
     /// starvation promotions).
-    pub(crate) pinned: bool,
-    pub(crate) range: SmRange,
+    pub(super) pinned: bool,
+    pub(super) range: SmRange,
     /// The owning session's SLO class at dispatch time; best-effort
     /// residents are the preemption victims.
-    pub(crate) slo: SloClass,
+    pub(super) slo: SloClass,
 }
 
-/// A ready kernel waiting for SMs. Crate-visible for the same reason as
-/// [`Resident`].
+impl Resident {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let Self {
+            lease,
+            session,
+            class,
+            sm_demand,
+            pinned,
+            range,
+            slo,
+        } = self;
+        put_u64(out, *lease);
+        put_u64(out, *session);
+        put_class(out, *class);
+        put_u64(out, (*sm_demand).into());
+        put_bool(out, *pinned);
+        put_range(out, *range);
+        put_slo(out, *slo);
+    }
+
+    fn decode(r: &mut Reader) -> Decoded<Self> {
+        Ok(Self {
+            lease: r.u64()?,
+            session: r.u64()?,
+            class: r.class()?,
+            sm_demand: r.u32()?,
+            pinned: r.bool()?,
+            range: r.range()?,
+            slo: r.slo()?,
+        })
+    }
+}
+
+/// A ready kernel waiting for SMs.
 #[derive(Debug, Clone)]
-pub(crate) struct Waiter {
-    pub(crate) lease: u64,
-    pub(crate) session: u64,
-    pub(crate) class: WorkloadClass,
-    pub(crate) sm_demand: u32,
-    pub(crate) pinned: bool,
-    pub(crate) deadline_ms: Option<u64>,
+pub(super) struct Waiter {
+    pub(super) lease: u64,
+    pub(super) session: u64,
+    pub(super) class: WorkloadClass,
+    pub(super) sm_demand: u32,
+    pub(super) pinned: bool,
+    pub(super) deadline_ms: Option<u64>,
     /// When the kernel became ready (queue-wait start).
-    pub(crate) since: Tick,
+    pub(super) since: Tick,
     /// Stable arrival order; the deterministic tie-break everywhere.
-    pub(crate) seq: u64,
+    pub(super) seq: u64,
     /// The owning session's SLO class at ready time; latency-critical
     /// waiters get dispatch priority and may trigger a preemption.
-    pub(crate) slo: SloClass,
+    pub(super) slo: SloClass,
 }
 
-/// The complete state of one [`ArbiterCore`] — every field that
-/// influences a future decision, in snapshot form, which the durability
-/// layer's binary codec persists. Gauges are captured as [`QueueStats`]
-/// and the per-lease FIFOs as plain `Vec`s; the recording buffer is
-/// deliberately absent — a restored core starts a fresh log.
-///
-/// The snapshot speaks *external* ids in ordered maps — the dense slot
-/// tables behind [`ArbiterCore`] are an in-memory representation only,
-/// converted at this boundary. That keeps slot numbering out of anything
-/// durable.
-///
-/// The crash-consistency invariant: `ArbiterCore::from_snapshot(c.snapshot())`
-/// must behave byte-identically to `c` for every subsequent event batch.
-#[derive(Debug, Clone)]
-pub struct CoreSnapshot {
-    pub(crate) device: DeviceConfig,
-    pub(crate) config: ArbiterConfig,
-    pub(crate) now: Tick,
-    pub(crate) next_seq: u64,
-    pub(crate) draining: bool,
-    pub(crate) residents: Vec<Resident>,
-    pub(crate) waiters: Vec<Waiter>,
-    pub(crate) last_range: BTreeMap<u64, SmRange>,
-    pub(crate) deadlines: BTreeMap<u64, Tick>,
-    pub(crate) sessions: BTreeMap<u64, QueueStats>,
-    pub(crate) lease_session: BTreeMap<u64, u64>,
-    pub(crate) pending: BTreeMap<u64, Vec<u64>>,
-    pub(crate) global: QueueStats,
-    pub(crate) active_sessions: usize,
-    pub(crate) sessions_admitted: u64,
-    pub(crate) sessions_rejected: u64,
-    pub(crate) launches_completed: u64,
-    pub(crate) launches_failed: u64,
-    pub(crate) deadline_rejections: u64,
-    pub(crate) mallocs_shed: u64,
-    pub(crate) pending_est_ms: u64,
-    pub(crate) promotions: u64,
-    pub(crate) evictions: u64,
-    pub(crate) reaped: u64,
-    /// Declared SLO classes by external session id; only non-default
-    /// (latency-critical) entries are stored.
-    pub(crate) slo: BTreeMap<u64, SloClass>,
-    pub(crate) preemptions: u64,
+impl Waiter {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let Self {
+            lease,
+            session,
+            class,
+            sm_demand,
+            pinned,
+            deadline_ms,
+            since,
+            seq,
+            slo,
+        } = self;
+        put_u64(out, *lease);
+        put_u64(out, *session);
+        put_class(out, *class);
+        put_u64(out, (*sm_demand).into());
+        put_bool(out, *pinned);
+        put_opt(out, *deadline_ms);
+        put_u64(out, *since);
+        put_u64(out, *seq);
+        put_slo(out, *slo);
+    }
+
+    fn decode(r: &mut Reader) -> Decoded<Self> {
+        Ok(Self {
+            lease: r.u64()?,
+            session: r.u64()?,
+            class: r.class()?,
+            sm_demand: r.u32()?,
+            pinned: r.bool()?,
+            deadline_ms: r.opt()?,
+            since: r.u64()?,
+            seq: r.u64()?,
+            slo: r.slo()?,
+        })
+    }
 }
 
 /// The deterministic, I/O-free arbitration core shared by the simulated
@@ -380,117 +409,161 @@ impl ArbiterCore {
         }
     }
 
-    /// Captures the core's complete decision state for a durable
-    /// snapshot. The recording buffer is not captured. Slot tables are
-    /// converted back to external-id ordered maps here — snapshots never
-    /// see slot numbers.
-    pub(crate) fn snapshot(&self) -> CoreSnapshot {
-        CoreSnapshot {
-            device: self.device.clone(),
-            config: self.config.clone(),
-            now: self.now,
-            next_seq: self.next_seq,
-            draining: self.draining,
-            residents: self.residents.clone(),
-            waiters: self.waiters.clone(),
-            last_range: self
-                .leases
-                .iter()
-                .filter_map(|(s, ext)| self.last_range[s as usize].map(|r| (ext, r)))
-                .collect(),
-            deadlines: self.armed.iter().copied().collect(),
-            sessions: self
-                .session_ids
-                .iter()
-                .map(|(s, ext)| (ext, self.gauges[s as usize].stats()))
-                .collect(),
-            lease_session: self
-                .leases
-                .iter()
-                .map(|(s, ext)| (ext, self.lease_session[s as usize]))
-                .collect(),
-            pending: self
-                .leases
-                .iter()
-                .filter(|&(s, _)| !self.pending[s as usize].is_empty())
-                .map(|(s, ext)| (ext, self.pending[s as usize].iter().copied().collect()))
-                .collect(),
-            global: self.global.stats(),
-            active_sessions: self.active_sessions,
-            sessions_admitted: self.sessions_admitted,
-            sessions_rejected: self.sessions_rejected,
-            launches_completed: self.launches_completed,
-            launches_failed: self.launches_failed,
-            deadline_rejections: self.deadline_rejections,
-            mallocs_shed: self.mallocs_shed,
-            pending_est_ms: self.pending_est_ms,
-            promotions: self.promotions,
-            evictions: self.evictions,
-            reaped: self.reaped,
-            slo: self
-                .session_ids
-                .iter()
-                .filter(|&(slot, _)| self.slo[slot as usize] != SloClass::BestEffort)
-                .map(|(slot, ext)| (ext, self.slo[slot as usize]))
-                .collect(),
-            preemptions: self.preemptions,
+    /// Appends the core's part of a snapshot slot body: every field a
+    /// future decision reads, which [`ArbiterCore::decode`] reads back.
+    /// The slot tables are written as maps by external id, ascending, so
+    /// slot numbers never reach the bytes; gauges are written as their
+    /// [`QueueStats`].
+    ///
+    /// The crash-consistency invariant: the core `decode` rebuilds from
+    /// these bytes behaves byte-identically to this one for every later
+    /// event batch.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        let Self {
+            device,
+            config,
+            now,
+            next_seq,
+            draining,
+            residents,
+            waiters,
+            leases,
+            session_ids,
+            last_range,
+            armed,
+            gauges,
+            lease_session,
+            pending,
+            global,
+            active_sessions,
+            sessions_admitted,
+            sessions_rejected,
+            launches_completed,
+            launches_failed,
+            deadline_rejections,
+            mallocs_shed,
+            pending_est_ms,
+            promotions,
+            evictions,
+            preemptions,
+            reaped,
+            slo,
+            // Every session a snapshot holds was admitted (see `decode`).
+            opened: _,
+            // Scratch, empty between batches.
+            scratch_ids: _,
+            scratch_cands: _,
+            scratch_idxs: _,
+            // A restored core starts a fresh log.
+            record: _,
+        } = self;
+        let leases = leases.by_id();
+        let sessions = session_ids.by_id();
+        put_device(out, device);
+        put_arbiter_config(out, config);
+        put_u64(out, *now);
+        put_u64(out, *next_seq);
+        put_bool(out, *draining);
+        put_usize(out, residents.len());
+        for resident in residents {
+            resident.encode(out);
         }
+        put_usize(out, waiters.len());
+        for waiter in waiters {
+            waiter.encode(out);
+        }
+        put_slots(out, &leases, |s| last_range[s], put_range);
+        put_entries(out, armed.iter().copied(), put_u64);
+        put_slots(
+            out,
+            &sessions,
+            |s| Some(gauges[s].stats()),
+            |out, stats| put_queue(out, &stats),
+        );
+        put_slots(out, &leases, |s| Some(lease_session[s]), put_u64);
+        let queued = |s: usize| Some(&pending[s]).filter(|fifo| !fifo.is_empty());
+        put_slots(out, &leases, queued, |out, fifo| {
+            put_usize(out, fifo.len());
+            fifo.iter().for_each(|&est| put_u64(out, est));
+        });
+        put_queue(out, &global.stats());
+        put_usize(out, *active_sessions);
+        for v in [
+            sessions_admitted,
+            sessions_rejected,
+            launches_completed,
+            launches_failed,
+            deadline_rejections,
+            mallocs_shed,
+            pending_est_ms,
+            promotions,
+            evictions,
+            reaped,
+        ] {
+            put_u64(out, *v);
+        }
+        let declared = |s: usize| Some(slo[s]).filter(|&c| c != SloClass::BestEffort);
+        put_slots(out, &sessions, declared, put_slo);
+        put_u64(out, *preemptions);
     }
 
-    /// Rebuilds a core from a [`CoreSnapshot`]; the behavioral inverse of
-    /// [`ArbiterCore::snapshot`] (recording off). Ids are re-interned in
-    /// ascending external order, which may permute slot numbers relative
-    /// to the snapshotted core — behaviorally invisible, because no
-    /// decision depends on slot numbering (the dense-slot rule).
-    pub(crate) fn from_snapshot(snap: CoreSnapshot) -> Self {
-        let mut core = ArbiterCore::new(snap.device, snap.config);
-        core.now = snap.now;
-        core.next_seq = snap.next_seq;
-        core.draining = snap.draining;
-        core.residents = snap.residents;
-        core.waiters = snap.waiters;
-        for (session, st) in snap.sessions {
+    /// Rebuilds a core from the bytes [`ArbiterCore::encode`] wrote
+    /// (recording off). Ids are re-interned in ascending external order,
+    /// which may permute slot numbers relative to the encoded core —
+    /// behaviorally invisible, because no decision depends on slot
+    /// numbering (the dense-slot rule). `lease_session` is the live-lease
+    /// set: a last range or FIFO of any other lease is dropped.
+    pub(crate) fn decode(r: &mut Reader) -> Decoded<Self> {
+        let device = r.device()?;
+        let config = r.arbiter_config()?;
+        let mut core = ArbiterCore::new(device, config);
+        core.now = r.u64()?;
+        core.next_seq = r.u64()?;
+        core.draining = r.bool()?;
+        core.residents = r.vec(Resident::decode)?;
+        core.waiters = r.vec(Waiter::decode)?;
+        // Read ahead of the live-lease set it is an attribute of.
+        let last_range = r.pairs(Reader::range)?;
+        core.armed = r.pairs(Reader::u64)?;
+        for (session, stats) in r.pairs(Reader::queue)? {
             let slot = core.session_slot(session);
-            core.gauges[slot] = LaunchGauge::from_stats(st);
+            core.gauges[slot] = LaunchGauge::from_stats(stats);
             // Declare-then-open is atomic within a batch and snapshots
             // are cut between batches, so every snapshotted session was
             // admitted.
             core.opened[slot] = true;
         }
-        for (session, class) in snap.slo {
-            let slot = core.session_slot(session);
-            core.slo[slot] = class;
-        }
-        // `lease_session` is the authoritative live-lease set; the other
-        // maps are per-lease attributes of it.
-        for (lease, session) in snap.lease_session {
+        for (lease, session) in r.pairs(Reader::u64)? {
             core.lease_slot(lease, session);
         }
-        for (lease, range) in snap.last_range {
+        for (lease, range) in last_range {
             if let Some(slot) = core.leases.get(lease) {
                 core.last_range[slot as usize] = Some(range);
             }
         }
-        core.armed = snap.deadlines.into_iter().collect();
-        for (lease, fifo) in snap.pending {
+        for (lease, fifo) in r.pairs(|r| r.vec(Reader::u64))? {
             if let Some(slot) = core.leases.get(lease) {
-                core.pending[slot as usize] = fifo.into_iter().collect();
+                core.pending[slot as usize] = fifo.into();
             }
         }
-        core.global = LaunchGauge::from_stats(snap.global);
-        core.active_sessions = snap.active_sessions;
-        core.sessions_admitted = snap.sessions_admitted;
-        core.sessions_rejected = snap.sessions_rejected;
-        core.launches_completed = snap.launches_completed;
-        core.launches_failed = snap.launches_failed;
-        core.deadline_rejections = snap.deadline_rejections;
-        core.mallocs_shed = snap.mallocs_shed;
-        core.pending_est_ms = snap.pending_est_ms;
-        core.promotions = snap.promotions;
-        core.evictions = snap.evictions;
-        core.preemptions = snap.preemptions;
-        core.reaped = snap.reaped;
-        core
+        core.global = LaunchGauge::from_stats(r.queue()?);
+        core.active_sessions = r.usize()?;
+        core.sessions_admitted = r.u64()?;
+        core.sessions_rejected = r.u64()?;
+        core.launches_completed = r.u64()?;
+        core.launches_failed = r.u64()?;
+        core.deadline_rejections = r.u64()?;
+        core.mallocs_shed = r.u64()?;
+        core.pending_est_ms = r.u64()?;
+        core.promotions = r.u64()?;
+        core.evictions = r.u64()?;
+        core.reaped = r.u64()?;
+        for (session, class) in r.pairs(Reader::slo)? {
+            let slot = core.session_slot(session);
+            core.slo[slot] = class;
+        }
+        core.preemptions = r.u64()?;
+        Ok(core)
     }
 
     /// Starts recording fed batches for later [`super::replay`]. A batch of

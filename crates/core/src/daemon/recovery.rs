@@ -120,19 +120,18 @@ impl SlateDaemon {
         // Resume the logical clock past the crashed incarnation's last
         // tick so the stitched WAL stays monotonic.
         let base_us = layer.now() + 1;
-        let anchor = layer.snapshot();
         let durability = Durability::start(
             dur_opts,
             rec.last_segment + 1,
             epoch,
-            &anchor,
+            &layer.snapshot(),
             rec.meta.clone(),
         )
         .map_err(|e| SlateError::Other(format!("reopen durability: {e}")))?;
         durability.count_io_errors(uncut);
         durability.append_meta(&WalRecord::Epoch { epoch });
         let daemon = Self::boot(
-            anchor.devices(),
+            layer.device_list(),
             layer,
             base_us,
             Some(durability),

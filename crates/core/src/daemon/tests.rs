@@ -493,7 +493,7 @@ fn nothing_fed_after_a_crash_reaches_the_core_or_the_wal() {
     let arb = &daemon.shared.arb;
     // (the whole layer as slot-body bytes, every WAL/snapshot file's bytes)
     let state = || {
-        let layer = crate::durability::codec::placement_bytes(&arb.inner.lock().layer.snapshot());
+        let layer = arb.inner.lock().layer.snapshot();
         let files: BTreeMap<_, _> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())

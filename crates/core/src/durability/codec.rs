@@ -21,39 +21,52 @@
 //! | `Option<T>` | `0` (none), or `1` and the `T` |
 //! | `String` | varint byte length, then the UTF-8 bytes |
 //! | `Vec`, `BTreeSet` | varint count, then the elements (a set's in ascending order) |
-//! | `BTreeMap` | varint count, then key and value for each key, ascending |
-//! | a struct | its fields |
+//! | a map, by id | varint count, then key and value for each key, ascending |
+//! | a struct ([`DeviceConfig`], [`ArbiterConfig`], [`QueueStats`], …) | its fields |
 //! | [`SmRange`] | `lo`, `hi` |
 //! | [`RoutedCommand`] | `device`, then the command |
+//!
+//! This module holds the primitives (the `put_*` functions and the
+//! `Reader`), the configuration structs' encoders, the WAL record codec
+//! and the slot body's framing. The live state a slot body holds encodes
+//! itself, beside its fields: the [`PlacementLayer`]'s `encode` writes
+//! the layer — its [`ArbiterCore`]s, health tracker and rebalancer in
+//! turn — from the slot tables it runs on, and its `decode` rebuilds one,
+//! so there is no second representation of that state to keep in step.
+//! A slot table is written as a map by external id, ascending: slot
+//! numbers never reach the bytes.
 //!
 //! A tag or enum byte is the variant's position in its declaration when
 //! this format was fixed, spelled out as a literal in the encoder and the
 //! decoder, so reordering a declaration moves no byte. Every encoder is an
 //! exhaustive `match` or destructures its struct whole: a new variant or
-//! field does not compile until it has bytes — for a variant a new tag,
-//! never a reused one. A decode that meets anything else — an unknown tag,
-//! a varint of more than 10 bytes or over its field's width, a length or
-//! count past the end, map keys out of order, bytes left over — is an
+//! field does not compile until it has bytes, or a reason beside it why
+//! it has none — for a variant a new tag, never a reused one. A decode
+//! that meets anything else — an unknown tag, a varint of more than 10
+//! bytes or over its field's width, a length or count past the end, map
+//! keys out of order, bytes left over, a state no layer can be in — is an
 //! error, never a panic, and it reserves at most one element per byte left
 //! whatever a count claims.
+//!
+//! [`ArbiterCore`]: crate::arbiter::ArbiterCore
+//! [`HealthState`]: crate::placement::HealthState
+//! [`PlacementLayer`]: crate::placement::PlacementLayer
 
 use super::snapshot::{AllocMeta, DurableMeta, DurableSnapshot, SessionMeta};
 use super::wal::WalRecord;
 use crate::admission::AdmissionLimits;
-use crate::arbiter::{ArbiterConfig, Command, CoreSnapshot, Event, RejectScope, Resident, Waiter};
+use crate::arbiter::{ArbiterConfig, Command, Event, RejectScope};
 use crate::classify::WorkloadClass;
-use crate::placement::health::HealthSnapshot;
-use crate::placement::rebalance::RebalancerSnapshot;
 use crate::placement::{
-    HealthState, PlacementBatch, PlacementConfig, PlacementPolicy, PlacementSnapshot,
-    RebalanceConfig, RoutedCommand,
+    PlacementBatch, PlacementConfig, PlacementPolicy, PlacementSnapshot, RebalanceConfig,
+    RoutedCommand,
 };
 use crate::queue::QueueStats;
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use slate_kernels::workload::SloClass;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::io;
+use std::{fmt, io};
 
 /// The format byte of this codec: the first byte of every payload written.
 pub const FORMAT: u8 = 1;
@@ -67,7 +80,7 @@ pub fn encode(record: &WalRecord, out: &mut Vec<u8>) {
             out.push(1);
             put_u64(out, *session);
             put_str(out, user);
-            out.push(slo_tag(*slo));
+            put_slo(out, *slo);
         }
         WalRecord::SessionClosed { session } => {
             out.push(2);
@@ -150,7 +163,7 @@ pub fn encode_snapshot(snap: &DurableSnapshot, out: &mut Vec<u8>) {
     for v in [epoch, segment, offset] {
         put_u64(out, *v);
     }
-    put_placement(out, placement);
+    out.extend_from_slice(placement.body());
     put_durable_meta(out, meta);
 }
 
@@ -164,10 +177,23 @@ pub fn decode_snapshot(body: &[u8]) -> io::Result<DurableSnapshot> {
         [] => Ok(snap),
         _ => Err("trailing bytes after the snapshot"),
     });
-    snap.map_err(|why| io::Error::new(io::ErrorKind::InvalidData, format!("snapshot body: {why}")))
+    snap.map_err(|why| io::Error::new(io::ErrorKind::InvalidData, BodyError(why)))
 }
 
-fn put_u64(out: &mut Vec<u8>, mut v: u64) {
+/// Why a slot body does not decode; displays as `snapshot body: {why}`.
+/// Its error allocates two small boxes and formats nothing.
+#[derive(Debug)]
+struct BodyError(&'static str);
+
+impl fmt::Display for BodyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "snapshot body: {}", self.0)
+    }
+}
+
+impl std::error::Error for BodyError {}
+
+pub(crate) fn put_u64(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push(v as u8 | 0x80);
         v >>= 7;
@@ -175,7 +201,7 @@ fn put_u64(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
-fn put_usize(out: &mut Vec<u8>, v: usize) {
+pub(crate) fn put_usize(out: &mut Vec<u8>, v: usize) {
     put_u64(out, v as u64);
 }
 
@@ -183,7 +209,7 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-fn put_bool(out: &mut Vec<u8>, v: bool) {
+pub(crate) fn put_bool(out: &mut Vec<u8>, v: bool) {
     out.push(u8::from(v));
 }
 
@@ -192,7 +218,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_opt(out: &mut Vec<u8>, v: Option<u64>) {
+pub(crate) fn put_opt(out: &mut Vec<u8>, v: Option<u64>) {
     match v {
         None => out.push(0),
         Some(v) => {
@@ -202,35 +228,43 @@ fn put_opt(out: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-fn put_map<V>(
+/// Writes a map from the `(key, value)` pairs `entries` yields, which
+/// must come in ascending key order: the count, then each key and its
+/// value. `entries` is walked twice, once to count.
+pub(crate) fn put_entries<V>(
     out: &mut Vec<u8>,
-    map: &BTreeMap<u64, V>,
-    mut put_value: impl FnMut(&mut Vec<u8>, &V),
+    entries: impl Iterator<Item = (u64, V)> + Clone,
+    mut put_value: impl FnMut(&mut Vec<u8>, V),
 ) {
-    put_usize(out, map.len());
-    for (key, value) in map {
-        put_u64(out, *key);
+    put_usize(out, entries.clone().count());
+    for (key, value) in entries {
+        put_u64(out, key);
         put_value(out, value);
     }
 }
 
-fn put_placement(out: &mut Vec<u8>, snap: &PlacementSnapshot) {
-    let PlacementSnapshot {
-        config,
-        now,
-        cores,
-        session_device,
-        slo,
-        lease_device,
-        lease_session,
-        migrating,
-        rr_next,
-        rebalancer,
-        health,
-        sessions_routed,
-        migrations_completed,
-        evacuations,
-    } = snap;
+/// Writes a map by id from a slot table: the live `(id, slot)`s of `ids`,
+/// ascending by id as [`IdTable::by_id`] lists them, each with the value
+/// `value(slot)` gives, those it gives none for left out.
+///
+/// [`IdTable::by_id`]: crate::arbiter::IdTable::by_id
+pub(crate) fn put_slots<V>(
+    out: &mut Vec<u8>,
+    ids: &[(u64, u32)],
+    value: impl Fn(usize) -> Option<V>,
+    put_value: impl FnMut(&mut Vec<u8>, V),
+) {
+    let entries = ids
+        .iter()
+        .filter_map(|&(id, slot)| Some((id, value(slot as usize)?)));
+    put_entries(out, entries, put_value);
+}
+
+fn put_map<V>(out: &mut Vec<u8>, map: &BTreeMap<u64, V>, put_value: impl FnMut(&mut Vec<u8>, &V)) {
+    put_entries(out, map.iter().map(|(key, value)| (*key, value)), put_value);
+}
+
+pub(crate) fn put_placement_config(out: &mut Vec<u8>, config: &PlacementConfig) {
     let PlacementConfig {
         policy,
         arbiter,
@@ -259,55 +293,9 @@ fn put_placement(out: &mut Vec<u8>, snap: &PlacementSnapshot) {
             }
         }
     }
-    put_u64(out, *now);
-    put_usize(out, cores.len());
-    for core in cores {
-        put_core(out, core);
-    }
-    put_map(out, session_device, |out, d| put_usize(out, *d));
-    put_map(out, slo, |out, c| out.push(slo_tag(*c)));
-    put_map(out, lease_device, |out, d| put_usize(out, *d));
-    put_map(out, lease_session, |out, s| put_u64(out, *s));
-    put_map(out, migrating, |out, d| put_usize(out, *d));
-    put_usize(out, *rr_next);
-    match rebalancer {
-        None => out.push(0),
-        Some(RebalancerSnapshot {
-            armed,
-            cooldown_until,
-            rng,
-            fired,
-        }) => {
-            out.push(1);
-            put_bool(out, *armed);
-            for v in [cooldown_until, rng, fired] {
-                put_u64(out, *v);
-            }
-        }
-    }
-    let HealthSnapshot { states, rng } = health;
-    put_usize(out, states.len());
-    for state in states {
-        match state {
-            HealthState::Healthy => out.push(0),
-            HealthState::Degraded => out.push(1),
-            HealthState::Quarantined { until } => {
-                out.push(2);
-                put_u64(out, *until);
-            }
-            HealthState::Failed => out.push(3),
-            HealthState::Probation { until } => {
-                out.push(4);
-                put_u64(out, *until);
-            }
-        }
-    }
-    for v in [rng, sessions_routed, migrations_completed, evacuations] {
-        put_u64(out, *v);
-    }
 }
 
-fn put_arbiter_config(out: &mut Vec<u8>, config: &ArbiterConfig) {
+pub(crate) fn put_arbiter_config(out: &mut Vec<u8>, config: &ArbiterConfig) {
     let ArbiterConfig {
         enable_corun,
         enable_resize,
@@ -337,7 +325,7 @@ fn put_arbiter_config(out: &mut Vec<u8>, config: &ArbiterConfig) {
     }
 }
 
-fn put_device(out: &mut Vec<u8>, device: &DeviceConfig) {
+pub(crate) fn put_device(out: &mut Vec<u8>, device: &DeviceConfig) {
     let DeviceConfig {
         name,
         num_sms,
@@ -390,7 +378,7 @@ fn put_device(out: &mut Vec<u8>, device: &DeviceConfig) {
     }
 }
 
-fn put_queue(out: &mut Vec<u8>, stats: &QueueStats) {
+pub(crate) fn put_queue(out: &mut Vec<u8>, stats: &QueueStats) {
     let QueueStats {
         depth,
         high_water,
@@ -403,112 +391,6 @@ fn put_queue(out: &mut Vec<u8>, stats: &QueueStats) {
     put_opt(out, *capacity);
     put_u64(out, *admitted);
     put_u64(out, *shed);
-}
-
-fn put_core(out: &mut Vec<u8>, core: &CoreSnapshot) {
-    let CoreSnapshot {
-        device,
-        config,
-        now,
-        next_seq,
-        draining,
-        residents,
-        waiters,
-        last_range,
-        deadlines,
-        sessions,
-        lease_session,
-        pending,
-        global,
-        active_sessions,
-        sessions_admitted,
-        sessions_rejected,
-        launches_completed,
-        launches_failed,
-        deadline_rejections,
-        mallocs_shed,
-        pending_est_ms,
-        promotions,
-        evictions,
-        reaped,
-        slo,
-        preemptions,
-    } = core;
-    put_device(out, device);
-    put_arbiter_config(out, config);
-    put_u64(out, *now);
-    put_u64(out, *next_seq);
-    put_bool(out, *draining);
-    put_usize(out, residents.len());
-    for resident in residents {
-        let Resident {
-            lease,
-            session,
-            class,
-            sm_demand,
-            pinned,
-            range,
-            slo,
-        } = resident;
-        put_u64(out, *lease);
-        put_u64(out, *session);
-        out.push(class_tag(*class));
-        put_u64(out, (*sm_demand).into());
-        put_bool(out, *pinned);
-        put_range(out, *range);
-        out.push(slo_tag(*slo));
-    }
-    put_usize(out, waiters.len());
-    for waiter in waiters {
-        let Waiter {
-            lease,
-            session,
-            class,
-            sm_demand,
-            pinned,
-            deadline_ms,
-            since,
-            seq,
-            slo,
-        } = waiter;
-        put_u64(out, *lease);
-        put_u64(out, *session);
-        out.push(class_tag(*class));
-        put_u64(out, (*sm_demand).into());
-        put_bool(out, *pinned);
-        put_opt(out, *deadline_ms);
-        put_u64(out, *since);
-        put_u64(out, *seq);
-        out.push(slo_tag(*slo));
-    }
-    put_map(out, last_range, |out, r| put_range(out, *r));
-    put_map(out, deadlines, |out, t| put_u64(out, *t));
-    put_map(out, sessions, put_queue);
-    put_map(out, lease_session, |out, s| put_u64(out, *s));
-    put_map(out, pending, |out, leases| {
-        put_usize(out, leases.len());
-        for lease in leases {
-            put_u64(out, *lease);
-        }
-    });
-    put_queue(out, global);
-    put_usize(out, *active_sessions);
-    for v in [
-        sessions_admitted,
-        sessions_rejected,
-        launches_completed,
-        launches_failed,
-        deadline_rejections,
-        mallocs_shed,
-        pending_est_ms,
-        promotions,
-        evictions,
-        reaped,
-    ] {
-        put_u64(out, *v);
-    }
-    put_map(out, slo, |out, c| out.push(slo_tag(*c)));
-    put_u64(out, *preemptions);
 }
 
 fn put_durable_meta(out: &mut Vec<u8>, meta: &DurableMeta) {
@@ -527,7 +409,7 @@ fn put_durable_meta(out: &mut Vec<u8>, meta: &DurableMeta) {
             done,
         } = session;
         put_str(out, user);
-        out.push(slo_tag(*slo));
+        put_slo(out, *slo);
         put_u64(out, *next_ptr);
         put_map(out, allocs, |out, alloc| {
             let AllocMeta { device_ptr, bytes } = alloc;
@@ -542,7 +424,7 @@ fn put_durable_meta(out: &mut Vec<u8>, meta: &DurableMeta) {
     });
 }
 
-fn put_range(out: &mut Vec<u8>, range: SmRange) {
+pub(crate) fn put_range(out: &mut Vec<u8>, range: SmRange) {
     put_u64(out, range.lo.into());
     put_u64(out, range.hi.into());
 }
@@ -561,21 +443,21 @@ fn put_batch(out: &mut Vec<u8>, batch: &PlacementBatch) {
     }
 }
 
-fn slo_tag(slo: SloClass) -> u8 {
-    match slo {
+pub(crate) fn put_slo(out: &mut Vec<u8>, slo: SloClass) {
+    out.push(match slo {
         SloClass::LatencyCritical => 0,
         SloClass::BestEffort => 1,
-    }
+    });
 }
 
-fn class_tag(class: WorkloadClass) -> u8 {
-    match class {
+pub(crate) fn put_class(out: &mut Vec<u8>, class: WorkloadClass) {
+    out.push(match class {
         WorkloadClass::LC => 0,
         WorkloadClass::MC => 1,
         WorkloadClass::HC => 2,
         WorkloadClass::MM => 3,
         WorkloadClass::HM => 4,
-    }
+    });
 }
 
 fn scope_tag(scope: RejectScope) -> u8 {
@@ -624,7 +506,7 @@ fn put_event(out: &mut Vec<u8>, event: &Event) {
             out.push(4);
             put_u64(out, *session);
             put_u64(out, *lease);
-            out.push(class_tag(*class));
+            put_class(out, *class);
             put_u64(out, (*sm_demand).into());
             out.push(u8::from(*pinned_solo));
             put_opt(out, *deadline_ms);
@@ -659,7 +541,7 @@ fn put_event(out: &mut Vec<u8>, event: &Event) {
         Event::SloArrival { session, class } => {
             out.push(11);
             put_u64(out, *session);
-            out.push(slo_tag(*class));
+            put_slo(out, *class);
         }
     }
 }
@@ -707,42 +589,22 @@ fn put_command(out: &mut Vec<u8>, command: &Command) {
     }
 }
 
-/// The slot-body bytes of a placement snapshot: equal states encode
-/// equal, so tests compare layers by them.
-#[cfg(test)]
-pub(crate) fn placement_bytes(snap: &PlacementSnapshot) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    put_placement(&mut bytes, snap);
-    bytes
-}
-
-/// One core's snapshot through the slot-body codec and back, as a slot
-/// body carries each of its cores.
-#[cfg(test)]
-pub(crate) fn core_roundtrip(core: &CoreSnapshot) -> CoreSnapshot {
-    let mut bytes = Vec::new();
-    put_core(&mut bytes, core);
-    let mut r = Reader { rest: &bytes };
-    let back = r.core().expect("an encoded core decodes");
-    assert!(r.rest.is_empty(), "the core decodes whole");
-    back
-}
-
-type Decoded<T> = Result<T, &'static str>;
+/// A decoded value, or why the bytes do not hold one.
+pub(crate) type Decoded<T> = Result<T, &'static str>;
 
 /// The undecoded rest of a payload or slot body.
-struct Reader<'a> {
-    rest: &'a [u8],
+pub(crate) struct Reader<'a> {
+    pub(crate) rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
-    fn byte(&mut self) -> Decoded<u8> {
+    pub(crate) fn byte(&mut self) -> Decoded<u8> {
         let (&b, rest) = self.rest.split_first().ok_or("input ends mid-field")?;
         self.rest = rest;
         Ok(b)
     }
 
-    fn u64(&mut self) -> Decoded<u64> {
+    pub(crate) fn u64(&mut self) -> Decoded<u64> {
         let mut v = 0u64;
         for shift in (0..63).step_by(7) {
             let b = self.byte()?;
@@ -759,11 +621,11 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn u32(&mut self) -> Decoded<u32> {
+    pub(crate) fn u32(&mut self) -> Decoded<u32> {
         u32::try_from(self.u64()?).map_err(|_| "varint overflows u32")
     }
 
-    fn usize(&mut self) -> Decoded<usize> {
+    pub(crate) fn usize(&mut self) -> Decoded<usize> {
         usize::try_from(self.u64()?).map_err(|_| "varint overflows usize")
     }
 
@@ -776,7 +638,7 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(u64::from_le_bytes(*bytes)))
     }
 
-    fn bool(&mut self) -> Decoded<bool> {
+    pub(crate) fn bool(&mut self) -> Decoded<bool> {
         match self.byte()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -784,7 +646,10 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn option<T>(&mut self, some: impl FnOnce(&mut Self) -> Decoded<T>) -> Decoded<Option<T>> {
+    pub(crate) fn option<T>(
+        &mut self,
+        some: impl FnOnce(&mut Self) -> Decoded<T>,
+    ) -> Decoded<Option<T>> {
         match self.byte()? {
             0 => Ok(None),
             1 => some(self).map(Some),
@@ -792,14 +657,14 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn opt(&mut self) -> Decoded<Option<u64>> {
+    pub(crate) fn opt(&mut self) -> Decoded<Option<u64>> {
         self.option(Self::u64)
     }
 
     /// A count or length: refused when the bytes left could not hold that
     /// many elements of at least one byte each, so a corrupt count cannot
     /// size an allocation.
-    fn len(&mut self) -> Decoded<usize> {
+    pub(crate) fn len(&mut self) -> Decoded<usize> {
         match usize::try_from(self.u64()?) {
             Ok(n) if n <= self.rest.len() => Ok(n),
             _ => Err("length runs past the end of the bytes"),
@@ -813,7 +678,10 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(text).map_err(|_| "string is not UTF-8")
     }
 
-    fn vec<T>(&mut self, mut elem: impl FnMut(&mut Self) -> Decoded<T>) -> Decoded<Vec<T>> {
+    pub(crate) fn vec<T>(
+        &mut self,
+        mut elem: impl FnMut(&mut Self) -> Decoded<T>,
+    ) -> Decoded<Vec<T>> {
         let n = self.len()?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -822,25 +690,30 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// A map, its keys strictly ascending: the one order the encoder
-    /// writes, so a duplicate key cannot silently drop an entry.
-    fn map<V>(
+    /// A map's entries in order, its keys strictly ascending: the one
+    /// order the encoder writes, so a duplicate key cannot silently drop
+    /// an entry. Grown as entries decode, not reserved from the count.
+    pub(crate) fn pairs<V>(
         &mut self,
         mut value: impl FnMut(&mut Self) -> Decoded<V>,
-    ) -> Decoded<BTreeMap<u64, V>> {
+    ) -> Decoded<Vec<(u64, V)>> {
         let n = self.len()?;
-        let mut out = BTreeMap::new();
+        let mut out: Vec<(u64, V)> = Vec::new();
         for _ in 0..n {
             let key = self.u64()?;
-            if out.last_key_value().is_some_and(|(&last, _)| last >= key) {
+            if out.last().is_some_and(|&(last, _)| last >= key) {
                 return Err("map keys out of order");
             }
-            out.insert(key, value(self)?);
+            out.push((key, value(self)?));
         }
         Ok(out)
     }
 
-    fn slo(&mut self) -> Decoded<SloClass> {
+    fn map<V>(&mut self, value: impl FnMut(&mut Self) -> Decoded<V>) -> Decoded<BTreeMap<u64, V>> {
+        Ok(self.pairs(value)?.into_iter().collect())
+    }
+
+    pub(crate) fn slo(&mut self) -> Decoded<SloClass> {
         match self.byte()? {
             0 => Ok(SloClass::LatencyCritical),
             1 => Ok(SloClass::BestEffort),
@@ -848,7 +721,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn class(&mut self) -> Decoded<WorkloadClass> {
+    pub(crate) fn class(&mut self) -> Decoded<WorkloadClass> {
         match self.byte()? {
             0 => Ok(WorkloadClass::LC),
             1 => Ok(WorkloadClass::MC),
@@ -859,7 +732,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn range(&mut self) -> Decoded<SmRange> {
+    pub(crate) fn range(&mut self) -> Decoded<SmRange> {
         let (lo, hi) = (self.u32()?, self.u32()?);
         if lo > hi {
             return Err("SM range ends below its start");
@@ -872,68 +745,34 @@ impl<'a> Reader<'a> {
             epoch: self.u64()?,
             segment: self.u64()?,
             offset: self.u64()?,
-            placement: self.placement()?,
+            placement: PlacementSnapshot::decode(self)?,
             meta: self.durable_meta()?,
         })
     }
 
-    fn placement(&mut self) -> Decoded<PlacementSnapshot> {
-        Ok(PlacementSnapshot {
-            config: PlacementConfig {
-                policy: match self.byte()? {
-                    0 => PlacementPolicy::RoundRobin,
-                    1 => PlacementPolicy::LeastLoaded,
-                    2 => PlacementPolicy::Affinity {
-                        pins: self.map(Self::usize)?,
-                    },
-                    _ => return Err("unknown placement policy"),
+    pub(crate) fn placement_config(&mut self) -> Decoded<PlacementConfig> {
+        Ok(PlacementConfig {
+            policy: match self.byte()? {
+                0 => PlacementPolicy::RoundRobin,
+                1 => PlacementPolicy::LeastLoaded,
+                2 => PlacementPolicy::Affinity {
+                    pins: self.map(Self::usize)?,
                 },
-                arbiter: self.arbiter_config()?,
-                rebalance: self.option(|r| {
-                    Ok(RebalanceConfig {
-                        high_ms: r.u64()?,
-                        low_ms: r.u64()?,
-                        cooldown_us: r.u64()?,
-                        seed: r.u64()?,
-                    })
-                })?,
+                _ => return Err("unknown placement policy"),
             },
-            now: self.u64()?,
-            cores: self.vec(Self::core)?,
-            session_device: self.map(Self::usize)?,
-            slo: self.map(Self::slo)?,
-            lease_device: self.map(Self::usize)?,
-            lease_session: self.map(Self::u64)?,
-            migrating: self.map(Self::usize)?,
-            rr_next: self.usize()?,
-            rebalancer: self.option(|r| {
-                Ok(RebalancerSnapshot {
-                    armed: r.bool()?,
-                    cooldown_until: r.u64()?,
-                    rng: r.u64()?,
-                    fired: r.u64()?,
+            arbiter: self.arbiter_config()?,
+            rebalance: self.option(|r| {
+                Ok(RebalanceConfig {
+                    high_ms: r.u64()?,
+                    low_ms: r.u64()?,
+                    cooldown_us: r.u64()?,
+                    seed: r.u64()?,
                 })
             })?,
-            health: HealthSnapshot {
-                states: self.vec(|r| {
-                    Ok(match r.byte()? {
-                        0 => HealthState::Healthy,
-                        1 => HealthState::Degraded,
-                        2 => HealthState::Quarantined { until: r.u64()? },
-                        3 => HealthState::Failed,
-                        4 => HealthState::Probation { until: r.u64()? },
-                        _ => return Err("unknown health state"),
-                    })
-                })?,
-                rng: self.u64()?,
-            },
-            sessions_routed: self.u64()?,
-            migrations_completed: self.u64()?,
-            evacuations: self.u64()?,
         })
     }
 
-    fn arbiter_config(&mut self) -> Decoded<ArbiterConfig> {
+    pub(crate) fn arbiter_config(&mut self) -> Decoded<ArbiterConfig> {
         Ok(ArbiterConfig {
             enable_corun: self.bool()?,
             enable_resize: self.bool()?,
@@ -948,7 +787,7 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn device(&mut self) -> Decoded<DeviceConfig> {
+    pub(crate) fn device(&mut self) -> Decoded<DeviceConfig> {
         Ok(DeviceConfig {
             name: self.str()?.to_string(),
             num_sms: self.u32()?,
@@ -971,66 +810,13 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn queue(&mut self) -> Decoded<QueueStats> {
+    pub(crate) fn queue(&mut self) -> Decoded<QueueStats> {
         Ok(QueueStats {
             depth: self.u64()?,
             high_water: self.u64()?,
             capacity: self.opt()?,
             admitted: self.u64()?,
             shed: self.u64()?,
-        })
-    }
-
-    fn core(&mut self) -> Decoded<CoreSnapshot> {
-        Ok(CoreSnapshot {
-            device: self.device()?,
-            config: self.arbiter_config()?,
-            now: self.u64()?,
-            next_seq: self.u64()?,
-            draining: self.bool()?,
-            residents: self.vec(|r| {
-                Ok(Resident {
-                    lease: r.u64()?,
-                    session: r.u64()?,
-                    class: r.class()?,
-                    sm_demand: r.u32()?,
-                    pinned: r.bool()?,
-                    range: r.range()?,
-                    slo: r.slo()?,
-                })
-            })?,
-            waiters: self.vec(|r| {
-                Ok(Waiter {
-                    lease: r.u64()?,
-                    session: r.u64()?,
-                    class: r.class()?,
-                    sm_demand: r.u32()?,
-                    pinned: r.bool()?,
-                    deadline_ms: r.opt()?,
-                    since: r.u64()?,
-                    seq: r.u64()?,
-                    slo: r.slo()?,
-                })
-            })?,
-            last_range: self.map(Self::range)?,
-            deadlines: self.map(Self::u64)?,
-            sessions: self.map(Self::queue)?,
-            lease_session: self.map(Self::u64)?,
-            pending: self.map(|r| r.vec(Self::u64))?,
-            global: self.queue()?,
-            active_sessions: self.usize()?,
-            sessions_admitted: self.u64()?,
-            sessions_rejected: self.u64()?,
-            launches_completed: self.u64()?,
-            launches_failed: self.u64()?,
-            deadline_rejections: self.u64()?,
-            mallocs_shed: self.u64()?,
-            pending_est_ms: self.u64()?,
-            promotions: self.u64()?,
-            evictions: self.u64()?,
-            reaped: self.u64()?,
-            slo: self.map(Self::slo)?,
-            preemptions: self.u64()?,
         })
     }
 

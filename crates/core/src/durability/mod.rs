@@ -386,7 +386,6 @@ mod tests {
     use super::*;
     use crate::arbiter::Event;
     use crate::placement::{PlacementBatch, PlacementConfig, PlacementLayer};
-    use codec::placement_bytes;
     use slate_gpu_sim::device::DeviceConfig;
     use snapshot::{decode_slot, encode_slot, load_slot, slot_path};
     use std::io::Write;
@@ -562,8 +561,8 @@ mod tests {
         assert!(rec.issues.is_empty());
         assert_eq!((rec.last_segment, rec.slot), (0, 0));
         assert_eq!(
-            placement_bytes(&rec.layer.snapshot()),
-            placement_bytes(&layer.snapshot()),
+            rec.layer.snapshot(),
+            layer.snapshot(),
             "recovered layer matches the live one"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -590,8 +589,8 @@ mod tests {
         crate::placement::replay::verify(&log).expect("full history verifies from genesis");
         let rec = recover_dir(&dir).expect("recover");
         assert_eq!(
-            rec.layer.snapshot().sessions_routed,
-            layer.snapshot().sessions_routed
+            rec.layer.stats().sessions_routed,
+            layer.stats().sessions_routed
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -612,13 +611,13 @@ mod tests {
         ]
     }
 
-    /// The state recovery must reproduce: the layer's snapshot, as bytes,
-    /// and the mirror.
-    fn state_of(layer: &PlacementLayer, meta: &DurableMeta) -> (Vec<u8>, DurableMeta) {
-        (placement_bytes(&layer.snapshot()), meta.clone())
+    /// The state recovery must reproduce: the layer's snapshot and the
+    /// mirror.
+    fn state_of(layer: &PlacementLayer, meta: &DurableMeta) -> (PlacementSnapshot, DurableMeta) {
+        (layer.snapshot(), meta.clone())
     }
 
-    fn recovered_state(dir: &Path) -> (Vec<u8>, DurableMeta) {
+    fn recovered_state(dir: &Path) -> (PlacementSnapshot, DurableMeta) {
         let rec = recover_dir(dir).expect("recover");
         assert!(rec.issues.is_empty(), "{:?}", rec.issues);
         state_of(&rec.layer, &rec.meta)
@@ -747,7 +746,7 @@ mod tests {
         assert_eq!((rec.slot, rec.last_segment), (slot, 0));
         assert!(rec.issues.is_empty(), "{:?}", rec.issues);
         assert_eq!(state_of(&rec.layer, &rec.meta), state_of(&layer, &meta));
-        assert_eq!(rec.layer.snapshot().sessions_routed, 3);
+        assert_eq!(rec.layer.stats().sessions_routed, 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1019,8 +1018,8 @@ mod tests {
         let rec = recover_dir(&dir).expect("recover");
         assert!(rec.issues.is_empty(), "{:?}", rec.issues);
         assert_eq!(
-            rec.layer.snapshot().sessions_routed,
-            layer.snapshot().sessions_routed
+            rec.layer.stats().sessions_routed,
+            layer.stats().sessions_routed
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -170,8 +170,8 @@ pub fn recover_dir(dir: &Path) -> io::Result<Recovered> {
 
 /// Collects every `Batch` record across *all* segments (ascending) into
 /// one [`PlacementLog`] that replays from a fresh layer. The devices and
-/// configuration come from whichever snapshot recovery would load:
-/// they never change within a directory.
+/// configuration come from the layer of whichever snapshot recovery would
+/// load: they never change within a directory.
 ///
 /// When every segment since genesis is still on disk (`keep_all`), the
 /// log is the whole recorded history — across every crash and recovery —
@@ -180,6 +180,7 @@ pub fn recover_dir(dir: &Path) -> io::Result<Recovered> {
 pub fn full_log(dir: &Path) -> io::Result<PlacementLog> {
     let segments = list_segments(dir)?;
     let (anchor, _) = newest_anchor(dir, &segments)?;
+    let layer = PlacementLayer::from_snapshot(anchor.placement);
     let mut batches: Vec<PlacementBatch> = Vec::new();
     for (_, path) in &segments {
         let scan = read_segment(path)?;
@@ -190,8 +191,8 @@ pub fn full_log(dir: &Path) -> io::Result<PlacementLog> {
         }
     }
     Ok(PlacementLog {
-        devices: anchor.placement.devices(),
-        config: anchor.placement.config().clone(),
+        devices: layer.device_list(),
+        config: layer.config().clone(),
         batches,
     })
 }
@@ -200,7 +201,6 @@ pub fn full_log(dir: &Path) -> io::Result<PlacementLog> {
 mod tests {
     use super::*;
     use crate::arbiter::Event;
-    use crate::durability::codec::placement_bytes;
     use crate::durability::snapshot::SnapshotSlots;
     use crate::durability::wal::{segment_path, SegmentWriter, FRAME_HEADER_LEN};
     use crate::placement::PlacementConfig;
@@ -278,8 +278,8 @@ mod tests {
         // The recovered layer and the golden layer agree on observable
         // state — and, critically, on their *next* decision.
         assert_eq!(
-            placement_bytes(&rec.layer.snapshot()),
-            placement_bytes(&golden.snapshot()),
+            rec.layer.snapshot(),
+            golden.snapshot(),
             "recovered state is byte-identical to the uncrashed run"
         );
         let mut recovered = rec.layer;

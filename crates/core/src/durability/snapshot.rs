@@ -459,7 +459,8 @@ mod tests {
             .expect("write");
         let back = read(1).expect("load");
         assert_eq!((back.epoch, back.segment), (2, 5));
-        assert_eq!(back.placement.devices().len(), 2);
+        let layer = crate::placement::PlacementLayer::from_snapshot(back.placement);
+        assert_eq!(layer.devices(), 2);
         assert_eq!(back.meta.sessions.len(), 40);
         assert_eq!(read(0).expect("load").segment, 6);
         let grown = len(1);

@@ -34,6 +34,7 @@
 //! hence its evacuations and routing — byte-identically.
 
 use crate::arbiter::Tick;
+use crate::durability::codec::{put_u64, put_usize, Decoded, Reader};
 
 /// Logical µs a quarantined device sits out before entering probation.
 const QUARANTINE_US: u64 = 10_000;
@@ -87,14 +88,6 @@ impl HealthState {
     }
 }
 
-/// The state of a `HealthTracker`: the per-device states plus the live
-/// probation-rng word.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthSnapshot {
-    pub(crate) states: Vec<HealthState>,
-    pub(crate) rng: u64,
-}
-
 /// The per-layer tracker: one [`HealthState`] per device plus the seeded
 /// probation rng.
 #[derive(Debug)]
@@ -104,20 +97,51 @@ pub(super) struct HealthTracker {
 }
 
 impl HealthTracker {
-    /// Captures the tracker for a durable snapshot.
-    pub(super) fn snapshot(&self) -> HealthSnapshot {
-        HealthSnapshot {
-            states: self.states.clone(),
-            rng: self.rng,
+    /// Appends the tracker's part of a snapshot slot body: each device's
+    /// state, timers included, then the live rng word.
+    pub(super) fn encode(&self, out: &mut Vec<u8>) {
+        let Self { states, rng } = self;
+        put_usize(out, states.len());
+        for state in states {
+            match state {
+                HealthState::Healthy => out.push(0),
+                HealthState::Degraded => out.push(1),
+                HealthState::Quarantined { until } => {
+                    out.push(2);
+                    put_u64(out, *until);
+                }
+                HealthState::Failed => out.push(3),
+                HealthState::Probation { until } => {
+                    out.push(4);
+                    put_u64(out, *until);
+                }
+            }
         }
+        put_u64(out, *rng);
     }
 
-    /// Rebuilds a tracker from a snapshot, resuming the rng mid-stream.
-    pub(super) fn restore(snap: HealthSnapshot) -> Self {
-        Self {
-            states: snap.states,
-            rng: snap.rng.max(1),
+    /// Rebuilds a tracker of `devices` devices from the bytes
+    /// [`HealthTracker::encode`] wrote, resuming the rng mid-stream. A
+    /// state count other than `devices` is an error: the layer indexes
+    /// the states by device.
+    pub(super) fn decode(r: &mut Reader, devices: usize) -> Decoded<Self> {
+        let states = r.vec(|r| {
+            Ok(match r.byte()? {
+                0 => HealthState::Healthy,
+                1 => HealthState::Degraded,
+                2 => HealthState::Quarantined { until: r.u64()? },
+                3 => HealthState::Failed,
+                4 => HealthState::Probation { until: r.u64()? },
+                _ => return Err("unknown health state"),
+            })
+        })?;
+        if states.len() != devices {
+            return Err("health states and devices differ in number");
         }
+        Ok(Self {
+            states,
+            rng: r.u64()?.max(1),
+        })
     }
 
     pub(super) fn new(devices: usize) -> Self {

@@ -21,6 +21,7 @@
 //! multi-device runs replay their migrations identically.
 
 use crate::arbiter::Tick;
+use crate::durability::codec::{put_bool, put_u64, Decoded, Reader};
 use serde::{Deserialize, Serialize};
 
 /// Knobs of the migration planner. Serialized into every
@@ -63,17 +64,6 @@ pub struct Migration {
     pub lease: u64,
 }
 
-/// The state of a `Rebalancer`: hysteresis arm, cooldown clock, the live
-/// rng word and the fired counter. The config is not repeated — it is
-/// persisted inside the layer's `PlacementConfig`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RebalancerSnapshot {
-    pub(crate) armed: bool,
-    pub(crate) cooldown_until: Tick,
-    pub(crate) rng: u64,
-    pub(crate) fired: u64,
-}
-
 /// The stateful planner: hysteresis arm, cooldown clock and victim rng.
 #[derive(Debug)]
 pub(super) struct Rebalancer {
@@ -85,25 +75,33 @@ pub(super) struct Rebalancer {
 }
 
 impl Rebalancer {
-    /// Captures the planner for a durable snapshot.
-    pub(super) fn snapshot(&self) -> RebalancerSnapshot {
-        RebalancerSnapshot {
-            armed: self.armed,
-            cooldown_until: self.cooldown_until,
-            rng: self.rng,
-            fired: self.fired,
+    /// Appends the planner's part of a snapshot slot body: hysteresis
+    /// arm, cooldown clock, the live rng word and the fired counter.
+    pub(super) fn encode(&self, out: &mut Vec<u8>) {
+        let Self {
+            // Written with the layer's `PlacementConfig`.
+            config: _,
+            armed,
+            cooldown_until,
+            rng,
+            fired,
+        } = self;
+        put_bool(out, *armed);
+        for v in [cooldown_until, rng, fired] {
+            put_u64(out, *v);
         }
     }
 
-    /// Rebuilds a planner from a snapshot, resuming the rng mid-stream.
-    pub(super) fn restore(config: RebalanceConfig, snap: RebalancerSnapshot) -> Self {
-        Self {
+    /// Rebuilds a planner running under `config` from the bytes
+    /// [`Rebalancer::encode`] wrote, resuming the rng mid-stream.
+    pub(super) fn decode(r: &mut Reader, config: RebalanceConfig) -> Decoded<Self> {
+        Ok(Self {
             config,
-            armed: snap.armed,
-            cooldown_until: snap.cooldown_until,
-            rng: snap.rng.max(1),
-            fired: snap.fired,
-        }
+            armed: r.bool()?,
+            cooldown_until: r.u64()?,
+            rng: r.u64()?.max(1),
+            fired: r.u64()?,
+        })
     }
 
     pub(super) fn new(config: RebalanceConfig) -> Self {

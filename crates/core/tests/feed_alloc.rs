@@ -21,7 +21,10 @@
 //!
 //! A checkpoint's slot write, under the same lock, is the other durable
 //! step: a warmed [`SnapshotSlots::write`] encodes its snapshot into the
-//! image buffer the slots keep and allocates nothing either.
+//! image buffer the slots keep and allocates nothing either. Capturing
+//! the layer for it, [`PlacementLayer::snapshot`], encodes the layer into
+//! a body buffer sized up front, and its count is pinned exactly: the
+//! buffer and the sorted id lists the encoder walks.
 //!
 //! The launch path makes the neighbouring claim (`DESIGN.md` §3.3): a
 //! [`Dispatcher::run`] costs a fixed handful of allocations whatever the
@@ -304,24 +307,32 @@ fn durable_append_steady_state_allocates_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A four-device fleet with two sessions open, one kernel each, routed
+/// round robin onto devices 0 and 1.
+fn two_session_fleet() -> PlacementLayer {
+    let mut layer = PlacementLayer::new(
+        vec![DeviceConfig::titan_xp(); 4],
+        PlacementConfig::default(),
+    );
+    for session in [1u64, 2] {
+        layer.feed(session, &[Event::SessionOpened { session }]);
+        layer.feed(10 + session, &[ready(session, session << 16, 8)]);
+    }
+    layer
+}
+
 /// A checkpoint's slot write on a four-device fleet with two sessions
 /// open: once the slots' image buffer has reached its high-water
 /// capacity, encoding, writing and syncing the same snapshot again
-/// allocates nothing. Capturing the snapshot (`PlacementLayer::snapshot`)
-/// allocates, and is left out: what is proved is the encode and write.
+/// allocates nothing. Capturing the snapshot is the next test's.
 #[test]
 fn warmed_slot_write_allocates_nothing() {
     let dir = std::env::temp_dir().join(format!("slate-feed-alloc-slot-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let mut layer = PlacementLayer::new(
-        vec![DeviceConfig::titan_xp(); 4],
-        PlacementConfig::default(),
-    );
+    let layer = two_session_fleet();
     let mut meta = DurableMeta::default();
     for session in [1u64, 2] {
-        layer.feed(session, &[Event::SessionOpened { session }]);
-        layer.feed(10 + session, &[ready(session, session << 16, 8)]);
         meta.apply(&WalRecord::SessionMeta {
             session,
             user: format!("user-{session}"),
@@ -351,6 +362,18 @@ fn warmed_slot_write_allocates_nothing() {
     });
     assert_eq!(n, 0, "a warmed slot write must not allocate");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Capturing that fleet's snapshot (`PlacementLayer::snapshot`, under the
+/// arbiter lock at every checkpoint) encodes it straight into one body
+/// buffer, sized up front: that buffer, and one list of live ids sorted
+/// by id for each id table that holds any — the layer's two and the
+/// session and lease tables of the two devices routed to.
+#[test]
+fn capturing_a_snapshot_allocates_its_body_and_the_sorted_id_lists() {
+    let layer = two_session_fleet();
+    let n = allocs_during(|| drop(layer.snapshot()));
+    assert_eq!(n, 1 + 2 + 2 * 2);
 }
 
 /// A pooled (events, commands) buffer pair.
