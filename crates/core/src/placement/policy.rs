@@ -82,11 +82,13 @@ impl PlacementPolicy {
 }
 
 /// First eligible device scanning circularly from `rr_next`. Equals
-/// `rr_next % n` when every device is eligible.
+/// `rr_next % n` when every device is eligible. Any cursor is valid, a
+/// restored one included: it is reduced modulo `n` before the scan adds
+/// to it.
 fn rr_scan(rr_next: usize, eligible: &[bool]) -> usize {
     let n = eligible.len();
     for k in 0..n {
-        let d = (rr_next + k) % n;
+        let d = (rr_next % n + k) % n;
         if eligible[d] {
             return d;
         }
