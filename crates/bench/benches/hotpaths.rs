@@ -19,14 +19,18 @@
 //!   placement batches) on an open segment;
 //! * `checkpoint` — 64 batch appends at the default cadence with
 //!   compaction on, so every iteration holds exactly one checkpoint (the
-//!   open segment's end anchored in a snapshot slot overwritten in place
-//!   and `fdatasync`ed; no segment created or unlinked — the log rolls by
-//!   size, about once per 680 iterations here), on a mirror that has
-//!   seen 256 sessions close and holds 2 open: what the serving path pays
-//!   under the arbiter lock every 64 batches. The snapshot is encoded in
-//!   the binary codec straight into the slot image (one page; the body is
-//!   ≈ 0.8 KB on `serve_durable`), so what is left is mostly one
-//!   `fdatasync` (ungated for now: it follows the runner's disk);
+//!   open segment's end anchored in a snapshot slot overwritten in place;
+//!   no segment created or unlinked — the log rolls by size, about once
+//!   per 680 iterations here), then the sync step the heartbeat runs (the
+//!   slot's `fdatasync`), on a mirror that has seen 256 sessions close
+//!   and holds 2 open: the whole durable cost of 64 batches. The snapshot
+//!   is encoded in the binary codec straight into the slot image (one
+//!   page; the body is ≈ 0.8 KB on `serve_durable`), so what is left is
+//!   mostly one `fdatasync` (ungated for now: it follows the runner's
+//!   disk);
+//! * `checkpoint_locked` — the same iteration without its sync step: the
+//!   part the serving path pays under the arbiter lock every 64 batches
+//!   (ungated);
 //! * `snapshot_capture` — capturing the layer (`PlacementLayer::snapshot`)
 //!   and encoding the slot body (`codec::encode_snapshot`) into a warmed
 //!   buffer, on a `serve_durable`-shaped state (four Titan Xp devices, two
@@ -100,7 +104,7 @@ use slate_kernels::workload::Benchmark;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Warmup fraction and measurement runs of the fixed harness.
 const RUNS: u32 = 5;
@@ -123,6 +127,37 @@ fn measure(
         }
         best = best.min(t.elapsed().as_nanos() as f64 / iters as f64);
     }
+    measured(name, gated, iters, items_per_iter, best)
+}
+
+/// [`measure`] for an iteration of which only a part counts: `f` runs a
+/// whole iteration and returns how long that part took.
+fn measure_part(
+    name: &str,
+    gated: bool,
+    iters: u64,
+    items_per_iter: u64,
+    mut f: impl FnMut() -> Duration,
+) -> BenchMeasurement {
+    for _ in 0..(iters / 10).max(1) {
+        f();
+    }
+    let mut best = f64::INFINITY;
+    for _ in 0..RUNS {
+        let part: Duration = (0..iters).map(|_| f()).sum();
+        best = best.min(part.as_nanos() as f64 / iters as f64);
+    }
+    measured(name, gated, iters, items_per_iter, best)
+}
+
+/// Prints one bench's line and returns its measurement.
+fn measured(
+    name: &str,
+    gated: bool,
+    iters: u64,
+    items_per_iter: u64,
+    best: f64,
+) -> BenchMeasurement {
     println!(
         "{name:<20} {best:>12.1} ns/iter  ({:.2} Mitems/s)",
         items_per_iter as f64 * 1e3 / best
@@ -482,6 +517,7 @@ fn memcpy_half(name: &str, op: impl Fn(&SlateClient, SlatePtr, &[f32])) -> Bench
 }
 
 fn main() {
+    let [checkpoint, checkpoint_locked] = checkpoint_benches();
     let report = Report {
         schema: REPORT_SCHEMA,
         benches: vec![
@@ -549,46 +585,8 @@ fn main() {
                 let _ = std::fs::remove_dir_all(&dir);
                 m
             },
-            {
-                // A four-device fleet with two sessions open, and a mirror
-                // 258 lifecycles old. Each iteration appends 64 batches at
-                // the default cadence, so it holds exactly one checkpoint.
-                let dir = std::env::temp_dir()
-                    .join(format!("slate-bench-checkpoint-{}", std::process::id()));
-                let _ = std::fs::remove_dir_all(&dir);
-                let mut layer = PlacementLayer::new(
-                    vec![DeviceConfig::titan_xp(); 4],
-                    PlacementConfig::default(),
-                );
-                let mut meta = DurableMeta::default();
-                for session in 1..=258 {
-                    for record in lifecycle_records(session, session > 256) {
-                        meta.apply(&record);
-                    }
-                }
-                layer.feed(
-                    1,
-                    &[
-                        Event::SessionOpened { session: 257 },
-                        Event::SessionOpened { session: 258 },
-                    ],
-                );
-                let dur =
-                    Durability::start(DurabilityOptions::new(&dir), 0, 0, &layer.snapshot(), meta)
-                        .expect("start durability");
-                let batch = PlacementBatch {
-                    at: 2,
-                    events: vec![ready(257, 257 << 16, 4)],
-                    routed: Vec::new(),
-                };
-                let m = measure("checkpoint", false, 200, 64, move || {
-                    for _ in 0..64 {
-                        dur.append_batch(&batch, || layer.snapshot());
-                    }
-                });
-                let _ = std::fs::remove_dir_all(&dir);
-                m
-            },
+            checkpoint,
+            checkpoint_locked,
             {
                 let (layer, meta) = serving_state();
                 let mut snap = DurableSnapshot {
@@ -763,4 +761,54 @@ fn main() {
         }
         None => println!("{json}"),
     }
+}
+
+/// `checkpoint` and `checkpoint_locked`: the same iterations, timed whole
+/// and without their sync step.
+fn checkpoint_benches() -> [BenchMeasurement; 2] {
+    // A four-device fleet with two sessions open, and a mirror 258
+    // lifecycles old. Each iteration appends 64 batches at the default
+    // cadence, so it holds exactly one checkpoint, and then runs the sync
+    // step.
+    let dir = std::env::temp_dir().join(format!("slate-bench-checkpoint-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut layer = PlacementLayer::new(
+        vec![DeviceConfig::titan_xp(); 4],
+        PlacementConfig::default(),
+    );
+    let mut meta = DurableMeta::default();
+    for session in 1..=258 {
+        for record in lifecycle_records(session, session > 256) {
+            meta.apply(&record);
+        }
+    }
+    layer.feed(
+        1,
+        &[
+            Event::SessionOpened { session: 257 },
+            Event::SessionOpened { session: 258 },
+        ],
+    );
+    let dur = Durability::start(DurabilityOptions::new(&dir), 0, 0, &layer.snapshot(), meta)
+        .expect("start durability");
+    let batch = PlacementBatch {
+        at: 2,
+        events: vec![ready(257, 257 << 16, 4)],
+        routed: Vec::new(),
+    };
+    let iteration = move || {
+        let t = Instant::now();
+        for _ in 0..64 {
+            dur.append_batch(&batch, || layer.snapshot());
+        }
+        let locked = t.elapsed();
+        dur.sync_checkpoint();
+        locked
+    };
+    let whole = measure("checkpoint", false, 200, 64, || {
+        iteration();
+    });
+    let locked = measure_part("checkpoint_locked", false, 200, 64, iteration);
+    let _ = std::fs::remove_dir_all(&dir);
+    [whole, locked]
 }

@@ -524,6 +524,15 @@ impl ArbiterCore {
         core.waiters = r.vec(Waiter::decode)?;
         // Read ahead of the live-lease set it is an attribute of.
         let last_range = r.pairs(Reader::range)?;
+        // `Reader::range` refuses `lo > hi`; a range must also end on the
+        // device, or `free_sms` and the partitioner overflow on it.
+        let ranges = core.residents.iter().map(|r| &r.range);
+        if ranges
+            .chain(last_range.iter().map(|(_, range)| range))
+            .any(|range| range.hi >= core.device.num_sms)
+        {
+            return Err("an SM range runs past the device");
+        }
         core.armed = r.pairs(Reader::u64)?;
         for (session, stats) in r.pairs(Reader::queue)? {
             let slot = core.session_slot(session);
@@ -564,6 +573,14 @@ impl ArbiterCore {
         }
         core.preemptions = r.u64()?;
         Ok(core)
+    }
+
+    /// Every SM range the core holds — its residents' and its leases' last
+    /// ones — for tests that forge a body no core can be in.
+    #[cfg(test)]
+    pub(crate) fn ranges_mut(&mut self) -> impl Iterator<Item = &mut SmRange> {
+        let last = self.last_range.iter_mut().flatten();
+        self.residents.iter_mut().map(|r| &mut r.range).chain(last)
     }
 
     /// Starts recording fed batches for later [`super::replay`]. A batch of

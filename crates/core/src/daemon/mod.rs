@@ -579,18 +579,25 @@ impl SlateDaemon {
 
 /// Spawns the arbiter heartbeat: a daemon-lifetime thread that feeds
 /// [`ArbEvent::DeadlineTick`] every millisecond, which is what fires
-/// watchdog evictions and starvation promotions. Holds only a weak
-/// reference, so it exits once the daemon (and its sessions) are gone.
+/// watchdog evictions and starvation promotions, and then, on a durable
+/// daemon, syncs the slot the last checkpoint wrote
+/// ([`Durability::sync_checkpoint`]) holding neither the arbiter lock nor
+/// the log's, so no client waits behind that `fdatasync`. Holds only a
+/// weak reference, so it exits once the daemon (and its sessions) are
+/// gone.
 fn spawn_heartbeat(shared: Weak<DaemonShared>) {
     std::thread::Builder::new()
         .name("slate-heartbeat".to_string())
         .spawn(move || loop {
             std::thread::sleep(Duration::from_millis(1));
-            match shared.upgrade() {
-                // Like any submitter the tick waits for the arbiter lock;
-                // nothing is dropped, a late one just runs scheduling late.
-                Some(sh) => sh.arb.feed(&[ArbEvent::DeadlineTick]),
-                None => break,
+            let Some(sh) = shared.upgrade() else {
+                break;
+            };
+            // Like any submitter the tick waits for the arbiter lock;
+            // nothing is dropped, a late one just runs scheduling late.
+            sh.arb.feed(&[ArbEvent::DeadlineTick]);
+            if let Some(d) = &sh.arb.durability {
+                d.sync_checkpoint();
             }
         })
         .expect("spawn heartbeat thread");

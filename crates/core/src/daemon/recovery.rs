@@ -84,6 +84,17 @@ impl SlateDaemon {
         CrashScene { pool, inflight }
     }
 
+    /// Keeps the slot the last checkpoint wrote unsynced while `held` —
+    /// the heartbeat leaves it alone, and no later checkpoint runs — so a
+    /// [`SlateDaemon::crash`] is sure to find a slot sync pending. For
+    /// crash tests; a no-op on a daemon without durability.
+    #[doc(hidden)]
+    pub fn hold_checkpoint_syncs(&self, held: bool) {
+        if let Some(d) = &self.shared.arb.durability {
+            d.hold_syncs(held);
+        }
+    }
+
     /// Resurrects a crashed daemon from its durability directory plus the
     /// in-memory [`CrashScene`]. State is rebuilt from the newest readable
     /// snapshot and the WAL suffix — never panicking on damage: a torn

@@ -31,27 +31,35 @@
 //! change bumps the one it changes and keeps no reader for the old one; a
 //! directory of an older layout is a typed error, never a panic.
 //!
-//! **Checkpoints** run on the batch cadence, synchronously, under the
-//! arbiter lock — so what one costs is serving latency. It costs what the
-//! *open* sessions cost to serialise ([`DurableMeta`] forgets a session
-//! when it closes) and one `fdatasync` of a slot that changes no metadata,
-//! in an order that leaves a recoverable directory after every step
-//! (`Durability::checkpoint`; `DESIGN.md` §16 has the crash and
-//! power-failure argument and the measured cost of each step).
+//! **Checkpoints** come due on the batch cadence and run in two halves.
+//! The half that captures the state runs on the thread that fed the
+//! batch, under the arbiter lock — so what it costs is serving latency:
+//! take the open segment's end, encode the slot body and `write` the slot.
+//! It costs what the *open* sessions cost to serialise ([`DurableMeta`]
+//! forgets a session when it closes). The other half,
+//! [`Durability::sync_checkpoint`], runs on the daemon's heartbeat outside
+//! every lock: one `fdatasync` of a slot that changes no metadata, after
+//! which the slot is the current anchor and the segments below it are
+//! unlinked. At most one slot is unsynced at a time: a checkpoint that
+//! comes due before the last one's sync waits for the first batch after
+//! it. The order leaves a recoverable directory after every step
+//! (`DESIGN.md` §16 has the crash and power-failure argument and the
+//! measured cost of each step).
 //!
 //! **Fsync policy.** Every append is one `write` straight to the file
 //! descriptor — a fed batch and the metadata record it carries share
 //! one — so a crash of the process can lose nothing acknowledged;
-//! `sync_data` runs on each slot it is written, the directory is synced
-//! once at start (its slot and segment entries), `sync_all` runs on the
-//! open segment at freeze, on the closing segment of a roll, and, when
-//! `keep_all` keeps the history, on the open segment before each
-//! checkpoint's slot — every file that is kept is synced, and
-//! power-failure windows are bounded by the snapshot cadence. I/O errors
-//! during appends and checkpoints are counted and surfaced via
-//! [`Durability::io_errors`] rather than propagated — an arbitration
-//! decision that already happened cannot be un-made by a full disk, and
-//! the counter lets operators alarm on it.
+//! `sync_data` runs on each slot a checkpoint writes, at the next
+//! heartbeat, the directory is synced once at start (its slot and
+//! segment entries), `sync_all` runs on the open segment (and `sync_data`
+//! on an unsynced slot) at freeze, on the closing segment of a roll, and,
+//! when `keep_all` keeps the history, on the open segment before each
+//! checkpoint's slot — every file that is kept is synced, and a power
+//! failure loses at most one cadence plus the batches fed before the next
+//! heartbeat's sync. I/O errors during appends and checkpoints are counted
+//! and surfaced via [`Durability::io_errors`] rather than propagated — an
+//! arbitration decision that already happened cannot be un-made by a full
+//! disk, and the counter lets operators alarm on it.
 
 pub mod codec;
 pub mod recover;
@@ -85,9 +93,13 @@ pub struct DurabilityOptions {
     /// absent.
     pub dir: PathBuf,
     /// Batches appended between checkpoints: each re-snapshots the layer
-    /// at the open segment's end. Smaller = faster recovery and less lost
-    /// to a power failure, more checkpoint I/O. Segments roll by size
-    /// ([`SEGMENT_BYTES`]), not on this cadence.
+    /// at the open segment's end. A checkpoint that comes due while the
+    /// last one's slot still awaits the heartbeat's sync waits for the
+    /// first batch after it, so under load the cadence stretches to the
+    /// heartbeat's millisecond. Smaller = faster recovery and less lost to
+    /// a power failure (at most one cadence, plus the batches fed before
+    /// the next heartbeat's sync), more checkpoint I/O. Segments roll by
+    /// size ([`SEGMENT_BYTES`]), not on this cadence.
     pub snapshot_every: u64,
     /// Keep superseded segments instead of unlinking them, and sync the
     /// open segment before each checkpoint's slot (a roll syncs the
@@ -122,6 +134,13 @@ struct DurInner {
     oldest: u64,
     batches_since_snap: u64,
     meta: DurableMeta,
+    /// The segment anchored by the slot the last checkpoint wrote, until
+    /// a sync makes that slot the current anchor. While it is set no
+    /// checkpoint runs, so at most one slot is ever unsynced.
+    pending: Option<u64>,
+    /// Leaves a pending slot unsynced until [`Durability::freeze`]
+    /// ([`Durability::hold_syncs`]; tests only).
+    held: bool,
     frozen: bool,
 }
 
@@ -134,6 +153,11 @@ pub struct Durability {
     options: DurabilityOptions,
     epoch: u64,
     inner: Mutex<DurInner>,
+    /// Held across a whole [`Durability::sync_checkpoint`], so sync steps
+    /// run one at a time: a second one must neither find the slot still
+    /// pending and report a sync it did not run, nor return before the
+    /// one under way has. Only the heartbeat takes it while serving.
+    syncing: Mutex<()>,
     io_errors: AtomicU64,
 }
 
@@ -146,9 +170,9 @@ impl Durability {
     /// not hold the anchor recovery loads from `dir` ([`Recovered::slot`]),
     /// never over it: until the new anchor is synced, that slot is the
     /// only one known good. In order: create the segment, write and
-    /// `sync_data` the anchor, sync the directory (the slot and segment
-    /// entries, once), then sweep what the anchor superseded
-    /// ([`Durability::compact`]).
+    /// `sync_data` the anchor (here, not on the heartbeat), sync the
+    /// directory (the slot and segment entries, once), then sweep what the
+    /// anchor superseded ([`Durability::compact`]).
     pub fn start(
         options: DurabilityOptions,
         segment: u64,
@@ -170,6 +194,7 @@ impl Durability {
             meta,
         };
         slots.write(&anchor)?;
+        slots.sync()?;
         std::fs::File::open(dir)?.sync_all()?;
         let durability = Self {
             options,
@@ -181,8 +206,11 @@ impl Durability {
                 oldest: segment,
                 batches_since_snap: 0,
                 meta: anchor.meta,
+                pending: None,
+                held: false,
                 frozen: false,
             }),
+            syncing: Mutex::new(()),
             io_errors: AtomicU64::new(0),
         };
         // The anchor supersedes whatever a crashed incarnation left: the
@@ -247,7 +275,8 @@ impl Durability {
     /// Appends one fed placement batch; on cadence, checkpoints
     /// `placement_snap()` (called under the same lock the batch was
     /// produced under, so the snapshot anchors exactly the batches
-    /// appended so far).
+    /// appended so far) — the slot is written, and
+    /// [`Durability::sync_checkpoint`] syncs it.
     pub fn append_batch(
         &self,
         batch: &crate::placement::PlacementBatch,
@@ -277,7 +306,9 @@ impl Durability {
         self.roll_if_full(&mut inner);
         self.note_io(inner.writer.append_batch(batch, meta));
         inner.batches_since_snap += 1;
-        if inner.batches_since_snap >= self.options.snapshot_every {
+        // Due while the last slot awaits its sync, the checkpoint waits
+        // for the first batch after it.
+        if inner.batches_since_snap >= self.options.snapshot_every && inner.pending.is_none() {
             inner.batches_since_snap = 0;
             self.checkpoint(&mut inner, placement_snap);
         }
@@ -303,17 +334,17 @@ impl Durability {
         inner.segment = k;
     }
 
-    /// One checkpoint, in the order that leaves a recoverable directory
-    /// after every step (`DESIGN.md` §16 walks through them): take the
-    /// open segment's true end, `(k, offset)`; overwrite the slot that
-    /// does not hold the current anchor with the anchor of that position
-    /// and `sync_data` it; unlink the segments below `k`, oldest first —
-    /// usually there are none. Under `keep_all` the open segment is
-    /// synced before the slot, and nothing is unlinked. Failures are
-    /// counted. If the slot write fails, the slot may still hold the
-    /// whole new anchor; appends go on behind its offset all the same,
-    /// so recovery from either slot replays them, nothing is unlinked,
-    /// and the next cadence writes the same slot again.
+    /// The half of a checkpoint that runs under the arbiter lock, in the
+    /// order that leaves a recoverable directory after every step
+    /// (`DESIGN.md` §16 walks through them): take the open segment's true
+    /// end, `(k, offset)`; overwrite the slot that does not hold the
+    /// current anchor with the anchor of that position, and leave it
+    /// pending for [`Durability::sync_checkpoint`]. Under `keep_all` the
+    /// open segment is synced before the slot. Failures are counted. If
+    /// the slot write fails, the slot may still hold the whole new anchor;
+    /// appends go on behind its offset all the same, so recovery from
+    /// either slot replays them, nothing is pending, and the next cadence
+    /// writes the same slot again.
     fn checkpoint(&self, inner: &mut DurInner, placement_snap: impl FnOnce() -> PlacementSnapshot) {
         let Some(offset) = self.note_io(inner.writer.end()) else {
             return;
@@ -334,18 +365,67 @@ impl Durability {
         };
         let written = inner.slots.write(&snap);
         inner.meta = snap.meta;
-        if self.note_io(written).is_none() || self.options.keep_all {
+        if self.note_io(written).is_some() {
+            inner.pending = Some(snap.segment);
+        }
+    }
+
+    /// The half of a checkpoint that runs on the daemon's heartbeat, after
+    /// its tick and outside the arbiter lock: `sync_data` the slot the last
+    /// checkpoint wrote, holding no lock while it runs; only then make it
+    /// the current anchor, so the next checkpoint writes the other slot,
+    /// and unlink the segments below the one it anchors, oldest first —
+    /// usually there are none. A failed sync is counted, nothing is
+    /// unlinked, and the next cadence rewrites the same slot. Sync steps
+    /// run one at a time; with no slot pending, or after
+    /// [`Durability::freeze`] (which syncs a pending slot itself), one
+    /// changes nothing. Allocates nothing unless it unlinks.
+    pub fn sync_checkpoint(&self) {
+        let _one_at_a_time = self.syncing.lock();
+        if let Some(slot) = self.begin_sync() {
+            self.end_sync(slot.sync_data());
+        }
+    }
+
+    /// The pending slot's file, for [`Durability::sync_checkpoint`] to
+    /// sync; `None` if there is nothing to sync.
+    fn begin_sync(&self) -> Option<Arc<std::fs::File>> {
+        let inner = self.inner.lock();
+        if inner.pending.is_none() || inner.held || inner.frozen {
+            return None;
+        }
+        Some(inner.slots.file())
+    }
+
+    /// Takes the outcome of syncing [`Durability::begin_sync`]'s slot.
+    fn end_sync(&self, synced: io::Result<()>) {
+        let mut inner = self.inner.lock();
+        if inner.frozen {
+            return;
+        }
+        let Some(anchored) = inner.pending.take() else {
+            return;
+        };
+        let synced = inner.slots.synced(synced);
+        if self.note_io(synced).is_none() || self.options.keep_all {
             return;
         }
         // By name, oldest first, stopping at a failure: what is left
         // below the anchor is always a run with no hole in it.
-        while inner.oldest < inner.segment {
+        while inner.oldest < anchored {
             let path = wal::segment_path(&self.options.dir, inner.oldest);
             if self.note_io(std::fs::remove_file(path)).is_none() {
                 break;
             }
             inner.oldest += 1;
         }
+    }
+
+    /// Holds a pending slot unsynced — the heartbeat's sync step leaves it
+    /// alone — until `held` is false again or [`Durability::freeze`]
+    /// syncs it. For tests that need a crash to find a sync pending.
+    pub(crate) fn hold_syncs(&self, held: bool) {
+        self.inner.lock().held = held;
     }
 
     /// Deletes every segment below the oldest one this incarnation keeps
@@ -368,16 +448,23 @@ impl Durability {
     }
 
     /// Stops all appends (used at shutdown and at the crash point of the
-    /// kill harness) after syncing what was written. Idempotent.
+    /// kill harness) after syncing what was written: the open segment,
+    /// then a slot still awaiting its sync. A sync step under way then
+    /// changes nothing, so nothing is unlinked after the freeze.
+    /// Idempotent.
     pub fn freeze(&self) {
         let mut inner = self.inner.lock();
         if inner.frozen {
             return;
         }
         inner.frozen = true;
-        let r = inner.writer.sync();
+        let segment = inner.writer.sync();
+        let slot = inner.pending.map(|_| inner.slots.file().sync_data());
         drop(inner);
-        self.note_io(r);
+        self.note_io(segment);
+        if let Some(synced) = slot {
+            self.note_io(synced);
+        }
     }
 }
 
@@ -468,9 +555,12 @@ mod tests {
         Durability::start(options, 0, 0, &layer.snapshot(), DurableMeta::default()).expect("start")
     }
 
+    /// One session's admission batch per session, each followed by the
+    /// sync step, as if a heartbeat ran between every two batches.
     fn append_sessions(d: &Durability, layer: &mut PlacementLayer, sessions: std::ops::Range<u64>) {
         for i in sessions {
             d.append_batch(&open_session(layer, i + 1), || layer.snapshot());
+            d.sync_checkpoint();
         }
     }
 
@@ -511,17 +601,22 @@ mod tests {
         next
     }
 
-    /// Checkpoints now, whatever the cadence.
+    /// Checkpoints now, whatever the cadence, and runs the sync step.
     fn checkpoint_now(d: &Durability, layer: &PlacementLayer) {
         d.checkpoint(&mut d.inner.lock(), || layer.snapshot());
+        d.sync_checkpoint();
     }
 
     /// A log across one roll, checkpointed by hand: the genesis anchor
-    /// (slot 0), a wave of segment 0, the anchor of its end (slot 1),
-    /// more waves until the append that rolls to segment 1, one more
-    /// wave, and the anchor of that (slot 0). Frozen; returns the layer
-    /// the run holds, the mirror, and slot 1's anchor in segment 0.
-    fn across_a_roll(dir: &Path, keep_all: bool) -> (PlacementLayer, DurableMeta, u64) {
+    /// (slot 0), a wave of segment 0, the anchor of its end (slot 1,
+    /// synced), more waves until the append that rolls to segment 1, one
+    /// more wave, and the anchor of that written to slot 0, its sync
+    /// pending. Returns the durability, the layer the run holds, slot 1's
+    /// anchor in segment 0, and the next wave's number.
+    fn a_roll_with_a_sync_pending(
+        dir: &Path,
+        keep_all: bool,
+    ) -> (Arc<Durability>, PlacementLayer, u64, u64) {
         let mut layer = layer_of(1);
         let d = start(dir, u64::MAX, keep_all, &layer);
         wave(&d, &mut layer, 0);
@@ -530,7 +625,15 @@ mod tests {
         let next = waves_until(&d, &mut layer, 1, 1);
         wave(&d, &mut layer, next);
         d.append_meta(&session_meta(5)[0]);
-        checkpoint_now(&d, &layer);
+        d.checkpoint(&mut d.inner.lock(), || layer.snapshot());
+        (d, layer, older, next + 1)
+    }
+
+    /// [`a_roll_with_a_sync_pending`], its slot synced. Frozen; returns the
+    /// layer the run holds, the mirror, and slot 1's anchor in segment 0.
+    fn across_a_roll(dir: &Path, keep_all: bool) -> (PlacementLayer, DurableMeta, u64) {
+        let (d, layer, older, _) = a_roll_with_a_sync_pending(dir, keep_all);
+        d.sync_checkpoint();
         d.freeze();
         assert_eq!(d.io_errors(), 0);
         assert_eq!(
@@ -624,8 +727,9 @@ mod tests {
     }
 
     /// A durability directory holding `sessions` sessions' worth of
-    /// segment 0 (session 2 closed), checkpointed at `snapshot_every`,
-    /// frozen; and the layer and mirror the uninterrupted run holds.
+    /// segment 0 (session 2 closed), checkpointed at `snapshot_every` with
+    /// the sync step after every batch, frozen; and the layer and mirror
+    /// the uninterrupted run holds.
     fn sessions_in_one_segment(
         dir: &Path,
         snapshot_every: u64,
@@ -635,6 +739,7 @@ mod tests {
         let d = start(dir, snapshot_every, false, &layer);
         for session in 1..=sessions {
             d.append_batch(&open_session(&mut layer, session), || layer.snapshot());
+            d.sync_checkpoint();
             for record in session_meta(session) {
                 d.append_meta(&record);
             }
@@ -684,6 +789,7 @@ mod tests {
         // 3. Slot 1 is written and synced.
         let mut slots = SnapshotSlots::open(&dir, 1).expect("open slots");
         slots.write(&snap(&layer, &meta, 0, end)).expect("slot 1");
+        slots.sync().expect("sync slot 1");
         assert_eq!(recovered_state(&dir), want, "slot synced");
         // 4. Nothing below segment 0 to unlink: the checkpoint is done,
         //    no file created or unlinked.
@@ -721,6 +827,7 @@ mod tests {
             "slot 0 torn"
         );
         slots.write(&snap(&layer, &meta, 1, end)).expect("slot 0");
+        slots.sync().expect("sync slot 0");
         assert_eq!(
             (recovered_state(&dir), slot(&dir)),
             (want.clone(), 0),
@@ -920,12 +1027,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A checkpoint whose slot write fails — before a byte went out, or
-    /// after the whole anchor did, when only its `sync_data` failed —
-    /// leaves appends where they were, behind the offset that slot may
-    /// name: recovery from either slot replays them. Each failure is
-    /// counted, the next cadence writes the same slot and succeeds, and
-    /// recovery sees the live state throughout.
+    /// A checkpoint whose slot write fails before a byte went out, or
+    /// whose sync step fails after the whole anchor did, leaves appends
+    /// where they were, behind the offset that slot may name: recovery
+    /// from either slot replays them. Each failure is counted, the next
+    /// cadence writes the same slot and its sync succeeds, and recovery
+    /// sees the live state throughout. The sync step runs after every
+    /// batch, as a heartbeat between them would.
     #[test]
     fn a_failed_checkpoint_is_counted_and_retried_at_the_next_cadence() {
         for blocked in ["slot", "sync"] {
@@ -941,6 +1049,7 @@ mod tests {
             for session in 1..=3 {
                 let batch = open_session(&mut layer, session);
                 d.append_batch(&batch, || layer.snapshot());
+                d.sync_checkpoint();
                 if session == 2 {
                     anchor = seg_len(&dir, 0);
                 }
@@ -975,6 +1084,7 @@ mod tests {
             // Batch 4 is the next cadence, into slot 1 again.
             let batch = open_session(&mut layer, 4);
             d.append_batch(&batch, || layer.snapshot());
+            d.sync_checkpoint();
             let end = seg_len(&dir, 0);
             assert_eq!(
                 (d.io_errors(), files(&dir), anchor_of(&dir, 1)),
@@ -984,8 +1094,120 @@ mod tests {
             let rec = recover_dir(&dir).unwrap();
             assert_eq!((rec.last_segment, rec.slot), (0, 1));
             assert_eq!(recovered_state(&dir), live(&layer), "{blocked}");
+            // Synced, slot 1 is the anchor at last: the cadence after it
+            // writes slot 0.
+            for session in 5..=6 {
+                let batch = open_session(&mut layer, session);
+                d.append_batch(&batch, || layer.snapshot());
+            }
+            let anchors = (anchor_of(&dir, 0), anchor_of(&dir, 1));
+            let at = seg_len(&dir, 0);
+            assert_eq!(anchors, (Some((0, at)), Some((0, end))), "{blocked}");
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    /// Slot 1 written at the cadence, its sync pending, and appends past
+    /// its offset, across a roll: nothing is unlinked before the sync, so
+    /// a crash recovers the live state from slot 1 as written, or, with it
+    /// torn, from slot 0 and the rest of segment 0. The sync makes slot 1
+    /// the anchor, and only then goes segment 0.
+    #[test]
+    fn a_pending_slot_and_the_appends_past_it_recover_from_either_slot() {
+        let dir = tmpdir("pending");
+        let (d, mut layer, older, next) = a_roll_with_a_sync_pending(&dir, false);
+        let anchored = seg_len(&dir, 1);
+        wave(&d, &mut layer, next);
+        d.append_meta(&session_meta(6)[0]);
+        let want = state_of(&layer, &d.meta());
+        assert!(seg_len(&dir, 1) > anchored, "appends past the anchor");
+        assert_eq!(files(&dir), slots_and(&[0, 1]), "nothing unlinked yet");
+        assert_eq!(
+            (anchor_of(&dir, 0), anchor_of(&dir, 1)),
+            (Some((1, anchored)), Some((0, older)))
+        );
+        let slot = |dir: &Path| recover_dir(dir).unwrap().slot;
+        assert_eq!(recovered_state(&dir), want, "slot 0 as written");
+        assert_eq!(slot(&dir), 0);
+        let good = std::fs::read(slot_path(&dir, 0)).unwrap();
+        let mut torn = good.clone();
+        torn[snapshot::SLOT_HEADER_LEN + 9] ^= 0x04;
+        overwrite_slot(&dir, 0, &torn);
+        assert_eq!(recovered_state(&dir), want, "slot 0 torn");
+        assert_eq!(slot(&dir), 1);
+        overwrite_slot(&dir, 0, &good);
+        d.sync_checkpoint();
+        assert_eq!(files(&dir), slots_and(&[1]), "unlinked after the sync");
+        assert_eq!(recovered_state(&dir), want);
+        assert_eq!(slot(&dir), 0);
+        d.freeze();
+        assert_eq!(d.io_errors(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint that comes due while the last slot awaits its sync
+    /// waits for the first batch after the sync: the other slot, the only
+    /// synced anchor, is never written meanwhile, so both slots are never
+    /// unsynced at once; nor is the pending slot written again. The sync
+    /// makes it the anchor, and the deferred checkpoint writes the other.
+    #[test]
+    fn a_checkpoint_due_while_a_sync_is_pending_waits_for_it() {
+        let dir = tmpdir("deferred");
+        let mut layer = layer_of(1);
+        let d = start(&dir, 2, false, &layer);
+        let feed = |layer: &mut PlacementLayer, sessions: std::ops::RangeInclusive<u64>| {
+            for session in sessions {
+                d.append_batch(&open_session(layer, session), || layer.snapshot());
+            }
+        };
+        feed(&mut layer, 1..=2);
+        let pending = seg_len(&dir, 0);
+        let genesis = std::fs::read(slot_path(&dir, 0)).unwrap();
+        feed(&mut layer, 3..=8);
+        assert_eq!(
+            std::fs::read(slot_path(&dir, 0)).unwrap(),
+            genesis,
+            "three cadences came due; the synced slot is untouched"
+        );
+        assert_eq!(anchor_of(&dir, 1), Some((0, pending)));
+        assert_eq!(d.inner.lock().pending, Some(0));
+        let live = state_of(&layer, &d.meta());
+        assert_eq!(recovered_state(&dir), live, "from slot 1 as written");
+        d.sync_checkpoint();
+        assert_eq!(d.inner.lock().pending, None);
+        feed(&mut layer, 9..=9);
+        let anchors = (anchor_of(&dir, 0), anchor_of(&dir, 1));
+        let at = seg_len(&dir, 0);
+        assert_eq!(anchors, (Some((0, at)), Some((0, pending))));
+        assert_eq!(d.inner.lock().pending, Some(0));
+        assert_eq!(recovered_state(&dir), state_of(&layer, &d.meta()));
+        d.freeze();
+        assert_eq!(d.io_errors(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A freeze while the sync step is under way — between taking the
+    /// pending slot and reporting its sync — syncs the slot itself, and the
+    /// step then changes nothing: no segment is unlinked after the
+    /// freeze, and a later step finds nothing to do.
+    #[test]
+    fn a_freeze_during_the_sync_step_unlinks_nothing_after_it() {
+        let dir = tmpdir("freeze-sync");
+        let (d, layer, older, _) = a_roll_with_a_sync_pending(&dir, false);
+        let want = state_of(&layer, &d.meta());
+        let anchored = seg_len(&dir, 1);
+        let slot = d.begin_sync().expect("a slot awaits its sync");
+        d.freeze();
+        d.end_sync(slot.sync_data());
+        d.sync_checkpoint();
+        assert_eq!(files(&dir), slots_and(&[0, 1]), "nothing unlinked");
+        assert_eq!(
+            (anchor_of(&dir, 0), anchor_of(&dir, 1)),
+            (Some((1, anchored)), Some((0, older)))
+        );
+        assert_eq!(recovered_state(&dir), want);
+        assert_eq!(d.io_errors(), 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A roll that cannot create its segment changes nothing: appends go

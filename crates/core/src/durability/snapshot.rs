@@ -12,10 +12,11 @@
 //! rest of segment `k` from the offset on, then the segments after it.
 //! Snapshots live in two fixed slot files, `snap-0.slot` and
 //! `snap-1.slot` ([`SnapshotSlots`]). A checkpoint overwrites the slot that
-//! does *not* hold the current anchor, in place from offset 0, and
-//! `sync_data`s it — no temp file, no rename, no unlink. A crash
-//! mid-write tears that slot, which then fails its checksum, and the
-//! other slot still holds the previous anchor:
+//! does *not* hold the current anchor, in place from offset 0, and a later
+//! step `sync_data`s it, which only then makes it the current anchor — no
+//! temp file, no rename, no unlink. A crash mid-write tears that slot,
+//! which then fails its checksum, and the other slot still holds the
+//! previous anchor:
 //!
 //! ```text
 //! ┌───────────┬─────────────┬─────────┬─────────────┬─────────────┬──────────┬───────────────────┐
@@ -46,6 +47,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// First bytes of every snapshot slot.
 const SLOT_MAGIC: [u8; 8] = *b"SLATESNP";
@@ -269,20 +271,24 @@ pub fn load_slot(bytes: &[u8]) -> io::Result<DurableSnapshot> {
 }
 
 /// The two snapshot slots of a durability directory, open for
-/// overwriting. Each [`SnapshotSlots::write`] goes to the slot the
-/// previous one did not, so the slot holding the current anchor is never
-/// the one being written.
+/// overwriting. A checkpoint is two steps: [`SnapshotSlots::write`] puts
+/// the image in the slot that does not hold the current anchor, and the
+/// sync — [`SnapshotSlots::sync`], or the file from
+/// [`SnapshotSlots::file`] synced by a caller holding no lock, then
+/// [`SnapshotSlots::synced`] — makes it the current anchor. Until that
+/// sync returns, every write goes to the same slot, so the slot holding
+/// the current anchor is never the one being written.
 #[derive(Debug)]
 pub struct SnapshotSlots {
-    files: [fs::File; 2],
+    files: [Arc<fs::File>; 2],
     /// Each file's length: a write that fits changes no metadata.
     lens: [u64; 2],
-    /// The slot the next write goes to.
+    /// The slot the next write goes to: the one not holding the anchor.
     next: usize,
     /// The slot image under construction, kept at its high-water capacity.
     image: Vec<u8>,
-    /// Fails each write once its image is written, where `sync_data`
-    /// would run: the slot may then hold a valid anchor nothing synced.
+    /// Fails each sync once its `sync_data` has run: the slot then holds
+    /// a valid anchor nothing synced.
     #[cfg(test)]
     pub(crate) fail_sync: bool,
 }
@@ -300,6 +306,7 @@ impl SnapshotSlots {
                 .create(true)
                 .truncate(false)
                 .open(slot_path(dir, slot))
+                .map(Arc::new)
         };
         let files = [open(0)?, open(1)?];
         let lens = [files[0].metadata()?.len(), files[1].metadata()?.len()];
@@ -313,44 +320,65 @@ impl SnapshotSlots {
         })
     }
 
-    /// Overwrites the next slot with `snap`, from offset 0, and
-    /// `sync_data`s it. On success that slot holds the anchor and the
-    /// next write goes to the other; on failure the next write goes to
-    /// the same slot again, and the other still holds the anchor. A
-    /// failed write may still leave the whole new anchor in the slot —
-    /// the padding or the `sync_data` failed after the body went out — so
-    /// the caller must keep the log recoverable from either slot.
+    /// Overwrites the slot not holding the current anchor with `snap`,
+    /// from offset 0, and does not sync it: the slot stays the one written
+    /// to, whatever the outcome, until a sync succeeds. A failed write may
+    /// still leave the whole new anchor in the slot — the padding failed
+    /// after the body went out — so the caller must keep the log
+    /// recoverable from either slot.
     pub fn write(&mut self, snap: &DurableSnapshot) -> io::Result<()> {
         self.image.clear();
         encode_slot(snap, &mut self.image);
-        let slot = self.next;
         let need = self.image.len() as u64;
-        if need > self.lens[slot] {
+        if need > self.lens[self.next] {
             // Grow by whole pages, zero-filled, so the next overwrites fit.
             self.image
                 .resize(need.div_ceil(SLOT_PAGE) as usize * SLOT_PAGE as usize, 0);
         }
-        let mut file = &self.files[slot];
+        let mut file = &*self.files[self.next];
         file.seek(io::SeekFrom::Start(0))?;
-        file.write_all(&self.image)?;
+        file.write_all(&self.image)
+    }
+
+    /// The file [`SnapshotSlots::write`] goes to, for a caller to
+    /// `sync_data` without holding what guards the slots; it reports the
+    /// outcome to [`SnapshotSlots::synced`].
+    pub fn file(&self) -> Arc<fs::File> {
+        self.files[self.next].clone()
+    }
+
+    /// Takes the outcome of syncing the slot last written. On success that
+    /// slot holds the anchor and the next write goes to the other; on
+    /// failure the next write goes to the same slot again, and the other
+    /// still holds the anchor.
+    pub fn synced(&mut self, synced: io::Result<()>) -> io::Result<()> {
         #[cfg(test)]
         if self.fail_sync {
             return Err(io::Error::other("injected: sync_data failed"));
         }
-        file.sync_data()?;
+        synced?;
+        let slot = self.next;
         self.lens[slot] = self.lens[slot].max(self.image.len() as u64);
         self.next = slot ^ 1;
         Ok(())
+    }
+
+    /// Syncs the slot last written, in place: [`SnapshotSlots::file`]'s
+    /// `sync_data`, then [`SnapshotSlots::synced`].
+    pub fn sync(&mut self) -> io::Result<()> {
+        let synced = self.files[self.next].sync_data();
+        self.synced(synced)
     }
 
     /// Reopens slot `slot` under `dir` read-only, so that writing it
     /// fails (`jammed`), or for writing again.
     #[cfg(test)]
     pub(crate) fn jam(&mut self, dir: &Path, slot: usize, jammed: bool) -> io::Result<()> {
-        self.files[slot] = fs::OpenOptions::new()
+        let file = fs::OpenOptions::new()
             .read(true)
             .write(!jammed)
             .open(slot_path(dir, slot))?;
+        self.files[slot] = Arc::new(file);
         Ok(())
     }
 }
@@ -438,7 +466,8 @@ mod tests {
         }
     }
 
-    /// Slots alternate, round-trip, and grow in whole pages, never shrink.
+    /// Slots alternate at each sync, round-trip, and grow in whole pages,
+    /// never shrink.
     #[test]
     fn snapshot_roundtrips_through_disk() {
         let dir = tmpdir("snap");
@@ -453,10 +482,12 @@ mod tests {
             next_session: 99,
             sessions: (1..=40).map(|s| (s, session.clone())).collect(),
         };
-        slots.write(&snapshot(2, 5, big)).expect("write");
-        slots
-            .write(&snapshot(2, 6, DurableMeta::default()))
-            .expect("write");
+        let mut checkpoint = |snap: &DurableSnapshot| {
+            slots.write(snap).expect("write");
+            slots.sync().expect("sync");
+        };
+        checkpoint(&snapshot(2, 5, big));
+        checkpoint(&snapshot(2, 6, DurableMeta::default()));
         let back = read(1).expect("load");
         assert_eq!((back.epoch, back.segment), (2, 5));
         let layer = crate::placement::PlacementLayer::from_snapshot(back.placement);
@@ -465,9 +496,7 @@ mod tests {
         assert_eq!(read(0).expect("load").segment, 6);
         let grown = len(1);
         assert!(grown > 4096 && grown % 4096 == 0, "{grown}");
-        slots
-            .write(&snapshot(2, 7, DurableMeta::default()))
-            .expect("write");
+        checkpoint(&snapshot(2, 7, DurableMeta::default()));
         assert_eq!(read(1).expect("load").segment, 7);
         assert_eq!(len(1), grown, "a smaller anchor overwrites in place");
         std::fs::remove_dir_all(&dir).ok();

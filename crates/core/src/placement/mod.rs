@@ -1021,6 +1021,7 @@ fn pick_target(eligible: &[bool], loads: &[u64], src: usize) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::classify::WorkloadClass::*;
+    use slate_gpu_sim::device::SmRange;
 
     fn two_tiny() -> Vec<DeviceConfig> {
         vec![DeviceConfig::tiny(8), DeviceConfig::tiny(8)]
@@ -1323,6 +1324,35 @@ mod tests {
         let slot = p.sessions.get(2).expect("routed") as usize;
         p.session_device[slot] = 5;
         assert!(refused(&p).contains("past the last"));
+    }
+
+    /// A resident's SM range ending past its device, up to `u32::MAX`
+    /// wide, would restore and then overflow `free_sms`' sum; so would a
+    /// lease's last range. Each is refused.
+    #[test]
+    fn an_sm_range_past_the_device_is_refused() {
+        // Lease 20 resident again after a first run: a resident range and
+        // a last range.
+        let layer = || {
+            let mut p = routed();
+            let finished = Event::KernelFinished {
+                lease: 20,
+                ok: true,
+            };
+            p.feed(2, &[finished]);
+            p.feed(3, &[ready(2, 20, 8)]);
+            p
+        };
+        assert_eq!(layer().cores[1].ranges_mut().count(), 2);
+        let sms = layer().cores[1].device().num_sms;
+        for which in 0..2 {
+            for hi in [sms, u32::MAX] {
+                let mut p = layer();
+                let range = p.cores[1].ranges_mut().nth(which).unwrap();
+                *range = SmRange { lo: 0, hi };
+                assert!(refused(&p).contains("SM range"), "range {which}: 0..={hi}");
+            }
+        }
     }
 
     #[test]

@@ -670,6 +670,56 @@ fn a_fallback_replays_past_a_segment_whose_torn_tail_was_truncated() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A crash while the slot the last checkpoint wrote awaits its sync. The
+/// daemon holds the sync back, so the first fed batch's checkpoint stays
+/// pending and every later cadence waits behind it; the kill's freeze
+/// syncs it. The genesis anchor in slot 0 is never overwritten — both
+/// slots are never unsynced at once — and recovery from the pending
+/// slot keeps every block executed exactly once, with the full log
+/// replaying byte-identically.
+#[test]
+fn a_crash_while_a_slot_sync_is_pending_keeps_exactly_once() {
+    use slate_core::durability::snapshot::{decode_slot, slot_path};
+    use slate_core::durability::wal::segment_path;
+    let dir = tmpdir("pending-sync");
+    let opts = |devices| {
+        let mut opts = durable_opts(devices, &dir);
+        opts.durability.as_mut().unwrap().snapshot_every = 1;
+        opts
+    };
+    let daemon = SlateDaemon::start_with_options(DeviceConfig::tiny(4), 1 << 24, opts(2));
+    daemon.hold_checkpoint_syncs(true);
+    let client = SlateClient::new(daemon.connect("pending").unwrap());
+    let hits = submit_workload(&client);
+    let scene = daemon.crash();
+    let anchor = |slot| decode_slot(&std::fs::read(slot_path(&dir, slot)).unwrap()).map(|a| a.0);
+    let segment = std::fs::metadata(segment_path(&dir, 0)).unwrap().len();
+    let pending = anchor(1).expect("the pending slot, synced at the kill");
+    assert_eq!(
+        anchor(0).unwrap(),
+        (0, 0),
+        "the genesis anchor is untouched"
+    );
+    assert!(
+        pending.0 == 0 && 0 < pending.1 && pending.1 < segment,
+        "{pending:?}: the first batch's anchor, with the rest of the log past it"
+    );
+    let recovered = SlateDaemon::recover(scene, opts(0)).expect("recover");
+    client.install_reattach(&recovered);
+    client
+        .synchronize()
+        .expect("a resumed client surfaces no errors");
+    let out = client
+        .download_f32(hits, LAUNCHES * BLOCKS as usize)
+        .unwrap();
+    client.disconnect().unwrap();
+    recovered.join();
+    assert!(out.iter().all(|&v| v == 1.0), "{out:?}");
+    assert_eq!(out, golden_run(2));
+    verify(&full_log(&dir).unwrap()).expect("full WAL replays byte-identically");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn resume_against_a_non_durable_daemon_is_rejected() {
     let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);

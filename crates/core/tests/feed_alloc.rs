@@ -21,7 +21,9 @@
 //!
 //! A checkpoint's slot write, under the same lock, is the other durable
 //! step: a warmed [`SnapshotSlots::write`] encodes its snapshot into the
-//! image buffer the slots keep and allocates nothing either. Capturing
+//! image buffer the slots keep and allocates nothing either, and nor does
+//! the slot's sync, which the heartbeat runs outside the lock
+//! ([`Durability::sync_checkpoint`]). Capturing
 //! the layer for it, [`PlacementLayer::snapshot`], encodes the layer into
 //! a body buffer sized up front, and its count is pinned exactly: the
 //! buffer and the sorted id lists the encoder walks.
@@ -33,7 +35,7 @@
 use slate_core::arbiter::{ArbiterConfig, ArbiterCore, Command, Event};
 use slate_core::classify::WorkloadClass;
 use slate_core::dispatch::{DispatchHandle, Dispatcher};
-use slate_core::durability::snapshot::{DurableSnapshot, SnapshotSlots};
+use slate_core::durability::snapshot::{decode_slot, slot_path, DurableSnapshot, SnapshotSlots};
 use slate_core::durability::{Durability, DurableMeta, WalRecord};
 use slate_core::feed::ring;
 use slate_core::placement::{PlacementBatch, PlacementConfig, PlacementLayer, RoutedCommand};
@@ -323,8 +325,8 @@ fn two_session_fleet() -> PlacementLayer {
 
 /// A checkpoint's slot write on a four-device fleet with two sessions
 /// open: once the slots' image buffer has reached its high-water
-/// capacity, encoding, writing and syncing the same snapshot again
-/// allocates nothing. Capturing the snapshot is the next test's.
+/// capacity, encoding and writing the same snapshot again allocates
+/// nothing. Capturing the snapshot is the test after next's.
 #[test]
 fn warmed_slot_write_allocates_nothing() {
     let dir = std::env::temp_dir().join(format!("slate-feed-alloc-slot-{}", std::process::id()));
@@ -361,6 +363,57 @@ fn warmed_slot_write_allocates_nothing() {
         }
     });
     assert_eq!(n, 0, "a warmed slot write must not allocate");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The half of a checkpoint the heartbeat runs, off the arbiter lock:
+/// once warmed, syncing the slot the last checkpoint wrote and making it
+/// the anchor ([`Durability::sync_checkpoint`]) allocates nothing. Every
+/// batch is a cadence here, so each step finds a slot to sync; the
+/// checkpoints between the steps capture the layer, which allocates, and
+/// are left out of the count.
+#[test]
+fn warmed_sync_step_allocates_nothing() {
+    let dir = std::env::temp_dir().join(format!("slate-feed-alloc-sync-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let layer = two_session_fleet();
+    let d = Durability::start(
+        slate_core::DurabilityOptions {
+            dir: dir.clone(),
+            snapshot_every: 1,
+            keep_all: false,
+        },
+        0,
+        0,
+        &layer.snapshot(),
+        DurableMeta::default(),
+    )
+    .expect("start durability");
+    let batch = PlacementBatch {
+        at: 1,
+        events: vec![Event::DeadlineTick],
+        routed: Vec::new(),
+    };
+    let mut n = 0;
+    for cycle in 0..20 {
+        d.append_batch(&batch, || layer.snapshot());
+        let step = allocs_during(|| d.sync_checkpoint());
+        if cycle >= 4 {
+            n += step;
+        }
+    }
+    assert_eq!(n, 0, "a warmed sync step must not allocate");
+    assert_eq!(d.io_errors(), 0);
+    // Each step found a slot: the anchors went on alternating.
+    let anchor = |slot| {
+        let bytes = std::fs::read(slot_path(&dir, slot)).expect("read slot");
+        decode_slot(&bytes).expect("slot decodes").0
+    };
+    assert!(
+        anchor(0).1 > 0 && anchor(1).1 > 0,
+        "{:?}",
+        [anchor(0), anchor(1)]
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
