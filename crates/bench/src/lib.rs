@@ -2,7 +2,7 @@
 //!
 //! The scheduler's hot-path benchmark and its regression gate. The
 //! `hotpaths` bench times the scheduler's own hot paths
-//! ([`ArbiterCore::feed`](slate_core::ArbiterCore) batch throughput,
+//! ([`ArbiterCore::feed`](slate_core::arbiter::ArbiterCore) batch throughput,
 //! [`partition`](slate_core::partition::partition), placement routing, and
 //! a [`SimBackend`](slate_core::backend::SimBackend) drain) with its own
 //! fixed-iteration harness and emits the machine-readable [`Report`] JSON

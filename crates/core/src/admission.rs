@@ -4,7 +4,7 @@
 //! §III); without limits a burst of clients grows unbounded pending-launch
 //! queues and wedges the scheduler. [`AdmissionLimits`] configures the
 //! bounds — concurrent sessions, pending launches (per session and
-//! globally, through [`LaunchGauge`](crate::queue::LaunchGauge)s), and
+//! globally, through `LaunchGauge`s), and
 //! device-memory pressure. The *enforcement* lives in the shared
 //! arbitration core ([`crate::arbiter::ArbiterCore`]): over-limit requests
 //! are answered with
@@ -51,7 +51,7 @@ pub struct AdmissionStats {
     /// Sessions admitted since the daemon started.
     pub sessions_admitted: u64,
     /// Sessions shed at the `max_sessions` bound.
-    pub sessions_rejected: u64,
+    pub(crate) sessions_rejected: u64,
     /// Admitted launches that finished successfully.
     pub launches_completed: u64,
     /// Admitted launches that finished with an error (fault, eviction).
@@ -63,6 +63,77 @@ pub struct AdmissionStats {
     pub mallocs_shed: u64,
     /// Estimated milliseconds of profiled work currently pending.
     pub pending_est_ms: u64,
+}
+
+/// One read of an arbitration core's counters: its launch-queue gauge,
+/// its admission counters and its scheduling counts. Summed across cores
+/// it is the fleet's: every count adds up, and `queue.capacity` stays the
+/// per-core bound (the cores share one configuration).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CoreStats {
+    /// The core's global launch-queue snapshot.
+    pub queue: QueueStats,
+    /// The core's admission counters.
+    pub admission: AdmissionStats,
+    /// Kernels evicted for blowing their deadline.
+    pub evictions: u64,
+    /// Starved waiters promoted to solo dispatch.
+    pub promotions: u64,
+    /// Best-effort residents displaced by latency-critical arrivals.
+    pub preemptions: u64,
+    /// Severed sessions cleaned up.
+    pub reaped: u64,
+}
+
+impl std::iter::Sum for CoreStats {
+    fn sum<I: Iterator<Item = Self>>(cores: I) -> Self {
+        cores.fold(Self::default(), |mut sum, core| {
+            let CoreStats {
+                queue,
+                admission,
+                evictions,
+                promotions,
+                preemptions,
+                reaped,
+            } = core;
+            let QueueStats {
+                depth,
+                high_water,
+                capacity,
+                admitted,
+                shed,
+            } = queue;
+            sum.queue.depth += depth;
+            sum.queue.high_water += high_water;
+            sum.queue.capacity = capacity;
+            sum.queue.admitted += admitted;
+            sum.queue.shed += shed;
+            let AdmissionStats {
+                active_sessions,
+                sessions_admitted,
+                sessions_rejected,
+                launches_completed,
+                launches_failed,
+                deadline_rejections,
+                mallocs_shed,
+                pending_est_ms,
+            } = admission;
+            let a = &mut sum.admission;
+            a.active_sessions += active_sessions;
+            a.sessions_admitted += sessions_admitted;
+            a.sessions_rejected += sessions_rejected;
+            a.launches_completed += launches_completed;
+            a.launches_failed += launches_failed;
+            a.deadline_rejections += deadline_rejections;
+            a.mallocs_shed += mallocs_shed;
+            a.pending_est_ms += pending_est_ms;
+            sum.evictions += evictions;
+            sum.promotions += promotions;
+            sum.preemptions += preemptions;
+            sum.reaped += reaped;
+            sum
+        })
+    }
 }
 
 /// One stable snapshot of everything the daemon can report about itself:
@@ -91,7 +162,7 @@ pub struct DaemonMetrics {
     /// (0 unless `DaemonOptions::preempt_bound_ms` is set).
     pub slo_preemptions: u64,
     /// Fault-plan rules that have fired (0 outside injection tests).
-    pub faults_fired: usize,
+    pub(crate) faults_fired: usize,
     /// Placement counters: fleet size, routed sessions, rebalances fired
     /// and migrations completed. On a single-device daemon `devices` is 1
     /// and the migration counters stay 0.

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 /// for a launch to be crash-replayable: if the daemon dies before
 /// acknowledging the work, the client resubmits the launch (same id)
 /// after [`SlateDaemon::resume`], and the daemon rebuilds the kernel.
-pub type ReplayFactory =
+pub(crate) type ReplayFactory =
     Arc<dyn Fn(Vec<Arc<GpuBuffer>>) -> Arc<dyn GpuKernel> + Send + Sync + 'static>;
 
 /// The one-shot factory the wire carries for one (re)submission of a
@@ -80,14 +80,14 @@ pub fn decorrelated_jitter(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (1 = no retry).
-    pub max_attempts: u32,
+    pub(crate) max_attempts: u32,
     /// Backoff before the first retry.
-    pub base_delay: Duration,
+    pub(crate) base_delay: Duration,
     /// Ceiling for the exponential backoff.
-    pub max_delay: Duration,
+    pub(crate) max_delay: Duration,
     /// Seed for decorrelated-jitter backoff; `None` keeps the plain
     /// deterministic exponential schedule.
-    pub jitter_seed: Option<u64>,
+    pub(crate) jitter_seed: Option<u64>,
 }
 
 impl RetryPolicy {
@@ -110,7 +110,7 @@ impl RetryPolicy {
 
     /// Backoff to sleep before retry number `retry` (0-based) on the
     /// plain exponential schedule (ignores the jitter seed).
-    pub fn delay_for(&self, retry: u32) -> Duration {
+    pub(crate) fn delay_for(&self, retry: u32) -> Duration {
         let factor = 1u32 << retry.min(16);
         self.base_delay.saturating_mul(factor).min(self.max_delay)
     }
@@ -119,7 +119,10 @@ impl RetryPolicy {
     /// attempts, retrying only while the error is transient. An
     /// [`SlateError::Overloaded`] rejection's `retry_after_ms` floors the
     /// sleep: the daemon knows its backlog better than the client does.
-    pub fn run<T>(&self, mut op: impl FnMut() -> Result<T, SlateError>) -> Result<T, SlateError> {
+    pub(crate) fn run<T>(
+        &self,
+        mut op: impl FnMut() -> Result<T, SlateError>,
+    ) -> Result<T, SlateError> {
         let mut retry = 0;
         let mut rng = self.jitter_seed.map(|s| s ^ 0x9e37_79b9_7f4a_7c15);
         let mut prev = self.base_delay;
@@ -150,7 +153,7 @@ impl RetryPolicy {
 
 /// Circuit-breaker observable states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+pub(crate) enum BreakerState {
     /// Requests flow normally.
     Closed,
     /// The breaker tripped; requests fail fast with
@@ -165,7 +168,7 @@ pub enum BreakerState {
 /// Circuit-breaker tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
-    /// Consecutive overload-class errors ([`SlateError::is_overload`]:
+    /// Consecutive overload-class errors (`SlateError::is_overload`:
     /// `Overloaded` or `Timeout`) that trip the breaker open.
     pub failure_threshold: u32,
     /// How long the breaker stays open before the half-open probe.
@@ -186,7 +189,7 @@ impl Default for BreakerConfig {
 /// client can do for a saturated daemon is stop hammering it. Single
 /// threaded (`Cell`-based), like [`SlateClient`] itself.
 #[derive(Debug)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     config: BreakerConfig,
     consecutive: Cell<u32>,
     opened_at: Cell<Option<Instant>>,
@@ -194,7 +197,7 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker under `config`.
-    pub fn new(config: BreakerConfig) -> Self {
+    pub(crate) fn new(config: BreakerConfig) -> Self {
         Self {
             config,
             consecutive: Cell::new(0),
@@ -204,7 +207,7 @@ impl CircuitBreaker {
 
     /// The current state (time-dependent: an open breaker becomes
     /// half-open once the cooldown elapses).
-    pub fn state(&self) -> BreakerState {
+    pub(crate) fn state(&self) -> BreakerState {
         match self.opened_at.get() {
             None => BreakerState::Closed,
             Some(t) if t.elapsed() < self.config.cooldown => BreakerState::Open,
@@ -215,7 +218,7 @@ impl CircuitBreaker {
     /// Gate for an outgoing request: `Err` (fail fast, with the remaining
     /// cooldown as the retry hint) while open, `Ok` when closed or
     /// half-open (the probe is allowed through).
-    pub fn check(&self) -> Result<(), SlateError> {
+    pub(crate) fn check(&self) -> Result<(), SlateError> {
         match self.state() {
             BreakerState::Open => {
                 let opened = self.opened_at.get().expect("open implies opened_at");
@@ -232,7 +235,7 @@ impl CircuitBreaker {
     /// the breaker; overload-class errors count toward the threshold (and
     /// immediately reopen a half-open breaker); other errors reset the
     /// streak — the daemon answered, it is not saturated.
-    pub fn record<T>(&self, outcome: &Result<T, SlateError>) {
+    pub(crate) fn record<T>(&self, outcome: &Result<T, SlateError>) {
         match outcome {
             Ok(_) => {
                 self.consecutive.set(0);
@@ -307,7 +310,8 @@ impl SlateClient {
     }
 
     /// The circuit breaker's current state, if one is installed.
-    pub fn breaker_state(&self) -> Option<BreakerState> {
+    #[cfg(test)]
+    pub(crate) fn breaker_state(&self) -> Option<BreakerState> {
         self.breaker.as_ref().map(|b| b.state())
     }
 
@@ -320,6 +324,7 @@ impl SlateClient {
     /// redeem it with [`SlateDaemon::resume`] (or let
     /// [`SlateClient::install_reattach`] do so automatically) once the
     /// daemon has been recovered from its durable log.
+    #[doc(hidden)]
     pub fn resume_token(&self) -> ResumeToken {
         let conn = self.conn.borrow();
         ResumeToken {
@@ -749,6 +754,7 @@ pub fn connect_with_retry(
 /// adoption backlog behind [`SlateError::ShuttingDown`] during a rolling
 /// restart). [`SlateError::ResumeRejected`] is permanent and fails fast:
 /// a refused token never becomes valid.
+#[doc(hidden)]
 pub fn resume_with_retry(
     daemon: &Arc<SlateDaemon>,
     token: ResumeToken,

@@ -151,6 +151,7 @@ impl U64Index {
 /// dense `u32` slots with LIFO free-list reuse. See the [module
 /// docs](self) for the invariants.
 #[derive(Debug, Clone)]
+#[doc(hidden)]
 pub struct IdTable {
     /// Slot → external id for live slots; for released slots the cell is
     /// repurposed as an intrusive free-list link (the previous free
@@ -176,13 +177,14 @@ impl Default for IdTable {
 
 impl IdTable {
     /// An empty table.
+    #[doc(hidden)]
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
 
     /// An empty table with room for `n` concurrently live ids before any
     /// allocation.
-    pub fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         Self {
             ext: Vec::with_capacity(n),
             free_head: EMPTY,
@@ -195,6 +197,7 @@ impl IdTable {
     /// newly grown slot with `fresh == true`. Callers must reset any
     /// parallel per-slot state when `fresh` — the slot may have belonged
     /// to a released id.
+    #[doc(hidden)]
     pub fn intern(&mut self, id: u64) -> (u32, bool) {
         if let Some(slot) = self.index.get(id) {
             return (slot, false);
@@ -215,12 +218,14 @@ impl IdTable {
 
     /// The live slot of `id`, if interned.
     #[inline]
+    #[doc(hidden)]
     pub fn get(&self, id: u64) -> Option<u32> {
         self.index.get(id)
     }
 
     /// Releases `id`, pushing its slot onto the free list. Returns the
     /// slot, or `None` if `id` was not interned.
+    #[doc(hidden)]
     pub fn release(&mut self, id: u64) -> Option<u32> {
         let slot = self.index.remove(id)?;
         self.ext[slot as usize] = self.free_head as u64;
@@ -231,6 +236,7 @@ impl IdTable {
     /// The external id occupying `slot`. Panics on a dead or
     /// out-of-range slot in debug builds; meaningful only for live slots.
     #[inline]
+    #[doc(hidden)]
     pub fn ext(&self, slot: u32) -> u64 {
         debug_assert_eq!(
             self.index.get(self.ext[slot as usize]),
@@ -242,6 +248,7 @@ impl IdTable {
 
     /// Total slots ever handed out (live + free). Parallel per-slot
     /// tables size themselves to this.
+    #[doc(hidden)]
     pub fn slot_count(&self) -> usize {
         self.ext.len()
     }
@@ -257,6 +264,7 @@ impl IdTable {
     /// Live `(slot, external id)` pairs in ascending *slot* order.
     /// Output-affecting iteration must sort by external id — slot order
     /// is an implementation detail (invariant 1 in the module docs).
+    #[doc(hidden)]
     pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.ext
             .iter()

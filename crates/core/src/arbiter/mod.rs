@@ -25,16 +25,17 @@
 //! command sequence — see [`replay`] for the recording format and the
 //! golden-transcript machinery built on that guarantee.
 
-pub mod events;
-pub mod idtable;
+pub(crate) mod events;
+pub(crate) mod idtable;
 pub mod replay;
 
 mod decide;
 mod state;
 
 pub use events::{Command, Event, RejectScope, Tick};
+#[doc(hidden)]
 pub use idtable::IdTable;
-pub use replay::{EventLog, LoggedBatch};
+pub use replay::EventLog;
 pub use state::{ArbiterConfig, ArbiterCore};
 
 #[cfg(test)]
@@ -226,7 +227,7 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(a.promotions(), 1);
+        assert_eq!(a.stats().promotions, 1);
         // Nothing may join the promoted kernel, starved or not.
         assert_eq!(a.feed(2_200, &[Event::DeadlineTick]), vec![]);
     }
@@ -255,7 +256,7 @@ mod tests {
         assert_eq!(a.feed(4_999, &[Event::DeadlineTick]), vec![]);
         let out = a.feed(5_000, &[Event::DeadlineTick]);
         assert_eq!(out, vec![Command::Evict { lease: 1 }]);
-        assert_eq!(a.evictions(), 1);
+        assert_eq!(a.stats().evictions, 1);
         // The deadline is disarmed: no double eviction while the retreat
         // is in flight.
         assert_eq!(a.feed(6_000, &[Event::DeadlineTick]), vec![]);
@@ -311,8 +312,8 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(a.reaped(), 1);
-        assert_eq!(a.admission_stats().active_sessions, 1);
+        assert_eq!(a.stats().reaped, 1);
+        assert_eq!(a.stats().admission.active_sessions, 1);
     }
 
     // ---- admission control (migrated from the old AdmissionController) ----
@@ -351,7 +352,7 @@ mod tests {
         assert!(retry >= 1);
         a.feed(3, &[Event::SessionClosed { session: 1 }]);
         assert_eq!(a.feed(4, &[Event::SessionOpened { session: 4 }]), vec![]);
-        let s = a.admission_stats();
+        let s = a.stats().admission;
         assert_eq!(s.active_sessions, 2);
         assert_eq!(s.sessions_admitted, 3);
         assert_eq!(s.sessions_rejected, 1);
@@ -369,9 +370,9 @@ mod tests {
         assert!(reject_of(&out).is_none());
         let out = a.feed(2, &[launch(1, 7, Some(5), None)]);
         assert_eq!(reject_of(&out).map(|r| r.1), Some(RejectScope::Launch));
-        assert_eq!(a.queue_stats().shed, 1, "global gauge counts the shed too");
+        assert_eq!(a.stats().queue.shed, 1, "global gauge counts the shed too");
         a.feed(3, &[fin(7)]);
-        let s = a.admission_stats();
+        let s = a.stats().admission;
         assert_eq!(s.launches_completed, 1);
         assert_eq!(s.pending_est_ms, 0);
     }
@@ -399,9 +400,9 @@ mod tests {
                 ok: false,
             }],
         );
-        let s = a.admission_stats();
+        let s = a.stats().admission;
         assert_eq!(s.launches_failed, 1);
-        assert_eq!(a.queue_stats().depth, 0);
+        assert_eq!(a.stats().queue.depth, 0);
     }
 
     #[test]
@@ -416,12 +417,12 @@ mod tests {
         assert_eq!(lease, Some(2));
         assert_eq!(scope, RejectScope::Deadline);
         assert_eq!(retry, 500, "hint is the pending estimate");
-        assert_eq!(a.admission_stats().deadline_rejections, 1);
+        assert_eq!(a.stats().admission.deadline_rejections, 1);
         // A 1000 ms deadline is feasible.
         assert!(reject_of(&a.feed(3, &[launch(1, 3, Some(1), Some(1000))])).is_none());
         a.feed(4, &[fin(1)]);
         a.feed(5, &[fin(3)]);
-        assert_eq!(a.admission_stats().pending_est_ms, 0);
+        assert_eq!(a.stats().admission.pending_est_ms, 0);
     }
 
     #[test]
@@ -452,7 +453,7 @@ mod tests {
             }],
         );
         assert_eq!(reject_of(&out).map(|r| r.1), Some(RejectScope::Malloc));
-        assert_eq!(a.admission_stats().mallocs_shed, 1);
+        assert_eq!(a.stats().admission.mallocs_shed, 1);
         // Without a watermark everything passes.
         let mut open = core();
         let out = open.feed(
@@ -493,11 +494,11 @@ mod tests {
         for l in 0..1_000 {
             a.feed(1_000 + l, &[fin(l)]);
         }
-        let s = a.admission_stats();
+        let s = a.stats().admission;
         assert_eq!(s.sessions_rejected, 0);
         assert_eq!(s.launches_completed, 1_000);
-        assert_eq!(a.queue_stats().shed, 0);
-        assert_eq!(a.queue_stats().depth, 0);
+        assert_eq!(a.stats().queue.shed, 0);
+        assert_eq!(a.stats().queue.depth, 0);
     }
 
     // ---- SLO preemption ----
@@ -532,7 +533,7 @@ mod tests {
             "the arrival lands in the same batch: {out:?}"
         );
         assert_eq!(a.residents(), 2);
-        assert_eq!(a.preemptions(), 1);
+        assert_eq!(a.stats().preemptions, 1);
         // The survivor regrows when the arrival departs.
         let out = a.feed(10, &[fin(2), Event::SessionClosed { session: 2 }]);
         assert_eq!(
@@ -558,7 +559,7 @@ mod tests {
         a.feed(0, &[slo(1, SloClass::LatencyCritical), ready(1, 1, HC, 30)]);
         let out = a.feed(5, &[slo(2, SloClass::LatencyCritical), ready(2, 2, HM, 9)]);
         assert_eq!(out, vec![], "critical residents are not preempted");
-        assert_eq!(a.preemptions(), 0);
+        assert_eq!(a.stats().preemptions, 0);
     }
 
     #[test]
@@ -600,7 +601,7 @@ mod tests {
         // The restored core still preempts for the declared session.
         let out = b.feed(5, &[ready(7, 9, HM, 9)]);
         assert_eq!(out[0], Command::Preempt { lease: 1 });
-        assert_eq!(b.preemptions(), a.preemptions() + 1);
+        assert_eq!(b.stats().preemptions, a.stats().preemptions + 1);
     }
 
     /// `wal_props` bounds what a snapshot decode reserves by this size:

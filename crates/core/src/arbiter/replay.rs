@@ -147,6 +147,7 @@ impl Replayable for EventLog {
 
 /// Replays `log` through a fresh machine, returning each batch with the
 /// replies the *replay* produced (the logged ones are ignored).
+#[doc(hidden)]
 pub fn replay<L: Replayable>(log: &L) -> Vec<L::Batch> {
     replay_under(log, log.config().clone())
 }
@@ -185,6 +186,7 @@ pub fn replay_under<L: Replayable>(log: &L, config: L::Config) -> Vec<L::Batch> 
 /// streaming batches off disk (a WAL tail, a log too large to
 /// materialize) verify in O(batch), not O(log). [`verify`] is this
 /// verifier driven over an in-memory log.
+#[doc(hidden)]
 pub struct StreamVerifier<L: Replayable> {
     machine: L::Machine,
     scratch: Replies<L>,
@@ -194,7 +196,7 @@ pub struct StreamVerifier<L: Replayable> {
 impl<L: Replayable> StreamVerifier<L> {
     /// A verifier replaying against `machine`, which must be in the state
     /// the recording started from.
-    pub fn new(machine: L::Machine) -> Self {
+    pub(crate) fn new(machine: L::Machine) -> Self {
         Self {
             machine,
             scratch: Vec::new(),
@@ -204,6 +206,7 @@ impl<L: Replayable> StreamVerifier<L> {
 
     /// A verifier over a fresh machine for `log`'s devices and
     /// configuration — the same starting state [`replay`] uses.
+    #[doc(hidden)]
     pub fn for_log(log: &L) -> Self {
         Self::new(log.machine(log.config().clone()))
     }
@@ -211,6 +214,7 @@ impl<L: Replayable> StreamVerifier<L> {
     /// Replays one recorded batch and checks the replies it produces
     /// against the logged ones, reporting a divergence (batch index,
     /// logged and replayed replies) as a human-readable error.
+    #[doc(hidden)]
     pub fn push(&mut self, batch: &L::Batch) -> Result<(), String> {
         let i = self.batches;
         self.batches += 1;
@@ -239,12 +243,13 @@ impl<L: Replayable> StreamVerifier<L> {
     }
 
     /// Batches verified so far.
+    #[doc(hidden)]
     pub fn batches(&self) -> usize {
         self.batches
     }
 
     /// The replayed machine, positioned after every pushed batch.
-    pub fn into_machine(self) -> L::Machine {
+    pub(crate) fn into_machine(self) -> L::Machine {
         self.machine
     }
 }
@@ -262,6 +267,7 @@ pub fn verify<L: Replayable>(log: &L) -> Result<(), String> {
 /// header per batch, `>` lines for events, `!` lines for replies (`! dN`
 /// for routed ones). The format is hand-written (not `Debug`-derived) so
 /// the checked-in goldens only change when the *decisions* change.
+#[doc(hidden)]
 pub fn transcript<B: ReplayBatch>(batches: &[B]) -> String {
     let mut s = String::new();
     for b in batches {

@@ -15,13 +15,13 @@
 use super::events::{Command, Event, RejectScope, Tick};
 use super::idtable::IdTable;
 use super::replay::{is_recorded, EventLog, LoggedBatch};
-use crate::admission::{AdmissionLimits, AdmissionStats};
+use crate::admission::{AdmissionLimits, AdmissionStats, CoreStats};
 use crate::classify::WorkloadClass;
 use crate::durability::codec::{
     put_arbiter_config, put_bool, put_class, put_device, put_entries, put_opt, put_queue,
     put_range, put_slo, put_slots, put_u64, put_usize, Decoded, Reader,
 };
-use crate::queue::{LaunchGauge, QueueStats};
+use crate::queue::LaunchGauge;
 use crate::select::PartnerCandidate;
 use serde::{Deserialize, Serialize};
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
@@ -235,7 +235,7 @@ pub struct ArbiterCore {
     deadline_rejections: u64,
     mallocs_shed: u64,
     /// Sum of the solo-time estimates of every pending launch.
-    pending_est_ms: u64,
+    pub(crate) pending_est_ms: u64,
     pub(super) promotions: u64,
     pub(super) evictions: u64,
     pub(super) preemptions: u64,
@@ -304,21 +304,12 @@ impl ArbiterCore {
     }
 
     /// The device being arbitrated.
-    pub fn device(&self) -> &DeviceConfig {
+    pub(crate) fn device(&self) -> &DeviceConfig {
         &self.device
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &ArbiterConfig {
-        &self.config
-    }
-
-    /// The core's logical clock (max batch timestamp seen).
-    pub fn now(&self) -> Tick {
-        self.now
-    }
-
     /// Kernels currently holding SMs.
+    #[doc(hidden)]
     pub fn residents(&self) -> usize {
         self.residents.len()
     }
@@ -327,7 +318,7 @@ impl ArbiterCore {
     /// order. The placement layer picks cross-device migration victims
     /// from this list, so its order must be deterministic (it is: the
     /// backing `Vec` mutates identically across replays).
-    pub fn resident_leases(&self) -> Vec<u64> {
+    pub(crate) fn resident_leases(&self) -> Vec<u64> {
         self.residents.iter().map(|r| r.lease).collect()
     }
 
@@ -335,33 +326,19 @@ impl ArbiterCore {
     /// order. Deterministic for the same reason as
     /// [`ArbiterCore::resident_leases`]; evacuation moves these too, not
     /// just residents.
-    pub fn waiting_leases(&self) -> Vec<u64> {
+    pub(crate) fn waiting_leases(&self) -> Vec<u64> {
         self.waiters.iter().map(|w| w.lease).collect()
     }
 
     /// Ready kernels waiting for SMs.
-    pub fn waiting(&self) -> usize {
+    pub(crate) fn waiting(&self) -> usize {
         self.waiters.len()
     }
 
     /// Whether [`Event::DrainBegan`] has been fed.
-    pub fn draining(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn draining(&self) -> bool {
         self.draining
-    }
-
-    /// Kernels evicted for blowing their deadline.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Starved waiters promoted to solo dispatch.
-    pub fn promotions(&self) -> u64 {
-        self.promotions
-    }
-
-    /// Best-effort residents displaced by latency-critical arrivals.
-    pub fn preemptions(&self) -> u64 {
-        self.preemptions
     }
 
     /// The declared SLO class of `session` (best-effort when the session
@@ -376,7 +353,7 @@ impl ArbiterCore {
     /// SMs not granted to any resident right now. The placement layer's
     /// SLO-aware tie-break routes latency-critical sessions toward the
     /// device with the most free SMs.
-    pub fn free_sms(&self) -> u32 {
+    pub(crate) fn free_sms(&self) -> u32 {
         let used: u32 = self
             .residents
             .iter()
@@ -385,27 +362,24 @@ impl ArbiterCore {
         self.device.num_sms.saturating_sub(used)
     }
 
-    /// Severed sessions cleaned up ([`Command::Reap`]s emitted).
-    pub fn reaped(&self) -> u64 {
-        self.reaped
-    }
-
-    /// Snapshot of the global pending-launch gauge.
-    pub fn queue_stats(&self) -> QueueStats {
-        self.global.stats()
-    }
-
-    /// Snapshot of the admission counters.
-    pub fn admission_stats(&self) -> AdmissionStats {
-        AdmissionStats {
-            active_sessions: self.active_sessions,
-            sessions_admitted: self.sessions_admitted,
-            sessions_rejected: self.sessions_rejected,
-            launches_completed: self.launches_completed,
-            launches_failed: self.launches_failed,
-            deadline_rejections: self.deadline_rejections,
-            mallocs_shed: self.mallocs_shed,
-            pending_est_ms: self.pending_est_ms,
+    /// One read of every counter the core keeps.
+    pub(crate) fn stats(&self) -> CoreStats {
+        CoreStats {
+            queue: self.global.stats(),
+            admission: AdmissionStats {
+                active_sessions: self.active_sessions,
+                sessions_admitted: self.sessions_admitted,
+                sessions_rejected: self.sessions_rejected,
+                launches_completed: self.launches_completed,
+                launches_failed: self.launches_failed,
+                deadline_rejections: self.deadline_rejections,
+                mallocs_shed: self.mallocs_shed,
+                pending_est_ms: self.pending_est_ms,
+            },
+            evictions: self.evictions,
+            promotions: self.promotions,
+            preemptions: self.preemptions,
+            reaped: self.reaped,
         }
     }
 
@@ -413,7 +387,7 @@ impl ArbiterCore {
     /// future decision reads, which [`ArbiterCore::decode`] reads back.
     /// The slot tables are written as maps by external id, ascending, so
     /// slot numbers never reach the bytes; gauges are written as their
-    /// [`QueueStats`].
+    /// [`QueueStats`](crate::queue::QueueStats).
     ///
     /// The crash-consistency invariant: the core `decode` rebuilds from
     /// these bytes behaves byte-identically to this one for every later
@@ -532,6 +506,17 @@ impl ArbiterCore {
             .any(|range| range.hi >= core.device.num_sms)
         {
             return Err("an SM range runs past the device");
+        }
+        // Residents hold disjoint ranges, or `free_sms` and the partitioner
+        // count an SM twice. A finished lease's last range is only a hint
+        // for its next dispatch and may overlap anything.
+        let residents = &core.residents;
+        if residents
+            .iter()
+            .enumerate()
+            .any(|(i, a)| residents[..i].iter().any(|b| a.range.overlaps(&b.range)))
+        {
+            return Err("resident SM ranges overlap");
         }
         core.armed = r.pairs(Reader::u64)?;
         for (session, stats) in r.pairs(Reader::queue)? {

@@ -11,7 +11,8 @@
 //! slices on the fluid-rate simulation engine (`slate-gpu-sim`); it is the
 //! substrate behind [`SlateRuntime`](crate::runtime::SlateRuntime) and,
 //! one per device, behind [`MultiSim`](crate::placement::MultiSim). A
-//! test-only decorator, [`ChaosBackend`], perturbs the command stream of
+//! decorator kept with the tests, `ChaosBackend`
+//! (`crates/core/tests/support/chaos.rs`), perturbs the command stream of
 //! any inner backend from a seeded
 //! [`FaultPlan`](slate_gpu_sim::fault::FaultPlan), proving the execution
 //! contract survives duplicated, detoured and delayed commands and whole
@@ -24,7 +25,8 @@
 //! real-thread guarantees are pinned through the client API by
 //! `crates/core/tests/daemon_conformance.rs`.
 //!
-//! The contract itself is pinned by [`testkit`]: every implementation must
+//! The contract itself is pinned by the conformance testkit
+//! (`crates/core/tests/support/testkit.rs`): every implementation must
 //! pass the same scripted conformance scenarios (progress is carried
 //! exactly across arbitrary resize/evict/relaunch churn, retreat preserves
 //! progress, SM confinement holds, completions arrive exactly once), and
@@ -32,11 +34,11 @@
 //! [`EventLog`](crate::arbiter::EventLog) through two backends and asserts
 //! their observable transcripts agree.
 
-pub mod chaos;
-pub mod sim;
-pub mod testkit;
+#[cfg(test)]
+#[path = "../../tests/support/churn.rs"]
+pub(crate) mod churn;
+pub(crate) mod sim;
 
-pub use chaos::ChaosBackend;
 pub use sim::SimBackend;
 
 use crate::arbiter::Command;
@@ -66,6 +68,7 @@ impl WorkSpec {
     }
 
     /// A launch resuming from `start` blocks of carried progress.
+    #[doc(hidden)]
     pub fn resuming(kernel: TransformedKernel, task_size: u32, start: u64) -> Self {
         assert!(
             start <= kernel.slate_max(),
@@ -81,7 +84,7 @@ impl WorkSpec {
 
     /// `slateMax` of the staged kernel: the absolute progress a successful
     /// completion reports.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.kernel.slate_max()
     }
 }
@@ -107,7 +110,7 @@ pub struct Completion {
 
 impl Completion {
     /// A clean drain at full progress.
-    pub fn drained(lease: u64, progress: u64) -> Self {
+    pub(crate) fn drained(lease: u64, progress: u64) -> Self {
         Self {
             lease,
             progress,
@@ -117,7 +120,7 @@ impl Completion {
     }
 
     /// A scheduled eviction at partial progress.
-    pub fn evicted(lease: u64, progress: u64) -> Self {
+    pub(crate) fn evicted(lease: u64, progress: u64) -> Self {
         Self {
             lease,
             progress,
@@ -127,7 +130,7 @@ impl Completion {
     }
 
     /// A device-loss casualty at partial progress.
-    pub fn device_lost(lease: u64, progress: u64) -> Self {
+    pub(crate) fn device_lost(lease: u64, progress: u64) -> Self {
         Self {
             lease,
             progress,
@@ -217,7 +220,7 @@ pub trait Backend {
 
     /// Injects a device-scoped fault (test/chaos harnesses). Every backend
     /// models its device's failure domain; a seeded schedule of faults is
-    /// fired by [`ChaosBackend`], not by the backend itself.
+    /// fired by the tests' `ChaosBackend`, not by the backend itself.
     fn inject_device_fault(&mut self, fault: DeviceFault);
 
     /// Polls and advances until any completion shows up, for at most

@@ -14,7 +14,7 @@
 //! Device health is modelled in simulated time: an injected loss, stall
 //! or flap ([`Backend::inject_device_fault`]) plays out as the engine
 //! advances. This backend never schedules a fault itself; a seeded
-//! schedule is fired by [`ChaosBackend`](super::ChaosBackend).
+//! schedule is fired by the tests' `ChaosBackend`.
 
 use super::{Backend, Completion, DeviceFault, DeviceHealth, WorkSpec};
 use crate::arbiter::Command;
@@ -26,20 +26,20 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// How to relaunch the remaining blocks after a retreat.
 #[derive(Debug, Clone)]
-pub struct RelaunchPlan {
+pub(crate) struct RelaunchPlan {
     /// Perf profile of the relaunched slice; moves into it.
-    pub perf: KernelPerf,
+    pub(crate) perf: KernelPerf,
     /// Execution mode of the relaunched slice.
-    pub mode: ExecMode,
+    pub(crate) mode: ExecMode,
     /// Real blocks per batched launch: the relaunch batch count is
     /// `(remaining / blocks_per_batch).max(1)`. Use `u64::MAX` for an
     /// unbatched relaunch (batch 1).
-    pub blocks_per_batch: u64,
+    pub(crate) blocks_per_batch: u64,
 }
 
 /// What a [`SimBackend::resize_slice`] retreat found.
 #[derive(Debug)]
-pub enum ResizeOutcome {
+pub(crate) enum ResizeOutcome {
     /// The slice had already completed — nothing to relaunch. The resize
     /// raced with the drain; callers fold this into their completion path.
     Completed(SliceReport),
@@ -109,26 +109,26 @@ impl SimBackend {
     }
 
     /// The underlying engine (timers, transfers, inspection).
-    pub fn engine(&self) -> &Engine {
+    pub(crate) fn engine(&self) -> &Engine {
         &self.engine
     }
 
     /// Mutable access to the underlying engine. The simulated runtime
     /// drives its own transfer/timer bookkeeping through this while
     /// routing slice execution through the shared slice operations.
-    pub fn engine_mut(&mut self) -> &mut Engine {
+    pub(crate) fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
     }
 
     /// Starts a slice on the engine (a kernel launch).
-    pub fn launch_slice(&mut self, spec: SliceSpec) -> Result<SliceId, String> {
+    pub(crate) fn launch_slice(&mut self, spec: SliceSpec) -> Result<SliceId, String> {
         self.engine.add_slice(spec)
     }
 
     /// The dispatch-kernel retreat/relaunch (§IV-C): tears `slice` down
     /// mid-flight and, unless it turned out to be complete, relaunches the
     /// remaining blocks on `to` with `slateIdx` progress carried over.
-    pub fn resize_slice(
+    pub(crate) fn resize_slice(
         &mut self,
         slice: SliceId,
         to: SmRange,

@@ -8,10 +8,10 @@
 //! payloads).
 //!
 //! **What is shared and what is copied.** A payload crosses the channel as
-//! a handle: [`Request::MemcpyH2D`] carries the client's own vector
-//! (`Bytes::from(vec)` keeps it), and [`Request::MemcpyD2H`] carries the
-//! client's own destination, a [`HostBuf`] sent empty with the transfer's
-//! length reserved, which [`Response::Data`] hands back filled. Sending,
+//! a handle: `Request::MemcpyH2D` carries the client's own vector
+//! (`Bytes::from(vec)` keeps it), and `Request::MemcpyD2H` carries the
+//! client's own destination, a `HostBuf` sent empty with the transfer's
+//! length reserved, which `Response::Data` hands back filled. Sending,
 //! receiving, retrying and resending a payload copy nothing. What does
 //! touch every byte is one boundary pass per direction — and nothing else:
 //!
@@ -34,9 +34,9 @@
 //! and the GPU pointer").
 //!
 //! Under overload the daemon sheds requests instead of queueing them
-//! unboundedly: the reply is a [`Response::Err`] wiring
+//! unboundedly: the reply is a `Response::Err` wiring
 //! [`SlateError::Overloaded`] with a `retry_after_ms` hint
-//! ([`Response::is_overloaded`] spots these without unwrapping). For
+//! (`Response::is_overloaded` spots these without unwrapping). For
 //! asynchronous launches the shed reply is delivered, like any launch
 //! error, at the client's next `Sync`.
 
@@ -52,7 +52,7 @@ pub struct SlatePtr(pub u64);
 
 /// Builds the user kernel once the daemon has resolved the client's
 /// [`SlatePtr`]s to device buffers (in the same order they were passed).
-pub type KernelFactory =
+pub(crate) type KernelFactory =
     Box<dyn FnOnce(Vec<Arc<GpuBuffer>>) -> Arc<dyn GpuKernel> + Send + 'static>;
 
 /// A kernel launch command: everything about a launch except its
@@ -61,36 +61,36 @@ pub type KernelFactory =
 /// the plain launch: default stream, co-schedulable, no deadline, no
 /// source.
 #[derive(Clone, Default)]
-pub struct LaunchCmd {
+pub(crate) struct LaunchCmd {
     /// Client-assigned launch id, unique and monotonic per session. The
     /// daemon logs it with the admission and completion records, which is
     /// what lets a resumed client blindly resubmit unacknowledged
     /// launches: ids the daemon has already completed (or adopted from a
     /// crash scene) are deduplicated server-side instead of re-executed.
-    pub launch_id: u64,
+    pub(crate) launch_id: u64,
     /// Device allocations the kernel binds, in factory order.
-    pub ptrs: Vec<SlatePtr>,
+    pub(crate) ptrs: Vec<SlatePtr>,
     /// `SLATE_ITERS` for this launch.
-    pub task_size: u32,
+    pub(crate) task_size: u32,
     /// Optional CUDA source for the injection pipeline (exercises the
     /// scanner/injector and populates the compilation cache).
-    pub source: Option<String>,
+    pub(crate) source: Option<String>,
     /// Run this kernel solo, never co-scheduled (`#pragma slate solo`).
-    pub pinned_solo: bool,
+    pub(crate) pinned_solo: bool,
     /// CUDA stream the launch is ordered on. Stream 0 is the default
     /// stream; launches on distinct non-zero streams may execute
     /// concurrently (the paper builds "a queue for each process and CUDA
     /// stream").
-    pub stream: u32,
+    pub(crate) stream: u32,
     /// Watchdog deadline for this kernel, in milliseconds. Past it the
     /// daemon evicts the kernel through the retreat flag and replies
     /// `SlateError::Timeout`. `None` defers to the daemon's default
     /// deadline (which may also be unset — no watchdog).
-    pub deadline_ms: Option<u64>,
+    pub(crate) deadline_ms: Option<u64>,
 }
 
 /// Requests a client sends over the command pipe.
-pub enum Request {
+pub(crate) enum Request {
     /// `slateMalloc(bytes)`.
     Malloc(u64),
     /// `slateFree(ptr)`.
@@ -129,7 +129,7 @@ pub enum Request {
 /// A device-to-host destination: a vector the client allocated, in the
 /// element type it wants back, which the daemon appends the device run to.
 #[derive(Debug, Clone, PartialEq)]
-pub enum HostBuf {
+pub(crate) enum HostBuf {
     /// Raw little-endian bytes (`memcpy_d2h`).
     Bytes(Vec<u8>),
     /// Whole words as `f32`s (`download_f32`).
@@ -138,7 +138,7 @@ pub enum HostBuf {
 
 /// Daemon replies.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Response {
+pub(crate) enum Response {
     /// New allocation handle.
     Ptr(SlatePtr),
     /// Device-to-host payload: the request's [`HostBuf`], filled.
@@ -151,7 +151,7 @@ pub enum Response {
 
 impl Response {
     /// Unwraps an expected `Ptr` response.
-    pub fn expect_ptr(self) -> Result<SlatePtr, SlateError> {
+    pub(crate) fn expect_ptr(self) -> Result<SlatePtr, SlateError> {
         match self {
             Response::Ptr(p) => Ok(p),
             Response::Err(e) => Err(SlateError::from_wire(&e)),
@@ -160,7 +160,7 @@ impl Response {
     }
 
     /// Unwraps an expected `Data` response.
-    pub fn expect_data(self) -> Result<HostBuf, SlateError> {
+    pub(crate) fn expect_data(self) -> Result<HostBuf, SlateError> {
         match self {
             Response::Data(d) => Ok(d),
             Response::Err(e) => Err(SlateError::from_wire(&e)),
@@ -171,13 +171,14 @@ impl Response {
     /// Whether this reply is an admission shed
     /// ([`SlateError::Overloaded`]) — the signal backpressure-aware
     /// clients branch on without consuming the response.
-    pub fn is_overloaded(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_overloaded(&self) -> bool {
         matches!(self, Response::Err(e)
             if matches!(SlateError::from_wire(e), SlateError::Overloaded { .. }))
     }
 
     /// Unwraps an expected `Ok` response.
-    pub fn expect_ok(self) -> Result<(), SlateError> {
+    pub(crate) fn expect_ok(self) -> Result<(), SlateError> {
         match self {
             Response::Ok => Ok(()),
             Response::Err(e) => Err(SlateError::from_wire(&e)),

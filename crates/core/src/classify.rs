@@ -11,13 +11,13 @@ use serde::{Deserialize, Serialize};
 use slate_kernels::workload::Intensity;
 
 /// GFLOP/s below this is Low compute intensity.
-pub const COMPUTE_LOW_GFLOPS: f64 = 100.0;
+pub(crate) const COMPUTE_LOW_GFLOPS: f64 = 100.0;
 /// GFLOP/s at or above this is High compute intensity.
-pub const COMPUTE_HIGH_GFLOPS: f64 = 1000.0;
+pub(crate) const COMPUTE_HIGH_GFLOPS: f64 = 1000.0;
 /// GB/s below this is Low memory intensity.
-pub const MEMORY_LOW_GBS: f64 = 200.0;
+pub(crate) const MEMORY_LOW_GBS: f64 = 200.0;
 /// GB/s at or above this is High memory intensity.
-pub const MEMORY_HIGH_GBS: f64 = 450.0;
+pub(crate) const MEMORY_HIGH_GBS: f64 = 450.0;
 
 /// The five workload classes of the heuristic policy (Table I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -63,7 +63,7 @@ impl std::fmt::Display for WorkloadClass {
 }
 
 /// Compute intensity level from profiled GFLOP/s.
-pub fn compute_intensity(gflops: f64) -> Intensity {
+pub(crate) fn compute_intensity(gflops: f64) -> Intensity {
     if gflops < COMPUTE_LOW_GFLOPS {
         Intensity::Low
     } else if gflops < COMPUTE_HIGH_GFLOPS {
@@ -74,7 +74,7 @@ pub fn compute_intensity(gflops: f64) -> Intensity {
 }
 
 /// Memory intensity level from profiled global request bandwidth (GB/s).
-pub fn memory_intensity(gbs: f64) -> Intensity {
+pub(crate) fn memory_intensity(gbs: f64) -> Intensity {
     if gbs < MEMORY_LOW_GBS {
         Intensity::Low
     } else if gbs < MEMORY_HIGH_GBS {
@@ -87,6 +87,7 @@ pub fn memory_intensity(gbs: f64) -> Intensity {
 /// Combines the two intensities into a workload class with memory priority
 /// (paper: "Slate gives a higher priority to memory intensity over
 /// computation intensity").
+#[doc(hidden)]
 pub fn classify(compute: Intensity, memory: Intensity) -> WorkloadClass {
     match memory {
         Intensity::High => WorkloadClass::HM,

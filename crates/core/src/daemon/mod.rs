@@ -70,7 +70,7 @@
 //!   kernels hang, launches fault, memcpys stall, or channels drop at
 //!   scripted points, so all of the above is testable and replayable;
 //! * **poison tolerance** — all daemon-shared state lives behind
-//!   [`crate::sync::Mutex`], which recovers a lock some thread panicked
+//!   `crate::sync::Mutex`, which recovers a lock some thread panicked
 //!   under instead of cascading the panic;
 //!   [`DaemonMetrics::lock_recoveries`] counts the recoveries.
 //!
@@ -166,7 +166,7 @@ impl DaemonShared {
 /// Construction-time daemon configuration beyond device geometry. The
 /// default is one device, in memory, admitting everything, watching
 /// nothing. The per-device health windows (quarantine, probation) are
-/// constants of [`crate::placement::health`], not options.
+/// constants of `crate::placement::health`, not options.
 #[derive(Default)]
 pub struct DaemonOptions {
     /// Kernel profile table seeded from a previous run (the paper's daemon
@@ -245,21 +245,21 @@ impl Drop for SlateDaemon {
 /// wraps.
 pub struct Connection {
     /// Session id assigned by the daemon.
-    pub session: u64,
+    pub(crate) session: u64,
     /// Recovery epoch of the daemon incarnation that minted this
     /// connection (0 for a non-durable daemon). Carried into
     /// [`ResumeToken`]s so resumption is only honoured across a restart.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Smallest launch id a client of this connection may assign: 0 for a
     /// fresh session; one past the highest id the WAL has seen for a
     /// resumed one, so a client built fresh over a resumed connection
     /// never collides with (and gets silently deduplicated against) its
     /// predecessor's ids.
-    pub launch_floor: u64,
+    pub(crate) launch_floor: u64,
     /// Command pipe, client-to-daemon.
-    pub tx: Sender<Request>,
+    pub(crate) tx: Sender<Request>,
     /// Response pipe, daemon-to-client.
-    pub rx: Receiver<Response>,
+    pub(crate) rx: Receiver<Response>,
 }
 
 impl SlateDaemon {
@@ -349,7 +349,8 @@ impl SlateDaemon {
     /// Snapshot of the kernel profile table (persist it with
     /// [`ProfileTable::save`] and seed a later daemon through
     /// [`DaemonOptions::profiles`]).
-    pub fn profiles(&self) -> ProfileTable {
+    #[cfg(test)]
+    pub(crate) fn profiles(&self) -> ProfileTable {
         self.shared.profiles.lock().clone()
     }
 
@@ -438,6 +439,7 @@ impl SlateDaemon {
     /// [`SlateDaemon::wal_io_errors`]) or corruption (left on
     /// disk; replay stopped at its offset, so records after it may be
     /// lost). Empty for a fresh daemon and after a clean recovery.
+    #[doc(hidden)]
     pub fn recovery_issues(&self) -> &[(u64, WalIssue)] {
         &self.recovery_issues
     }
@@ -482,6 +484,7 @@ impl SlateDaemon {
     /// probe). The placement layer marks it [`HealthState::Failed`],
     /// evacuates every live lease to a healthy device, and excludes it
     /// from routing until [`SlateDaemon::recover_device`].
+    #[doc(hidden)]
     pub fn fail_device(&self, device: usize) {
         self.shared.arb.feed(&[ArbEvent::DeviceDown {
             device: device as u64,
@@ -492,6 +495,7 @@ impl SlateDaemon {
     /// Declares `device` serviceable again. The device enters a seeded
     /// probation window (it must stay quiet before taking traffic); a
     /// flap during probation sends it back to quarantine.
+    #[doc(hidden)]
     pub fn recover_device(&self, device: usize) {
         self.shared.arb.feed(&[ArbEvent::DeviceUp {
             device: device as u64,
@@ -499,6 +503,7 @@ impl SlateDaemon {
     }
 
     /// The placement layer's health verdict for `device`.
+    #[doc(hidden)]
     pub fn device_health(&self, device: usize) -> HealthState {
         self.shared.arb.device_health(device)
     }
@@ -537,17 +542,18 @@ impl SlateDaemon {
         let faults_fired = sh.faults.lock().fired();
         let inner = sh.arb.inner.lock();
         let layer = &inner.layer;
+        let core = layer.core_stats();
         DaemonMetrics {
-            queue: layer.queue_stats(),
-            admission: layer.admission_stats(),
+            queue: core.queue,
+            admission: core.admission,
             launches_served,
             live_allocations,
             hyperq_lanes,
             arbiter_residents: layer.residents(),
-            watchdog_evictions: layer.evictions(),
-            reaped_sessions: layer.reaped(),
-            starvation_promotions: layer.promotions(),
-            slo_preemptions: layer.preemptions(),
+            watchdog_evictions: core.evictions,
+            reaped_sessions: core.reaped,
+            starvation_promotions: core.promotions,
+            slo_preemptions: core.preemptions,
             faults_fired,
             placement: layer.stats(),
             lock_recoveries,

@@ -27,6 +27,7 @@ pub struct CrashScene {
 
 impl CrashScene {
     /// Number of launches that were in flight at the kill point.
+    #[doc(hidden)]
     pub fn inflight_launches(&self) -> usize {
         self.inflight.len()
     }
@@ -74,7 +75,7 @@ impl SlateDaemon {
     /// evicted through the retreat flag and park at their carried
     /// progress), and everything that survives a process death in the
     /// real deployment — device memory, in-flight work — is returned as
-    /// the [`CrashScene`] for [`SlateDaemon::recover`].
+    /// the `CrashScene` for [`SlateDaemon::recover`].
     pub fn crash(&self) -> CrashScene {
         self.shared.shutting_down.store(true, Ordering::Release);
         self.shared.arb.kill();
@@ -96,7 +97,7 @@ impl SlateDaemon {
     }
 
     /// Resurrects a crashed daemon from its durability directory plus the
-    /// in-memory [`CrashScene`]. State is rebuilt from the newest readable
+    /// in-memory `CrashScene`. State is rebuilt from the newest readable
     /// snapshot and the WAL suffix — never panicking on damage: a torn
     /// tail that ends the log is truncated (and the segment synced), so a
     /// later recovery that falls back below it replays on through; a
@@ -185,6 +186,7 @@ impl SlateDaemon {
     /// metadata, the pointer watermark never regresses, and launch ids the
     /// WAL has seen (completed or adopted) are deduplicated server-side,
     /// so the client may blindly resubmit everything unacknowledged.
+    #[doc(hidden)]
     pub fn resume(self: &Arc<Self>, token: ResumeToken) -> Result<Connection, SlateError> {
         let rejected = |why: String| Err(SlateError::ResumeRejected(why));
         let Some(durability) = &self.shared.arb.durability else {

@@ -502,7 +502,13 @@ fn nothing_fed_after_a_crash_reaches_the_core_or_the_wal() {
         (layer, files)
     };
     let before = state();
-    let active = arb.inner.lock().layer.admission_stats().active_sessions;
+    let active = arb
+        .inner
+        .lock()
+        .layer
+        .core_stats()
+        .admission
+        .active_sessions;
     assert_eq!(active, 1, "the session was fed before the kill");
     arb.feed(&[ArbEvent::DrainBegan]);
     arb.feed(&[ArbEvent::DeadlineTick]);

@@ -56,23 +56,26 @@ impl DispatchHandle {
     /// with whatever progress was made. This is the watchdog's remedy for
     /// a kernel that exceeded its deadline — the paper's own resize
     /// mechanism (§IV-C) repurposed as bounded preemption.
-    pub fn evict(&self) {
+    pub(crate) fn evict(&self) {
         self.state.evicted.store(true, Ordering::Release);
         self.state.queue.signal_retreat();
     }
 
     /// Whether [`DispatchHandle::evict`] has been called.
-    pub fn is_evicted(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_evicted(&self) -> bool {
         self.state.evicted.load(Ordering::Acquire)
     }
 
     /// Current progress in blocks (the carried `slateIdx`).
-    pub fn progress(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn progress(&self) -> u64 {
         self.state.queue.progress()
     }
 
     /// Whether the user kernel has completed all blocks.
-    pub fn done(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn done(&self) -> bool {
         self.state.queue.drained()
     }
 }
@@ -83,7 +86,7 @@ pub struct DispatchOutcome {
     /// Worker launches performed (1 = never resized mid-run).
     pub launches: u32,
     /// Per-launch worker statistics.
-    pub runs: Vec<WorkerRunStats>,
+    pub(crate) runs: Vec<WorkerRunStats>,
     /// Absolute `slateIdx` progress at exit: the grid size unless evicted.
     /// For a dispatch resumed from carried progress this includes the
     /// carried blocks.
@@ -92,7 +95,7 @@ pub struct DispatchOutcome {
     pub queue_pulls: u64,
     /// The dispatch was evicted before the queue drained; `blocks` is
     /// partial and the kernel's results are incomplete.
-    pub evicted: bool,
+    pub(crate) evicted: bool,
 }
 
 /// The dispatch kernel for one user kernel execution.
@@ -111,7 +114,7 @@ impl Dispatcher {
     ///
     /// # Panics
     /// If the kernel has occupancy 0 on `device` (it cannot launch);
-    /// callers serving untrusted kernels check [`WorkerGrid::of`] first.
+    /// callers serving untrusted kernels check `WorkerGrid::of` first.
     pub fn new(
         device: DeviceConfig,
         kernel: TransformedKernel,

@@ -69,9 +69,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::{fmt, io};
 
 /// The format byte of this codec: the first byte of every payload written.
+#[doc(hidden)]
 pub const FORMAT: u8 = 1;
 
 /// Appends `record`'s payload — format byte first — to `out`.
+#[doc(hidden)]
 pub fn encode(record: &WalRecord, out: &mut Vec<u8>) {
     out.push(FORMAT);
     match record {
@@ -127,13 +129,14 @@ pub fn encode(record: &WalRecord, out: &mut Vec<u8>) {
 /// Appends the payload of a [`WalRecord::Batch`] holding `batch` — the
 /// bytes [`encode`] writes for it, without cloning the batch into a
 /// record first.
-pub fn encode_batch(batch: &PlacementBatch, out: &mut Vec<u8>) {
+pub(crate) fn encode_batch(batch: &PlacementBatch, out: &mut Vec<u8>) {
     out.push(FORMAT);
     put_batch(out, batch);
 }
 
 /// Decodes one payload. The error says why the payload is not a record
 /// (past the format byte, a static string: building it allocates nothing).
+#[doc(hidden)]
 pub fn decode(payload: &[u8]) -> Result<WalRecord, Cow<'static, str>> {
     match payload.split_first() {
         Some((&FORMAT, rest)) => {
@@ -171,6 +174,7 @@ pub fn encode_snapshot(snap: &DurableSnapshot, out: &mut Vec<u8>) {
 /// short, an unknown tag, an over-long varint, a count past the end, map
 /// keys out of order and bytes left over are each a typed `InvalidData`
 /// naming the cause, never a panic.
+#[doc(hidden)]
 pub fn decode_snapshot(body: &[u8]) -> io::Result<DurableSnapshot> {
     let mut r = Reader { rest: body };
     let snap = r.snapshot().and_then(|snap| match r.rest {

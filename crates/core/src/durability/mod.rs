@@ -4,7 +4,7 @@
 //! decision is a pure function of the fed event batches — so durability
 //! is exactly: persist the batches ([`wal`]), checkpoint the folded state
 //! periodically so recovery replays only a suffix ([`snapshot`]), and
-//! rebuild + re-adopt after a crash ([`recover`]). Layout on disk:
+//! rebuild + re-adopt after a crash (`recover`). Layout on disk:
 //!
 //! ```text
 //! <dir>/snap-0.slot          snapshot slot 0: an anchor (segment, offset)
@@ -20,7 +20,7 @@
 //! checkpoint overwrites, in place, the slot that does not hold the
 //! current anchor with the anchor of the open segment's end; no file is
 //! created, renamed or unlinked. Segments roll by size instead: an append
-//! that finds the open segment past [`SEGMENT_BYTES`] first switches to a
+//! that finds the open segment past `SEGMENT_BYTES` first switches to a
 //! fresh one, and, unless `keep_all` is set, the next checkpoint unlinks
 //! what its anchor superseded — so a serving directory holds the two slots
 //! and one segment, two for a moment after a roll.
@@ -62,13 +62,17 @@
 //! disk, and the counter lets operators alarm on it.
 
 pub mod codec;
-pub mod recover;
+pub(crate) mod recover;
+#[doc(hidden)]
 pub mod snapshot;
+#[doc(hidden)]
 pub mod wal;
 
-pub use recover::{full_log, recover_dir, Recovered};
+#[doc(hidden)]
+pub use recover::full_log;
+pub use recover::{recover_dir, Recovered};
 pub use snapshot::{AllocMeta, DurableMeta, DurableSnapshot, SessionMeta};
-pub use wal::{WalIssue, WalRecord, WalScan};
+pub use wal::{WalIssue, WalRecord};
 
 use crate::placement::PlacementSnapshot;
 use parking_lot::Mutex;
@@ -83,7 +87,7 @@ use wal::SegmentWriter;
 /// fresh segment, and the next checkpoint unlinks the old one. Hundreds
 /// of checkpoints at the default cadence (`DESIGN.md` §16), so a
 /// checkpoint almost never finds a segment to unlink.
-pub const SEGMENT_BYTES: u64 = 1 << 20;
+pub(crate) const SEGMENT_BYTES: u64 = 1 << 20;
 
 /// Knobs of the durability subsystem (see
 /// [`DaemonOptions::durability`](crate::daemon::DaemonOptions)).
@@ -99,7 +103,7 @@ pub struct DurabilityOptions {
     /// heartbeat's millisecond. Smaller = faster recovery and less lost to
     /// a power failure (at most one cadence, plus the batches fed before
     /// the next heartbeat's sync), more checkpoint I/O. Segments roll by
-    /// size ([`SEGMENT_BYTES`]), not on this cadence.
+    /// size (`SEGMENT_BYTES`), not on this cadence.
     pub snapshot_every: u64,
     /// Keep superseded segments instead of unlinking them, and sync the
     /// open segment before each checkpoint's slot (a roll syncs the
@@ -167,12 +171,12 @@ impl Durability {
     /// `meta` at its start. Fresh daemons start at segment 0, epoch 0
     /// (the pristine genesis anchor); recovered ones one segment past the
     /// crashed log, one epoch up. The anchor goes to the slot that does
-    /// not hold the anchor recovery loads from `dir` ([`Recovered::slot`]),
+    /// not hold the anchor recovery loads from `dir` (`Recovered::slot`),
     /// never over it: until the new anchor is synced, that slot is the
     /// only one known good. In order: create the segment, write and
     /// `sync_data` the anchor (here, not on the heartbeat), sync the
     /// directory (the slot and segment entries, once), then sweep what the
-    /// anchor superseded ([`Durability::compact`]).
+    /// anchor superseded (`Durability::compact`).
     pub fn start(
         options: DurabilityOptions,
         segment: u64,
@@ -220,17 +224,12 @@ impl Durability {
     }
 
     /// The recovery epoch this incarnation runs in.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// The durability directory.
-    pub fn dir(&self) -> &std::path::Path {
-        &self.options.dir
-    }
-
     /// Append I/O failures since start, plus torn tails recovery could not
-    /// cut ([`Durability::count_io_errors`]). Nonzero means the WAL has a
+    /// cut (`Durability::count_io_errors`). Nonzero means the WAL has a
     /// gap: recovery from this log may miss state, and operators should
     /// treat the disk as suspect.
     pub fn io_errors(&self) -> u64 {
@@ -239,11 +238,12 @@ impl Durability {
 
     /// Counts `n` I/O failures met on the way to this incarnation (torn
     /// tails recovery could not cut) alongside the append failures.
-    pub fn count_io_errors(&self, n: u64) {
+    pub(crate) fn count_io_errors(&self, n: u64) {
         self.io_errors.fetch_add(n, Ordering::Relaxed);
     }
 
     /// A clone of the mirrored session metadata.
+    #[doc(hidden)]
     pub fn meta(&self) -> DurableMeta {
         self.inner.lock().meta.clone()
     }
@@ -290,6 +290,7 @@ impl Durability {
     /// its request, a close with its event) appended behind it in the
     /// same `write` and folded into the mirror before any checkpoint the
     /// batch brings due.
+    #[doc(hidden)]
     pub fn append_batch_meta(
         &self,
         batch: &crate::placement::PlacementBatch,
@@ -434,7 +435,7 @@ impl Durability {
     /// behind; the cadence path unlinks its segments by name and never
     /// lists the directory. `keep_all` keeps them. Best-effort: removal
     /// failures are counted, not fatal — stale files only cost disk.
-    pub fn compact(&self) {
+    pub(crate) fn compact(&self) {
         if self.options.keep_all {
             return;
         }

@@ -42,10 +42,10 @@ pub struct Recovered {
     pub meta: DurableMeta,
     /// Epoch of the crashed incarnation (highest seen across the
     /// snapshot and any `Epoch` records in the suffix).
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Index of the last WAL segment on disk; the recovered daemon
     /// appends to `last_segment + 1`.
-    pub last_segment: u64,
+    pub(crate) last_segment: u64,
     /// The snapshot slot the state was loaded from. The recovered
     /// daemon's first anchor goes to the other slot
     /// ([`Durability::start`](super::Durability::start) picks it by the
@@ -124,7 +124,7 @@ pub(crate) fn newest_anchor(
 
 /// Rebuilds daemon state from `dir`. Fails only on I/O errors or when no
 /// snapshot in the directory is readable; WAL damage is tolerated and
-/// reported via [`Recovered::issues`].
+/// reported via `Recovered::issues`.
 pub fn recover_dir(dir: &Path) -> io::Result<Recovered> {
     let segments = list_segments(dir)?;
     let (base, slot) = newest_anchor(dir, &segments)?;
@@ -177,6 +177,7 @@ pub fn recover_dir(dir: &Path) -> io::Result<Recovered> {
 /// log is the whole recorded history — across every crash and recovery —
 /// and [`crate::placement::replay::verify`] proves it routes
 /// byte-identically.
+#[doc(hidden)]
 pub fn full_log(dir: &Path) -> io::Result<PlacementLog> {
     let segments = list_segments(dir)?;
     let (anchor, _) = newest_anchor(dir, &segments)?;

@@ -258,7 +258,7 @@ pub fn decode_slot(bytes: &[u8]) -> io::Result<((u64, u64), &[u8])> {
 
 /// Loads and validates a slot image (see [`decode_slot`]) whose body is a
 /// [`DurableSnapshot`] anchoring the position its header names.
-pub fn load_slot(bytes: &[u8]) -> io::Result<DurableSnapshot> {
+pub(crate) fn load_slot(bytes: &[u8]) -> io::Result<DurableSnapshot> {
     let ((segment, offset), body) = decode_slot(bytes)?;
     let snap = codec::decode_snapshot(body)?;
     if (snap.segment, snap.offset) != (segment, offset) {
@@ -273,9 +273,9 @@ pub fn load_slot(bytes: &[u8]) -> io::Result<DurableSnapshot> {
 /// The two snapshot slots of a durability directory, open for
 /// overwriting. A checkpoint is two steps: [`SnapshotSlots::write`] puts
 /// the image in the slot that does not hold the current anchor, and the
-/// sync — [`SnapshotSlots::sync`], or the file from
-/// [`SnapshotSlots::file`] synced by a caller holding no lock, then
-/// [`SnapshotSlots::synced`] — makes it the current anchor. Until that
+/// sync — `SnapshotSlots::sync`, or the file from
+/// `SnapshotSlots::file` synced by a caller holding no lock, then
+/// `SnapshotSlots::synced` — makes it the current anchor. Until that
 /// sync returns, every write goes to the same slot, so the slot holding
 /// the current anchor is never the one being written.
 #[derive(Debug)]
@@ -343,7 +343,7 @@ impl SnapshotSlots {
     /// The file [`SnapshotSlots::write`] goes to, for a caller to
     /// `sync_data` without holding what guards the slots; it reports the
     /// outcome to [`SnapshotSlots::synced`].
-    pub fn file(&self) -> Arc<fs::File> {
+    pub(crate) fn file(&self) -> Arc<fs::File> {
         self.files[self.next].clone()
     }
 
@@ -351,7 +351,7 @@ impl SnapshotSlots {
     /// slot holds the anchor and the next write goes to the other; on
     /// failure the next write goes to the same slot again, and the other
     /// still holds the anchor.
-    pub fn synced(&mut self, synced: io::Result<()>) -> io::Result<()> {
+    pub(crate) fn synced(&mut self, synced: io::Result<()>) -> io::Result<()> {
         #[cfg(test)]
         if self.fail_sync {
             return Err(io::Error::other("injected: sync_data failed"));
@@ -365,7 +365,7 @@ impl SnapshotSlots {
 
     /// Syncs the slot last written, in place: [`SnapshotSlots::file`]'s
     /// `sync_data`, then [`SnapshotSlots::synced`].
-    pub fn sync(&mut self) -> io::Result<()> {
+    pub(crate) fn sync(&mut self) -> io::Result<()> {
         let synced = self.files[self.next].sync_data();
         self.synced(synced)
     }

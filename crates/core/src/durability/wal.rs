@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 
 /// Upper bound on a single frame's payload, protecting the reader from
 /// allocating gigabytes off four corrupt length bytes.
-pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
+pub(crate) const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
 /// Bytes of framing overhead per record (`len` + `crc`).
 pub const FRAME_HEADER_LEN: usize = 8;
@@ -240,7 +240,7 @@ pub fn scan(bytes: &[u8]) -> WalScan {
 /// file would be cut. From the end or past it there is nothing to scan:
 /// no records, no issue. From the middle of a frame the bytes do not
 /// frame up, which is an issue like any other.
-pub fn scan_from(bytes: &[u8], from: usize) -> WalScan {
+pub(crate) fn scan_from(bytes: &[u8], from: usize) -> WalScan {
     let mut records = Vec::new();
     let mut off = from.min(bytes.len());
     let mut issue = None;
@@ -329,7 +329,7 @@ pub fn read_segment(path: &Path) -> io::Result<WalScan> {
 /// ([`scan_from`]): what recovery replays of the segment a snapshot
 /// anchors. An offset at or past the file's end — the file lost the tail
 /// below its anchor to a power failure — replays nothing.
-pub fn read_segment_from(path: &Path, from: u64) -> io::Result<WalScan> {
+pub(crate) fn read_segment_from(path: &Path, from: u64) -> io::Result<WalScan> {
     let from = usize::try_from(from).unwrap_or(usize::MAX);
     Ok(scan_from(&fs::read(path)?, from))
 }
@@ -340,7 +340,7 @@ pub fn read_segment_from(path: &Path, from: u64) -> io::Result<WalScan> {
 /// short of; behind a whole tail, a later recovery falling back below
 /// them would replay them over the hole, so the tail stays torn and
 /// replay keeps stopping there.
-pub fn truncate_torn_tail(dir: &Path, k: u64, valid_len: u64) -> io::Result<()> {
+pub(crate) fn truncate_torn_tail(dir: &Path, k: u64, valid_len: u64) -> io::Result<()> {
     for (later, path) in list_segments(dir)? {
         if later > k && fs::metadata(path)?.len() > 0 {
             return Ok(());
@@ -356,7 +356,7 @@ pub fn truncate_torn_tail(dir: &Path, k: u64, valid_len: u64) -> io::Result<()> 
 /// An open, appendable WAL segment. Every append is one `write` of whole
 /// frames straight to the file descriptor (no userspace buffering across
 /// appends), so an acknowledged record survives a process crash;
-/// [`SegmentWriter::sync`] additionally pushes it through the OS cache
+/// `SegmentWriter::sync` additionally pushes it through the OS cache
 /// for power-failure durability (`DESIGN.md` §16 says where).
 ///
 /// Frames are encoded in place in one buffer the writer keeps at its
@@ -387,14 +387,14 @@ impl SegmentWriter {
 
     /// Bytes this writer has handed to `write`, failed writes included:
     /// never less than the segment's length, and no system call to read.
-    pub fn written(&self) -> u64 {
+    pub(crate) fn written(&self) -> u64 {
         self.written
     }
 
     /// The segment's true end, as the file descriptor sees it. A `write`
     /// that failed part way still moved it past the bytes that went out,
     /// so a count of successful appends can fall short of it.
-    pub fn end(&mut self) -> io::Result<u64> {
+    pub(crate) fn end(&mut self) -> io::Result<u64> {
         self.file.stream_position()
     }
 
@@ -430,7 +430,7 @@ impl SegmentWriter {
     }
 
     /// Forces written frames through the OS cache to stable storage.
-    pub fn sync(&mut self) -> io::Result<()> {
+    pub(crate) fn sync(&mut self) -> io::Result<()> {
         self.file.sync_all()
     }
 }

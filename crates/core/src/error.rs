@@ -71,6 +71,7 @@ pub enum SlateError {
 impl SlateError {
     /// Serializes for the command pipe. The prefix encodes the variant so
     /// the client can restore it.
+    #[doc(hidden)]
     pub fn to_wire(&self) -> String {
         match self {
             SlateError::OutOfMemory { requested } => format!("E_OOM:{requested}"),
@@ -93,6 +94,7 @@ impl SlateError {
 
     /// Restores a structured error from its wire form; unknown strings
     /// become [`SlateError::Other`].
+    #[doc(hidden)]
     pub fn from_wire(s: &str) -> SlateError {
         if let Some(rest) = s.strip_prefix("E_OOM:") {
             if let Ok(requested) = rest.parse() {
@@ -148,6 +150,7 @@ impl SlateError {
     /// Watchdog evictions, shutdown rejections and admission sheds qualify;
     /// memory-safety errors (bad pointer, OOM for the same size) and
     /// severed connections do not.
+    #[doc(hidden)]
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
@@ -162,7 +165,7 @@ impl SlateError {
     /// admission shed, a watchdog eviction under load, or a lost device
     /// taking fleet capacity with it) — the conditions a client-side
     /// circuit breaker counts toward opening.
-    pub fn is_overload(&self) -> bool {
+    pub(crate) fn is_overload(&self) -> bool {
         matches!(
             self,
             SlateError::Overloaded { .. }

@@ -6,9 +6,10 @@
 //! consumer thread removes no serialisation — the consumer's work is all
 //! under the arbiter lock and every submitter waits for its reply — so
 //! the daemon's submitters take that lock and feed the layer themselves
-//! (`DESIGN.md` §17). The ring keeps its exact code and public API only
+//! (`DESIGN.md` §17). The ring and its `push`/`pop` stay public only
 //! because the benchmark package (`slatebench/src/probes.rs`,
-//! `feed.push_pop_ns`) imports it; it goes when that probe does.
+//! `feed.push_pop_ns`) imports them; it goes when that probe does. Its
+//! `len`/`capacity` accessors are for its own tests.
 //!
 //! The ring is SPSC by construction, not by convention: [`ring`] returns
 //! distinct [`RingProducer`]/[`RingConsumer`] handles, neither clonable,
@@ -81,25 +82,23 @@ impl<T> RingProducer<T> {
     }
 
     /// Items currently queued.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         let r = &*self.inner;
         r.tail
             .load(Ordering::Relaxed)
             .wrapping_sub(r.head.load(Ordering::Acquire))
     }
 
-    /// Whether the ring currently holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Whether a push would currently fail.
-    pub fn is_full(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_full(&self) -> bool {
         self.len() > self.inner.mask
     }
 
     /// The ring's slot count.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.inner.mask + 1
     }
 }
@@ -127,7 +126,8 @@ impl<T> RingConsumer<T> {
     }
 
     /// Items currently queued.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         let r = &*self.inner;
         r.tail
             .load(Ordering::Acquire)
@@ -135,13 +135,9 @@ impl<T> RingConsumer<T> {
     }
 
     /// Whether the ring is currently empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The ring's slot count.
-    pub fn capacity(&self) -> usize {
-        self.inner.mask + 1
     }
 }
 

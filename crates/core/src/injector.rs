@@ -65,7 +65,7 @@ fn rewrite_body(src: &str, k: &KernelDef) -> (String, usize, usize) {
 }
 
 /// Generates the Slate worker + dispatch kernels for one user kernel.
-pub fn inject_kernel(src: &str, k: &KernelDef, task_size: u32) -> InjectedKernel {
+pub(crate) fn inject_kernel(src: &str, k: &KernelDef, task_size: u32) -> InjectedKernel {
     let (body, bi, gd) = rewrite_body(src, k);
     let params = k.params_span.text(src).trim();
     let sep = if params.is_empty() { "" } else { ", " };
@@ -220,6 +220,7 @@ pub struct InjectionCache {
 }
 
 /// FNV-1a hash of the source text (stable across runs).
+#[doc(hidden)]
 pub fn source_hash(src: &str) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for b in src.bytes() {
@@ -249,7 +250,7 @@ impl InjectionCache {
     }
 
     /// (cache hits, cache misses) so far.
-    pub fn stats(&self) -> (u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 }

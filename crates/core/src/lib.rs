@@ -28,8 +28,16 @@
 //! simulated [`runtime`] and the live [`daemon`] are thin drivers of it,
 //! which is what makes daemon scheduling decisions replayable
 //! ([`arbiter::replay`]).
+//!
+//! The public API is what the workspace's harness and bench crates and the
+//! `slatebench` package name, plus the types those items hand out. The
+//! rest is crate-private, and `unreachable_pub` and `unnameable_types`
+//! keep it that way (DESIGN.md §3.3). Items marked `#[doc(hidden)]` are
+//! public only for the integration tests in `crates/core/tests/`.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
 pub mod admission;
 pub mod api;
@@ -50,23 +58,20 @@ pub mod pragma;
 pub mod profile;
 pub mod queue;
 pub mod runtime;
+#[doc(hidden)]
 pub mod scanner;
 pub mod select;
-pub mod sync;
+pub(crate) mod sync;
 pub mod trace;
 pub mod transform;
+#[doc(hidden)]
 pub mod workers;
 
-pub use admission::{AdmissionLimits, AdmissionStats, DaemonMetrics};
-pub use api::SlateClient;
-pub use arbiter::{ArbiterConfig, ArbiterCore};
+pub use admission::AdmissionLimits;
 pub use channel::SlatePtr;
 pub use classify::WorkloadClass;
-pub use daemon::{ResumeToken, SlateDaemon};
 pub use durability::DurabilityOptions;
 pub use error::SlateError;
-pub use placement::{PlacementConfig, PlacementLayer, PlacementPolicy, RebalanceConfig};
-pub use policy::{should_corun, Verdict};
-pub use profile::{KernelProfile, ProfileTable};
+pub use placement::{PlacementConfig, PlacementLayer, PlacementPolicy};
+pub use profile::ProfileTable;
 pub use runtime::{SlateOptions, SlateRuntime};
-pub use trace::{Trace, TraceSchema};

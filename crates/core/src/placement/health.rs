@@ -51,6 +51,7 @@ const SEED: u64 = 0x5EED_4EA1;
 /// Durable daemon snapshots persist the fleet's health, and recovery
 /// restores it exactly (timers and all).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[doc(hidden)]
 pub enum HealthState {
     /// In service, behaving.
     #[default]
@@ -77,13 +78,13 @@ pub enum HealthState {
 
 impl HealthState {
     /// Whether the device is in service as a routing/migration target.
-    pub fn eligible(&self) -> bool {
+    pub(crate) fn eligible(&self) -> bool {
         matches!(self, HealthState::Healthy | HealthState::Degraded)
     }
 
     /// Whether live leases must be moved off the device (it just left,
     /// or is out of, service).
-    pub fn out_of_service(&self) -> bool {
+    pub(crate) fn out_of_service(&self) -> bool {
         matches!(self, HealthState::Quarantined { .. } | HealthState::Failed)
     }
 }
@@ -170,6 +171,7 @@ impl HealthTracker {
     }
 
     /// Devices currently eligible as routing targets.
+    #[cfg(test)]
     pub(super) fn eligible_count(&self) -> usize {
         self.states.iter().filter(|s| s.eligible()).count()
     }

@@ -42,18 +42,22 @@
 //!    ([`replay::split`]) that verify byte-identically through the
 //!    existing single-device machinery.
 
-pub mod health;
+pub(crate) mod health;
 pub mod multi;
-pub mod policy;
-pub mod rebalance;
+pub(crate) mod policy;
+pub(crate) mod rebalance;
 pub mod replay;
 
+#[doc(hidden)]
 pub use health::HealthState;
+#[doc(hidden)]
 pub use multi::{MultiJob, MultiSim};
 pub use policy::PlacementPolicy;
-pub use rebalance::{Migration, RebalanceConfig};
-pub use replay::{PlacementBatch, PlacementLog};
+pub use rebalance::RebalanceConfig;
+pub use replay::PlacementBatch;
+pub(crate) use replay::PlacementLog;
 
+use crate::admission::CoreStats;
 use crate::arbiter::replay::is_recorded;
 use crate::arbiter::{ArbiterConfig, ArbiterCore, Command, Event, IdTable, RejectScope, Tick};
 use crate::durability::codec::{
@@ -75,7 +79,7 @@ const LOAD_WEIGHT_MS: u64 = 10;
 /// per-core arbiter configuration (shared by all devices, admission limits
 /// included: each core bounds its own sessions and launches), and the
 /// optional migration planner. The health windows are constants of
-/// [`health`].
+/// `health`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct PlacementConfig {
     /// How new sessions choose a device.
@@ -108,7 +112,7 @@ impl fmt::Display for RoutedCommand {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlacementStats {
     /// Devices behind the layer.
-    pub devices: usize,
+    pub(crate) devices: usize,
     /// Sessions routed to a device (policy consultations).
     pub sessions_routed: u64,
     /// Cross-device migrations fired by the rebalancer.
@@ -273,6 +277,7 @@ impl PlacementLayer {
     /// re-interned in ascending external order, which may renumber slots,
     /// but no decision depends on slot numbering. Recording is off until
     /// [`PlacementLayer::start_recording`] is called again.
+    #[doc(hidden)]
     pub fn from_snapshot(snap: PlacementSnapshot) -> Self {
         let mut r = Reader { rest: &snap.body };
         Self::decode(&mut r).expect("a snapshot holds bytes that decode whole")
@@ -428,6 +433,7 @@ impl PlacementLayer {
     }
 
     /// Number of devices behind the layer.
+    #[doc(hidden)]
     pub fn devices(&self) -> usize {
         self.cores.len()
     }
@@ -438,7 +444,7 @@ impl PlacementLayer {
     }
 
     /// The active configuration.
-    pub fn config(&self) -> &PlacementConfig {
+    pub(crate) fn config(&self) -> &PlacementConfig {
         &self.config
     }
 
@@ -462,6 +468,7 @@ impl PlacementLayer {
     /// flight (`None` otherwise). Frontends use this to distinguish a
     /// rebalance eviction (re-stage on the target) from a watchdog
     /// eviction (drop).
+    #[doc(hidden)]
     pub fn migration_target(&self, lease: u64) -> Option<usize> {
         self.leases
             .get(lease)
@@ -469,12 +476,14 @@ impl PlacementLayer {
     }
 
     /// The health state of `device`, as of the last fed batch.
+    #[doc(hidden)]
     pub fn health_of(&self, device: usize) -> HealthState {
         self.health.state(device)
     }
 
     /// Devices currently in service as routing targets.
-    pub fn eligible_devices(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn eligible_devices(&self) -> usize {
         self.health.eligible_count()
     }
 
@@ -484,8 +493,7 @@ impl PlacementLayer {
     /// rebalancer's imbalance score.
     fn device_load(&self, device: usize) -> u64 {
         let core = &self.cores[device];
-        core.admission_stats().pending_est_ms
-            + LOAD_WEIGHT_MS * (core.residents() + core.waiting()) as u64
+        core.pending_est_ms + LOAD_WEIGHT_MS * (core.residents() + core.waiting()) as u64
     }
 
     /// Per-device load vector (see [`PlacementLayer::device_load`]).
@@ -501,64 +509,19 @@ impl PlacementLayer {
     }
 
     /// Kernels resident across every device.
+    #[doc(hidden)]
     pub fn residents(&self) -> usize {
         self.cores.iter().map(|c| c.residents()).sum()
     }
 
-    /// Watchdog evictions across every device.
-    pub fn evictions(&self) -> u64 {
-        self.cores.iter().map(|c| c.evictions()).sum()
-    }
-
-    /// Starvation promotions across every device.
-    pub fn promotions(&self) -> u64 {
-        self.cores.iter().map(|c| c.promotions()).sum()
-    }
-
-    /// SLO preemptions fired across every device.
-    pub fn preemptions(&self) -> u64 {
-        self.cores.iter().map(|c| c.preemptions()).sum()
-    }
-
-    /// Reaped sessions across every device.
-    pub fn reaped(&self) -> u64 {
-        self.cores.iter().map(|c| c.reaped()).sum()
-    }
-
-    /// Launch-queue snapshot summed across every device's core. `capacity`
-    /// is the per-core bound (the cores share one configuration), not a
-    /// fleet-wide sum.
-    pub fn queue_stats(&self) -> crate::queue::QueueStats {
-        let mut agg = crate::queue::QueueStats::default();
-        for core in &self.cores {
-            let s = core.queue_stats();
-            agg.depth += s.depth;
-            agg.high_water += s.high_water;
-            agg.admitted += s.admitted;
-            agg.shed += s.shed;
-            agg.capacity = s.capacity;
-        }
-        agg
-    }
-
-    /// Admission counters summed across every device's core.
-    pub fn admission_stats(&self) -> crate::admission::AdmissionStats {
-        let mut agg = crate::admission::AdmissionStats::default();
-        for core in &self.cores {
-            let s = core.admission_stats();
-            agg.active_sessions += s.active_sessions;
-            agg.sessions_admitted += s.sessions_admitted;
-            agg.sessions_rejected += s.sessions_rejected;
-            agg.launches_completed += s.launches_completed;
-            agg.launches_failed += s.launches_failed;
-            agg.deadline_rejections += s.deadline_rejections;
-            agg.mallocs_shed += s.mallocs_shed;
-            agg.pending_est_ms += s.pending_est_ms;
-        }
-        agg
+    /// Every device's core counters summed: one read for the fleet.
+    /// `queue.capacity` is the per-core bound, not a fleet-wide sum.
+    pub fn core_stats(&self) -> CoreStats {
+        self.cores.iter().map(ArbiterCore::stats).sum()
     }
 
     /// Snapshot of the placement counters.
+    #[doc(hidden)]
     pub fn stats(&self) -> PlacementStats {
         PlacementStats {
             devices: self.cores.len(),
@@ -574,11 +537,13 @@ impl PlacementLayer {
 
     /// Starts recording the layer's routed batches. The per-core logs are
     /// not kept: [`replay::split`] derives them from this one.
+    #[doc(hidden)]
     pub fn start_recording(&mut self) {
         self.record = Some(Vec::new());
     }
 
     /// Takes the placement-level log (if recording was started).
+    #[doc(hidden)]
     pub fn take_log(&mut self) -> Option<PlacementLog> {
         self.record.take().map(|batches| PlacementLog {
             devices: self.device_list(),
@@ -1020,6 +985,7 @@ fn pick_target(eligible: &[bool], loads: &[u64], src: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::AdmissionLimits;
     use crate::classify::WorkloadClass::*;
     use slate_gpu_sim::device::SmRange;
 
@@ -1179,7 +1145,7 @@ mod tests {
             .sessions
             .iter()
             .all(|(s, _)| p.session_slo[s as usize] == SloClass::BestEffort));
-        assert_eq!(p.admission_stats().sessions_rejected, 998);
+        assert_eq!(p.core_stats().admission.sessions_rejected, 998);
     }
 
     #[test]
@@ -1303,6 +1269,89 @@ mod tests {
         p
     }
 
+    /// Every count of the fleet's `core_stats` is the sum of the cores'
+    /// own, field by field; the queue capacity is the per-core bound.
+    #[test]
+    fn fleet_stats_sum_the_cores_field_by_field() {
+        let mut p = PlacementLayer::new(
+            two_tiny(),
+            PlacementConfig {
+                policy: PlacementPolicy::RoundRobin,
+                arbiter: ArbiterConfig {
+                    limits: AdmissionLimits {
+                        max_pending_global: Some(2),
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        // Sessions 1 and 3 on device 0, 2 and 4 on device 1.
+        let open: Vec<_> = (1..=4)
+            .map(|session| Event::SessionOpened { session })
+            .collect();
+        p.feed(0, &open);
+        let launch = |session, lease, est| Event::LaunchRequested {
+            session,
+            lease,
+            est_ms: Some(est),
+            deadline_ms: None,
+        };
+        // Device 0 sheds its third launch at the bound of two.
+        p.feed(1, &[launch(1, 10, 5), launch(3, 30, 7), launch(1, 11, 9)]);
+        p.feed(2, &[launch(2, 20, 4), launch(4, 40, 6)]);
+        p.feed(3, &[ready(1, 10, 8), ready(2, 20, 8)]);
+        let finished = |lease, ok| Event::KernelFinished { lease, ok };
+        p.feed(4, &[finished(10, true), finished(20, false)]);
+        p.feed(5, &[Event::SessionSevered { session: 4 }]);
+
+        let [a, b] = [0, 1].map(|d| p.cores[d].stats());
+        let fleet = p.core_stats();
+        let (q, qa, qb) = (fleet.queue, a.queue, b.queue);
+        assert_eq!(q.depth, qa.depth + qb.depth);
+        assert_eq!(q.high_water, qa.high_water + qb.high_water);
+        assert_eq!(q.admitted, qa.admitted + qb.admitted);
+        assert_eq!(q.shed, qa.shed + qb.shed);
+        assert_eq!((qa.capacity, qb.capacity), (Some(2), Some(2)));
+        assert_eq!(q.capacity, Some(2), "the per-core bound, not a sum");
+        let (s, sa, sb) = (fleet.admission, a.admission, b.admission);
+        assert_eq!(s.active_sessions, sa.active_sessions + sb.active_sessions);
+        assert_eq!(
+            s.sessions_admitted,
+            sa.sessions_admitted + sb.sessions_admitted
+        );
+        assert_eq!(
+            s.sessions_rejected,
+            sa.sessions_rejected + sb.sessions_rejected
+        );
+        assert_eq!(
+            s.launches_completed,
+            sa.launches_completed + sb.launches_completed
+        );
+        assert_eq!(s.launches_failed, sa.launches_failed + sb.launches_failed);
+        assert_eq!(
+            s.deadline_rejections,
+            sa.deadline_rejections + sb.deadline_rejections
+        );
+        assert_eq!(s.mallocs_shed, sa.mallocs_shed + sb.mallocs_shed);
+        assert_eq!(s.pending_est_ms, sa.pending_est_ms + sb.pending_est_ms);
+        assert_eq!(fleet.evictions, a.evictions + b.evictions);
+        assert_eq!(fleet.promotions, a.promotions + b.promotions);
+        assert_eq!(fleet.preemptions, a.preemptions + b.preemptions);
+        assert_eq!(fleet.reaped, a.reaped + b.reaped);
+        // Both devices contribute.
+        assert!(
+            qa.shed > 0 && qa.admitted > 0 && qb.admitted > 0,
+            "{a:?} {b:?}"
+        );
+        assert!(
+            sa.launches_completed > 0 && sb.launches_failed > 0,
+            "{a:?} {b:?}"
+        );
+        assert!(sa.pending_est_ms > 0 && b.reaped > 0, "{a:?} {b:?}");
+    }
+
     #[test]
     fn a_body_with_fewer_health_states_than_devices_is_refused() {
         let mut p = routed();
@@ -1353,6 +1402,48 @@ mod tests {
                 assert!(refused(&p).contains("SM range"), "range {which}: 0..={hi}");
             }
         }
+    }
+
+    /// Residents share a device only on disjoint SM ranges; a body whose
+    /// residents overlap is refused. Last ranges are hints and may
+    /// overlap a resident's.
+    #[test]
+    fn overlapping_resident_ranges_are_refused() {
+        // Two complementary kernels co-running on device 0, and a last
+        // range on device 1 from lease 20's first run.
+        let corun = || {
+            let mut p = routed();
+            let finished = Event::KernelFinished {
+                lease: 20,
+                ok: true,
+            };
+            p.feed(2, &[finished]);
+            let kernel = |lease, class| Event::KernelReady {
+                session: 1,
+                lease,
+                class,
+                sm_demand: 4,
+                pinned_solo: false,
+                deadline_ms: None,
+            };
+            p.feed(3, &[kernel(10, HM), kernel(11, LC)]);
+            p
+        };
+        assert_eq!(corun().cores[0].ranges_mut().count(), 2);
+        let mut p = corun();
+        let ranges: Vec<SmRange> = p.cores[0].ranges_mut().map(|r| *r).collect();
+        assert!(!ranges[0].overlaps(&ranges[1]), "{ranges:?}");
+        *p.cores[0].ranges_mut().nth(1).unwrap() = ranges[0];
+        assert!(refused(&p).contains("overlap"));
+
+        // Lease 20 runs again on the SMs it last held: its last range
+        // overlaps its resident range, and that restores.
+        let mut p = corun();
+        p.feed(4, &[ready(2, 20, 8)]);
+        let ranges: Vec<SmRange> = p.cores[1].ranges_mut().map(|r| *r).collect();
+        assert!(ranges[0].overlaps(&ranges[1]), "{ranges:?}");
+        let restored = PlacementLayer::from_snapshot(p.snapshot());
+        assert_eq!(restored.snapshot(), p.snapshot());
     }
 
     #[test]

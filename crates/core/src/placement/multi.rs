@@ -27,6 +27,7 @@ use std::collections::BTreeMap;
 
 /// One kernel to place and execute: the session it belongs to, its lease,
 /// and everything the arbiter needs to schedule it.
+#[doc(hidden)]
 pub struct MultiJob {
     /// Owning session (several jobs may share one).
     pub session: u64,
@@ -62,6 +63,7 @@ pub enum JobOutcome {
 }
 
 /// A placement layer driving one [`Backend`] per device.
+#[doc(hidden)]
 pub struct MultiSim {
     layer: PlacementLayer,
     backends: Vec<Box<dyn Backend>>,
@@ -83,7 +85,7 @@ pub struct MultiSim {
 
 impl MultiSim {
     /// A fleet of [`SimBackend`]s, one per device.
-    pub fn new(devices: Vec<DeviceConfig>, config: PlacementConfig) -> Self {
+    pub(crate) fn new(devices: Vec<DeviceConfig>, config: PlacementConfig) -> Self {
         let backends: Vec<Box<dyn Backend>> = devices
             .iter()
             .map(|d| Box::new(SimBackend::new(d.clone())) as Box<dyn Backend>)
@@ -96,6 +98,7 @@ impl MultiSim {
     ///
     /// # Panics
     /// If `backends` is empty.
+    #[doc(hidden)]
     pub fn with_backends(backends: Vec<Box<dyn Backend>>, config: PlacementConfig) -> Self {
         let devices: Vec<DeviceConfig> = backends.iter().map(|b| b.device().clone()).collect();
         let seen_health = vec![DeviceHealth::Healthy; backends.len()];
@@ -113,31 +116,31 @@ impl MultiSim {
     }
 
     /// The placement layer (routing tables, per-core stats, loads).
-    pub fn layer(&self) -> &PlacementLayer {
+    #[cfg(test)]
+    pub(crate) fn layer(&self) -> &PlacementLayer {
         &self.layer
     }
 
     /// Mutable layer access (recording control).
+    #[doc(hidden)]
     pub fn layer_mut(&mut self) -> &mut PlacementLayer {
         &mut self.layer
     }
 
-    /// The backend of `device`.
-    pub fn backend(&self, device: usize) -> &dyn Backend {
-        self.backends[device].as_ref()
-    }
-
     /// Placement counters.
+    #[doc(hidden)]
     pub fn stats(&self) -> PlacementStats {
         self.layer.stats()
     }
 
     /// Migrations carried out so far: `(lease, src, dst, progress)`.
+    #[doc(hidden)]
     pub fn migrations(&self) -> &[(u64, usize, usize, u64)] {
         &self.migrations
     }
 
     /// The terminal outcome of `lease`, once it has one.
+    #[doc(hidden)]
     pub fn outcome(&self, lease: u64) -> Option<JobOutcome> {
         self.outcomes.get(&lease).copied()
     }
@@ -163,6 +166,7 @@ impl MultiSim {
     /// admission, stages it on its routed device and announces readiness.
     /// Returns `false` (recording a [`JobOutcome::Rejected`]) if admission
     /// shed the session or the launch.
+    #[doc(hidden)]
     pub fn submit(&mut self, job: MultiJob) -> bool {
         let (session, lease) = (job.session, job.lease);
         if !self.session_open.contains_key(&session) {
@@ -289,6 +293,7 @@ impl MultiSim {
     /// layer marks it [`HealthState::Failed`](super::HealthState) and
     /// evacuates every live lease to in-service devices. Work resumes at
     /// its absolute `slateIdx` — no user block is lost or re-run.
+    #[doc(hidden)]
     pub fn fail_device(&mut self, device: usize) {
         self.backends[device].inject_device_fault(DeviceFault::Loss);
         self.sync_health();
@@ -296,15 +301,9 @@ impl MultiSim {
 
     /// Brings a failed/degraded `device` back. The layer answers with a
     /// seeded probation window before it becomes a routing target again.
-    pub fn recover_device(&mut self, device: usize) {
+    #[cfg(test)]
+    pub(crate) fn recover_device(&mut self, device: usize) {
         self.backends[device].inject_device_fault(DeviceFault::Restore);
-        self.sync_health();
-    }
-
-    /// Injects `fault` into `device`'s backend and propagates any health
-    /// edge to the placement layer immediately.
-    pub fn inject_device_fault(&mut self, device: usize, fault: DeviceFault) {
-        self.backends[device].inject_device_fault(fault);
         self.sync_health();
     }
 
@@ -340,6 +339,7 @@ impl MultiSim {
     /// edges surface, fresh completions are absorbed, and a heartbeat
     /// tick gives every core a scheduling pass (watchdogs, starvation
     /// aging, rebalance checks).
+    #[doc(hidden)]
     pub fn tick(&mut self) {
         self.now_ms += 1;
         for b in &mut self.backends {
@@ -364,6 +364,7 @@ impl MultiSim {
     /// Ticks until every submitted job has a terminal outcome, for at most
     /// `timeout_ms` backend milliseconds. Returns `true` if the fleet
     /// drained.
+    #[doc(hidden)]
     pub fn run(&mut self, timeout_ms: u64) -> bool {
         for _ in 0..timeout_ms {
             if self.drained() {
@@ -375,7 +376,7 @@ impl MultiSim {
     }
 
     /// Whether every submitted job has reached a terminal outcome.
-    pub fn drained(&self) -> bool {
+    pub(crate) fn drained(&self) -> bool {
         self.jobs.keys().all(|l| self.outcomes.contains_key(l))
     }
 }
@@ -385,7 +386,7 @@ mod tests {
     use super::*;
     use crate::admission::AdmissionLimits;
     use crate::arbiter::ArbiterConfig;
-    use crate::backend::testkit::churn_kernel;
+    use crate::backend::churn::churn;
     use crate::classify::WorkloadClass::*;
     use crate::placement::{HealthState, PlacementPolicy, RebalanceConfig};
 
@@ -393,7 +394,7 @@ mod tests {
         MultiJob {
             session,
             lease,
-            kernel: churn_kernel(blocks, 0),
+            kernel: TransformedKernel::new(std::sync::Arc::new(churn(blocks, 0))),
             task_size: 4,
             class,
             sm_demand: 8,
@@ -446,7 +447,7 @@ mod tests {
         assert!(!fleet.submit(j2), "the pending bound sheds job 2");
         assert_eq!(fleet.outcome(2), Some(JobOutcome::Rejected));
         assert!(fleet.run(60_000), "fleet must drain");
-        assert_eq!(fleet.layer().admission_stats().active_sessions, 0);
+        assert_eq!(fleet.layer().core_stats().admission.active_sessions, 0);
         assert_eq!(fleet.layer().device_of_session(2), None);
     }
 
@@ -463,7 +464,7 @@ mod tests {
         assert!(fleet.run(60_000), "fleet must drain");
         assert_eq!(fleet.outcome(1), Some(JobOutcome::Completed { device: 0 }));
         assert_eq!(fleet.outcome(2), Some(JobOutcome::Rejected));
-        assert_eq!(fleet.layer().admission_stats().active_sessions, 0);
+        assert_eq!(fleet.layer().core_stats().admission.active_sessions, 0);
     }
 
     #[test]

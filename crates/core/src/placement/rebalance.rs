@@ -55,13 +55,13 @@ impl Default for RebalanceConfig {
 
 /// A planned cross-device migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Migration {
+pub(crate) struct Migration {
     /// Device the victim currently runs on.
-    pub src: usize,
+    pub(crate) src: usize,
     /// Device it re-launches on after the eviction.
-    pub dst: usize,
+    pub(crate) dst: usize,
     /// The migrated lease.
-    pub lease: u64,
+    pub(crate) lease: u64,
 }
 
 /// The stateful planner: hysteresis arm, cooldown clock and victim rng.

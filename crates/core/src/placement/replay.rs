@@ -15,7 +15,9 @@
 //! a multi-device run unchanged.
 
 use super::{PlacementConfig, PlacementLayer, RoutedCommand};
-pub use crate::arbiter::replay::{replay, replay_under, transcript, verify};
+pub use crate::arbiter::replay::verify;
+#[doc(hidden)]
+pub use crate::arbiter::replay::{replay, transcript};
 use crate::arbiter::replay::{EventLog, ReplayBatch, Replayable, StreamVerifier};
 use crate::arbiter::{Command, Event, Tick};
 use serde::{Deserialize, Serialize};

@@ -34,7 +34,7 @@ use Verdict::{Corun, Solo};
 /// Table I verbatim: rows indexed by the running kernel's class, columns by
 /// the candidate's class, both in [`WorkloadClass::ALL`] order
 /// (L_C, M_C, H_C, M_M, H_M).
-pub const TABLE: [[Verdict; 5]; 5] = [
+pub(crate) const TABLE: [[Verdict; 5]; 5] = [
     // running \ candidate:  L_C    M_C    H_C    M_M    H_M
     /* L_C */
     [Corun, Corun, Solo, Corun, Corun],

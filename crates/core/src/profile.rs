@@ -17,10 +17,10 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Fraction of the full-device rate that defines the SM-demand knee.
-pub const DEMAND_FRACTION: f64 = 0.9;
+pub(crate) const DEMAND_FRACTION: f64 = 0.9;
 
 /// Task sizes the autotuner evaluates (the paper's Fig. 5 sweep).
-pub const TASK_SIZE_CANDIDATES: [u32; 6] = [1, 2, 5, 10, 20, 50];
+pub(crate) const TASK_SIZE_CANDIDATES: [u32; 6] = [1, 2, 5, 10, 20, 50];
 
 /// One kernel's stored profile.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -35,7 +35,7 @@ pub struct KernelProfile {
     pub block_rate: f64,
     /// Derived workload class.
     pub class: WorkloadClass,
-    /// SMs needed to reach [`DEMAND_FRACTION`] of the full-device Slate
+    /// SMs needed to reach `DEMAND_FRACTION` of the full-device Slate
     /// rate — the partitioner's share for this kernel.
     pub sm_demand: u32,
     /// Task size that minimised this kernel's solo Slate time during
@@ -67,7 +67,7 @@ fn slate_solo_time(cfg: &DeviceConfig, perf: &KernelPerf, blocks: u64, task_size
 
 /// Sweeps [`TASK_SIZE_CANDIDATES`] and returns the fastest task size for a
 /// solo Slate run of `blocks` blocks.
-pub fn autotune_task_size(cfg: &DeviceConfig, perf: &KernelPerf, blocks: u64) -> u32 {
+pub(crate) fn autotune_task_size(cfg: &DeviceConfig, perf: &KernelPerf, blocks: u64) -> u32 {
     TASK_SIZE_CANDIDATES
         .into_iter()
         .map(|size| (slate_solo_time(cfg, perf, blocks, size), size))
@@ -136,11 +136,13 @@ impl ProfileTable {
     }
 
     /// Looks up a kernel by name.
-    pub fn get(&self, name: &str) -> Option<&KernelProfile> {
+    #[cfg(test)]
+    pub(crate) fn get(&self, name: &str) -> Option<&KernelProfile> {
         self.entries.get(name)
     }
 
     /// Inserts or replaces a profile.
+    #[doc(hidden)]
     pub fn insert(&mut self, p: KernelProfile) {
         self.entries.insert(p.name.clone(), p);
     }
@@ -150,7 +152,7 @@ impl ProfileTable {
     ///
     /// # Panics
     /// If the kernel is unprofiled and cannot be ([`profile_kernel`]);
-    /// for a client's kernel use [`ProfileTable::try_get_or_profile`].
+    /// for a client's kernel use `ProfileTable::try_get_or_profile`.
     pub fn get_or_profile(
         &mut self,
         cfg: &DeviceConfig,
@@ -163,7 +165,7 @@ impl ProfileTable {
 
     /// [`ProfileTable::get_or_profile`] that reports a kernel the device
     /// cannot launch instead of panicking; nothing is stored for it.
-    pub fn try_get_or_profile(
+    pub(crate) fn try_get_or_profile(
         &mut self,
         cfg: &DeviceConfig,
         perf: &KernelPerf,
@@ -194,23 +196,27 @@ impl ProfileTable {
     }
 
     /// Number of stored profiles.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Persists the table as JSON.
+    #[doc(hidden)]
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         let json = serde_json::to_string_pretty(self).expect("profile table serializes");
         std::fs::write(path, json)
     }
 
     /// Loads a table from JSON.
-    pub fn load(path: &Path) -> std::io::Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn load(path: &Path) -> std::io::Result<Self> {
         let json = std::fs::read_to_string(path)?;
         serde_json::from_str(&json)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))

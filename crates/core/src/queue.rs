@@ -14,7 +14,7 @@
 //!
 //! Alongside the device-side [`TaskQueue`], this module hosts the
 //! *host-side* launch-queue primitive the daemon's overload protection is
-//! built on: a [`LaunchGauge`] bounds the number of in-flight launches in a
+//! built on: a `LaunchGauge` bounds the number of in-flight launches in a
 //! queue (per session or daemon-wide) with a drop-newest shed policy, and a
 //! [`QueueStats`] snapshot reports depth, high-water mark and shed/admit
 //! counters for observability.
@@ -50,6 +50,7 @@ impl TaskQueue {
 
     /// Creates a queue that resumes from block `start` — what the dispatch
     /// kernel does on a relaunch after a resize.
+    #[doc(hidden)]
     pub fn with_progress(start: u64, total: u64, task_size: u32) -> Self {
         assert!(task_size >= 1, "task size must be at least 1");
         assert!(start <= total, "start {start} beyond total {total}");
@@ -63,12 +64,13 @@ impl TaskQueue {
     }
 
     /// Total blocks (`slateMax`).
-    pub fn total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> u64 {
         self.slate_max
     }
 
     /// Task size (`SLATE_ITERS`).
-    pub fn task_size(&self) -> u32 {
+    pub(crate) fn task_size(&self) -> u32 {
         self.task_size
     }
 
@@ -87,24 +89,24 @@ impl TaskQueue {
     }
 
     /// Raises the retreat flag: workers finish their current task and exit.
-    pub fn signal_retreat(&self) {
+    pub(crate) fn signal_retreat(&self) {
         self.retreat.store(true, Ordering::Release);
     }
 
     /// Clears the retreat flag before a relaunch.
-    pub fn clear_retreat(&self) {
+    pub(crate) fn clear_retreat(&self) {
         self.retreat.store(false, Ordering::Release);
     }
 
     /// Whether workers should retreat (checked after each task).
-    pub fn retreating(&self) -> bool {
+    pub(crate) fn retreating(&self) -> bool {
         self.retreat.load(Ordering::Acquire)
     }
 
     /// Progress: blocks pulled (and therefore completed, since workers
     /// always finish a pulled task). Clamped to `total` because the
     /// `fetch_add` race lets the raw index overshoot.
-    pub fn progress(&self) -> u64 {
+    pub(crate) fn progress(&self) -> u64 {
         self.slate_idx.load(Ordering::Acquire).min(self.slate_max)
     }
 
@@ -116,26 +118,28 @@ impl TaskQueue {
     }
 
     /// Blocks not yet pulled.
-    pub fn remaining(&self) -> u64 {
+    pub(crate) fn remaining(&self) -> u64 {
         self.slate_max - self.progress()
     }
 
     /// Whether every block has been pulled.
+    #[doc(hidden)]
     pub fn drained(&self) -> bool {
         self.remaining() == 0
     }
 
     /// Number of atomic task pulls performed (the overhead Slate's task
     /// grouping amortises, Table V).
+    #[doc(hidden)]
     pub fn pull_count(&self) -> u64 {
         self.pulls.load(Ordering::Relaxed)
     }
 }
 
-/// Point-in-time snapshot of a bounded launch queue ([`LaunchGauge`]).
+/// Point-in-time snapshot of a bounded launch queue (`LaunchGauge`).
 ///
 /// Daemon snapshots persist gauge state in this form and restore it after
-/// a crash via [`LaunchGauge::from_stats`].
+/// a crash via `LaunchGauge::from_stats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueStats {
     /// Launches currently admitted and not yet completed.
@@ -143,7 +147,7 @@ pub struct QueueStats {
     /// Highest depth ever observed.
     pub high_water: u64,
     /// Depth bound; `None` means unbounded.
-    pub capacity: Option<u64>,
+    pub(crate) capacity: Option<u64>,
     /// Launches admitted into the queue since creation.
     pub admitted: u64,
     /// Launches shed (refused at the bound) since creation — the
@@ -159,7 +163,7 @@ pub struct QueueStats {
 /// blocks — over-bound arrivals are shed immediately, which is what turns
 /// an unbounded queue under overload into backpressure the client can see.
 #[derive(Debug)]
-pub struct LaunchGauge {
+pub(crate) struct LaunchGauge {
     capacity: Option<u64>,
     depth: AtomicU64,
     high_water: AtomicU64,
@@ -170,7 +174,7 @@ pub struct LaunchGauge {
 impl LaunchGauge {
     /// A gauge bounded at `capacity` in-flight launches (`None` =
     /// unbounded, counting only).
-    pub fn new(capacity: Option<u64>) -> Self {
+    pub(crate) fn new(capacity: Option<u64>) -> Self {
         Self {
             capacity,
             depth: AtomicU64::new(0),
@@ -183,7 +187,7 @@ impl LaunchGauge {
     /// Rebuilds a gauge from a [`QueueStats`] snapshot — the inverse of
     /// [`LaunchGauge::stats`], used when a crashed daemon's accounting is
     /// restored from a durable snapshot.
-    pub fn from_stats(stats: QueueStats) -> Self {
+    pub(crate) fn from_stats(stats: QueueStats) -> Self {
         Self {
             capacity: stats.capacity,
             depth: AtomicU64::new(stats.depth),
@@ -195,7 +199,7 @@ impl LaunchGauge {
 
     /// Tries to admit one launch. Returns `false` (and counts a shed) if
     /// the queue is at capacity; the arriving launch is the one dropped.
-    pub fn try_push(&self) -> bool {
+    pub(crate) fn try_push(&self) -> bool {
         let prev = self.depth.fetch_add(1, Ordering::AcqRel);
         if let Some(cap) = self.capacity {
             if prev >= cap {
@@ -211,12 +215,12 @@ impl LaunchGauge {
 
     /// Records a shed that happened before the depth check (e.g. an
     /// up-front deadline-feasibility rejection).
-    pub fn record_shed(&self) {
+    pub(crate) fn record_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Releases one admitted launch.
-    pub fn pop(&self) {
+    pub(crate) fn pop(&self) {
         let prev = self.depth.fetch_sub(1, Ordering::AcqRel);
         debug_assert!(prev > 0, "pop without matching push");
     }
@@ -226,7 +230,7 @@ impl LaunchGauge {
     /// gauge refused): the admission is undone and recounted as a shed, so
     /// `admitted` still equals completions and `admitted + shed` still
     /// equals attempts.
-    pub fn cancel(&self) {
+    pub(crate) fn cancel(&self) {
         let prev = self.depth.fetch_sub(1, Ordering::AcqRel);
         debug_assert!(prev > 0, "cancel without matching push");
         self.admitted.fetch_sub(1, Ordering::Relaxed);
@@ -234,12 +238,12 @@ impl LaunchGauge {
     }
 
     /// Current number of admitted, uncompleted launches.
-    pub fn depth(&self) -> u64 {
+    pub(crate) fn depth(&self) -> u64 {
         self.depth.load(Ordering::Acquire)
     }
 
     /// Snapshot of the gauge.
-    pub fn stats(&self) -> QueueStats {
+    pub(crate) fn stats(&self) -> QueueStats {
         QueueStats {
             depth: self.depth.load(Ordering::Acquire),
             high_water: self.high_water.load(Ordering::Acquire),

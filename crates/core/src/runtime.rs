@@ -201,7 +201,6 @@ impl SlateRuntime {
             drained,
             outcomes,
             stats: fleet.stats(),
-            migrations: fleet.migrations().to_vec(),
         }
     }
 }
@@ -217,8 +216,6 @@ pub struct PlacedOutcome {
     pub outcomes: Vec<Option<JobOutcome>>,
     /// Placement counters (sessions routed, rebalances, migrations).
     pub stats: PlacementStats,
-    /// Migration audit trail: `(lease, src, dst, progress)`.
-    pub migrations: Vec<(u64, usize, usize, u64)>,
 }
 
 /// A scheduling-only kernel stand-in: carries a launch grid and the

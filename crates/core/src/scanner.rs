@@ -12,14 +12,14 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Byte offset of the first character.
-    pub start: usize,
+    pub(crate) start: usize,
     /// Byte offset one past the last character.
-    pub end: usize,
+    pub(crate) end: usize,
 }
 
 impl Span {
     /// The spanned text.
-    pub fn text<'a>(&self, src: &'a str) -> &'a str {
+    pub(crate) fn text<'a>(&self, src: &'a str) -> &'a str {
         &src[self.start..self.end]
     }
 }
@@ -28,13 +28,13 @@ impl Span {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelDef {
     /// Kernel name.
-    pub name: String,
+    pub(crate) name: String,
     /// Span of the name identifier.
-    pub name_span: Span,
+    pub(crate) name_span: Span,
     /// Span of the parameter list, excluding the parentheses.
-    pub params_span: Span,
+    pub(crate) params_span: Span,
     /// Span of the body, excluding the outer braces.
-    pub body_span: Span,
+    pub(crate) body_span: Span,
     /// Spans of `blockIdx` identifiers inside the body.
     pub block_idx_uses: Vec<Span>,
     /// Spans of `gridDim` identifiers inside the body.

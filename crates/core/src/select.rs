@@ -13,25 +13,25 @@ use std::cmp::Reverse;
 /// Margin used when deriving a policy from measurements: a co-run must beat
 /// consecutive execution by at least this fraction to be worth the
 /// scheduling risk (break-even pairs default to solo).
-pub const PROFIT_MARGIN: f64 = 0.02;
+pub(crate) const PROFIT_MARGIN: f64 = 0.02;
 
 /// The policy-derivation criterion: concurrent execution
 /// (`max(T'_k, T'_{k+1})`) must clearly beat consecutive execution
-/// (`T_k + T_{k+1}`), by [`PROFIT_MARGIN`].
+/// (`T_k + T_{k+1}`), by `PROFIT_MARGIN`.
 pub fn corun_clearly_profitable(t_a: f64, t_b: f64, t_a_corun: f64, t_b_corun: f64) -> bool {
     t_a_corun.max(t_b_corun) < (t_a + t_b) * (1.0 - PROFIT_MARGIN)
 }
 
 /// A waiting kernel as seen by the wait-aware selector.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PartnerCandidate {
+pub(crate) struct PartnerCandidate {
     /// The candidate's workload class.
-    pub class: WorkloadClass,
+    pub(crate) class: WorkloadClass,
     /// How long the candidate has waited in the queue, in seconds.
-    pub waited_s: f64,
+    pub(crate) waited_s: f64,
     /// Stable arrival order (lower = arrived earlier). This is the
     /// deterministic tie-break when wait times compare equal.
-    pub order: u64,
+    pub(crate) order: u64,
 }
 
 /// Deterministic, wait-aware partner choice: among candidates complementary
@@ -43,7 +43,10 @@ pub struct PartnerCandidate {
 /// no waiter has starved past the aging bound: starvation refuses the
 /// pairing there, and the starved waiter is dispatched solo once the
 /// device frees.
-pub fn select_partner(active: WorkloadClass, candidates: &[PartnerCandidate]) -> Option<usize> {
+pub(crate) fn select_partner(
+    active: WorkloadClass,
+    candidates: &[PartnerCandidate],
+) -> Option<usize> {
     candidates
         .iter()
         .enumerate()

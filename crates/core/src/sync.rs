@@ -22,13 +22,13 @@ use std::time::{Duration, Instant};
 
 /// A mutex whose `lock()` recovers from poisoning instead of panicking,
 /// counting each recovery.
-pub struct Mutex<T: ?Sized> {
+pub(crate) struct Mutex<T: ?Sized> {
     recoveries: AtomicU64,
     inner: std::sync::Mutex<T>,
 }
 
 /// Guard returned by [`Mutex::lock`].
-pub struct MutexGuard<'a, T: ?Sized> {
+pub(crate) struct MutexGuard<'a, T: ?Sized> {
     // `Option` so `Condvar::wait` can move the std guard out and back in
     // without dropping the wrapper.
     inner: Option<std::sync::MutexGuard<'a, T>>,
@@ -36,7 +36,7 @@ pub struct MutexGuard<'a, T: ?Sized> {
 
 impl<T> Mutex<T> {
     /// Creates a mutex protecting `value`.
-    pub const fn new(value: T) -> Self {
+    pub(crate) const fn new(value: T) -> Self {
         Self {
             recoveries: AtomicU64::new(0),
             inner: std::sync::Mutex::new(value),
@@ -48,7 +48,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock. A poisoned lock (some thread panicked while
     /// holding it) is recovered transparently and counted in
     /// [`Mutex::recoveries`].
-    pub fn lock(&self) -> MutexGuard<'_, T> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
         let guard = self.inner.lock().unwrap_or_else(|poisoned| {
             self.recoveries.fetch_add(1, Ordering::Relaxed);
             poisoned.into_inner()
@@ -57,7 +57,7 @@ impl<T: ?Sized> Mutex<T> {
     }
 
     /// Times this mutex recovered a poisoned guard in `lock()`.
-    pub fn recoveries(&self) -> u64 {
+    pub(crate) fn recoveries(&self) -> u64 {
         self.recoveries.load(Ordering::Relaxed)
     }
 }
@@ -89,13 +89,13 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 
 /// Result of a timed [`Condvar`] wait.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult {
+pub(crate) struct WaitTimeoutResult {
     timed_out: bool,
 }
 
 impl WaitTimeoutResult {
     /// Whether the wait returned because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
+    pub(crate) fn timed_out(&self) -> bool {
         self.timed_out
     }
 }
@@ -103,27 +103,27 @@ impl WaitTimeoutResult {
 /// A condition variable paired with [`Mutex`]; waits recover poisoned
 /// guards the same way [`Mutex::lock`] does.
 #[derive(Default)]
-pub struct Condvar {
+pub(crate) struct Condvar {
     inner: std::sync::Condvar,
 }
 
 impl Condvar {
     /// Creates a condition variable.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self {
             inner: std::sync::Condvar::new(),
         }
     }
 
     /// Blocks until notified, releasing the guard's lock while waiting.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+    pub(crate) fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let g = guard.inner.take().expect("guard present");
         let g = self.inner.wait(g).unwrap_or_else(|e| e.into_inner());
         guard.inner = Some(g);
     }
 
     /// Blocks until notified or `timeout` elapses.
-    pub fn wait_for<T>(
+    pub(crate) fn wait_for<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
         timeout: Duration,
@@ -140,7 +140,7 @@ impl Condvar {
     }
 
     /// Blocks until notified or `deadline` passes.
-    pub fn wait_until<T>(
+    pub(crate) fn wait_until<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
         deadline: Instant,
@@ -150,12 +150,12 @@ impl Condvar {
     }
 
     /// Wakes one waiter.
-    pub fn notify_one(&self) {
+    pub(crate) fn notify_one(&self) {
         self.inner.notify_one();
     }
 
     /// Wakes every waiter.
-    pub fn notify_all(&self) {
+    pub(crate) fn notify_all(&self) {
         self.inner.notify_all();
     }
 }

@@ -8,7 +8,7 @@
 //! configurations must therefore be command-derived. Ready→finish
 //! latency is configuration-invariant by construction; ready→dispatch
 //! wait, preemption latency and the dispatch-normalized slowdown proxy
-//! are not, so those are what [`ReplayMetrics`] scores.
+//! are not, so those are what `ReplayMetrics` scores.
 //!
 //! [`replay_under`]: crate::arbiter::replay::replay_under
 
@@ -130,40 +130,40 @@ pub fn preempt_latencies<B: ReplayBatch>(batches: &[B]) -> Vec<u64> {
 /// that *differ* between configurations replayed over the same events,
 /// which is what makes them valid tuner scores.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ReplayMetrics {
+pub(crate) struct ReplayMetrics {
     /// Leases that both dispatched and finished inside the log.
-    pub episodes: usize,
+    pub(crate) episodes: usize,
     /// Leases whose `KernelFinished` arrived without any dispatch under
     /// this configuration (the recorded run dispatched them; the variant
     /// chose not to). Each contributes a large slowdown penalty.
-    pub undispatched: usize,
+    pub(crate) undispatched: usize,
     /// Ready → dispatch wait, all finished leases.
-    pub wait: LatencyStats,
+    pub(crate) wait: LatencyStats,
     /// Ready → dispatch wait, latency-critical sessions only.
-    pub lc_wait: LatencyStats,
+    pub(crate) lc_wait: LatencyStats,
     /// Average normalized turnaround proxy: mean over finished leases of
     /// `(finish − ready) / (finish − dispatch)` — queueing-inflated time
     /// over service time. 1.0 = every lease dispatched the instant it was
     /// ready; undispatched leases count as `(finish − ready) + 1`.
-    pub antt_proxy: f64,
+    pub(crate) antt_proxy: f64,
     /// Preemption latency (arrival → displacing command).
-    pub preempt: LatencyStats,
+    pub(crate) preempt: LatencyStats,
     /// `Preempt` commands emitted.
-    pub preemptions: usize,
+    pub(crate) preemptions: usize,
     /// `RejectOverloaded` commands emitted.
-    pub sheds: usize,
+    pub(crate) sheds: usize,
     /// `Evict` commands emitted.
-    pub evictions: usize,
+    pub(crate) evictions: usize,
     /// `Resize` commands emitted.
-    pub resizes: usize,
+    pub(crate) resizes: usize,
     /// `PromoteStarved` commands emitted.
-    pub promotions: usize,
+    pub(crate) promotions: usize,
 }
 
 /// Extracts [`ReplayMetrics`] from a (replayed or recorded) batch stream.
 /// On a placement stream the device indices are dropped: waits and
 /// preemptions are fleet-wide quantities.
-pub fn replay_metrics<B: ReplayBatch>(batches: &[B]) -> ReplayMetrics {
+pub(crate) fn replay_metrics<B: ReplayBatch>(batches: &[B]) -> ReplayMetrics {
     let crit = critical_sessions(batches);
     let mut session_of: BTreeMap<u64, u64> = BTreeMap::new();
     let mut ready_at: BTreeMap<u64, Tick> = BTreeMap::new();

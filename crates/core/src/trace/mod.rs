@@ -5,7 +5,7 @@
 //! of every scheduling decision; this module makes them *inspectable*
 //! and *searchable*:
 //!
-//! - [`model`] — the Chrome trace-event vocabulary with a
+//! - `model` — the Chrome trace-event vocabulary with a
 //!   byte-deterministic emitter; the output loads in Perfetto's legacy
 //!   JSON importer and `chrome://tracing`.
 //! - [`export`] — converters from [`EventLog`] / [`PlacementLog`] to a
@@ -29,12 +29,10 @@
 
 pub mod export;
 pub mod metrics;
-pub mod model;
+pub(crate) mod model;
 pub mod tune;
 pub mod validate;
 
 pub use export::trace_log;
-pub use metrics::{LatencyStats, ReplayMetrics};
 pub use model::{ArgValue, Trace, TraceEvent};
-pub use tune::{TuneReport, TuneVariant};
-pub use validate::{validate, TraceSchema, TraceStats};
+pub use validate::TraceSchema;

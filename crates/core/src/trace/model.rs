@@ -55,25 +55,25 @@ pub struct TraceEvent {
     /// Event name (slice label, counter name, metadata kind).
     pub name: String,
     /// Category; SLO class for lease slices, `migration` for flows.
-    pub cat: &'static str,
+    pub(crate) cat: &'static str,
     /// Phase character (see the module table).
     pub ph: char,
     /// Timestamp in microseconds of logical time.
-    pub ts: Tick,
+    pub(crate) ts: Tick,
     /// Duration in microseconds; complete (`X`) slices only.
-    pub dur: Option<u64>,
+    pub(crate) dur: Option<u64>,
     /// Process id — the device index.
     pub pid: u32,
     /// Thread id — the track within the device (0 = arbiter track,
     /// 1.. = session tracks in ascending session-id order).
-    pub tid: u32,
+    pub(crate) tid: u32,
     /// Flow id; `s`/`f` events only.
-    pub id: Option<u64>,
+    pub(crate) id: Option<u64>,
     /// `true` renders `"bp":"e"` (flow finish binds to the enclosing
     /// slice); `f` events only.
-    pub bind_enclosing: bool,
+    pub(crate) bind_enclosing: bool,
     /// Chrome color name hint (Perfetto may ignore it; harmless).
-    pub cname: Option<&'static str>,
+    pub(crate) cname: Option<&'static str>,
     /// Ordered argument list, rendered as the `args` object verbatim —
     /// insertion order is emission order, so keep it deterministic.
     pub args: Vec<(&'static str, ArgValue)>,
@@ -173,16 +173,6 @@ impl Trace {
         }
         out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
         out
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the trace holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 }
 

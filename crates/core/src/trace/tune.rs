@@ -6,7 +6,7 @@
 //! scoring them against each other is a controlled experiment — no
 //! simulation noise, no re-run variance, and a re-run of the same grid
 //! over the same log produces byte-identical reports. Scoring uses only
-//! command-derived metrics ([`ReplayMetrics`]); see the
+//! command-derived metrics (`ReplayMetrics`); see the
 //! [`metrics`](super::metrics) module docs for why event-derived
 //! latencies are off-limits in counterfactual comparisons.
 //!
@@ -25,9 +25,9 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuneVariant<C = ArbiterConfig> {
     /// Human-readable variant name (shown in the report tables).
-    pub name: String,
+    pub(crate) name: String,
     /// The configuration to replay under.
-    pub config: C,
+    pub(crate) config: C,
 }
 
 /// A configuration the tuner can vary: the arbiter knobs every log has,
@@ -116,7 +116,7 @@ fn opt_us(v: Option<u64>) -> String {
 }
 
 /// Compact one-line rendering of the knobs a variant moved.
-pub fn config_summary<C: TuneConfig>(config: &C) -> String {
+pub(crate) fn config_summary<C: TuneConfig>(config: &C) -> String {
     let c = config.arbiter();
     let mut s = format!(
         "corun={} resize={} starve={} preempt={}",
@@ -186,7 +186,7 @@ pub fn default_grid<C: TuneConfig>(base: &C) -> Vec<TuneVariant<C>> {
 
 /// Hard cap on grid size; a runaway cartesian spec is an input error,
 /// not a reason to spin 10⁶ replays.
-pub const MAX_GRID: usize = 256;
+pub(crate) const MAX_GRID: usize = 256;
 
 fn parse_bound(key: &str, v: &str) -> Result<Option<u64>, String> {
     if v == "none" || v == "off" {
@@ -212,7 +212,7 @@ fn parse_flag(key: &str, v: &str) -> Result<bool, String> {
 /// Keys: `preempt_bound_us`, `starvation_bound_us` (integer µs, `none`,
 /// or `off`), `enable_corun`, `enable_resize` (`on`/`off`),
 /// `max_pending_global`, `max_pending_per_session`, `max_sessions`
-/// (integer, `none`, or `off`). At most [`MAX_GRID`] variants.
+/// (integer, `none`, or `off`). At most `MAX_GRID` variants.
 pub fn parse_grid<C: TuneConfig>(spec: &str, base: &C) -> Result<Vec<TuneVariant<C>>, String> {
     let mut variants = vec![TuneVariant {
         name: "recorded".into(),
@@ -275,7 +275,7 @@ pub fn parse_grid<C: TuneConfig>(spec: &str, base: &C) -> Result<Vec<TuneVariant
 /// then overall p99 wait. Ties beyond that resolve to the earlier
 /// variant in the grid — the baseline wins exact ties, so a variant must
 /// genuinely move a scored metric to displace it.
-pub fn score(m: &ReplayMetrics) -> (u64, u64, u64) {
+pub(crate) fn score(m: &ReplayMetrics) -> (u64, u64, u64) {
     (
         m.lc_wait.p99_us,
         (m.antt_proxy * 1e4).round() as u64,
@@ -289,11 +289,11 @@ pub struct TuneRow {
     /// Variant name.
     pub name: String,
     /// Compact rendering of the variant's configuration.
-    pub config: String,
+    pub(crate) config: String,
     /// Whether this is the log's recorded baseline configuration.
     pub baseline: bool,
     /// The command-derived metrics of its counterfactual replay.
-    pub metrics: ReplayMetrics,
+    pub(crate) metrics: ReplayMetrics,
 }
 
 /// The ranked outcome of a tuning run. Construction is deterministic:
@@ -302,9 +302,9 @@ pub struct TuneRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuneReport {
     /// Batches in the tuned log.
-    pub batches: usize,
+    pub(crate) batches: usize,
     /// Events in the tuned log.
-    pub events: usize,
+    pub(crate) events: usize,
     /// Rows ranked best (index 0) to worst.
     pub rows: Vec<TuneRow>,
 }

@@ -20,31 +20,31 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct TraceSchema {
     /// Minimum distinct processes (devices) with a `process_name`.
     #[serde(default)]
-    pub min_processes: u64,
+    pub(crate) min_processes: u64,
     /// Minimum named tracks (`thread_name` metadata events).
     #[serde(default)]
-    pub min_tracks: u64,
+    pub(crate) min_tracks: u64,
     /// Minimum complete (`X`) slices.
     #[serde(default)]
-    pub min_slices: u64,
+    pub(crate) min_slices: u64,
     /// Minimum counter (`C`) samples.
     #[serde(default)]
-    pub min_counter_samples: u64,
+    pub(crate) min_counter_samples: u64,
     /// Minimum instant (`i`) events.
     #[serde(default)]
-    pub min_instants: u64,
+    pub(crate) min_instants: u64,
     /// Minimum flow (`s`/`f`) pairs.
     #[serde(default)]
-    pub min_flows: u64,
+    pub(crate) min_flows: u64,
     /// Permit non-monotonic data-event timestamps (off by default).
     #[serde(default)]
-    pub allow_unsorted_ts: bool,
+    pub(crate) allow_unsorted_ts: bool,
     /// Permit unpaired flow endpoints (off by default).
     #[serde(default)]
-    pub allow_orphan_flows: bool,
+    pub(crate) allow_orphan_flows: bool,
     /// Permit overlapping slices within one track (off by default).
     #[serde(default)]
-    pub allow_overlapping_slices: bool,
+    pub(crate) allow_overlapping_slices: bool,
 }
 
 impl TraceSchema {
@@ -59,19 +59,19 @@ impl TraceSchema {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceStats {
     /// Total events, metadata included.
-    pub events: usize,
+    pub(crate) events: usize,
     /// Distinct processes carrying a `process_name`.
     pub processes: usize,
     /// Named tracks (`thread_name` events).
-    pub tracks: usize,
+    pub(crate) tracks: usize,
     /// Complete (`X`) slices.
     pub slices: usize,
     /// Counter samples.
     pub counters: usize,
     /// Instant events.
-    pub instants: usize,
+    pub(crate) instants: usize,
     /// Matched flow pairs.
-    pub flows: usize,
+    pub(crate) flows: usize,
 }
 
 impl std::fmt::Display for TraceStats {

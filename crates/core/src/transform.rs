@@ -34,6 +34,7 @@ impl TransformedKernel {
     }
 
     /// The user grid.
+    #[doc(hidden)]
     pub fn grid(&self) -> GridDim {
         self.grid
     }
@@ -44,7 +45,7 @@ impl TransformedKernel {
     }
 
     /// The wrapped kernel.
-    pub fn inner(&self) -> &Arc<dyn GpuKernel> {
+    pub(crate) fn inner(&self) -> &Arc<dyn GpuKernel> {
         &self.inner
     }
 

@@ -20,8 +20,8 @@
 //! gated workers of a launch are counted from the grid
 //! (`WorkerGrid::live`) rather than by visiting each. A launch costs
 //! O(tasks), not O(resident workers), with the same blocks run in the same
-//! order and the same [`WorkerRunStats`]; only the raw overshoot of
-//! `slateIdx` past `slateMax` (which [`TaskQueue::progress`] clamps) is
+//! order and the same `WorkerRunStats`; only the raw overshoot of
+//! `slateIdx` past `slateMax` (which `TaskQueue::progress` clamps) is
 //! smaller — one failed pull per stripe instead of one per live worker.
 //!
 //! # Lanes
@@ -30,7 +30,7 @@
 //! (`N = available_parallelism()` for the process-wide pool). A launch
 //! cuts its worker grid into `N` stripes — stripe `t` is the workers
 //! `w ≡ t (mod N)`, run in order — and the thread that calls
-//! [`LanePool::launch`] is always lane 0: it hosts stripe 0 itself and
+//! `LanePool::launch` is always lane 0: it hosts stripe 0 itself and
 //! then every stripe no helper has claimed. Lanes `1..N` are long-lived
 //! parked helper threads, spawned once with the pool; nothing on the
 //! launch path creates a thread or allocates per worker.
@@ -64,22 +64,22 @@ use std::thread::JoinHandle;
 
 /// Outcome of one persistent-worker launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerRunStats {
+pub(crate) struct WorkerRunStats {
     /// Workers that passed the SM gate and executed tasks.
-    pub live_workers: u64,
+    pub(crate) live_workers: u64,
     /// Workers that landed on undesignated SMs and exited immediately.
-    pub gated_workers: u64,
+    pub(crate) gated_workers: u64,
     /// Blocks executed during this launch.
-    pub blocks_executed: u64,
+    pub(crate) blocks_executed: u64,
     /// Whether the launch ended because of a retreat signal (vs drain).
-    pub retreated: bool,
+    pub(crate) retreated: bool,
 }
 
 /// The shape of a kernel's worker grid on one device: what a launch needs
 /// of the device and the kernel's occupancy, computed once per dispatch
 /// instead of on every (re)launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerGrid {
+pub(crate) struct WorkerGrid {
     num_sms: u32,
     per_sm: u32,
 }
@@ -87,7 +87,7 @@ pub struct WorkerGrid {
 impl WorkerGrid {
     /// The grid of a kernel with profile `perf` on `device`; `None` if not
     /// even one block fits an SM (occupancy 0 — the kernel cannot launch).
-    pub fn of(device: &DeviceConfig, perf: &KernelPerf) -> Option<Self> {
+    pub(crate) fn of(device: &DeviceConfig, perf: &KernelPerf) -> Option<Self> {
         let per_sm = occupancy::blocks_per_sm(device, perf);
         (per_sm > 0).then_some(Self {
             num_sms: device.num_sms,
@@ -96,13 +96,14 @@ impl WorkerGrid {
     }
 
     /// SMs of the device.
-    pub fn num_sms(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn num_sms(&self) -> u32 {
         self.num_sms
     }
 
     /// Worker blocks one launch dispatches: the hardware scheduler does
     /// not know about the partition, so every SM gets its resident share.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.per_sm as u64 * self.num_sms as u64
     }
 
@@ -262,7 +263,7 @@ pub struct LanePool {
 impl LanePool {
     /// The process-wide pool every [`Dispatcher`](crate::dispatch::Dispatcher)
     /// launches on, created on first use with one lane per available CPU.
-    pub fn global() -> Arc<LanePool> {
+    pub(crate) fn global() -> Arc<LanePool> {
         static GLOBAL: OnceLock<Arc<LanePool>> = OnceLock::new();
         GLOBAL
             .get_or_init(|| {
@@ -275,7 +276,6 @@ impl LanePool {
     /// A private pool of `lanes` lanes (`lanes − 1` helper threads), joined
     /// when the pool drops. For tests that must not depend on the CPU
     /// count of the machine; everything else uses [`LanePool::global`].
-    #[doc(hidden)]
     pub fn with_lanes(lanes: usize) -> Arc<LanePool> {
         assert!(lanes >= 1, "a pool has at least lane 0");
         let shared = Arc::new(Shared {
@@ -313,7 +313,7 @@ impl LanePool {
     /// # Panics
     /// If `range` reaches beyond the device, or — re-raised here once all
     /// lanes have left — if the kernel body panicked.
-    pub fn launch(
+    pub(crate) fn launch(
         &self,
         kernel: &TransformedKernel,
         queue: &Arc<TaskQueue>,

@@ -1,12 +1,16 @@
 //! Cross-backend conformance: every simulated-time [`Backend`] must pass
 //! the same scripted execution scenarios (see
-//! [`slate_core::backend::testkit`]), with and without injected
+//! `support/testkit.rs`), with and without injected
 //! command-stream and device chaos. The daemon's real-thread executor is
 //! held to the same properties in `daemon_conformance.rs`.
 
-use slate_core::backend::{testkit, Backend, ChaosBackend, SimBackend};
+mod support;
+
+use slate_core::backend::{Backend, SimBackend};
 use slate_gpu_sim::device::DeviceConfig;
 use slate_gpu_sim::fault::FaultPlan;
+use support::chaos::ChaosBackend;
+use support::testkit;
 
 fn device() -> DeviceConfig {
     DeviceConfig::tiny(4)

@@ -26,8 +26,8 @@ use slate_core::api::SlateClient;
 use slate_core::arbiter::{replay as core_replay, Command};
 use slate_core::daemon::{DaemonOptions, SlateDaemon};
 use slate_core::placement::replay as placement_replay;
-use slate_core::placement::HealthState;
-use slate_core::{PlacementPolicy, RebalanceConfig, SlateError, SlatePtr};
+use slate_core::placement::{HealthState, RebalanceConfig};
+use slate_core::{PlacementPolicy, SlateError, SlatePtr};
 use slate_gpu_sim::buffer::GpuBuffer;
 use slate_gpu_sim::device::DeviceConfig;
 use slate_gpu_sim::perf::KernelPerf;

@@ -11,13 +11,15 @@
 //! After an *intended* arbiter change, regenerate the fixtures with
 //! `cargo test -p slate-core --test golden_replay -- --ignored`.
 
+mod support;
+
 use slate_core::arbiter::replay::{ReplayBatch, Replayable, StreamVerifier};
 use slate_core::arbiter::{replay, Command, Event, EventLog};
-use slate_core::backend::testkit;
-use slate_core::placement::PlacementLog;
+use slate_core::placement::replay::PlacementLog;
 use slate_core::runtime::{SlateOptions, SlateRuntime};
 use slate_gpu_sim::device::DeviceConfig;
 use slate_kernels::workload::{llm_trace, Benchmark, LlmTraceCfg};
+use support::testkit;
 
 const LOG_JSON: &str = include_str!("data/arbiter_log.json");
 const GOLDEN_TRANSCRIPT: &str = include_str!("data/arbiter_transcript.txt");

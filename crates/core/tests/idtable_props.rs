@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use slate_core::arbiter::replay::{ReplayBatch, Replayable};
 use slate_core::arbiter::{replay, Event, EventLog, IdTable};
-use slate_core::placement::PlacementLog;
+use slate_core::placement::replay::PlacementLog;
 use std::collections::BTreeMap;
 
 /// One schedule step. Ids are drawn from a small space so release hits

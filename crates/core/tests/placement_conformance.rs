@@ -32,10 +32,11 @@
 //! After an *intended* placement change, regenerate the fixtures with
 //! `cargo test -p slate-core --test placement_conformance -- --ignored`.
 
+mod support;
+
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use slate_core::arbiter::{replay as core_replay, Command, Event, Tick};
-use slate_core::backend::testkit::churn_kernel;
 use slate_core::backend::{Backend, Completion, DeviceFault, DeviceHealth, SimBackend, WorkSpec};
 use slate_core::classify::WorkloadClass;
 use slate_core::placement::replay::{self as placement_replay, PlacementLog};
@@ -46,6 +47,7 @@ use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use support::testkit::churn_kernel;
 
 const LOG_JSON: &str = include_str!("data/placement_log.json");
 const GOLDEN_TRANSCRIPT: &str = include_str!("data/placement_transcript.txt");

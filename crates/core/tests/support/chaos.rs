@@ -31,8 +31,8 @@
 //! command churn. This decorator is the one place a device-fault schedule
 //! fires; the backends only model what an injected fault does.
 
-use super::{Backend, Completion, DeviceFault, DeviceHealth, WorkSpec};
-use crate::arbiter::Command;
+use slate_core::arbiter::Command;
+use slate_core::backend::{Backend, Completion, DeviceFault, DeviceHealth, WorkSpec};
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use slate_gpu_sim::fault::{FaultKind, FaultPlan, FaultSite};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

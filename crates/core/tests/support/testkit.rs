@@ -29,14 +29,13 @@
 //! held to the same properties by output buffers, through the client API,
 //! in `crates/core/tests/daemon_conformance.rs`.
 
-use super::{Backend, ChaosBackend, Completion, DeviceFault, DeviceHealth, SimBackend, WorkSpec};
-use crate::arbiter::{Command, Event as ArbEvent, EventLog};
-use crate::transform::TransformedKernel;
+use super::chaos::ChaosBackend;
+use super::churn::churn;
+use slate_core::arbiter::{Command, Event as ArbEvent, EventLog};
+use slate_core::backend::{Backend, Completion, DeviceFault, DeviceHealth, SimBackend, WorkSpec};
+use slate_core::transform::TransformedKernel;
 use slate_gpu_sim::device::SmRange;
 use slate_gpu_sim::fault::FaultPlan;
-use slate_gpu_sim::perf::KernelPerf;
-use slate_kernels::grid::{BlockCoord, GridDim};
-use slate_kernels::kernel::GpuKernel;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -44,38 +43,9 @@ use std::sync::Arc;
 /// a hang, i.e. a failing test).
 const DRIVE_MS: u64 = 120_000;
 
-/// A kernel for conformance runs: a flat grid whose simulated cost per
-/// block grows with `delay_us`, so churn commands land mid-flight. Only
-/// its timing matters; a simulated backend runs no block body.
-struct ChurnKernel {
-    grid: GridDim,
-    delay_us: u64,
-}
-
-impl GpuKernel for ChurnKernel {
-    fn name(&self) -> &str {
-        "conformance-kernel"
-    }
-    fn grid(&self) -> GridDim {
-        self.grid
-    }
-    fn perf(&self) -> KernelPerf {
-        // ~1.5k cycles per microsecond of per-block delay.
-        KernelPerf::synthetic(
-            "conformance-kernel",
-            100.0 + self.delay_us as f64 * 1500.0,
-            8.0,
-        )
-    }
-    fn run_block(&self, _: BlockCoord) {}
-}
-
 /// A transformed conformance kernel over a flat grid of `blocks`.
 pub fn churn_kernel(blocks: u32, delay_us: u64) -> TransformedKernel {
-    TransformedKernel::new(Arc::new(ChurnKernel {
-        grid: GridDim::d1(blocks),
-        delay_us,
-    }))
+    TransformedKernel::new(Arc::new(churn(blocks, delay_us)))
 }
 
 fn xorshift(s: &mut u64) -> u64 {

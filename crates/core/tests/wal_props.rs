@@ -919,7 +919,7 @@ fn pinned_states() -> Vec<(&'static str, DurableSnapshot)> {
     };
     slo.feed(30, &[critical, Event::SessionOpened { session: 3 }]);
     slo.feed(40, &[ready_on(3, 30, WorkloadClass::HM, 9)]);
-    assert_eq!(slo.preemptions(), 1);
+    assert_eq!(slo.core_stats().preemptions, 1);
 
     vec![
         ("serving", a_serving_snapshot()),

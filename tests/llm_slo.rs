@@ -306,7 +306,7 @@ fn slo_class_survives_migration() {
             .any(|c| c.device == 0 && matches!(c.command, Command::Dispatch { lease: 20, .. })),
         "the migrated arrival must dispatch on the target: {cmds:?}"
     );
-    assert_eq!(layer.preemptions(), 1);
+    assert_eq!(layer.core_stats().preemptions, 1);
 }
 
 /// The decode benchmark is latency-critical by construction and prefill is
