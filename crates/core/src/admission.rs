@@ -163,9 +163,9 @@ pub struct DaemonMetrics {
     pub slo_preemptions: u64,
     /// Fault-plan rules that have fired (0 outside injection tests).
     pub(crate) faults_fired: usize,
-    /// Placement counters: fleet size, routed sessions, rebalances fired
-    /// and migrations completed. On a single-device daemon `devices` is 1
-    /// and the migration counters stay 0.
+    /// Placement counters: fleet size, routed sessions, evacuations and
+    /// the moves they landed. On a single-device daemon `devices` is 1 and
+    /// the evacuation counters stay 0.
     pub placement: PlacementStats,
     /// Poisoned-mutex recoveries across the daemon's shared state: each
     /// count is a lock some thread panicked under that a later locker

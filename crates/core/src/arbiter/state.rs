@@ -315,7 +315,7 @@ impl ArbiterCore {
     }
 
     /// Leases of the kernels currently holding SMs, in stable residency
-    /// order. The placement layer picks cross-device migration victims
+    /// order. The placement layer evacuates a failed device's leases
     /// from this list, so its order must be deterministic (it is: the
     /// backing `Vec` mutates identically across replays).
     pub(crate) fn resident_leases(&self) -> Vec<u64> {

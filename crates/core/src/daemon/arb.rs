@@ -288,7 +288,7 @@ impl ArbFrontend {
     }
 
     /// The device `lease` currently routes to (its session's device, or
-    /// the migration target after a rebalance eviction landed).
+    /// the migration target after an evacuation's eviction landed).
     pub(super) fn lease_device(&self, lease: u64) -> usize {
         let inner = self.inner.lock();
         inner
@@ -298,9 +298,10 @@ impl ArbFrontend {
             .unwrap_or(0)
     }
 
-    /// The in-flight migration target of `lease`, if a rebalance eviction
-    /// is pending for it. Must be read *before* feeding the eviction's
-    /// `KernelFinished` (which completes the migration and clears it).
+    /// The in-flight migration target of `lease`, if an evacuation's
+    /// eviction is pending for it. Must be read *before* feeding the
+    /// eviction's `KernelFinished` (which completes the migration and
+    /// clears it).
     pub(super) fn migration_target(&self, lease: u64) -> Option<usize> {
         self.inner.lock().layer.migration_target(lease)
     }

@@ -153,11 +153,11 @@ fn drive(shared: &Arc<DaemonShared>, launch: Launch, owed: &mut bool) -> Result<
     };
 
     // The kernel, its profile and its task size are the client's: what no
-    // device of the fleet can launch (the lease may migrate to any) is
-    // refused here, as a typed error on a session that keeps serving —
-    // not by a panic in first-run profiling, which simulates the launch,
-    // and before `KernelReady` asks the arbiter for SMs the workers could
-    // never use.
+    // device of the fleet can launch (an evacuation may move the lease to
+    // any) is refused here, as a typed error on a session that keeps
+    // serving — not by a panic in first-run profiling, which simulates the
+    // launch, and before `KernelReady` asks the arbiter for SMs the
+    // workers could never use.
     let perf = kernel.perf();
     let grid_blocks = kernel.grid().total_blocks();
     let profiled = || -> Result<(WorkloadClass, u32), String> {
@@ -181,10 +181,10 @@ fn drive(shared: &Arc<DaemonShared>, launch: Launch, owed: &mut bool) -> Result<
         profiled().map_err(|why| SlateError::Launch(format!("kernel '{}': {why}", perf.name)))?;
 
     // Transform, then wait for the lease's device core to grant an SM
-    // range. A rebalance migration evicts the run and loops back here:
-    // the lease's route now points at the target device, and the dispatch
-    // resumes from the carried absolute `slateIdx` progress, so no user
-    // block executes twice.
+    // range. An evacuation evicts the run and loops back here: the lease's
+    // route now points at the target device, and the dispatch resumes from
+    // the carried absolute `slateIdx` progress, so no user block executes
+    // twice.
     let transformed = TransformedKernel::new(kernel);
     let started = Instant::now();
     let mut carried = launch.progress;

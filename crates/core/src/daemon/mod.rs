@@ -36,12 +36,12 @@
 //! With [`DaemonOptions::devices`] set, the daemon schedules over a fleet:
 //! one arbitration core per device behind the deterministic
 //! [`PlacementLayer`]. New sessions are
-//! routed by [`DaemonOptions::placement`] and stick to their device; with
-//! [`DaemonOptions::rebalance`] set, a sustained load imbalance migrates a
-//! resident kernel — an ordinary eviction on the source device followed by
-//! a resumed dispatch on the target at the carried `slateIdx` progress, so
-//! no user block executes twice. [`DaemonMetrics::placement`] counts
-//! routed sessions, rebalances and completed migrations; a recorded
+//! routed by [`DaemonOptions::placement`] and stick to their device. A
+//! lease changes device only when its device leaves service: evacuation
+//! moves each of its kernels by an ordinary eviction on the source device
+//! followed by a resumed dispatch on the target at the carried `slateIdx`
+//! progress, so no user block executes twice. [`DaemonMetrics::placement`]
+//! counts routed sessions, evacuations and landed moves; a recorded
 //! multi-device run yields a [`PlacementLog`] that splits into ordinary
 //! per-device [`EventLog`](crate::arbiter::EventLog)s.
 //!
@@ -106,9 +106,7 @@ use crate::durability::{Durability, DurabilityOptions, DurableMeta, WalIssue, Wa
 use crate::error::SlateError;
 use crate::injector::InjectionCache;
 use crate::placement::replay::PlacementLog;
-use crate::placement::{
-    HealthState, PlacementConfig, PlacementLayer, PlacementPolicy, RebalanceConfig,
-};
+use crate::placement::{HealthState, PlacementConfig, PlacementLayer, PlacementPolicy};
 use crate::profile::ProfileTable;
 use crate::sync::{Condvar, Mutex};
 use arb::ArbFrontend;
@@ -207,11 +205,6 @@ pub struct DaemonOptions {
     /// How new sessions are routed across [`DaemonOptions::devices`].
     /// Irrelevant (but harmless) on a single device.
     pub placement: PlacementPolicy,
-    /// Cross-device rebalancing thresholds; `None` (the default) never
-    /// migrates. A fired migration evicts the victim through the paper's
-    /// retreat flag and resumes it on the target device at its carried
-    /// `slateIdx` progress, so no user block runs twice.
-    pub rebalance: Option<RebalanceConfig>,
     /// Crash consistency: with a [`DurabilityOptions`] set, every
     /// placement batch and session mutation is written ahead to a
     /// checksummed WAL under its directory, snapshotted every
@@ -292,7 +285,6 @@ impl SlateDaemon {
                     preempt_bound_us: options.preempt_bound_ms.map(|ms| ms * 1000),
                     limits: options.admission,
                 },
-                rebalance: options.rebalance.clone(),
             },
         );
         // The genesis anchor (snapshot 0 of segment 0) captures the
@@ -367,7 +359,7 @@ impl SlateDaemon {
     /// latency-critical session's arrivals displace best-effort residents
     /// (when [`DaemonOptions::preempt_bound_ms`] is set); the class is
     /// durable — it survives crash/recovery with the session record — and
-    /// follows the session's work across migrations.
+    /// follows the session's work across evacuations.
     pub fn connect_with_slo(
         self: &Arc<Self>,
         user: &str,

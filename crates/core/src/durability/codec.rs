@@ -30,9 +30,9 @@
 //! `Reader`), the configuration structs' encoders, the WAL record codec
 //! and the slot body's framing. The live state a slot body holds encodes
 //! itself, beside its fields: the [`PlacementLayer`]'s `encode` writes
-//! the layer — its [`ArbiterCore`]s, health tracker and rebalancer in
-//! turn — from the slot tables it runs on, and its `decode` rebuilds one,
-//! so there is no second representation of that state to keep in step.
+//! the layer — its [`ArbiterCore`]s and health tracker in turn — from
+//! the slot tables it runs on, and its `decode` rebuilds one, so there is
+//! no second representation of that state to keep in step.
 //! A slot table is written as a map by external id, ascending: slot
 //! numbers never reach the bytes.
 //!
@@ -58,8 +58,7 @@ use crate::admission::AdmissionLimits;
 use crate::arbiter::{ArbiterConfig, Command, Event, RejectScope};
 use crate::classify::WorkloadClass;
 use crate::placement::{
-    PlacementBatch, PlacementConfig, PlacementPolicy, PlacementSnapshot, RebalanceConfig,
-    RoutedCommand,
+    PlacementBatch, PlacementConfig, PlacementPolicy, PlacementSnapshot, RoutedCommand,
 };
 use crate::queue::QueueStats;
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
@@ -269,11 +268,7 @@ fn put_map<V>(out: &mut Vec<u8>, map: &BTreeMap<u64, V>, put_value: impl FnMut(&
 }
 
 pub(crate) fn put_placement_config(out: &mut Vec<u8>, config: &PlacementConfig) {
-    let PlacementConfig {
-        policy,
-        arbiter,
-        rebalance,
-    } = config;
+    let PlacementConfig { policy, arbiter } = config;
     match policy {
         PlacementPolicy::RoundRobin => out.push(0),
         PlacementPolicy::LeastLoaded => out.push(1),
@@ -283,20 +278,6 @@ pub(crate) fn put_placement_config(out: &mut Vec<u8>, config: &PlacementConfig) 
         }
     }
     put_arbiter_config(out, arbiter);
-    match rebalance {
-        None => out.push(0),
-        Some(RebalanceConfig {
-            high_ms,
-            low_ms,
-            cooldown_us,
-            seed,
-        }) => {
-            out.push(1);
-            for v in [high_ms, low_ms, cooldown_us, seed] {
-                put_u64(out, *v);
-            }
-        }
-    }
 }
 
 pub(crate) fn put_arbiter_config(out: &mut Vec<u8>, config: &ArbiterConfig) {
@@ -765,14 +746,6 @@ impl<'a> Reader<'a> {
                 _ => return Err("unknown placement policy"),
             },
             arbiter: self.arbiter_config()?,
-            rebalance: self.option(|r| {
-                Ok(RebalanceConfig {
-                    high_ms: r.u64()?,
-                    low_ms: r.u64()?,
-                    cooldown_us: r.u64()?,
-                    seed: r.u64()?,
-                })
-            })?,
         })
     }
 

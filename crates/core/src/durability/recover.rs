@@ -381,7 +381,8 @@ mod tests {
     /// A directory this build cannot recover from is a typed error, never
     /// a panic: none at all, an empty one, snapshot files beside a segment
     /// but no slot, and a slot of another version — version 1, with no
-    /// offset, and version 2, whose body was JSON.
+    /// offset, version 2, whose body was JSON, and version 3, whose body
+    /// holds two fields this build no longer writes.
     #[test]
     fn missing_directory_and_empty_directory_fail_cleanly() {
         let fails = |dir: &Path, kind, why: &str| {
@@ -400,13 +401,15 @@ mod tests {
         fails(&dir, io::ErrorKind::NotFound, "not a durability directory");
         std::fs::remove_dir_all(&dir).ok();
 
-        // Magic, version, CRC, segment, (version 2: offset,) length, body.
+        // Magic, version, CRC, segment, (since version 2: offset,) length,
+        // body.
         let crc = crate::durability::wal::crc32(body).to_le_bytes();
         let len = (body.len() as u64).to_le_bytes();
         let zero = 0u64.to_le_bytes();
         for (version, header) in [
             (1u32, [&crc[..], &zero, &len].concat()),
             (2, [&crc[..], &zero, &zero, &len].concat()),
+            (3, [&crc[..], &zero, &zero, &len].concat()),
         ] {
             let dir = tmpdir(&format!("version-{version}"));
             let image = [&b"SLATESNP"[..], &version.to_le_bytes(), &header, body].concat();

@@ -21,13 +21,13 @@
 //! ```text
 //! ┌───────────┬─────────────┬─────────┬─────────────┬─────────────┬──────────┬───────────────────┐
 //! │ magic 8 B │ version u32 │ crc u32 │ segment u64 │ offset u64  │ len u64  │ binary body (len) │ zeros…
-//! │ "SLATESNP"│ 3, LE       │ of body │ anchored    │ within it   │ of body  │ DurableSnapshot   │
+//! │ "SLATESNP"│ 4, LE       │ of body │ anchored    │ within it   │ of body  │ DurableSnapshot   │
 //! └───────────┴─────────────┴─────────┴─────────────┴─────────────┴──────────┴───────────────────┘
 //! ```
 //!
 //! The body is the [`DurableSnapshot`] in the binary codec of [`codec`]
 //! ([`codec::encode_snapshot`]). The header's version is the one version
-//! of the slot, header and body alike: this build reads version 3 only.
+//! of the slot, header and body alike: this build reads version 4 only.
 //! A slot file only grows, in whole 4 KiB pages, so a steady-state
 //! overwrite changes no file metadata and its `fdatasync` commits no
 //! journal transaction. A snapshot that fails to load at recovery time is
@@ -55,7 +55,7 @@ const SLOT_MAGIC: [u8; 8] = *b"SLATESNP";
 /// The slot's version, the only one written or read. Bumped on any
 /// incompatible change to the header or the [`DurableSnapshot`] body;
 /// a slot of any other version is a typed `InvalidData` error.
-const SLOT_VERSION: u32 = 3;
+const SLOT_VERSION: u32 = 4;
 
 /// Bytes of slot header ahead of the body: magic, version, CRC-32,
 /// anchored segment, offset within it, body length.
@@ -525,7 +525,7 @@ mod tests {
             ("empty", Vec::new(), "truncated"),
             ("short", good[..SLOT_HEADER_LEN - 1].to_vec(), "truncated"),
             ("magic", patched(0, b"SLATESNQ"), "bad magic"),
-            ("version", patched(8, &4u32.to_le_bytes()), "version 4"),
+            ("version", patched(8, &5u32.to_le_bytes()), "version 5"),
             (
                 "length",
                 patched(32, &(body_len as u64 + 101).to_le_bytes()),

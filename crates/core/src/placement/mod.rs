@@ -11,14 +11,14 @@
 //!                               │
 //!                   PlacementLayer::feed(now, &[Event])
 //!           policy on SessionOpened · sticky session/lease routes
-//!           broadcast DeadlineTick/DrainBegan · migration retarget
+//!           broadcast DeadlineTick/DrainBegan · evacuation retarget
 //!            │                  │                  │
 //!       ArbiterCore 0      ArbiterCore 1  …   ArbiterCore N-1
 //!            │                  │                  │
 //!            └──────────┬───────┴───────┬──────────┘
 //!                       ▼               ▼
 //!            RoutedCommand { device, command }   (+ synthesized
-//!                                   Evicts from the rebalancer)
+//!                                 Evicts from evacuations)
 //! ```
 //!
 //! Three invariants make the layer as replayable as the cores beneath it:
@@ -30,11 +30,12 @@
 //!    behind [`IdTable`] interners, and any slot iteration whose order
 //!    could reach the output sorts by external id first (the dense-slot
 //!    rule — see `DESIGN.md` §17).
-//! 2. **Event-sourced migration** — a rebalance is an ordinary
-//!    [`Command::Evict`] synthesized by the layer plus a route change for
-//!    the lease: the frontend evicts (capturing absolute `slateIdx`
-//!    progress), feeds the `KernelFinished {ok: false}` back (routed to
-//!    the *source* core, which cleans up), then re-stages with
+//! 2. **Event-sourced evacuation** — when a device leaves service, each
+//!    of its leases moves by an ordinary [`Command::Evict`] synthesized by
+//!    the layer plus a route change for the lease; nothing else moves a
+//!    lease between devices. The frontend evicts (capturing absolute
+//!    `slateIdx` progress), feeds the `KernelFinished {ok: false}` back
+//!    (routed to the *source* core, which cleans up), then re-stages with
 //!    [`WorkSpec::resuming`](crate::backend::WorkSpec::resuming) and
 //!    re-feeds `KernelReady` — which now routes to the *target* core.
 //! 3. **Per-core recording** — the layer's own [`replay::PlacementLog`]
@@ -45,7 +46,6 @@
 pub(crate) mod health;
 pub mod multi;
 pub(crate) mod policy;
-pub(crate) mod rebalance;
 pub mod replay;
 
 #[doc(hidden)]
@@ -53,7 +53,6 @@ pub use health::HealthState;
 #[doc(hidden)]
 pub use multi::{MultiJob, MultiSim};
 pub use policy::PlacementPolicy;
-pub use rebalance::RebalanceConfig;
 pub use replay::PlacementBatch;
 pub(crate) use replay::PlacementLog;
 
@@ -64,7 +63,6 @@ use crate::durability::codec::{
     put_placement_config, put_slo, put_slots, put_u64, put_usize, Decoded, Reader,
 };
 use health::HealthTracker;
-use rebalance::Rebalancer;
 use serde::{Deserialize, Serialize};
 use slate_gpu_sim::device::DeviceConfig;
 use slate_kernels::workload::SloClass;
@@ -77,17 +75,14 @@ const LOAD_WEIGHT_MS: u64 = 10;
 
 /// Static configuration of a [`PlacementLayer`]: the routing policy, the
 /// per-core arbiter configuration (shared by all devices, admission limits
-/// included: each core bounds its own sessions and launches), and the
-/// optional migration planner. The health windows are constants of
-/// `health`.
+/// included: each core bounds its own sessions and launches). The health
+/// windows are constants of `health`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct PlacementConfig {
     /// How new sessions choose a device.
     pub policy: PlacementPolicy,
     /// Configuration every per-device [`ArbiterCore`] runs under.
     pub arbiter: ArbiterConfig,
-    /// Cross-device rebalancing; `None` disables migration entirely.
-    pub rebalance: Option<RebalanceConfig>,
 }
 
 /// A command tagged with the device whose backend must carry it out.
@@ -115,9 +110,7 @@ pub struct PlacementStats {
     pub(crate) devices: usize,
     /// Sessions routed to a device (policy consultations).
     pub sessions_routed: u64,
-    /// Cross-device migrations fired by the rebalancer.
-    pub rebalances: u64,
-    /// Migrations whose eviction has landed and whose lease now routes
+    /// Evacuations whose eviction has landed and whose lease now routes
     /// to the target device.
     pub migrations_completed: u64,
     /// Devices currently out of service (quarantined or failed).
@@ -185,19 +178,15 @@ pub struct PlacementLayer {
     /// Lease interner; parallel to the three per-lease tables below.
     leases: IdTable,
     /// Sticky lease → device routes (diverge from the session's device
-    /// after a migration), by lease slot.
+    /// after an evacuation), by lease slot.
     lease_device: Vec<Option<usize>>,
     /// Lease → owning session, for cleanup when the session ends.
     lease_session: Vec<Option<u64>>,
     /// In-flight migrations: lease slot → target device. Populated when
-    /// the rebalancer fires, drained when the eviction's
+    /// a device is evacuated, drained when the eviction's
     /// `KernelFinished` arrives.
     migrating: Vec<Option<usize>>,
-    /// Live `Some` entries in `migrating`; gates the rebalancer without
-    /// scanning the slot table.
-    migrating_count: usize,
     rr_next: usize,
-    rebalancer: Option<Rebalancer>,
     health: HealthTracker,
     sessions_routed: u64,
     migrations_completed: u64,
@@ -231,7 +220,6 @@ impl PlacementLayer {
 
     /// A layer routing to `cores` under `config`, with nothing routed yet.
     fn over(cores: Vec<ArbiterCore>, config: PlacementConfig) -> Self {
-        let rebalancer = config.rebalance.clone().map(Rebalancer::new);
         let n = cores.len();
         let health = HealthTracker::new(n);
         // Pre-size the routing tables and scratch for a typical fleet
@@ -250,9 +238,7 @@ impl PlacementLayer {
             lease_device: Vec::with_capacity(LEASES),
             lease_session: Vec::with_capacity(LEASES),
             migrating: Vec::with_capacity(LEASES),
-            migrating_count: 0,
             rr_next: 0,
-            rebalancer,
             health,
             sessions_routed: 0,
             migrations_completed: 0,
@@ -297,7 +283,7 @@ impl PlacementLayer {
     /// Appends the layer's part of a snapshot slot body, which
     /// [`PlacementLayer::decode`] reads back: the configuration, the
     /// clock, each core ([`ArbiterCore::encode`]), the routes as maps by
-    /// external id, ascending, the rebalancer and the health tracker.
+    /// external id, ascending, and the health tracker.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         let Self {
             cores,
@@ -310,10 +296,7 @@ impl PlacementLayer {
             lease_device,
             lease_session,
             migrating,
-            // Recounted from `migrating` on decode.
-            migrating_count: _,
             rr_next,
-            rebalancer,
             health,
             sessions_routed,
             migrations_completed,
@@ -346,13 +329,6 @@ impl PlacementLayer {
         put_slots(out, &leases, |s| lease_session[s], put_u64);
         put_slots(out, &leases, |s| migrating[s], put_usize);
         put_usize(out, *rr_next);
-        match rebalancer {
-            None => out.push(0),
-            Some(rebalancer) => {
-                out.push(1);
-                rebalancer.encode(out);
-            }
-        }
         health.encode(out);
         for v in [sessions_routed, migrations_completed, evacuations] {
             put_u64(out, *v);
@@ -362,9 +338,8 @@ impl PlacementLayer {
     /// Rebuilds a layer from the bytes [`PlacementLayer::encode`] wrote.
     /// Ids are re-interned in ascending external order. Bytes no layer
     /// could have written are an error, not a layer that panics later: no
-    /// device, a health state count other than the device count, a
-    /// session, lease or migration routed past the last device, and
-    /// rebalancer state without a rebalance configuration or the reverse.
+    /// device, a health state count other than the device count, and a
+    /// session, lease or migration routed past the last device.
     /// An Affinity pin past the last device and any `rr_next` are valid:
     /// routing falls back from the one and takes the other modulo the
     /// device count.
@@ -406,15 +381,8 @@ impl PlacementLayer {
         for (lease, d) in r.pairs(device)? {
             let slot = layer.lease_slot(lease);
             layer.migrating[slot] = Some(d);
-            layer.migrating_count += 1;
         }
         layer.rr_next = r.usize()?;
-        let has_state = r.option(|_| Ok(()))?.is_some();
-        layer.rebalancer = match (has_state, layer.config.rebalance.clone()) {
-            (true, Some(config)) => Some(Rebalancer::decode(r, config)?),
-            (false, None) => None,
-            _ => return Err("rebalancer state and configuration disagree"),
-        };
         layer.health = HealthTracker::decode(r, n)?;
         layer.sessions_routed = r.u64()?;
         layer.migrations_completed = r.u64()?;
@@ -455,7 +423,7 @@ impl PlacementLayer {
             .map(|s| self.session_device[s as usize])
     }
 
-    /// The device `lease` is routed to, if known. After a migration's
+    /// The device `lease` is routed to, if known. After an evacuation's
     /// eviction lands this is the *target* device — frontends re-stage
     /// the evicted kernel here.
     pub fn device_of_lease(&self, lease: u64) -> Option<usize> {
@@ -465,8 +433,8 @@ impl PlacementLayer {
     }
 
     /// The migration target of `lease` while its eviction is still in
-    /// flight (`None` otherwise). Frontends use this to distinguish a
-    /// rebalance eviction (re-stage on the target) from a watchdog
+    /// flight (`None` otherwise). Frontends use this to distinguish an
+    /// evacuation eviction (re-stage on the target) from a watchdog
     /// eviction (drop).
     #[doc(hidden)]
     pub fn migration_target(&self, lease: u64) -> Option<usize> {
@@ -489,8 +457,8 @@ impl PlacementLayer {
 
     /// The load metric of `device`: estimated pending milliseconds plus
     /// a fixed per-kernel weight (`LOAD_WEIGHT_MS`) per resident or
-    /// waiting kernel. Used by the least-loaded policy and the
-    /// rebalancer's imbalance score.
+    /// waiting kernel. Used by the least-loaded policy and to pick
+    /// evacuation targets.
     fn device_load(&self, device: usize) -> u64 {
         let core = &self.cores[device];
         core.pending_est_ms + LOAD_WEIGHT_MS * (core.residents() + core.waiting()) as u64
@@ -526,7 +494,6 @@ impl PlacementLayer {
         PlacementStats {
             devices: self.cores.len(),
             sessions_routed: self.sessions_routed,
-            rebalances: self.rebalancer.as_ref().map_or(0, |r| r.fired()),
             migrations_completed: self.migrations_completed,
             devices_out: (0..self.cores.len())
                 .filter(|&d| self.health.state(d).out_of_service())
@@ -671,7 +638,7 @@ impl PlacementLayer {
     }
 
     /// Routes a lease-scoped event: the lease's sticky route if it has
-    /// one (it diverges from the session's after a migration), else the
+    /// one (it diverges from the session's after an evacuation), else the
     /// session's. A session stuck to an out-of-service device sends its
     /// *new* leases to the least-loaded in-service one instead — the
     /// session route stays sticky for when the device returns, but no
@@ -702,10 +669,10 @@ impl PlacementLayer {
 
     /// Feeds one batch of frontend events at logical time `now`, routing
     /// each to its device's core, and returns every resulting command
-    /// tagged with its device — including any migration eviction the
-    /// rebalancer synthesized this batch. Commands come out in device
-    /// order (all of device 0's, then device 1's, …), each device's in
-    /// its core's emission order.
+    /// tagged with its device — including any evacuation evictions the
+    /// layer synthesized this batch, which follow the cores' commands.
+    /// The cores' commands come out in device order (all of device 0's,
+    /// then device 1's, …), each device's in its core's emission order.
     pub fn feed(&mut self, now: Tick, events: &[Event]) -> Vec<RoutedCommand> {
         let mut out = Vec::new();
         self.feed_into(now, events, &mut out);
@@ -750,8 +717,8 @@ impl PlacementLayer {
                 }
                 Event::KernelReady { session, lease, .. } => {
                     let d = self.device_for_lease(session, lease);
-                    // A migrated or evacuated lease re-enters here on a
-                    // device whose core may never have seen the session's
+                    // An evacuated lease re-enters here on a device
+                    // whose core may never have seen the session's
                     // declaration: re-declare ahead of the ready event so
                     // the SLO class survives the move.
                     if let Some(slot) = self.sessions.get(session) {
@@ -832,7 +799,6 @@ impl PlacementLayer {
             if let Some(slot) = self.leases.get(lease) {
                 let slot = slot as usize;
                 if let Some(dst) = self.migrating[slot].take() {
-                    self.migrating_count -= 1;
                     self.lease_device[slot] = Some(dst);
                     self.migrations_completed += 1;
                 }
@@ -852,9 +818,7 @@ impl PlacementLayer {
                 let slot = self.leases.release(lease).expect("swept lease is live") as usize;
                 self.lease_session[slot] = None;
                 self.lease_device[slot] = None;
-                if self.migrating[slot].take().is_some() {
-                    self.migrating_count -= 1;
-                }
+                self.migrating[slot] = None;
             }
             self.sweep = sweep;
         }
@@ -863,9 +827,6 @@ impl PlacementLayer {
         // failed domain.
         for d in evacuate.drain(..) {
             self.evacuate_device(d, out);
-        }
-        if let Some(cmd) = self.maybe_rebalance() {
-            out.push(cmd);
         }
         self.sub = sub;
         self.finished = finished;
@@ -882,44 +843,16 @@ impl PlacementLayer {
         }
     }
 
-    fn maybe_rebalance(&mut self) -> Option<RoutedCommand> {
-        // One migration in flight at a time: the load vector is stale
-        // until the eviction lands, so a second fire would double-move.
-        if self.rebalancer.is_none() || self.migrating_count != 0 {
-            return None;
-        }
-        let mut loads = std::mem::take(&mut self.loads_buf);
-        let mut eligible = std::mem::take(&mut self.eligible_buf);
-        self.fill_loads(&mut loads);
-        self.health.fill_eligibility(&mut eligible);
-        let now = self.now;
-        let cores = &self.cores;
-        let rb = self.rebalancer.as_mut().expect("checked above");
-        let m = rb.plan(now, &loads, &eligible, |src| cores[src].resident_leases());
-        self.loads_buf = loads;
-        self.eligible_buf = eligible;
-        let m = m?;
-        let slot = self.lease_slot(m.lease);
-        if self.migrating[slot].is_none() {
-            self.migrating_count += 1;
-        }
-        self.migrating[slot] = Some(m.dst);
-        Some(RoutedCommand {
-            device: m.src,
-            command: Command::Evict { lease: m.lease },
-        })
-    }
-
     /// Mass-migrates every live lease (resident or waiting) off `src`,
     /// which just left service: one layer-synthesized [`Command::Evict`]
     /// per lease, each registered in `migrating` with a least-loaded
-    /// in-service target, exactly like a rebalance migration. In-flight
-    /// migrations *aimed at* `src` are retargeted too. With no in-service
-    /// target the leases stay put and queue until a device recovers.
+    /// in-service target. In-flight evacuations *aimed at* `src` are
+    /// retargeted too. With no in-service target the leases stay put and
+    /// queue until a device recovers.
     fn evacuate_device(&mut self, src: usize, out: &mut Vec<RoutedCommand>) {
         let eligible = self.health.eligibility();
         let mut loads = self.loads();
-        // Retarget migrations whose destination just died. Each retarget
+        // Retarget evacuations whose destination just died. Each retarget
         // feeds back into `loads`, so iteration order is part of the
         // replayed decision: sort by external lease id, matching the
         // ordered-map scan this used to be (the dense-slot rule).
@@ -947,16 +880,13 @@ impl PlacementLayer {
                 .get(lease)
                 .is_some_and(|s| self.migrating[s as usize].is_some());
             if already {
-                continue; // already on its way out (rebalance in flight)
+                continue; // already on its way out (an earlier evacuation)
             }
             let Some(dst) = pick_target(&eligible, &loads, src) else {
                 return;
             };
             loads[dst] += LOAD_WEIGHT_MS;
             let slot = self.lease_slot(lease);
-            if self.migrating[slot].is_none() {
-                self.migrating_count += 1;
-            }
             self.migrating[slot] = Some(dst);
             self.evacuations += 1;
             out.push(RoutedCommand {
@@ -1149,67 +1079,6 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_evicts_on_source_and_reroutes_lease_to_target() {
-        let mut p = PlacementLayer::new(
-            two_tiny(),
-            PlacementConfig {
-                policy: PlacementPolicy::Affinity {
-                    pins: [(1u64, 0usize), (2, 0)].into_iter().collect(),
-                },
-                rebalance: Some(RebalanceConfig {
-                    high_ms: 20,
-                    low_ms: 5,
-                    cooldown_us: 0,
-                    seed: 1,
-                }),
-                ..Default::default()
-            },
-        );
-        // Everything pinned to device 0: one resident + one waiter piles
-        // 20 ms of weighted load against an idle device 1.
-        p.feed(
-            0,
-            &[
-                Event::SessionOpened { session: 1 },
-                Event::SessionOpened { session: 2 },
-            ],
-        );
-        let out = p.feed(1, &[ready(1, 10, 8), ready(2, 20, 8)]);
-        let evict = out
-            .iter()
-            .find(|r| matches!(r.command, Command::Evict { .. }))
-            .expect("imbalance fires a migration eviction");
-        assert_eq!(evict.device, 0, "eviction lands on the hot device");
-        let Command::Evict { lease } = evict.command else {
-            unreachable!()
-        };
-        assert_eq!(lease, 10, "the only resident is the victim");
-        assert_eq!(p.migration_target(10), Some(1));
-        assert_eq!(p.stats().rebalances, 1);
-        // The eviction lands: finished routes to the source core, then
-        // the lease's route flips to the target.
-        let out = p.feed(
-            2,
-            &[Event::KernelFinished {
-                lease: 10,
-                ok: false,
-            }],
-        );
-        assert_eq!(p.device_of_lease(10), Some(1));
-        assert_eq!(p.migration_target(10), None);
-        assert_eq!(p.stats().migrations_completed, 1);
-        // Source core dispatched its waiter onto the freed device.
-        assert!(out
-            .iter()
-            .any(|r| r.device == 0 && matches!(r.command, Command::Dispatch { lease: 20, .. })));
-        // Re-staged readiness dispatches on the target device.
-        let out = p.feed(3, &[ready(1, 10, 8)]);
-        assert!(out
-            .iter()
-            .any(|r| r.device == 1 && matches!(r.command, Command::Dispatch { lease: 10, .. })));
-    }
-
-    #[test]
     fn single_device_layer_degenerates_to_the_bare_core() {
         let mut p = PlacementLayer::new(vec![DeviceConfig::titan_xp()], PlacementConfig::default());
         let mut bare = ArbiterCore::new(DeviceConfig::titan_xp(), ArbiterConfig::default());
@@ -1284,7 +1153,6 @@ mod tests {
                     },
                     ..Default::default()
                 },
-                ..Default::default()
             },
         );
         // Sessions 1 and 3 on device 0, 2 and 4 on device 1.
@@ -1459,22 +1327,7 @@ mod tests {
         let mut p = routed();
         let slot = p.leases.get(20).expect("routed") as usize;
         p.migrating[slot] = Some(2);
-        p.migrating_count = 1;
         assert!(refused(&p).contains("past the last"));
-    }
-
-    #[test]
-    fn rebalancer_state_without_its_configuration_is_refused() {
-        let mut p = routed();
-        p.rebalancer = Some(Rebalancer::new(RebalanceConfig::default()));
-        assert!(refused(&p).contains("rebalancer"));
-    }
-
-    #[test]
-    fn a_rebalance_configuration_without_its_state_is_refused() {
-        let mut p = routed();
-        p.config.rebalance = Some(RebalanceConfig::default());
-        assert!(refused(&p).contains("rebalancer"));
     }
 
     /// What routing tolerates decodes: a pin past the last device (the

@@ -4,7 +4,7 @@
 //! runtime and daemon run: frontend events go into a
 //! [`PlacementLayer`], and every routed command is carried out on its
 //! device's [`Backend`]. The driver owns the full migration protocol —
-//! when the rebalancer synthesizes an eviction, the evicted completion's
+//! when an evacuation synthesizes an eviction, the evicted completion's
 //! absolute `slateIdx` progress is re-staged on the target device with
 //! [`WorkSpec::resuming`], so each user block still executes exactly
 //! once across the fleet (the placement conformance suite pins this
@@ -14,7 +14,7 @@
 //! [`SlateRuntime::run_placed`](crate::runtime::SlateRuntime::run_placed)
 //! drives multi-device simulations — but any simulated-time [`Backend`]
 //! boxes in (tests wrap theirs to observe every staging). The live daemon
-//! does not run through this driver: it migrates a running `Dispatcher`
+//! does not run through this driver: it moves a running `Dispatcher`
 //! itself (`daemon/exec.rs`).
 
 use super::{PlacementConfig, PlacementLayer, PlacementStats, RoutedCommand};
@@ -72,8 +72,6 @@ pub struct MultiSim {
     /// closes when its count reaches zero.
     session_open: BTreeMap<u64, usize>,
     outcomes: BTreeMap<u64, JobOutcome>,
-    /// Migration audit trail: (lease, src, dst, progress carried).
-    migrations: Vec<(u64, usize, usize, u64)>,
     /// Last health each backend reported; edges become
     /// `DeviceDown`/`DeviceUp` events for the layer.
     seen_health: Vec<DeviceHealth>,
@@ -108,7 +106,6 @@ impl MultiSim {
             jobs: BTreeMap::new(),
             session_open: BTreeMap::new(),
             outcomes: BTreeMap::new(),
-            migrations: Vec::new(),
             seen_health,
             routed_scratch: Vec::new(),
             now_ms: 0,
@@ -131,12 +128,6 @@ impl MultiSim {
     #[doc(hidden)]
     pub fn stats(&self) -> PlacementStats {
         self.layer.stats()
-    }
-
-    /// Migrations carried out so far: `(lease, src, dst, progress)`.
-    #[doc(hidden)]
-    pub fn migrations(&self) -> &[(u64, usize, usize, u64)] {
-        &self.migrations
     }
 
     /// The terminal outcome of `lease`, once it has one.
@@ -268,7 +259,6 @@ impl MultiSim {
             pinned_solo: false,
             deadline_ms: None,
         };
-        self.migrations.push((lease, device, dst, c.progress));
         self.feed(&[ready]);
     }
 
@@ -338,7 +328,7 @@ impl MultiSim {
     /// Advances the fleet one millisecond: backend time passes, health
     /// edges surface, fresh completions are absorbed, and a heartbeat
     /// tick gives every core a scheduling pass (watchdogs, starvation
-    /// aging, rebalance checks).
+    /// aging).
     #[doc(hidden)]
     pub fn tick(&mut self) {
         self.now_ms += 1;
@@ -388,7 +378,7 @@ mod tests {
     use crate::arbiter::ArbiterConfig;
     use crate::backend::churn::churn;
     use crate::classify::WorkloadClass::*;
-    use crate::placement::{HealthState, PlacementPolicy, RebalanceConfig};
+    use crate::placement::HealthState;
 
     fn job(session: u64, lease: u64, blocks: u32, class: WorkloadClass) -> MultiJob {
         MultiJob {
@@ -465,53 +455,6 @@ mod tests {
         assert_eq!(fleet.outcome(1), Some(JobOutcome::Completed { device: 0 }));
         assert_eq!(fleet.outcome(2), Some(JobOutcome::Rejected));
         assert_eq!(fleet.layer().core_stats().admission.active_sessions, 0);
-    }
-
-    #[test]
-    fn rebalance_migrates_and_preserves_exactly_once() {
-        // Pin both sessions to device 0 so the rebalancer has something
-        // to move to the idle device 1.
-        let mut fleet = MultiSim::new(
-            vec![DeviceConfig::tiny(8), DeviceConfig::tiny(8)],
-            PlacementConfig {
-                policy: PlacementPolicy::Affinity {
-                    pins: [(1u64, 0usize), (2, 0)].into_iter().collect(),
-                },
-                rebalance: Some(RebalanceConfig {
-                    high_ms: 15,
-                    low_ms: 5,
-                    cooldown_us: 0,
-                    seed: 3,
-                }),
-                ..Default::default()
-            },
-        );
-        let j1 = job(1, 1, 4_000, MM);
-        let j2 = job(2, 2, 4_000, MM);
-        assert!(fleet.submit(j1));
-        assert!(fleet.submit(j2));
-        assert!(fleet.run(120_000), "fleet must drain");
-        assert!(
-            fleet.stats().rebalances >= 1,
-            "pinned pile-up must trigger a migration"
-        );
-        assert_eq!(
-            fleet.stats().migrations_completed,
-            fleet.migrations().len() as u64
-        );
-        let (_, src, dst, _) = fleet.migrations()[0];
-        assert_ne!(src, dst, "migration crosses devices");
-        // The exactly-once guarantee here is the progress ledger: both
-        // jobs completed at full slateMax despite the mid-flight
-        // cross-device move.
-        assert!(matches!(
-            fleet.outcome(1),
-            Some(JobOutcome::Completed { .. })
-        ));
-        assert!(matches!(
-            fleet.outcome(2),
-            Some(JobOutcome::Completed { .. })
-        ));
     }
 
     #[test]

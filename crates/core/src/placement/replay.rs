@@ -30,8 +30,8 @@ pub struct PlacementBatch {
     pub at: Tick,
     /// The frontend events fed, in order.
     pub events: Vec<Event>,
-    /// The routed commands returned, in order (including any rebalance
-    /// eviction synthesized that batch).
+    /// The routed commands returned, in order (including any evacuation
+    /// evictions synthesized that batch).
     pub routed: Vec<RoutedCommand>,
 }
 
@@ -40,8 +40,8 @@ pub struct PlacementBatch {
 pub struct PlacementLog {
     /// The devices behind the layer, in index order.
     pub devices: Vec<DeviceConfig>,
-    /// The configuration the layer ran under (policy, per-core arbiter
-    /// config, rebalance thresholds and seed).
+    /// The configuration the layer ran under (policy and per-core arbiter
+    /// config).
     pub config: PlacementConfig,
     /// The recorded batches.
     pub batches: Vec<PlacementBatch>,

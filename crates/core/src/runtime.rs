@@ -214,7 +214,7 @@ pub struct PlacedOutcome {
     /// Per-app terminal outcome, in submission order (`None` only if the
     /// run timed out with the app still in flight).
     pub outcomes: Vec<Option<JobOutcome>>,
-    /// Placement counters (sessions routed, rebalances, migrations).
+    /// Placement counters (sessions routed, evacuations, landed moves).
     pub stats: PlacementStats,
 }
 

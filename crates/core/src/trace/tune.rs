@@ -16,7 +16,7 @@
 use super::metrics::{replay_metrics, ReplayMetrics};
 use crate::arbiter::replay::{replay_under, ReplayBatch, Replayable};
 use crate::arbiter::ArbiterConfig;
-use crate::placement::{PlacementConfig, RebalanceConfig};
+use crate::placement::PlacementConfig;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
@@ -30,21 +30,12 @@ pub struct TuneVariant<C = ArbiterConfig> {
     pub(crate) config: C,
 }
 
-/// A configuration the tuner can vary: the arbiter knobs every log has,
-/// plus whatever knobs of its own the configuration adds around them.
+/// A configuration the tuner can vary: the arbiter knobs every log has.
 pub trait TuneConfig: Clone + PartialEq + Sync {
     /// The arbiter knobs inside this configuration.
     fn arbiter(&self) -> &ArbiterConfig;
     /// This configuration with its arbiter knobs replaced.
     fn with_arbiter(&self, arbiter: ArbiterConfig) -> Self;
-    /// One-factor variants of the knobs outside the arbiter's (none).
-    fn own_variants(&self) -> Vec<TuneVariant<Self>> {
-        Vec::new()
-    }
-    /// Compact rendering of the knobs outside the arbiter's (nothing).
-    fn own_summary(&self) -> String {
-        String::new()
-    }
 }
 
 impl TuneConfig for ArbiterConfig {
@@ -62,48 +53,8 @@ impl TuneConfig for PlacementConfig {
     }
     fn with_arbiter(&self, arbiter: ArbiterConfig) -> Self {
         PlacementConfig {
+            policy: self.policy.clone(),
             arbiter,
-            ..self.clone()
-        }
-    }
-    /// Rebalance watermark moves: off, half/double the high watermark,
-    /// half the low watermark, a 4× cooldown.
-    fn own_variants(&self) -> Vec<TuneVariant<Self>> {
-        let reb = self.rebalance.clone().unwrap_or_default();
-        let r = |name: &str, f: &dyn Fn(&mut RebalanceConfig)| {
-            let mut rebalance = reb.clone();
-            f(&mut rebalance);
-            TuneVariant {
-                name: name.to_string(),
-                config: PlacementConfig {
-                    rebalance: Some(rebalance),
-                    ..self.clone()
-                },
-            }
-        };
-        vec![
-            TuneVariant {
-                name: "rebal=off".into(),
-                config: PlacementConfig {
-                    rebalance: None,
-                    ..self.clone()
-                },
-            },
-            r("rebal_high*2", &|r| r.high_ms *= 2),
-            r("rebal_high/2", &|r| {
-                r.high_ms = (r.high_ms / 2).max(r.low_ms).max(1)
-            }),
-            r("rebal_low/2", &|r| r.low_ms = (r.low_ms / 2).max(1)),
-            r("rebal_cooldown*4", &|r| r.cooldown_us *= 4),
-        ]
-    }
-    fn own_summary(&self) -> String {
-        match &self.rebalance {
-            Some(r) => format!(
-                " rebal=hi{}ms/lo{}ms/cd{}us",
-                r.high_ms, r.low_ms, r.cooldown_us
-            ),
-            None => " rebal=off".into(),
         }
     }
 }
@@ -134,7 +85,7 @@ pub(crate) fn config_summary<C: TuneConfig>(config: &C) -> String {
     if let Some(m) = c.limits.max_sessions {
         let _ = write!(s, " sessions={m}");
     }
-    s + &config.own_summary()
+    s
 }
 
 /// `variants` of `base`'s arbiter knobs, lifted back into `base`.
@@ -152,9 +103,8 @@ fn lift<C: TuneConfig>(base: &C, variants: Vec<TuneVariant>) -> Vec<TuneVariant<
 /// configuration): the recorded baseline first, then each policy knob
 /// moved on its own — preemption bound off/5 ms/10 ms/50 ms, starvation
 /// bound 50 ms/200 ms, co-running off, resizing off, and a tight global
-/// admission bound — then the configuration's [own
-/// variants](TuneConfig::own_variants). Ten arbiter variants, satisfying
-/// the ≥ 8 the tuner smoke grid requires.
+/// admission bound. Ten variants, satisfying the ≥ 8 the tuner smoke grid
+/// requires.
 pub fn default_grid<C: TuneConfig>(base: &C) -> Vec<TuneVariant<C>> {
     let arbiter = base.arbiter();
     let v = |name: &str, f: &dyn Fn(&mut ArbiterConfig)| {
@@ -165,7 +115,7 @@ pub fn default_grid<C: TuneConfig>(base: &C) -> Vec<TuneVariant<C>> {
             config,
         }
     };
-    let mut grid = lift(
+    lift(
         base,
         vec![
             v("recorded", &|_| {}),
@@ -179,9 +129,7 @@ pub fn default_grid<C: TuneConfig>(base: &C) -> Vec<TuneVariant<C>> {
             v("resize=off", &|c| c.enable_resize = false),
             v("pend_global=4", &|c| c.limits.max_pending_global = Some(4)),
         ],
-    );
-    grid.extend(base.own_variants());
-    grid
+    )
 }
 
 /// Hard cap on grid size; a runaway cartesian spec is an input error,
@@ -424,7 +372,7 @@ impl TuneReport {
 }
 
 /// Replays every variant over the shared log — a single core, or the
-/// full placement layer (routing, health, rebalancing) scored on the
+/// full placement layer (routing, health, evacuation) scored on the
 /// fleet-wide command stream — scores the command streams and ranks them.
 /// `parallel` fans the grid out over the rayon pool (one task per
 /// variant, results slotted by grid index, so the ranking — and the

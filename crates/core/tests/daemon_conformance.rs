@@ -16,7 +16,6 @@
 //!   then resumes from its carried progress;
 //! * a device failure mid-run: `DeviceLost` on a lone device, evacuation
 //!   to a healthy one on a fleet, and `recover_device` after either;
-//! * a rebalance migration of a running kernel;
 //! * a seeded soak of device failures and recoveries rolling over a
 //!   3-device fleet while clients churn. It honours `SLATE_CHAOS_SEED`
 //!   (decimal or `0x`-prefixed hex) so CI can soak fresh seeds nightly,
@@ -26,7 +25,7 @@ use slate_core::api::SlateClient;
 use slate_core::arbiter::{replay as core_replay, Command};
 use slate_core::daemon::{DaemonOptions, SlateDaemon};
 use slate_core::placement::replay as placement_replay;
-use slate_core::placement::{HealthState, RebalanceConfig};
+use slate_core::placement::HealthState;
 use slate_core::{PlacementPolicy, SlateError, SlatePtr};
 use slate_gpu_sim::buffer::GpuBuffer;
 use slate_gpu_sim::device::DeviceConfig;
@@ -452,58 +451,6 @@ fn multi_device_daemon_evacuates_a_failed_device_mid_run() {
         "a recovered device is on probation, not immediately healthy"
     );
     client.disconnect().unwrap();
-    daemon.join();
-}
-
-#[test]
-fn multi_device_rebalance_migrates_a_running_kernel_exactly_once() {
-    // Both sessions pinned to device 0; device 1 idle. The weighted
-    // imbalance crosses the threshold as soon as both kernels are
-    // pending, the heartbeat fires a migration, and the victim resumes
-    // on device 1 from its carried progress.
-    let daemon = fleet(
-        2,
-        DaemonOptions {
-            placement: PlacementPolicy::Affinity {
-                pins: [(1u64, 0usize), (2, 0)].into_iter().collect(),
-            },
-            rebalance: Some(RebalanceConfig {
-                high_ms: 15,
-                low_ms: 5,
-                cooldown_us: 0,
-                seed: 9,
-            }),
-            ..Default::default()
-        },
-    );
-    let n = 4_096;
-    let clients: Vec<_> = (0..2)
-        .map(|i| SlateClient::new(daemon.connect(&format!("pinned-{i}")).unwrap()))
-        .collect();
-    let ptrs: Vec<_> = clients
-        .iter()
-        .map(|c| {
-            let p = ones(c, n);
-            c.launch_with(
-                vec![p],
-                4,
-                None,
-                doubler(n, Duration::from_micros(500), plain()),
-            )
-            .unwrap();
-            p
-        })
-        .collect();
-    for (client, &p) in clients.iter().zip(&ptrs) {
-        client.synchronize().unwrap();
-        assert_doubled_once(client, p, n, "pinned kernel");
-    }
-    let stats = daemon.metrics().placement;
-    assert_eq!(stats.rebalances, 1, "the imbalance fired one migration");
-    assert_eq!(stats.migrations_completed, 1);
-    for client in clients {
-        client.disconnect().unwrap();
-    }
     daemon.join();
 }
 

@@ -7,7 +7,7 @@
 //!    device, the route is sticky for the session's lifetime, lease
 //!    events follow it, and jobs driven through simulated backends
 //!    complete exactly once wherever they land (including across a
-//!    mid-flight migration): every staging resumes at the progress its
+//!    mid-flight evacuation): every staging resumes at the progress its
 //!    lease's last completion carried, and the last drains at `slateMax`.
 //! 2. **Determinism** — the layer is a pure function of its event
 //!    script: the same script through two fresh layers produces
@@ -40,9 +40,7 @@ use slate_core::arbiter::{replay as core_replay, Command, Event, Tick};
 use slate_core::backend::{Backend, Completion, DeviceFault, DeviceHealth, SimBackend, WorkSpec};
 use slate_core::classify::WorkloadClass;
 use slate_core::placement::replay::{self as placement_replay, PlacementLog};
-use slate_core::placement::{
-    MultiJob, MultiSim, PlacementConfig, PlacementLayer, PlacementPolicy, RebalanceConfig,
-};
+use slate_core::placement::{MultiJob, MultiSim, PlacementConfig, PlacementLayer, PlacementPolicy};
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -326,8 +324,7 @@ proptest! {
 }
 
 /// Jobs complete exactly once on every policy × device count, carried
-/// progress proving no block ran twice or was lost — even without any
-/// migration in play.
+/// progress proving no block ran twice or was lost.
 #[test]
 fn every_policy_completes_jobs_exactly_once() {
     for devices in 1usize..=3 {
@@ -368,67 +365,6 @@ fn every_policy_completes_jobs_exactly_once() {
             }
             assert_eq!(fleet.stats().sessions_routed, 4);
         }
-    }
-}
-
-/// A rebalance migration across 2- and 3-device fleets keeps the
-/// exactly-once guarantee: the migrated kernel resumes on the target at
-/// the progress its eviction carried off the source, and drains there.
-#[test]
-fn rebalance_preserves_exactly_once_across_device_counts() {
-    for devices in 2usize..=3 {
-        // Pin both sessions to device 0 so the pile-up forces the
-        // rebalancer to move one of them off.
-        let pins: BTreeMap<u64, usize> = [(1u64, 0usize), (2, 0)].into_iter().collect();
-        let (mut fleet, ledger) = ledgered_fleet(
-            devices,
-            PlacementConfig {
-                policy: PlacementPolicy::Affinity { pins },
-                rebalance: Some(RebalanceConfig {
-                    high_ms: 15,
-                    low_ms: 5,
-                    cooldown_us: 0,
-                    seed: 7,
-                }),
-                ..Default::default()
-            },
-        );
-        let total: u32 = 600;
-        for session in [1u64, 2] {
-            let kernel = churn_kernel(total, 30);
-            assert!(fleet.submit(MultiJob {
-                session,
-                lease: session,
-                kernel,
-                task_size: 4,
-                class: WorkloadClass::MM,
-                sm_demand: 4,
-                est_ms: Some(2),
-            }));
-            // Let the first kernel run a while: its load alone stays
-            // under `high_ms`, so the migration fires at the second
-            // one's arrival and carries real progress.
-            for _ in 0..3 {
-                fleet.tick();
-            }
-        }
-        assert!(fleet.run(120_000), "{devices}-device fleet must drain");
-        assert!(
-            fleet.stats().rebalances >= 1,
-            "{devices}-device pile-up must fire a migration"
-        );
-        let (lease, src, dst, progress) = fleet.migrations()[0];
-        assert_ne!(src, dst, "migration crosses devices");
-        assert!(dst < devices);
-        assert!(
-            0 < progress && progress < total as u64,
-            "migration caught lease {lease} mid-flight (progress {progress})"
-        );
-        assert!(
-            assert_carried(&ledger, lease, total as u64) >= 2,
-            "the migrated lease was re-staged on its target"
-        );
-        assert_carried(&ledger, 3 - lease, total as u64);
     }
 }
 
@@ -488,12 +424,15 @@ proptest! {
 }
 
 /// The fixed workload behind the golden fixture: three devices under the
-/// affinity policy with everything pinned to device 0, so the recording
-/// exercises dispatch, queueing, the rebalancer's migration eviction, the
-/// route flip on the eviction's `KernelFinished`, and the re-staged
-/// dispatch on the target device — all in one deterministic script.
+/// affinity policy, sessions 1–3 pinned to device 0 and session 4 to
+/// device 2, so the recording exercises dispatch, a co-run (a dispatch
+/// beside a resize on device 0), queueing, a waiter dispatched when a
+/// resident finishes, and routing across two devices — all in one
+/// deterministic script.
 fn record_fixture_run() -> PlacementLog {
-    let pins: BTreeMap<u64, usize> = [(1u64, 0usize), (2, 0), (3, 0)].into_iter().collect();
+    let pins: BTreeMap<u64, usize> = [(1u64, 0usize), (2, 0), (3, 0), (4, 2)]
+        .into_iter()
+        .collect();
     let mut layer = PlacementLayer::new(
         vec![
             DeviceConfig::tiny(8),
@@ -502,66 +441,30 @@ fn record_fixture_run() -> PlacementLog {
         ],
         PlacementConfig {
             policy: PlacementPolicy::Affinity { pins },
-            rebalance: Some(RebalanceConfig {
-                high_ms: 20,
-                low_ms: 5,
-                cooldown_us: 0,
-                seed: 11,
-            }),
             ..Default::default()
         },
     );
     layer.start_recording();
+    let sessions = [1u64, 2, 3, 4];
+    let open = sessions.map(|session| Event::SessionOpened { session });
+    layer.feed(0, &open);
+    // Three kernels piled onto device 0: two co-run, one waits; the
+    // fourth runs alone on device 2.
     layer.feed(
-        0,
+        10,
         &[
-            Event::SessionOpened { session: 1 },
-            Event::SessionOpened { session: 2 },
-            Event::SessionOpened { session: 3 },
+            ready(1, 10, 8),
+            ready(2, 20, 8),
+            ready(3, 30, 8),
+            ready(4, 40, 8),
         ],
     );
-    // Three kernels piled onto device 0: one resident, two waiting —
-    // enough imbalance for the rebalancer to evict the resident.
-    layer.feed(10, &[ready(1, 10, 8), ready(2, 20, 8), ready(3, 30, 8)]);
-    // The migration eviction lands; the lease's route flips to the target.
-    layer.feed(
-        20,
-        &[Event::KernelFinished {
-            lease: 10,
-            ok: false,
-        }],
-    );
-    // Re-staged readiness dispatches on the target device.
-    layer.feed(30, &[ready(1, 10, 8)]);
-    layer.feed(
-        40,
-        &[Event::KernelFinished {
-            lease: 20,
-            ok: true,
-        }],
-    );
-    layer.feed(
-        50,
-        &[Event::KernelFinished {
-            lease: 30,
-            ok: true,
-        }],
-    );
-    layer.feed(
-        60,
-        &[Event::KernelFinished {
-            lease: 10,
-            ok: true,
-        }],
-    );
-    layer.feed(
-        70,
-        &[
-            Event::SessionClosed { session: 1 },
-            Event::SessionClosed { session: 2 },
-            Event::SessionClosed { session: 3 },
-        ],
-    );
+    // A resident finishes and the waiter dispatches in its place.
+    for (at, lease) in [(20, 10), (30, 20), (40, 30), (50, 40)] {
+        layer.feed(at, &[Event::KernelFinished { lease, ok: true }]);
+    }
+    let close = sessions.map(|session| Event::SessionClosed { session });
+    layer.feed(60, &close);
     layer.take_log().expect("recording was on")
 }
 
@@ -762,8 +665,8 @@ fn fixture_log_contains_the_interesting_decisions() {
     assert!(log.devices.len() >= 3, "fixture must be multi-device");
     assert!(routed().any(|r| matches!(r.command, Command::Dispatch { .. })));
     assert!(
-        routed().any(|r| matches!(r.command, Command::Evict { .. })),
-        "the fixture must exercise a rebalance migration eviction"
+        routed().any(|r| matches!(r.command, Command::Resize { .. })),
+        "the fixture must exercise a co-run resize"
     );
     let devices_used: std::collections::BTreeSet<usize> = routed().map(|r| r.device).collect();
     assert!(
@@ -784,35 +687,39 @@ fn live_run_reproduces_the_checked_in_placement_log() {
     assert_eq!(fresh, log, "a fresh run diverged from the checked-in log");
 }
 
+/// Both checked-in logs split into per-core logs that verify, and every
+/// command a core emitted is in its device's split log.
 #[test]
 fn checked_in_log_splits_into_per_core_logs_that_verify() {
-    let log: PlacementLog = serde_json::from_str(LOG_JSON).expect("fixture parses");
-    let cores = placement_replay::split(&log).expect("split succeeds");
-    assert_eq!(cores.len(), log.devices.len());
-    for (i, core_log) in cores.iter().enumerate() {
-        assert_eq!(core_log.device, log.devices[i]);
-        core_replay::verify(core_log)
-            .unwrap_or_else(|e| panic!("per-core log {i} must verify: {e}"));
-    }
-    // Every core-emitted routed command appears in its device's split
-    // log at the same timestamp — nothing is lost or re-homed. Rebalance
-    // evictions are exempt: the layer synthesizes them *above* the
-    // cores (the source core only learns of the departure from the
-    // eviction's `KernelFinished`), so they exist in the placement log
-    // alone.
-    for b in &log.batches {
-        for r in &b.routed {
-            if matches!(r.command, Command::Evict { .. }) {
-                continue;
+    for (name, json) in [("placement", LOG_JSON), ("failure", FAILURE_LOG_JSON)] {
+        let log: PlacementLog = serde_json::from_str(json).expect("fixture parses");
+        let cores = placement_replay::split(&log).expect("split succeeds");
+        assert_eq!(cores.len(), log.devices.len());
+        for (i, core_log) in cores.iter().enumerate() {
+            assert_eq!(core_log.device, log.devices[i]);
+            core_replay::verify(core_log)
+                .unwrap_or_else(|e| panic!("{name}: per-core log {i} must verify: {e}"));
+        }
+        // Every core-emitted routed command appears in its device's split
+        // log at the same timestamp — nothing is lost or re-homed.
+        // Evacuation evictions are exempt: the layer synthesizes them
+        // *above* the cores (the source core only learns of the departure
+        // from the eviction's `KernelFinished`), so they exist in the
+        // placement log alone.
+        for b in &log.batches {
+            for r in &b.routed {
+                if matches!(r.command, Command::Evict { .. }) {
+                    continue;
+                }
+                assert!(
+                    cores[r.device]
+                        .batches
+                        .iter()
+                        .any(|cb| cb.at == b.at && cb.commands.contains(&r.command)),
+                    "{name}: routed command {r} missing from device {} log",
+                    r.device
+                );
             }
-            assert!(
-                cores[r.device]
-                    .batches
-                    .iter()
-                    .any(|cb| cb.at == b.at && cb.commands.contains(&r.command)),
-                "routed command {r} missing from device {} log",
-                r.device
-            );
         }
     }
 }

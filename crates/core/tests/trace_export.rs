@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 
 const SLO_LOG_JSON: &str = include_str!("data/slo_log.json");
 const PLACEMENT_LOG_JSON: &str = include_str!("data/placement_log.json");
+const FAILURE_LOG_JSON: &str = include_str!("data/placement_failure_log.json");
 const SCHEMA_JSON: &str = include_str!("data/trace_schema.json");
 
 fn ci_schema() -> TraceSchema {
@@ -49,8 +50,40 @@ fn golden_placement_trace_is_schema_valid() {
     let stats = validate::validate(&trace.to_json(), &ci_schema())
         .expect("golden placement trace satisfies the CI schema");
     assert!(stats.processes >= 2, "placement fixture spans devices");
-    // 15 before repeats were dropped; the CI schema's floor is 10.
+    // The CI schema's floor is 10.
     assert_eq!(stats.counters, 11, "counter samples");
+    assert!(
+        trace.events.iter().all(|e| !matches!(e.ph, 's' | 'f')),
+        "no lease of the placement fixture changes device"
+    );
+}
+
+/// The failure fixture's evacuation is the one move between devices, and
+/// the trace draws it as one flow pair: it leaves device 0's process when
+/// the eviction lands (@30) and arrives on device 1's at the re-staged
+/// dispatch (@40).
+#[test]
+fn golden_failure_trace_draws_the_evacuation_as_one_flow() {
+    let log: PlacementLog = serde_json::from_str(FAILURE_LOG_JSON).expect("fixture parses");
+    let trace = trace_log(&log).expect("golden failure log replays and exports");
+    let json = trace.to_json();
+    validate::validate(&json, &ci_schema()).expect("golden failure trace satisfies the CI schema");
+    let flows: Vec<(char, &str, u32)> = trace
+        .events
+        .iter()
+        .filter(|e| matches!(e.ph, 's' | 'f'))
+        .map(|e| (e.ph, e.name.as_str(), e.pid))
+        .collect();
+    assert_eq!(
+        flows,
+        [('s', "migration l10", 0), ('f', "migration l10", 1)]
+    );
+    for (ph, ts, pid) in [('s', 30, 0), ('f', 40, 1)] {
+        let event = format!(
+            r#""name":"migration l10","cat":"migration","ph":"{ph}","ts":{ts},"pid":{pid},"#
+        );
+        assert!(json.contains(&event), "missing {event}");
+    }
 }
 
 /// A fresh recording and its serialize→deserialize roundtrip must export

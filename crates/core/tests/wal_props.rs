@@ -29,7 +29,7 @@ use slate_core::durability::{
 };
 use slate_core::placement::replay::PlacementBatch;
 use slate_core::placement::{
-    HealthState, PlacementConfig, PlacementLayer, PlacementPolicy, RebalanceConfig, RoutedCommand,
+    HealthState, PlacementConfig, PlacementLayer, PlacementPolicy, RoutedCommand,
 };
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use slate_kernels::workload::SloClass;
@@ -421,9 +421,8 @@ fn float() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// Every [`PlacementPolicy`], corun and resize on or off, bounds and
-/// admission limits set or not (the memory watermark any float), and the
-/// rebalancer on or off.
+/// Every [`PlacementPolicy`], corun and resize on or off, and bounds and
+/// admission limits set or not (the memory watermark any float).
 fn arb_config() -> impl Strategy<Value = PlacementConfig> {
     let policy = prop_oneof![
         Just(PlacementPolicy::RoundRobin),
@@ -463,20 +462,7 @@ fn arb_config() -> impl Strategy<Value = PlacementConfig> {
             }
         },
     );
-    let rebalance = prop_oneof![
-        Just(None),
-        (1u64..40, edge()).prop_map(|(high_ms, seed)| Some(RebalanceConfig {
-            high_ms,
-            low_ms: high_ms / 2,
-            cooldown_us: 10,
-            seed,
-        })),
-    ];
-    (policy, arbiter, rebalance).prop_map(|(policy, arbiter, rebalance)| PlacementConfig {
-        policy,
-        arbiter,
-        rebalance,
-    })
+    (policy, arbiter).prop_map(|(policy, arbiter)| PlacementConfig { policy, arbiter })
 }
 
 /// The health a device is driven into, by index: healthy, degraded,
@@ -767,8 +753,8 @@ fn ready_on(session: u64, lease: u64, class: WorkloadClass, sm_demand: u32) -> E
 
 /// The states whose slot bodies the fixture pins, each driven to the
 /// corner it is named for (asserted, so none degenerates): a serving
-/// fleet; the rebalancer with one migration landed and one in flight; a
-/// failed device beside one on probation; Affinity pins, one past the
+/// fleet; a failed device evacuated, one move landed and re-staged on its
+/// target and one in flight; a failed device beside one on probation; Affinity pins, one past the
 /// fleet, with pending launches, armed deadlines and a finished lease's
 /// last range; a latency-critical session that preempted a best-effort
 /// resident under a preemption bound.
@@ -781,55 +767,44 @@ fn pinned_states() -> Vec<(&'static str, DurableSnapshot)> {
             .collect()
     };
 
-    let mut rebalance = PlacementLayer::new(
+    // Sessions 1 and 2 pinned to device 0: lease 10 resident, lease 20
+    // waiting behind it. Device 0 fails, and the evacuation sends lease 10
+    // to device 1 and lease 20 to device 2.
+    let mut evacuated = PlacementLayer::new(
         tiny(3),
         PlacementConfig {
             policy: PlacementPolicy::Affinity {
-                pins: [(1, 0), (2, 0), (3, 0)].into_iter().collect(),
+                pins: [(1, 0), (2, 0)].into_iter().collect(),
             },
-            rebalance: Some(RebalanceConfig {
-                high_ms: 20,
-                low_ms: 5,
-                cooldown_us: 0,
-                seed: 7,
-            }),
             ..PlacementConfig::default()
         },
     );
-    rebalance.feed(10, &open(&[1, 2, 3]));
+    evacuated.feed(10, &open(&[1, 2]));
     let mm = WorkloadClass::MM;
-    rebalance.feed(
-        20,
-        &[
-            ready_on(1, 10, mm, 8),
-            ready_on(2, 20, mm, 8),
-            ready_on(3, 30, mm, 8),
-        ],
-    );
-    assert_eq!(rebalance.migration_target(10), Some(1));
-    rebalance.feed(
-        30,
-        &[Event::KernelFinished {
-            lease: 10,
-            ok: false,
-        }],
-    );
-    rebalance.feed(40, &[ready_on(1, 10, mm, 8)]);
-    // Everything finishes, which re-arms the planner; a second wave on
-    // device 0 fires a second migration, left in flight.
-    let done = [10, 20, 30].map(|lease| Event::KernelFinished { lease, ok: true });
-    rebalance.feed(50, &done);
-    rebalance.feed(
-        60,
-        &[
-            ready_on(1, 11, mm, 8),
-            ready_on(2, 21, mm, 8),
-            ready_on(3, 31, mm, 8),
-        ],
-    );
-    let stats = rebalance.stats();
+    evacuated.feed(20, &[ready_on(1, 10, mm, 8), ready_on(2, 20, mm, 8)]);
+    let down = Event::DeviceDown {
+        device: 0,
+        hard: true,
+    };
+    evacuated.feed(30, &[down]);
+    assert_eq!(evacuated.migration_target(10), Some(1));
+    assert_eq!(evacuated.migration_target(20), Some(2));
+    // Lease 10's eviction lands and it is re-staged on its target; lease
+    // 20's is still in flight.
+    let landed = Event::KernelFinished {
+        lease: 10,
+        ok: false,
+    };
+    evacuated.feed(40, &[landed]);
+    evacuated.feed(50, &[ready_on(1, 10, mm, 8)]);
+    assert_eq!(evacuated.migration_target(10), None);
+    assert_eq!(evacuated.device_of_lease(10), Some(1));
+    assert_eq!(evacuated.device_of_session(1), Some(0));
+    assert_eq!(evacuated.core(1).residents(), 1);
+    assert_eq!(evacuated.migration_target(20), Some(2));
+    let stats = evacuated.stats();
     assert_eq!(stats.migrations_completed, 1);
-    assert_eq!(stats.rebalances, 2, "a second migration is in flight");
+    assert_eq!(stats.evacuations, 2);
 
     let mut health = PlacementLayer::new(tiny(4), PlacementConfig::default());
     health.feed(10, &open(&[1, 2, 3, 4]));
@@ -923,7 +898,7 @@ fn pinned_states() -> Vec<(&'static str, DurableSnapshot)> {
 
     vec![
         ("serving", a_serving_snapshot()),
-        ("rebalance", anchored(&rebalance)),
+        ("evacuated", anchored(&evacuated)),
         ("health", anchored(&health)),
         ("affinity", anchored(&affinity)),
         ("slo", anchored(&slo)),
@@ -970,8 +945,8 @@ fn regenerate_snapshot_body_fixture() {
 }
 
 proptest! {
-    /// Generated snapshots — every policy and health state, the
-    /// rebalancer on and off, admission limits, residents and waiters,
+    /// Generated snapshots — every policy and health state, admission
+    /// limits, residents and waiters,
     /// NaN and ±∞ floats — read back bit for bit: `encode(decode(b)) ==
     /// b`, and a layer restored from the decoded body decides as one
     /// restored from the original.
