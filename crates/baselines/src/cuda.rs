@@ -10,6 +10,7 @@
 use crate::runtime::{RunOutcome, Runtime};
 use crate::serial::{run_serialized, SerialOverheads};
 use slate_gpu_sim::device::DeviceConfig;
+use slate_gpu_sim::trace::Trace;
 use slate_kernels::workload::AppSpec;
 
 /// Fraction of a launch's duration wasted by driver time-slice arbitration
@@ -51,8 +52,8 @@ impl Runtime for CudaRuntime {
         &self.cfg
     }
 
-    fn run(&self, apps: &[AppSpec]) -> RunOutcome {
-        run_serialized(&self.cfg, &self.overheads(), apps)
+    fn run_with(&self, apps: &[AppSpec], traced: bool) -> (RunOutcome, Option<Trace>) {
+        run_serialized(&self.cfg, &self.overheads(), apps, traced)
     }
 }
 

@@ -2,7 +2,8 @@
 //! H2D → launch loop → D2H.
 //!
 //! [`Lifecycle`] owns the per-process bookkeeping, the transfers, the
-//! execution [`Trace`] and the [`RunOutcome`] assembly. A runtime steps the
+//! count of scheduling records (and, for a traced run only, the execution
+//! [`Trace`] itself) and the [`RunOutcome`] assembly. A runtime steps the
 //! engine, hands each event to [`Lifecycle::step`] and acts on the returned
 //! [`Step`]; what it keeps to itself is only its *admission policy* — which
 //! ready process launches next, on which SMs, at what extra cost — reported
@@ -74,15 +75,21 @@ pub enum Step {
 /// The lifecycle state of every process of one run.
 pub struct Lifecycle {
     procs: Vec<Proc>,
-    /// The execution trace; runtimes append their own records (resizes).
-    pub trace: Trace,
+    /// Scheduling records made so far: launches, stops, resizes, transfer
+    /// starts and ends.
+    records: u64,
+    /// The records themselves, kept only for a traced run.
+    trace: Option<Trace>,
 }
 
 impl Lifecycle {
     /// Arms every process's setup timer on `engine`, in `apps` order.
+    /// With `traced`, the run keeps every record in a [`Trace`];
+    /// otherwise it only counts them.
     pub fn new(
         engine: &mut Engine,
         apps: &[AppSpec],
+        traced: bool,
         costs: impl Fn(&AppSpec) -> FixedCosts,
     ) -> Self {
         assert!(!apps.is_empty(), "need at least one app");
@@ -106,17 +113,23 @@ impl Lifecycle {
                         kernel_end_s: 0.0,
                         comm_s: c.comm_s,
                         inject_s: c.inject_s,
+                        resizes: 0,
                         metrics: KernelMetrics::new(&app.perf.name),
                     },
                 }
             })
             .collect();
-        // Room for every record of a run without resizes: per process two
-        // transfers (start, end) and a launch and a stop per launch.
-        let records: usize = apps.iter().map(|a| 4 + 2 * a.launches as usize).sum();
         Self {
             procs,
-            trace: Trace::with_capacity(records),
+            records: 0,
+            trace: traced.then(Trace::new),
+        }
+    }
+
+    fn record(&mut self, now: f64, kind: TraceKind) {
+        self.records += 1;
+        if let Some(trace) = &mut self.trace {
+            trace.record(now, kind);
         }
     }
 
@@ -155,8 +168,7 @@ impl Lifecycle {
                     .iter()
                     .position(|p| p.transfer == Some(tid))
                     .expect("unknown transfer");
-                self.trace
-                    .record(now, TraceKind::TransferEnd { tag: i as u64 });
+                self.record(now, TraceKind::TransferEnd { tag: i as u64 });
                 let p = &mut self.procs[i];
                 p.transfer = None;
                 match p.phase {
@@ -193,8 +205,7 @@ impl Lifecycle {
         let app = &self.procs[i].app;
         let bytes = if h2d { app.h2d_bytes } else { app.d2h_bytes };
         let tag = i as u64;
-        self.trace
-            .record(now, TraceKind::TransferStart { tag, h2d, bytes });
+        self.record(now, TraceKind::TransferStart { tag, h2d, bytes });
         self.procs[i].transfer = Some(engine.add_transfer(bytes));
     }
 
@@ -216,15 +227,14 @@ impl Lifecycle {
         p.out.comm_s += comm_s;
         p.out.kernel_start_s = p.out.kernel_start_s.min(now);
         let tag = i as u64;
-        self.trace
-            .record(now, TraceKind::Launch { tag, range, blocks });
+        self.record(now, TraceKind::Launch { tag, range, blocks });
     }
 
     /// Process `i`'s slice left the device (drained, or torn down for a
     /// resize) with `report`.
     pub fn stopped(&mut self, i: usize, now: f64, report: &SliceReport) {
         let done = report.blocks_done;
-        self.trace.record(
+        self.record(
             now,
             TraceKind::Stop {
                 tag: i as u64,
@@ -235,6 +245,18 @@ impl Lifecycle {
         p.slice = None;
         p.out.kernel_busy_s += report.active_s;
         p.out.metrics.merge(report);
+    }
+
+    /// Process `i`'s launch, [`stopped`] at `now`, is being moved from
+    /// `from` to `to` (its remainder is [`launched`] next, unless the slice
+    /// turned out to have drained).
+    ///
+    /// [`stopped`]: Lifecycle::stopped
+    /// [`launched`]: Lifecycle::launched
+    pub fn resized(&mut self, i: usize, now: f64, from: SmRange, to: SmRange) {
+        self.procs[i].out.resizes += 1;
+        let tag = i as u64;
+        self.record(now, TraceKind::Resize { tag, from, to });
     }
 
     /// Process `i`'s launch is complete (its slice [`stopped`] with nothing
@@ -255,18 +277,20 @@ impl Lifecycle {
         ready
     }
 
-    /// Assembles the outcome of a finished run.
-    pub fn finish(self, runtime: &str) -> RunOutcome {
+    /// Assembles the outcome of a finished run, and its trace if the run
+    /// was traced.
+    pub fn finish(self, runtime: &str) -> (RunOutcome, Option<Trace>) {
         debug_assert!(self.procs.iter().all(|p| p.phase == Phase::Done));
         let mut apps: Vec<AppResult> = self.procs.into_iter().map(|p| p.out).collect();
         for a in apps.iter_mut().filter(|a| !a.kernel_start_s.is_finite()) {
             a.kernel_start_s = 0.0;
         }
-        RunOutcome {
+        let out = RunOutcome {
             runtime: runtime.into(),
             makespan_s: apps.iter().map(|a| a.end_s).fold(0.0, f64::max),
-            trace: self.trace,
+            records: self.records,
             apps,
-        }
+        };
+        (out, self.trace)
     }
 }

@@ -36,6 +36,8 @@ pub struct AppResult {
     pub comm_s: f64,
     /// Code injection and runtime compilation time (Slate only).
     pub inject_s: f64,
+    /// Times the app's running launches were resized (Slate only).
+    pub resizes: u32,
     /// Aggregated hardware counters over all the app's launches.
     pub metrics: KernelMetrics,
 }
@@ -57,8 +59,10 @@ pub struct RunOutcome {
     pub apps: Vec<AppResult>,
     /// Time at which the last process finished.
     pub makespan_s: f64,
-    /// Scheduling trace (launches, drains, resizes, transfers).
-    pub trace: Trace,
+    /// Scheduling records the run made (launches, stops, resizes,
+    /// transfer starts and ends), whether or not it kept them: see
+    /// [`Runtime::run_traced`].
+    pub records: u64,
 }
 
 impl RunOutcome {
@@ -89,8 +93,23 @@ pub trait Runtime {
     fn label(&self) -> &str;
     /// The device this runtime schedules.
     fn device(&self) -> &DeviceConfig;
-    /// Runs all `apps` as concurrent processes starting at time 0.
-    fn run(&self, apps: &[AppSpec]) -> RunOutcome;
+    /// Runs all `apps` as concurrent processes starting at time 0; with
+    /// `traced`, also returns the [`Trace`] of every launch, stop, resize
+    /// and transfer (and only then keeps them).
+    fn run_with(&self, apps: &[AppSpec], traced: bool) -> (RunOutcome, Option<Trace>);
+
+    /// Runs all `apps` as concurrent processes starting at time 0,
+    /// counting its scheduling records without keeping them.
+    fn run(&self, apps: &[AppSpec]) -> RunOutcome {
+        self.run_with(apps, false).0
+    }
+
+    /// [`Runtime::run`], also returning the scheduling trace (for the
+    /// SM-occupancy Gantt chart and the schedule checks).
+    fn run_traced(&self, apps: &[AppSpec]) -> (RunOutcome, Trace) {
+        let (out, trace) = self.run_with(apps, true);
+        (out, trace.expect("a traced run keeps its trace"))
+    }
 
     /// Convenience: solo application time of one app under this runtime.
     fn solo_time(&self, app: &AppSpec) -> f64 {
@@ -112,6 +131,7 @@ mod tests {
             kernel_end_s: t * 0.9,
             comm_s: 0.0,
             inject_s: 0.0,
+            resizes: 0,
             metrics: KernelMetrics::new("k"),
         }
     }
@@ -122,7 +142,7 @@ mod tests {
             runtime: "X".into(),
             apps: vec![result(Benchmark::BS, 60.0), result(Benchmark::RG, 30.0)],
             makespan_s: 60.0,
-            trace: Trace::new(),
+            records: 0,
         };
         let antt = out.antt(&[30.0, 30.0]);
         assert!((antt - 1.5).abs() < 1e-12);
@@ -134,13 +154,13 @@ mod tests {
             runtime: "fast".into(),
             apps: vec![],
             makespan_s: 50.0,
-            trace: Trace::new(),
+            records: 0,
         };
         let slow = RunOutcome {
             runtime: "slow".into(),
             apps: vec![],
             makespan_s: 60.0,
-            trace: Trace::new(),
+            records: 0,
         };
         assert!(fast.throughput_gain_over(&slow) > 0.0);
         assert!(slow.throughput_gain_over(&fast) < 0.0);

@@ -22,6 +22,7 @@ use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use slate_gpu_sim::engine::{Engine, SliceSpec, TimerId};
 use slate_gpu_sim::model;
 use slate_gpu_sim::perf::ExecMode;
+use slate_gpu_sim::trace::Trace;
 use slate_kernels::workload::AppSpec;
 
 /// Overhead knobs distinguishing CUDA from MPS.
@@ -161,10 +162,16 @@ impl Serializer<'_> {
     }
 }
 
-/// Runs `apps` under the serializing policy described by `ov`.
-pub fn run_serialized(cfg: &DeviceConfig, ov: &SerialOverheads, apps: &[AppSpec]) -> RunOutcome {
+/// Runs `apps` under the serializing policy described by `ov`, keeping
+/// its [`Trace`] if `traced`.
+pub fn run_serialized(
+    cfg: &DeviceConfig,
+    ov: &SerialOverheads,
+    apps: &[AppSpec],
+    traced: bool,
+) -> (RunOutcome, Option<Trace>) {
     let mut engine = Engine::new(cfg.clone());
-    let mut life = Lifecycle::new(&mut engine, apps, |app| {
+    let mut life = Lifecycle::new(&mut engine, apps, traced, |app| {
         let session_s = ov.session_setup_s * app.fixed_cost_scale;
         FixedCosts {
             session_s,
@@ -216,6 +223,10 @@ pub fn run_serialized(cfg: &DeviceConfig, ov: &SerialOverheads, apps: &[AppSpec]
 mod tests {
     use super::*;
     use slate_kernels::workload::Benchmark;
+
+    fn run_serialized(cfg: &DeviceConfig, ov: &SerialOverheads, apps: &[AppSpec]) -> RunOutcome {
+        super::run_serialized(cfg, ov, apps, false).0
+    }
 
     fn overheads_free() -> SerialOverheads {
         SerialOverheads {

@@ -40,7 +40,7 @@ use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use slate_gpu_sim::engine::SliceSpec;
 use slate_gpu_sim::model;
 use slate_gpu_sim::perf::ExecMode;
-use slate_gpu_sim::trace::TraceKind;
+use slate_gpu_sim::trace::Trace;
 use slate_kernels::workload::{AppSpec, SloClass};
 
 /// Client-daemon communication cost as a fraction of kernel execution
@@ -149,9 +149,9 @@ impl SlateRuntime {
     /// log replays to the identical command sequence (see
     /// [`crate::arbiter::replay`]).
     pub fn run_recorded(&self, apps: &[AppSpec]) -> (RunOutcome, EventLog) {
-        let mut sim = Sim::new(self.cfg.clone(), self.opts.clone(), apps);
+        let mut sim = Sim::new(self.cfg.clone(), self.opts.clone(), apps, false);
         sim.arb.start_recording();
-        let (out, log) = sim.run();
+        let (out, _, log) = sim.run();
         (out, log.expect("recording was enabled"))
     }
 
@@ -249,8 +249,9 @@ impl Runtime for SlateRuntime {
         &self.cfg
     }
 
-    fn run(&self, apps: &[AppSpec]) -> RunOutcome {
-        Sim::new(self.cfg.clone(), self.opts.clone(), apps).run().0
+    fn run_with(&self, apps: &[AppSpec], traced: bool) -> (RunOutcome, Option<Trace>) {
+        let (out, trace, _) = Sim::new(self.cfg.clone(), self.opts.clone(), apps, traced).run();
+        (out, trace)
     }
 }
 
@@ -303,7 +304,7 @@ impl Sim {
         }
     }
 
-    fn new(cfg: DeviceConfig, opts: SlateOptions, apps: &[AppSpec]) -> Self {
+    fn new(cfg: DeviceConfig, opts: SlateOptions, apps: &[AppSpec], traced: bool) -> Self {
         let mut table = ProfileTable::new();
         let mut backend = SimBackend::new(cfg.clone());
         // First-run profiling and classification (offline per Table V).
@@ -321,7 +322,7 @@ impl Sim {
             .collect();
         // Setup covers host init, daemon session creation, and the
         // one-time injection + compilation of the kernel sources.
-        let life = Lifecycle::new(backend.engine_mut(), apps, |app| FixedCosts {
+        let life = Lifecycle::new(backend.engine_mut(), apps, traced, |app| FixedCosts {
             session_s: SESSION_SETUP_S * app.fixed_cost_scale,
             inject_s: INJECT_PER_SOURCE_S * app.kernel_sources as f64 * app.fixed_cost_scale,
             comm_s: 0.0,
@@ -467,14 +468,7 @@ impl Sim {
             ResizeOutcome::Completed(rep) | ResizeOutcome::Relaunched(rep, _) => rep,
         };
         self.life.stopped(r.proc, now, rep);
-        self.life.trace.record(
-            now,
-            TraceKind::Resize {
-                tag: r.proc as u64,
-                from: r.range,
-                to: new_range,
-            },
-        );
+        self.life.resized(r.proc, now, r.range, new_range);
         match outcome {
             ResizeOutcome::Completed(_) => {
                 // Raced with completion: fold into the normal completion path.
@@ -493,7 +487,7 @@ impl Sim {
         }
     }
 
-    fn run(mut self) -> (RunOutcome, Option<EventLog>) {
+    fn run(mut self) -> (RunOutcome, Option<Trace>, Option<EventLog>) {
         // Announce every process as a session up front (t = 0): processes
         // are trusted workloads, so the sim applies no admission limits.
         // Latency-critical processes declare their class immediately
@@ -533,7 +527,8 @@ impl Sim {
         debug_assert_eq!(self.arb.residents(), 0);
         debug_assert_eq!(self.arb.waiting(), 0);
         let log = self.arb.take_log();
-        (self.life.finish("Slate"), log)
+        let (out, trace) = self.life.finish("Slate");
+        (out, trace, log)
     }
 }
 
@@ -700,7 +695,7 @@ mod tests {
             solo.makespan_s
         );
         assert_eq!(
-            solo.trace.resizes(0) + solo.trace.resizes(1),
+            solo.apps[0].resizes + solo.apps[1].resizes,
             0,
             "no resizes when solo-pinned"
         );
@@ -726,7 +721,7 @@ mod tests {
         let paired = corun.run(&apps);
         let solo = aged.run(&apps);
         assert_eq!(
-            solo.trace.resizes(0) + solo.trace.resizes(1),
+            solo.apps[0].resizes + solo.apps[1].resizes,
             0,
             "a starved waiter must never join a corun"
         );

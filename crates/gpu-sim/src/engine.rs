@@ -13,8 +13,13 @@
 //!
 //! Memory-limited rates come from the proportional DRAM allocator in
 //! [`crate::membw`], with per-slice demands damped by the L2 interference
-//! model in [`crate::cache`]. Whenever the set of active entities changes,
-//! all rates are recomputed — the classic fluid DES formulation.
+//! model in [`crate::cache`]. Whenever the set of *executing* slices or of
+//! transfers changes, all rates are recomputed — the classic fluid DES
+//! formulation. A slice in its lead-in, or drained, demands nothing and
+//! adds no L2 pressure, so adding one, removing one, or a drain with no
+//! other slice executing moves no rate and recomputes nothing; debug
+//! builds recompute anyway on every such step and assert that no rate bit
+//! moved.
 //!
 //! A simulated launch is `add_slice` → `step` (started) → `step` (drained)
 //! → `remove_slice`, and an evaluation sweep is tens of thousands of them,
@@ -22,7 +27,9 @@
 //! recomputed into scratch buffers the engine keeps, entity vectors stay
 //! at their high-water capacity, and the kernel name is shared
 //! ([`KernelPerf::name`] is an `Arc<str>`) rather than copied into slice
-//! and report. `tests/engine_alloc.rs` holds the engine to it.
+//! and report. `tests/engine_alloc.rs` holds the engine to it. Alone on
+//! the device, a launch costs one rate recompute (at its start), and its
+//! occupancy is looked up once the engine has seen its block geometry.
 //!
 //! Schedulers (vanilla CUDA, MPS, Slate) sit on top of this engine: they add
 //! and remove slices, start transfers, set timers, and react to the events
@@ -122,6 +129,12 @@ struct Slice {
 }
 
 impl Slice {
+    /// Past its lead-in and not drained: only such a slice has a rate,
+    /// demands bandwidth and adds L2 pressure.
+    fn executing(&self) -> bool {
+        self.lead_remaining <= 0.0 && !self.drained
+    }
+
     /// The slice's report; the kernel name moves into it.
     fn into_report(self, cfg: &DeviceConfig) -> SliceReport {
         SliceReport {
@@ -168,7 +181,19 @@ pub struct Engine {
     demands: Vec<BwDemand>,
     eff_dram: Vec<f64>,
     allocs: Vec<f64>,
+    /// Resident blocks per SM by block geometry (threads per block,
+    /// registers per thread, shared memory per block), filled in order of
+    /// first sight: a run launches a handful of kernels thousands of
+    /// times each.
+    occupancy: [Option<([u32; 3], u32)>; OCCUPANCY_MEMO],
+    /// Scratch of [`Engine::assert_rates_current`]: the rate bits before
+    /// the check's recompute.
+    rate_bits: Vec<u64>,
 }
+
+/// Block geometries an [`Engine`] keeps the occupancy of; past this
+/// many, a new geometry's occupancy is computed at every launch.
+const OCCUPANCY_MEMO: usize = 8;
 
 impl Engine {
     /// Creates an engine for the given device at time zero.
@@ -184,6 +209,8 @@ impl Engine {
             demands: Vec::new(),
             eff_dram: Vec::new(),
             allocs: Vec::new(),
+            occupancy: [None; OCCUPANCY_MEMO],
+            rate_bits: Vec::new(),
         }
     }
 
@@ -203,6 +230,28 @@ impl Engine {
         id
     }
 
+    /// [`occupancy::blocks_per_sm`] of `perf` on this engine's device,
+    /// looked up by block geometry once seen.
+    fn blocks_per_sm(&mut self, perf: &KernelPerf) -> u32 {
+        let key = [
+            perf.threads_per_block,
+            perf.regs_per_thread,
+            perf.smem_per_block,
+        ];
+        for slot in &mut self.occupancy {
+            match *slot {
+                Some((k, n)) if k == key => return n,
+                Some(_) => {}
+                None => {
+                    let n = occupancy::blocks_per_sm(&self.cfg, perf);
+                    *slot = Some((key, n));
+                    return n;
+                }
+            }
+        }
+        occupancy::blocks_per_sm(&self.cfg, perf)
+    }
+
     /// Registers a grid slice. Validates the spec against the device;
     /// returns an error string if the kernel cannot launch (zero occupancy,
     /// SM range out of bounds, invalid profile).
@@ -214,7 +263,7 @@ impl Engine {
                 spec.sm_range, self.cfg.num_sms
             ));
         }
-        let per_sm = occupancy::blocks_per_sm(&self.cfg, &spec.perf);
+        let per_sm = self.blocks_per_sm(&spec.perf);
         if per_sm == 0 {
             return Err(format!(
                 "kernel {} cannot be launched (occupancy 0)",
@@ -301,7 +350,11 @@ impl Engine {
                 drained: false,
             },
         ));
-        self.dirty = true;
+        // In its lead-in the slice has the zero rates it was built with
+        // and moves no other: only a slice that executes at once does.
+        if lead <= 0.0 {
+            self.dirty = true;
+        }
         Ok(id)
     }
 
@@ -314,7 +367,11 @@ impl Engine {
             .position(|(sid, _)| *sid == id)
             .unwrap_or_else(|| panic!("remove_slice: unknown {id:?}"));
         let (_, s) = self.slices.remove(idx);
-        self.dirty = true;
+        // A drained or lead-in slice held no bandwidth and no L2; an
+        // executing one (torn down for a resize) did.
+        if s.executing() {
+            self.dirty = true;
+        }
         s.into_report(&self.cfg)
     }
 
@@ -385,8 +442,9 @@ impl Engine {
     }
 
     /// Recomputes every entity's progress rate from the device model.
-    /// Runs once per structural change (twice per launch: start, drain)
-    /// and allocates nothing once the scratch buffers have grown.
+    /// Runs once per change to the executing slices or the transfers
+    /// (once for a launch alone on the device: at its start) and
+    /// allocates nothing once the scratch buffers have grown.
     fn recompute_rates(&mut self) {
         let Self {
             cfg,
@@ -404,7 +462,7 @@ impl Engine {
             cfg.l2_bytes,
             slices
                 .iter()
-                .filter(|(_, s)| s.lead_remaining <= 0.0 && !s.drained)
+                .filter(|(_, s)| s.executing())
                 .map(|(_, s)| s.spec.perf.l2_footprint_bytes),
         );
 
@@ -412,7 +470,7 @@ impl Engine {
         demands.clear();
         eff_dram.clear();
         for (_, s) in slices.iter_mut() {
-            if s.lead_remaining > 0.0 || s.drained {
+            if !s.executing() {
                 s.rate = 0.0;
                 s.rate_compute = 0.0;
                 demands.push(BwDemand { demand: 0.0 });
@@ -437,7 +495,7 @@ impl Engine {
         };
         membw::allocate(capacity, demands, allocs);
         for (i, (_, s)) in slices.iter_mut().enumerate() {
-            if s.lead_remaining > 0.0 || s.drained {
+            if !s.executing() {
                 continue;
             }
             let r_mem = if eff_dram[i] > 0.0 {
@@ -457,6 +515,32 @@ impl Engine {
         *dirty = false;
     }
 
+    /// Every slice's `rate` and `rate_compute` and every transfer's
+    /// `rate`, as bits, in registration order.
+    fn rates(&self) -> impl Iterator<Item = u64> + '_ {
+        let slices = self
+            .slices
+            .iter()
+            .flat_map(|(_, s)| [s.rate.to_bits(), s.rate_compute.to_bits()]);
+        slices.chain(self.transfers.iter().map(|(_, t)| t.rate.to_bits()))
+    }
+
+    /// The check behind skipping a recompute (debug builds): recomputes
+    /// anyway and asserts that no rate bit moved. Keeps its scratch, so a
+    /// warmed engine still does not allocate.
+    fn assert_rates_current(&mut self) {
+        let mut before = std::mem::take(&mut self.rate_bits);
+        before.clear();
+        before.extend(self.rates());
+        self.recompute_rates();
+        assert!(
+            before.iter().copied().eq(self.rates()),
+            "a skipped rate recompute would have changed a rate at t={}",
+            self.now
+        );
+        self.rate_bits = before;
+    }
+
     /// Advances to the next structural event and returns it, or `None` if
     /// the engine is idle. Time only moves inside this call.
     pub fn step(&mut self) -> Option<(f64, Event)> {
@@ -465,6 +549,8 @@ impl Engine {
         }
         if self.dirty {
             self.recompute_rates();
+        } else if cfg!(debug_assertions) {
+            self.assert_rates_current();
         }
 
         // Find the earliest of: lead-in expiry, slice drain, transfer done,
@@ -532,11 +618,17 @@ impl Engine {
             }
             Next::Drain(i) => {
                 let (id, s) = &mut self.slices[i];
+                let id = *id;
                 s.blocks_done = s.spec.blocks as f64;
                 s.drained = true;
                 s.rate = 0.0;
-                self.dirty = true;
-                Event::SliceDrained(*id)
+                s.rate_compute = 0.0;
+                // Its bandwidth and L2 share free up: that moves a rate
+                // only if another slice is executing.
+                if self.slices.iter().any(|(_, s)| s.executing()) {
+                    self.dirty = true;
+                }
+                Event::SliceDrained(id)
             }
             Next::Xfer(i) => {
                 let (id, _) = self.transfers.remove(i);

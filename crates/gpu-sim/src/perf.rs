@@ -133,27 +133,56 @@ impl KernelPerf {
     }
 
     /// Validates internal consistency; returns a description of the first
-    /// violated invariant, if any.
+    /// violated invariant, if any. The engine calls this on every launch,
+    /// so a valid profile costs a few comparisons and builds nothing; the
+    /// message is formatted only on rejection.
     pub fn validate(&self) -> Result<(), String> {
         if self.threads_per_block == 0 || self.threads_per_block > 1024 {
-            return Err(format!(
+            return Err(rejected(format_args!(
                 "threads_per_block must be in 1..=1024, got {}",
                 self.threads_per_block
-            ));
+            )));
         }
         if self.compute_cycles_per_block <= 0.0 {
-            return Err("compute_cycles_per_block must be positive".into());
+            return Err(rejected(format_args!(
+                "compute_cycles_per_block must be positive"
+            )));
         }
         if self.dram_bytes_scattered + 1e-9 < self.dram_bytes_inorder {
-            return Err(format!(
+            return Err(rejected(format_args!(
                 "scattered DRAM bytes ({}) below in-order bytes ({})",
                 self.dram_bytes_scattered, self.dram_bytes_inorder
-            ));
+            )));
         }
         if self.max_concurrent_blocks == Some(0) {
-            return Err("max_concurrent_blocks must be at least 1 when set".into());
+            return Err(rejected(format_args!(
+                "max_concurrent_blocks must be at least 1 when set"
+            )));
         }
-        for (label, v) in [
+        // Finite and non-negative, for all seven at once: `v + 0.0` turns
+        // -0.0 into +0.0, and then its bits are below those of +inf exactly
+        // when the sign bit is clear and the exponent is not all ones
+        // (inf, NaN).
+        let bits = |v: f64| (v + 0.0).to_bits();
+        let worst = bits(self.insts_per_block)
+            .max(bits(self.flops_per_block))
+            .max(bits(self.mem_request_bytes_per_block))
+            .max(bits(self.dram_bytes_inorder))
+            .max(bits(self.l2_footprint_bytes))
+            .max(bits(self.inject_insts_per_block))
+            .max(bits(self.inject_cycles_per_block));
+        if worst >= f64::INFINITY.to_bits() {
+            return Err(self.bad_field());
+        }
+        Ok(())
+    }
+
+    /// The message for the first of the per-block figures `validate`
+    /// found NaN, infinite or negative.
+    #[cold]
+    #[inline(never)]
+    fn bad_field(&self) -> String {
+        let (label, v) = [
             ("insts_per_block", self.insts_per_block),
             ("flops_per_block", self.flops_per_block),
             (
@@ -164,13 +193,21 @@ impl KernelPerf {
             ("l2_footprint_bytes", self.l2_footprint_bytes),
             ("inject_insts_per_block", self.inject_insts_per_block),
             ("inject_cycles_per_block", self.inject_cycles_per_block),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("{label} must be finite and non-negative, got {v}"));
-            }
-        }
-        Ok(())
+        ]
+        .into_iter()
+        .find(|&(_, v)| !v.is_finite() || v < 0.0)
+        .expect("a field failed the check");
+        rejected(format_args!(
+            "{label} must be finite and non-negative, got {v}"
+        ))
     }
+}
+
+/// Formats a rejection of [`KernelPerf::validate`], off its passing path.
+#[cold]
+#[inline(never)]
+fn rejected(msg: std::fmt::Arguments<'_>) -> String {
+    msg.to_string()
 }
 
 #[cfg(test)]
@@ -208,6 +245,95 @@ mod tests {
         assert!(p.validate().is_err());
         p.threads_per_block = 2048;
         assert!(p.validate().is_err());
+    }
+
+    /// The message `validate` rejects `p` with.
+    fn rejection(p: &KernelPerf) -> String {
+        p.validate().expect_err("profile must be rejected")
+    }
+
+    #[test]
+    fn validate_names_the_thread_count_out_of_range() {
+        let mut p = KernelPerf::synthetic("k", 1000.0, 4096.0);
+        p.threads_per_block = 0;
+        assert_eq!(
+            rejection(&p),
+            "threads_per_block must be in 1..=1024, got 0"
+        );
+        p.threads_per_block = 1025;
+        assert_eq!(
+            rejection(&p),
+            "threads_per_block must be in 1..=1024, got 1025"
+        );
+        p.threads_per_block = 1024;
+        p.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_non_positive_compute_cycles() {
+        for cycles in [0.0, -1.0] {
+            let mut p = KernelPerf::synthetic("k", 1000.0, 4096.0);
+            p.compute_cycles_per_block = cycles;
+            assert_eq!(rejection(&p), "compute_cycles_per_block must be positive");
+        }
+    }
+
+    #[test]
+    fn validate_names_inverted_locality_bytes() {
+        let mut p = KernelPerf::synthetic("k", 1000.0, 4096.0);
+        p.dram_bytes_inorder = 8192.0;
+        assert_eq!(
+            rejection(&p),
+            "scattered DRAM bytes (4096) below in-order bytes (8192)"
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_parallelism_cap() {
+        let mut p = KernelPerf::synthetic("k", 1000.0, 4096.0);
+        p.max_concurrent_blocks = Some(0);
+        assert_eq!(
+            rejection(&p),
+            "max_concurrent_blocks must be at least 1 when set"
+        );
+        p.max_concurrent_blocks = Some(1);
+        p.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_names_each_nan_negative_or_infinite_field() {
+        type Field = fn(&mut KernelPerf) -> &mut f64;
+        let fields: [(&str, Field); 7] = [
+            ("insts_per_block", |p| &mut p.insts_per_block),
+            ("flops_per_block", |p| &mut p.flops_per_block),
+            ("mem_request_bytes_per_block", |p| {
+                &mut p.mem_request_bytes_per_block
+            }),
+            ("dram_bytes_inorder", |p| &mut p.dram_bytes_inorder),
+            ("l2_footprint_bytes", |p| &mut p.l2_footprint_bytes),
+            ("inject_insts_per_block", |p| &mut p.inject_insts_per_block),
+            ("inject_cycles_per_block", |p| {
+                &mut p.inject_cycles_per_block
+            }),
+        ];
+        for (label, field) in fields {
+            for (v, shown) in [(f64::NAN, "NaN"), (-1.0, "-1"), (f64::INFINITY, "inf")] {
+                let mut p = KernelPerf::synthetic("k", 1000.0, 4096.0);
+                // Clears the locality check for an infinite in-order figure.
+                p.dram_bytes_scattered = f64::INFINITY;
+                *field(&mut p) = v;
+                assert_eq!(
+                    rejection(&p),
+                    format!("{label} must be finite and non-negative, got {shown}")
+                );
+            }
+            for v in [-0.0, 0.0, f64::MIN_POSITIVE / 2.0, 1e300] {
+                let mut p = KernelPerf::synthetic("k", 1000.0, 4096.0);
+                p.dram_bytes_scattered = f64::MAX;
+                *field(&mut p) = v;
+                p.validate().unwrap();
+            }
+        }
     }
 
     #[test]

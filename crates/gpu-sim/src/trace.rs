@@ -1,9 +1,11 @@
 //! Execution traces and SM-occupancy timelines.
 //!
-//! Runtimes can record scheduling events — launches, drains, resizes,
-//! transfers — into a [`Trace`]. Besides serving as a debugging artefact,
-//! the trace renders an ASCII Gantt chart of SM occupancy over time, which
-//! makes Slate's spatial sharing and dynamic resizing directly visible:
+//! A traced run (`Runtime::run_traced` in `slate-baselines`) records its
+//! scheduling events — launches, drains, resizes, transfers — into a
+//! [`Trace`]; an untraced run only counts them. Besides serving as a
+//! debugging artefact, the trace renders an ASCII Gantt chart of SM
+//! occupancy over time, which makes Slate's spatial sharing and dynamic
+//! resizing directly visible:
 //!
 //! ```text
 //! SM 29 |AAAAAAAAAAAABBBBBBBBBB........|
@@ -15,10 +17,9 @@
 //! ```
 
 use crate::device::SmRange;
-use serde::{Deserialize, Serialize};
 
 /// A recorded scheduling event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceKind {
     /// A kernel slice began occupying an SM range.
     Launch {
@@ -62,7 +63,7 @@ pub enum TraceKind {
 }
 
 /// A timestamped event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Simulated time in seconds.
     pub t: f64,
@@ -71,7 +72,7 @@ pub struct TraceEvent {
 }
 
 /// An append-only scheduling trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
 }
@@ -80,13 +81,6 @@ impl Trace {
     /// An empty trace.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty trace with room for `events` records.
-    pub fn with_capacity(events: usize) -> Self {
-        Self {
-            events: Vec::with_capacity(events),
-        }
     }
 
     /// Appends an event at time `t`.
@@ -194,14 +188,6 @@ impl Trace {
             .map(|(_, r, s, e)| r.len() as f64 * (e - s))
             .sum()
     }
-
-    /// Number of resize events recorded for a tag.
-    pub fn resizes(&self, tag: u64) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(&e.kind, TraceKind::Resize { tag: t, .. } if *t == tag))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -278,13 +264,6 @@ mod tests {
         let bottom = lines.last().unwrap(); // SM 0
         assert!(top.contains('A') && top.contains('B'), "{top}");
         assert!(bottom.contains('A') && !bottom.contains('B'), "{bottom}");
-    }
-
-    #[test]
-    fn resize_count() {
-        let tr = sample();
-        assert_eq!(tr.resizes(0), 1);
-        assert_eq!(tr.resizes(1), 0);
     }
 
     #[test]

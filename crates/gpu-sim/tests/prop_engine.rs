@@ -1,12 +1,13 @@
 //! Property tests for the simulator substrate: conservation laws of the
 //! bandwidth allocator, occupancy bounds, cache-model bounds, and engine
 //! invariants (closed-form agreement, resize conservation, metric
-//! proportionality) over arbitrary kernel profiles.
+//! proportionality) over arbitrary kernel profiles, and the engine's rule
+//! for skipping rate recomputes over arbitrary sequences of operations.
 
 use proptest::prelude::*;
 use slate_gpu_sim::cache;
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
-use slate_gpu_sim::engine::{Engine, Event, SliceSpec};
+use slate_gpu_sim::engine::{Engine, Event, SliceId, SliceSpec, TimerId};
 use slate_gpu_sim::membw::{allocate, BwDemand};
 use slate_gpu_sim::model;
 use slate_gpu_sim::occupancy;
@@ -207,4 +208,150 @@ proptest! {
             last = r;
         }
     }
+}
+
+proptest! {
+    // Cheap cases, and a wrong skip shows only in some orderings (an
+    // executing slice removed while another executes, then a step).
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any sequence of engine operations — launches with and without a
+    /// lead-in, steps, mid-flight removes (the retreat half of a resize),
+    /// transfers, timers and their cancellation — runs the same whether a
+    /// step recomputes every rate or skips a recompute the rule says
+    /// cannot change one. Debug builds check that inside every step that
+    /// skips (it recomputes anyway and asserts no rate bit moved); this
+    /// drives the rule through its branches, then drains and checks that
+    /// every slice's blocks are accounted for.
+    #[test]
+    fn skipped_recomputes_change_no_rate(zero_latency in any::<bool>(),
+                                         ops in prop::collection::vec(arb_op(), 1..60)) {
+        let mut cfg = DeviceConfig::titan_xp();
+        if zero_latency {
+            // A hardware launch with no extra lead then executes at once:
+            // the add that must mark the rates dirty.
+            cfg.launch_latency_s = 0.0;
+        }
+        let mut e = Engine::new(cfg);
+        let mut slices: Vec<(SliceId, u64)> = Vec::new();
+        let mut timers: Vec<TimerId> = Vec::new();
+        for op in ops {
+            match op {
+                Op::Add { perf, lo, width, blocks, slate, lead } => {
+                    let hi = (lo + width).min(29);
+                    let mode = if slate {
+                        ExecMode::SlateWorkers { task_size: 10 }
+                    } else {
+                        ExecMode::Hardware
+                    };
+                    let id = e.add_slice(SliceSpec {
+                        perf: PERFS[perf](),
+                        sm_range: SmRange::new(lo, hi),
+                        blocks,
+                        mode,
+                        extra_lead_s: if lead { 2e-5 } else { 0.0 },
+                        batch: 1,
+                        tag: slices.len() as u64,
+                    }).unwrap();
+                    slices.push((id, blocks));
+                }
+                Op::Step => {
+                    if let Some((_, Event::Timer(t))) = e.step() {
+                        timers.retain(|&x| x != t);
+                    }
+                }
+                Op::Remove(k) if !slices.is_empty() => {
+                    let (id, blocks) = slices.remove(k % slices.len());
+                    let rep = e.remove_slice(id);
+                    prop_assert!(rep.blocks_done <= blocks);
+                    prop_assert_eq!(rep.drained, rep.blocks_done == blocks);
+                }
+                Op::Transfer(bytes) => {
+                    e.add_transfer(bytes);
+                }
+                Op::Timer(dt) => timers.push(e.set_timer(e.now() + dt)),
+                Op::Cancel(k) if !timers.is_empty() => {
+                    let t = timers.remove(k % timers.len());
+                    prop_assert!(e.cancel_timer(t));
+                }
+                Op::Remove(_) | Op::Cancel(_) => {}
+            }
+        }
+        while e.step().is_some() {}
+        prop_assert!(timers.is_empty() || timers.iter().all(|&t| !e.cancel_timer(t)));
+        for (id, blocks) in slices {
+            let rep = e.remove_slice(id);
+            prop_assert!(rep.drained);
+            prop_assert_eq!(rep.blocks_done, blocks);
+        }
+        prop_assert!(e.idle());
+    }
+}
+
+/// One operation of [`skipped_recomputes_change_no_rate`].
+#[derive(Debug, Clone)]
+enum Op {
+    /// Launch `PERFS[perf]` on SMs `lo..=lo + width` (clamped).
+    Add {
+        perf: usize,
+        lo: u32,
+        width: u32,
+        blocks: u64,
+        slate: bool,
+        lead: bool,
+    },
+    Step,
+    /// Remove the `k`-th registered slice (modulo their count), whatever
+    /// its state: in its lead-in, executing, or drained.
+    Remove(usize),
+    Transfer(u64),
+    /// A timer `dt` seconds from now.
+    Timer(f64),
+    /// Cancel the `k`-th pending timer (modulo their count).
+    Cancel(usize),
+}
+
+/// Kernels that contend differently: compute-bound, streaming, and one
+/// with an L2 working set (so co-runners move each other's DRAM bytes).
+const PERFS: [fn() -> KernelPerf; 3] = [
+    || {
+        let mut p = KernelPerf::synthetic("compute", 20_000.0, 0.0);
+        p.mem_request_bytes_per_block = 0.0;
+        p
+    },
+    || KernelPerf::synthetic("stream", 200.0, 400_000.0),
+    || {
+        let mut p = KernelPerf::synthetic("cached", 5_000.0, 20_000.0);
+        p.dram_bytes_scattered = 60_000.0;
+        p.l2_footprint_bytes = 2.0 * 1024.0 * 1024.0;
+        p
+    },
+];
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    // Steps listed twice: about one op in three advances the engine.
+    prop_oneof![
+        (
+            0..PERFS.len(),
+            0u32..30,
+            0u32..30,
+            0u64..200_000,
+            any::<bool>(),
+            any::<bool>()
+        )
+            .prop_map(|(perf, lo, width, blocks, slate, lead)| Op::Add {
+                perf,
+                lo,
+                width,
+                blocks,
+                slate,
+                lead,
+            }),
+        Just(Op::Step),
+        Just(Op::Step),
+        any::<usize>().prop_map(Op::Remove),
+        (1u64..1 << 26).prop_map(Op::Transfer),
+        (0.0..2e-3f64).prop_map(Op::Timer),
+        any::<usize>().prop_map(Op::Cancel),
+    ]
 }

@@ -8,9 +8,10 @@
 //!
 //! Prints each application's time under the three runtimes, the ANTT
 //! normalized to the CUDA solo baseline, and what Slate decided (corun with
-//! partition sizes, or consecutive solo runs). With `--gantt`, also renders
-//! the SM-occupancy timeline of the Slate run, making the spatial partition
-//! and the dynamic resizing visible.
+//! partition sizes, or consecutive solo runs). With `--gantt`, also reruns
+//! the Slate pairing traced (`Runtime::run_traced`) and renders its
+//! SM-occupancy timeline, making the spatial partition and the dynamic
+//! resizing visible.
 
 use slate_baselines::{CudaRuntime, MpsRuntime, Runtime};
 use slate_core::classify::WorkloadClass;
@@ -113,7 +114,6 @@ fn main() {
         "ANTT"
     );
     let mut antts = Vec::new();
-    let mut slate_trace = None;
     for rt in [&cuda as &dyn Runtime, &mps, &slate] {
         let out = rt.run(&apps);
         let antt = out.antt(&solos);
@@ -125,9 +125,6 @@ fn main() {
             antt
         );
         antts.push(antt);
-        if rt.label() == "Slate" {
-            slate_trace = Some(out.trace);
-        }
     }
     println!(
         "\nSlate vs MPS: {:+.1}%   Slate vs CUDA: {:+.1}%",
@@ -135,12 +132,12 @@ fn main() {
         (antts[0] / antts[2] - 1.0) * 100.0
     );
     if gantt {
-        let tr = slate_trace.unwrap();
+        let (out, tr) = slate.run_traced(&apps);
         println!(
             "\nSlate schedule ({} resizes for {}, {} for {}):",
-            tr.resizes(0),
+            out.apps[0].resizes,
             a.abbrev(),
-            tr.resizes(1),
+            out.apps[1].resizes,
             b.abbrev()
         );
         println!("{}", tr.gantt(cfg.num_sms, 100));
