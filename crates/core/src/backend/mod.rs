@@ -10,20 +10,22 @@
 //! `Backend` is the simulated-time execution seam. [`SimBackend`] runs
 //! slices on the fluid-rate simulation engine (`slate-gpu-sim`); it is the
 //! substrate behind [`SlateRuntime`](crate::runtime::SlateRuntime) and,
-//! one per device, behind [`MultiSim`](crate::placement::MultiSim). A
-//! decorator kept with the tests, `ChaosBackend`
+//! one per device, behind
+//! [`SlateRuntime::run_placed`](crate::runtime::SlateRuntime::run_placed)'s
+//! fleet. A decorator kept with the tests, `ChaosBackend`
 //! (`crates/core/tests/support/chaos.rs`), perturbs the command stream of
 //! any inner backend from a seeded
 //! [`FaultPlan`](slate_gpu_sim::fault::FaultPlan), proving the execution
-//! contract survives duplicated, detoured and delayed commands and whole
-//! device outages.
+//! contract survives duplicated, detoured and delayed commands.
 //!
 //! The live [`SlateDaemon`](crate::daemon::SlateDaemon) does not execute
 //! through this seam: it runs each kernel's
 //! [`Dispatcher`](crate::dispatch::Dispatcher) inline on the session or
 //! lane thread that waited for the grant (`daemon/exec.rs`), and its
 //! real-thread guarantees are pinned through the client API by
-//! `crates/core/tests/daemon_conformance.rs`.
+//! `crates/core/tests/daemon_conformance.rs`. Its device failures are
+//! placement events (`DeviceDown`/`DeviceUp`), so no backend models a
+//! device outage.
 //!
 //! The contract itself is pinned by the conformance testkit
 //! (`crates/core/tests/support/testkit.rs`): every implementation must
@@ -100,12 +102,6 @@ pub struct Completion {
     /// `true` for a drain (all blocks executed), `false` for an eviction
     /// (progress is partial; re-stage with [`WorkSpec::resuming`]).
     pub ok: bool,
-    /// `true` when the lease ended because its *device* went down, not
-    /// because of a scheduling decision. Progress is still the absolute
-    /// `slateIdx` at the loss (blocks already executed are durable — the
-    /// queue-based transform means none re-run on resume). Lost
-    /// completions always carry `ok: false`.
-    pub lost: bool,
 }
 
 impl Completion {
@@ -115,7 +111,6 @@ impl Completion {
             lease,
             progress,
             ok: true,
-            lost: false,
         }
     }
 
@@ -125,53 +120,8 @@ impl Completion {
             lease,
             progress,
             ok: false,
-            lost: false,
         }
     }
-
-    /// A device-loss casualty at partial progress.
-    pub(crate) fn device_lost(lease: u64, progress: u64) -> Self {
-        Self {
-            lease,
-            progress,
-            ok: false,
-            lost: true,
-        }
-    }
-}
-
-/// Instantaneous device health, as reported by [`Backend::health`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeviceHealth {
-    /// Executing normally.
-    #[default]
-    Healthy,
-    /// Up, but stalled or slowed — work survives but lags.
-    Degraded,
-    /// Off the bus: in-flight leases surface as lost completions and new
-    /// dispatches fail immediately.
-    Lost,
-}
-
-/// A device-scoped fault injected through
-/// [`Backend::inject_device_fault`] (tests and chaos harnesses only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeviceFault {
-    /// Hard loss: down until an explicit [`DeviceFault::Restore`].
-    Loss,
-    /// Stall for `millis` of backend time, then recover on its own.
-    Degraded {
-        /// Stall budget in milliseconds.
-        millis: u64,
-    },
-    /// Down for `down_ms` of backend time, then back up on its own.
-    Flap {
-        /// Outage length in milliseconds.
-        down_ms: u64,
-    },
-    /// Bring a lost device back up (staged work must be re-staged; the
-    /// device comes back empty).
-    Restore,
 }
 
 /// Executes arbiter commands against a device and reports what happened.
@@ -215,33 +165,27 @@ pub trait Backend {
     /// resident (unknown, not yet dispatched, or finished).
     fn held_range(&self, lease: u64) -> Option<SmRange>;
 
-    /// Non-blocking health probe for the device this backend drives.
-    fn health(&self) -> DeviceHealth;
-
-    /// Injects a device-scoped fault (test/chaos harnesses). Every backend
-    /// models its device's failure domain; a seeded schedule of faults is
-    /// fired by the tests' `ChaosBackend`, not by the backend itself.
-    fn inject_device_fault(&mut self, fault: DeviceFault);
-
     /// Polls and advances until any completion shows up, for at most
-    /// `timeout_ms` backend milliseconds.
+    /// `timeout_ms` backend milliseconds. It polls after the last
+    /// millisecond too, so a completion landing at the bound is returned.
     fn wait_completion(&mut self, timeout_ms: u64) -> Option<Completion> {
-        for _ in 0..=timeout_ms {
+        for _ in 0..timeout_ms {
             if let Some(c) = self.poll() {
                 return Some(c);
             }
             self.advance(1);
         }
-        None
+        self.poll()
     }
 
     /// Polls and advances until a completion for `lease` shows up (or
     /// `timeout_ms` backend milliseconds elapse), returning every
-    /// completion observed on the way, in arrival order. If `lease`
-    /// completed, its completion is last in the returned vector.
+    /// completion observed on the way, in arrival order, up to and
+    /// including the bound's last millisecond. If `lease` completed, its
+    /// completion is last in the returned vector.
     fn drive_until(&mut self, lease: u64, timeout_ms: u64) -> Vec<Completion> {
         let mut seen = Vec::new();
-        for _ in 0..=timeout_ms {
+        for waited in 0..=timeout_ms {
             while let Some(c) = self.poll() {
                 let hit = c.lease == lease;
                 seen.push(c);
@@ -249,7 +193,9 @@ pub trait Backend {
                     return seen;
                 }
             }
-            self.advance(1);
+            if waited < timeout_ms {
+                self.advance(1);
+            }
         }
         seen
     }

@@ -10,13 +10,8 @@
 //! ([`SimBackend::launch_slice`], [`SimBackend::resize_slice`]), so the
 //! standalone trait path and the full scheduler exercise one
 //! implementation of the retreat mechanics.
-//!
-//! Device health is modelled in simulated time: an injected loss, stall
-//! or flap ([`Backend::inject_device_fault`]) plays out as the engine
-//! advances. This backend never schedules a fault itself; a seeded
-//! schedule is fired by the tests' `ChaosBackend`.
 
-use super::{Backend, Completion, DeviceFault, DeviceHealth, WorkSpec};
+use super::{Backend, Completion, WorkSpec};
 use crate::arbiter::Command;
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
 use slate_gpu_sim::engine::{Engine, Event, SliceId, SliceSpec};
@@ -65,14 +60,6 @@ pub struct SimBackend {
     engine: Engine,
     leases: BTreeMap<u64, SimLease>,
     done: VecDeque<Completion>,
-    /// Current device health (the failure-domain model).
-    health: DeviceHealth,
-    /// Remaining outage, in ms of simulated time, for a flapping device.
-    /// Zero while hard-lost: only [`DeviceFault::Restore`] recovers that.
-    down_remaining_ms: u64,
-    /// Remaining stall budget, in ms, consumed before engine time passes
-    /// while degraded.
-    stall_remaining_ms: u64,
 }
 
 impl SimBackend {
@@ -82,29 +69,6 @@ impl SimBackend {
             engine: Engine::new(cfg),
             leases: BTreeMap::new(),
             done: VecDeque::new(),
-            health: DeviceHealth::Healthy,
-            down_remaining_ms: 0,
-            stall_remaining_ms: 0,
-        }
-    }
-
-    /// Loses every in-flight lease to the device at its current progress.
-    fn lose_in_flight(&mut self) {
-        let casualties: Vec<u64> = self
-            .leases
-            .iter()
-            .filter(|(_, l)| l.slice.is_some())
-            .map(|(&lease, _)| lease)
-            .collect();
-        for lease in casualties {
-            let l = self.leases.get_mut(&lease).expect("present");
-            let (sid, _) = l.slice.take().expect("in flight");
-            let rep = self.engine.remove_slice(sid);
-            let l = self.leases.get_mut(&lease).expect("present");
-            l.executed += rep.blocks_done;
-            l.finished = true;
-            self.done
-                .push_back(Completion::device_lost(lease, l.start + l.executed));
         }
     }
 
@@ -215,15 +179,6 @@ impl Backend for SimBackend {
                 if l.finished || l.slice.is_some() {
                     return; // duplicate dispatch: already running or done
                 }
-                if self.health == DeviceHealth::Lost {
-                    // Dispatch into a dead device: the work is lost on
-                    // arrival, at whatever progress it carried.
-                    let l = self.leases.get_mut(lease).expect("present");
-                    l.finished = true;
-                    self.done
-                        .push_back(Completion::device_lost(*lease, l.start + l.executed));
-                    return;
-                }
                 let blocks = l.total - l.start;
                 if blocks == 0 {
                     let l = self.leases.get_mut(lease).expect("present");
@@ -309,38 +264,9 @@ impl Backend for SimBackend {
         self.done.pop_front()
     }
 
-    fn advance(&mut self, mut millis: u64) {
+    fn advance(&mut self, millis: u64) {
         if millis == 0 {
             return;
-        }
-        // An outage window (flap) passes before any device time: nothing
-        // runs while down, and the device comes back once it drains.
-        if self.health == DeviceHealth::Lost {
-            if self.down_remaining_ms == 0 {
-                return; // hard loss: time passes, the device stays dead
-            }
-            let waited = millis.min(self.down_remaining_ms);
-            self.down_remaining_ms -= waited;
-            millis -= waited;
-            if self.down_remaining_ms == 0 {
-                self.health = DeviceHealth::Healthy;
-            }
-            if millis == 0 {
-                return;
-            }
-        }
-        // A degraded device consumes its stall budget before engine time
-        // passes — work survives but makes no progress meanwhile.
-        if self.health == DeviceHealth::Degraded {
-            let stalled = millis.min(self.stall_remaining_ms);
-            self.stall_remaining_ms -= stalled;
-            millis -= stalled;
-            if self.stall_remaining_ms == 0 {
-                self.health = DeviceHealth::Healthy;
-            }
-            if millis == 0 {
-                return;
-            }
         }
         let tid = self
             .engine
@@ -370,36 +296,6 @@ impl Backend for SimBackend {
         self.leases
             .get(&lease)
             .and_then(|l| l.slice.map(|(_, r)| r))
-    }
-
-    fn health(&self) -> DeviceHealth {
-        self.health
-    }
-
-    fn inject_device_fault(&mut self, fault: DeviceFault) {
-        match fault {
-            DeviceFault::Loss => {
-                self.lose_in_flight();
-                self.health = DeviceHealth::Lost;
-                self.down_remaining_ms = 0;
-            }
-            DeviceFault::Degraded { millis } => {
-                if self.health != DeviceHealth::Lost {
-                    self.health = DeviceHealth::Degraded;
-                    self.stall_remaining_ms += millis;
-                }
-            }
-            DeviceFault::Flap { down_ms } => {
-                self.lose_in_flight();
-                self.health = DeviceHealth::Lost;
-                self.down_remaining_ms = down_ms.max(1);
-            }
-            DeviceFault::Restore => {
-                self.health = DeviceHealth::Healthy;
-                self.down_remaining_ms = 0;
-                self.stall_remaining_ms = 0;
-            }
-        }
     }
 
     fn drive_until(&mut self, lease: u64, timeout_ms: u64) -> Vec<Completion> {

@@ -170,12 +170,6 @@ impl HealthTracker {
         buf.extend(self.states.iter().map(|s| s.eligible()));
     }
 
-    /// Devices currently eligible as routing targets.
-    #[cfg(test)]
-    pub(super) fn eligible_count(&self) -> usize {
-        self.states.iter().filter(|s| s.eligible()).count()
-    }
-
     fn draw_probation(&mut self, now: Tick) -> Tick {
         let mut x = self.rng;
         x ^= x << 13;

@@ -50,8 +50,6 @@ pub mod replay;
 
 #[doc(hidden)]
 pub use health::HealthState;
-#[doc(hidden)]
-pub use multi::{MultiJob, MultiSim};
 pub use policy::PlacementPolicy;
 pub use replay::PlacementBatch;
 pub(crate) use replay::PlacementLog;
@@ -447,12 +445,6 @@ impl PlacementLayer {
     #[doc(hidden)]
     pub fn health_of(&self, device: usize) -> HealthState {
         self.health.state(device)
-    }
-
-    /// Devices currently in service as routing targets.
-    #[cfg(test)]
-    pub(crate) fn eligible_devices(&self) -> usize {
-        self.health.eligible_count()
     }
 
     /// The load metric of `device`: estimated pending milliseconds plus

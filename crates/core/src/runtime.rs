@@ -30,8 +30,8 @@
 
 use crate::arbiter::{ArbiterConfig, ArbiterCore, Command, Event as ArbEvent, EventLog};
 use crate::backend::sim::{RelaunchPlan, ResizeOutcome, SimBackend};
-use crate::placement::multi::{JobOutcome, MultiJob, MultiSim};
-use crate::placement::{PlacementConfig, PlacementStats};
+use crate::placement::multi::{self, Job, JobOutcome};
+use crate::placement::{PlacementConfig, PlacementLayer, PlacementStats};
 use crate::profile::ProfileTable;
 use crate::transform::TransformedKernel;
 use slate_baselines::lifecycle::{FixedCosts, Lifecycle, Step};
@@ -169,38 +169,41 @@ impl SlateRuntime {
         apps: &[AppSpec],
         placement: PlacementConfig,
     ) -> PlacedOutcome {
-        assert!(!apps.is_empty(), "need at least one app");
-        let mut table = ProfileTable::new();
         let config = PlacementConfig {
             arbiter: self.opts.arbiter_config(),
             ..placement
         };
-        let mut fleet = MultiSim::new(devices.to_vec(), config);
-        for (i, app) in apps.iter().enumerate() {
-            let prof = table
-                .get_or_profile(&self.cfg, &app.perf, app.blocks_per_launch)
-                .clone();
-            let blocks = app.blocks_per_launch.min(u32::MAX as u64) as u32;
-            let kernel = TransformedKernel::new(std::sync::Arc::new(PerfOnlyKernel {
-                grid: slate_kernels::grid::GridDim::d1(blocks),
-                perf: app.perf.clone(),
-            }));
-            fleet.submit(MultiJob {
-                session: i as u64,
-                lease: i as u64,
-                kernel,
-                task_size: self.opts.task_size(app.task_size, prof.best_task_size),
-                class: prof.class,
-                sm_demand: prof.sm_demand,
-                est_ms: table.estimate_solo_ms(&app.perf.name, app.blocks_per_launch),
-            });
-        }
-        let drained = fleet.run(600_000);
-        let outcomes = (0..apps.len()).map(|i| fleet.outcome(i as u64)).collect();
+        self.run_on(&mut PlacementLayer::new(devices.to_vec(), config), apps)
+    }
+
+    /// [`SlateRuntime::run_placed`] on a given layer (a test records it).
+    fn run_on(&self, layer: &mut PlacementLayer, apps: &[AppSpec]) -> PlacedOutcome {
+        assert!(!apps.is_empty(), "need at least one app");
+        let mut table = ProfileTable::new();
+        let jobs: Vec<Job> = apps
+            .iter()
+            .map(|app| {
+                let prof = table
+                    .get_or_profile(&self.cfg, &app.perf, app.blocks_per_launch)
+                    .clone();
+                let blocks = app.blocks_per_launch.min(u32::MAX as u64) as u32;
+                Job {
+                    kernel: TransformedKernel::new(std::sync::Arc::new(PerfOnlyKernel {
+                        grid: slate_kernels::grid::GridDim::d1(blocks),
+                        perf: app.perf.clone(),
+                    })),
+                    task_size: self.opts.task_size(app.task_size, prof.best_task_size),
+                    class: prof.class,
+                    sm_demand: prof.sm_demand,
+                    est_ms: table.estimate_solo_ms(&app.perf.name, app.blocks_per_launch),
+                }
+            })
+            .collect();
+        let (drained, outcomes) = multi::run(layer, &jobs, 600_000);
         PlacedOutcome {
             drained,
             outcomes,
-            stats: fleet.stats(),
+            stats: layer.stats(),
         }
     }
 }
@@ -799,6 +802,84 @@ mod tests {
         for (a, b) in out.outcomes.iter().zip(&again.outcomes) {
             assert_eq!(a, b);
         }
+    }
+
+    /// Runs `apps` like [`SlateRuntime::run_placed`] with the layer
+    /// recording, and returns the outcome with the placement log.
+    fn run_placed_recorded(
+        slate: &SlateRuntime,
+        devices: &[DeviceConfig],
+        apps: &[AppSpec],
+        placement: PlacementConfig,
+    ) -> (PlacedOutcome, crate::placement::PlacementLog) {
+        let config = PlacementConfig {
+            arbiter: slate.opts.arbiter_config(),
+            ..placement
+        };
+        let mut layer = PlacementLayer::new(devices.to_vec(), config);
+        layer.start_recording();
+        let out = slate.run_on(&mut layer, apps);
+        (out, layer.take_log().expect("recording was on"))
+    }
+
+    /// What the placed fixture pins, for two mixes: `sim_paper`'s (four
+    /// Titan Xps, least-loaded, the five benchmarks twice at full scale)
+    /// and the two-device round-robin mix above. Per mix: the layer's
+    /// transcript, each app's outcome and the placement counters.
+    fn placed_fixture() -> String {
+        use crate::placement::PlacementPolicy;
+        use std::fmt::Write as _;
+        let slate = SlateRuntime::new(titan());
+        let paper: Vec<AppSpec> = Benchmark::ALL
+            .iter()
+            .chain(Benchmark::ALL.iter())
+            .map(|b| b.app())
+            .collect();
+        let spread: Vec<AppSpec> = [Benchmark::BS, Benchmark::RG, Benchmark::GS, Benchmark::TR]
+            .iter()
+            .map(|b| b.app().scaled_down(50))
+            .collect();
+        let mixes = [
+            ("sim_paper", 4, PlacementPolicy::LeastLoaded, paper),
+            ("round_robin", 2, PlacementPolicy::RoundRobin, spread),
+        ];
+        let mut s = String::new();
+        for (name, devices, policy, apps) in mixes {
+            let placement = PlacementConfig {
+                policy,
+                ..PlacementConfig::default()
+            };
+            let (out, log) = run_placed_recorded(&slate, &vec![titan(); devices], &apps, placement);
+            let _ = writeln!(s, "# {name}");
+            s += &replay::transcript(&log.batches);
+            for (i, o) in out.outcomes.iter().enumerate() {
+                let _ = writeln!(s, "app {i}: {o:?}");
+            }
+            let _ = writeln!(s, "drained: {}", out.drained);
+            let _ = writeln!(s, "{:?}", out.stats);
+        }
+        s
+    }
+
+    const PLACED_FIXTURE: &str = include_str!("../tests/data/placed_run_transcript.txt");
+
+    #[test]
+    fn placed_runs_reproduce_the_checked_in_transcript() {
+        assert_eq!(
+            placed_fixture(),
+            PLACED_FIXTURE,
+            "a placed run diverged from tests/data/placed_run_transcript.txt"
+        );
+    }
+
+    #[test]
+    #[ignore = "regenerates tests/data/placed_run_transcript.txt; run after an intended change"]
+    fn regenerate_placed_run_fixture() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/data/placed_run_transcript.txt"
+        );
+        std::fs::write(path, placed_fixture()).expect("write fixture");
     }
 
     #[test]

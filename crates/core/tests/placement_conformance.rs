@@ -5,10 +5,9 @@
 //!
 //! 1. **Routing conformance** — every session lands on exactly one valid
 //!    device, the route is sticky for the session's lifetime, lease
-//!    events follow it, and jobs driven through simulated backends
-//!    complete exactly once wherever they land (including across a
-//!    mid-flight evacuation): every staging resumes at the progress its
-//!    lease's last completion carried, and the last drains at `slateMax`.
+//!    events follow it, and apps placed through
+//!    `SlateRuntime::run_placed`'s simulated fleet complete wherever they
+//!    land.
 //! 2. **Determinism** — the layer is a pure function of its event
 //!    script: the same script through two fresh layers produces
 //!    byte-identical transcripts. This is the test that catches a map
@@ -20,32 +19,26 @@
 //!    into per-device `EventLog`s that verify through the single-device
 //!    replay machinery, and is reproduced exactly by a fresh run of the
 //!    fixture script.
-//! 4. **Failure domains** — killing one device of a live fleet
-//!    mid-churn loses no user block and duplicates none (carried
-//!    progress), the recording of the failure run replays
-//!    byte-identically, and a second golden fixture
+//! 4. **Failure domains** — a second golden fixture
 //!    (`tests/data/placement_failure_log.json`) pins the evacuation +
-//!    probation re-admission decision sequence. The seeded soak that
-//!    rolls losses across a live fleet runs against the daemon, in
-//!    `daemon_conformance.rs`.
+//!    probation re-admission decision sequence. Exactly-once across an
+//!    evacuation, and the seeded soak that rolls losses across a live
+//!    fleet, run against the daemon, in `daemon_conformance.rs`.
 //!
 //! After an *intended* placement change, regenerate the fixtures with
 //! `cargo test -p slate-core --test placement_conformance -- --ignored`.
 
-mod support;
-
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use slate_core::arbiter::{replay as core_replay, Command, Event, Tick};
-use slate_core::backend::{Backend, Completion, DeviceFault, DeviceHealth, SimBackend, WorkSpec};
 use slate_core::classify::WorkloadClass;
+use slate_core::placement::multi::JobOutcome;
 use slate_core::placement::replay::{self as placement_replay, PlacementLog};
-use slate_core::placement::{MultiJob, MultiSim, PlacementConfig, PlacementLayer, PlacementPolicy};
-use slate_gpu_sim::device::{DeviceConfig, SmRange};
-use std::cell::RefCell;
+use slate_core::placement::{PlacementConfig, PlacementLayer, PlacementPolicy};
+use slate_core::runtime::SlateRuntime;
+use slate_gpu_sim::device::DeviceConfig;
+use slate_kernels::workload::{AppSpec, Benchmark};
 use std::collections::BTreeMap;
-use std::rc::Rc;
-use support::testkit::churn_kernel;
 
 const LOG_JSON: &str = include_str!("data/placement_log.json");
 const GOLDEN_TRANSCRIPT: &str = include_str!("data/placement_transcript.txt");
@@ -135,115 +128,6 @@ fn record(devices: usize, policy: PlacementPolicy, sc: &[(Tick, Vec<Event>)]) ->
     layer.take_log().expect("recording was on")
 }
 
-/// What a fleet did with each lease, in order: the carried start of every
-/// staging and the progress every completion reported.
-type Ledger = Rc<RefCell<BTreeMap<u64, Vec<Step>>>>;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Step {
-    Staged { start: u64 },
-    Finished(Completion),
-}
-
-/// A [`SimBackend`] that writes every staging and completion into the
-/// ledger the whole fleet shares.
-struct Ledgered {
-    inner: SimBackend,
-    ledger: Ledger,
-}
-
-impl Backend for Ledgered {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-    fn device(&self) -> &DeviceConfig {
-        self.inner.device()
-    }
-    fn stage(&mut self, lease: u64, spec: WorkSpec) {
-        let step = Step::Staged { start: spec.start };
-        self.ledger
-            .borrow_mut()
-            .entry(lease)
-            .or_default()
-            .push(step);
-        self.inner.stage(lease, spec);
-    }
-    fn apply(&mut self, cmd: &Command) {
-        self.inner.apply(cmd);
-    }
-    fn poll(&mut self) -> Option<Completion> {
-        let c = self.inner.poll()?;
-        let step = Step::Finished(c);
-        self.ledger
-            .borrow_mut()
-            .entry(c.lease)
-            .or_default()
-            .push(step);
-        Some(c)
-    }
-    fn advance(&mut self, millis: u64) {
-        self.inner.advance(millis);
-    }
-    fn progress(&self, lease: u64) -> u64 {
-        self.inner.progress(lease)
-    }
-    fn held_range(&self, lease: u64) -> Option<SmRange> {
-        self.inner.held_range(lease)
-    }
-    fn health(&self) -> DeviceHealth {
-        self.inner.health()
-    }
-    fn inject_device_fault(&mut self, fault: DeviceFault) {
-        self.inner.inject_device_fault(fault);
-    }
-}
-
-/// A fleet of `devices` simulated `tiny(4)` devices sharing one ledger.
-fn ledgered_fleet(devices: usize, config: PlacementConfig) -> (MultiSim, Ledger) {
-    let ledger = Ledger::default();
-    let backends = (0..devices)
-        .map(|_| {
-            Box::new(Ledgered {
-                inner: SimBackend::new(DeviceConfig::tiny(4)),
-                ledger: ledger.clone(),
-            }) as Box<dyn Backend>
-        })
-        .collect();
-    (MultiSim::with_backends(backends, config), ledger)
-}
-
-/// Exactly once by carried progress: `lease` was first staged at 0, every
-/// later staging resumed at the progress of the completion before it,
-/// every completion but the last was a partial eviction or loss, and the
-/// last drained at `total` (`slateMax`). Returns the number of stagings.
-fn assert_carried(ledger: &Ledger, lease: u64, total: u64) -> usize {
-    let ledger = ledger.borrow();
-    let steps = ledger.get(&lease).map_or(&[][..], Vec::as_slice);
-    assert!(!steps.is_empty(), "lease {lease} was never staged");
-    let mut carried = 0;
-    for (i, pair) in steps.chunks(2).enumerate() {
-        let [Step::Staged { start }, Step::Finished(c)] = *pair else {
-            panic!("lease {lease}: staging {i} not followed by one completion: {steps:?}");
-        };
-        assert_eq!(
-            start, carried,
-            "lease {lease}: staging {i} resumed off its last completion"
-        );
-        assert!(
-            c.progress >= start,
-            "lease {lease}: progress went backwards"
-        );
-        let last = 2 * i + 2 == steps.len();
-        assert_eq!(
-            c.ok, last,
-            "lease {lease}: only the last staging drains: {steps:?}"
-        );
-        carried = c.progress;
-    }
-    assert_eq!(carried, total, "lease {lease} ended at slateMax");
-    steps.len() / 2
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -323,102 +207,36 @@ proptest! {
     }
 }
 
-/// Jobs complete exactly once on every policy × device count, carried
-/// progress proving no block ran twice or was lost.
+/// Apps complete on every policy × device count through
+/// `SlateRuntime::run_placed`: the fleet drains, each app completes on an
+/// in-range device, and each session is routed once. (In debug builds the
+/// sim backend checks that every drain executed exactly its grid.)
 #[test]
 fn every_policy_completes_jobs_exactly_once() {
+    let slate = SlateRuntime::new(DeviceConfig::titan_xp());
+    let apps: Vec<AppSpec> = [Benchmark::BS, Benchmark::RG, Benchmark::GS, Benchmark::TR]
+        .iter()
+        .map(|b| b.app().scaled_down(50))
+        .collect();
     for devices in 1usize..=3 {
         for policy in policies(devices) {
-            let (mut fleet, ledger) = ledgered_fleet(
-                devices,
+            let out = slate.run_placed(
+                &vec![DeviceConfig::titan_xp(); devices],
+                &apps,
                 PlacementConfig {
                     policy: policy.clone(),
                     ..Default::default()
                 },
             );
-            let total: u32 = 120;
-            for session in 0..4u64 {
-                let kernel = churn_kernel(total, 0);
-                assert!(
-                    fleet.submit(MultiJob {
-                        session,
-                        lease: session,
-                        kernel,
-                        task_size: 4,
-                        class: WorkloadClass::MM,
-                        sm_demand: 4,
-                        est_ms: Some(5),
-                    }),
-                    "{policy:?}/{devices}: job must be admitted"
-                );
+            assert!(out.drained, "{policy:?}/{devices}: fleet must drain");
+            assert_eq!(out.outcomes.len(), apps.len());
+            for (app, outcome) in out.outcomes.iter().enumerate() {
+                let Some(JobOutcome::Completed { device }) = outcome else {
+                    panic!("{policy:?}/{devices}: app {app} never finished");
+                };
+                assert!(*device < devices, "{policy:?}: completed off-fleet");
             }
-            assert!(fleet.run(60_000), "{policy:?}/{devices}: fleet must drain");
-            for lease in 0..4u64 {
-                assert_carried(&ledger, lease, total as u64);
-                let outcome = fleet.outcome(lease).expect("job has an outcome");
-                match outcome {
-                    slate_core::placement::multi::JobOutcome::Completed { device } => {
-                        assert!(device < devices, "{policy:?}: completed off-fleet")
-                    }
-                    other => panic!("{policy:?}/{devices}: lease {lease} ended {other:?}"),
-                }
-            }
-            assert_eq!(fleet.stats().sessions_routed, 4);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Killing one device of a live fleet mid-churn loses no user block and
-    /// duplicates none: every job still completes exactly once (carried
-    /// progress across its stagings), and the recording of the whole
-    /// run — failure, evacuation and all — replays byte-identically and
-    /// splits into per-core logs that verify.
-    #[test]
-    fn killing_one_device_mid_churn_keeps_exactly_once(devices in 2usize..=3,
-                                                       victim_pick in 0usize..16,
-                                                       kill_at in 1u64..4) {
-        let victim = victim_pick % devices;
-        let (mut fleet, ledger) = ledgered_fleet(devices, PlacementConfig::default());
-        fleet.layer_mut().start_recording();
-        let total: u32 = 400;
-        for session in 0..devices as u64 {
-            let kernel = churn_kernel(total, 30);
-            prop_assert!(fleet.submit(MultiJob {
-                session,
-                lease: session,
-                kernel,
-                task_size: 4,
-                class: WorkloadClass::MM,
-                sm_demand: 4,
-                est_ms: Some(20),
-            }));
-        }
-        for _ in 0..kill_at {
-            fleet.tick();
-        }
-        fleet.fail_device(victim);
-        prop_assert!(fleet.run(120_000), "a fleet with a dead device must still drain");
-        for lease in 0..devices as u64 {
-            assert_carried(&ledger, lease, total as u64);
-            match fleet.outcome(lease) {
-                Some(slate_core::placement::multi::JobOutcome::Completed { device }) => {
-                    prop_assert!(device < devices);
-                }
-                other => {
-                    return Err(TestCaseError::fail(format!("lease {lease} ended {other:?}")));
-                }
-            }
-        }
-        let log = fleet.layer_mut().take_log().expect("recording was on");
-        placement_replay::verify(&log).map_err(|e| TestCaseError::fail(e.to_string()))?;
-        let cores = placement_replay::split(&log)
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        for (i, core_log) in cores.iter().enumerate() {
-            core_replay::verify(core_log)
-                .map_err(|e| TestCaseError::fail(format!("core {i}: {e}")))?;
+            assert_eq!(out.stats.sessions_routed, apps.len() as u64);
         }
     }
 }

@@ -18,11 +18,7 @@
 //! * **drain reported exactly once** — no duplicate completions, and
 //!   commands on a finished lease are no-ops;
 //! * **SM confinement** — the backend holds exactly the commanded range
-//!   while resident;
-//! * **device loss and recovery** — a hard loss surfaces in-flight leases
-//!   as *lost* completions with durable progress, the health probe
-//!   reports the outage, and the restored device drains exactly the
-//!   remaining blocks.
+//!   while resident.
 //!
 //! Every property is checked through reported progress: a simulated
 //! backend runs no block bodies. The daemon's real-thread executor is
@@ -32,7 +28,7 @@
 use super::chaos::ChaosBackend;
 use super::churn::churn;
 use slate_core::arbiter::{Command, Event as ArbEvent, EventLog};
-use slate_core::backend::{Backend, Completion, DeviceFault, DeviceHealth, SimBackend, WorkSpec};
+use slate_core::backend::{Backend, Completion, SimBackend, WorkSpec};
 use slate_core::transform::TransformedKernel;
 use slate_gpu_sim::device::SmRange;
 use slate_gpu_sim::fault::FaultPlan;
@@ -306,64 +302,6 @@ pub fn sm_confinement(b: &mut dyn Backend) {
     assert_eq!(b.held_range(3), None, "finished lease holds no range");
 }
 
-/// Scenario: a hard device loss surfaces the in-flight lease as a *lost*
-/// completion carrying its durable progress, the health probe reports the
-/// outage, dispatches into the dead device are lost on arrival, and after
-/// a restore the re-staged remainder drains exactly the missing blocks.
-pub fn device_loss_recovery_exactly_once(b: &mut dyn Backend) {
-    let n = b.device().num_sms;
-    let total: u32 = 12_000;
-    let k = churn_kernel(total, 20);
-    b.stage(6, WorkSpec::new(k.clone(), 1));
-    b.apply(&Command::Dispatch {
-        lease: 6,
-        range: SmRange::all(n),
-    });
-    b.advance(2);
-    b.inject_device_fault(DeviceFault::Loss);
-    assert_eq!(b.health(), DeviceHealth::Lost, "probe reports the outage");
-    let cs = b.drive_until(6, DRIVE_MS);
-    assert_eq!(cs.len(), 1, "exactly one casualty report: {cs:?}");
-    let c = cs[0];
-    assert!(c.lost, "the completion is marked as a device loss");
-    assert!(!c.ok, "lost completions always carry ok: false");
-    assert!(c.progress <= u64::from(total));
-    // A dispatch into the dead device is lost on arrival. (A chaos
-    // decorator may fire-and-recover an outage of its own on this
-    // dispatch, restoring the device underneath us — in that case the
-    // staging simply runs, so the property is only checked while the
-    // probe still reports the loss.)
-    let k2 = churn_kernel(8, 0);
-    b.stage(11, WorkSpec::new(k2, 1));
-    b.apply(&Command::Dispatch {
-        lease: 11,
-        range: SmRange::all(n),
-    });
-    let lost_on_arrival = b.drive_until(11, DRIVE_MS);
-    if b.health() == DeviceHealth::Lost {
-        assert!(
-            !lost_on_arrival.is_empty() && lost_on_arrival.iter().all(|c| c.lost && !c.ok),
-            "a dead device accepts no work: {lost_on_arrival:?}"
-        );
-    }
-    // Restore the device, then resume the casualty from the progress its
-    // lost completion carried.
-    b.inject_device_fault(DeviceFault::Restore);
-    assert_eq!(b.health(), DeviceHealth::Healthy, "restore heals the probe");
-    if c.progress < u64::from(total) {
-        b.stage(6, WorkSpec::resuming(k, 1, c.progress));
-        b.apply(&Command::Dispatch {
-            lease: 6,
-            range: SmRange::all(n),
-        });
-        let cs = b.drive_until(6, DRIVE_MS);
-        assert_eq!(cs.len(), 1, "exactly one completion: {cs:?}");
-        assert!(cs[0].ok, "the restored device drains the remainder");
-        assert_eq!(cs[0].progress, u64::from(total));
-    }
-    assert_eq!(b.progress(6), u64::from(total));
-}
-
 /// Runs the full conformance suite, building a fresh backend per scenario
 /// through `make`. Panics on the first violated property.
 pub fn run_conformance(make: &mut dyn FnMut() -> Box<dyn Backend>) {
@@ -376,7 +314,6 @@ pub fn run_conformance(make: &mut dyn FnMut() -> Box<dyn Backend>) {
     preempt_then_resume(make().as_mut());
     drain_reported_exactly_once(make().as_mut());
     sm_confinement(make().as_mut());
-    device_loss_recovery_exactly_once(make().as_mut());
 }
 
 /// The observable transcript of a replay: for every lease, the final

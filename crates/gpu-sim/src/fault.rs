@@ -34,10 +34,6 @@ pub enum FaultSite {
     /// chaos-testing command-stream perturbations; see
     /// [`FaultPlan::command_chaos`]).
     Command,
-    /// The device itself, as a failure domain: a whole accelerator is
-    /// lost, degraded, or flapping. Fired by backends on dispatch (see
-    /// [`FaultPlan::device_chaos`]).
-    Device,
 }
 
 /// What failure to inject.
@@ -56,22 +52,6 @@ pub enum FaultKind {
     /// The daemon-side channel to the client is severed, as if the client
     /// process died mid-request.
     ChannelDrop,
-    /// The whole device drops off the bus and stays down: every in-flight
-    /// lease is lost and later dispatches fail immediately until an
-    /// explicit restore.
-    DeviceLoss,
-    /// The device wedges for the given span of simulated time — work
-    /// survives but makes no progress while the stall budget drains.
-    DeviceStall {
-        /// Stall length in milliseconds of simulated device time.
-        millis: u64,
-    },
-    /// The device drops, then comes back on its own after `down_ms` of
-    /// simulated time (a flapping link or a driver reset).
-    DeviceFlap {
-        /// How long the device stays down, in milliseconds.
-        down_ms: u64,
-    },
 }
 
 /// One armed fault: `kind` fires at the `nth` occurrence (1-based) of
@@ -157,38 +137,6 @@ impl FaultPlan {
         })
     }
 
-    /// Convenience: hard-lose the device at its `nth` dispatch.
-    pub fn kill_device(self, nth: u64) -> Self {
-        self.with_rule(FaultRule {
-            site: FaultSite::Device,
-            kernel: None,
-            nth,
-            kind: FaultKind::DeviceLoss,
-        })
-    }
-
-    /// Convenience: stall the device for `millis` ms at its `nth`
-    /// dispatch.
-    pub fn degrade_device(self, nth: u64, millis: u64) -> Self {
-        self.with_rule(FaultRule {
-            site: FaultSite::Device,
-            kernel: None,
-            nth,
-            kind: FaultKind::DeviceStall { millis },
-        })
-    }
-
-    /// Convenience: flap the device (down for `down_ms`, then back) at
-    /// its `nth` dispatch.
-    pub fn flap_device(self, nth: u64, down_ms: u64) -> Self {
-        self.with_rule(FaultRule {
-            site: FaultSite::Device,
-            kernel: None,
-            nth,
-            kind: FaultKind::DeviceFlap { down_ms },
-        })
-    }
-
     /// Generates `faults` pseudo-random rules from `seed`. The same seed
     /// always yields the same plan — replay a failing run by reusing it.
     pub fn randomized(seed: u64, faults: u32) -> Self {
@@ -211,12 +159,9 @@ impl FaultPlan {
                 FaultSite::Memcpy => FaultKind::MemcpyStall {
                     millis: 1 + rng.below(20),
                 },
-                // `below(3)` above never yields the Command or Device
-                // sites, which keeps this generator byte-stable for
-                // existing seeds.
-                FaultSite::Request | FaultSite::Command | FaultSite::Device => {
-                    FaultKind::ChannelDrop
-                }
+                // `below(3)` above never yields the Command site, which
+                // keeps this generator byte-stable for existing seeds.
+                FaultSite::Request | FaultSite::Command => FaultKind::ChannelDrop,
             };
             plan = plan.with_rule(FaultRule {
                 site,
@@ -247,35 +192,6 @@ impl FaultPlan {
             };
             plan = plan.with_rule(FaultRule {
                 site: FaultSite::Command,
-                kernel: None,
-                nth: 1 + rng.below(6),
-                kind,
-            });
-        }
-        plan
-    }
-
-    /// Generates `faults` pseudo-random [`FaultSite::Device`] rules from
-    /// `seed` — the device-failure schedule (losses, stalls, flaps)
-    /// consumed by device-health-aware backends. Deterministic per seed,
-    /// and drawn from a generator independent of both
-    /// [`FaultPlan::randomized`] and [`FaultPlan::command_chaos`], so
-    /// existing seeds for those keep producing identical plans.
-    pub fn device_chaos(seed: u64, faults: u32) -> Self {
-        let mut rng = SplitRng::new(seed.wrapping_mul(0x85eb_ca6b).wrapping_add(3));
-        let mut plan = Self::new();
-        for _ in 0..faults {
-            let kind = match rng.below(3) {
-                0 => FaultKind::DeviceLoss,
-                1 => FaultKind::DeviceStall {
-                    millis: 1 + rng.below(10),
-                },
-                _ => FaultKind::DeviceFlap {
-                    down_ms: 1 + rng.below(10),
-                },
-            };
-            plan = plan.with_rule(FaultRule {
-                site: FaultSite::Device,
                 kernel: None,
                 nth: 1 + rng.below(6),
                 kind,
@@ -479,43 +395,41 @@ mod tests {
         assert_ne!(a.rules(), c.rules(), "different seeds, different plans");
     }
 
+    /// The plans the seeded suites run, rule by rule: `randomized` at the
+    /// chaos soak's seeds (`overload_soak`, nightly matrix) and
+    /// `command_chaos` at the backend chaos suites' seeds. A generator
+    /// edit that moved one of them would silently change what those
+    /// suites inject.
     #[test]
-    fn device_chaos_is_deterministic_and_device_scoped() {
-        let a = FaultPlan::device_chaos(7, 6);
-        let b = FaultPlan::device_chaos(7, 6);
-        assert_eq!(a.rules(), b.rules());
-        assert_eq!(a.len(), 6);
-        assert!(a.rules().iter().all(|r| r.site == FaultSite::Device));
-        assert!(a.rules().iter().all(|r| matches!(
-            r.kind,
-            FaultKind::DeviceLoss | FaultKind::DeviceStall { .. } | FaultKind::DeviceFlap { .. }
-        )));
-        let c = FaultPlan::device_chaos(8, 6);
-        assert_ne!(a.rules(), c.rules(), "different seeds, different plans");
+    fn soak_and_chaos_plans_are_pinned() {
+        let render = |plan: FaultPlan| {
+            plan.rules()
+                .iter()
+                .map(|r| format!("{:?}#{} {:?}", r.site, r.nth, r.kind))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        let mut got = String::new();
+        for seed in [0xC0FFEE, 0x5EED, 0xBADF00D, 42] {
+            let plan = render(FaultPlan::randomized(seed, 10));
+            got += &format!("randomized({seed:#x}, 10): {plan}\n");
+        }
+        for (seed, n) in [(0xA11CE, 12), (0xB0B, 12), (42, 12), (0x5EED, 16)] {
+            let plan = render(FaultPlan::command_chaos(seed, n));
+            got += &format!("command_chaos({seed:#x}, {n}): {plan}\n");
+        }
+        assert_eq!(got, PINNED_PLANS);
     }
 
-    #[test]
-    fn device_builders_fire_at_the_device_site() {
-        let mut plan = FaultPlan::new()
-            .kill_device(2)
-            .degrade_device(1, 4)
-            .flap_device(3, 7);
-        assert_eq!(
-            plan.fire(FaultSite::Device, None),
-            Some(FaultKind::DeviceStall { millis: 4 })
-        );
-        assert_eq!(
-            plan.fire(FaultSite::Device, None),
-            Some(FaultKind::DeviceLoss)
-        );
-        assert_eq!(
-            plan.fire(FaultSite::Device, None),
-            Some(FaultKind::DeviceFlap { down_ms: 7 })
-        );
-        // Other sites never advance device counters.
-        assert_eq!(plan.fire(FaultSite::Launch, Some("k")), None);
-        assert_eq!(plan.fired(), 3);
-    }
+    const PINNED_PLANS: &str = "\
+randomized(0xc0ffee, 10): Memcpy#1 MemcpyStall { millis: 5 }, Memcpy#1 MemcpyStall { millis: 18 }, Launch#2 LaunchFault, Request#8 ChannelDrop, Request#8 ChannelDrop, Request#5 ChannelDrop, Request#7 ChannelDrop, Memcpy#7 MemcpyStall { millis: 7 }, Memcpy#1 MemcpyStall { millis: 6 }, Memcpy#8 MemcpyStall { millis: 16 }\n\
+randomized(0x5eed, 10): Memcpy#3 MemcpyStall { millis: 12 }, Request#4 ChannelDrop, Memcpy#3 MemcpyStall { millis: 10 }, Memcpy#1 MemcpyStall { millis: 20 }, Launch#6 KernelHang, Launch#8 KernelHang, Memcpy#8 MemcpyStall { millis: 7 }, Launch#5 LaunchFault, Request#8 ChannelDrop, Memcpy#2 MemcpyStall { millis: 16 }\n\
+randomized(0xbadf00d, 10): Launch#6 KernelHang, Request#8 ChannelDrop, Memcpy#4 MemcpyStall { millis: 12 }, Launch#1 KernelHang, Launch#5 KernelHang, Request#7 ChannelDrop, Memcpy#6 MemcpyStall { millis: 1 }, Memcpy#8 MemcpyStall { millis: 2 }, Launch#4 KernelHang, Memcpy#8 MemcpyStall { millis: 2 }\n\
+randomized(0x2a, 10): Request#6 ChannelDrop, Launch#4 KernelHang, Launch#8 LaunchFault, Request#4 ChannelDrop, Request#3 ChannelDrop, Memcpy#8 MemcpyStall { millis: 17 }, Request#3 ChannelDrop, Memcpy#2 MemcpyStall { millis: 13 }, Launch#2 KernelHang, Memcpy#4 MemcpyStall { millis: 2 }\n\
+command_chaos(0xa11ce, 12): Command#1 ChannelDrop, Command#3 ChannelDrop, Command#1 MemcpyStall { millis: 1 }, Command#3 MemcpyStall { millis: 1 }, Command#5 LaunchFault, Command#5 KernelHang, Command#1 KernelHang, Command#2 ChannelDrop, Command#5 LaunchFault, Command#5 MemcpyStall { millis: 5 }, Command#3 ChannelDrop, Command#2 MemcpyStall { millis: 4 }\n\
+command_chaos(0xb0b, 12): Command#6 LaunchFault, Command#6 LaunchFault, Command#3 ChannelDrop, Command#2 KernelHang, Command#6 MemcpyStall { millis: 5 }, Command#3 MemcpyStall { millis: 3 }, Command#6 LaunchFault, Command#6 MemcpyStall { millis: 3 }, Command#1 KernelHang, Command#6 KernelHang, Command#2 ChannelDrop, Command#2 ChannelDrop\n\
+command_chaos(0x2a, 12): Command#1 LaunchFault, Command#5 KernelHang, Command#1 LaunchFault, Command#6 KernelHang, Command#1 ChannelDrop, Command#5 LaunchFault, Command#6 LaunchFault, Command#6 MemcpyStall { millis: 4 }, Command#3 KernelHang, Command#4 MemcpyStall { millis: 5 }, Command#5 LaunchFault, Command#1 LaunchFault\n\
+command_chaos(0x5eed, 16): Command#3 MemcpyStall { millis: 2 }, Command#1 ChannelDrop, Command#4 MemcpyStall { millis: 2 }, Command#1 KernelHang, Command#2 MemcpyStall { millis: 1 }, Command#2 ChannelDrop, Command#2 MemcpyStall { millis: 4 }, Command#2 ChannelDrop, Command#4 LaunchFault, Command#5 MemcpyStall { millis: 5 }, Command#3 ChannelDrop, Command#4 LaunchFault, Command#5 MemcpyStall { millis: 4 }, Command#1 MemcpyStall { millis: 2 }, Command#5 KernelHang, Command#1 LaunchFault\n";
 
     #[test]
     fn token_cancel_releases_blocked_thread() {
