@@ -148,8 +148,6 @@ pub struct DaemonMetrics {
     pub launches_served: u64,
     /// Live device allocations across all sessions.
     pub live_allocations: usize,
-    /// Hardware work-queue lanes registered on the funnelled context.
-    pub hyperq_lanes: usize,
     /// Kernels currently resident on the device.
     pub arbiter_residents: usize,
     /// Kernels evicted by the watchdog.

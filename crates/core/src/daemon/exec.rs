@@ -15,6 +15,7 @@ use slate_gpu_sim::device::SmRange;
 use slate_gpu_sim::fault::{FaultKind, FaultSite, FaultToken};
 use slate_kernels::kernel::GpuKernel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -124,12 +125,6 @@ fn drive(shared: &Arc<DaemonShared>, launch: Launch, owed: &mut bool) -> Result<
             ..launch
         })
     };
-    // All sessions share the daemon's single device context; each
-    // (session, stream) lane gets a Hyper-Q connection on it, keyed by the
-    // whole lease so the session's close finds it (`Session::close`).
-    const SERVER_CONTEXT: u64 = 0;
-    shared.hyperq.lock().assign(SERVER_CONTEXT, lease);
-
     // Launch-site fault injection: an armed LaunchFault rejects the launch
     // outright; an armed KernelHang swaps in a kernel that parks every
     // block on a token only the watchdog's eviction cancels.
@@ -276,6 +271,6 @@ fn drive(shared: &Arc<DaemonShared>, launch: Launch, owed: &mut bool) -> Result<
         });
     }
     debug_assert!(out.blocks == grid_blocks);
-    *shared.launches.lock() += 1;
+    shared.launches.fetch_add(1, Ordering::Relaxed);
     Ok(())
 }

@@ -53,8 +53,8 @@
 //! * **session reaping** — a client that vanishes without `Disconnect`
 //!   (its channel sender drops) is detected by its session thread, which
 //!   frees the session's allocations, releases any arbiter residency and
-//!   Hyper-Q lanes, and lets the surviving co-runner regrow to the full
-//!   device — exactly the `Disconnect` path;
+//!   lets the surviving co-runner regrow to the full device — exactly the
+//!   `Disconnect` path;
 //! * a **kernel watchdog** — launches carry an optional deadline (or
 //!   inherit [`DaemonOptions::default_deadline_ms`]); the heartbeat
 //!   evicts over-deadline kernels through the paper's own retreat flag and
@@ -114,10 +114,9 @@ use crossbeam::channel::{Receiver, Sender};
 use slate_gpu_sim::buffer::DeviceMemoryPool;
 use slate_gpu_sim::device::DeviceConfig;
 use slate_gpu_sim::fault::FaultPlan;
-use slate_gpu_sim::workqueue::HyperQ;
 use slate_kernels::workload::SloClass;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -133,9 +132,9 @@ struct DaemonShared {
     /// Driver of the shared arbitration core, and holder of the
     /// write-ahead log + snapshot sink of a durable daemon.
     arb: ArbFrontend,
-    launches: Mutex<u64>,
-    /// Hardware work-queue allocator for the funnelled server context.
-    hyperq: Mutex<HyperQ>,
+    /// Launches drained to completion: a statistic that publishes no
+    /// other data, so every access is `Relaxed`.
+    launches: AtomicU64,
     /// Scripted fault schedule (empty outside fault-injection tests).
     faults: Mutex<FaultPlan>,
     /// Deadline applied to launches that don't carry their own.
@@ -319,8 +318,7 @@ impl SlateDaemon {
             injector: Mutex::new(InjectionCache::new()),
             profiles: Mutex::new(options.profiles),
             arb: ArbFrontend::new(layer, base_us, durability),
-            launches: Mutex::new(0),
-            hyperq: Mutex::new(HyperQ::with_default_connections()),
+            launches: AtomicU64::new(0),
             faults: Mutex::new(options.fault_plan),
             default_deadline_ms: options.default_deadline_ms,
             shutting_down: AtomicBool::new(false),
@@ -519,8 +517,6 @@ impl SlateDaemon {
         let lock_recoveries = sh.pool.recoveries()
             + sh.injector.recoveries()
             + sh.profiles.recoveries()
-            + sh.launches.recoveries()
-            + sh.hyperq.recoveries()
             + sh.faults.recoveries()
             + sh.active_sessions.recoveries()
             + sh.arb.inner.recoveries()
@@ -528,9 +524,8 @@ impl SlateDaemon {
             + self.pool.lock_recoveries();
         // The other locks are read first and released: none is ever
         // taken under the arbiter lock.
-        let launches_served = *sh.launches.lock();
+        let launches_served = sh.launches.load(Ordering::Relaxed);
         let live_allocations = sh.pool.lock().live_allocations();
-        let hyperq_lanes = sh.hyperq.lock().lanes();
         let faults_fired = sh.faults.lock().fired();
         let inner = sh.arb.inner.lock();
         let layer = &inner.layer;
@@ -540,7 +535,6 @@ impl SlateDaemon {
             admission: core.admission,
             launches_served,
             live_allocations,
-            hyperq_lanes,
             arbiter_residents: layer.residents(),
             watchdog_evictions: core.evictions,
             reaped_sessions: core.reaped,

@@ -569,8 +569,8 @@ impl Session {
 
     /// Ends the session: a clean `Disconnect` and a reap differ only in the
     /// farewell and the close event. Drains stream lanes, reclaims device
-    /// memory, releases any arbiter residency (the surviving co-runner
-    /// regrows to the full device) and the session's Hyper-Q lanes.
+    /// memory and releases any arbiter residency (the surviving co-runner
+    /// regrows to the full device).
     fn close(&mut self) {
         // Lanes are joined on every exit path, first, so no launch of this
         // session is in flight when the core sees the close; on a crash
@@ -607,10 +607,6 @@ impl Session {
             session,
             Some(WalRecord::SessionClosed { session }),
         );
-        shared
-            .hyperq
-            .lock()
-            .retire_lanes(|_, lease| lease >> 16 == session);
         // The farewell goes out last: a client that saw its disconnect
         // succeed finds the session closed in the core and the WAL.
         if clean {

@@ -958,20 +958,24 @@ fn recorded_daemon_run_replays_identically() {
 }
 
 #[test]
-fn a_session_past_65_535_retires_its_hyperq_lanes() {
+fn a_session_past_65_535_is_served_and_torn_down() {
     let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);
     *daemon.next_session.lock() = 65_535;
     let client = SlateClient::new(daemon.connect("late").unwrap());
     assert_eq!(client.session(), 65_536);
     let p = client.malloc(64).unwrap();
+    client.upload_f32(p, &[1.0; 16]).unwrap();
     client
         .launch_with(vec![p], 10, None, double_factory(16))
         .unwrap();
     client.synchronize().unwrap();
-    assert_eq!(daemon.metrics().hyperq_lanes, 1);
+    assert_eq!(client.download_f32(p, 16).unwrap(), vec![2.0; 16]);
+    assert_eq!(daemon.metrics().launches_served, 1);
     client.disconnect().unwrap();
     daemon.join();
-    assert_eq!(daemon.metrics().hyperq_lanes, 0, "the lane was retired");
+    let m = daemon.metrics();
+    assert_eq!(m.arbiter_residents, 0, "{m:?}");
+    assert_eq!(m.live_allocations, 0, "{m:?}");
 }
 
 #[test]

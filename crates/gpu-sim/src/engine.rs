@@ -110,7 +110,6 @@ struct Slice {
     blocks_done: f64,
     rate: f64,
     rate_compute: f64,
-    workers: u64,
     /// Compute-limited block rate before imbalance, and the bandwidth of
     /// the SM ports the slice can use: functions of the spec and the
     /// device alone, fixed at `add_slice`.
@@ -336,7 +335,6 @@ impl Engine {
                 blocks_done: 0.0,
                 rate: 0.0,
                 rate_compute: 0.0,
-                workers,
                 r_comp,
                 port_bw,
                 imbalance,
@@ -383,16 +381,6 @@ impl Engine {
             .find(|(sid, _)| *sid == id)
             .unwrap_or_else(|| panic!("slice_report: unknown {id:?}"));
         s.clone().into_report(&self.cfg)
-    }
-
-    /// Persistent-worker count of a slice (resident blocks on its SM range).
-    pub fn slice_workers(&self, id: SliceId) -> u64 {
-        let (_, s) = self
-            .slices
-            .iter()
-            .find(|(sid, _)| *sid == id)
-            .unwrap_or_else(|| panic!("slice_workers: unknown {id:?}"));
-        s.workers
     }
 
     /// Blocks remaining (not yet completed) in a slice.

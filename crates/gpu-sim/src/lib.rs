@@ -63,7 +63,6 @@ pub mod model;
 pub mod occupancy;
 pub mod perf;
 pub mod trace;
-pub mod workqueue;
 
 /// Convenient re-exports of the items almost every consumer needs.
 pub mod prelude {

@@ -37,12 +37,6 @@ pub fn allocate(capacity: f64, demands: &[BwDemand], out: &mut Vec<f64>) {
     out.extend(demands.iter().map(|d| d.demand.max(0.0) * scale));
 }
 
-/// Bandwidth a memory-streaming kernel achieves on `sms` SMs given the
-/// per-SM port cap and the aggregate pipe — the closed form behind Fig. 1.
-pub fn streaming_bw(dram_bw: f64, per_sm_bw: f64, sms: u32) -> f64 {
-    (sms as f64 * per_sm_bw).min(dram_bw)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,17 +85,5 @@ mod tests {
         for (alloc, dem) in a.iter().zip(demands.iter()) {
             assert!(*alloc <= dem.demand + 1e-9);
         }
-    }
-
-    #[test]
-    fn streaming_bw_fig1_shape() {
-        // Titan Xp calibration: linear up to ~9 SMs then flat.
-        let bw1 = streaming_bw(480e9, 54e9, 1);
-        let bw4 = streaming_bw(480e9, 54e9, 4);
-        let bw9 = streaming_bw(480e9, 54e9, 9);
-        let bw30 = streaming_bw(480e9, 54e9, 30);
-        assert!((bw4 / bw1 - 4.0).abs() < 1e-9, "linear region");
-        assert_eq!(bw9, 480e9, "saturated by 9 SMs");
-        assert_eq!(bw30, bw9, "flat after the knee");
     }
 }

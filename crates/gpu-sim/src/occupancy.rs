@@ -56,17 +56,6 @@ pub fn blocks_per_sm(device: &DeviceConfig, kernel: &KernelPerf) -> u32 {
     by_threads.min(by_blocks).min(by_regs).min(by_smem)
 }
 
-/// Total resident blocks on an SM range of `sms` SMs.
-pub fn workers_for(device: &DeviceConfig, kernel: &KernelPerf, sms: u32) -> u64 {
-    blocks_per_sm(device, kernel) as u64 * sms as u64
-}
-
-/// Occupancy as a fraction of the SM's thread capacity, in `[0, 1]`.
-pub fn occupancy_fraction(device: &DeviceConfig, kernel: &KernelPerf) -> f64 {
-    let blocks = blocks_per_sm(device, kernel);
-    (blocks * kernel.threads_per_block) as f64 / device.max_threads_per_sm as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,22 +104,6 @@ mod tests {
         let mut k = kernel(512, 16, 0);
         k.threads_per_block = 4096;
         assert_eq!(blocks_per_sm(&d, &k), 0);
-    }
-
-    #[test]
-    fn workers_scale_with_sms() {
-        let d = DeviceConfig::titan_xp();
-        let k = kernel(256, 16, 0);
-        assert_eq!(workers_for(&d, &k, 30), 8 * 30);
-        assert_eq!(workers_for(&d, &k, 10), 8 * 10);
-    }
-
-    #[test]
-    fn occupancy_fraction_full_and_partial() {
-        let d = DeviceConfig::titan_xp();
-        assert!((occupancy_fraction(&d, &kernel(256, 16, 0)) - 1.0).abs() < 1e-12);
-        // Register-limited kernel: 4 blocks x 256 threads / 2048 = 0.5.
-        assert!((occupancy_fraction(&d, &kernel(256, 64, 0)) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! The paper's runtime "builds a queue for each process and CUDA stream".
 //! This example runs one client with four streams: launches on the same
 //! stream are ordered, launches on different streams execute concurrently
-//! through the daemon's per-stream lanes — each backed by a Hyper-Q
-//! connection on the funnelled server context — and `synchronize()` fences
-//! them all.
+//! through the daemon's per-stream lanes on the funnelled server context,
+//! and `synchronize()` fences them all.
 //!
 //! It also demonstrates `#pragma slate solo` pinning: the "library" GEMM is
 //! launched with `launch_solo_with` and therefore never co-scheduled.
@@ -127,16 +126,11 @@ fn main() {
     println!("solo-pinned GEMM verified (A x I = A)");
 
     println!(
-        "\ndaemon: {} launches over {} Hyper-Q lanes, injection cache {:?}",
+        "\ndaemon: {} launches, injection cache {:?}",
         daemon.metrics().launches_served,
-        daemon.metrics().hyperq_lanes,
         daemon.injection_stats()
     );
     assert_eq!(daemon.metrics().launches_served, 9);
-    assert!(
-        daemon.metrics().hyperq_lanes >= 5,
-        "default stream + 4 lanes"
-    );
     client.disconnect().unwrap();
     daemon.join();
 }

@@ -187,7 +187,6 @@ fn reap_races_queued_lane_launches_without_leaking() {
     b.disconnect().unwrap();
     daemon.join();
     assert_eq!(daemon.metrics().live_allocations, 0);
-    assert_eq!(daemon.metrics().hyperq_lanes, 0);
 }
 
 #[test]

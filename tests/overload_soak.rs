@@ -7,7 +7,7 @@
 //!
 //! Every scenario ends with the same drain invariants: queue depth zero,
 //! `admitted == completed + failed`, `admitted + shed == attempts`, and no
-//! leaked allocations, Hyper-Q lanes, or arbiter residents.
+//! leaked allocations or arbiter residents.
 
 use slate_core::api::{decorrelated_jitter, BreakerConfig, RetryPolicy, SlateClient};
 use slate_core::daemon::{DaemonOptions, SlateDaemon};
@@ -199,7 +199,6 @@ fn bounded_session_queue_sheds_newest_with_retry_hint() {
     daemon.join();
     let m = daemon.metrics();
     assert_eq!(m.live_allocations, 0);
-    assert_eq!(m.hyperq_lanes, 0);
     assert_eq!(m.arbiter_residents, 0);
     assert_eq!(m.admission.active_sessions, 0);
 }
@@ -544,7 +543,6 @@ fn churn_soak_under_tight_limits_stays_balanced_and_leak_free() {
     assert_eq!(m.admission.pending_est_ms, 0);
     assert_eq!(m.admission.active_sessions, 0);
     assert_eq!(m.live_allocations, 0);
-    assert_eq!(m.hyperq_lanes, 0);
     assert_eq!(m.arbiter_residents, 0);
 }
 
@@ -611,6 +609,5 @@ fn chaos_soak_with_fault_injection_drains_clean() {
     assert_eq!(m.admission.pending_est_ms, 0, "{m:?}");
     assert_eq!(m.admission.active_sessions, 0, "{m:?}");
     assert_eq!(m.live_allocations, 0, "{m:?}");
-    assert_eq!(m.hyperq_lanes, 0, "{m:?}");
     assert_eq!(m.arbiter_residents, 0, "{m:?}");
 }

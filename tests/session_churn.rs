@@ -16,8 +16,11 @@
 #![cfg(target_os = "linux")]
 
 use slate_core::api::SlateClient;
+use slate_core::channel::SlatePtr;
 use slate_core::daemon::SlateDaemon;
 use slate_gpu_sim::device::DeviceConfig;
+use slate_kernels::transpose::TransposeKernel;
+use slate_kernels::GpuKernel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -87,15 +90,57 @@ fn wave(daemon: &Arc<SlateDaemon>, n: usize, ceiling: u64) {
     assert_eq!(daemon.metrics().live_allocations, 0);
 }
 
+/// The matrix the stream-lane launches transpose.
+const ROWS: u32 = 8;
+const COLS: u32 = 16;
+
+/// Transposes the `ROWS` x `COLS` matrix at `src` into `dst` on `stream`.
+fn transpose_on(client: &SlateClient, stream: u32, src: SlatePtr, dst: SlatePtr) {
+    client
+        .launch_on_stream(stream, vec![src, dst], 4, |bufs| {
+            Arc::new(TransposeKernel::new(
+                ROWS,
+                COLS,
+                bufs[0].clone(),
+                bufs[1].clone(),
+            )) as Arc<dyn GpuKernel>
+        })
+        .expect("launch");
+}
+
+/// Launches one kernel on a daemon it then drops, and returns the threads
+/// that left behind: the process-wide worker-lane pool starts its helpers
+/// at the first launch and keeps them for the life of the process.
+fn start_the_worker_lane_pool() -> u64 {
+    let daemon = daemon();
+    let client = SlateClient::new(daemon.connect("warm-up").expect("connect"));
+    let n = (ROWS * COLS) as usize;
+    let src = client.malloc(4 * n as u64).expect("malloc");
+    let dst = client.malloc(4 * n as u64).expect("malloc");
+    let before = threads();
+    transpose_on(&client, 0, src, dst);
+    client.synchronize().expect("synchronize");
+    let helpers = threads() - before;
+    client.disconnect().expect("disconnect");
+    helpers
+}
+
 #[test]
 fn session_churn() {
-    // The harness and this test: what the process runs without a daemon.
-    // Every case leaves it as it found it.
-    let base = threads();
+    // The harness, this test and the worker-lane pool: what the process
+    // runs without a daemon. Every case leaves it as it found it.
+    let harness = threads();
+    let base = harness + start_the_worker_lane_pool();
+    assert!(
+        threads_fall_to(base, Duration::from_secs(10)).is_some(),
+        "{} threads outlive the warm-up daemon",
+        threads() - base
+    );
     for case in [
         sequential_churn_leaves_no_thread_stack_or_mapping_behind,
         threads_follow_the_live_sessions_and_leave_when_idle,
         parked_threads_leave_at_once_when_the_daemon_is_dropped,
+        stream_lanes_leave_with_their_session,
     ] {
         case(base);
         assert!(
@@ -170,5 +215,52 @@ fn parked_threads_leave_at_once_when_the_daemon_is_dropped(base: u64) {
     assert!(
         fastest < Duration::from_millis(100),
         "parked threads outlived their daemon by {fastest:?}"
+    );
+}
+
+fn stream_lanes_leave_with_their_session(base: u64) {
+    let daemon = daemon();
+    let own = threads() - base;
+    let n = (ROWS * COLS) as usize;
+    let matrix: Vec<f32> = (0..n).map(|i| i as f32).collect();
+    let transposed: Vec<f32> = (0..n)
+        .map(|i| matrix[(i % ROWS as usize) * COLS as usize + i / ROWS as usize])
+        .collect();
+    let connect = |user: &str| SlateClient::new(daemon.connect(user).expect("connect"));
+    let (leaving, vanishing) = (connect("leaving"), connect("vanishing"));
+    for client in [&leaving, &vanishing] {
+        let src = client.malloc(4 * n as u64).expect("malloc");
+        client.upload_f32(src, &matrix).expect("upload");
+        let outs: Vec<SlatePtr> = [1, 2]
+            .into_iter()
+            .map(|stream| {
+                let dst = client.malloc(4 * n as u64).expect("malloc");
+                transpose_on(client, stream, src, dst);
+                dst
+            })
+            .collect();
+        client.synchronize().expect("synchronize");
+        for dst in outs {
+            assert_eq!(client.download_f32(dst, n).expect("download"), transposed);
+        }
+    }
+    // Each session: its own thread and one lane per non-zero stream.
+    assert_eq!(threads(), base + own + 2 * 3, "two sessions, four lanes");
+    leaving.disconnect().expect("disconnect");
+    // The other client vanishes without a word: its session is reaped.
+    drop(vanishing);
+    daemon.join();
+    let m = daemon.metrics();
+    assert_eq!((m.reaped_sessions, m.live_allocations), (1, 0), "{m:?}");
+    // Both lanes of both sessions are joined; their session threads park.
+    assert!(
+        threads() <= base + own + 2,
+        "{} lane threads outlive their sessions",
+        threads() - base - own - 2
+    );
+    assert!(
+        threads_fall_to(base + own, Duration::from_secs(10)).is_some(),
+        "{} threads still parked on an idle daemon",
+        threads() - base - own
     );
 }
