@@ -65,11 +65,11 @@
 //! * `memcpy_upload` / `memcpy_download` — `upload_f32` / `download_f32`
 //!   of 4 MB through an in-memory daemon, per MB: the two halves of a
 //!   `serve_mixed` cycle's data plane, measured apart so a change shows
-//!   which one it moved. An upload is one conversion into the client's
-//!   vector and one word-by-word copy into the device; a download is one
-//!   word-by-word append into the client's vector; each is one channel
-//!   round trip (ungated: it is memory bandwidth, which follows the
-//!   runner);
+//!   which one it moved. An upload is one word-by-word write of the
+//!   client's slice into the device run the daemon lends; a download is
+//!   one word-by-word append into the client's vector; each is one
+//!   channel round trip (ungated: it is memory bandwidth, which follows
+//!   the runner);
 //! * `transpose_1024` — the 1024×1024 [`TransposeKernel`] block by block
 //!   on the calling thread, per block: the kernel between those copies
 //!   (ungated, likewise).

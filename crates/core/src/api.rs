@@ -17,7 +17,6 @@
 use crate::channel::{HostBuf, KernelFactory, LaunchCmd, Request, Response, SlatePtr};
 use crate::daemon::{Connection, ResumeToken, SlateDaemon};
 use crate::error::SlateError;
-use bytes::Bytes;
 use slate_gpu_sim::buffer::GpuBuffer;
 use slate_kernels::kernel::GpuKernel;
 use std::cell::{Cell, RefCell};
@@ -422,26 +421,33 @@ impl SlateClient {
         self.guarded(|| self.call(|| Request::Free(ptr))?.expect_ok())
     }
 
-    /// Copies host bytes into device memory through a shared buffer.
-    /// `offset` must be word-aligned.
-    pub fn memcpy_h2d(&self, ptr: SlatePtr, offset: usize, data: Bytes) -> Result<(), SlateError> {
-        self.guarded(|| {
-            // Bytes clones are refcount-only; re-sending is cheap.
-            self.call(|| Request::MemcpyH2D {
-                ptr,
-                offset,
-                data: data.clone(),
-            })?
-            .expect_ok()
-        })
+    /// Copies host bytes into device memory (`cudaMemcpy` H2D). `offset`
+    /// must be word-aligned. The daemon checks the range and lends the
+    /// device run, and this thread writes `data` into it: one pass, no
+    /// copy of the payload anywhere else.
+    pub fn memcpy_h2d(&self, ptr: SlatePtr, offset: usize, data: &[u8]) -> Result<(), SlateError> {
+        self.h2d(ptr, offset, data.len())?
+            .copy_from_host(offset, data);
+        Ok(())
     }
 
-    /// Convenience: uploads a slice of f32s. One pass fills the payload
-    /// (allocated once, at its final size), which the daemon then reads in
-    /// place.
+    /// Convenience: uploads a slice of f32s. Like
+    /// [`SlateClient::memcpy_h2d`], the words go straight from `data` into
+    /// the lent device run, with no byte vector between.
     pub fn upload_f32(&self, ptr: SlatePtr, data: &[f32]) -> Result<(), SlateError> {
-        let words: Vec<[u8; 4]> = data.iter().map(|f| f.to_le_bytes()).collect();
-        self.memcpy_h2d(ptr, 0, words.into_flattened().into())
+        self.h2d(ptr, 0, size_of_val(data))?
+            .write_f32_slice(0, data);
+        Ok(())
+    }
+
+    /// Asks the daemon for the device run `len` bytes long at `offset`:
+    /// the buffer, once the session has checked the range, for the caller
+    /// to write on its own thread and drop before it returns.
+    fn h2d(&self, ptr: SlatePtr, offset: usize, len: usize) -> Result<Arc<GpuBuffer>, SlateError> {
+        self.guarded(|| {
+            self.call(|| Request::MemcpyH2D { ptr, offset, len })?
+                .expect_run()
+        })
     }
 
     /// Copies device memory back to the host. `offset` must be
@@ -449,7 +455,8 @@ impl SlateClient {
     /// payload: made here, at its final size, and filled by the daemon in
     /// one pass. It is reserved before the daemon checks the range, as a
     /// CUDA client owns its destination before it copies: `len` must be a
-    /// length this process can hold.
+    /// length this process can hold, and one no vector can hold is
+    /// [`SlateError::InvalidValue`] before anything is reserved.
     pub fn memcpy_d2h(
         &self,
         ptr: SlatePtr,
@@ -467,7 +474,12 @@ impl SlateClient {
     /// words land in the vector returned as `f32`s, with no byte vector
     /// between.
     pub fn download_f32(&self, ptr: SlatePtr, n: usize) -> Result<Vec<f32>, SlateError> {
-        match self.d2h(ptr, 0, n * 4, || HostBuf::F32(Vec::with_capacity(n)))? {
+        let len = n.checked_mul(4).ok_or_else(|| {
+            SlateError::InvalidValue(format!(
+                "memcpy of {n} words is longer than any host vector"
+            ))
+        })?;
+        match self.d2h(ptr, 0, len, || HostBuf::F32(Vec::with_capacity(n)))? {
             HostBuf::F32(words) => Ok(words),
             HostBuf::Bytes(_) => Err(SlateError::Other("expected f32s, got bytes".into())),
         }
@@ -476,7 +488,8 @@ impl SlateClient {
     /// One device-to-host copy into a destination from `into`. It is
     /// called once per send, inside the `call` closure, so a retry or a
     /// re-attach sends a fresh vector and never reuses one the daemon may
-    /// have dropped.
+    /// have dropped. A `len` past `isize::MAX` bytes, which no vector can
+    /// reserve, is refused here, before `into` runs.
     fn d2h(
         &self,
         ptr: SlatePtr,
@@ -484,6 +497,11 @@ impl SlateClient {
         len: usize,
         into: impl Fn() -> HostBuf,
     ) -> Result<HostBuf, SlateError> {
+        if isize::try_from(len).is_err() {
+            return Err(SlateError::InvalidValue(format!(
+                "memcpy of {len} bytes at offset {offset} is longer than any host vector"
+            )));
+        }
         self.guarded(|| {
             self.call(|| Request::MemcpyD2H {
                 ptr,

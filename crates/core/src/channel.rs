@@ -2,27 +2,30 @@
 //!
 //! Slate uses two communication channels per client: a *command pipe* for
 //! API instructions (modelled by a crossbeam channel pair) and *shared
-//! buffers* for bulk kernel IO (modelled by [`bytes::Bytes`], whose
-//! reference-counted storage moves between processes without copying —
-//! exactly the property the paper wants from shared memory for gigabyte
-//! payloads).
+//! buffers* for bulk kernel IO. Here the device is host memory, so the
+//! shared buffer of an upload is the device run itself: the daemon checks
+//! the range and lends the run, and the client's one write into it is the
+//! transfer.
 //!
-//! **What is shared and what is copied.** A payload crosses the channel as
-//! a handle: `Request::MemcpyH2D` carries the client's own vector
-//! (`Bytes::from(vec)` keeps it), and `Request::MemcpyD2H` carries the
-//! client's own destination, a `HostBuf` sent empty with the transfer's
-//! length reserved, which `Response::Data` hands back filled. Sending,
-//! receiving, retrying and resending a payload copy nothing. What does
-//! touch every byte is one boundary pass per direction — and nothing else:
+//! **What is shared and what is copied.** No payload crosses the channel.
+//! `Request::MemcpyH2D` carries only the range; the session thread runs
+//! its checks (fault-plan stall, pointer, alignment, the bytes asked for at
+//! `malloc`) and replies `Response::Run` with the device buffer, which the
+//! client writes on its own thread and drops before the call returns — the
+//! pipe and `Response` are crate-private, so a lent run never leaves
+//! `SlateClient`. `Request::MemcpyD2H` carries the client's own
+//! destination, a `HostBuf` sent empty with the transfer's length
+//! reserved, which `Response::Data` hands back filled. Sending, receiving,
+//! retrying and resending copy nothing. What does touch every byte is one
+//! boundary pass per direction — and nothing else:
 //!
 //! | pass over an `n`-byte payload | where | what it does |
 //! |---|---|---|
-//! | H2D 1 | `SlateClient::upload_f32` | `f32`s → little-endian bytes, one pass into one `n`-byte vector (`memcpy_h2d` callers bring their own `Bytes` and skip it) |
-//! | H2D 2 | `GpuBuffer::copy_from_host` (session thread) | reads the client's vector in place: one relaxed store per device word |
+//! | H2D 1 | `GpuBuffer::write_f32_slice` (`upload_f32`) / `copy_from_host` (`memcpy_h2d`), on the client's thread | reads the client's slice in place: one relaxed store per device word of the lent run |
 //! | D2H 1 | `GpuBuffer::append_f32` / `append_bytes` (session thread) | one relaxed load per device word, appended to the client's vector: no zero fill, no byte re-encoding for `download_f32`, no second vector |
 //!
-//! Allocations of payload size: one per upload, one per download, each on
-//! the client's thread — pinned process-wide by
+//! Allocations of payload size: none per upload, one per download, on the
+//! client's thread — pinned process-wide by
 //! `crates/core/tests/memcpy_passes.rs`. The thread matters: with the
 //! reply allocated on the session thread instead, glibc's per-thread
 //! arenas kept less freed memory mapped, and the fresh device buffers of
@@ -41,7 +44,6 @@
 //! error, at the client's next `Sync`.
 
 use crate::error::SlateError;
-use bytes::Bytes;
 use slate_gpu_sim::buffer::GpuBuffer;
 use slate_kernels::kernel::GpuKernel;
 use std::sync::Arc;
@@ -95,14 +97,15 @@ pub(crate) enum Request {
     Malloc(u64),
     /// `slateFree(ptr)`.
     Free(SlatePtr),
-    /// `slateMemcpy` host-to-device through a shared buffer.
+    /// `slateMemcpy` host-to-device: asks for the checked device run,
+    /// which [`Response::Run`] lends for the client to write.
     MemcpyH2D {
         /// Destination allocation.
         ptr: SlatePtr,
         /// Byte offset into the allocation (word-aligned).
         offset: usize,
-        /// Payload, handed over without copying.
-        data: Bytes,
+        /// Bytes the client will write.
+        len: usize,
     },
     /// `slateMemcpy` device-to-host, into the client's own vector.
     MemcpyD2H {
@@ -137,10 +140,13 @@ pub(crate) enum HostBuf {
 }
 
 /// Daemon replies.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(crate) enum Response {
     /// New allocation handle.
     Ptr(SlatePtr),
+    /// Host-to-device: the device buffer whose range the session checked,
+    /// lent for the client to write in place.
+    Run(Arc<GpuBuffer>),
     /// Device-to-host payload: the request's [`HostBuf`], filled.
     Data(HostBuf),
     /// Success without payload.
@@ -156,6 +162,15 @@ impl Response {
             Response::Ptr(p) => Ok(p),
             Response::Err(e) => Err(SlateError::from_wire(&e)),
             other => Err(SlateError::Other(format!("expected Ptr, got {other:?}"))),
+        }
+    }
+
+    /// Unwraps an expected `Run` response.
+    pub(crate) fn expect_run(self) -> Result<Arc<GpuBuffer>, SlateError> {
+        match self {
+            Response::Run(run) => Ok(run),
+            Response::Err(e) => Err(SlateError::from_wire(&e)),
+            other => Err(SlateError::Other(format!("expected Run, got {other:?}"))),
         }
     }
 
@@ -212,6 +227,12 @@ mod tests {
             HostBuf::Bytes(b"xy".to_vec())
         );
         assert!(Response::Ok.expect_ok().is_ok());
+        let run = Arc::new(GpuBuffer::new(8));
+        assert!(Arc::ptr_eq(
+            &Response::Run(run.clone()).expect_run().unwrap(),
+            &run
+        ));
+        assert!(Response::Ok.expect_run().is_err());
     }
 
     #[test]
@@ -224,13 +245,5 @@ mod tests {
             shed.expect_ok().unwrap_err(),
             SlateError::Overloaded { retry_after_ms: 7 }
         );
-    }
-
-    #[test]
-    fn bytes_are_shared_not_copied() {
-        let payload = Bytes::from(vec![1u8; 1 << 20]);
-        let clone = payload.clone();
-        // Same backing storage: cloning a Bytes is refcount-only.
-        assert_eq!(clone.as_ptr(), payload.as_ptr());
     }
 }

@@ -362,10 +362,10 @@ impl Session {
                     .map_err(SlateError::Other)?;
                 Response::Ok
             }
-            Request::MemcpyH2D { ptr, offset, data } => {
-                self.memcpy_target(ptr, offset, data.len(), false)?
-                    .copy_from_host(offset, &data);
-                Response::Ok
+            // The checked run, lent: the client writes it on its own
+            // thread (`channel.rs`), so this thread touches no byte.
+            Request::MemcpyH2D { ptr, offset, len } => {
+                Response::Run(self.memcpy_target(ptr, offset, len, false)?)
             }
             Request::MemcpyD2H {
                 ptr,
@@ -453,8 +453,8 @@ impl Session {
     /// The buffer behind `ptr`, once `[offset, offset + len)` is known to
     /// be word-aligned (`len` too, when the copy moves `words`) and inside
     /// it. Offset and length are the client's: out of range they are a
-    /// typed error here, before the device run is touched — never the
-    /// buffer's own assertion on this thread.
+    /// typed error here, before the device run is touched or lent — never
+    /// the buffer's own assertion on this thread or the client's.
     fn memcpy_target(
         &self,
         ptr: SlatePtr,

@@ -4,7 +4,7 @@
 use super::*;
 use crate::api::SlateClient;
 use crate::arbiter::Command;
-use crate::channel::{HostBuf, Request, Response, SlatePtr};
+use crate::channel::{HostBuf, Request, SlatePtr};
 use slate_gpu_sim::buffer::GpuBuffer;
 use slate_gpu_sim::perf::KernelPerf;
 use slate_kernels::grid::{BlockCoord, GridDim};
@@ -54,7 +54,7 @@ fn end_to_end_malloc_copy_launch_sync_readback() {
     let in_ptr = client.malloc((n * 4) as u64).unwrap();
     let out_ptr = client.malloc((n * 4) as u64).unwrap();
     let bytes: Vec<u8> = input.iter().flat_map(|f| f.to_le_bytes()).collect();
-    client.memcpy_h2d(in_ptr, 0, bytes.into()).unwrap();
+    client.memcpy_h2d(in_ptr, 0, &bytes).unwrap();
     client
         .launch_with(
             vec![in_ptr, out_ptr],
@@ -177,6 +177,7 @@ fn a_download_returns_len_not_the_reserved_capacity() {
         assert!(conn.tx.send(req).is_ok(), "the session is up");
         conn.rx.recv().unwrap()
     };
+    let h2d = |ptr, offset, len| rpc(Request::MemcpyH2D { ptr, offset, len }).expect_run();
     let d2h = |ptr, len, into| {
         rpc(Request::MemcpyD2H {
             ptr,
@@ -184,41 +185,55 @@ fn a_download_returns_len_not_the_reserved_capacity() {
             len,
             into,
         })
+        .expect_data()
     };
     let ptr = rpc(Request::Malloc(64)).expect_ptr().unwrap();
     let host: Vec<u8> = (0..64).collect();
-    let sent = rpc(Request::MemcpyH2D {
-        ptr,
-        offset: 0,
-        data: host.clone().into(),
-    });
-    assert_eq!(sent, Response::Ok);
+    // The session lends the checked run, and what is written through it
+    // is what a following download reads.
+    h2d(ptr, 0, 64).unwrap().copy_from_host(0, &host);
     // Reserved for all 64 bytes; 12 asked for, at offset 4.
     let bytes = d2h(ptr, 12, HostBuf::Bytes(Vec::with_capacity(64)));
-    assert_eq!(bytes, Response::Data(HostBuf::Bytes(host[4..16].to_vec())));
+    assert_eq!(bytes, Ok(HostBuf::Bytes(host[4..16].to_vec())));
     let words = d2h(ptr, 12, HostBuf::F32(Vec::with_capacity(16)));
     let want: Vec<f32> = host[4..16]
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
         .collect();
-    assert_eq!(words, Response::Data(HostBuf::F32(want)));
+    assert_eq!(words, Ok(HostBuf::F32(want)));
     // Whole words only into f32s: a typed error, as a misaligned offset is.
-    let odd = d2h(ptr, 6, HostBuf::F32(Vec::with_capacity(2))).expect_data();
+    let odd = d2h(ptr, 6, HostBuf::F32(Vec::with_capacity(2)));
     assert!(
         matches!(&odd, Err(SlateError::InvalidValue(why)) if why.contains("not word-aligned")),
         "{odd:?}"
     );
 
-    // A freed pointer is the typed error, and the session serves on.
+    // An upload's range is checked before any run is lent: a misaligned
+    // offset and a range past the bytes asked for at `malloc` (10, not the
+    // 12 backing them) are typed errors.
+    let refused = |out: Result<Arc<GpuBuffer>, SlateError>, why: &str| {
+        assert!(
+            matches!(&out, Err(SlateError::InvalidValue(w)) if w.contains(why)),
+            "{out:?}"
+        );
+    };
+    refused(h2d(ptr, 2, 4), "not word-aligned");
+    let ten = rpc(Request::Malloc(10)).expect_ptr().unwrap();
+    refused(h2d(ten, 0, 12), "out of bounds");
+    refused(h2d(ptr, 60, 8), "out of bounds");
+
+    // A freed pointer is the typed error both ways, and the session serves
+    // on.
     let gone = rpc(Request::Malloc(16)).expect_ptr().unwrap();
-    assert_eq!(rpc(Request::Free(gone)), Response::Ok);
-    let freed = d2h(gone, 4, HostBuf::F32(Vec::with_capacity(64)));
+    assert_eq!(rpc(Request::Free(gone)).expect_ok(), Ok(()));
     assert_eq!(
-        freed.expect_data(),
+        h2d(gone, 0, 4).map(drop),
         Err(SlateError::InvalidPointer { ptr: gone.0 })
     );
+    let freed = d2h(gone, 4, HostBuf::F32(Vec::with_capacity(64)));
+    assert_eq!(freed, Err(SlateError::InvalidPointer { ptr: gone.0 }));
     let whole = d2h(ptr, 60, HostBuf::Bytes(Vec::with_capacity(60)));
-    assert_eq!(whole, Response::Data(HostBuf::Bytes(host[4..].to_vec())));
+    assert_eq!(whole, Ok(HostBuf::Bytes(host[4..].to_vec())));
     assert!(conn.tx.send(Request::Disconnect).is_ok());
     daemon.join();
 }

@@ -261,15 +261,19 @@ fn out_of_range_memcpy_is_a_typed_error_and_the_session_keeps_serving() {
     invalid(client.memcpy_d2h(ptr, 0, 4096).map(drop));
     invalid(client.memcpy_d2h(ptr, 2, 4).map(drop));
     invalid(client.memcpy_d2h(ptr, usize::MAX - 3, 8).map(drop));
-    invalid(client.memcpy_h2d(ptr, 60, vec![0u8; 8].into()));
-    invalid(client.memcpy_h2d(ptr, 6, vec![0u8; 4].into()));
+    // Lengths no host vector can hold: refused before the client reserves
+    // a destination for them, instead of a panic on the client.
+    invalid(client.download_f32(ptr, usize::MAX / 2).map(drop));
+    invalid(client.memcpy_d2h(ptr, 0, isize::MAX as usize + 1).map(drop));
+    invalid(client.memcpy_h2d(ptr, 60, &[0u8; 8]));
+    invalid(client.memcpy_h2d(ptr, 6, &[0u8; 4]));
     // An allocation ends at the bytes asked for, not at the word that
     // backs the last of them: 10 bytes take 10 and give 10 back, not 12.
     let odd = client.malloc(10).unwrap();
-    invalid(client.memcpy_h2d(odd, 0, vec![7u8; 12].into()));
+    invalid(client.memcpy_h2d(odd, 0, &[7u8; 12]));
     invalid(client.memcpy_d2h(odd, 0, 12).map(drop));
     invalid(client.memcpy_d2h(odd, 8, 4).map(drop));
-    client.memcpy_h2d(odd, 0, vec![7u8; 10].into()).unwrap();
+    client.memcpy_h2d(odd, 0, &[7u8; 10]).unwrap();
     assert_eq!(client.memcpy_d2h(odd, 0, 10).unwrap(), [7u8; 10]);
     assert_eq!(client.memcpy_d2h(odd, 8, 2).unwrap(), [7u8; 2]);
     // The session is alive and the allocation intact, end to end.
