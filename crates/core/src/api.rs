@@ -3,7 +3,9 @@
 //! "The *Slate* API acts as a wrapper for basic CUDA functions" — this is
 //! the library an application links instead of the CUDA runtime. Every call
 //! round-trips the command pipe to the daemon except kernel launches, which
-//! are asynchronous exactly like CUDA launches; `synchronize` drains them.
+//! are asynchronous exactly like CUDA launches; `synchronize` drains them,
+//! with no round trip when the session has already run them all (the
+//! completion watermark, `channel.rs`).
 //!
 //! | CUDA | Slate |
 //! |------|-------|
@@ -20,6 +22,7 @@ use crate::error::SlateError;
 use slate_gpu_sim::buffer::GpuBuffer;
 use slate_kernels::kernel::GpuKernel;
 use std::cell::{Cell, RefCell};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -259,7 +262,12 @@ impl CircuitBreaker {
 /// the CUDA-like API surface.
 pub struct SlateClient {
     conn: RefCell<Connection>,
-    pending_launches: Cell<u64>,
+    /// Launches put on the connection since the last fence, resubmissions
+    /// by [`SlateClient::reattach`] included.
+    unfenced: Cell<u64>,
+    /// The connection's completion watermark as the last fence left it;
+    /// `None` until a resumed connection's first fence.
+    done_at_fence: Cell<Option<u64>>,
     /// Next client-assigned launch id; monotonic for the session's
     /// lifetime, across crash resumptions.
     next_launch_id: Cell<u64>,
@@ -281,8 +289,9 @@ impl SlateClient {
     pub fn new(conn: Connection) -> Self {
         Self {
             next_launch_id: Cell::new(conn.launch_floor),
+            done_at_fence: Cell::new((!conn.resumed).then_some(0)),
             conn: RefCell::new(conn),
-            pending_launches: Cell::new(0),
+            unfenced: Cell::new(0),
             pending_replay: RefCell::new(Vec::new()),
             reattach_to: RefCell::new(None),
             retry: None,
@@ -354,11 +363,13 @@ impl SlateClient {
         self.next_launch_id
             .set(self.next_launch_id.get().max(fresh.launch_floor));
         *self.conn.borrow_mut() = fresh;
+        self.done_at_fence.set(None);
         let conn = self.conn.borrow();
         for (cmd, factory) in self.pending_replay.borrow().iter() {
             conn.tx
                 .send(Request::Launch(cmd.clone(), once(factory)))
                 .map_err(|_| SlateError::Disconnected)?;
+            self.unfenced.set(self.unfenced.get() + 1);
         }
         Ok(())
     }
@@ -661,16 +672,17 @@ impl SlateClient {
             .map_err(|_| SlateError::Disconnected);
         if sent.is_err() {
             if replayable && self.reattach_to.borrow().is_some() {
-                // reattach() resubmits every pending replayable launch,
-                // including the one recorded above.
+                // reattach() resubmits, and counts, every pending
+                // replayable launch, including the one recorded above.
                 self.reattach()?;
             } else {
                 // A consumed FnOnce factory cannot be resent; surface the
                 // severed connection instead of silently dropping work.
                 sent?;
             }
+        } else {
+            self.unfenced.set(self.unfenced.get() + 1);
         }
-        self.pending_launches.set(self.pending_launches.get() + 1);
         Ok(())
     }
 
@@ -680,6 +692,12 @@ impl SlateClient {
     /// [`SlateClient::last_sync_failures`]. The outcome feeds the circuit
     /// breaker (if installed): this is where `Overloaded` sheds and
     /// watchdog `Timeout`s from asynchronous launches surface.
+    ///
+    /// When the session has already run every launch sent since the last
+    /// fence to completion, nothing is left to wait for or report, and
+    /// this returns `Ok` without a round trip to the daemon. Otherwise —
+    /// a launch still running, failed, shed, evicted or parked by a crash,
+    /// or a resumed connection's first fence — it sends the fence.
     pub fn synchronize(&self) -> Result<(), SlateError> {
         let out = self.synchronize_inner();
         if let Some(b) = &self.breaker {
@@ -689,10 +707,20 @@ impl SlateClient {
     }
 
     fn synchronize_inner(&self) -> Result<(), SlateError> {
-        // The session thread serves requests in order, so one round trip
-        // fences all prior launches. Failed launches reply with their error
-        // ahead of the sync's Ok. A mid-sync daemon crash severs the pipe;
-        // with reattachment installed the session is resumed, unconfirmed
+        // The watermark covers every launch sent since the last fence:
+        // each one completed, so no error is queued for it either.
+        let covered = self.done_at_fence.get().is_some_and(|at_fence| {
+            self.conn.borrow().done.load(Ordering::Acquire) >= at_fence + self.unfenced.get()
+        });
+        if covered {
+            self.fenced(0);
+            return Ok(());
+        }
+        // The session thread serves requests in order and its stream lanes
+        // ack the fence behind their launches, so one round trip fences all
+        // prior launches. Failed launches reply with their error ahead of
+        // the sync's Ok. A mid-sync daemon crash severs the pipe; with
+        // reattachment installed the session is resumed, unconfirmed
         // replayable launches resubmitted, and the fence reissued.
         let (first, failures) = self.with_reattach(|conn| {
             conn.tx
@@ -718,15 +746,23 @@ impl SlateClient {
             }
             Ok((first, failures))
         })?;
-        self.pending_launches.set(0);
-        self.last_sync_failures.set(failures);
-        // The fence acknowledged every prior launch (success or error):
-        // nothing is left to replay after a future crash.
-        self.pending_replay.borrow_mut().clear();
+        self.fenced(failures);
         match first {
             None => Ok(()),
             Some(e) => Err(e),
         }
+    }
+
+    /// Every launch sent so far ended, `failures` of them in error:
+    /// nothing is left to replay after a future crash, and the counts
+    /// start again from the watermark as it now stands (no launch of the
+    /// connection is in flight to move it).
+    fn fenced(&self, failures: u64) {
+        self.last_sync_failures.set(failures);
+        self.pending_replay.borrow_mut().clear();
+        self.unfenced.set(0);
+        let done = self.conn.borrow().done.load(Ordering::Acquire);
+        self.done_at_fence.set(Some(done));
     }
 
     /// Launch errors surfaced by the most recent
@@ -739,11 +775,12 @@ impl SlateClient {
 
     /// Ends the session; the daemon frees any leaked allocations.
     ///
-    /// Pending launches are fenced first (a `Sync` round trip), so an
-    /// in-flight launch error is surfaced here instead of being silently
-    /// dropped with the session.
+    /// Launches sent since the last fence are fenced first, by
+    /// [`SlateClient::synchronize`] (a round trip unless all of them
+    /// already completed), so an in-flight launch error is surfaced here
+    /// instead of being silently dropped with the session.
     pub fn disconnect(self) -> Result<(), SlateError> {
-        let pending = if self.pending_launches.get() > 0 {
+        let pending = if self.unfenced.get() > 0 {
             self.synchronize().err()
         } else {
             None
@@ -784,8 +821,170 @@ pub fn resume_with_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::daemon::SlateDaemon;
+    use crate::daemon::{DaemonOptions, SlateDaemon};
+    use crate::DurabilityOptions;
+    use crossbeam::channel::{unbounded, Receiver, Sender};
     use slate_gpu_sim::device::DeviceConfig;
+    use std::sync::atomic::AtomicU64;
+
+    /// The daemon end of a scripted pipe: the test reads what the client
+    /// sent, queues the replies it will read, and moves the completion
+    /// watermark by hand.
+    struct Scripted {
+        requests: Receiver<Request>,
+        replies: Sender<Response>,
+        done: Arc<AtomicU64>,
+    }
+
+    impl Scripted {
+        /// Reads every request the client sent since the last call: how
+        /// many launches, and whether a fence came last.
+        fn sent(&self) -> (usize, bool) {
+            let (mut launches, mut fence) = (0, false);
+            while let Ok(req) = self.requests.try_recv() {
+                fence = matches!(req, Request::Sync);
+                launches += usize::from(matches!(req, Request::Launch(..)));
+            }
+            (launches, fence)
+        }
+
+        fn finish(&self, launches: u64) {
+            self.done.fetch_add(launches, Ordering::Release);
+        }
+
+        /// `c.synchronize()` where no fence may be sent. A poisoned reply
+        /// waits in the pipe meanwhile, so a fence sent by mistake fails
+        /// the call instead of blocking it; it is taken back after.
+        fn sync_skipping(&self, c: &SlateClient) -> Result<(), SlateError> {
+            let poison = SlateError::Other("a fence was sent".into());
+            self.replies.send(Response::Err(poison.to_wire())).unwrap();
+            self.replies.send(Response::Ok).unwrap();
+            let out = c.synchronize();
+            let conn = c.conn.borrow();
+            while conn.rx.try_recv().is_ok() {}
+            out
+        }
+    }
+
+    /// A client of `session` over a pipe whose daemon end is scripted.
+    fn scripted(session: u64) -> (SlateClient, Scripted) {
+        let (tx, requests) = unbounded();
+        let (replies, rx) = unbounded();
+        let done = Arc::new(AtomicU64::new(0));
+        let conn = Connection {
+            session,
+            epoch: 0,
+            launch_floor: 0,
+            tx,
+            rx,
+            done: done.clone(),
+            resumed: false,
+        };
+        let daemon_end = Scripted {
+            requests,
+            replies,
+            done,
+        };
+        (SlateClient::new(conn), daemon_end)
+    }
+
+    fn launch(c: &SlateClient) {
+        c.launch_with(vec![], 1, None, |_| unreachable!("the script runs nothing"))
+            .unwrap();
+    }
+
+    #[test]
+    fn a_sync_after_every_launch_finished_sends_no_fence() {
+        let (c, d) = scripted(1);
+        launch(&c);
+        launch(&c);
+        d.finish(2);
+        d.sync_skipping(&c).unwrap();
+        assert_eq!(d.sent(), (2, false), "no fence crossed the pipe");
+        assert_eq!(c.last_sync_failures(), 0);
+        // Nothing sent since: nothing to fence.
+        d.sync_skipping(&c).unwrap();
+        assert_eq!(d.sent(), (0, false));
+    }
+
+    #[test]
+    fn a_sync_with_a_launch_unfinished_sends_the_fence() {
+        let (c, d) = scripted(1);
+        launch(&c);
+        launch(&c);
+        d.finish(1);
+        d.replies.send(Response::Ok).unwrap();
+        c.synchronize().unwrap();
+        assert_eq!(d.sent(), (2, true));
+    }
+
+    #[test]
+    fn a_failed_launch_is_fenced_and_the_next_completed_one_skips_again() {
+        let (c, d) = scripted(1);
+        launch(&c);
+        launch(&c);
+        // One launch ran; the other was shed and its error is queued.
+        d.finish(1);
+        let shed = SlateError::Overloaded { retry_after_ms: 3 };
+        d.replies.send(Response::Err(shed.to_wire())).unwrap();
+        d.replies.send(Response::Ok).unwrap();
+        assert_eq!(c.synchronize(), Err(shed));
+        assert_eq!(d.sent(), (2, true));
+        assert_eq!(c.last_sync_failures(), 1);
+        // The fence re-based both counts: the failed launch does not turn
+        // the skip off for the rest of the connection.
+        launch(&c);
+        d.finish(1);
+        d.sync_skipping(&c).unwrap();
+        assert_eq!(d.sent(), (1, false));
+        assert_eq!(c.last_sync_failures(), 0);
+    }
+
+    #[test]
+    fn launches_resubmitted_by_reattach_count_as_sent() {
+        let dir = std::env::temp_dir().join(format!("slate-api-reattach-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let opts = || DaemonOptions {
+            durability: Some(DurabilityOptions {
+                dir: dir.clone(),
+                snapshot_every: 8,
+                keep_all: false,
+            }),
+            ..Default::default()
+        };
+        let crashed = SlateDaemon::start_with_options(DeviceConfig::tiny(2), 1 << 20, opts());
+        // A session left open at the kill, for the client to resume.
+        let open = crashed.connect("u").unwrap();
+        let recovered = SlateDaemon::recover(crashed.crash(), opts()).unwrap();
+        let (c, d) = scripted(open.session);
+        c.install_reattach(&recovered);
+        launch(&c);
+        // The pipe dies under the next replayable launch: the client
+        // resumes and resubmits it on the new connection, where it fails
+        // (the pointer is bogus).
+        drop(d);
+        c.launch_replayable(vec![SlatePtr(0xbad)], 1, None, |_| unreachable!())
+            .unwrap();
+        assert_eq!(c.resume_token().epoch, recovered.epoch(), "reattached");
+        assert_eq!(
+            c.unfenced.get(),
+            2,
+            "the first launch, then the resubmission"
+        );
+        assert_eq!(
+            c.done_at_fence.get(),
+            None,
+            "a resumed connection owes a fence"
+        );
+        assert_eq!(
+            c.synchronize(),
+            Err(SlateError::InvalidPointer { ptr: 0xbad })
+        );
+        assert_eq!(c.last_sync_failures(), 1);
+        c.disconnect().unwrap();
+        recovered.join();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn upload_download_roundtrip() {

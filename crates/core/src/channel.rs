@@ -42,6 +42,13 @@
 //! (`Response::is_overloaded` spots these without unwrapping). For
 //! asynchronous launches the shed reply is delivered, like any launch
 //! error, at the client's next `Sync`.
+//!
+//! **The completion watermark.** Beside the pipe, each connection shares
+//! one counter with its session (`Connection::done`): how many of its
+//! launches ran to completion. A launch that failed, was shed or was
+//! parked by a crash never counts, so when the counter covers every
+//! launch sent since the last fence no error can be queued either, and
+//! `SlateClient::synchronize` returns without sending `Request::Sync`.
 
 use crate::error::SlateError;
 use slate_gpu_sim::buffer::GpuBuffer;
@@ -123,7 +130,10 @@ pub(crate) enum Request {
     /// `slateLaunchKernel` — asynchronous, like CUDA launches. The factory
     /// is invoked daemon-side after pointer resolution.
     Launch(LaunchCmd, KernelFactory),
-    /// `slateDeviceSynchronize` — replies once all prior launches finished.
+    /// `slateDeviceSynchronize` — replies once all prior launches finished,
+    /// each failed one's error ahead of the `Ok`. Sent only when the
+    /// completion watermark does not already cover every launch since the
+    /// last fence (or the connection is resumed and owes its first).
     Sync,
     /// Session teardown.
     Disconnect,

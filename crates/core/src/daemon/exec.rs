@@ -51,6 +51,16 @@ impl Launch {
     }
 }
 
+/// How a launch that returned no error ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Ended {
+    /// Every block ran, `LaunchDone` is logged and `KernelFinished` fed.
+    Done,
+    /// A crash cut it off: it is parked in the crash scene at its
+    /// progress, and the recovered daemon's adoption pass owns it.
+    Parked,
+}
+
 /// A kernel whose every block parks on a [`FaultToken`] until the watchdog
 /// cancels it — the functional model of a kernel that never terminates.
 struct HungKernel {
@@ -84,7 +94,7 @@ impl GpuKernel for HungKernel {
 /// The kernel is the client's code running on a daemon thread: a panic in
 /// it is contained here and surfaces as [`SlateError::KernelFault`], the
 /// thread (a session's, a lane's) keeps serving.
-pub(super) fn execute(shared: &Arc<DaemonShared>, launch: Launch) -> Result<(), SlateError> {
+pub(super) fn execute(shared: &Arc<DaemonShared>, launch: Launch) -> Result<Ended, SlateError> {
     let lease = launch.lease;
     // Whether the core still waits for a `KernelFinished` of this launch.
     let mut owed = true;
@@ -111,12 +121,13 @@ pub(super) fn panic_text(panic: &(dyn std::any::Any + Send)) -> &str {
 
 /// Profiles, transforms and dispatches `launch`, clearing `owed` once its
 /// completion is fed. If the daemon crashes at any point the launch is
-/// parked in the crash scene at its current progress and `Ok` returned —
+/// parked in the crash scene at its current progress and
+/// [`Ended::Parked`] returned —
 /// the recovered daemon's adoption pass owns it from there, and the
 /// WAL-level `LaunchDone` record is written *before* the completion is fed
 /// to the core, so a kill between the two re-drains zero blocks rather
 /// than re-executing any.
-fn drive(shared: &Arc<DaemonShared>, launch: Launch, owed: &mut bool) -> Result<(), SlateError> {
+fn drive(shared: &Arc<DaemonShared>, launch: Launch, owed: &mut bool) -> Result<Ended, SlateError> {
     let lease = launch.lease;
     let park = |launch: Launch, progress: u64, ready: bool| {
         shared.crash_inflight.lock().push(Launch {
@@ -214,7 +225,7 @@ fn drive(shared: &Arc<DaemonShared>, launch: Launch, owed: &mut bool) -> Result<
                 GrantWait::Crashed { ready_fed } => {
                     *owed = false;
                     park(launch, carried, ready_fed);
-                    return Ok(());
+                    return Ok(Ended::Parked);
                 }
             };
         if range != SmRange::all(shared.devices[granted_on].num_sms) {
@@ -229,7 +240,7 @@ fn drive(shared: &Arc<DaemonShared>, launch: Launch, owed: &mut bool) -> Result<
             // eviction, not a scheduling decision: park at the carried
             // progress.
             park(launch, out.blocks, true);
-            return Ok(());
+            return Ok(Ended::Parked);
         }
         // A migration target must be read before KernelFinished lands:
         // that feed completes the migration and flips the lease's route.
@@ -248,7 +259,7 @@ fn drive(shared: &Arc<DaemonShared>, launch: Launch, owed: &mut bool) -> Result<
             // adoption re-run resumes at full progress and drains zero
             // blocks, closing the launch in the recovered core.
             park(launch, out.blocks, true);
-            return Ok(());
+            return Ok(Ended::Parked);
         }
         if migrated {
             carried = out.blocks;
@@ -272,5 +283,5 @@ fn drive(shared: &Arc<DaemonShared>, launch: Launch, owed: &mut bool) -> Result<
     }
     debug_assert!(out.blocks == grid_blocks);
     shared.launches.fetch_add(1, Ordering::Relaxed);
-    Ok(())
+    Ok(Ended::Done)
 }

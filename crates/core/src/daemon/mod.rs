@@ -252,6 +252,18 @@ pub struct Connection {
     pub(crate) tx: Sender<Request>,
     /// Response pipe, daemon-to-client.
     pub(crate) rx: Receiver<Response>,
+    /// The completion watermark, in memory the client shares with its
+    /// session: how many of this connection's launches ran to completion
+    /// (or, resubmitted, were acknowledged as already done). The session
+    /// and its stream lanes bump it with `Release` once a launch's
+    /// `LaunchDone` is logged and its `KernelFinished` fed; a failed,
+    /// shed, evicted, parked or adopted launch never does. The client
+    /// reads it with `Acquire` and skips the `Sync` round trip when it
+    /// covers every launch sent since the last fence (DESIGN.md §17).
+    pub(crate) done: Arc<AtomicU64>,
+    /// A resumed session: its first fence is always sent, since errors of
+    /// the launches the recovered daemon adopted surface only there.
+    pub(crate) resumed: bool,
 }
 
 impl SlateDaemon {
@@ -402,7 +414,7 @@ impl SlateDaemon {
             }
         }
         let st = session::SessionState::fresh(session);
-        Ok(self.spawn_session(session, user.to_string(), st, 0))
+        Ok(self.spawn_session(session, user.to_string(), st, None))
     }
 
     /// The daemon's recovery epoch: 0 at first start, incremented by every

@@ -222,7 +222,7 @@ impl SlateDaemon {
             .chain(&smeta.done)
             .max()
             .map_or(0, |m| m + 1);
-        Ok(self.spawn_session(session, smeta.user.clone(), st, launch_floor))
+        Ok(self.spawn_session(session, smeta.user.clone(), st, Some(launch_floor)))
     }
 }
 
@@ -245,6 +245,8 @@ fn adopt_session(shared: &Arc<DaemonShared>, session: u64, jobs: Vec<Launch>) {
             shared.arb.finish(lease, false);
         }
         for job in queue {
+            // An adopted launch counts in no watermark: its client's
+            // resumed connection owes a fence anyway.
             if let Err(e) = execute(shared, job) {
                 shared
                     .recovery

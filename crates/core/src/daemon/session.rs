@@ -4,7 +4,7 @@
 //! parked for the next client ([`SessionPool`]), so session churn costs
 //! a hand-off, not a thread.
 
-use super::exec::{execute, panic_text, Launch};
+use super::exec::{execute, panic_text, Ended, Launch};
 use super::{Connection, DaemonShared, SlateDaemon};
 use crate::arbiter::Event as ArbEvent;
 use crate::channel::{HostBuf, KernelFactory, LaunchCmd, Request, Response, SlatePtr};
@@ -16,6 +16,7 @@ use slate_gpu_sim::buffer::{DevicePtr, GpuBuffer};
 use slate_gpu_sim::fault::{FaultKind, FaultSite};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -75,16 +76,22 @@ struct StreamLane {
     handle: JoinHandle<()>,
 }
 
-fn spawn_stream_lane(shared: Arc<DaemonShared>, errors: Arc<Mutex<Vec<SlateError>>>) -> StreamLane {
+fn spawn_stream_lane(
+    shared: Arc<DaemonShared>,
+    errors: Arc<Mutex<Vec<SlateError>>>,
+    done: Arc<AtomicU64>,
+) -> StreamLane {
     let (tx, rx) = unbounded::<LaneMsg>();
     let handle = std::thread::spawn(move || {
         while let Ok(msg) = rx.recv() {
             match msg {
-                LaneMsg::Job(launch) => {
-                    if let Err(e) = execute(&shared, launch) {
-                        errors.lock().push(e);
+                LaneMsg::Job(launch) => match execute(&shared, launch) {
+                    Ok(Ended::Done) => {
+                        done.fetch_add(1, Ordering::Release);
                     }
-                }
+                    Ok(Ended::Parked) => {}
+                    Err(e) => errors.lock().push(e),
+                },
                 LaneMsg::Barrier(ack) => {
                     let _ = ack.send(());
                 }
@@ -114,6 +121,8 @@ struct Session {
     lanes: HashMap<u32, StreamLane>,
     /// Errors of asynchronous launches, surfaced at the next `Sync`.
     stream_errors: Arc<Mutex<Vec<SlateError>>>,
+    /// The connection's completion watermark ([`Connection::done`]).
+    done: Arc<AtomicU64>,
     /// `None` while serving — and still `None` when the thread leaves
     /// because the client vanished (process died, dropped its sender, an
     /// injected `ChannelDrop`) or because it is unwinding from a panic:
@@ -248,16 +257,18 @@ impl SessionPool {
 impl SlateDaemon {
     /// Puts `session` on a thread (one per process for as long as the
     /// process stays connected — §IV-A2) and hands back the client's end
-    /// of its pipes.
+    /// of its pipes and its completion watermark. `launch_floor` is
+    /// `Some` for a session resumed after a crash.
     pub(super) fn spawn_session(
         &self,
         session: u64,
         user: String,
         st: SessionState,
-        launch_floor: u64,
+        launch_floor: Option<u64>,
     ) -> Connection {
         let (tx_req, rx_req) = unbounded::<Request>();
         let (tx_resp, rx_resp) = unbounded::<Response>();
+        let done = Arc::new(AtomicU64::new(0));
         *self.shared.active_sessions.lock() += 1;
         let serving = Session {
             shared: self.shared.clone(),
@@ -267,15 +278,18 @@ impl SlateDaemon {
             tx: tx_resp,
             lanes: HashMap::new(),
             stream_errors: Arc::default(),
+            done: done.clone(),
             exit: None,
         };
         self.pool.serve(serving, rx_req);
         Connection {
             session,
             epoch: self.epoch(),
-            launch_floor,
+            launch_floor: launch_floor.unwrap_or(0),
             tx: tx_req,
             rx: rx_resp,
+            done,
+            resumed: launch_floor.is_some(),
         }
     }
 }
@@ -491,7 +505,10 @@ impl Session {
         if self.st.dedupe.contains(&cmd.launch_id) {
             // A resumed client's blind resubmission of work that already
             // completed (per the WAL) or was adopted from the crash scene:
-            // idempotent, nothing to do.
+            // idempotent, nothing to do but count it done. An adopted
+            // launch's error still surfaces: a resumed connection's first
+            // fence is always sent.
+            self.done.fetch_add(1, Ordering::Release);
             return Ok(());
         }
         // Resolve the client's pointers through the session hash table and
@@ -557,12 +574,18 @@ impl Session {
             ready: false,
         };
         if cmd.stream == 0 {
-            return execute(shared, launch);
+            if execute(shared, launch)? == Ended::Done {
+                self.done.fetch_add(1, Ordering::Release);
+            }
+            return Ok(());
         }
-        let lane = self
-            .lanes
-            .entry(cmd.stream)
-            .or_insert_with(|| spawn_stream_lane(shared.clone(), self.stream_errors.clone()));
+        let lane = self.lanes.entry(cmd.stream).or_insert_with(|| {
+            spawn_stream_lane(
+                shared.clone(),
+                self.stream_errors.clone(),
+                self.done.clone(),
+            )
+        });
         let _ = lane.tx.send(LaneMsg::Job(launch));
         Ok(())
     }

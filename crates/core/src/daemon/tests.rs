@@ -1016,3 +1016,123 @@ fn an_evicted_launch_is_not_counted_as_served() {
     client.disconnect().unwrap();
     daemon.join();
 }
+
+/// The completion watermark counts the launches that ran to completion,
+/// on the default stream and on a lane, bumped before the fence that
+/// follows them is acknowledged; a launch refused before admission, one
+/// that faults and one the watchdog evicts count in none.
+#[test]
+fn the_watermark_counts_completed_launches_and_nothing_else() {
+    use crate::channel::LaunchCmd;
+    use slate_gpu_sim::fault::FaultPlan;
+    let daemon = SlateDaemon::start_with_options(
+        DeviceConfig::tiny(2),
+        1 << 20,
+        DaemonOptions {
+            fault_plan: FaultPlan::new()
+                .fault_launch("double", 2)
+                .hang_kernel("double", 3),
+            ..Default::default()
+        },
+    );
+    let conn = daemon.connect("watermark").unwrap();
+    let send = |req: Request| assert!(conn.tx.send(req).is_ok(), "the session is up");
+    send(Request::Malloc(64));
+    let p = conn.rx.recv().unwrap().expect_ptr().unwrap();
+    let launch = |launch_id, stream, ptr| {
+        let cmd = LaunchCmd {
+            launch_id,
+            ptrs: vec![ptr],
+            task_size: 10,
+            stream,
+            deadline_ms: Some(20),
+            ..LaunchCmd::default()
+        };
+        send(Request::Launch(cmd, Box::new(double_factory(16))));
+    };
+    launch(0, 0, p); // completes on the session thread
+    launch(1, 1, p); // injected fault, on lane 1
+    launch(2, 1, p); // hangs until the watchdog evicts it
+    launch(3, 1, p); // completes on lane 1
+    launch(4, 2, SlatePtr(0xbad)); // refused before admission
+    send(Request::Sync);
+    let mut errors = Vec::new();
+    loop {
+        match conn.rx.recv().unwrap() {
+            Response::Ok => break,
+            Response::Err(e) => errors.push(SlateError::from_wire(&e)),
+            _ => panic!("unexpected reply to a sync"),
+        }
+    }
+    assert_eq!(errors.len(), 3, "{errors:?}");
+    assert_eq!(conn.done.load(Ordering::Acquire), 2);
+    send(Request::Disconnect);
+    assert!(matches!(conn.rx.recv().unwrap(), Response::Ok));
+    daemon.join();
+}
+
+/// Doubles `out[0]` once `gate` opens: a launch the test holds in flight.
+struct Gated {
+    gate: Arc<AtomicBool>,
+    out: Arc<GpuBuffer>,
+}
+impl GpuKernel for Gated {
+    fn name(&self) -> &str {
+        "gated"
+    }
+    fn grid(&self) -> GridDim {
+        GridDim::d1(1)
+    }
+    fn perf(&self) -> KernelPerf {
+        KernelPerf::synthetic("gated", 500.0, 1024.0)
+    }
+    fn run_block(&self, _: BlockCoord) {
+        while !self.gate.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.out.store_f32(0, self.out.load_f32(0) * 2.0);
+    }
+}
+
+/// A launch held in flight on a stream lane keeps `synchronize` waiting
+/// until the lane finishes it, although the session thread is idle and
+/// every default-stream launch completed: the watermark moves only when
+/// the lane's launch completes, so the fence cannot be skipped early.
+#[test]
+fn a_launch_held_on_a_stream_lane_keeps_synchronize_waiting() {
+    let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);
+    let client = SlateClient::new(daemon.connect("held").unwrap());
+    let p = client.malloc(4).unwrap();
+    client.upload_f32(p, &[1.0]).unwrap();
+    client
+        .launch_with(vec![p], 10, None, double_factory(1))
+        .unwrap();
+    let gate = Arc::new(AtomicBool::new(false));
+    let held = gate.clone();
+    client
+        .launch_on_stream(1, vec![p], 1, move |bufs| {
+            Arc::new(Gated {
+                gate: held,
+                out: bufs[0].clone(),
+            }) as Arc<dyn GpuKernel>
+        })
+        .unwrap();
+    let opener = {
+        let gate = gate.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            gate.store(true, Ordering::Release);
+        })
+    };
+    let t0 = Instant::now();
+    client.synchronize().unwrap();
+    assert!(
+        t0.elapsed() >= Duration::from_millis(25),
+        "synchronize returned while the lane's launch was held: {:?}",
+        t0.elapsed()
+    );
+    assert_eq!(client.download_f32(p, 1).unwrap(), vec![4.0]);
+    opener.join().unwrap();
+    client.disconnect().unwrap();
+    daemon.join();
+}

@@ -23,7 +23,8 @@ use slate_gpu_sim::perf::KernelPerf;
 use slate_kernels::grid::{BlockCoord, GridDim};
 use slate_kernels::kernel::GpuKernel;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 const BLOCKS: u32 = 48;
@@ -717,6 +718,131 @@ fn a_crash_while_a_slot_sync_is_pending_keeps_exactly_once() {
     assert!(out.iter().all(|&v| v == 1.0), "{out:?}");
     assert_eq!(out, golden_run(2));
     verify(&full_log(&dir).unwrap()).expect("full WAL replays byte-identically");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One block that bumps its hit slot only once the daemon is being
+/// killed, so the kill is sure to find its launch in flight.
+struct UntilKilled {
+    started: Arc<AtomicBool>,
+    daemon: Weak<SlateDaemon>,
+    hits: Arc<GpuBuffer>,
+}
+
+impl GpuKernel for UntilKilled {
+    fn name(&self) -> &str {
+        "until-killed"
+    }
+    fn grid(&self) -> GridDim {
+        GridDim::d1(1)
+    }
+    fn perf(&self) -> KernelPerf {
+        KernelPerf::synthetic("until-killed", 400.0, 900.0)
+    }
+    fn run_block(&self, _: BlockCoord) {
+        self.started.store(true, Ordering::Release);
+        while !self.daemon.upgrade().is_none_or(|d| d.is_shutting_down()) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // `crash` raises the flag just before its kill point.
+        std::thread::sleep(Duration::from_millis(5));
+        self.hits.store_f32(0, self.hits.load_f32(0) + 1.0);
+    }
+}
+
+/// A launch parked by `crash()` never counts in its connection's
+/// completion watermark: the client's next `synchronize` sends its fence
+/// instead of skipping it, finds the pipe dead, reattaches and
+/// resubmits, and the adopted launch still runs its block exactly once.
+#[test]
+fn a_launch_parked_by_a_crash_is_fenced_not_skipped() {
+    let dir = tmpdir("parked");
+    let daemon =
+        SlateDaemon::start_with_options(DeviceConfig::tiny(4), 1 << 24, durable_opts(1, &dir));
+    let client = SlateClient::new(daemon.connect("parked").unwrap());
+    let hits = client.malloc(4).unwrap();
+    client.upload_f32(hits, &[0.0]).unwrap();
+    let started = Arc::new(AtomicBool::new(false));
+    let (flag, killed) = (started.clone(), Arc::downgrade(&daemon));
+    client
+        .launch_replayable(vec![hits], 1, None, move |bufs| -> Arc<dyn GpuKernel> {
+            Arc::new(UntilKilled {
+                started: flag.clone(),
+                daemon: killed.clone(),
+                hits: bufs[0].clone(),
+            })
+        })
+        .unwrap();
+    while !started.load(Ordering::Acquire) {
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    let scene = daemon.crash();
+    assert_eq!(scene.inflight_launches(), 1, "the kill parked the launch");
+    let recovered =
+        SlateDaemon::recover(scene, durable_opts(0, &dir)).expect("recover from WAL + snapshot");
+    client.install_reattach(&recovered);
+    client
+        .synchronize()
+        .expect("the adopted launch surfaces no error");
+    assert_eq!(
+        client.resume_token().epoch,
+        recovered.epoch(),
+        "the fence was sent and found the pipe dead"
+    );
+    assert_eq!(
+        client.download_f32(hits, 1).unwrap(),
+        vec![1.0],
+        "exactly once"
+    );
+    client.disconnect().unwrap();
+    recovered.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An adopted launch counts in no watermark, and a resumed connection's
+/// first `synchronize` always sends its fence: the error the adoption
+/// pass hit surfaces there, even for a client that resubmitted nothing.
+#[test]
+fn an_adopted_launch_error_surfaces_at_a_resumed_client_first_sync() {
+    use slate_gpu_sim::fault::FaultPlan;
+    let dir = tmpdir("adopted-error");
+    let daemon =
+        SlateDaemon::start_with_options(DeviceConfig::tiny(4), 1 << 24, durable_opts(1, &dir));
+    let client = SlateClient::new(daemon.connect("adopted").unwrap());
+    let hits = client.malloc(4).unwrap();
+    let started = Arc::new(AtomicBool::new(false));
+    let (flag, killed) = (started.clone(), Arc::downgrade(&daemon));
+    // A one-shot launch: the client cannot resubmit it.
+    client
+        .launch_with(vec![hits], 1, None, move |bufs| -> Arc<dyn GpuKernel> {
+            Arc::new(UntilKilled {
+                started: flag,
+                daemon: killed,
+                hits: bufs[0].clone(),
+            })
+        })
+        .unwrap();
+    while !started.load(Ordering::Acquire) {
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    let token = client.resume_token();
+    let scene = daemon.crash();
+    assert_eq!(scene.inflight_launches(), 1, "the kill parked the launch");
+    // The recovered daemon faults the adopted re-run.
+    let mut opts = durable_opts(0, &dir);
+    opts.fault_plan = FaultPlan::new().fault_launch("until-killed", 1);
+    let recovered = SlateDaemon::recover(scene, opts).expect("recover from WAL + snapshot");
+    let resumed = resume_with_retry(&recovered, token, RetryPolicy::with_attempts(3)).unwrap();
+    assert!(
+        matches!(
+            resumed.synchronize(),
+            Err(slate_core::SlateError::KernelFault(_))
+        ),
+        "the adoption pass's error surfaces at the first fence"
+    );
+    resumed.synchronize().unwrap();
+    resumed.disconnect().unwrap();
+    recovered.join();
     std::fs::remove_dir_all(&dir).ok();
 }
 
