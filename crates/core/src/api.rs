@@ -73,10 +73,12 @@ pub fn decorrelated_jitter(
     Duration::from_nanos(drawn.clamp(base_n.min(cap_n), cap_n))
 }
 
-/// Opt-in bounded retry for transient daemon rejections (see
-/// [`SlateError::is_transient`]). Without a jitter seed, retries sleep
-/// `base_delay * 2^attempt`, capped at `max_delay`; with one, sleeps are
-/// drawn by [`decorrelated_jitter`] instead. Either way, a
+/// Opt-in bounded retry for transient daemon rejections: a watchdog
+/// [`SlateError::Timeout`], [`SlateError::ShuttingDown`],
+/// [`SlateError::Overloaded`] and [`SlateError::DeviceLost`]. Without a
+/// jitter seed, retries sleep `base_delay * 2^attempt`, capped at
+/// `max_delay`; with one, sleeps are drawn by [`decorrelated_jitter`]
+/// instead. Either way, a
 /// [`SlateError::Overloaded`] rejection's `retry_after_ms` hint is honored
 /// as a floor on the sleep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -687,11 +689,13 @@ impl SlateClient {
     }
 
     /// Blocks until every previously launched kernel has completed
-    /// (`cudaDeviceSynchronize`). Surfaces the *first* launch error;
-    /// additional failures from the same batch are counted in
-    /// [`SlateClient::last_sync_failures`]. The outcome feeds the circuit
-    /// breaker (if installed): this is where `Overloaded` sheds and
-    /// watchdog `Timeout`s from asynchronous launches surface.
+    /// (`cudaDeviceSynchronize`). Every error of a launch since the last
+    /// fence surfaces here and only here — refused before admission, shed,
+    /// faulted, evicted, on any stream — since a launch gets no reply of
+    /// its own. The first to occur is returned, and
+    /// [`SlateClient::last_sync_failures`] counts them all. The outcome
+    /// feeds the circuit breaker (if installed): this is where `Overloaded`
+    /// sheds and watchdog `Timeout`s from asynchronous launches surface.
     ///
     /// When the session has already run every launch sent since the last
     /// fence to completion, nothing is left to wait for or report, and
@@ -718,38 +722,15 @@ impl SlateClient {
         }
         // The session thread serves requests in order and its stream lanes
         // ack the fence behind their launches, so one round trip fences all
-        // prior launches. Failed launches reply with their error ahead of
-        // the sync's Ok. A mid-sync daemon crash severs the pipe; with
+        // prior launches, and its one reply lists their errors in the order
+        // they occurred. A mid-sync daemon crash severs the pipe; with
         // reattachment installed the session is resumed, unconfirmed
         // replayable launches resubmitted, and the fence reissued.
-        let (first, failures) = self.with_reattach(|conn| {
-            conn.tx
-                .send(Request::Sync)
-                .map_err(|_| SlateError::Disconnected)?;
-            let mut first: Option<SlateError> = None;
-            let mut failures: u64 = 0;
-            loop {
-                match conn.rx.recv().map_err(|_| SlateError::Disconnected)? {
-                    Response::Ok => break,
-                    Response::Err(e) => {
-                        failures += 1;
-                        if first.is_none() {
-                            first = Some(SlateError::from_wire(&e));
-                        }
-                    }
-                    other => {
-                        return Err(SlateError::Other(format!(
-                            "unexpected sync response {other:?}"
-                        )))
-                    }
-                }
-            }
-            Ok((first, failures))
-        })?;
-        self.fenced(failures);
-        match first {
+        let errors = self.call(|| Request::Sync)?.expect_fenced()?;
+        self.fenced(errors.len() as u64);
+        match errors.into_iter().next() {
             None => Ok(()),
-            Some(e) => Err(e),
+            Some(first) => Err(first),
         }
     }
 
@@ -775,16 +756,14 @@ impl SlateClient {
 
     /// Ends the session; the daemon frees any leaked allocations.
     ///
-    /// Launches sent since the last fence are fenced first, by
-    /// [`SlateClient::synchronize`] (a round trip unless all of them
-    /// already completed), so an in-flight launch error is surfaced here
-    /// instead of being silently dropped with the session.
+    /// The session is fenced first, by [`SlateClient::synchronize`], so an
+    /// in-flight launch error is surfaced here instead of being silently
+    /// dropped with the session. That costs no round trip when every
+    /// launch since the last fence already completed; a resumed
+    /// connection's owed first fence is always sent, with the errors of
+    /// the launches the recovered daemon adopted.
     pub fn disconnect(self) -> Result<(), SlateError> {
-        let pending = if self.unfenced.get() > 0 {
-            self.synchronize().err()
-        } else {
-            None
-        };
+        let pending = self.synchronize().err();
         let bye = self.call(|| Request::Disconnect)?.expect_ok();
         match pending {
             Some(e) => Err(e),
@@ -857,8 +836,7 @@ mod tests {
         /// the call instead of blocking it; it is taken back after.
         fn sync_skipping(&self, c: &SlateClient) -> Result<(), SlateError> {
             let poison = SlateError::Other("a fence was sent".into());
-            self.replies.send(Response::Err(poison.to_wire())).unwrap();
-            self.replies.send(Response::Ok).unwrap();
+            self.replies.send(Response::Fenced(vec![poison])).unwrap();
             let out = c.synchronize();
             let conn = c.conn.borrow();
             while conn.rx.try_recv().is_ok() {}
@@ -913,7 +891,7 @@ mod tests {
         launch(&c);
         launch(&c);
         d.finish(1);
-        d.replies.send(Response::Ok).unwrap();
+        d.replies.send(Response::Fenced(vec![])).unwrap();
         c.synchronize().unwrap();
         assert_eq!(d.sent(), (2, true));
     }
@@ -926,8 +904,9 @@ mod tests {
         // One launch ran; the other was shed and its error is queued.
         d.finish(1);
         let shed = SlateError::Overloaded { retry_after_ms: 3 };
-        d.replies.send(Response::Err(shed.to_wire())).unwrap();
-        d.replies.send(Response::Ok).unwrap();
+        d.replies
+            .send(Response::Fenced(vec![shed.clone()]))
+            .unwrap();
         assert_eq!(c.synchronize(), Err(shed));
         assert_eq!(d.sent(), (2, true));
         assert_eq!(c.last_sync_failures(), 1);

@@ -36,18 +36,22 @@
 //! ("records in a hash table the mapping between the shared buffer address
 //! and the GPU pointer").
 //!
-//! Under overload the daemon sheds requests instead of queueing them
-//! unboundedly: the reply is a `Response::Err` wiring
-//! [`SlateError::Overloaded`] with a `retry_after_ms` hint
-//! (`Response::is_overloaded` spots these without unwrapping). For
-//! asynchronous launches the shed reply is delivered, like any launch
-//! error, at the client's next `Sync`.
+//! **One reply per request.** Every request except a launch gets exactly
+//! one reply, and a launch gets none: its error, whichever thread raised
+//! it and whenever, waits in the session's one list until the next
+//! `Request::Sync`, whose `Response::Fenced` carries the list in the order
+//! the errors occurred. Errors cross as [`SlateError`] values
+//! (`Response::Err`), never as text. Under overload the daemon sheds
+//! requests instead of queueing them unboundedly: a synchronous request
+//! gets `Response::Err` holding [`SlateError::Overloaded`] with a
+//! `retry_after_ms` hint, and a shed launch's `Overloaded` is fenced like
+//! any launch error.
 //!
 //! **The completion watermark.** Beside the pipe, each connection shares
 //! one counter with its session (`Connection::done`): how many of its
 //! launches ran to completion. A launch that failed, was shed or was
 //! parked by a crash never counts, so when the counter covers every
-//! launch sent since the last fence no error can be queued either, and
+//! launch sent since the last fence the error list is empty, and
 //! `SlateClient::synchronize` returns without sending `Request::Sync`.
 
 use crate::error::SlateError;
@@ -127,13 +131,14 @@ pub(crate) enum Request {
         /// worth, whatever its capacity.
         into: HostBuf,
     },
-    /// `slateLaunchKernel` — asynchronous, like CUDA launches. The factory
-    /// is invoked daemon-side after pointer resolution.
+    /// `slateLaunchKernel` — asynchronous, like CUDA launches, and never
+    /// replied to: an error waits for the next [`Request::Sync`]. The
+    /// factory is invoked daemon-side after pointer resolution.
     Launch(LaunchCmd, KernelFactory),
-    /// `slateDeviceSynchronize` — replies once all prior launches finished,
-    /// each failed one's error ahead of the `Ok`. Sent only when the
-    /// completion watermark does not already cover every launch since the
-    /// last fence (or the connection is resumed and owes its first).
+    /// `slateDeviceSynchronize` — replies [`Response::Fenced`] once all
+    /// prior launches finished. Sent only when the completion watermark
+    /// does not already cover every launch since the last fence (or the
+    /// connection is resumed and owes its first).
     Sync,
     /// Session teardown.
     Disconnect,
@@ -161,8 +166,12 @@ pub(crate) enum Response {
     Data(HostBuf),
     /// Success without payload.
     Ok,
-    /// Failure description.
-    Err(String),
+    /// The reply to a [`Request::Sync`]: the errors of the launches since
+    /// the last fence, in the order they occurred (empty when all of them
+    /// succeeded).
+    Fenced(Vec<SlateError>),
+    /// The request failed.
+    Err(SlateError),
 }
 
 impl Response {
@@ -170,7 +179,7 @@ impl Response {
     pub(crate) fn expect_ptr(self) -> Result<SlatePtr, SlateError> {
         match self {
             Response::Ptr(p) => Ok(p),
-            Response::Err(e) => Err(SlateError::from_wire(&e)),
+            Response::Err(e) => Err(e),
             other => Err(SlateError::Other(format!("expected Ptr, got {other:?}"))),
         }
     }
@@ -179,7 +188,7 @@ impl Response {
     pub(crate) fn expect_run(self) -> Result<Arc<GpuBuffer>, SlateError> {
         match self {
             Response::Run(run) => Ok(run),
-            Response::Err(e) => Err(SlateError::from_wire(&e)),
+            Response::Err(e) => Err(e),
             other => Err(SlateError::Other(format!("expected Run, got {other:?}"))),
         }
     }
@@ -188,26 +197,26 @@ impl Response {
     pub(crate) fn expect_data(self) -> Result<HostBuf, SlateError> {
         match self {
             Response::Data(d) => Ok(d),
-            Response::Err(e) => Err(SlateError::from_wire(&e)),
+            Response::Err(e) => Err(e),
             other => Err(SlateError::Other(format!("expected Data, got {other:?}"))),
         }
-    }
-
-    /// Whether this reply is an admission shed
-    /// ([`SlateError::Overloaded`]) — the signal backpressure-aware
-    /// clients branch on without consuming the response.
-    #[cfg(test)]
-    pub(crate) fn is_overloaded(&self) -> bool {
-        matches!(self, Response::Err(e)
-            if matches!(SlateError::from_wire(e), SlateError::Overloaded { .. }))
     }
 
     /// Unwraps an expected `Ok` response.
     pub(crate) fn expect_ok(self) -> Result<(), SlateError> {
         match self {
             Response::Ok => Ok(()),
-            Response::Err(e) => Err(SlateError::from_wire(&e)),
+            Response::Err(e) => Err(e),
             other => Err(SlateError::Other(format!("expected Ok, got {other:?}"))),
+        }
+    }
+
+    /// Unwraps an expected `Fenced` response.
+    pub(crate) fn expect_fenced(self) -> Result<Vec<SlateError>, SlateError> {
+        match self {
+            Response::Fenced(errors) => Ok(errors),
+            Response::Err(e) => Err(e),
+            other => Err(SlateError::Other(format!("expected Fenced, got {other:?}"))),
         }
     }
 }
@@ -221,11 +230,7 @@ mod tests {
         assert_eq!(Response::Ptr(SlatePtr(3)).expect_ptr(), Ok(SlatePtr(3)));
         assert!(Response::Ok.expect_ptr().is_err());
         assert_eq!(
-            Response::Err("boom".into()).expect_ok().unwrap_err(),
-            SlateError::Other("boom".into())
-        );
-        assert_eq!(
-            Response::Err(SlateError::OutOfMemory { requested: 9 }.to_wire())
+            Response::Err(SlateError::OutOfMemory { requested: 9 })
                 .expect_ok()
                 .unwrap_err(),
             SlateError::OutOfMemory { requested: 9 }
@@ -243,17 +248,13 @@ mod tests {
             &run
         ));
         assert!(Response::Ok.expect_run().is_err());
-    }
-
-    #[test]
-    fn overload_replies_are_recognizable() {
-        let shed = Response::Err(SlateError::Overloaded { retry_after_ms: 7 }.to_wire());
-        assert!(shed.is_overloaded());
-        assert!(!Response::Ok.is_overloaded());
-        assert!(!Response::Err("E_SHUTDOWN".into()).is_overloaded());
+        let shed = SlateError::Overloaded { retry_after_ms: 7 };
         assert_eq!(
-            shed.expect_ok().unwrap_err(),
-            SlateError::Overloaded { retry_after_ms: 7 }
+            Response::Fenced(vec![shed.clone()]).expect_fenced(),
+            Ok(vec![shed.clone()])
         );
+        assert_eq!(Response::Err(shed.clone()).expect_fenced(), Err(shed));
+        assert!(Response::Ok.expect_fenced().is_err());
+        assert!(Response::Fenced(vec![]).expect_ok().is_err());
     }
 }

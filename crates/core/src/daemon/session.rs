@@ -119,8 +119,11 @@ struct Session {
     st: SessionState,
     tx: Sender<Response>,
     lanes: HashMap<u32, StreamLane>,
-    /// Errors of asynchronous launches, surfaced at the next `Sync`.
-    stream_errors: Arc<Mutex<Vec<SlateError>>>,
+    /// Every launch error since the last `Sync`, in the order they
+    /// occurred — refused, shed or failed on this thread, failed on a
+    /// lane, or raised by the adoption pass — which the next `Sync`
+    /// replies.
+    launch_errors: Arc<Mutex<Vec<SlateError>>>,
     /// The connection's completion watermark ([`Connection::done`]).
     done: Arc<AtomicU64>,
     /// `None` while serving — and still `None` when the thread leaves
@@ -277,7 +280,7 @@ impl SlateDaemon {
             st,
             tx: tx_resp,
             lanes: HashMap::new(),
-            stream_errors: Arc::default(),
+            launch_errors: Arc::default(),
             done: done.clone(),
             exit: None,
         };
@@ -300,7 +303,7 @@ impl Session {
         // A session resumed after a crash: its adopted launches finish
         // before any new request runs, so adopted and replayed work never
         // interleave on a lease; their errors surface at the client's next
-        // synchronize like any stream error.
+        // synchronize like any launch error.
         let adoption = shared
             .recovery
             .lock()
@@ -310,7 +313,7 @@ impl Session {
             let _ = h.join();
         }
         if let Some(r) = shared.recovery.lock().get_mut(&self.id) {
-            self.stream_errors.lock().append(&mut r.errors);
+            self.launch_errors.lock().append(&mut r.errors);
         }
         while self.exit.is_none() {
             // Bounded recv so a crash can't leave this thread parked
@@ -340,7 +343,7 @@ impl Session {
             let reply = match self.handle(req) {
                 Ok(None) => continue,
                 Ok(Some(reply)) => reply,
-                Err(e) => Response::Err(e.to_wire()),
+                Err(e) => Response::Err(e),
             };
             if self.tx.send(reply).is_err() {
                 // The client's receiver is gone: reap.
@@ -349,8 +352,9 @@ impl Session {
         }
     }
 
-    /// Serves one request. `Ok(None)` sends no reply: an asynchronous
-    /// launch, or a request that ended the session (`self.exit` says how).
+    /// Serves one request. `Ok(None)` sends no reply: a launch, whose error
+    /// waits for the next `Sync`, or a request that ended the session
+    /// (`self.exit` says how).
     fn handle(&mut self, req: Request) -> Result<Option<Response>, SlateError> {
         let session = self.id;
         Ok(Some(match req {
@@ -398,21 +402,20 @@ impl Session {
                 Response::Data(into)
             }
             Request::Launch(cmd, factory) => {
-                self.launch(cmd, factory)?;
+                if let Err(e) = self.launch(cmd, factory) {
+                    self.launch_errors.lock().push(e);
+                }
                 return Ok(None);
             }
             Request::Sync => {
-                // Fence every stream lane, then surface collected errors.
+                // Fence every stream lane, then reply every collected error.
                 for lane in self.lanes.values() {
                     let (ack_tx, ack_rx) = unbounded::<()>();
                     if lane.tx.send(LaneMsg::Barrier(ack_tx)).is_ok() {
                         let _ = ack_rx.recv();
                     }
                 }
-                for e in std::mem::take(&mut *self.stream_errors.lock()) {
-                    let _ = self.tx.send(Response::Err(e.to_wire()));
-                }
-                Response::Ok
+                Response::Fenced(std::mem::take(&mut *self.launch_errors.lock()))
             }
             Request::Disconnect => {
                 self.exit = Some(Exit::Clean);
@@ -540,8 +543,8 @@ impl Session {
         }
         // Admission: bounded pending-launch queues (per session and
         // global) plus an up-front deadline feasibility check against the
-        // estimated queue wait. Shed launches reply Overloaded, surfaced
-        // at the client's next synchronize. The admission record rides in
+        // estimated queue wait. A shed launch's Overloaded waits, like any
+        // launch error, for the client's next synchronize. The admission record rides in
         // the request's feed, as `connect`'s session record does: one
         // `write`, and none for a shed launch.
         let lease = (session << 16) | cmd.stream as u64;
@@ -582,7 +585,7 @@ impl Session {
         let lane = self.lanes.entry(cmd.stream).or_insert_with(|| {
             spawn_stream_lane(
                 shared.clone(),
-                self.stream_errors.clone(),
+                self.launch_errors.clone(),
                 self.done.clone(),
             )
         });

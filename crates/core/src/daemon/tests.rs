@@ -147,7 +147,7 @@ fn stream_launch_error_surfaces_at_sync() {
     let client = SlateClient::new(daemon.connect("oops").unwrap());
     let good = client.malloc(1024).unwrap();
     // Bad pointer on a non-zero stream: prepare fails synchronously in
-    // the session, so the error is queued ahead of the sync Ok.
+    // the session, and the error waits in its list for the fence.
     client
         .launch_on_stream(7, vec![SlatePtr(0xbad)], 10, double_factory(16))
         .unwrap();
@@ -1056,14 +1056,7 @@ fn the_watermark_counts_completed_launches_and_nothing_else() {
     launch(3, 1, p); // completes on lane 1
     launch(4, 2, SlatePtr(0xbad)); // refused before admission
     send(Request::Sync);
-    let mut errors = Vec::new();
-    loop {
-        match conn.rx.recv().unwrap() {
-            Response::Ok => break,
-            Response::Err(e) => errors.push(SlateError::from_wire(&e)),
-            _ => panic!("unexpected reply to a sync"),
-        }
-    }
+    let errors = conn.rx.recv().unwrap().expect_fenced().unwrap();
     assert_eq!(errors.len(), 3, "{errors:?}");
     assert_eq!(conn.done.load(Ordering::Acquire), 2);
     send(Request::Disconnect);
@@ -1135,4 +1128,71 @@ fn a_launch_held_on_a_stream_lane_keeps_synchronize_waiting() {
     opener.join().unwrap();
     client.disconnect().unwrap();
     daemon.join();
+}
+
+/// A launch the session thread refuses or fails gets no reply of its own:
+/// the synchronous calls after it read their own replies, and the next
+/// `synchronize` returns the launch's error as the one failure of its
+/// fence. Covers a pointer refused before admission, a default-stream
+/// launch an injected fault fails, and a launch shed at admission.
+#[test]
+fn a_refused_or_failed_launch_leaves_every_later_reply_in_step() {
+    use slate_gpu_sim::fault::FaultPlan;
+    type Expect = fn(&SlateError) -> bool;
+    let cases: [(DaemonOptions, bool, Expect); 3] = [
+        (DaemonOptions::default(), true, |e| {
+            *e == SlateError::InvalidPointer { ptr: 0xbad }
+        }),
+        (
+            DaemonOptions {
+                fault_plan: FaultPlan::new().fault_launch("double", 1),
+                ..Default::default()
+            },
+            false,
+            |e| matches!(e, SlateError::KernelFault(_)),
+        ),
+        (
+            DaemonOptions {
+                admission: AdmissionLimits {
+                    max_pending_per_session: Some(0),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            false,
+            |e| matches!(e, SlateError::Overloaded { .. }),
+        ),
+    ];
+    for (opts, bad_ptr, expected) in cases {
+        let daemon = SlateDaemon::start_with_options(DeviceConfig::tiny(2), 1 << 20, opts);
+        let client = SlateClient::new(daemon.connect("in-step").unwrap());
+        let data = client.malloc(8).unwrap();
+        client.upload_f32(data, &[1.5, -2.0]).unwrap();
+        let work = if bad_ptr {
+            SlatePtr(0xbad)
+        } else {
+            client.malloc(64).unwrap()
+        };
+        client
+            .launch_with(vec![work], 10, None, double_factory(16))
+            .unwrap();
+        let fresh = client.malloc(16).unwrap();
+        assert!(fresh.0 > data.0 && fresh != work, "{fresh:?}");
+        client.free(fresh).unwrap();
+        assert_eq!(
+            client.free(fresh),
+            Err(SlateError::InvalidPointer { ptr: fresh.0 })
+        );
+        let bytes: Vec<u8> = [1.5f32, -2.0]
+            .iter()
+            .flat_map(|f| f.to_le_bytes())
+            .collect();
+        assert_eq!(client.memcpy_d2h(data, 0, 8).unwrap(), bytes);
+        let err = client.synchronize().unwrap_err();
+        assert!(expected(&err), "{err:?}");
+        assert_eq!(client.last_sync_failures(), 1);
+        client.synchronize().unwrap();
+        client.disconnect().unwrap();
+        daemon.join();
+    }
 }

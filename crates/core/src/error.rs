@@ -2,9 +2,9 @@
 //!
 //! Mirrors the CUDA error model: allocation failures, invalid handles,
 //! launch failures, and lost connections are distinct, matchable
-//! conditions. The daemon transports errors as strings over the command
-//! pipe (they cross the "process" boundary); [`SlateError::from_wire`]
-//! restores the structured form on the client side.
+//! conditions. They cross the command pipe as they are: a reply carries
+//! the `SlateError` itself, so the client matches the variant the daemon
+//! raised.
 
 use std::fmt;
 
@@ -69,89 +69,12 @@ pub enum SlateError {
 }
 
 impl SlateError {
-    /// Serializes for the command pipe. The prefix encodes the variant so
-    /// the client can restore it.
-    #[doc(hidden)]
-    pub fn to_wire(&self) -> String {
-        match self {
-            SlateError::OutOfMemory { requested } => format!("E_OOM:{requested}"),
-            SlateError::InvalidPointer { ptr } => format!("E_PTR:{ptr}"),
-            SlateError::InvalidValue(m) => format!("E_VALUE:{m}"),
-            SlateError::Launch(m) => format!("E_LAUNCH:{m}"),
-            SlateError::Pragma(m) => format!("E_PRAGMA:{m}"),
-            SlateError::Disconnected => "E_DISCONNECTED".to_string(),
-            SlateError::Timeout { elapsed_ms } => format!("E_TIMEOUT:{elapsed_ms}"),
-            SlateError::KernelFault(m) => format!("E_KFAULT:{m}"),
-            SlateError::ShuttingDown => "E_SHUTDOWN".to_string(),
-            SlateError::Overloaded { retry_after_ms } => {
-                format!("E_OVERLOADED:{retry_after_ms}")
-            }
-            SlateError::DeviceLost { device } => format!("E_DEVLOST:{device}"),
-            SlateError::ResumeRejected(m) => format!("E_RESUME:{m}"),
-            SlateError::Other(m) => format!("E_OTHER:{m}"),
-        }
-    }
-
-    /// Restores a structured error from its wire form; unknown strings
-    /// become [`SlateError::Other`].
-    #[doc(hidden)]
-    pub fn from_wire(s: &str) -> SlateError {
-        if let Some(rest) = s.strip_prefix("E_OOM:") {
-            if let Ok(requested) = rest.parse() {
-                return SlateError::OutOfMemory { requested };
-            }
-        }
-        if let Some(rest) = s.strip_prefix("E_PTR:") {
-            if let Ok(ptr) = rest.parse() {
-                return SlateError::InvalidPointer { ptr };
-            }
-        }
-        if let Some(rest) = s.strip_prefix("E_VALUE:") {
-            return SlateError::InvalidValue(rest.to_string());
-        }
-        if let Some(rest) = s.strip_prefix("E_LAUNCH:") {
-            return SlateError::Launch(rest.to_string());
-        }
-        if let Some(rest) = s.strip_prefix("E_PRAGMA:") {
-            return SlateError::Pragma(rest.to_string());
-        }
-        if s == "E_DISCONNECTED" {
-            return SlateError::Disconnected;
-        }
-        if let Some(rest) = s.strip_prefix("E_TIMEOUT:") {
-            if let Ok(elapsed_ms) = rest.parse() {
-                return SlateError::Timeout { elapsed_ms };
-            }
-        }
-        if let Some(rest) = s.strip_prefix("E_KFAULT:") {
-            return SlateError::KernelFault(rest.to_string());
-        }
-        if s == "E_SHUTDOWN" {
-            return SlateError::ShuttingDown;
-        }
-        if let Some(rest) = s.strip_prefix("E_OVERLOADED:") {
-            if let Ok(retry_after_ms) = rest.parse() {
-                return SlateError::Overloaded { retry_after_ms };
-            }
-        }
-        if let Some(rest) = s.strip_prefix("E_DEVLOST:") {
-            if let Ok(device) = rest.parse() {
-                return SlateError::DeviceLost { device };
-            }
-        }
-        if let Some(rest) = s.strip_prefix("E_RESUME:") {
-            return SlateError::ResumeRejected(rest.to_string());
-        }
-        SlateError::Other(s.strip_prefix("E_OTHER:").unwrap_or(s).to_string())
-    }
-
     /// Whether retrying the same operation later could succeed: the daemon
     /// refused or aborted the work without corrupting session state.
     /// Watchdog evictions, shutdown rejections and admission sheds qualify;
     /// memory-safety errors (bad pointer, OOM for the same size) and
     /// severed connections do not.
-    #[doc(hidden)]
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         matches!(
             self,
             SlateError::Timeout { .. }
@@ -207,37 +130,9 @@ impl fmt::Display for SlateError {
 
 impl std::error::Error for SlateError {}
 
-impl From<String> for SlateError {
-    fn from(s: String) -> Self {
-        SlateError::from_wire(&s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wire_roundtrip_preserves_variants() {
-        let cases = [
-            SlateError::OutOfMemory { requested: 4096 },
-            SlateError::InvalidPointer { ptr: 0xdead },
-            SlateError::InvalidValue("offset 3 is not word-aligned".into()),
-            SlateError::Launch("bad grid".into()),
-            SlateError::Pragma("unknown directive".into()),
-            SlateError::Disconnected,
-            SlateError::Timeout { elapsed_ms: 1500 },
-            SlateError::KernelFault("device fault at block 7".into()),
-            SlateError::ShuttingDown,
-            SlateError::Overloaded { retry_after_ms: 42 },
-            SlateError::DeviceLost { device: 2 },
-            SlateError::ResumeRejected("stale epoch".into()),
-            SlateError::Other("misc".into()),
-        ];
-        for e in cases {
-            assert_eq!(SlateError::from_wire(&e.to_wire()), e, "{e}");
-        }
-    }
 
     #[test]
     fn transience_classification() {
@@ -270,31 +165,6 @@ mod tests {
         assert!(!SlateError::ShuttingDown.is_overload());
         assert!(!SlateError::Disconnected.is_overload());
         assert!(!SlateError::OutOfMemory { requested: 8 }.is_overload());
-    }
-
-    #[test]
-    fn unknown_wire_strings_become_other() {
-        assert_eq!(
-            SlateError::from_wire("something odd"),
-            SlateError::Other("something odd".into())
-        );
-        // Malformed payloads degrade gracefully.
-        assert_eq!(
-            SlateError::from_wire("E_OOM:not-a-number"),
-            SlateError::Other("E_OOM:not-a-number".into())
-        );
-        assert_eq!(
-            SlateError::from_wire("E_TIMEOUT:soon"),
-            SlateError::Other("E_TIMEOUT:soon".into())
-        );
-        assert_eq!(
-            SlateError::from_wire("E_OVERLOADED:later"),
-            SlateError::Other("E_OVERLOADED:later".into())
-        );
-        assert_eq!(
-            SlateError::from_wire("E_DEVLOST:gpu3"),
-            SlateError::Other("E_DEVLOST:gpu3".into())
-        );
     }
 
     #[test]

@@ -799,16 +799,16 @@ fn a_launch_parked_by_a_crash_is_fenced_not_skipped() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// An adopted launch counts in no watermark, and a resumed connection's
-/// first `synchronize` always sends its fence: the error the adoption
-/// pass hit surfaces there, even for a client that resubmitted nothing.
-#[test]
-fn an_adopted_launch_error_surfaces_at_a_resumed_client_first_sync() {
+/// A crashed daemon, recovered with a fault plan that faults the one
+/// launch it adopts, and a client resumed on it that resubmitted nothing:
+/// the adoption pass's `KernelFault` waits in the session for the
+/// resumed connection's first fence.
+fn adopted_launch_fault(name: &str) -> (Arc<SlateDaemon>, SlateClient, PathBuf) {
     use slate_gpu_sim::fault::FaultPlan;
-    let dir = tmpdir("adopted-error");
+    let dir = tmpdir(name);
     let daemon =
         SlateDaemon::start_with_options(DeviceConfig::tiny(4), 1 << 24, durable_opts(1, &dir));
-    let client = SlateClient::new(daemon.connect("adopted").unwrap());
+    let client = SlateClient::new(daemon.connect(name).unwrap());
     let hits = client.malloc(4).unwrap();
     let started = Arc::new(AtomicBool::new(false));
     let (flag, killed) = (started.clone(), Arc::downgrade(&daemon));
@@ -833,6 +833,15 @@ fn an_adopted_launch_error_surfaces_at_a_resumed_client_first_sync() {
     opts.fault_plan = FaultPlan::new().fault_launch("until-killed", 1);
     let recovered = SlateDaemon::recover(scene, opts).expect("recover from WAL + snapshot");
     let resumed = resume_with_retry(&recovered, token, RetryPolicy::with_attempts(3)).unwrap();
+    (recovered, resumed, dir)
+}
+
+/// An adopted launch counts in no watermark, and a resumed connection's
+/// first `synchronize` always sends its fence: the error the adoption
+/// pass hit surfaces there, even for a client that resubmitted nothing.
+#[test]
+fn an_adopted_launch_error_surfaces_at_a_resumed_client_first_sync() {
+    let (recovered, resumed, dir) = adopted_launch_fault("adopted-error");
     assert!(
         matches!(
             resumed.synchronize(),
@@ -842,6 +851,23 @@ fn an_adopted_launch_error_surfaces_at_a_resumed_client_first_sync() {
     );
     resumed.synchronize().unwrap();
     resumed.disconnect().unwrap();
+    recovered.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `disconnect` fences the session whatever the client sent: a resumed
+/// client that launched nothing still gets the adopted launch's error
+/// from it, instead of losing it with the session.
+#[test]
+fn an_adopted_launch_error_surfaces_at_a_resumed_client_disconnect() {
+    let (recovered, resumed, dir) = adopted_launch_fault("adopted-disconnect");
+    assert!(
+        matches!(
+            resumed.disconnect(),
+            Err(slate_core::SlateError::KernelFault(_))
+        ),
+        "the owed first fence is sent at disconnect"
+    );
     recovered.join();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,7 +8,6 @@
 use proptest::prelude::*;
 use slate_core::classify::{classify, WorkloadClass};
 use slate_core::dispatch::Dispatcher;
-use slate_core::error::SlateError;
 use slate_core::partition::partition;
 use slate_core::policy::should_corun;
 use slate_core::queue::TaskQueue;
@@ -228,29 +227,6 @@ proptest! {
         prop_assert_eq!(p.a.lo, 0);
         prop_assert_eq!(p.b.hi, sms - 1);
         prop_assert!(!p.a.is_empty() && !p.b.is_empty());
-    }
-
-    /// Every error variant — including the fault-tolerance additions
-    /// `Timeout`, `KernelFault`, and `ShuttingDown` — survives a wire
-    /// roundtrip with arbitrary payloads.
-    #[test]
-    fn wire_roundtrip_all_variants(variant in 0usize..9, num in 0u64..u64::MAX,
-                                   msg in "[ -~]{0,60}") {
-        let e = match variant {
-            0 => SlateError::OutOfMemory { requested: num },
-            1 => SlateError::InvalidPointer { ptr: num },
-            2 => SlateError::Launch(msg.clone()),
-            3 => SlateError::Pragma(msg.clone()),
-            4 => SlateError::Disconnected,
-            5 => SlateError::Timeout { elapsed_ms: num },
-            6 => SlateError::KernelFault(msg.clone()),
-            7 => SlateError::ShuttingDown,
-            _ => SlateError::Other(msg.clone()),
-        };
-        let back = SlateError::from_wire(&e.to_wire());
-        prop_assert_eq!(&back, &e);
-        // Transience is stable across the wire.
-        prop_assert_eq!(back.is_transient(), e.is_transient());
     }
 
     /// Classification is total, memory-prioritized, and policy decisions
