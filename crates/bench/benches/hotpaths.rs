@@ -82,7 +82,7 @@ use slate_bench::{BenchMeasurement, Report, REPORT_SCHEMA};
 use slate_core::api::SlateClient;
 use slate_core::arbiter::replay::{replay_under, EventLog};
 use slate_core::arbiter::{ArbiterConfig, ArbiterCore, Command, Event};
-use slate_core::backend::{Backend, SimBackend, WorkSpec};
+use slate_core::backend::{SimBackend, WorkSpec};
 use slate_core::channel::SlatePtr;
 use slate_core::classify::WorkloadClass;
 use slate_core::daemon::{DaemonOptions, SlateDaemon};

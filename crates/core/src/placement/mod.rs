@@ -36,7 +36,7 @@
 //!    lease between devices. The frontend evicts (capturing absolute
 //!    `slateIdx` progress), feeds the `KernelFinished {ok: false}` back
 //!    (routed to the *source* core, which cleans up), then re-stages with
-//!    [`WorkSpec::resuming`](crate::backend::WorkSpec::resuming) and
+//!    `WorkSpec::resuming` and
 //!    re-feeds `KernelReady` — which now routes to the *target* core.
 //! 3. **Per-core recording** — the layer's own [`replay::PlacementLog`]
 //!    splits into N ordinary [`EventLog`](crate::arbiter::EventLog)s

@@ -14,7 +14,7 @@
 
 use super::{PlacementLayer, RoutedCommand};
 use crate::arbiter::Event;
-use crate::backend::{Backend, SimBackend, WorkSpec};
+use crate::backend::{SimBackend, WorkSpec};
 use crate::classify::WorkloadClass;
 use crate::transform::TransformedKernel;
 

@@ -1,6 +1,7 @@
 //! The conformance kernel: a flat grid whose simulated cost per block
-//! grows with its delay. Shared by the backend conformance testkit and the
-//! placement driver's unit tests, so it names no `slate-core` item.
+//! grows with its delay. Shared by `backend::sim`'s and the placement
+//! driver's unit tests and by the golden replay, so it names no
+//! `slate-core` item.
 
 use slate_gpu_sim::perf::KernelPerf;
 use slate_kernels::grid::{BlockCoord, GridDim};

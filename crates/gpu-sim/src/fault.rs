@@ -30,10 +30,6 @@ pub enum FaultSite {
     Memcpy,
     /// Any request arriving on a session's command pipe.
     Request,
-    /// An arbiter command about to be executed by a backend (used by the
-    /// chaos-testing command-stream perturbations; see
-    /// [`FaultPlan::command_chaos`]).
-    Command,
 }
 
 /// What failure to inject.
@@ -159,41 +155,12 @@ impl FaultPlan {
                 FaultSite::Memcpy => FaultKind::MemcpyStall {
                     millis: 1 + rng.below(20),
                 },
-                // `below(3)` above never yields the Command site, which
-                // keeps this generator byte-stable for existing seeds.
-                FaultSite::Request | FaultSite::Command => FaultKind::ChannelDrop,
+                FaultSite::Request => FaultKind::ChannelDrop,
             };
             plan = plan.with_rule(FaultRule {
                 site,
                 kernel: None,
                 nth: 1 + rng.below(8),
-                kind,
-            });
-        }
-        plan
-    }
-
-    /// Generates `faults` pseudo-random [`FaultSite::Command`] rules from
-    /// `seed` — the command-stream perturbation schedule consumed by the
-    /// chaos backend decorator. Deterministic per seed, and drawn from a
-    /// generator independent of [`FaultPlan::randomized`], so existing
-    /// randomized seeds keep producing identical plans.
-    pub fn command_chaos(seed: u64, faults: u32) -> Self {
-        let mut rng = SplitRng::new(seed.wrapping_mul(0x9e37_79b9).wrapping_add(1));
-        let mut plan = Self::new();
-        for _ in 0..faults {
-            let kind = match rng.below(4) {
-                0 => FaultKind::MemcpyStall {
-                    millis: 1 + rng.below(5),
-                },
-                1 => FaultKind::LaunchFault,
-                2 => FaultKind::KernelHang,
-                _ => FaultKind::ChannelDrop,
-            };
-            plan = plan.with_rule(FaultRule {
-                site: FaultSite::Command,
-                kernel: None,
-                nth: 1 + rng.below(6),
                 kind,
             });
         }
@@ -395,11 +362,10 @@ mod tests {
         assert_ne!(a.rules(), c.rules(), "different seeds, different plans");
     }
 
-    /// The plans the seeded suites run, rule by rule: `randomized` at the
-    /// chaos soak's seeds (`overload_soak`, nightly matrix) and
-    /// `command_chaos` at the backend chaos suites' seeds. A generator
-    /// edit that moved one of them would silently change what those
-    /// suites inject.
+    /// The plans the seeded suite runs, rule by rule: `randomized` at the
+    /// chaos soak's seeds (`overload_soak`, nightly matrix). A generator
+    /// edit that moved one of them would silently change what that suite
+    /// injects.
     #[test]
     fn soak_and_chaos_plans_are_pinned() {
         let render = |plan: FaultPlan| {
@@ -414,10 +380,6 @@ mod tests {
             let plan = render(FaultPlan::randomized(seed, 10));
             got += &format!("randomized({seed:#x}, 10): {plan}\n");
         }
-        for (seed, n) in [(0xA11CE, 12), (0xB0B, 12), (42, 12), (0x5EED, 16)] {
-            let plan = render(FaultPlan::command_chaos(seed, n));
-            got += &format!("command_chaos({seed:#x}, {n}): {plan}\n");
-        }
         assert_eq!(got, PINNED_PLANS);
     }
 
@@ -426,10 +388,7 @@ randomized(0xc0ffee, 10): Memcpy#1 MemcpyStall { millis: 5 }, Memcpy#1 MemcpySta
 randomized(0x5eed, 10): Memcpy#3 MemcpyStall { millis: 12 }, Request#4 ChannelDrop, Memcpy#3 MemcpyStall { millis: 10 }, Memcpy#1 MemcpyStall { millis: 20 }, Launch#6 KernelHang, Launch#8 KernelHang, Memcpy#8 MemcpyStall { millis: 7 }, Launch#5 LaunchFault, Request#8 ChannelDrop, Memcpy#2 MemcpyStall { millis: 16 }\n\
 randomized(0xbadf00d, 10): Launch#6 KernelHang, Request#8 ChannelDrop, Memcpy#4 MemcpyStall { millis: 12 }, Launch#1 KernelHang, Launch#5 KernelHang, Request#7 ChannelDrop, Memcpy#6 MemcpyStall { millis: 1 }, Memcpy#8 MemcpyStall { millis: 2 }, Launch#4 KernelHang, Memcpy#8 MemcpyStall { millis: 2 }\n\
 randomized(0x2a, 10): Request#6 ChannelDrop, Launch#4 KernelHang, Launch#8 LaunchFault, Request#4 ChannelDrop, Request#3 ChannelDrop, Memcpy#8 MemcpyStall { millis: 17 }, Request#3 ChannelDrop, Memcpy#2 MemcpyStall { millis: 13 }, Launch#2 KernelHang, Memcpy#4 MemcpyStall { millis: 2 }\n\
-command_chaos(0xa11ce, 12): Command#1 ChannelDrop, Command#3 ChannelDrop, Command#1 MemcpyStall { millis: 1 }, Command#3 MemcpyStall { millis: 1 }, Command#5 LaunchFault, Command#5 KernelHang, Command#1 KernelHang, Command#2 ChannelDrop, Command#5 LaunchFault, Command#5 MemcpyStall { millis: 5 }, Command#3 ChannelDrop, Command#2 MemcpyStall { millis: 4 }\n\
-command_chaos(0xb0b, 12): Command#6 LaunchFault, Command#6 LaunchFault, Command#3 ChannelDrop, Command#2 KernelHang, Command#6 MemcpyStall { millis: 5 }, Command#3 MemcpyStall { millis: 3 }, Command#6 LaunchFault, Command#6 MemcpyStall { millis: 3 }, Command#1 KernelHang, Command#6 KernelHang, Command#2 ChannelDrop, Command#2 ChannelDrop\n\
-command_chaos(0x2a, 12): Command#1 LaunchFault, Command#5 KernelHang, Command#1 LaunchFault, Command#6 KernelHang, Command#1 ChannelDrop, Command#5 LaunchFault, Command#6 LaunchFault, Command#6 MemcpyStall { millis: 4 }, Command#3 KernelHang, Command#4 MemcpyStall { millis: 5 }, Command#5 LaunchFault, Command#1 LaunchFault\n\
-command_chaos(0x5eed, 16): Command#3 MemcpyStall { millis: 2 }, Command#1 ChannelDrop, Command#4 MemcpyStall { millis: 2 }, Command#1 KernelHang, Command#2 MemcpyStall { millis: 1 }, Command#2 ChannelDrop, Command#2 MemcpyStall { millis: 4 }, Command#2 ChannelDrop, Command#4 LaunchFault, Command#5 MemcpyStall { millis: 5 }, Command#3 ChannelDrop, Command#4 LaunchFault, Command#5 MemcpyStall { millis: 4 }, Command#1 MemcpyStall { millis: 2 }, Command#5 KernelHang, Command#1 LaunchFault\n";
+";
 
     #[test]
     fn token_cancel_releases_blocked_thread() {
