@@ -98,8 +98,7 @@ impl ArbiterCore {
     /// in the set — the frontend feeds `KernelFinished {ok: false}` once
     /// the retreat actually lands — but the deadline is disarmed so the
     /// eviction fires exactly once. The armed list is sorted by external
-    /// lease id, so `Evict`s come out in ascending lease order — the same
-    /// order the pre-interning ordered-map scan produced.
+    /// lease id, so `Evict`s come out in ascending lease order.
     fn scan_deadlines(&mut self, out: &mut Vec<Command>) {
         let mut i = 0;
         while i < self.armed.len() {
@@ -245,11 +244,10 @@ impl ArbiterCore {
         };
         let now = self.now;
         let leases = &self.leases;
-        let last_range = &self.last_range;
         let hit = self.waiters.iter().position(|w| {
             w.since == now
                 && !w.pinned
-                && leases.get(w.lease).and_then(|s| last_range[s as usize]) == Some(free)
+                && leases.get(&w.lease).and_then(|l| l.last_range) == Some(free)
                 && should_corun(r_class, w.class)
         });
         let Some(widx) = hit else { return false };

@@ -26,17 +26,61 @@
 //! golden-transcript machinery built on that guarantee.
 
 pub(crate) mod events;
-pub(crate) mod idtable;
 pub mod replay;
 
 mod decide;
 mod state;
 
 pub use events::{Command, Event, RejectScope, Tick};
-#[doc(hidden)]
-pub use idtable::IdTable;
 pub use replay::EventLog;
 pub use state::{ArbiterConfig, ArbiterCore};
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Per-id state keyed by a client's external session or lease id. Its
+/// iteration order is the hasher's, so whatever reaches output — a
+/// command, a transcript, a snapshot — walks it by ascending id
+/// ([`by_id`]).
+pub(crate) type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
+/// The fixed hasher of [`IdMap`]: one 64×64→128-bit multiply by the
+/// golden-ratio constant, its high half folded into its low half. The
+/// map picks buckets from the low bits, and a daemon lease id is
+/// `session << 16 | stream`, so a bare multiply would leave those bits
+/// constant and put every default-stream lease on one probe chain; the
+/// fold brings the well-mixed high bits down. Fixed, unlike `std`'s
+/// seeded default, so runs stay reproducible; the keys are the daemon's
+/// session numbers and the lease ids it builds from them.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    /// Only `u64` keys reach the maps; other input is mixed a byte at a
+    /// time.
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, id: u64) {
+        let p = u128::from(self.0 ^ id) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The entries of `map` in ascending id order: the order a snapshot
+/// writes per-id state in. Allocates the list.
+pub(crate) fn by_id<V>(map: &IdMap<V>) -> Vec<(u64, &V)> {
+    let mut entries: Vec<(u64, &V)> = map.iter().map(|(&id, v)| (id, v)).collect();
+    entries.sort_unstable_by_key(|&(id, _)| id);
+    entries
+}
 
 #[cfg(test)]
 mod tests {
@@ -403,6 +447,49 @@ mod tests {
         let s = a.stats().admission;
         assert_eq!(s.launches_failed, 1);
         assert_eq!(a.stats().queue.depth, 0);
+    }
+
+    #[test]
+    fn a_shed_connect_leaves_no_session_entry_behind() {
+        let mut a = core_with(limits(AdmissionLimits {
+            max_sessions: Some(1),
+            ..Default::default()
+        }));
+        for s in 1..=999 {
+            a.feed(s, &[Event::SessionOpened { session: s }]);
+        }
+        // A declared class goes with its shed open, in the same batch.
+        a.feed(
+            1_000,
+            &[
+                slo(1_000, SloClass::LatencyCritical),
+                Event::SessionOpened { session: 1_000 },
+            ],
+        );
+        assert_eq!(a.stats().admission.sessions_rejected, 999);
+        let held: Vec<u64> = a.sessions.keys().copied().collect();
+        assert_eq!(held, [1], "only the admitted session keeps an entry");
+        assert_eq!(a.session_slo(1_000), SloClass::BestEffort);
+    }
+
+    /// A daemon lease id is `session << 16 | stream` and the map picks a
+    /// bucket from the hash's low bits: those bits must still spread
+    /// such ids (a bare multiply leaves them constant).
+    #[test]
+    fn the_id_hasher_spreads_daemon_lease_ids_over_its_low_bits() {
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        let hasher = BuildHasherDefault::<IdHasher>::default();
+        for stream in [0, 1] {
+            let buckets: HashSet<u64> = (1..=1024u64)
+                .map(|s| hasher.hash_one(s << 16 | stream) & 0x3FF)
+                .collect();
+            assert!(
+                buckets.len() >= 512,
+                "stream {stream}: {} distinct low-bit values",
+                buckets.len()
+            );
+        }
     }
 
     #[test]

@@ -1,25 +1,22 @@
 //! The arbitration core's state machine: configuration, per-event state
 //! updates, and the counters both frontends report from.
 //!
-//! Everything here is deterministic and I/O-free. Decision-path state is
-//! held in dense slot tables indexed by interned ids (see [`super::idtable`])
-//! plus plain `Vec`s — never a `HashMap` whose iteration order could leak
-//! into output. Wherever iteration order *does* reach the command stream,
-//! the core orders by external id explicitly (the armed-deadline list is
-//! kept sorted by lease id), which is what keeps the golden replay test
-//! byte-stable across both runs and internal-representation changes.
-//! That is the dense-slot rule of `DESIGN.md` §17: slot numbers are an
-//! implementation detail and must never order anything a transcript,
-//! command stream, or snapshot can observe.
+//! Everything here is deterministic and I/O-free. Per-session and
+//! per-lease state lives in one [`IdMap`] entry per external id; wherever
+//! iteration order reaches output, the core orders by external id (the
+//! armed-deadline list is kept sorted by lease id, a snapshot writes each
+//! map by ascending id), which is what keeps the golden replay test
+//! byte-stable across runs and internal-representation changes
+//! (`DESIGN.md` §17).
 
 use super::events::{Command, Event, RejectScope, Tick};
-use super::idtable::IdTable;
 use super::replay::{is_recorded, EventLog, LoggedBatch};
+use super::{by_id, IdMap};
 use crate::admission::{AdmissionLimits, AdmissionStats, CoreStats};
 use crate::classify::WorkloadClass;
 use crate::durability::codec::{
     put_arbiter_config, put_bool, put_class, put_device, put_entries, put_opt, put_queue,
-    put_range, put_slo, put_slots, put_u64, put_usize, Decoded, Reader,
+    put_range, put_slo, put_u64, put_usize, Decoded, Reader,
 };
 use crate::queue::LaunchGauge;
 use crate::select::PartnerCandidate;
@@ -180,6 +177,43 @@ impl Waiter {
     }
 }
 
+/// What the core keeps of one session.
+#[derive(Debug)]
+pub(super) struct Session {
+    /// Pending launches of the session.
+    gauge: LaunchGauge,
+    /// Declared SLO class (best-effort until an [`Event::SloArrival`]).
+    slo: SloClass,
+    /// Whether the session passed admission. A session created by a bare
+    /// [`Event::SloArrival`] (declared but never opened) must not
+    /// decrement `active_sessions` on close.
+    opened: bool,
+}
+
+impl Session {
+    fn new(gauge: LaunchGauge) -> Self {
+        Self {
+            gauge,
+            slo: SloClass::BestEffort,
+            opened: false,
+        }
+    }
+}
+
+/// What the core keeps of one lease, until its session ends.
+#[derive(Debug)]
+pub(super) struct Lease {
+    /// Owning session (external id).
+    session: u64,
+    /// Last SM range the lease held when it finished — the in-place
+    /// continuation hint (a re-ready kernel resumes its old partition
+    /// without a resize).
+    pub(super) last_range: Option<SmRange>,
+    /// Solo-time estimates of the admitted launches, popped as they
+    /// finish; empty is "no pending launch".
+    pending: VecDeque<u64>,
+}
+
 /// The deterministic, I/O-free arbitration core shared by the simulated
 /// runtime and the live daemon.
 ///
@@ -190,10 +224,10 @@ impl Waiter {
 /// behind [`ArbiterCore::feed`]; the frontends only translate events in
 /// and commands out.
 ///
-/// Per-session and per-lease state is slot-indexed through two
-/// [`IdTable`] interners; steady-state feeding performs no heap
-/// allocation (slot tables, FIFOs and scratch buffers all reuse their
-/// high-water capacity).
+/// Per-session and per-lease state is one map entry per external id;
+/// steady-state feeding performs no heap allocation (the maps, the
+/// spare FIFOs and the scratch buffers all keep their high-water
+/// capacity).
 #[derive(Debug)]
 pub struct ArbiterCore {
     pub(super) device: DeviceConfig,
@@ -204,27 +238,18 @@ pub struct ArbiterCore {
     pub(super) draining: bool,
     pub(super) residents: Vec<Resident>,
     pub(super) waiters: Vec<Waiter>,
-    /// Lease interner: one live slot per lease the core still tracks
-    /// (released when the owning session ends).
-    pub(super) leases: IdTable,
-    /// Session interner, parallel to `gauges`.
-    session_ids: IdTable,
-    /// Last SM range each lease held when it finished — the in-place
-    /// continuation hint (a re-ready kernel resumes its old partition
-    /// without a resize). Indexed by lease slot.
-    pub(super) last_range: Vec<Option<SmRange>>,
+    /// One entry per lease the core still tracks (removed when the
+    /// owning session ends).
+    pub(super) leases: IdMap<Lease>,
+    /// One entry per session admitted, declared or launched from.
+    pub(super) sessions: IdMap<Session>,
+    /// The FIFOs of removed leases, emptied, for the next leases to
+    /// take: a warmed feed allocates none.
+    spare_fifos: Vec<VecDeque<u64>>,
     /// Armed watchdog deadlines as `(external lease id, eviction tick)`,
     /// kept sorted by lease id — the scan emits `Evict`s in ascending
     /// lease order, exactly as the old ordered-map iteration did.
     pub(super) armed: Vec<(u64, Tick)>,
-    /// Per-session pending-launch gauges, indexed by session slot.
-    gauges: Vec<LaunchGauge>,
-    /// Owning session of each lease (external id), indexed by lease slot.
-    lease_session: Vec<u64>,
-    /// Per-lease FIFO of admitted solo-time estimates, indexed by lease
-    /// slot; popped as the lease's launches finish. FIFOs are reused
-    /// across slot generations — an empty FIFO is "no pending entry".
-    pending: Vec<VecDeque<u64>>,
     /// Daemon-wide pending-launch gauge.
     global: LaunchGauge,
     active_sessions: usize,
@@ -240,15 +265,6 @@ pub struct ArbiterCore {
     pub(super) evictions: u64,
     pub(super) preemptions: u64,
     reaped: u64,
-    /// Declared SLO class per session, indexed by session slot; reset to
-    /// best-effort when a slot is (re)interned.
-    slo: Vec<SloClass>,
-    /// Whether the session passed admission, indexed by session slot. A
-    /// session interned by a bare [`Event::SloArrival`] (declared but
-    /// never opened) must not decrement `active_sessions` on close.
-    opened: Vec<bool>,
-    /// Reused by the session-end sweep (external lease ids).
-    scratch_ids: Vec<u64>,
     /// Reused by the co-run partner selection each decide pass.
     pub(super) scratch_cands: Vec<PartnerCandidate>,
     pub(super) scratch_idxs: Vec<usize>,
@@ -259,10 +275,10 @@ impl ArbiterCore {
     /// A fresh core arbitrating `device` under `config`.
     pub fn new(device: DeviceConfig, config: ArbiterConfig) -> Self {
         let global = LaunchGauge::new(config.limits.max_pending_global);
-        // Pre-size the dense tables for a typical concurrent population:
-        // one up-front allocation per table instead of a doubling ladder
-        // on the first wave of sessions (a fresh core's first feeds stay
-        // off the allocator's hot path too, not just steady state).
+        // Pre-size the maps for a typical concurrent population: one
+        // up-front allocation per map instead of a doubling ladder on the
+        // first wave of sessions (a fresh core's first feeds stay off the
+        // allocator's hot path too, not just steady state).
         const LEASES: usize = 16;
         const SESSIONS: usize = 8;
         Self {
@@ -273,15 +289,11 @@ impl ArbiterCore {
             draining: false,
             residents: Vec::with_capacity(4),
             waiters: Vec::with_capacity(8),
-            leases: IdTable::with_capacity(LEASES),
-            session_ids: IdTable::with_capacity(SESSIONS),
-            last_range: Vec::with_capacity(LEASES),
+            leases: IdMap::with_capacity_and_hasher(LEASES, Default::default()),
+            sessions: IdMap::with_capacity_and_hasher(SESSIONS, Default::default()),
+            spare_fifos: Vec::with_capacity(LEASES),
             // Lazy: only deadline-bearing workloads ever arm a timer.
             armed: Vec::new(),
-            gauges: Vec::with_capacity(SESSIONS),
-            opened: Vec::with_capacity(SESSIONS),
-            lease_session: Vec::with_capacity(LEASES),
-            pending: Vec::with_capacity(SESSIONS),
             global,
             active_sessions: 0,
             sessions_admitted: 0,
@@ -295,8 +307,6 @@ impl ArbiterCore {
             evictions: 0,
             preemptions: 0,
             reaped: 0,
-            slo: Vec::with_capacity(SESSIONS),
-            scratch_ids: Vec::with_capacity(8),
             scratch_cands: Vec::with_capacity(8),
             scratch_idxs: Vec::with_capacity(8),
             record: None,
@@ -344,9 +354,9 @@ impl ArbiterCore {
     /// The declared SLO class of `session` (best-effort when the session
     /// never declared one, or is unknown).
     pub fn session_slo(&self, session: u64) -> SloClass {
-        self.session_ids
-            .get(session)
-            .map(|slot| self.slo[slot as usize])
+        self.sessions
+            .get(&session)
+            .map(|s| s.slo)
             .unwrap_or_default()
     }
 
@@ -385,9 +395,8 @@ impl ArbiterCore {
 
     /// Appends the core's part of a snapshot slot body: every field a
     /// future decision reads, which [`ArbiterCore::decode`] reads back.
-    /// The slot tables are written as maps by external id, ascending, so
-    /// slot numbers never reach the bytes; gauges are written as their
-    /// [`QueueStats`](crate::queue::QueueStats).
+    /// The per-id maps are written by external id, ascending; gauges are
+    /// written as their [`QueueStats`](crate::queue::QueueStats).
     ///
     /// The crash-consistency invariant: the core `decode` rebuilds from
     /// these bytes behaves byte-identically to this one for every later
@@ -402,12 +411,10 @@ impl ArbiterCore {
             residents,
             waiters,
             leases,
-            session_ids,
-            last_range,
+            sessions,
+            // Empty FIFOs, no state.
+            spare_fifos: _,
             armed,
-            gauges,
-            lease_session,
-            pending,
             global,
             active_sessions,
             sessions_admitted,
@@ -421,18 +428,14 @@ impl ArbiterCore {
             evictions,
             preemptions,
             reaped,
-            slo,
-            // Every session a snapshot holds was admitted (see `decode`).
-            opened: _,
             // Scratch, empty between batches.
-            scratch_ids: _,
             scratch_cands: _,
             scratch_idxs: _,
             // A restored core starts a fresh log.
             record: _,
         } = self;
-        let leases = leases.by_id();
-        let sessions = session_ids.by_id();
+        let leases = by_id(leases);
+        let sessions = by_id(sessions);
         put_device(out, device);
         put_arbiter_config(out, config);
         put_u64(out, *now);
@@ -446,17 +449,19 @@ impl ArbiterCore {
         for waiter in waiters {
             waiter.encode(out);
         }
-        put_slots(out, &leases, |s| last_range[s], put_range);
+        let last_range = leases
+            .iter()
+            .filter_map(|&(id, l)| Some((id, l.last_range?)));
+        put_entries(out, last_range, put_range);
         put_entries(out, armed.iter().copied(), put_u64);
-        put_slots(
-            out,
-            &sessions,
-            |s| Some(gauges[s].stats()),
-            |out, stats| put_queue(out, &stats),
-        );
-        put_slots(out, &leases, |s| Some(lease_session[s]), put_u64);
-        let queued = |s: usize| Some(&pending[s]).filter(|fifo| !fifo.is_empty());
-        put_slots(out, &leases, queued, |out, fifo| {
+        let gauges = sessions.iter().map(|&(id, s)| (id, s.gauge.stats()));
+        put_entries(out, gauges, |out, stats| put_queue(out, &stats));
+        put_entries(out, leases.iter().map(|&(id, l)| (id, l.session)), put_u64);
+        let queued = leases
+            .iter()
+            .filter(|(_, l)| !l.pending.is_empty())
+            .map(|&(id, l)| (id, &l.pending));
+        put_entries(out, queued, |out, fifo| {
             put_usize(out, fifo.len());
             fifo.iter().for_each(|&est| put_u64(out, est));
         });
@@ -476,17 +481,17 @@ impl ArbiterCore {
         ] {
             put_u64(out, *v);
         }
-        let declared = |s: usize| Some(slo[s]).filter(|&c| c != SloClass::BestEffort);
-        put_slots(out, &sessions, declared, put_slo);
+        let declared = sessions
+            .iter()
+            .filter(|(_, s)| s.slo != SloClass::BestEffort)
+            .map(|&(id, s)| (id, s.slo));
+        put_entries(out, declared, put_slo);
         put_u64(out, *preemptions);
     }
 
     /// Rebuilds a core from the bytes [`ArbiterCore::encode`] wrote
-    /// (recording off). Ids are re-interned in ascending external order,
-    /// which may permute slot numbers relative to the encoded core —
-    /// behaviorally invisible, because no decision depends on slot
-    /// numbering (the dense-slot rule). `lease_session` is the live-lease
-    /// set: a last range or FIFO of any other lease is dropped.
+    /// (recording off). The lease owners are the live-lease set: a last
+    /// range or FIFO of any other lease is dropped.
     pub(crate) fn decode(r: &mut Reader) -> Decoded<Self> {
         let device = r.device()?;
         let config = r.arbiter_config()?;
@@ -520,24 +525,24 @@ impl ArbiterCore {
         }
         core.armed = r.pairs(Reader::u64)?;
         for (session, stats) in r.pairs(Reader::queue)? {
-            let slot = core.session_slot(session);
-            core.gauges[slot] = LaunchGauge::from_stats(stats);
+            let mut entry = Session::new(LaunchGauge::from_stats(stats));
             // Declare-then-open is atomic within a batch and snapshots
             // are cut between batches, so every snapshotted session was
             // admitted.
-            core.opened[slot] = true;
+            entry.opened = true;
+            core.sessions.insert(session, entry);
         }
         for (lease, session) in r.pairs(Reader::u64)? {
-            core.lease_slot(lease, session);
+            core.lease(lease, session);
         }
         for (lease, range) in last_range {
-            if let Some(slot) = core.leases.get(lease) {
-                core.last_range[slot as usize] = Some(range);
+            if let Some(l) = core.leases.get_mut(&lease) {
+                l.last_range = Some(range);
             }
         }
         for (lease, fifo) in r.pairs(|r| r.vec(Reader::u64))? {
-            if let Some(slot) = core.leases.get(lease) {
-                core.pending[slot as usize] = fifo.into();
+            if let Some(l) = core.leases.get_mut(&lease) {
+                l.pending = fifo.into();
             }
         }
         core.global = LaunchGauge::from_stats(r.queue()?);
@@ -553,8 +558,7 @@ impl ArbiterCore {
         core.evictions = r.u64()?;
         core.reaped = r.u64()?;
         for (session, class) in r.pairs(Reader::slo)? {
-            let slot = core.session_slot(session);
-            core.slo[slot] = class;
+            core.session(session).slo = class;
         }
         core.preemptions = r.u64()?;
         Ok(core)
@@ -564,7 +568,10 @@ impl ArbiterCore {
     /// ones — for tests that forge a body no core can be in.
     #[cfg(test)]
     pub(crate) fn ranges_mut(&mut self) -> impl Iterator<Item = &mut SmRange> {
-        let last = self.last_range.iter_mut().flatten();
+        let last = self
+            .leases
+            .values_mut()
+            .filter_map(|l| l.last_range.as_mut());
         self.residents.iter_mut().map(|r| &mut r.range).chain(last)
     }
 
@@ -630,44 +637,25 @@ impl ArbiterCore {
         }
     }
 
-    /// Interns `session` and sizes the gauge table to its slot. The gauge
-    /// itself is the caller's to (re)initialize.
-    fn session_slot(&mut self, session: u64) -> usize {
-        let (slot, fresh) = self.session_ids.intern(session);
-        let slot = slot as usize;
-        if slot >= self.gauges.len() {
-            self.gauges.resize_with(slot + 1, || LaunchGauge::new(None));
-            self.slo.resize(slot + 1, SloClass::BestEffort);
-            self.opened.resize(slot + 1, false);
-        }
-        if fresh {
-            // A reused slot must not leak the previous occupant's state:
-            // SLO class reverts to the default and the gauge to a neutral
-            // one (callers that admit the session re-initialize it with
-            // the configured limit).
-            self.slo[slot] = SloClass::BestEffort;
-            self.gauges[slot] = LaunchGauge::new(None);
-            self.opened[slot] = false;
-        }
-        slot
+    /// The entry of `session`, created unopened with a neutral gauge if
+    /// absent (callers that admit the session re-initialize the gauge
+    /// with the configured limit).
+    fn session(&mut self, session: u64) -> &mut Session {
+        self.sessions
+            .entry(session)
+            .or_insert_with(|| Session::new(LaunchGauge::new(None)))
     }
 
-    /// Interns `lease` owned by `session` and sizes the per-lease tables
-    /// to its slot, resetting slot state on fresh (possibly reused) slots.
-    fn lease_slot(&mut self, lease: u64, session: u64) -> usize {
-        let (slot, fresh) = self.leases.intern(lease);
-        let slot = slot as usize;
-        if slot >= self.lease_session.len() {
-            self.lease_session.resize(slot + 1, 0);
-            self.last_range.resize(slot + 1, None);
-            self.pending.resize_with(slot + 1, VecDeque::new);
-        }
-        if fresh {
-            self.last_range[slot] = None;
-            debug_assert!(self.pending[slot].is_empty(), "released slot kept a FIFO");
-        }
-        self.lease_session[slot] = session;
-        slot
+    /// The entry of `lease`, created if absent, now owned by `session`.
+    fn lease(&mut self, lease: u64, session: u64) -> &mut Lease {
+        let spare = &mut self.spare_fifos;
+        let entry = self.leases.entry(lease).or_insert_with(|| Lease {
+            session,
+            last_range: None,
+            pending: spare.pop().unwrap_or_default(),
+        });
+        entry.session = session;
+        entry
     }
 
     /// Arms (or re-arms) the watchdog deadline of `lease`, keeping the
@@ -676,13 +664,6 @@ impl ArbiterCore {
         match self.armed.binary_search_by_key(&lease, |&(l, _)| l) {
             Ok(i) => self.armed[i].1 = at,
             Err(i) => self.armed.insert(i, (lease, at)),
-        }
-    }
-
-    /// Disarms the watchdog deadline of `lease`, if armed.
-    fn disarm_deadline(&mut self, lease: u64) {
-        if let Ok(i) = self.armed.binary_search_by_key(&lease, |&(l, _)| l) {
-            self.armed.remove(i);
         }
     }
 
@@ -705,7 +686,7 @@ impl ArbiterCore {
                 pinned_solo,
                 deadline_ms,
             } => {
-                self.lease_slot(lease, session);
+                self.lease(lease, session);
                 let slo = self.session_slo(session);
                 let seq = self.next_seq;
                 self.next_seq += 1;
@@ -748,10 +729,7 @@ impl ArbiterCore {
             // nudges — recorded in its log, fresh decide() pass, no
             // per-core state.
             Event::DeviceDown { .. } | Event::DeviceUp { .. } => {}
-            Event::SloArrival { session, class } => {
-                let slot = self.session_slot(session);
-                self.slo[slot] = class;
-            }
+            Event::SloArrival { session, class } => self.session(session).slo = class,
         }
     }
 
@@ -759,10 +737,10 @@ impl ArbiterCore {
         if let Some(max) = self.config.limits.max_sessions {
             if self.active_sessions >= max {
                 self.sessions_rejected += 1;
-                // A shed connect leaves no state behind — including a slot
-                // the session's SLO declaration may have interned ahead of
-                // the open.
-                self.session_ids.release(session);
+                // A shed connect leaves no state behind — including the
+                // entry the session's SLO declaration may have made ahead
+                // of the open.
+                self.sessions.remove(&session);
                 out.push(Command::RejectOverloaded {
                     session,
                     lease: None,
@@ -775,17 +753,17 @@ impl ArbiterCore {
         self.active_sessions += 1;
         self.sessions_admitted += 1;
         let limit = self.config.limits.max_pending_per_session;
-        let slot = self.session_slot(session);
-        self.gauges[slot] = LaunchGauge::new(limit);
-        self.opened[slot] = true;
+        let entry = self.session(session);
+        entry.gauge = LaunchGauge::new(limit);
+        entry.opened = true;
     }
 
     fn end_session(&mut self, session: u64, severed: bool, out: &mut Vec<Command>) {
-        let Some(slot) = self.session_ids.release(session) else {
+        let Some(entry) = self.sessions.remove(&session) else {
             // Never admitted (the connect was shed): nothing to clean up.
             return;
         };
-        if std::mem::take(&mut self.opened[slot as usize]) {
+        if entry.opened {
             self.active_sessions -= 1;
         }
         // Defensive sweep: a well-behaved frontend finishes every launch
@@ -793,27 +771,30 @@ impl ArbiterCore {
         // leases behind — drain them so the global gauge stays balanced.
         self.residents.retain(|r| r.session != session);
         self.waiters.retain(|w| w.session != session);
-        let mut sweep = std::mem::take(&mut self.scratch_ids);
-        sweep.clear();
-        sweep.extend(
-            self.leases
-                .iter()
-                .filter(|&(slot, _)| self.lease_session[slot as usize] == session)
-                .map(|(_, ext)| ext),
-        );
-        // Per-lease cleanup commutes (the counters are sums), so slot
-        // order here is fine — nothing below emits a command.
-        for &lease in &sweep {
-            let slot = self.leases.release(lease).expect("swept lease is live") as usize;
-            self.last_range[slot] = None;
-            self.disarm_deadline(lease);
-            while let Some(est) = self.pending[slot].pop_front() {
-                self.pending_est_ms = self.pending_est_ms.saturating_sub(est);
-                self.global.pop();
-                self.launches_failed += 1;
+        // Per-lease cleanup commutes (the counters are sums), so the
+        // map's order here is fine — nothing below emits a command.
+        let Self {
+            leases,
+            armed,
+            spare_fifos,
+            global,
+            pending_est_ms,
+            launches_failed,
+            ..
+        } = self;
+        leases.retain(|&lease, entry| {
+            if entry.session != session {
+                return true;
             }
-        }
-        self.scratch_ids = sweep;
+            disarm(armed, lease);
+            for est in entry.pending.drain(..) {
+                *pending_est_ms = pending_est_ms.saturating_sub(est);
+                global.pop();
+                *launches_failed += 1;
+            }
+            spare_fifos.push(std::mem::take(&mut entry.pending));
+            false
+        });
         if severed {
             self.reaped += 1;
             out.push(Command::Reap { session });
@@ -828,24 +809,21 @@ impl ArbiterCore {
         deadline_ms: Option<u64>,
         out: &mut Vec<Command>,
     ) {
-        let sslot = match self.session_ids.get(session) {
-            Some(s) => s as usize,
-            None => {
-                // Lazily admit sessions the frontend never announced, so
-                // the core stays usable with partial event streams.
-                let limit = self.config.limits.max_pending_per_session;
-                let slot = self.session_slot(session);
-                self.gauges[slot] = LaunchGauge::new(limit);
-                slot
-            }
-        };
+        // Lazily admit sessions the frontend never announced, so the core
+        // stays usable with partial event streams.
+        let limit = self.config.limits.max_pending_per_session;
+        let gauge = &self
+            .sessions
+            .entry(session)
+            .or_insert_with(|| Session::new(LaunchGauge::new(limit)))
+            .gauge;
         if let Some(deadline) = deadline_ms {
             let queue_wait = self.pending_est_ms;
             if queue_wait > deadline {
                 // The kernel could only ever be evicted; shed it now
                 // instead of wasting device time the queue needs.
                 self.deadline_rejections += 1;
-                self.gauges[sslot].record_shed();
+                gauge.record_shed();
                 self.global.record_shed();
                 out.push(Command::RejectOverloaded {
                     session,
@@ -856,7 +834,7 @@ impl ArbiterCore {
                 return;
             }
         }
-        if !self.gauges[sslot].try_push() {
+        if !gauge.try_push() {
             self.global.record_shed();
             out.push(Command::RejectOverloaded {
                 session,
@@ -867,7 +845,7 @@ impl ArbiterCore {
             return;
         }
         if !self.global.try_push() {
-            self.gauges[sslot].cancel();
+            gauge.cancel();
             out.push(Command::RejectOverloaded {
                 session,
                 lease: Some(lease),
@@ -878,34 +856,42 @@ impl ArbiterCore {
         }
         let est = est_ms.unwrap_or(0);
         self.pending_est_ms += est;
-        let lslot = self.lease_slot(lease, session);
-        self.pending[lslot].push_back(est);
+        self.lease(lease, session).pending.push_back(est);
     }
 
     fn finish_launch(&mut self, lease: u64, ok: bool) {
-        if let Some(pos) = self.residents.iter().position(|r| r.lease == lease) {
-            let r = self.residents.remove(pos);
-            if let Some(slot) = self.leases.get(lease) {
-                self.last_range[slot as usize] = Some(r.range);
-            }
-        }
-        self.disarm_deadline(lease);
+        let held = self
+            .residents
+            .iter()
+            .position(|r| r.lease == lease)
+            .map(|pos| self.residents.remove(pos).range);
+        disarm(&mut self.armed, lease);
         self.waiters.retain(|w| w.lease != lease);
-        if let Some(slot) = self.leases.get(lease) {
-            let slot = slot as usize;
-            if let Some(est) = self.pending[slot].pop_front() {
-                self.pending_est_ms = self.pending_est_ms.saturating_sub(est);
-                self.global.pop();
-                let session = self.lease_session[slot];
-                if let Some(ss) = self.session_ids.get(session) {
-                    self.gauges[ss as usize].pop();
-                }
-                if ok {
-                    self.launches_completed += 1;
-                } else {
-                    self.launches_failed += 1;
-                }
+        let Some(entry) = self.leases.get_mut(&lease) else {
+            return;
+        };
+        if held.is_some() {
+            entry.last_range = held;
+        }
+        if let Some(est) = entry.pending.pop_front() {
+            self.pending_est_ms = self.pending_est_ms.saturating_sub(est);
+            self.global.pop();
+            if let Some(s) = self.sessions.get(&entry.session) {
+                s.gauge.pop();
+            }
+            if ok {
+                self.launches_completed += 1;
+            } else {
+                self.launches_failed += 1;
             }
         }
+    }
+}
+
+/// Disarms the watchdog deadline of `lease` in the sorted `armed` list,
+/// if armed.
+fn disarm(armed: &mut Vec<(u64, Tick)>, lease: u64) {
+    if let Ok(i) = armed.binary_search_by_key(&lease, |&(l, _)| l) {
+        armed.remove(i);
     }
 }

@@ -30,11 +30,8 @@ pub(super) struct ArbInner {
     batch: PlacementBatch,
     /// Dispatch grants awaiting pickup by their `exec::execute` thread:
     /// lease → (device index, granted SM range). Ordered map so any
-    /// iteration over pending grants is deterministic. (Dense-slot rule,
-    /// `DESIGN.md` §17: an ordered map off the per-event hot path stays a
-    /// map; only decision-path tables moved to interned `IdTable` slots,
-    /// and any slot iteration that reaches output must sort by external
-    /// id first.)
+    /// iteration over pending grants is deterministic (`DESIGN.md` §17:
+    /// iteration whose order can reach output sorts by external id).
     grants: BTreeMap<u64, (usize, SmRange)>,
     /// Dispatch handles of waiting/resident leases: where a routed
     /// `Resize`/`Evict` reaches the `Dispatcher` that `exec::execute` runs
@@ -53,12 +50,9 @@ pub(super) struct ArbInner {
 /// back.
 ///
 /// Ordered map by rule: any structure on the command/replay path must
-/// iterate deterministically, even if today's accesses are keyed lookups.
-/// (Dense-slot rule, `DESIGN.md` §17: decision-path tables inside the
-/// arbitration core use interned `IdTable` slots instead — but there,
-/// any slot iteration whose order can reach output sorts by external id
-/// first. This table is keyed-lookup-only and off the per-event hot
-/// path, so the ordered map stays.)
+/// iterate deterministically, even if today's accesses are keyed lookups
+/// (`DESIGN.md` §17: iteration whose order can reach output sorts by
+/// external id).
 #[derive(Default)]
 struct LeaseTable {
     entries: BTreeMap<u64, LeaseEntry>,

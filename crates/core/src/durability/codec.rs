@@ -31,10 +31,10 @@
 //! and the slot body's framing. The live state a slot body holds encodes
 //! itself, beside its fields: the [`PlacementLayer`]'s `encode` writes
 //! the layer — its [`ArbiterCore`]s and health tracker in turn — from
-//! the slot tables it runs on, and its `decode` rebuilds one, so there is
+//! the per-id maps it runs on, and its `decode` rebuilds one, so there is
 //! no second representation of that state to keep in step.
-//! A slot table is written as a map by external id, ascending: slot
-//! numbers never reach the bytes.
+//! A per-id map is written by external id, ascending: the hasher's order
+//! never reaches the bytes.
 //!
 //! A tag or enum byte is the variant's position in its declaration when
 //! this format was fixed, spelled out as a literal in the encoder and the
@@ -244,23 +244,6 @@ pub(crate) fn put_entries<V>(
         put_u64(out, key);
         put_value(out, value);
     }
-}
-
-/// Writes a map by id from a slot table: the live `(id, slot)`s of `ids`,
-/// ascending by id as [`IdTable::by_id`] lists them, each with the value
-/// `value(slot)` gives, those it gives none for left out.
-///
-/// [`IdTable::by_id`]: crate::arbiter::IdTable::by_id
-pub(crate) fn put_slots<V>(
-    out: &mut Vec<u8>,
-    ids: &[(u64, u32)],
-    value: impl Fn(usize) -> Option<V>,
-    put_value: impl FnMut(&mut Vec<u8>, V),
-) {
-    let entries = ids
-        .iter()
-        .filter_map(|&(id, slot)| Some((id, value(slot as usize)?)));
-    put_entries(out, entries, put_value);
 }
 
 fn put_map<V>(out: &mut Vec<u8>, map: &BTreeMap<u64, V>, put_value: impl FnMut(&mut Vec<u8>, &V)) {

@@ -25,11 +25,10 @@
 //!
 //! 1. **Sticky deterministic routing** — a session's device is chosen
 //!    once, by a pure [`PlacementPolicy`], and every later event of that
-//!    session (and of its leases) follows it. No wall clocks, no
-//!    unordered maps; session and lease routes live in dense slot tables
-//!    behind [`IdTable`] interners, and any slot iteration whose order
-//!    could reach the output sorts by external id first (the dense-slot
-//!    rule — see `DESIGN.md` §17).
+//!    session (and of its leases) follows it. No wall clocks; session and
+//!    lease routes live in maps keyed by external id, and any walk of
+//!    them whose order could reach the output sorts by external id
+//!    first (see `DESIGN.md` §17).
 //! 2. **Event-sourced evacuation** — when a device leaves service, each
 //!    of its leases moves by an ordinary [`Command::Evict`] synthesized by
 //!    the layer plus a route change for the lease; nothing else moves a
@@ -56,9 +55,9 @@ pub(crate) use replay::PlacementLog;
 
 use crate::admission::CoreStats;
 use crate::arbiter::replay::is_recorded;
-use crate::arbiter::{ArbiterConfig, ArbiterCore, Command, Event, IdTable, RejectScope, Tick};
+use crate::arbiter::{by_id, ArbiterConfig, ArbiterCore, Command, Event, IdMap, RejectScope, Tick};
 use crate::durability::codec::{
-    put_placement_config, put_slo, put_slots, put_u64, put_usize, Decoded, Reader,
+    put_entries, put_placement_config, put_slo, put_u64, put_usize, Decoded, Reader,
 };
 use health::HealthTracker;
 use serde::{Deserialize, Serialize};
@@ -154,36 +153,43 @@ impl PlacementSnapshot {
     }
 }
 
+/// A session's route.
+#[derive(Debug)]
+struct SessionRoute {
+    /// The sticky device.
+    device: usize,
+    /// Declared SLO class (default best-effort).
+    slo: SloClass,
+}
+
+/// A lease's route, until its session ends.
+#[derive(Debug, Default)]
+struct LeaseRoute {
+    /// The sticky device (diverges from the session's after an
+    /// evacuation).
+    device: Option<usize>,
+    /// Owning session, for cleanup when the session ends.
+    session: Option<u64>,
+    /// The target device of an in-flight migration: set when a device is
+    /// evacuated, taken when the eviction's `KernelFinished` arrives.
+    migrating: Option<usize>,
+}
+
 /// N per-device arbitration cores behind one deterministic router. See
 /// the [module docs](self) for the invariants.
 ///
-/// Sessions and leases are interned into dense slots; routing is a slot
-/// lookup, and all per-feed working sets (per-device event split, load
-/// vectors, eligibility masks, command buffers) are layer-owned scratch
-/// that reuses its high-water capacity — a steady-state
-/// [`PlacementLayer::feed_into`] call does not touch the allocator.
+/// Routing is a map lookup by external id, and all per-feed working sets
+/// (per-device event split, load vectors, eligibility masks, command
+/// buffers) are layer-owned scratch that reuses its high-water capacity —
+/// a steady-state [`PlacementLayer::feed_into`] call does not touch the
+/// allocator.
 #[derive(Debug)]
 pub struct PlacementLayer {
     cores: Vec<ArbiterCore>,
     config: PlacementConfig,
     now: Tick,
-    /// Session interner; parallel to `session_device`.
-    sessions: IdTable,
-    /// Sticky session → device routes, by session slot.
-    session_device: Vec<usize>,
-    /// Declared SLO classes, by session slot (default best-effort).
-    session_slo: Vec<SloClass>,
-    /// Lease interner; parallel to the three per-lease tables below.
-    leases: IdTable,
-    /// Sticky lease → device routes (diverge from the session's device
-    /// after an evacuation), by lease slot.
-    lease_device: Vec<Option<usize>>,
-    /// Lease → owning session, for cleanup when the session ends.
-    lease_session: Vec<Option<u64>>,
-    /// In-flight migrations: lease slot → target device. Populated when
-    /// a device is evacuated, drained when the eviction's
-    /// `KernelFinished` arrives.
-    migrating: Vec<Option<usize>>,
+    sessions: IdMap<SessionRoute>,
+    leases: IdMap<LeaseRoute>,
     rr_next: usize,
     health: HealthTracker,
     sessions_routed: u64,
@@ -198,7 +204,6 @@ pub struct PlacementLayer {
     loads_buf: Vec<u64>,
     counts_buf: Vec<usize>,
     eligible_buf: Vec<bool>,
-    sweep: Vec<u64>,
     record: Option<Vec<PlacementBatch>>,
 }
 
@@ -229,13 +234,8 @@ impl PlacementLayer {
             cores,
             config,
             now: 0,
-            sessions: IdTable::with_capacity(SESSIONS),
-            session_device: Vec::with_capacity(SESSIONS),
-            session_slo: Vec::with_capacity(SESSIONS),
-            leases: IdTable::with_capacity(LEASES),
-            lease_device: Vec::with_capacity(LEASES),
-            lease_session: Vec::with_capacity(LEASES),
-            migrating: Vec::with_capacity(LEASES),
+            sessions: IdMap::with_capacity_and_hasher(SESSIONS, Default::default()),
+            leases: IdMap::with_capacity_and_hasher(LEASES, Default::default()),
             rr_next: 0,
             health,
             sessions_routed: 0,
@@ -251,16 +251,13 @@ impl PlacementLayer {
             loads_buf: Vec::with_capacity(n),
             counts_buf: Vec::with_capacity(n),
             eligible_buf: Vec::with_capacity(n),
-            sweep: Vec::with_capacity(8),
             record: None,
         }
     }
 
     /// Rebuilds a layer from a durable snapshot. The result behaves
-    /// byte-identically to the layer that produced the snapshot — ids are
-    /// re-interned in ascending external order, which may renumber slots,
-    /// but no decision depends on slot numbering. Recording is off until
-    /// [`PlacementLayer::start_recording`] is called again.
+    /// byte-identically to the layer that produced the snapshot. Recording
+    /// is off until [`PlacementLayer::start_recording`] is called again.
     #[doc(hidden)]
     pub fn from_snapshot(snap: PlacementSnapshot) -> Self {
         let mut r = Reader { rest: &snap.body };
@@ -272,7 +269,7 @@ impl PlacementLayer {
     pub fn snapshot(&self) -> PlacementSnapshot {
         // Room for a core's device, configuration and counters, and for
         // a few bytes of each id's routes: a larger body grows once.
-        let ids = self.sessions.slot_count() + self.leases.slot_count();
+        let ids = self.sessions.len() + self.leases.len();
         let mut body = Vec::with_capacity(256 * self.cores.len() + 32 * ids);
         self.encode(&mut body);
         PlacementSnapshot { body }
@@ -288,12 +285,7 @@ impl PlacementLayer {
             config,
             now,
             sessions,
-            session_device,
-            session_slo,
             leases,
-            lease_device,
-            lease_session,
-            migrating,
             rr_next,
             health,
             sessions_routed,
@@ -308,24 +300,35 @@ impl PlacementLayer {
             loads_buf: _,
             counts_buf: _,
             eligible_buf: _,
-            sweep: _,
             // Recovery decides afresh whether to record.
             record: _,
         } = self;
-        let sessions = sessions.by_id();
-        let leases = leases.by_id();
+        let sessions = by_id(sessions);
+        let leases = by_id(leases);
         put_placement_config(out, config);
         put_u64(out, *now);
         put_usize(out, cores.len());
         for core in cores {
             core.encode(out);
         }
-        put_slots(out, &sessions, |s| Some(session_device[s]), put_usize);
-        let declared = |s: usize| Some(session_slo[s]).filter(|&c| c != SloClass::BestEffort);
-        put_slots(out, &sessions, declared, put_slo);
-        put_slots(out, &leases, |s| lease_device[s], put_usize);
-        put_slots(out, &leases, |s| lease_session[s], put_u64);
-        put_slots(out, &leases, |s| migrating[s], put_usize);
+        put_entries(
+            out,
+            sessions.iter().map(|&(id, s)| (id, s.device)),
+            put_usize,
+        );
+        let declared = sessions
+            .iter()
+            .filter(|(_, s)| s.slo != SloClass::BestEffort)
+            .map(|&(id, s)| (id, s.slo));
+        put_entries(out, declared, put_slo);
+        let device = leases.iter().filter_map(|&(id, l)| Some((id, l.device?)));
+        put_entries(out, device, put_usize);
+        let session = leases.iter().filter_map(|&(id, l)| Some((id, l.session?)));
+        put_entries(out, session, put_u64);
+        let target = leases
+            .iter()
+            .filter_map(|&(id, l)| Some((id, l.migrating?)));
+        put_entries(out, target, put_usize);
         put_usize(out, *rr_next);
         health.encode(out);
         for v in [sessions_routed, migrations_completed, evacuations] {
@@ -334,10 +337,10 @@ impl PlacementLayer {
     }
 
     /// Rebuilds a layer from the bytes [`PlacementLayer::encode`] wrote.
-    /// Ids are re-interned in ascending external order. Bytes no layer
-    /// could have written are an error, not a layer that panics later: no
-    /// device, a health state count other than the device count, and a
-    /// session, lease or migration routed past the last device.
+    /// Bytes no layer could have written are an error, not a layer that
+    /// panics later: no device, a health state count other than the device
+    /// count, and a session, lease or migration routed past the last
+    /// device.
     /// An Affinity pin past the last device and any `rr_next` are valid:
     /// routing falls back from the one and takes the other modulo the
     /// device count.
@@ -361,24 +364,19 @@ impl PlacementLayer {
         let mut layer = Self::over(cores, config);
         layer.now = now;
         for (session, d) in r.pairs(device)? {
-            let slot = layer.session_slot(session);
-            layer.session_device[slot] = d;
+            layer.session(session).device = d;
         }
         for (session, class) in r.pairs(Reader::slo)? {
-            let slot = layer.session_slot(session);
-            layer.session_slo[slot] = class;
+            layer.session(session).slo = class;
         }
         for (lease, d) in r.pairs(device)? {
-            let slot = layer.lease_slot(lease);
-            layer.lease_device[slot] = Some(d);
+            layer.leases.entry(lease).or_default().device = Some(d);
         }
         for (lease, session) in r.pairs(Reader::u64)? {
-            let slot = layer.lease_slot(lease);
-            layer.lease_session[slot] = Some(session);
+            layer.leases.entry(lease).or_default().session = Some(session);
         }
         for (lease, d) in r.pairs(device)? {
-            let slot = layer.lease_slot(lease);
-            layer.migrating[slot] = Some(d);
+            layer.leases.entry(lease).or_default().migrating = Some(d);
         }
         layer.rr_next = r.usize()?;
         layer.health = HealthTracker::decode(r, n)?;
@@ -416,18 +414,14 @@ impl PlacementLayer {
 
     /// The device `session` is routed to, if it has been routed.
     pub fn device_of_session(&self, session: u64) -> Option<usize> {
-        self.sessions
-            .get(session)
-            .map(|s| self.session_device[s as usize])
+        self.sessions.get(&session).map(|s| s.device)
     }
 
     /// The device `lease` is routed to, if known. After an evacuation's
     /// eviction lands this is the *target* device — frontends re-stage
     /// the evicted kernel here.
     pub fn device_of_lease(&self, lease: u64) -> Option<usize> {
-        self.leases
-            .get(lease)
-            .and_then(|s| self.lease_device[s as usize])
+        self.leases.get(&lease).and_then(|l| l.device)
     }
 
     /// The migration target of `lease` while its eviction is still in
@@ -436,9 +430,7 @@ impl PlacementLayer {
     /// eviction (drop).
     #[doc(hidden)]
     pub fn migration_target(&self, lease: u64) -> Option<usize> {
-        self.leases
-            .get(lease)
-            .and_then(|s| self.migrating[s as usize])
+        self.leases.get(&lease).and_then(|l| l.migrating)
     }
 
     /// The health state of `device`, as of the last fed batch.
@@ -511,47 +503,20 @@ impl PlacementLayer {
         })
     }
 
-    /// Interns `session` and sizes the route tables to its slot, clearing
-    /// any stale SLO class on fresh (possibly reused) slots.
-    fn session_slot(&mut self, session: u64) -> usize {
-        let (slot, fresh) = self.sessions.intern(session);
-        let slot = slot as usize;
-        if slot >= self.session_device.len() {
-            self.session_device.resize(slot + 1, 0);
-            self.session_slo.resize(slot + 1, SloClass::BestEffort);
-        }
-        if fresh {
-            self.session_slo[slot] = SloClass::BestEffort;
-        }
-        slot
-    }
-
-    /// Interns `lease` and sizes the per-lease tables to its slot,
-    /// clearing slot state on fresh (possibly reused) slots.
-    fn lease_slot(&mut self, lease: u64) -> usize {
-        let (slot, fresh) = self.leases.intern(lease);
-        let slot = slot as usize;
-        if slot >= self.lease_device.len() {
-            self.lease_device.resize(slot + 1, None);
-            self.lease_session.resize(slot + 1, None);
-            self.migrating.resize(slot + 1, None);
-        }
-        if fresh {
-            self.lease_device[slot] = None;
-            self.lease_session[slot] = None;
-            debug_assert!(
-                self.migrating[slot].is_none(),
-                "released slot kept a target"
-            );
-        }
-        slot
+    /// The route of `session`, created on device 0 and best-effort if
+    /// absent.
+    fn session(&mut self, session: u64) -> &mut SessionRoute {
+        self.sessions.entry(session).or_insert(SessionRoute {
+            device: 0,
+            slo: SloClass::BestEffort,
+        })
     }
 
     fn fill_session_counts(&self, buf: &mut Vec<usize>) {
         buf.clear();
         buf.resize(self.cores.len(), 0);
-        for (slot, _) in self.sessions.iter() {
-            buf[self.session_device[slot as usize]] += 1;
+        for s in self.sessions.values() {
+            buf[s.device] += 1;
         }
     }
 
@@ -568,8 +533,8 @@ impl PlacementLayer {
 
     /// Routes `session` via the policy (first sight) or its sticky route.
     fn device_of_or_assign(&mut self, session: u64) -> usize {
-        if let Some(slot) = self.sessions.get(session) {
-            return self.session_device[slot as usize];
+        if let Some(s) = self.sessions.get(&session) {
+            return s.device;
         }
         let mut loads = std::mem::take(&mut self.loads_buf);
         let mut counts = std::mem::take(&mut self.counts_buf);
@@ -589,8 +554,7 @@ impl PlacementLayer {
             // device is eligible; skips ineligible devices otherwise.
             self.rr_next = d + 1;
         }
-        let slot = self.session_slot(session);
-        self.session_device[slot] = d;
+        self.session(session).device = d;
         self.sessions_routed += 1;
         d
     }
@@ -606,8 +570,8 @@ impl PlacementLayer {
         if class != SloClass::LatencyCritical {
             return self.device_of_or_assign(session);
         }
-        if let Some(slot) = self.sessions.get(session) {
-            return self.session_device[slot as usize];
+        if let Some(s) = self.sessions.get(&session) {
+            return s.device;
         }
         let mut eligible = std::mem::take(&mut self.eligible_buf);
         self.fill_routable(&mut eligible);
@@ -623,8 +587,7 @@ impl PlacementLayer {
             }
         }
         self.eligible_buf = eligible;
-        let slot = self.session_slot(session);
-        self.session_device[slot] = best;
+        self.session(session).device = best;
         self.sessions_routed += 1;
         best
     }
@@ -636,11 +599,7 @@ impl PlacementLayer {
     /// session route stays sticky for when the device returns, but no
     /// fresh work lands on a dead device.
     fn device_for_lease(&mut self, session: u64, lease: u64) -> usize {
-        let routed = self
-            .leases
-            .get(lease)
-            .and_then(|s| self.lease_device[s as usize]);
-        let d = match routed {
+        let d = match self.device_of_lease(lease) {
             Some(d) => d,
             None => {
                 let mut d = self.device_of_or_assign(session);
@@ -649,13 +608,12 @@ impl PlacementLayer {
                         d = alt;
                     }
                 }
-                let slot = self.lease_slot(lease);
-                self.lease_device[slot] = Some(d);
                 d
             }
         };
-        let slot = self.lease_slot(lease);
-        self.lease_session[slot] = Some(session);
+        let route = self.leases.entry(lease).or_default();
+        route.device = Some(d);
+        route.session = Some(session);
         d
     }
 
@@ -713,8 +671,7 @@ impl PlacementLayer {
                     // whose core may never have seen the session's
                     // declaration: re-declare ahead of the ready event so
                     // the SLO class survives the move.
-                    if let Some(slot) = self.sessions.get(session) {
-                        let class = self.session_slo[slot as usize];
+                    if let Some(&SessionRoute { slo: class, .. }) = self.sessions.get(&session) {
                         if class != SloClass::BestEffort
                             && self.cores[d].session_slo(session) != class
                         {
@@ -758,8 +715,7 @@ impl PlacementLayer {
                 }
                 Event::SloArrival { session, class } => {
                     let d = self.device_of_or_assign_slo(session, class);
-                    let slot = self.session_slot(session);
-                    self.session_slo[slot] = class;
+                    self.session(session).slo = class;
                     sub[d].push(ev.clone());
                 }
             }
@@ -788,31 +744,16 @@ impl PlacementLayer {
         // A landed eviction completes its migration: the lease's sticky
         // route flips to the target, so the re-fed KernelReady lands there.
         for lease in finished.drain(..) {
-            if let Some(slot) = self.leases.get(lease) {
-                let slot = slot as usize;
-                if let Some(dst) = self.migrating[slot].take() {
-                    self.lease_device[slot] = Some(dst);
+            if let Some(route) = self.leases.get_mut(&lease) {
+                if let Some(dst) = route.migrating.take() {
+                    route.device = Some(dst);
                     self.migrations_completed += 1;
                 }
             }
         }
         for session in ended.drain(..) {
-            self.sessions.release(session);
-            let mut sweep = std::mem::take(&mut self.sweep);
-            sweep.clear();
-            sweep.extend(
-                self.leases
-                    .iter()
-                    .filter(|&(slot, _)| self.lease_session[slot as usize] == Some(session))
-                    .map(|(_, ext)| ext),
-            );
-            for &lease in &sweep {
-                let slot = self.leases.release(lease).expect("swept lease is live") as usize;
-                self.lease_session[slot] = None;
-                self.lease_device[slot] = None;
-                self.migrating[slot] = None;
-            }
-            self.sweep = sweep;
+            self.sessions.remove(&session);
+            self.leases.retain(|_, l| l.session != Some(session));
         }
         // Evacuations run after the cores were fed, so work that became
         // resident or queued in this very batch is still moved off the
@@ -846,20 +787,18 @@ impl PlacementLayer {
         let mut loads = self.loads();
         // Retarget evacuations whose destination just died. Each retarget
         // feeds back into `loads`, so iteration order is part of the
-        // replayed decision: sort by external lease id, matching the
-        // ordered-map scan this used to be (the dense-slot rule).
+        // replayed decision: sort by external lease id.
         let mut aimed: Vec<u64> = self
             .leases
             .iter()
-            .filter(|&(slot, _)| self.migrating[slot as usize] == Some(src))
-            .map(|(_, ext)| ext)
+            .filter(|(_, l)| l.migrating == Some(src))
+            .map(|(&lease, _)| lease)
             .collect();
         aimed.sort_unstable();
         for lease in aimed {
             if let Some(dst) = pick_target(&eligible, &loads, src) {
                 loads[dst] += LOAD_WEIGHT_MS;
-                let slot = self.lease_slot(lease);
-                self.migrating[slot] = Some(dst);
+                self.leases.entry(lease).or_default().migrating = Some(dst);
             }
         }
         let mut victims = self.cores[src].resident_leases();
@@ -867,19 +806,14 @@ impl PlacementLayer {
         victims.sort_unstable();
         victims.dedup();
         for lease in victims {
-            let already = self
-                .leases
-                .get(lease)
-                .is_some_and(|s| self.migrating[s as usize].is_some());
-            if already {
+            if self.migration_target(lease).is_some() {
                 continue; // already on its way out (an earlier evacuation)
             }
             let Some(dst) = pick_target(&eligible, &loads, src) else {
                 return;
             };
             loads[dst] += LOAD_WEIGHT_MS;
-            let slot = self.lease_slot(lease);
-            self.migrating[slot] = Some(dst);
+            self.leases.entry(lease).or_default().migrating = Some(dst);
             self.evacuations += 1;
             out.push(RoutedCommand {
                 device: src,
@@ -1062,11 +996,8 @@ mod tests {
         assert_eq!(p.device_of_session(2), Some(1));
         assert_eq!(p.device_of_session(3), None);
         assert_eq!(p.device_of_session(1_000), None);
-        assert_eq!(p.sessions.iter().count(), 2);
-        assert!(p
-            .sessions
-            .iter()
-            .all(|(s, _)| p.session_slo[s as usize] == SloClass::BestEffort));
+        assert_eq!(p.sessions.len(), 2);
+        assert!(p.sessions.values().all(|s| s.slo == SloClass::BestEffort));
         assert_eq!(p.core_stats().admission.sessions_rejected, 998);
     }
 
@@ -1230,8 +1161,7 @@ mod tests {
     #[test]
     fn a_session_routed_past_the_last_device_is_refused() {
         let mut p = routed();
-        let slot = p.sessions.get(2).expect("routed") as usize;
-        p.session_device[slot] = 5;
+        p.sessions.get_mut(&2).expect("routed").device = 5;
         assert!(refused(&p).contains("past the last"));
     }
 
@@ -1309,16 +1239,14 @@ mod tests {
     #[test]
     fn a_lease_routed_past_the_last_device_is_refused() {
         let mut p = routed();
-        let slot = p.leases.get(20).expect("routed") as usize;
-        p.lease_device[slot] = Some(2);
+        p.leases.get_mut(&20).expect("routed").device = Some(2);
         assert!(refused(&p).contains("past the last"));
     }
 
     #[test]
     fn a_migration_aimed_past_the_last_device_is_refused() {
         let mut p = routed();
-        let slot = p.leases.get(20).expect("routed") as usize;
-        p.migrating[slot] = Some(2);
+        p.leases.get_mut(&20).expect("routed").migrating = Some(2);
         assert!(refused(&p).contains("past the last"));
     }
 

@@ -616,7 +616,7 @@ impl Builder {
 
         // Track assignment: tid 0 is the device's arbiter track; each
         // session gets one or more lanes after it, in ascending
-        // session-id order (external ids — never interner slot order).
+        // session-id order.
         // A session with concurrent leases would overlap its slices on a
         // single track, so slices are first-fit packed into lanes: a
         // slice takes the first lane whose previous slice has ended.

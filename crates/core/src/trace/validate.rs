@@ -11,11 +11,11 @@
 use serde::{Deserialize, JsonValue};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Structural minimums (and escape hatches) a trace must satisfy. The
-/// checked-in CI schema (`crates/core/tests/data/trace_schema.json`)
-/// instantiates this for the golden fixtures; a default schema imposes
-/// only the always-on invariants (monotonic timestamps, well-formed
-/// events, no orphan flows, no overlapping slices).
+/// Structural minimums a trace must satisfy. The checked-in CI schema
+/// (`crates/core/tests/data/trace_schema.json`) instantiates this for the
+/// golden fixtures; a default schema imposes only the invariants every
+/// trace is checked for whatever the schema (monotonic timestamps,
+/// well-formed events, every flow paired, no overlapping slices).
 #[derive(Debug, Clone, Default, PartialEq, Deserialize)]
 pub struct TraceSchema {
     /// Minimum distinct processes (devices) with a `process_name`.
@@ -36,15 +36,6 @@ pub struct TraceSchema {
     /// Minimum flow (`s`/`f`) pairs.
     #[serde(default)]
     pub(crate) min_flows: u64,
-    /// Permit non-monotonic data-event timestamps (off by default).
-    #[serde(default)]
-    pub(crate) allow_unsorted_ts: bool,
-    /// Permit unpaired flow endpoints (off by default).
-    #[serde(default)]
-    pub(crate) allow_orphan_flows: bool,
-    /// Permit overlapping slices within one track (off by default).
-    #[serde(default)]
-    pub(crate) allow_overlapping_slices: bool,
 }
 
 impl TraceSchema {
@@ -183,7 +174,7 @@ pub fn validate(text: &str, schema: &TraceSchema) -> Result<TraceStats, String> 
 
         // Data events: global timestamp monotonicity (emission order).
         if let Some(prev) = last_ts {
-            if ts < prev && !schema.allow_unsorted_ts {
+            if ts < prev {
                 return Err(format!(
                     "event {at}: timestamp {ts} goes backwards (previous data event at {prev})"
                 ));
@@ -198,7 +189,7 @@ pub fn validate(text: &str, schema: &TraceSchema) -> Result<TraceStats, String> 
                 let key = (pid, tid);
                 slice_tracks.insert(key);
                 if let Some(end) = track_end.get(&key) {
-                    if ts < *end && !schema.allow_overlapping_slices {
+                    if ts < *end {
                         return Err(format!(
                             "event {at}: slice on track {pid}:{tid} starts at {ts}, \
                              before the previous slice on that track ended at {end}"
@@ -234,18 +225,16 @@ pub fn validate(text: &str, schema: &TraceSchema) -> Result<TraceStats, String> 
         }
     }
 
-    if !schema.allow_orphan_flows {
-        for (id, (starts, finishes, start_ts, finish_ts)) in &flows {
-            if *starts != 1 || *finishes != 1 {
-                return Err(format!(
-                    "flow {id}: {starts} start(s) and {finishes} finish(es); want exactly one of each"
-                ));
-            }
-            if finish_ts < start_ts {
-                return Err(format!(
-                    "flow {id}: arrives at {finish_ts}, before it departs at {start_ts}"
-                ));
-            }
+    for (id, (starts, finishes, start_ts, finish_ts)) in &flows {
+        if *starts != 1 || *finishes != 1 {
+            return Err(format!(
+                "flow {id}: {starts} start(s) and {finishes} finish(es); want exactly one of each"
+            ));
+        }
+        if finish_ts < start_ts {
+            return Err(format!(
+                "flow {id}: arrives at {finish_ts}, before it departs at {start_ts}"
+            ));
         }
     }
     stats.flows = flows.len();
@@ -311,6 +300,15 @@ mod tests {
     }
 
     #[test]
+    fn rejects_an_unpaired_flow() {
+        let orphan = r#"{"traceEvents":[
+{"name":"m","cat":"c","ph":"s","ts":1,"pid":0,"tid":0,"id":"7"}
+]}"#;
+        let err = validate(orphan, &TraceSchema::default()).unwrap_err();
+        assert!(err.contains("want exactly one of each"), "{err}");
+    }
+
+    #[test]
     fn schema_minimums_bite() {
         let mut schema = TraceSchema {
             min_slices: 1,
@@ -326,8 +324,10 @@ mod tests {
     #[test]
     fn schema_parses_with_defaults() {
         let s = TraceSchema::from_json("{\"min_slices\": 3}").expect("parses");
-        assert_eq!(s.min_slices, 3);
-        assert_eq!(s.min_processes, 0);
-        assert!(!s.allow_unsorted_ts);
+        let want = TraceSchema {
+            min_slices: 3,
+            ..TraceSchema::default()
+        };
+        assert_eq!(s, want, "every other minimum defaults to zero");
     }
 }

@@ -1,9 +1,9 @@
 //! Zero-allocation proof for the steady-state feed path.
 //!
-//! The dense-id refactor's headline claim (`DESIGN.md` §17) is that a
-//! warmed scheduler feeds without touching the allocator: the `IdTable`
-//! reuses released slots, every decision-path scratch buffer keeps its
-//! high-water capacity, and commands are `Copy`-only payloads written
+//! The headline claim of `DESIGN.md` §17 is that a warmed scheduler
+//! feeds without touching the allocator: the per-id maps keep their
+//! capacity and removed leases' FIFOs wait in a spare pool, every
+//! decision-path scratch buffer keeps its high-water capacity, and commands are `Copy`-only payloads written
 //! into caller-owned buffers. The daemon's feed path is these same
 //! pieces under its arbiter lock (the reply buffer lives beside the
 //! layer and is reused), exercised here
@@ -26,7 +26,8 @@
 //! ([`Durability::sync_checkpoint`]). Capturing
 //! the layer for it, [`PlacementLayer::snapshot`], encodes the layer into
 //! a body buffer sized up front, and its count is pinned exactly: the
-//! buffer and the sorted id lists the encoder walks.
+//! buffer and the lists of map entries sorted by id that the encoder
+//! walks.
 //!
 //! The launch path makes the neighbouring claim (`DESIGN.md` §3.3): a
 //! [`Dispatcher::run`] costs a fixed handful of allocations whatever the
@@ -104,7 +105,7 @@ fn ready(session: u64, lease: u64, demand: u32) -> Event {
 
 /// One full session lifecycle through `feed_into`: open, launch+ready a
 /// co-running pair, tick, finish, close. Identical external ids every
-/// cycle, so released `IdTable` slots are re-interned from the free list.
+/// cycle, so each cycle removes and re-inserts the same map entries.
 fn core_cycle(core: &mut ArbiterCore, t: &mut u64, out: &mut Vec<Command>) {
     let feed = |core: &mut ArbiterCore, t: &mut u64, events: &[Event], out: &mut Vec<Command>| {
         *t += 100;
@@ -154,8 +155,8 @@ fn arbiter_feed_into_steady_state_allocates_nothing() {
     let mut core = ArbiterCore::new(DeviceConfig::titan_xp(), ArbiterConfig::default());
     let mut t = 0u64;
     let mut out = Vec::new();
-    // Warm: grow the IdTable arena, scratch buffers and `out` to their
-    // high-water marks.
+    // Warm: grow the id maps, the spare FIFOs, scratch buffers and `out`
+    // to their high-water marks.
     for _ in 0..4 {
         core_cycle(&mut core, &mut t, &mut out);
     }
@@ -419,9 +420,9 @@ fn warmed_sync_step_allocates_nothing() {
 
 /// Capturing that fleet's snapshot (`PlacementLayer::snapshot`, under the
 /// arbiter lock at every checkpoint) encodes it straight into one body
-/// buffer, sized up front: that buffer, and one list of live ids sorted
-/// by id for each id table that holds any — the layer's two and the
-/// session and lease tables of the two devices routed to.
+/// buffer, sized up front: that buffer, and one list of entries sorted
+/// by id for each id map that holds any — the layer's two and the
+/// session and lease maps of the two devices routed to.
 #[test]
 fn capturing_a_snapshot_allocates_its_body_and_the_sorted_id_lists() {
     let layer = two_session_fleet();
